@@ -19,8 +19,8 @@ from .sequences import (DeadSequence, MonotonicityViolation, SequenceTable,
 from .synthesis import (CertificateReport, CertificationFailure,
                         InsufficientHorizon, KernelNode, NonpositiveDivisor,
                         OracleTooShort, ProbeReport, SynthesisConfig,
-                        TransitionCertificate, Validation, certify_transitions,
-                        cross_validate, discover, euclid_div, kernel_probe,
+                        TransitionCertificate, Validation, cert_oracle_bound,
+                        certify_transitions, cross_validate, discover, euclid_div, kernel_probe,
                         shift_bounds, signature, synthesize_msb,
                         synthesize_validated)
 

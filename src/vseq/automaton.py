@@ -60,6 +60,26 @@ def base_digits(n: int, q: int) -> list[int]:
     return digits
 
 
+def _decimal_int(s: str) -> int:
+    """int(s) for a numeral of ASCII digits of any length.
+
+    Past CPython's str -> int digit limit, int(s) raises ValueError; the
+    halves are then converted separately and joined, so the process-wide
+    limit stays as it is.
+    """
+    try:
+        return int(s)
+    except ValueError:
+        k = len(s) // 2
+        return _decimal_int(s[:-k]) * 10 ** k + _decimal_int(s[-k:])
+
+
+def _is_digits(tok: str) -> bool:
+    """Only ASCII digits: str.isdigit() alone also passes '²' and '١', and
+    int() takes signs, underscores and digits of other scripts."""
+    return tok.isascii() and tok.isdigit()
+
+
 def _format_output(out: Output, kind: str) -> str:
     if kind == WINDOW:
         return "".join(map(str, out))
@@ -145,9 +165,9 @@ class Dfao:
         automaton step per base-q digit.
         """
         if isinstance(n, str):
-            if not n or not n.isascii() or not n.isdigit():
+            if not _is_digits(n):
                 raise BadNumeral(f"not a decimal numeral: {n[:30]!r}")
-            n = int(n)
+            n = _decimal_int(n)
         elif n < 0:
             raise BadNumeral("n must be nonnegative")
         return self.eval(base_digits(n, self.alphabet_size))
@@ -292,10 +312,9 @@ class Dfao:
             if header is None:
                 if len(parts) != 4 or parts[0] != "dfao":
                     raise ParseError(line_no, f"expected 'dfao <n> <q> <kind>', got {raw!r}")
-                try:
-                    n, q = int(parts[1]), int(parts[2])
-                except ValueError:
+                if not (_is_digits(parts[1]) and _is_digits(parts[2])):
                     raise ParseError(line_no, "state count and alphabet size must be integers")
+                n, q = int(parts[1]), int(parts[2])
                 kind = parts[3]
                 if kind not in (WINDOW, SINGLE):
                     raise ParseError(line_no, f"unknown output kind {kind!r}")
@@ -303,35 +322,33 @@ class Dfao:
                 continue
             n, q, kind = header
             if parts[0] == "initial":
-                if len(parts) != 2 or not parts[1].isdigit():
+                if len(parts) != 2 or not _is_digits(parts[1]):
                     raise ParseError(line_no, "expected 'initial <state_id>'")
                 initial = int(parts[1])
             elif parts[0] == "state":
                 if len(parts) != 4:
                     raise ParseError(line_no, "expected 'state <id> <name> <output>'")
-                try:
-                    sid = int(parts[1])
-                except ValueError:
+                if not _is_digits(parts[1]):
                     raise ParseError(line_no, "state id must be an integer")
+                sid = int(parts[1])
                 if sid in states:
                     raise ParseError(line_no, f"duplicate state id {sid}")
                 out_tok = parts[3]
                 if kind == WINDOW:
-                    if len(out_tok) != 4 or not out_tok.isdigit():
+                    if len(out_tok) != 4 or not _is_digits(out_tok):
                         raise ParseError(line_no, f"window output must be 4 digits, got {out_tok!r}")
                     out: Output = tuple(int(c) for c in out_tok)
                 else:
-                    if len(out_tok) != 1 or not out_tok.isdigit():
+                    if len(out_tok) != 1 or not _is_digits(out_tok):
                         raise ParseError(line_no, f"single output must be 1 digit, got {out_tok!r}")
                     out = int(out_tok)
                 states[sid] = (parts[2], out)
             elif parts[0] == "trans":
                 if len(parts) != 4:
                     raise ParseError(line_no, "expected 'trans <from> <digit> <to>'")
-                try:
-                    frm, d, to = int(parts[1]), int(parts[2]), int(parts[3])
-                except ValueError:
+                if not all(map(_is_digits, parts[1:])):
                     raise ParseError(line_no, "trans fields must be integers")
+                frm, d, to = map(int, parts[1:])
                 if (frm, d) in trans:
                     raise ParseError(line_no, f"duplicate transition ({frm}, {d})")
                 trans[(frm, d)] = to

@@ -8,30 +8,35 @@ success, 1 when a verification fails, 2 on usage errors.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import sys
 from typing import Sequence
 
 from . import published, rules, synthesis
-from .automaton import WINDOW, Dfao, ParseError
+from .automaton import WINDOW, BadDigit, BadNumeral, Dfao, ParseError
 from .sequences import (DeadSequence, SequenceTable, first_difference, gen_f,
                         gen_qrs, gen_v, write_table)
 
 SEED_NOTE = "# seed convention: Q_{r,s}(1..s) = 1 (V is Q_{1,4}; F counts V and has F(0) = 0)"
 
+# what bad flag values, numerals or files raise: usage errors, exit 2
+USAGE_ERRORS = (ValueError, OSError, ParseError, BadNumeral, BadDigit,
+                synthesis.OracleTooShort)
 
-def _open_out(path: str | None):
+
+@contextlib.contextmanager
+def _output(path: str | None):
+    """stdout for no path or '-', else the file, closed on exit."""
     if path is None or path == "-":
-        return sys.stdout, False
-    return open(path, "w"), True
+        yield sys.stdout
+    else:
+        with open(path, "w") as fp:
+            yield fp
 
 
 def _write(path: str | None, text: str) -> None:
-    fp, close = _open_out(path)
-    try:
+    with _output(path) as fp:
         fp.write(text)
-    finally:
-        if close:
-            fp.close()
 
 
 def _load_automaton(path: str) -> Dfao:
@@ -39,27 +44,24 @@ def _load_automaton(path: str) -> Dfao:
         return Dfao.deserialize(fp.read())
 
 
-def _cert_oracle_bound(m: Dfao, depth: int) -> int:
-    values = []
-    for name in m.names:
-        values.append(0 if name == "eps" else int(name, 2))
-    max_ud = max((v << 1) | d for v in values for d in (0, 1))
-    return max(((max_ud << (depth + 1)) | 1) + 1, (max_ud + 1) << depth)
+def _certify(machine: Dfao, f: SequenceTable, depth: int,
+             validate: int) -> synthesis.CertificateReport:
+    """Rules derived from the oracle, then the certificate, on an oracle
+    extended when the depth reads past its end."""
+    rule_table = rules.derive_rules(f, 4, min(2 ** 20, (f.hi - 1) // 2))
+    cert_bound = synthesis.cert_oracle_bound(machine, depth)
+    f_cert = gen_f(cert_bound) if cert_bound > f.hi else f
+    return synthesis.certify_transitions(machine, f_cert, rule_table,
+                                         depth=depth, validate_to=validate)
 
 
 def _build_pipeline(horizon: int, validate: int, depth: int):
-    """Oracle -> rules -> validated window automaton -> certificate."""
+    """Oracle -> validated window automaton -> rules -> certificate."""
     f = gen_f(validate + 2)
     cfg = synthesis.SynthesisConfig.for_frequency(horizon=horizon,
                                                   validate_to=validate)
     machine, verdict = synthesis.synthesize_validated(f, cfg)
-    rule_bound = min(2 ** 20, (f.hi - 1) // 2)
-    rule_table = rules.derive_rules(f, 4, rule_bound)
-    cert_bound = _cert_oracle_bound(machine, depth)
-    f_cert = gen_f(cert_bound) if cert_bound > f.hi else f
-    report = synthesis.certify_transitions(machine, f_cert, rule_table,
-                                           depth=depth, validate_to=validate)
-    return f, rule_table, machine, verdict, report
+    return f, machine, verdict, _certify(machine, f, depth, validate)
 
 
 def cmd_gen(args) -> int:
@@ -69,29 +71,17 @@ def cmd_gen(args) -> int:
         table = gen_v(args.max)
     else:
         table = gen_f(args.max)
-    fp, close = _open_out(args.out)
-    try:
+    with _output(args.out) as fp:
         write_table(table, fp)
-    finally:
-        if close:
-            fp.close()
     return 0
 
 
 def cmd_qrs(args) -> int:
     print(SEED_NOTE)
     print(f"# qrs --r {args.r} --s {args.s} --max {args.max}")
-    try:
-        table = gen_qrs(args.r, args.s, args.max)
-    except DeadSequence as e:
-        print(f"dead sequence: {e}")
-        return 1
-    fp, close = _open_out(args.out)
-    try:
+    table = gen_qrs(args.r, args.s, args.max)
+    with _output(args.out) as fp:
         write_table(table, fp)
-    finally:
-        if close:
-            fp.close()
     return 0
 
 
@@ -109,17 +99,13 @@ def cmd_synthesize(args) -> int:
     print(SEED_NOTE)
     print(f"# synthesize --target {args.target} --horizon {args.horizon} "
           f"--validate {args.validate} --depth {args.depth}")
-    try:
-        f, _, machine, verdict, report = _build_pipeline(
-            args.horizon, args.validate, args.depth)
-    except (synthesis.CertificationFailure, synthesis.InsufficientHorizon) as e:
-        print(f"FAIL {e}")
-        return 1
+    f, machine, verdict, report = _build_pipeline(args.horizon, args.validate,
+                                                  args.depth)
     if args.windowed:
         out = machine
     else:
         out = machine.project_output().minimize()
-        final = synthesis.cross_validate(out, f, args.validate, jobs=args.jobs)
+        final = synthesis.cross_validate(out, f, args.validate)
         if not final.passed:
             print(f"minimized automaton fails at n = {final.first_mismatch}")
             return 1
@@ -137,59 +123,37 @@ def cmd_certify(args) -> int:
     print(SEED_NOTE)
     print(f"# certify --automaton {args.automaton} --depth {args.depth} "
           f"--validate {args.validate}")
-    try:
-        loaded = _load_automaton(args.automaton)
-    except (OSError, ParseError) as e:
-        print(f"cannot load automaton: {e}", file=sys.stderr)
-        return 2
-    try:
-        if loaded.output_kind == WINDOW:
-            f = gen_f(max(_cert_oracle_bound(loaded, args.depth),
-                          args.validate + 2))
-            rule_bound = min(2 ** 20, (f.hi - 1) // 2)
-            rule_table = rules.derive_rules(f, 4, rule_bound)
-            report = synthesis.certify_transitions(
-                loaded, f, rule_table, depth=args.depth, validate_to=args.validate)
-            checked = synthesis.cross_validate(loaded, f, args.validate,
-                                               jobs=args.jobs)
-            sys.stdout.write(report.format())
-            if not checked.passed:
-                print(f"cross-validation fails at n = {checked.first_mismatch}")
-                return 1
-            print(f"cross-validated on [0, {checked.n_max}]")
-            return 0
+    loaded = _load_automaton(args.automaton)
+    if loaded.output_kind == WINDOW:
+        # one oracle serves both the certificate and the cross-check
+        f = gen_f(max(synthesis.cert_oracle_bound(loaded, args.depth),
+                      args.validate + 2))
+        sys.stdout.write(_certify(loaded, f, args.depth, args.validate).format())
+        passed = "cross-validated"
+    else:
         # single-output automaton: certify a fresh window automaton, then tie
         # the loaded machine to it by exact product equivalence
-        f, _, machine, _, report = _build_pipeline(
+        f, machine, _, report = _build_pipeline(
             args.horizon, args.validate, args.depth)
-        reference = machine.project_output().minimize()
         sys.stdout.write(report.format())
-        same, witness = reference.equivalent(loaded)
+        same, witness = machine.project_output().minimize().equivalent(loaded)
         if not same:
             print(f"loaded automaton differs from the certified reference on "
                   f"input {witness!r}")
             return 1
-        checked = synthesis.cross_validate(loaded, f, args.validate, jobs=args.jobs)
-        if not checked.passed:
-            print(f"cross-validation fails at n = {checked.first_mismatch}")
-            return 1
-        print(f"equivalent to the certified reference; cross-validated on "
-              f"[0, {checked.n_max}]")
-        return 0
-    except (synthesis.CertificationFailure, synthesis.InsufficientHorizon) as e:
-        print(f"FAIL {e}")
+        passed = "equivalent to the certified reference; cross-validated"
+    checked = synthesis.cross_validate(loaded, f, args.validate)
+    if not checked.passed:
+        print(f"cross-validation fails at n = {checked.first_mismatch}")
         return 1
+    print(f"{passed} on [0, {checked.n_max}]")
+    return 0
 
 
 def cmd_tables(args) -> int:
     print(SEED_NOTE)
     print(f"# tables check --validate {args.validate} --depth {args.depth}")
-    try:
-        _, _, machine, _, _ = _build_pipeline(args.horizon, args.validate,
-                                              args.depth)
-    except (synthesis.CertificationFailure, synthesis.InsufficientHorizon) as e:
-        print(f"FAIL {e}")
-        return 1
+    _, machine, _, _ = _build_pipeline(args.horizon, args.validate, args.depth)
     minimized = machine.project_output().minimize()
     ok = True
     for printed, truth in ((published.table1(), machine),
@@ -217,11 +181,7 @@ def cmd_probe(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    try:
-        machine = _load_automaton(args.automaton)
-    except (OSError, ParseError) as e:
-        print(f"cannot load automaton: {e}", file=sys.stderr)
-        return 2
+    machine = _load_automaton(args.automaton)
     if args.binary:
         out = machine.eval(args.n)
     else:
@@ -234,12 +194,7 @@ def cmd_eval(args) -> int:
 
 
 def cmd_dot(args) -> int:
-    try:
-        machine = _load_automaton(args.automaton)
-    except (OSError, ParseError) as e:
-        print(f"cannot load automaton: {e}", file=sys.stderr)
-        return 2
-    _write(args.out, machine.to_dot())
+    _write(args.out, _load_automaton(args.automaton).to_dot())
     return 0
 
 
@@ -272,7 +227,6 @@ def build_parser() -> argparse.ArgumentParser:
             sp.add_argument("--horizon", type=int, default=24)
         sp.add_argument("--validate", type=int, default=2 ** 22)
         sp.add_argument("--depth", type=int, default=16)
-        sp.add_argument("--jobs", type=int, default=1)
 
     s = sub.add_parser("synthesize", help="synthesize, validate, certify, write")
     s.add_argument("--target", choices=["f"], default="f")
@@ -316,9 +270,18 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def run(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    return args.func(args)
+    args = build_parser().parse_args(argv)
+    try:
+        return args.func(args)
+    except (synthesis.CertificationFailure, synthesis.InsufficientHorizon) as e:
+        print(f"FAIL {e}")
+        return 1
+    except DeadSequence as e:
+        print(f"dead sequence: {e}")
+        return 1
+    except USAGE_ERRORS as e:
+        print(f"vseq: {e}", file=sys.stderr)
+        return 2
 
 
 def main() -> None:

@@ -16,6 +16,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Literal
 
+import numpy as np
+
 from .sequences import SequenceTable
 
 Window = tuple[int, int, int, int]
@@ -72,46 +74,57 @@ class RuleVerification:
     new_windows: dict[Window, int]  # windows absent from the frozen table
 
 
-def _buffer(f: SequenceTable) -> bytes:
-    # scans key dicts by raw bytes slices, so values must fit one byte each
-    if f.lo != 0:
-        raise ValueError("rule scans expect an F table starting at index 0")
-    return bytes(f.values)
+def _scan(f: SequenceTable, a_min: int, a_max: int,
+          frozen: WindowRuleTable | None = None) -> WindowRuleTable:
+    """The one pass over a in [a_min, a_max]: the windows realized on it,
+    with their images and least a, in order of that a.
 
-
-def derive_rules(f: SequenceTable, a_min: int, a_max: int) -> WindowRuleTable:
-    """Record window -> (F(2a), F(2a+1)) for every a in [a_min, a_max]."""
+    Every image F(2a), F(2a+1) is checked against ``frozen`` (windows it
+    lacks are skipped) or else against the window's first occurrence;
+    RuleConflict names the least conflicting a, even before odd.
+    """
     if a_min <= 3:
         raise ValueError("a_min must be > 3: the doubling rules start at a = 4")
-    if a_max < a_min:
-        raise ValueError("a_max must be >= a_min")
+    if f.lo != 0:
+        raise ValueError("rule scans expect an F table starting at index 0")
     if f.hi < 2 * a_max + 1:
         raise ValueError(
             f"oracle ends at {f.hi}, need F up to {2 * a_max + 1} for a_max={a_max}"
         )
-    buf = _buffer(f)
-    even: dict[bytes, int] = {}
-    odd: dict[bytes, int] = {}
-    first: dict[bytes, int] = {}
-    for a in range(a_min, a_max + 1):
-        w = buf[a - 2:a + 2]
-        e = buf[2 * a]
-        o = buf[2 * a + 1]
-        if w in even:
-            if even[w] != e:
-                raise RuleConflict(tuple(w), "even", first[w], even[w], a, e)
-            if odd[w] != o:
-                raise RuleConflict(tuple(w), "odd", first[w], odd[w], a, o)
-        else:
-            even[w] = e
-            odd[w] = o
-            first[w] = a
-    return WindowRuleTable(
-        even_rule={tuple(w): v for w, v in even.items()},
-        odd_rule={tuple(w): v for w, v in odd.items()},
-        first_seen={tuple(w): a for w, a in first.items()},
+    vals = f.byte_values()
+    even = vals[2 * a_min:2 * a_max + 1:2]
+    odd = vals[2 * a_min + 1:2 * a_max + 2:2]
+    _, first, inverse = np.unique(f.window_codes(a_min, a_max),
+                                  return_index=True, return_inverse=True)
+    wins = [f.window4(a_min + int(i)) for i in first]
+    by_a = np.argsort(first)
+    realized = WindowRuleTable(
+        even_rule={wins[u]: int(even[first[u]]) for u in by_a},
+        odd_rule={wins[u]: int(odd[first[u]]) for u in by_a},
+        first_seen={wins[u]: a_min + int(first[u]) for u in by_a},
         derivation_bound=a_max,
     )
+    ref = realized if frozen is None else frozen
+    known = np.array([w in ref.even_rule for w in wins], dtype=bool)[inverse]
+    ref_even = np.array([ref.even_rule.get(w, 0) for w in wins])[inverse]
+    ref_odd = np.array([ref.odd_rule.get(w, 0) for w in wins])[inverse]
+    bad_even = known & (ref_even != even)
+    bad = np.flatnonzero(bad_even | (known & (ref_odd != odd)))
+    if bad.size:
+        i = int(bad[0])
+        w = wins[inverse[i]]
+        parity, table, image = (("even", ref.even_rule, even) if bad_even[i]
+                                else ("odd", ref.odd_rule, odd))
+        raise RuleConflict(w, parity, ref.first_seen[w], table[w], a_min + i,
+                           int(image[i]))
+    return realized
+
+
+def derive_rules(f: SequenceTable, a_min: int, a_max: int) -> WindowRuleTable:
+    """Record window -> (F(2a), F(2a+1)) for every a in [a_min, a_max]."""
+    if a_max < a_min:
+        raise ValueError("a_max must be >= a_min")
+    return _scan(f, a_min, a_max)
 
 
 def apply_rule(rules: WindowRuleTable, window: Window,
@@ -137,31 +150,8 @@ def verify_rules(rules: WindowRuleTable, f: SequenceTable,
     Windows not present in the frozen domain are reported, not adopted:
     the table under verification never changes.
     """
-    if a_min <= 3:
-        raise ValueError("a_min must be > 3")
-    if f.hi < 2 * a_max + 1:
-        raise ValueError(
-            f"oracle ends at {f.hi}, need F up to {2 * a_max + 1} for a_max={a_max}"
-        )
-    buf = _buffer(f)
-    even = {bytes(w): v for w, v in rules.even_rule.items()}
-    odd = {bytes(w): v for w, v in rules.odd_rule.items()}
-    first = {bytes(w): a for w, a in rules.first_seen.items()}
-    new: dict[Window, int] = {}
-    for a in range(a_min, a_max + 1):
-        w = buf[a - 2:a + 2]
-        e = buf[2 * a]
-        o = buf[2 * a + 1]
-        ge = even.get(w)
-        if ge is None:
-            wt = tuple(w)
-            if wt not in new:
-                new[wt] = a
-            continue
-        if ge != e:
-            raise RuleConflict(tuple(w), "even", first[w], ge, a, e)
-        if odd[w] != o:
-            raise RuleConflict(tuple(w), "odd", first[w], odd[w], a, o)
+    realized = _scan(f, a_min, a_max, frozen=rules)
+    new = {w: a for w, a in realized.first_seen.items() if w not in rules.even_rule}
     return RuleVerification(a_checked=a_max, new_windows=new)
 
 

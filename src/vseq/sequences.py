@@ -22,6 +22,9 @@ from array import array
 from dataclasses import dataclass
 from typing import IO, Iterator, Sequence
 
+import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
+
 
 class DeadSequence(Exception):
     """A recursion argument left [1, n-1]; the sequence has no term at n."""
@@ -85,9 +88,42 @@ class SequenceTable:
         """The 4-window (S(n-2), S(n-1), S(n), S(n+1)), zero-padded below lo."""
         return (self.get(n - 2), self.get(n - 1), self.get(n), self.get(n + 1))
 
+    def byte_values(self) -> np.ndarray:
+        """The values as a uint8 array, without a copy for a bytearray store;
+        ValueError unless every value fits one byte."""
+        vals = np.asarray(self.values)
+        if vals.dtype != np.uint8:
+            if vals.size and (int(vals.min()) < 0 or int(vals.max()) > 255):
+                raise ValueError(f"{self.label} values must lie in [0, 255]")
+            vals = vals.astype(np.uint8)
+        return vals
+
+    def window_codes(self, lo: int, hi: int) -> np.ndarray:
+        """pack_windows of window4(n) for every n in [lo, hi]: like window4,
+        indices below the table read as 0, indices above it are an error."""
+        if hi < lo:
+            return np.zeros(0, dtype=np.uint32)
+        if hi + 1 > self.hi:
+            raise IndexError(f"index {hi + 1} above table end {self.hi}")
+        start = lo - 2 - self.lo
+        seg = self.byte_values()[max(start, 0):start + hi - lo + 4]
+        if start < 0:
+            seg = np.concatenate([np.zeros(-start, dtype=np.uint8), seg])
+        return pack_windows(sliding_window_view(seg, 4))
+
     def iter_items(self) -> Iterator[tuple[int, int]]:
         for i, v in enumerate(self.values):
             yield self.lo + i, v
+
+
+def pack_windows(windows) -> np.ndarray:
+    """One uint32 per row (w0, w1, w2, w3) of an (N, 4) array of byte-sized
+    values, w0 in the low byte: equal windows get equal codes."""
+    w = np.asarray(windows, dtype=np.uint8)
+    code = np.zeros(len(w), dtype=np.uint32)
+    for k in range(4):
+        code |= np.left_shift(w[:, k], 8 * k, dtype=np.uint32)
+    return code
 
 
 def gen_v(n_max: int) -> SequenceTable:

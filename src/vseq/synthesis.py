@@ -27,8 +27,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .automaton import SINGLE, WINDOW, Dfao
-from .rules import WindowRuleTable
-from .sequences import SequenceTable
+from .rules import RuleConflict, WindowRuleTable, verify_rules
+from .sequences import SequenceTable, pack_windows
 
 
 class NonpositiveDivisor(ValueError):
@@ -166,12 +166,6 @@ def signature(buf: bytes, hi: int, m: int, q: int, horizon: int,
     return tuple(out)
 
 
-def _window(buf: bytes, hi: int, m: int) -> tuple[int, int, int, int]:
-    if m + 1 > hi:
-        raise OracleTooShort(f"oracle ends at {hi}; need window at {m}")
-    return tuple(buf[i] if i >= 0 else 0 for i in (m - 2, m - 1, m, m + 1))
-
-
 def discover(oracle: SequenceTable, cfg: SynthesisConfig,
              kind: str = WINDOW) -> tuple[list[KernelNode], list[list[int]]]:
     """Breadth-first state discovery from the empty string.
@@ -187,7 +181,13 @@ def discover(oracle: SequenceTable, cfg: SynthesisConfig,
     def sig(m: int) -> tuple[bytes, ...]:
         return signature(buf, hi, m, q, cfg.horizon, kind)
 
-    nodes = [KernelNode("", 0, _window(buf, hi, 0), sig(0))]
+    def window(m: int) -> tuple[int, int, int, int]:
+        try:
+            return oracle.window4(m)
+        except IndexError:
+            raise OracleTooShort(f"oracle ends at {hi}; need window at {m}") from None
+
+    nodes = [KernelNode("", 0, window(0), sig(0))]
     trans: list[list[int]] = []
     queue = [0]
     head = 0
@@ -205,8 +205,7 @@ def discover(oracle: SequenceTable, cfg: SynthesisConfig,
                     tgt = j
                     break
             if tgt is None:
-                nodes.append(KernelNode(nodes[s].rep + str(d), c,
-                                        _window(buf, hi, c), cs))
+                nodes.append(KernelNode(nodes[s].rep + str(d), c, window(c), cs))
                 tgt = len(nodes) - 1
                 queue.append(tgt)
             row.append(tgt)
@@ -266,39 +265,26 @@ def _states_upto(m: Dfao, n_max: int) -> np.ndarray:
 
 def _expected_outputs(m: Dfao, oracle: SequenceTable, n_max: int) -> tuple[np.ndarray, np.ndarray]:
     """(per-n automaton output code, per-n oracle output code)."""
-    f = np.frombuffer(_oracle_buffer(oracle), dtype=np.uint8)
     states = _states_upto(m, n_max)
     if m.output_kind == SINGLE:
-        out = np.asarray(m.outputs, dtype=np.int64)
-        return out[states], f[:n_max + 1].astype(np.int64)
-    wins = np.asarray(m.outputs, dtype=np.int64)
-    code = wins[:, 0] | (wins[:, 1] << 8) | (wins[:, 2] << 16) | (wins[:, 3] << 24)
-    seg = f[:n_max + 2].astype(np.int64)
-    pad = np.concatenate([np.zeros(2, dtype=np.int64), seg])  # pad[i+2] = F(i)
-    n = np.arange(n_max + 1)
-    truth = pad[n] | (pad[n + 1] << 8) | (pad[n + 2] << 16) | (pad[n + 3] << 24)
-    return code[states], truth
+        f = np.frombuffer(_oracle_buffer(oracle), dtype=np.uint8)
+        return np.asarray(m.outputs, dtype=np.uint8)[states], f[:n_max + 1]
+    return pack_windows(m.outputs)[states], oracle.window_codes(0, n_max)
 
 
-def cross_validate(m: Dfao, oracle: SequenceTable, n_max: int,
-                   jobs: int = 1) -> Validation:
+def cross_validate(m: Dfao, oracle: SequenceTable, n_max: int) -> Validation:
     """Compare the automaton against the oracle for every n in [0, n_max].
 
-    A mismatch is a verdict, not an error.  ``jobs`` partitions [0, n_max]
-    into that many ranges compared independently; verdicts merge by least
-    failing index, so the result never depends on the partitioning.
+    A mismatch is a verdict, not an error; the verdict names the least
+    failing n.
     """
     need = n_max + (1 if m.output_kind == WINDOW else 0)
     if oracle.hi < need:
         raise OracleTooShort(f"oracle ends at {oracle.hi}, need {need}")
     got, want = _expected_outputs(m, oracle, n_max)
-    jobs = max(1, jobs)
-    bounds = np.linspace(0, n_max + 1, jobs + 1, dtype=np.int64)
-    for k in range(jobs):
-        a, b = int(bounds[k]), int(bounds[k + 1])
-        bad = np.nonzero(got[a:b] != want[a:b])[0]
-        if bad.size:
-            return Validation(False, a + int(bad[0]), n_max)
+    bad = np.flatnonzero(got != want)
+    if bad.size:
+        return Validation(False, int(bad[0]), n_max)
     return Validation(True, None, n_max)
 
 
@@ -375,6 +361,14 @@ def _name_values(m: Dfao) -> list[int]:
     return vals
 
 
+def cert_oracle_bound(m: Dfao, depth: int) -> int:
+    """Last oracle index that certify_transitions reads at this depth: the
+    windows at [u d x] for the longest boundary-family extension x of every
+    transition u -d->, with u the state's claimed access value."""
+    max_ud = max((v << 1) | d for v in _name_values(m) for d in (0, 1))
+    return max(((max_ud << (depth + 1)) | 1) + 1, (max_ud + 1) << depth)
+
+
 def certify_transitions(m: Dfao, oracle: SequenceTable, rules: WindowRuleTable,
                         depth: int = 16, validate_to: int = 2 ** 22) -> CertificateReport:
     """Run the inductive correctness scheme against the oracle.
@@ -393,13 +387,9 @@ def certify_transitions(m: Dfao, oracle: SequenceTable, rules: WindowRuleTable,
         raise CertificationFailure("certification scheme is specific to base 2")
     if depth < 2:
         raise ValueError("depth must be >= 2")
-    buf = _oracle_buffer(oracle)
     hi = oracle.hi
     values = _name_values(m)
-
-    max_ud = max((values[s] << 1) | d
-                 for s in range(m.state_count) for d in (0, 1))
-    max_needed = max(((max_ud << (depth + 1)) | 1) + 1, (max_ud + 1) << depth)
+    max_needed = cert_oracle_bound(m, depth)
     if hi < max_needed:
         raise OracleTooShort(
             f"oracle ends at {hi}; depth {depth} family checks need {max_needed}")
@@ -408,14 +398,12 @@ def certify_transitions(m: Dfao, oracle: SequenceTable, rules: WindowRuleTable,
         raise OracleTooShort(
             f"oracle ends at {hi}; rule propagation to {prop_to} needs {2 * prop_to + 1}")
 
-    def win(n: int) -> tuple[int, int, int, int]:
-        return tuple(buf[i] if i >= 0 else 0 for i in (n - 2, n - 1, n, n + 1))
-
     # (a) output windows
     for s in range(m.state_count):
-        if tuple(m.outputs[s]) != win(values[s]):
+        truth = oracle.window4(values[s])
+        if tuple(m.outputs[s]) != truth:
             raise CertificationFailure(
-                f"state output {m.outputs[s]} != oracle window {win(values[s])}",
+                f"state output {m.outputs[s]} != oracle window {truth}",
                 from_name=m.names[s], witness=m.names[s])
 
     # (b) base case and boundary families per transition
@@ -425,7 +413,7 @@ def certify_transitions(m: Dfao, oracle: SequenceTable, rules: WindowRuleTable,
             p = m.transitions[s][d]
             mu = (values[s] << 1) | d
             mv = values[p]
-            if win(mu) != win(mv):
+            if oracle.window4(mu) != oracle.window4(mv):
                 raise CertificationFailure(
                     "base windows differ", m.names[s], d, m.names[p], witness="")
             witness = ""
@@ -433,7 +421,8 @@ def certify_transitions(m: Dfao, oracle: SequenceTable, rules: WindowRuleTable,
                 for xval, xlen, x in ((0, j, "0" * j),
                                       (1, j + 1, "0" * j + "1"),
                                       ((1 << j) - 1, j, "1" * j)):
-                    if win((mu << xlen) | xval) != win((mv << xlen) | xval):
+                    if (oracle.window4((mu << xlen) | xval)
+                            != oracle.window4((mv << xlen) | xval)):
                         raise CertificationFailure(
                             "family windows differ", m.names[s], d, m.names[p],
                             witness=x)
@@ -443,19 +432,16 @@ def certify_transitions(m: Dfao, oracle: SequenceTable, rules: WindowRuleTable,
                 base_ok=True, family_depth=depth, witness=witness))
 
     # (iii) doubling rules propagate windows across the validation range
-    even = {bytes(w): v for w, v in rules.even_rule.items()}
-    odd = {bytes(w): v for w, v in rules.odd_rule.items()}
-    for a in range(4, prop_to + 1):
-        w = buf[a - 2:a + 2]
-        ge = even.get(w)
-        if ge is None:
-            raise CertificationFailure(
-                f"window {tuple(w)} at a = {a} outside the rule domain",
-                witness=str(a))
-        if ge != buf[2 * a] or odd[w] != buf[2 * a + 1]:
-            raise CertificationFailure(
-                f"doubling rules disagree with the oracle at a = {a}",
-                witness=str(a))
+    try:
+        outside = verify_rules(rules, oracle, prop_to).new_windows
+    except RuleConflict as e:
+        raise CertificationFailure(
+            f"doubling rules disagree with the oracle at a = {e.a_second}",
+            witness=str(e.a_second)) from None
+    if outside:
+        w, a = next(iter(outside.items()))  # the least a: scans list windows by a
+        raise CertificationFailure(
+            f"window {w} at a = {a} outside the rule domain", witness=str(a))
 
     return CertificateReport(
         transitions=tuple(certs),
@@ -516,11 +502,7 @@ def kernel_probe(table: SequenceTable, q: int, depth: int,
     """
     if q < 2 or depth < 0 or prefix_len < 1:
         raise ValueError("need q >= 2, depth >= 0, prefix_len >= 1")
-    vals = np.asarray(table.values)
-    if vals.dtype != np.uint8:
-        if int(vals.min()) < 0 or int(vals.max()) > 255:
-            raise ValueError("probe expects values in [0, 255]")
-        vals = vals.astype(np.uint8)
+    vals = table.byte_values()
     lo, hi = table.lo, table.hi
     levels = []
     truncated = False

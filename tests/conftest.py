@@ -51,12 +51,6 @@ def cached_v(n_max: int) -> vseq.SequenceTable:
     return table
 
 
-def cert_oracle_bound(m: vseq.Dfao, depth: int) -> int:
-    values = [0 if n == "eps" else int(n, 2) for n in m.names]
-    max_ud = max((v << 1) | d for v in values for d in (0, 1))
-    return max(((max_ud << (depth + 1)) | 1) + 1, (max_ud + 1) << depth)
-
-
 @pytest.fixture(scope="session")
 def f_main() -> vseq.SequenceTable:
     """F oracle covering the default validation bound."""
@@ -83,7 +77,7 @@ def rules_main(f_main) -> vseq.WindowRuleTable:
 @pytest.fixture(scope="session")
 def f_cert(truth_a) -> vseq.SequenceTable:
     """Oracle long enough for depth-16 boundary-family certification."""
-    return cached_f(cert_oracle_bound(truth_a, CERT_DEPTH))
+    return cached_f(vseq.cert_oracle_bound(truth_a, CERT_DEPTH))
 
 
 @pytest.fixture(scope="session")

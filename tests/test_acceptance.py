@@ -95,7 +95,7 @@ def test_criterion_6_exhaustive_correctness(truth_b, f_main):
     with criterion(6, "automaton output equals F(n) for every n in [0, 2^22], "
                       "< 60 s single-threaded"):
         start = time.perf_counter()
-        verdict = cross_validate(truth_b, f_main, 2 ** 22, jobs=1)
+        verdict = cross_validate(truth_b, f_main, 2 ** 22)
         elapsed = time.perf_counter() - start
         assert verdict.passed
         assert verdict.first_mismatch is None

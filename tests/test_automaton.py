@@ -53,6 +53,27 @@ def test_eval_big_matches_digit_walk():
         assert m.eval_big(str(n)) == m.eval(bin(n)[2:] if n else "")
 
 
+def residues_625() -> Dfao:
+    """State n mod 625, output its four base-5 digits: the output pins
+    down n mod 625."""
+    return Dfao(2, 0, [((2 * s) % 625, (2 * s + 1) % 625) for s in range(625)],
+                [(s // 125, s // 25 % 5, s // 5 % 5, s % 5) for s in range(625)],
+                WINDOW)
+
+
+def test_eval_big_past_int_str_limit():
+    # CPython converts at most 4300 digits with int(str); these are longer
+    m = residues_625()
+    repunit = (10 ** 100_000 - 1) // 9
+    for text, n in (("1" * 100_000, repunit),
+                    ("9" * 100_000, 9 * repunit),
+                    ("1" + "0" * 99_999, 10 ** 99_999),
+                    ("12345678" * 12_500, 12345678 * ((10 ** 100_000 - 1) // (10 ** 8 - 1)))):
+        out = m.eval_big(text)
+        assert out == m.eval_big(n) == m.eval(bin(n)[2:])
+        assert out == m.outputs[n % 625]
+
+
 def test_base_digits():
     assert base_digits(0, 2) == []
     assert base_digits(6, 2) == [1, 1, 0]
@@ -174,6 +195,12 @@ def test_parse_errors_carry_line_numbers():
     with pytest.raises(ParseError):
         Dfao.deserialize("dfao 1 2 window\ninitial 0\nstate 0 x 12\n"
                          "trans 0 0 0\ntrans 0 1 0\n")  # short window output
+    # ASCII digits only: '²' passes str.isdigit(), '٠' and '١٢٣٤' even int()
+    for bad in (good.replace("initial 0", "initial \u00b2"),
+                good.replace("state 0 even 0", "state 0 even \u0660"),
+                windowed_pair().serialize().replace("0123", "\u0661\u0662\u0663\u0664")):
+        with pytest.raises(ParseError):
+            Dfao.deserialize(bad)
 
 
 def test_dot_output():

@@ -1,6 +1,12 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
-from vseq import Dfao, gen_f
+import vseq
+from vseq import SINGLE, Dfao, gen_f
 from vseq.cli import run
 
 FAST = ["--validate", "65536", "--depth", "3"]
@@ -114,16 +120,6 @@ def test_certify_window(built, capsys):
     assert "cross-validated on [0, 65536]" in out
 
 
-def test_certify_output_independent_of_jobs(built, capsys):
-    a_path, _, _ = built
-    outputs = []
-    for jobs in ("1", "5"):
-        assert run(["certify", "--automaton", str(a_path), *FAST,
-                    "--jobs", jobs]) == 0
-        outputs.append(capsys.readouterr().out)
-    assert outputs[0] == outputs[1]
-
-
 def test_certify_rejects_corrupt(built, tmp_path, capsys):
     _, b_path, _ = built
     b = Dfao.deserialize(b_path.read_text())
@@ -182,3 +178,31 @@ def test_unknown_flags_exit_2():
     with pytest.raises(SystemExit) as e:
         run(["qrs", "--r", "1", "--max", "5"])  # missing --s
     assert e.value.code == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["eval", "--automaton", "t.dfao", "--n", "abc"],                # BadNumeral
+    ["eval", "--automaton", "t.dfao", "--binary", "--n", "12"],     # BadDigit
+    ["gen", "f", "--max", "0"],
+    ["rules", "derive", "--max", "3"],
+    ["probe", "--sequence", "f", "--base", "1"],
+    ["synthesize", "--validate", "65536", "--depth", "1", "--out", "x.dfao"],
+    ["synthesize", "--validate", "10", "--out", "x.dfao"],          # OracleTooShort
+], ids=["bad-numeral", "bad-digit", "gen-max-0", "rules-max-3", "probe-base-1",
+        "synthesize-depth-1", "synthesize-validate-10"])
+def test_usage_errors_exit_2_with_one_line(argv, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    Path("t.dfao").write_text(Dfao(2, 0, [(0, 1), (1, 0)], [0, 1], SINGLE).serialize())
+    assert run(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("vseq: ") and err.count("\n") == 1, err
+    assert not Path("x.dfao").exists()
+
+
+def test_python_dash_m_runs_the_cli():
+    src = str(Path(vseq.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run([sys.executable, "-m", "vseq", "gen", "f", "--max", "5"],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert "seq F 0 5" in done.stdout
