@@ -1,0 +1,100 @@
+"""The compiled Q_{r,s} loops of ``_oracle.c``, built on first use.
+
+``library`` compiles the source with the system ``cc`` and loads it with
+ctypes.  It runs on the first oracle call, never at import.  The shared
+library is cached in ``$XDG_CACHE_HOME/vseq`` (by default
+``~/.cache/vseq``), a directory only the user may write, under a name hashed
+from the source, the compiler command and the machine, and is written
+atomically.  When no library can be built or loaded, ``library`` prints one
+``vseq: ...`` line on stderr and returns None; the oracle then runs its
+Python loops.
+"""
+
+from __future__ import annotations
+
+import ctypes
+import functools
+import hashlib
+import os
+import platform
+import subprocess
+import sys
+import tempfile
+from array import array
+from pathlib import Path
+
+SOURCE = Path(__file__).with_name("_oracle.c")
+COMPILE = ("cc", "-O2", "-shared", "-fPIC")
+
+# the statuses of _oracle.c
+OK, DEAD, NOT_MONOTONE, COUNT_OVERFLOW, VALUE_OVERFLOW, NO_MEMORY = range(6)
+
+
+class Oracle:
+    """The two loops of _oracle.c; each returns its status and info[3]."""
+
+    def __init__(self, lib: ctypes.CDLL):
+        i64 = ctypes.c_int64
+        lib.vseq_qrs.argtypes = [ctypes.POINTER(ctypes.c_uint32), i64, i64, i64,
+                                 i64, ctypes.POINTER(i64)]
+        lib.vseq_count.argtypes = [ctypes.POINTER(ctypes.c_uint8), i64, i64, i64,
+                                   ctypes.POINTER(i64)]
+        lib.vseq_qrs.restype = lib.vseq_count.restype = ctypes.c_int
+        self._lib = lib
+
+    def qrs(self, q: array, r: int, s: int, done: int) -> tuple[int, list[int]]:
+        """Q_{r,s}(done + 1..len(q)) into the 32-bit array q, which holds
+        Q_{r,s}(1..done) already."""
+        info = (ctypes.c_int64 * 3)()
+        view = (ctypes.c_uint32 * len(q)).from_buffer(q)
+        status = self._lib.vseq_qrs(view, r, s, done, len(q), info)
+        return status, list(info)
+
+    def count(self, counts: bytearray, r: int, s: int) -> tuple[int, list[int]]:
+        """counts[a] += #{n > s : Q_{r,s}(n) = a} for a below len(counts)."""
+        info = (ctypes.c_int64 * 3)()
+        view = (ctypes.c_uint8 * len(counts)).from_buffer(counts)
+        status = self._lib.vseq_count(view, len(counts) - 1, r, s, info)
+        return status, list(info)
+
+
+def _private_dir() -> Path:
+    """The cache directory, created 0700; OSError if another user owns it
+    or may write to it, because the library loaded from it runs as code."""
+    root = os.environ.get("XDG_CACHE_HOME") or Path.home() / ".cache"
+    path = Path(root) / "vseq"
+    path.mkdir(mode=0o700, parents=True, exist_ok=True)
+    st = path.stat()
+    if os.name == "posix" and (st.st_uid != os.getuid() or st.st_mode & 0o022):
+        raise OSError(f"{path} is writable by another user")
+    return path
+
+
+def _load() -> Oracle:
+    source = SOURCE.read_bytes()
+    key = b"\0".join([source, " ".join(COMPILE).encode(),
+                      platform.machine().encode(), sys.platform.encode()])
+    cache = _private_dir()
+    path = cache / f"oracle-{hashlib.sha256(key).hexdigest()[:16]}.so"
+    if not path.exists():
+        fd, tmp = tempfile.mkstemp(dir=cache, suffix=".so")
+        os.close(fd)
+        try:
+            subprocess.run([*COMPILE, "-o", tmp, str(SOURCE)], check=True,
+                           capture_output=True, timeout=300)
+            os.replace(tmp, path)
+        finally:
+            if os.path.exists(tmp):
+                os.unlink(tmp)
+    return Oracle(ctypes.CDLL(str(path)))
+
+
+@functools.cache
+def library() -> Oracle | None:
+    """The compiled loops, or None after one stderr line saying why not."""
+    try:
+        return _load()
+    except (OSError, RuntimeError, subprocess.SubprocessError) as e:
+        print(f"vseq: no compiled oracle ({e}); running the slower Python loops",
+              file=sys.stderr)
+        return None

@@ -165,6 +165,9 @@ def cmd_tables(args) -> int:
 
 
 def cmd_probe(args) -> int:
+    synthesis.check_probe_args(args.base, args.depth, args.prefix)
+    if args.depth >= 32:  # base >= 2: refuse before building base ** depth
+        raise ValueError(f"--depth {args.depth} needs an oracle past 2^32")
     print(SEED_NOTE)
     span = args.prefix * args.base ** args.depth
     print(f"# probe --sequence {args.sequence} --base {args.base} "

@@ -18,6 +18,7 @@ sequences, which is why the CLI prints the convention with every table.
 
 from __future__ import annotations
 
+import operator
 from array import array
 from dataclasses import dataclass
 from typing import IO, Iterator, Sequence
@@ -48,7 +49,8 @@ class SequenceTable:
     """Integer sequence values on the inclusive index interval [lo, hi].
 
     ``values`` may be any integer sequence; generators pick a compact
-    backing store (64-bit array for V and Q_{r,s}, bytearray for F).
+    backing store: a 32-bit ``array("I")`` for V and Q_{r,s}, a bytearray
+    for F, an int64 numpy array for first differences.
     """
 
     lo: int
@@ -126,60 +128,161 @@ def pack_windows(windows) -> np.ndarray:
     return code
 
 
-def gen_v(n_max: int) -> SequenceTable:
-    """V(1..n_max) by direct recursion with a full memo table.
+# V and Q_{r,s} are stored in 32 bits, so no size may pass this
+MAX_SIZE = 2 ** 32 - 1
 
-    The range guard can never fire for V itself (all values are >= 1, so
-    both arguments stay in [1, n-1]) but is kept because the same recursion
-    shape dies for other (r, s); a silent Python negative index would
-    otherwise wrap around and corrupt the table.
+
+def _size(value, name: str, least: int, least_text: str = "") -> int:
+    """``value`` as an int in [least, MAX_SIZE]: TypeError for a non-integer,
+    ValueError outside the range."""
+    value = operator.index(value)
+    if value < least:
+        raise ValueError(f"{name} must be >= {least_text or least}")
+    if value > MAX_SIZE:
+        raise ValueError(f"{name} = {value} is past the oracle's 32-bit range")
+    return value
+
+
+# under this many recursion steps the Python loop takes a few ms, less than
+# loading the compiled loops (let alone building them on first use)
+COMPILED_FROM = 1 << 14
+
+
+def _compiled(steps: int):
+    """The compiled loops for a run of ``steps`` recursion steps, or None
+    for the Python loops: for a short run, or when they cannot be built.
+    They are built on the first long run, never at import."""
+    if steps < COMPILED_FROM:
+        return None
+    from ._oracle import library
+    return library()
+
+
+def _raise(status: int, info: list[int], label: str, partial) -> None:
+    """Raise what the Python loops raise for a status of _oracle.c;
+    ``partial(n)`` gives the table before a dead index n."""
+    from . import _oracle
+    if status == _oracle.DEAD:
+        n, argument = info[0], info[1]
+        raise DeadSequence(label, n, argument, partial(n))
+    if status == _oracle.NOT_MONOTONE:
+        n, prev, val = info
+        raise MonotonicityViolation(
+            f"{label}({n - 1}) = {prev} followed by {label}({n}) = {val}")
+    if status == _oracle.COUNT_OVERFLOW:
+        raise ValueError(f"{label} takes the value {info[0]} more than 255 times")
+    if status == _oracle.VALUE_OVERFLOW:
+        raise OverflowError(f"{label}({info[0]}) = {info[1]} does not fit 32 bits")
+    if status == _oracle.NO_MEMORY:
+        raise MemoryError(f"no memory for the {label} oracle")
+
+
+def _recursion(r: int, s: int, n_max: int, label: str) -> SequenceTable:
+    """Q_{r,s}(1..n_max) under the all-ones seed, compiled when possible.
+
+    The table grows by doubling, so that a sequence that dies early never
+    holds memory for all of n_max.
     """
-    if n_max < 4:
-        raise ValueError("n_max must be >= 4")
-    v = array("q", [0, 1, 1, 1, 1])  # v[0] unused; 1-indexed
-    append = v.append
-    for n in range(5, n_max + 1):
-        i1 = n - v[n - 1]
-        i2 = n - v[n - 4]
+    lib = _compiled(n_max)
+    if lib is None:
+        return _recursion_py(r, s, n_max, label)
+    q = array("I", [1]) * s
+    while len(q) < n_max:
+        done = len(q)
+        q.frombytes(bytes(4 * (min(n_max, 2 * done + (1 << 16)) - done)))
+        status, info = lib.qrs(q, r, s, done)
+        _raise(status, info, label, lambda n: q[:n - 1])
+    return SequenceTable(1, n_max, q, label)
+
+
+def _recursion_py(r: int, s: int, n_max: int, label: str) -> SequenceTable:
+    """The reference loop of _recursion.
+
+    Values are always >= 1 (sums of two earlier values, all-ones seed), so
+    both arguments stay at or below n-1; only the lower bound of the range
+    guard can fail, and it does for some (r, s).  Without the guard a
+    negative index would silently wrap around and corrupt the table.
+    """
+    q = array("I", [0])  # q[0] unused; 1-indexed
+    q.extend([1] * s)
+    append = q.append
+    for n in range(s + 1, n_max + 1):
+        i1 = n - q[n - r]
+        i2 = n - q[n - s]
         if i1 < 1 or i2 < 1:
-            raise DeadSequence("V", n, min(i1, i2), v[1:n])
-        append(v[i1] + v[i2])
-    return SequenceTable(1, n_max, v[1:], "V")
+            raise DeadSequence(label, n, min(i1, i2), q[1:n])
+        append(q[i1] + q[i2])
+    return SequenceTable(1, n_max, q[1:], label)
 
 
-def gen_f(a_max: int) -> SequenceTable:
-    """F(0..a_max) with F(0) = 0, by counting a freshly generated V.
-
-    V is scanned until its value first reaches a_max + 1; monotonicity
-    (steps in {0, 1}) makes every count at or below a_max complete at that
-    point, and is itself verified during the scan.  The V prefix is not
-    retained: only the counts survive, in a bytearray (F(a) <= 4).
-    """
-    if a_max < 1:
-        raise ValueError("a_max must be >= 1")
+def _frequency(r: int, s: int, a_max: int, label: str) -> bytearray:
+    """counts[a] = #{n : Q_{r,s}(n) = a} for a in [0, a_max], compiled when
+    possible; Q is generated and checked as in _frequency_py.  gen_f counts
+    V = Q_{1,4}; other (r, s) reach the checks V never trips."""
+    lib = _compiled(2 * a_max)  # V(n) is about n / 2
+    if lib is None:
+        return _frequency_py(r, s, a_max, label)
     counts = bytearray(a_max + 1)
-    counts[1] = 4  # V(1..4) = 1
-    v = array("q", [0, 1, 1, 1, 1])
+    counts[1] = s  # Q(1..s) = 1
+    status, info = lib.count(counts, r, s)
+    _raise(status, info, label,
+           lambda n: _recursion(r, s, n - 1, label).values)
+    return counts
+
+
+def _frequency_py(r: int, s: int, a_max: int, label: str) -> bytearray:
+    """The reference loop of _frequency.
+
+    Q is scanned until its value first reaches a_max + 1; monotonicity
+    (steps in {0, 1}) makes every count at or below a_max complete at that
+    point, and is itself verified during the scan.  A count past 255 raises
+    (a bytearray holds no more).
+    """
+    counts = bytearray(a_max + 1)
+    counts[1] = s  # Q(1..s) = 1
+    v = array("I", [0])  # v[0] unused; 1-indexed
+    v.extend([1] * s)
     append = v.append
-    n = 5
+    n = s + 1
     prev = 1
     while True:
-        i1 = n - v[n - 1]
-        i2 = n - v[n - 4]
+        i1 = n - v[n - r]
+        i2 = n - v[n - s]
         if i1 < 1 or i2 < 1:
-            raise DeadSequence("V", n, min(i1, i2), v[1:n])
+            raise DeadSequence(label, n, min(i1, i2), v[1:n])
         val = v[i1] + v[i2]
         append(val)
         if val != prev:
             if val != prev + 1:
                 raise MonotonicityViolation(
-                    f"V({n - 1}) = {prev} followed by V({n}) = {val}"
+                    f"{label}({n - 1}) = {prev} followed by {label}({n}) = {val}"
                 )
             prev = val
             if val > a_max:
                 break
         counts[val] += 1
         n += 1
+    return counts
+
+
+def gen_v(n_max: int) -> SequenceTable:
+    """V(1..n_max) by direct recursion with a full memo table.
+
+    The range guard can never fire for V itself (all values are >= 1, so
+    both arguments stay in [1, n-1]) but is kept because the same recursion
+    shape dies for other (r, s).
+    """
+    return _recursion(1, 4, _size(n_max, "n_max", 4), "V")
+
+
+def gen_f(a_max: int) -> SequenceTable:
+    """F(0..a_max) with F(0) = 0, by counting a freshly generated V.
+
+    V is scanned until its value first reaches a_max + 1, and checked to be
+    non-decreasing with steps in {0, 1} on the way.  The V prefix is not
+    retained: only the counts survive, in a bytearray (F(a) <= 4).
+    """
+    counts = _frequency(1, 4, _size(a_max, "a_max", 1), "V")
     return SequenceTable(0, a_max, counts, "F")
 
 
@@ -189,31 +292,19 @@ def gen_qrs(r: int, s: int, n_max: int) -> SequenceTable:
     Raises DeadSequence, carrying the first offending index and the partial
     table, when the recursion references an index outside [1, n-1].
     """
+    r, s = operator.index(r), operator.index(s)
     if not s > r >= 1:
         raise ValueError(f"need s > r >= 1, got r={r}, s={s}")
-    if n_max < s:
-        raise ValueError(f"n_max must be >= s = {s}")
-    label = f"Q[{r},{s}]"
-    q = array("q", [0])  # q[0] unused; 1-indexed
-    q.extend([1] * s)
-    append = q.append
-    for n in range(s + 1, n_max + 1):
-        i1 = n - q[n - r]
-        i2 = n - q[n - s]
-        # values are always >= 1 (sums of two earlier values, all-ones seed),
-        # so i1, i2 <= n-1 holds automatically; only the lower bound can fail
-        if i1 < 1 or i2 < 1:
-            raise DeadSequence(label, n, min(i1, i2), q[1:n])
-        append(q[i1] + q[i2])
-    return SequenceTable(1, n_max, q[1:], label)
+    n_max = _size(n_max, "n_max", s, f"s = {s}")
+    return _recursion(r, s, n_max, f"Q[{r},{s}]")
 
 
 def first_difference(t: SequenceTable) -> SequenceTable:
-    """The table D(n) = t(n+1) - t(n) on [lo, hi-1]."""
+    """The table D(n) = t(n+1) - t(n) on [lo, hi-1], as int64."""
     if len(t) < 2:
         raise ValueError("need at least 2 entries")
-    vals = t.values
-    d = array("q", (vals[i + 1] - vals[i] for i in range(len(vals) - 1)))
+    vals = np.asarray(t.values)
+    d = np.subtract(vals[1:], vals[:-1], dtype=np.int64)
     return SequenceTable(t.lo, t.hi - 1, d, f"diff({t.label})")
 
 

@@ -488,6 +488,46 @@ class ProbeReport:
         return "\n".join(lines) + "\n"
 
 
+def check_probe_args(q: int, depth: int, prefix_len: int) -> None:
+    """ValueError unless kernel_probe can take these arguments."""
+    if q < 2 or depth < 0 or prefix_len < 1:
+        raise ValueError("need q >= 2, depth >= 0, prefix_len >= 1")
+
+
+def _narrowest(d: int) -> np.dtype:
+    """The narrowest unsigned dtype holding every id below d."""
+    return np.min_scalar_type(max(d - 1, 0))
+
+
+def _compact(codes: np.ndarray, space: int) -> tuple[np.ndarray, int]:
+    """Dense ids for codes in [0, space): equal codes get equal ids, in the
+    narrowest dtype; and the number of distinct codes."""
+    if space <= codes.size + (1 << 16):
+        present = np.zeros(space, dtype=bool)
+        present[codes] = True
+        where = np.flatnonzero(present)
+        rank = np.zeros(space, dtype=_narrowest(len(where)))
+        rank[where] = np.arange(len(where))
+        return rank[codes], len(where)
+    distinct, ids = np.unique(codes, return_inverse=True)
+    return ids.astype(_narrowest(len(distinct))), len(distinct)
+
+
+def _join(children: list[np.ndarray], k: int) -> tuple[np.ndarray, int]:
+    """Dense ids for the tuples (children[0][i], children[1][i], ...) of ids
+    below k, packed into one code, compacted early where a code could pass
+    64 bits."""
+    code, space = children[0], k
+    for child in children[1:]:
+        if space * k > 1 << 64:
+            code, space = _compact(code, space)
+        code = code.astype(_narrowest(space * k))  # a copy: ids stay intact
+        code *= k
+        code += child
+        space *= k
+    return _compact(code, space)
+
+
 def kernel_probe(table: SequenceTable, q: int, depth: int,
                  prefix_len: int) -> ProbeReport:
     """Count distinct aligned blocks (S(q^e n + c))_{c} level by level.
@@ -499,9 +539,15 @@ def kernel_probe(table: SequenceTable, q: int, depth: int,
     ``prefix_len`` entries; levels where the oracle holds fewer than two
     complete blocks are not reported (a single sample cannot witness any
     distinction) and set the truncated flag instead.
+
+    Each level keeps one id per block, equal ids for equal blocks.  A block
+    q times as long as the one before is the q blocks of the level before
+    it (Allouche & Shallit, Automatic Sequences, Thm 6.6.2), so its id is
+    the tuple of their ids; a block cut to ``prefix_len`` like the one
+    before is that level's block at q n.  Only a level that cuts its block
+    to a length of neither kind compares the bytes of its blocks.
     """
-    if q < 2 or depth < 0 or prefix_len < 1:
-        raise ValueError("need q >= 2, depth >= 0, prefix_len >= 1")
+    check_probe_args(q, depth, prefix_len)
     vals = table.byte_values()
     lo, hi = table.lo, table.hi
     levels = []
@@ -514,11 +560,29 @@ def kernel_probe(table: SequenceTable, q: int, depth: int,
         if n1 < n0 + 1:
             truncated = True
             break
-        base = np.arange(n0, n1 + 1, dtype=np.int64) * step
-        rows = vals[(base[:, None] + np.arange(block)) - lo]
-        rows = np.ascontiguousarray(rows)
-        distinct = len(np.unique(rows.view(f"V{block}")))
-        levels.append(ProbeLevel(e, block, int(n1 - n0 + 1), distinct))
+        count = n1 - n0 + 1
+        if e == 0:
+            ids, k = vals, 256  # ids below k: the byte values themselves
+            seen = np.zeros(k, dtype=bool)
+            seen[vals] = True
+            distinct = int(np.count_nonzero(seen))
+        elif block in (prev_block, q * prev_block):
+            # level e-1's blocks q n + j, as strided views of its ids
+            first = q * n0 - prev_n0
+            parts = 1 if block == prev_block else q
+            ids, k = _join([ids[first + j:first + j + q * (count - 1) + 1:q]
+                            for j in range(parts)], k)
+            distinct = k
+        else:
+            rows = np.lib.stride_tricks.as_strided(
+                vals[n0 * step - lo:], shape=(count, block),
+                strides=(step * vals.strides[0], vals.strides[0]), writeable=False)
+            rows = np.ascontiguousarray(rows).view(f"V{block}").ravel()
+            uniq, ids = np.unique(rows, return_inverse=True)
+            distinct = k = len(uniq)
+            ids = ids.astype(_narrowest(k))
+        levels.append(ProbeLevel(e, block, count, distinct))
+        prev_block, prev_n0 = block, n0
         step *= q
     return ProbeReport(q=q, depth=depth, prefix_len=prefix_len,
                        levels=tuple(levels), truncated=truncated)

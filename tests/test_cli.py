@@ -188,8 +188,16 @@ def test_unknown_flags_exit_2():
     ["probe", "--sequence", "f", "--base", "1"],
     ["synthesize", "--validate", "65536", "--depth", "1", "--out", "x.dfao"],
     ["synthesize", "--validate", "10", "--out", "x.dfao"],          # OracleTooShort
+    ["probe", "--sequence", "f", "--depth", "-1"],
+    ["probe", "--sequence", "vdiff", "--prefix", "0"],
+    ["probe", "--sequence", "f", "--depth", "40"],                  # oracle past 2^32
+    ["probe", "--sequence", "f", "--prefix", "2000000", "--depth", "12"],
+    ["gen", "v", "--max", str(2 ** 32)],
+    ["qrs", "--r", "2", "--s", "5", "--max", str(2 ** 32)],
 ], ids=["bad-numeral", "bad-digit", "gen-max-0", "rules-max-3", "probe-base-1",
-        "synthesize-depth-1", "synthesize-validate-10"])
+        "synthesize-depth-1", "synthesize-validate-10", "probe-depth-minus-1",
+        "probe-prefix-0", "probe-depth-40", "probe-prefix-2e6", "gen-v-2^32",
+        "qrs-max-2^32"])
 def test_usage_errors_exit_2_with_one_line(argv, tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     Path("t.dfao").write_text(Dfao(2, 0, [(0, 1), (1, 0)], [0, 1], SINGLE).serialize())

@@ -2,8 +2,10 @@ import io
 
 import pytest
 
-from vseq import (DeadSequence, SequenceTable, first_difference, gen_f,
-                  gen_qrs, gen_v, read_table, write_table)
+from vseq import (DeadSequence, MonotonicityViolation, SequenceTable,
+                  first_difference, gen_f, gen_qrs, gen_v, read_table,
+                  write_table)
+from vseq import _oracle, sequences
 
 V20 = [1, 1, 1, 1, 2, 3, 4, 5, 5, 6, 6, 7, 8, 8, 9, 9, 10, 11, 11, 11]
 F20 = [4, 1, 1, 1, 2, 2, 1, 2, 2, 1, 3, 2, 1, 2, 2, 1, 3, 2, 1, 2]
@@ -172,3 +174,77 @@ def test_read_table_rejects_garbage():
         read_table(io.StringIO("not a header\n1\n"))
     with pytest.raises(ValueError):
         read_table(io.StringIO(""))
+
+
+# -- compiled oracle against the Python loops ---------------------------------------
+
+def _outcome(call):
+    """What a call gives: its table's type and bytes, or its exception's
+    type, message, index and partial table."""
+    try:
+        values = call()
+    except (DeadSequence, MonotonicityViolation) as e:
+        return (type(e), str(e), getattr(e, "n", None),
+                bytes(getattr(e, "partial", b"")))
+    return type(values), bytes(values)
+
+
+ORACLE_CALLS = {
+    "gen_f(2^20)": (lambda: gen_f(2 ** 20).values,
+                    lambda: sequences._frequency_py(1, 4, 2 ** 20, "V")),
+    "gen_v(10^6)": (lambda: gen_v(10 ** 6).values,
+                    lambda: sequences._recursion_py(1, 4, 10 ** 6, "V").values),
+    "gen_qrs(2, 5) dies": (lambda: gen_qrs(2, 5, 10 ** 5).values,
+                           lambda: sequences._recursion_py(2, 5, 10 ** 5, "Q[2,5]").values),
+    # argument 0, just outside the range: the guard's edge
+    "gen_qrs(1, 10) dies": (lambda: gen_qrs(1, 10, 10 ** 5).values,
+                            lambda: sequences._recursion_py(1, 10, 10 ** 5, "Q[1,10]").values),
+    "Q[1,2] counts jump": (lambda: sequences._frequency(1, 2, 10 ** 5, "Q"),
+                           lambda: sequences._frequency_py(1, 2, 10 ** 5, "Q")),
+}
+
+
+@pytest.mark.parametrize("name", ORACLE_CALLS)
+def test_compiled_oracle_matches_python_loops(name):
+    if _oracle.library() is None:
+        pytest.skip("no C compiler: only the Python loops run here")
+    compiled, python = ORACLE_CALLS[name]
+    assert _outcome(compiled) == _outcome(python)
+
+
+def test_oracle_falls_back_to_python_loops(monkeypatch, capsys):
+    expected = [_outcome(compiled) for compiled, _ in ORACLE_CALLS.values()]
+
+    def no_compiler():
+        raise FileNotFoundError("no such file: 'cc'")
+
+    monkeypatch.setattr(_oracle, "_load", no_compiler)
+    _oracle.library.cache_clear()
+    try:
+        capsys.readouterr()
+        got = [_outcome(compiled) for compiled, _ in ORACLE_CALLS.values()]
+    finally:
+        _oracle.library.cache_clear()
+    assert got == expected
+    err = capsys.readouterr().err
+    assert err.startswith("vseq: no compiled oracle") and err.count("\n") == 1, err
+
+
+def test_v_is_stored_in_32_bits():
+    for n_max in (20, 10 ** 5):
+        values = gen_v(n_max).values
+        assert values.typecode == "I" and values.itemsize == 4
+        assert isinstance(values[-1], int)
+
+
+@pytest.mark.parametrize("call, error", [
+    (lambda: gen_f(2048.0), TypeError),
+    (lambda: gen_v(10.0 ** 5), TypeError),
+    (lambda: gen_qrs(1, 4.0, 100), TypeError),
+    (lambda: gen_f(2 ** 32), ValueError),
+    (lambda: gen_v(2 ** 32), ValueError),
+    (lambda: gen_qrs(1, 4, 2 ** 40), ValueError),
+], ids=["f-float", "v-float", "qrs-float-s", "f-2^32", "v-2^32", "qrs-2^40"])
+def test_oracle_sizes_checked_before_the_loops(call, error):
+    with pytest.raises(error):
+        call()

@@ -1,10 +1,12 @@
 import random
 
+import numpy as np
 import pytest
 
 import vseq
 from vseq import (SINGLE, WINDOW, CertificationFailure, Dfao,
                   InsufficientHorizon, NonpositiveDivisor, OracleTooShort,
+                  ProbeReport,
                   SequenceTable, SynthesisConfig, certify_transitions,
                   cross_validate, derive_rules, discover, euclid_div, gen_f,
                   gen_v, first_difference, kernel_probe, shift_bounds,
@@ -347,3 +349,48 @@ def test_probe_argument_validation():
         kernel_probe(table, 1, 3, 4)
     with pytest.raises(ValueError):
         kernel_probe(table, 2, 3, 0)
+
+
+def _probe_by_sorting(table, q, depth, prefix_len):
+    """The reference kernel_probe: gather every block's bytes and count the
+    distinct rows by sorting them, level by level."""
+    vals = table.byte_values()
+    lo, hi = table.lo, table.hi
+    levels = []
+    truncated = False
+    step = 1
+    for e in range(depth + 1):
+        block = min(prefix_len, step)
+        n0 = -(-lo // step)
+        n1 = (hi - block + 1) // step
+        if n1 < n0 + 1:
+            truncated = True
+            break
+        base = np.arange(n0, n1 + 1, dtype=np.int64) * step
+        rows = np.ascontiguousarray(vals[(base[:, None] + np.arange(block)) - lo])
+        distinct = len(np.unique(rows.view(f"V{block}")))
+        levels.append(vseq.synthesis.ProbeLevel(e, block, int(n1 - n0 + 1), distinct))
+        step *= q
+    return ProbeReport(q=q, depth=depth, prefix_len=prefix_len,
+                       levels=tuple(levels), truncated=truncated)
+
+
+@pytest.mark.parametrize("lo", [0, 1, 5])
+@pytest.mark.parametrize("q", [2, 3])
+@pytest.mark.parametrize("prefix", ["power", "other"])
+def test_probe_matches_row_sorting(lo, q, prefix):
+    rng = np.random.default_rng(1000 * lo + 10 * q + len(prefix))
+    prefix_len = q ** 4 if prefix == "power" else 2 * q ** 3 + 5
+    cases = [
+        (50_000, 9),    # past the level where blocks reach prefix_len
+        (50_000, 30),   # truncated: the oracle runs out before depth 30
+    ]
+    for n, depth in cases:
+        for alphabet in (2, 5, 256):
+            values = rng.integers(0, alphabet, n, dtype=np.uint8)
+            # a periodic stretch repeats blocks, so that ids do merge
+            values[n // 2:] = np.resize(values[:q ** 3], n - n // 2)
+            table = SequenceTable(lo, lo + n - 1, bytearray(values.tobytes()), "r")
+            report = kernel_probe(table, q, depth, prefix_len)
+            assert report == _probe_by_sorting(table, q, depth, prefix_len)
+            assert report.truncated == (depth == 30)
