@@ -18,9 +18,9 @@ from .sequences import (DeadSequence, MonotonicityViolation, SequenceTable,
                         write_table)
 from .synthesis import (CertificateReport, CertificationFailure,
                         InsufficientHorizon, KernelNode, NonpositiveDivisor,
-                        OracleTooShort, ProbeReport, SynthesisConfig,
-                        TransitionCertificate, Validation, cert_oracle_bound,
-                        certify_transitions, cross_validate, discover, euclid_div, kernel_probe,
+                        OracleTooShort, ProbeReport, TransitionCertificate,
+                        Validation, cert_oracle_bound, certify_transitions,
+                        cross_validate, discover, euclid_div, kernel_probe,
                         shift_bounds, signature, synthesize_msb,
                         synthesize_validated)
 

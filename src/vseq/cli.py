@@ -19,9 +19,10 @@ from .sequences import (DeadSequence, SequenceTable, first_difference, gen_f,
 
 SEED_NOTE = "# seed convention: Q_{r,s}(1..s) = 1 (V is Q_{1,4}; F counts V and has F(0) = 0)"
 
-# what bad flag values, numerals or files raise: usage errors, exit 2
-USAGE_ERRORS = (ValueError, OSError, ParseError, BadNumeral, BadDigit,
-                synthesis.OracleTooShort)
+# what bad flag values, numerals or files, or an oracle too large for
+# memory, raise: usage errors, exit 2
+USAGE_ERRORS = (ValueError, OSError, MemoryError, ParseError, BadNumeral,
+                BadDigit, synthesis.OracleTooShort)
 
 
 @contextlib.contextmanager
@@ -58,9 +59,7 @@ def _certify(machine: Dfao, f: SequenceTable, depth: int,
 def _build_pipeline(horizon: int, validate: int, depth: int):
     """Oracle -> validated window automaton -> rules -> certificate."""
     f = gen_f(validate + 2)
-    cfg = synthesis.SynthesisConfig.for_frequency(horizon=horizon,
-                                                  validate_to=validate)
-    machine, verdict = synthesis.synthesize_validated(f, cfg)
+    machine, verdict = synthesis.synthesize_validated(f, horizon, validate)
     return f, machine, verdict, _certify(machine, f, depth, validate)
 
 
@@ -225,9 +224,8 @@ def build_parser() -> argparse.ArgumentParser:
     rd.add_argument("--min", type=int, default=4)
     rd.set_defaults(func=cmd_rules)
 
-    def pipeline_flags(sp, with_horizon=True):
-        if with_horizon:
-            sp.add_argument("--horizon", type=int, default=24)
+    def pipeline_flags(sp):
+        sp.add_argument("--horizon", type=int, default=24)
         sp.add_argument("--validate", type=int, default=2 ** 22)
         sp.add_argument("--depth", type=int, default=16)
 

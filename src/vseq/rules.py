@@ -52,7 +52,6 @@ class WindowRuleTable:
     even_rule: dict[Window, int]  # window -> F(2a)
     odd_rule: dict[Window, int]   # window -> F(2a+1)
     first_seen: dict[Window, int]  # window -> least a realizing it
-    derivation_bound: int
 
     @property
     def domain(self) -> frozenset[Window]:
@@ -102,7 +101,6 @@ def _scan(f: SequenceTable, a_min: int, a_max: int,
         even_rule={wins[u]: int(even[first[u]]) for u in by_a},
         odd_rule={wins[u]: int(odd[first[u]]) for u in by_a},
         first_seen={wins[u]: a_min + int(first[u]) for u in by_a},
-        derivation_bound=a_max,
     )
     ref = realized if frozen is None else frozen
     known = np.array([w in ref.even_rule for w in wins], dtype=bool)[inverse]

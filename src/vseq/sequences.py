@@ -21,7 +21,7 @@ from __future__ import annotations
 import operator
 from array import array
 from dataclasses import dataclass
-from typing import IO, Iterator, Sequence
+from typing import IO, Sequence
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -112,10 +112,6 @@ class SequenceTable:
         if start < 0:
             seg = np.concatenate([np.zeros(-start, dtype=np.uint8), seg])
         return pack_windows(sliding_window_view(seg, 4))
-
-    def iter_items(self) -> Iterator[tuple[int, int]]:
-        for i, v in enumerate(self.values):
-            yield self.lo + i, v
 
 
 def pack_windows(windows) -> np.ndarray:

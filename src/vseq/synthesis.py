@@ -16,13 +16,13 @@ finite horizon can over-merge.  Two independent gates follow:
 The signature of a string with value m collects, level by level, the oracle
 slice covering all length-L extensions of the string (with the two-left
 one-right fringe when windows are tracked).  Levels are capped by the
-configured horizon and by oracle coverage; two strings are merged when
+given horizon and by oracle coverage; two strings are merged when
 their signatures agree on every common level.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -64,8 +64,7 @@ def euclid_div(s: int, q: int) -> tuple[int, int]:
 def shift_bounds(q: int, t: int, a: int, b: int, n0: int) -> tuple[int, int]:
     """Minimal shift bounds A = max(n0, ceil(q(a+1)/(q-1))), B = ceil(q(b+1)/(q-1)).
 
-    ``t`` (the tower exponent) does not enter the bounds; it is accepted so
-    call sites can pass a full parameter set.
+    ``t`` (the tower exponent) does not enter the bounds.
     """
     if q < 2:
         raise ValueError("base must be >= 2")
@@ -74,47 +73,6 @@ def shift_bounds(q: int, t: int, a: int, b: int, n0: int) -> tuple[int, int]:
     big_a = max(n0, -(-(q * (a + 1)) // (q - 1)))
     big_b = -(-(q * (b + 1)) // (q - 1))
     return big_a, big_b
-
-
-@dataclass(frozen=True)
-class SynthesisConfig:
-    """Parameters of the recursion scheme and of the discovery run.
-
-    q, t, a, b, n0 describe the scheme itself: values at q^(t+1)*n + j are
-    functions of the window [-a, b] around n (valid from n0 on).  A and B
-    are the shift bounds the scheme forces.  horizon caps signature depth,
-    validate_to is the exhaustive cross-check bound.
-    """
-
-    q: int
-    t: int
-    a: int
-    b: int
-    n0: int
-    big_a: int
-    big_b: int
-    horizon: int = 24
-    validate_to: int = 2 ** 22
-
-    def __post_init__(self) -> None:
-        min_a, min_b = shift_bounds(self.q, self.t, self.a, self.b, self.n0)
-        if self.big_a < min_a or self.big_b < min_b:
-            raise ValueError(
-                f"shift bounds ({self.big_a}, {self.big_b}) below minimal "
-                f"({min_a}, {min_b})")
-        if self.horizon < 1:
-            raise ValueError("horizon must be >= 1")
-        if self.validate_to < 2:
-            raise ValueError("validate_to must be >= 2")
-
-    @classmethod
-    def for_frequency(cls, horizon: int = 24,
-                      validate_to: int = 2 ** 22) -> "SynthesisConfig":
-        """The instance for F: base 2, t = 0, window extents a = 2, b = 1,
-        threshold n0 = 4 (the doubling rules hold for a > 3)."""
-        big_a, big_b = shift_bounds(2, 0, 2, 1, 4)
-        return cls(q=2, t=0, a=2, b=1, n0=4, big_a=big_a, big_b=big_b,
-                   horizon=horizon, validate_to=validate_to)
 
 
 @dataclass(frozen=True)
@@ -138,11 +96,11 @@ def _oracle_buffer(oracle: SequenceTable) -> bytes:
     return bytes(oracle.values)
 
 
-def signature(buf: bytes, hi: int, m: int, q: int, horizon: int,
+def signature(buf: bytes, hi: int, m: int, horizon: int,
               kind: str) -> tuple[bytes, ...]:
     """Per-level oracle slices describing all extensions of a value-m string.
 
-    Level L covers values at q^L*m + c for 0 <= c < q^L; window signatures
+    Level L covers values at 2^L*m + c for 0 <= c < 2^L; window signatures
     widen that by two to the left and one to the right (indices below zero
     read as 0).  Levels stop at the horizon or where the oracle ends.
     """
@@ -159,16 +117,16 @@ def signature(buf: bytes, hi: int, m: int, q: int, horizon: int,
         else:
             sl = buf[m * step:top + 1]
         out.append(sl)
-        step *= q
+        step *= 2
     if not out:
         raise OracleTooShort(
             f"oracle ends at {hi}; cannot form a level-0 signature for value {m}")
     return tuple(out)
 
 
-def discover(oracle: SequenceTable, cfg: SynthesisConfig,
+def discover(oracle: SequenceTable, horizon: int,
              kind: str = WINDOW) -> tuple[list[KernelNode], list[list[int]]]:
-    """Breadth-first state discovery from the empty string.
+    """Breadth-first state discovery from the empty string, in base 2.
 
     Each candidate extension of a known state is merged with the first
     existing node whose signature agrees on all common levels, or becomes a
@@ -176,10 +134,9 @@ def discover(oracle: SequenceTable, cfg: SynthesisConfig,
     """
     buf = _oracle_buffer(oracle)
     hi = oracle.hi
-    q = cfg.q
 
     def sig(m: int) -> tuple[bytes, ...]:
-        return signature(buf, hi, m, q, cfg.horizon, kind)
+        return signature(buf, hi, m, horizon, kind)
 
     def window(m: int) -> tuple[int, int, int, int]:
         try:
@@ -195,8 +152,8 @@ def discover(oracle: SequenceTable, cfg: SynthesisConfig,
         s = queue[head]
         head += 1
         row = []
-        for d in range(q):
-            c = nodes[s].value * q + d
+        for d in (0, 1):
+            c = nodes[s].value * 2 + d
             cs = sig(c)
             tgt = None
             for j, node in enumerate(nodes):
@@ -213,21 +170,21 @@ def discover(oracle: SequenceTable, cfg: SynthesisConfig,
     return nodes, trans
 
 
-def synthesize_msb(oracle: SequenceTable, cfg: SynthesisConfig,
+def synthesize_msb(oracle: SequenceTable, horizon: int,
                    kind: str = WINDOW) -> Dfao:
     """Conjecture an automaton for the oracle; certification comes separately.
 
     Window kind annotates each state with the 4-window at its access value;
     single kind annotates the plain oracle value.
     """
-    nodes, trans = discover(oracle, cfg, kind)
+    nodes, trans = discover(oracle, horizon, kind)
     outputs: tuple
     if kind == WINDOW:
         outputs = tuple(n.window for n in nodes)
     else:
         outputs = tuple(n.window[2] for n in nodes)
     m = Dfao(
-        alphabet_size=cfg.q,
+        alphabet_size=2,
         initial=0,
         transitions=tuple(tuple(r) for r in trans),
         outputs=outputs,
@@ -288,23 +245,25 @@ def cross_validate(m: Dfao, oracle: SequenceTable, n_max: int) -> Validation:
     return Validation(True, None, n_max)
 
 
-def synthesize_validated(oracle: SequenceTable, cfg: SynthesisConfig,
+def synthesize_validated(oracle: SequenceTable, horizon: int, validate_to: int,
                          kind: str = WINDOW) -> tuple[Dfao, Validation]:
-    """Synthesize and cross-validate, doubling the horizon (up to 3 retries)
-    when validation exposes an over-merge."""
-    attempt_cfg = cfg
-    last = None
+    """Synthesize and cross-validate on [0, validate_to] (cut to the oracle),
+    doubling the horizon (up to 3 retries) when validation exposes an
+    over-merge."""
+    if horizon < 1:
+        raise ValueError("horizon must be >= 1")
+    if validate_to < 2:
+        raise ValueError("validate_to must be >= 2")
     for attempt in range(4):
-        m = synthesize_msb(oracle, attempt_cfg, kind)
-        verdict = cross_validate(m, oracle, min(attempt_cfg.validate_to, oracle.hi - 1))
+        m = synthesize_msb(oracle, horizon, kind)
+        verdict = cross_validate(m, oracle, min(validate_to, oracle.hi - 1))
         if verdict.passed:
             return m, verdict
-        last = verdict
         if attempt < 3:
-            attempt_cfg = replace(attempt_cfg, horizon=attempt_cfg.horizon * 2)
+            horizon *= 2
     raise InsufficientHorizon(
-        f"automaton still disagrees with the oracle at n = {last.first_mismatch} "
-        f"after raising the horizon to {attempt_cfg.horizon}")
+        f"automaton still disagrees with the oracle at n = {verdict.first_mismatch} "
+        f"after raising the horizon to {horizon}")
 
 
 # -- certification ------------------------------------------------------------
@@ -314,9 +273,7 @@ class TransitionCertificate:
     from_name: str
     digit: int
     to_name: str
-    base_ok: bool
     family_depth: int
-    witness: str  # deepest extension checked
 
 
 @dataclass(frozen=True)
@@ -324,7 +281,6 @@ class CertificateReport:
     transitions: tuple[TransitionCertificate, ...]
     states_checked: int
     propagation_checked_to: int
-    validate_to: int
     depth: int
 
     @property
@@ -365,6 +321,8 @@ def cert_oracle_bound(m: Dfao, depth: int) -> int:
     """Last oracle index that certify_transitions reads at this depth: the
     windows at [u d x] for the longest boundary-family extension x of every
     transition u -d->, with u the state's claimed access value."""
+    if depth < 2:
+        raise ValueError("depth must be >= 2")
     max_ud = max((v << 1) | d for v in _name_values(m) for d in (0, 1))
     return max(((max_ud << (depth + 1)) | 1) + 1, (max_ud + 1) << depth)
 
@@ -385,14 +343,12 @@ def certify_transitions(m: Dfao, oracle: SequenceTable, rules: WindowRuleTable,
         raise CertificationFailure("certification applies to window automata")
     if m.alphabet_size != 2:
         raise CertificationFailure("certification scheme is specific to base 2")
-    if depth < 2:
-        raise ValueError("depth must be >= 2")
     hi = oracle.hi
-    values = _name_values(m)
     max_needed = cert_oracle_bound(m, depth)
     if hi < max_needed:
         raise OracleTooShort(
             f"oracle ends at {hi}; depth {depth} family checks need {max_needed}")
+    values = _name_values(m)
     prop_to = validate_to // 2
     if hi < 2 * prop_to + 1:
         raise OracleTooShort(
@@ -416,7 +372,6 @@ def certify_transitions(m: Dfao, oracle: SequenceTable, rules: WindowRuleTable,
             if oracle.window4(mu) != oracle.window4(mv):
                 raise CertificationFailure(
                     "base windows differ", m.names[s], d, m.names[p], witness="")
-            witness = ""
             for j in range(1, depth + 1):
                 for xval, xlen, x in ((0, j, "0" * j),
                                       (1, j + 1, "0" * j + "1"),
@@ -426,10 +381,9 @@ def certify_transitions(m: Dfao, oracle: SequenceTable, rules: WindowRuleTable,
                         raise CertificationFailure(
                             "family windows differ", m.names[s], d, m.names[p],
                             witness=x)
-                    witness = x
             certs.append(TransitionCertificate(
                 from_name=m.names[s], digit=d, to_name=m.names[p],
-                base_ok=True, family_depth=depth, witness=witness))
+                family_depth=depth))
 
     # (iii) doubling rules propagate windows across the validation range
     try:
@@ -447,7 +401,6 @@ def certify_transitions(m: Dfao, oracle: SequenceTable, rules: WindowRuleTable,
         transitions=tuple(certs),
         states_checked=m.state_count,
         propagation_checked_to=prop_to,
-        validate_to=validate_to,
         depth=depth,
     )
 

@@ -11,19 +11,20 @@ import pytest
 
 import vseq
 
-CFG = vseq.SynthesisConfig.for_frequency()  # horizon 24, validate_to 2^22
+HORIZON = 24  # the CLI's default --horizon
+VALIDATE_TO = 2 ** 22  # the CLI's default --validate
 CERT_DEPTH = 16
 
 
 @pytest.fixture(scope="session")
 def f_main() -> vseq.SequenceTable:
     """F oracle covering the default validation bound."""
-    return vseq.gen_f(CFG.validate_to + 2)
+    return vseq.gen_f(VALIDATE_TO + 2)
 
 
 @pytest.fixture(scope="session")
 def truth_a(f_main) -> vseq.Dfao:
-    machine, verdict = vseq.synthesize_validated(f_main, CFG)
+    machine, verdict = vseq.synthesize_validated(f_main, HORIZON, VALIDATE_TO)
     assert verdict.passed
     return machine
 

@@ -188,6 +188,8 @@ def test_unknown_flags_exit_2():
     ["probe", "--sequence", "f", "--base", "1"],
     ["synthesize", "--validate", "65536", "--depth", "1", "--out", "x.dfao"],
     ["synthesize", "--validate", "10", "--out", "x.dfao"],          # OracleTooShort
+    ["synthesize", "--validate", "65536", "--horizon", "0", "--out", "x.dfao"],
+    ["synthesize", "--validate", "65536", "--depth", "-3", "--out", "x.dfao"],
     ["probe", "--sequence", "f", "--depth", "-1"],
     ["probe", "--sequence", "vdiff", "--prefix", "0"],
     ["probe", "--sequence", "f", "--depth", "40"],                  # oracle past 2^32
@@ -195,7 +197,8 @@ def test_unknown_flags_exit_2():
     ["gen", "v", "--max", str(2 ** 32)],
     ["qrs", "--r", "2", "--s", "5", "--max", str(2 ** 32)],
 ], ids=["bad-numeral", "bad-digit", "gen-max-0", "rules-max-3", "probe-base-1",
-        "synthesize-depth-1", "synthesize-validate-10", "probe-depth-minus-1",
+        "synthesize-depth-1", "synthesize-validate-10", "synthesize-horizon-0",
+        "synthesize-depth-minus-3", "probe-depth-minus-1",
         "probe-prefix-0", "probe-depth-40", "probe-prefix-2e6", "gen-v-2^32",
         "qrs-max-2^32"])
 def test_usage_errors_exit_2_with_one_line(argv, tmp_path, monkeypatch, capsys):
@@ -205,6 +208,31 @@ def test_usage_errors_exit_2_with_one_line(argv, tmp_path, monkeypatch, capsys):
     err = capsys.readouterr().err
     assert err.startswith("vseq: ") and err.count("\n") == 1, err
     assert not Path("x.dfao").exists()
+
+
+def test_depth_below_2_is_one_usage_line(built, tmp_path, monkeypatch, capsys):
+    a_path, _, _ = built
+    monkeypatch.chdir(tmp_path)
+    assert run(["synthesize", "--validate", "65536", "--depth", "-3",
+                "--out", "x.dfao"]) == 2
+    assert capsys.readouterr().err == "vseq: depth must be >= 2\n"
+
+    # certify on a window file refuses the depth before it builds an oracle
+    def no_oracle(n):
+        raise AssertionError("certify built an oracle")
+
+    monkeypatch.setattr(vseq.cli, "gen_f", no_oracle)
+    assert run(["certify", "--automaton", str(a_path), "--depth", "-1"]) == 2
+    assert capsys.readouterr().err == "vseq: depth must be >= 2\n"
+
+
+def test_oracle_too_large_for_memory_is_a_usage_error(monkeypatch, capsys):
+    def refused(n):
+        raise MemoryError("no memory for the V oracle")
+
+    monkeypatch.setattr(vseq.cli, "gen_f", refused)
+    assert run(["gen", "f", "--max", "1200000000"]) == 2
+    assert capsys.readouterr().err == "vseq: no memory for the V oracle\n"
 
 
 def test_python_dash_m_runs_the_cli():

@@ -7,12 +7,12 @@ import vseq
 from vseq import (SINGLE, WINDOW, CertificationFailure, Dfao,
                   InsufficientHorizon, NonpositiveDivisor, OracleTooShort,
                   ProbeReport,
-                  SequenceTable, SynthesisConfig, certify_transitions,
+                  SequenceTable, certify_transitions,
                   cross_validate, derive_rules, discover, euclid_div, gen_f,
                   gen_v, first_difference, kernel_probe, shift_bounds,
                   signature, synthesize_msb, synthesize_validated)
 
-from conftest import CFG
+from conftest import HORIZON
 
 
 # -- arithmetic scaffolding ----------------------------------------------------
@@ -50,14 +50,12 @@ def test_shift_bounds():
         shift_bounds(2, 0, -1, 0, 0)
 
 
-def test_config_invariants():
-    cfg = SynthesisConfig.for_frequency()
-    assert (cfg.q, cfg.t, cfg.a, cfg.b, cfg.n0) == (2, 0, 2, 1, 4)
-    assert (cfg.big_a, cfg.big_b) == (6, 4)
-    with pytest.raises(ValueError):
-        SynthesisConfig(q=2, t=0, a=2, b=1, n0=4, big_a=5, big_b=4)
-    with pytest.raises(ValueError):
-        SynthesisConfig(q=2, t=0, a=2, b=1, n0=4, big_a=6, big_b=4, horizon=0)
+def test_synthesis_rejects_bad_bounds():
+    f = gen_f(100)
+    with pytest.raises(ValueError, match="horizon must be >= 1"):
+        synthesize_validated(f, 0, 64)
+    with pytest.raises(ValueError, match="validate_to must be >= 2"):
+        synthesize_validated(f, 24, 1)
 
 
 # -- signatures ----------------------------------------------------------------
@@ -65,14 +63,14 @@ def test_config_invariants():
 def test_signature_levels_and_padding():
     f = gen_f(1000)
     buf = bytes(f.values)
-    sig0 = signature(buf, f.hi, 0, 2, 4, WINDOW)
+    sig0 = signature(buf, f.hi, 0, 4, WINDOW)
     assert len(sig0) == 5  # levels 0..4
     assert sig0[0] == bytes([0, 0, 0, 4])  # window at 0, padded below index 0
     assert len(sig0[2]) == 4 + 3  # level-2 slice spans [-2, 5]
-    sig1 = signature(buf, f.hi, 1, 2, 30, WINDOW)
+    sig1 = signature(buf, f.hi, 1, 30, WINDOW)
     # coverage, not the horizon, limits depth: (1+1)*2^L <= 1000
     assert len(sig1) == 9
-    s = signature(buf, f.hi, 6, 2, 3, SINGLE)
+    s = signature(buf, f.hi, 6, 3, SINGLE)
     assert s[0] == bytes([f[6]])
     assert s[1] == bytes([f[12], f[13]])
 
@@ -80,7 +78,7 @@ def test_signature_levels_and_padding():
 def test_signature_oracle_too_short():
     f = gen_f(10)
     with pytest.raises(OracleTooShort):
-        signature(bytes(f.values), f.hi, 10, 2, 4, WINDOW)
+        signature(bytes(f.values), f.hi, 10, 4, WINDOW)
 
 
 # -- discovery on the frequency oracle ------------------------------------------
@@ -113,7 +111,7 @@ def test_window_outputs_for_all_short_strings(truth_a, f_main):
 
 
 def test_synthesis_deterministic(f_main, truth_a):
-    again = synthesize_msb(f_main, CFG)
+    again = synthesize_msb(f_main, HORIZON)
     assert again == truth_a
 
 
@@ -141,7 +139,7 @@ def test_window_examples(truth_a):
 
 
 def test_signature_separation(f_main):
-    nodes, _ = discover(f_main, CFG)
+    nodes, _ = discover(f_main, HORIZON)
     for i in range(len(nodes)):
         for j in range(i + 1, len(nodes)):
             a, b = nodes[i].signature, nodes[j].signature
@@ -162,7 +160,7 @@ def test_minimized_form(truth_a, truth_b):
 
 
 def test_direct_single_synthesis_matches_minimized(f_main, truth_b):
-    direct = synthesize_msb(f_main, CFG, kind=SINGLE)
+    direct = synthesize_msb(f_main, HORIZON, kind=SINGLE)
     ok, _ = direct.minimize().equivalent(truth_b)
     assert ok
 
@@ -177,7 +175,7 @@ def test_minimized_serialization_shape(truth_b):
 def test_oracle_too_short_for_discovery():
     f = gen_f(40)
     with pytest.raises(OracleTooShort):
-        synthesize_msb(f, CFG)
+        synthesize_msb(f, HORIZON)
 
 
 # -- cross-validation -----------------------------------------------------------
@@ -287,20 +285,14 @@ def _contains_run(k: int, hi: int) -> SequenceTable:
     return SequenceTable(0, hi, vals, f"run{k}")
 
 
-def _plain_cfg(horizon: int, validate_to: int) -> SynthesisConfig:
-    return SynthesisConfig(q=2, t=0, a=0, b=0, n0=0, big_a=2, big_b=2,
-                           horizon=horizon, validate_to=validate_to)
-
-
 def test_insufficient_horizon_recovery():
     s3 = _contains_run(3, 4095)
-    cfg = _plain_cfg(1, 2048)
-    conjecture = synthesize_msb(s3, cfg, kind=SINGLE)
+    conjecture = synthesize_msb(s3, 1, kind=SINGLE)
     assert not cross_validate(conjecture, s3, 2048).passed
-    machine, verdict = synthesize_validated(s3, cfg, kind=SINGLE)
+    machine, verdict = synthesize_validated(s3, 1, 2048, kind=SINGLE)
     assert verdict.passed
     assert machine.state_count == 4
-    direct = synthesize_msb(s3, _plain_cfg(8, 2048), kind=SINGLE)
+    direct = synthesize_msb(s3, 8, kind=SINGLE)
     ok, _ = machine.equivalent(direct)
     assert ok
 
@@ -308,7 +300,7 @@ def test_insufficient_horizon_recovery():
 def test_insufficient_horizon_exhausts():
     s10 = _contains_run(10, 2047)
     with pytest.raises(InsufficientHorizon):
-        synthesize_validated(s10, _plain_cfg(1, 1500), kind=SINGLE)
+        synthesize_validated(s10, 1, 1500, kind=SINGLE)
 
 
 # -- kernel probe ------------------------------------------------------------------
