@@ -1,16 +1,19 @@
 /* The Q_{r,s} recursion Q(n) = Q(n - Q(n-r)) + Q(n - Q(n-s)) under the
    all-ones seed Q(1..s) = 1, compiled for sequences.py, which loads it with
-   ctypes and keeps the same loops in Python as the reference.  Both
-   functions return a status; info[] carries what the caller needs to raise:
+   ctypes and keeps the same loops in Python as the reference.  vseq_qrs
+   stores Q; vseq_count keeps only the counts F(a) = #{n : Q(n) = a}, reading
+   Q's earlier terms back from them.  Both functions return a status; info[]
+   carries what the caller needs to raise:
      DEAD           info = {n, argument}  an argument left [1, n-1]
      NOT_MONOTONE   info = {n, Q(n-1), Q(n)}
      COUNT_OVERFLOW info = {value}         a count would pass 255
      VALUE_OVERFLOW info = {n, Q(n)}       Q(n) does not fit 32 bits
-   Q(i) lives at q[i - 1]. */
+     UNSETTLED      info = {n, argument}  Q(argument) read from a count that
+                                          was still growing
+   In vseq_qrs, Q(i) lives at q[i - 1]. */
 #include <stdint.h>
-#include <stdlib.h>
 
-enum { OK, DEAD, NOT_MONOTONE, COUNT_OVERFLOW, VALUE_OVERFLOW, NO_MEMORY };
+enum { OK, DEAD, NOT_MONOTONE, COUNT_OVERFLOW, VALUE_OVERFLOW, UNSETTLED };
 
 static int step(const uint32_t *q, int64_t n, int64_t r, int64_t s,
                 int64_t *info, uint32_t *out)
@@ -44,50 +47,77 @@ int vseq_qrs(uint32_t *q, int64_t r, int64_t s, int64_t n_done, int64_t n_max,
     return OK;
 }
 
-/* counts[a] += #{n > s : Q(n) = a} for a in [0, a_max]: Q runs until it
-   first reaches a_max + 1, in a buffer of its own.  The caller zeroes counts
-   and sets counts[1] = s for the seed. */
-int vseq_count(uint8_t *counts, int64_t a_max, int64_t r, int64_t s,
-               int64_t *info)
+/* A read position in F's prefix sums: Q(p) = value exactly when
+   below < p <= below + counts[value], with below = S(value - 1) and
+   S(a) = #{n : Q(n) <= a}.  The count at value is read fresh, because it is
+   still growing while value is Q's latest term. */
+struct cursor {
+    int64_t value, below;
+};
+
+/* Move c to Q(p).  Q is non-decreasing with steps in {0, 1} (checked as it
+   is counted), so both arguments n - Q(n-r) and n - Q(n-s) are
+   non-decreasing in n and a cursor only moves forward; it may pass only
+   counts below latest = Q(n-1), the ones that are final. */
+static int seek(const uint8_t *counts, struct cursor *c, int64_t p,
+                int64_t latest)
 {
-    int64_t cap = 2 * a_max + s + 64;  /* V(n) >= n/2 keeps V's scan inside */
-    uint32_t *q = malloc(cap * sizeof *q), prev = 1, val;
-    if (q == NULL)
-        return NO_MEMORY;
-    for (int64_t i = 0; i < s; i++)
-        q[i] = 1;
-    int status = OK;
+    while (p > c->below + counts[c->value]) {
+        if (c->value >= latest)
+            return UNSETTLED;
+        c->below += counts[c->value++];
+    }
+    return OK;
+}
+
+/* counts[a] += #{n > s : Q(n) = a} for a in [0, a_max]: Q runs until it
+   first reaches a_max + 1.  Q itself is not stored: its last s terms sit in
+   the caller's ring, a power of two of them larger than s (Q(i) at
+   ring[i & mask]), and every older term is read from the counts by two
+   cursors.  The caller zeroes counts and sets counts[1] = s for the seed. */
+int vseq_count(uint8_t *counts, int64_t a_max, int64_t r, int64_t s,
+               uint32_t *ring, int64_t mask, int64_t *info)
+{
+    struct cursor c1 = {1, 0}, c2 = {1, 0};
+    int64_t prev = 1;
+    for (int64_t i = 1; i <= s; i++)
+        ring[i & mask] = 1;
     for (int64_t n = s + 1;; n++) {
-        if (n > cap) {
-            uint32_t *grown = realloc(q, (cap += cap / 8) * sizeof *q);
-            if (grown == NULL) {
-                status = NO_MEMORY;
-                break;
-            }
-            q = grown;
+        int64_t i1 = n - ring[(n - r) & mask], i2 = n - ring[(n - s) & mask];
+        if (i1 < 1 || i2 < 1) {
+            info[0] = n;
+            info[1] = i1 < i2 ? i1 : i2;
+            return DEAD;
         }
-        if ((status = step(q, n, r, s, info, &val)) != OK)
-            break;
-        q[n - 1] = val;
+        int64_t unread = seek(counts, &c1, i1, prev) != OK ? i1
+                         : seek(counts, &c2, i2, prev) != OK ? i2 : 0;
+        if (unread) {
+            info[0] = n;
+            info[1] = unread;
+            return UNSETTLED;
+        }
+        int64_t val = c1.value + c2.value;
+        if (val > UINT32_MAX) {
+            info[0] = n;
+            info[1] = val;
+            return VALUE_OVERFLOW;
+        }
         if (val != prev) {
             if (val != prev + 1) {
                 info[0] = n;
                 info[1] = prev;
                 info[2] = val;
-                status = NOT_MONOTONE;
-                break;
+                return NOT_MONOTONE;
             }
             prev = val;
             if (val > a_max)
-                break;
+                return OK;
         }
         if (counts[val] == 255) {
             info[0] = val;
-            status = COUNT_OVERFLOW;
-            break;
+            return COUNT_OVERFLOW;
         }
         counts[val]++;
+        ring[n & mask] = (uint32_t)val;
     }
-    free(q);
-    return status;
 }

@@ -27,7 +27,7 @@ SOURCE = Path(__file__).with_name("_oracle.c")
 COMPILE = ("cc", "-O2", "-shared", "-fPIC")
 
 # the statuses of _oracle.c
-OK, DEAD, NOT_MONOTONE, COUNT_OVERFLOW, VALUE_OVERFLOW, NO_MEMORY = range(6)
+OK, DEAD, NOT_MONOTONE, COUNT_OVERFLOW, VALUE_OVERFLOW, UNSETTLED = range(6)
 
 
 class Oracle:
@@ -38,6 +38,7 @@ class Oracle:
         lib.vseq_qrs.argtypes = [ctypes.POINTER(ctypes.c_uint32), i64, i64, i64,
                                  i64, ctypes.POINTER(i64)]
         lib.vseq_count.argtypes = [ctypes.POINTER(ctypes.c_uint8), i64, i64, i64,
+                                   ctypes.POINTER(ctypes.c_uint32), i64,
                                    ctypes.POINTER(i64)]
         lib.vseq_qrs.restype = lib.vseq_count.restype = ctypes.c_int
         self._lib = lib
@@ -51,10 +52,13 @@ class Oracle:
         return status, list(info)
 
     def count(self, counts: bytearray, r: int, s: int) -> tuple[int, list[int]]:
-        """counts[a] += #{n > s : Q_{r,s}(n) = a} for a below len(counts)."""
+        """counts[a] += #{n > s : Q_{r,s}(n) = a} for a below len(counts),
+        with Q's last s terms in a ring of a power of two above s."""
         info = (ctypes.c_int64 * 3)()
         view = (ctypes.c_uint8 * len(counts)).from_buffer(counts)
-        status = self._lib.vseq_count(view, len(counts) - 1, r, s, info)
+        ring = (ctypes.c_uint32 * (1 << s.bit_length()))()
+        status = self._lib.vseq_count(view, len(counts) - 1, r, s,
+                                      ring, len(ring) - 1, info)
         return status, list(info)
 
 

@@ -58,6 +58,7 @@ def _certify(machine: Dfao, f: SequenceTable, depth: int,
 
 def _build_pipeline(horizon: int, validate: int, depth: int):
     """Oracle -> validated window automaton -> rules -> certificate."""
+    synthesis.check_bounds(horizon=horizon, validate_to=validate, depth=depth)
     f = gen_f(validate + 2)
     machine, verdict = synthesis.synthesize_validated(f, horizon, validate)
     return f, machine, verdict, _certify(machine, f, depth, validate)
@@ -123,6 +124,11 @@ def cmd_certify(args) -> int:
     print(f"# certify --automaton {args.automaton} --depth {args.depth} "
           f"--validate {args.validate}")
     loaded = _load_automaton(args.automaton)
+    if loaded.alphabet_size != 2:
+        raise ValueError(f"{args.automaton} reads base {loaded.alphabet_size}; "
+                         "certification is for base-2 automata")
+    synthesis.check_bounds(horizon=args.horizon, validate_to=args.validate,
+                           depth=args.depth)
     if loaded.output_kind == WINDOW:
         # one oracle serves both the certificate and the cross-check
         f = gen_f(max(synthesis.cert_oracle_bound(loaded, args.depth),

@@ -50,7 +50,8 @@ class SequenceTable:
 
     ``values`` may be any integer sequence; generators pick a compact
     backing store: a 32-bit ``array("I")`` for V and Q_{r,s}, a bytearray
-    for F, an int64 numpy array for first differences.
+    for F, an int64 numpy array for first differences.  An F table is
+    counted without a V table, so it costs one byte per index in all.
     """
 
     lo: int
@@ -169,8 +170,10 @@ def _raise(status: int, info: list[int], label: str, partial) -> None:
         raise ValueError(f"{label} takes the value {info[0]} more than 255 times")
     if status == _oracle.VALUE_OVERFLOW:
         raise OverflowError(f"{label}({info[0]}) = {info[1]} does not fit 32 bits")
-    if status == _oracle.NO_MEMORY:
-        raise MemoryError(f"no memory for the {label} oracle")
+    if status == _oracle.UNSETTLED:
+        n, argument = info[0], info[1]
+        raise RuntimeError(f"{label}({n}) read {label}({argument}) from a count "
+                           "that was not final")
 
 
 def _recursion(r: int, s: int, n_max: int, label: str) -> SequenceTable:
@@ -213,8 +216,10 @@ def _recursion_py(r: int, s: int, n_max: int, label: str) -> SequenceTable:
 
 def _frequency(r: int, s: int, a_max: int, label: str) -> bytearray:
     """counts[a] = #{n : Q_{r,s}(n) = a} for a in [0, a_max], compiled when
-    possible; Q is generated and checked as in _frequency_py.  gen_f counts
-    V = Q_{1,4}; other (r, s) reach the checks V never trips."""
+    possible; Q is generated and checked as in _frequency_py.  The compiled
+    loop keeps only Q's last s terms and reads the older ones back from the
+    counts (see _oracle.c), so the counts are all the memory it takes.
+    gen_f counts V = Q_{1,4}; other (r, s) reach the checks V never trips."""
     lib = _compiled(2 * a_max)  # V(n) is about n / 2
     if lib is None:
         return _frequency_py(r, s, a_max, label)
@@ -275,8 +280,11 @@ def gen_f(a_max: int) -> SequenceTable:
     """F(0..a_max) with F(0) = 0, by counting a freshly generated V.
 
     V is scanned until its value first reaches a_max + 1, and checked to be
-    non-decreasing with steps in {0, 1} on the way.  The V prefix is not
-    retained: only the counts survive, in a bytearray (F(a) <= 4).
+    non-decreasing with steps in {0, 1} on the way.  V is never stored: it
+    is slow (steps in {0, 1}), so V(p) = a exactly when
+    F(1) + ... + F(a-1) < p <= F(1) + ... + F(a), and the compiled loop
+    reads V's earlier terms back from the counts it is building.  Memory is
+    the counts alone, one byte per a (F(a) <= 4).
     """
     counts = _frequency(1, 4, _size(a_max, "a_max", 1), "V")
     return SequenceTable(0, a_max, counts, "F")

@@ -206,17 +206,33 @@ class Validation:
 
 def _states_upto(m: Dfao, n_max: int) -> np.ndarray:
     """state(n) for all n in [0, n_max]: the state after reading the base-q
-    numeral of n, computed level by level (state(n) = step(state(n//q), n%q))."""
+    numeral of n (state(0) = initial, the empty numeral), in the narrowest
+    dtype for the states.
+
+    A stride table T, δ composed over k digits for the largest k with
+    q^k <= 256 (k = 8 in base 2, k = 1 from q = 17), gives T[s, w], the state
+    reached from s on the k-digit numeral of w, leading zeros included.  n
+    below q^k is filled a digit level at a time, state(q n + d) =
+    δ(state(n), d); every later level in one row gather of T,
+    state(q^k n + w) = T[state(n), w] (a q-automatic sequence is
+    q^k-automatic: Allouche & Shallit, Automatic Sequences, Thm 6.6.4).
+    """
     q = m.alphabet_size
-    flat = np.asarray(m.transitions, dtype=np.int32).reshape(-1)
-    states = np.zeros(n_max + 1, dtype=np.int32)
+    trans = np.asarray(m.transitions, dtype=_narrowest(m.state_count))
+    table = trans
+    while table.shape[1] * q <= 256:
+        table = trans[table].reshape(m.state_count, -1)
+    states = np.empty(n_max + 1, dtype=trans.dtype)
     states[0] = m.initial
-    lo = 1
-    while lo <= n_max:
-        hi = min(lo * q - 1, n_max)
-        idx = np.arange(lo, hi + 1)
-        states[idx] = flat[states[idx // q] * q + idx % q]
-        lo *= q
+    states[1:q] = trans[m.initial, 1:n_max + 1]  # the one-digit numerals
+    hi = q  # states[:hi] is filled
+    while hi <= n_max:
+        step = trans if hi < table.shape[1] else table
+        width = step.shape[1]
+        lo, end = hi // width, min(width * hi, n_max + 1)
+        rows = step[states[lo:-(-end // width)]].ravel()
+        states[hi:end] = rows[:end - hi]
+        hi *= width
     return states
 
 
@@ -245,15 +261,23 @@ def cross_validate(m: Dfao, oracle: SequenceTable, n_max: int) -> Validation:
     return Validation(True, None, n_max)
 
 
+def check_bounds(*, horizon: int = 1, validate_to: int = 2, depth: int = 2) -> None:
+    """ValueError unless the pipeline can take these bounds; each defaults
+    to the least value it takes, so a caller names only what it has."""
+    if horizon < 1:
+        raise ValueError("horizon must be >= 1")
+    if validate_to < 2:
+        raise ValueError("validate_to must be >= 2")
+    if depth < 2:
+        raise ValueError("depth must be >= 2")
+
+
 def synthesize_validated(oracle: SequenceTable, horizon: int, validate_to: int,
                          kind: str = WINDOW) -> tuple[Dfao, Validation]:
     """Synthesize and cross-validate on [0, validate_to] (cut to the oracle),
     doubling the horizon (up to 3 retries) when validation exposes an
     over-merge."""
-    if horizon < 1:
-        raise ValueError("horizon must be >= 1")
-    if validate_to < 2:
-        raise ValueError("validate_to must be >= 2")
+    check_bounds(horizon=horizon, validate_to=validate_to)
     for attempt in range(4):
         m = synthesize_msb(oracle, horizon, kind)
         verdict = cross_validate(m, oracle, min(validate_to, oracle.hi - 1))
@@ -321,14 +345,13 @@ def cert_oracle_bound(m: Dfao, depth: int) -> int:
     """Last oracle index that certify_transitions reads at this depth: the
     windows at [u d x] for the longest boundary-family extension x of every
     transition u -d->, with u the state's claimed access value."""
-    if depth < 2:
-        raise ValueError("depth must be >= 2")
+    check_bounds(depth=depth)
     max_ud = max((v << 1) | d for v in _name_values(m) for d in (0, 1))
     return max(((max_ud << (depth + 1)) | 1) + 1, (max_ud + 1) << depth)
 
 
 def certify_transitions(m: Dfao, oracle: SequenceTable, rules: WindowRuleTable,
-                        depth: int = 16, validate_to: int = 2 ** 22) -> CertificateReport:
+                        depth: int, validate_to: int) -> CertificateReport:
     """Run the inductive correctness scheme against the oracle.
 
     Per state: the output window equals the oracle window at the state's

@@ -6,7 +6,7 @@ from pathlib import Path
 import pytest
 
 import vseq
-from vseq import SINGLE, Dfao, gen_f
+from vseq import SINGLE, WINDOW, Dfao, gen_f
 from vseq.cli import run
 
 FAST = ["--validate", "65536", "--depth", "3"]
@@ -224,6 +224,54 @@ def test_depth_below_2_is_one_usage_line(built, tmp_path, monkeypatch, capsys):
     monkeypatch.setattr(vseq.cli, "gen_f", no_oracle)
     assert run(["certify", "--automaton", str(a_path), "--depth", "-1"]) == 2
     assert capsys.readouterr().err == "vseq: depth must be >= 2\n"
+
+
+def _no_oracle(n):
+    raise AssertionError("an oracle was built before the flags were checked")
+
+
+PIPELINE_COMMANDS = {
+    "synthesize": ["synthesize", "--out", "x.dfao"],
+    "tables-check": ["tables", "check"],
+    "certify-single": ["certify", "--automaton", "single.dfao"],
+    "certify-window": ["certify", "--automaton", "window.dfao"],
+}
+
+
+@pytest.mark.parametrize("flag, value, message", [
+    ("--horizon", "0", "horizon must be >= 1"),
+    ("--validate", "1", "validate_to must be >= 2"),
+    ("--depth", "-3", "depth must be >= 2"),
+], ids=["horizon-0", "validate-1", "depth-minus-3"])
+@pytest.mark.parametrize("command", PIPELINE_COMMANDS)
+def test_flag_values_are_checked_before_any_oracle(command, flag, value, message,
+                                                   tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    Path("single.dfao").write_text(
+        Dfao(2, 0, [(0, 1), (1, 0)], [0, 1], SINGLE).serialize())
+    Path("window.dfao").write_text(
+        Dfao(2, 0, [(0, 0)], [(0, 0, 0, 0)], WINDOW, ("eps",)).serialize())
+    monkeypatch.setattr(vseq.cli, "gen_f", _no_oracle)
+    assert run([*PIPELINE_COMMANDS[command], flag, value]) == 2
+    assert capsys.readouterr().err == f"vseq: {message}\n"
+    assert not Path("x.dfao").exists()
+
+
+@pytest.mark.parametrize("machine", [
+    Dfao(3, 0, [(0, 1, 0), (1, 0, 1)], [1, 2], SINGLE),
+    Dfao(3, 0, [(0, 1, 1), (1, 1, 0)], [(0, 0, 1, 2), (0, 1, 2, 1)], WINDOW,
+         ("eps", "1")),
+], ids=["single", "window"])
+def test_certify_refuses_other_bases_before_any_oracle(machine, tmp_path,
+                                                       monkeypatch, capsys):
+    path = tmp_path / "base3.dfao"
+    path.write_text(machine.serialize())
+    monkeypatch.setattr(vseq.cli, "gen_f", _no_oracle)
+    assert run(["certify", "--automaton", str(path), *FAST]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == (f"vseq: {path} reads base 3; "
+                            "certification is for base-2 automata\n")
+    assert captured.out.count("\n") == 2  # the seed note and the command line
 
 
 def test_oracle_too_large_for_memory_is_a_usage_error(monkeypatch, capsys):

@@ -230,6 +230,18 @@ def test_oracle_falls_back_to_python_loops(monkeypatch, capsys):
     assert err.startswith("vseq: no compiled oracle") and err.count("\n") == 1, err
 
 
+def test_count_reads_only_settled_counts():
+    # with the seed's count left out, V(5) = V(4) + V(4) reads V(4) from a
+    # count the loop is still building: the cursor must refuse, not guess
+    lib = _oracle.library()
+    if lib is None:
+        pytest.skip("no C compiler: only the Python loops run here")
+    status, info = lib.count(bytearray(100), 1, 4)
+    assert (status, info[:2]) == (_oracle.UNSETTLED, [5, 4])
+    with pytest.raises(RuntimeError, match=r"V\(5\) read V\(4\)"):
+        sequences._raise(status, info, "V", None)
+
+
 def test_v_is_stored_in_32_bits():
     for n_max in (20, 10 ** 5):
         values = gen_v(n_max).values

@@ -271,7 +271,8 @@ def test_certify_needs_full_rule_domain(truth_a, f_main):
 
 def test_certify_rejects_single_kind(truth_b, f_main, rules_main):
     with pytest.raises(CertificationFailure):
-        certify_transitions(truth_b, f_main, rules_main, depth=2)
+        certify_transitions(truth_b, f_main, rules_main, depth=2,
+                            validate_to=2 ** 10)
 
 
 # -- retry wrapper ----------------------------------------------------------------
