@@ -9,6 +9,11 @@ fact the rest of the pipeline leans on.
 The maps are partial by design.  Only windows actually realized by F get
 images; inventing values for the other tuples over {1,2,3}^4 would poison
 automaton certification.
+
+One scan serves derivation and verification.  It sorts nothing: each
+window's four bytes, read as a number in base 1 + (largest byte), index a
+table of the codes that occur (256 for F), which numbers the windows
+densely, and the images are checked through one small table per id.
 """
 
 from __future__ import annotations
@@ -18,7 +23,7 @@ from typing import Literal
 
 import numpy as np
 
-from .sequences import SequenceTable
+from .sequences import SequenceTable, _compact, _narrowest
 
 Window = tuple[int, int, int, int]
 
@@ -73,14 +78,27 @@ class RuleVerification:
     new_windows: dict[Window, int]  # windows absent from the frozen table
 
 
+def _per_id(values: list[int]) -> np.ndarray:
+    """One entry per window id, in the narrowest dtype holding them all:
+    uint8 for the images of any table derived from bytes."""
+    table = np.array(values)
+    return table.astype(np.result_type(np.min_scalar_type(table.min()),
+                                       np.min_scalar_type(table.max())))
+
+
 def _scan(f: SequenceTable, a_min: int, a_max: int,
           frozen: WindowRuleTable | None = None) -> WindowRuleTable:
     """The one pass over a in [a_min, a_max]: the windows realized on it,
     with their images and least a, in order of that a.
 
-    Every image F(2a), F(2a+1) is checked against ``frozen`` (windows it
-    lacks are skipped) or else against the window's first occurrence;
-    RuleConflict names the least conflicting a, even before odd.
+    Each window gets a dense id without sorting: its four bytes are read
+    as a number in base B = 1 + the largest byte in range (B^4 = 256 codes
+    for F), and _compact ranks the codes that occur.  The least a of each
+    id comes from the shortest prefix, grown fourfold, that holds every id.
+    Every image F(2a), F(2a+1) is then checked against ``frozen`` (windows
+    it lacks are skipped) or else against the window's first occurrence,
+    through per-id tables of the expected bytes; RuleConflict names the
+    least conflicting a, even before odd.
     """
     if a_min <= 3:
         raise ValueError("a_min must be > 3: the doubling rules start at a = 4")
@@ -90,11 +108,25 @@ def _scan(f: SequenceTable, a_min: int, a_max: int,
         raise ValueError(
             f"oracle ends at {f.hi}, need F up to {2 * a_max + 1} for a_max={a_max}"
         )
+    if a_max < a_min:
+        return WindowRuleTable(even_rule={}, odd_rule={}, first_seen={})
     vals = f.byte_values()
     even = vals[2 * a_min:2 * a_max + 1:2]
     odd = vals[2 * a_min + 1:2 * a_max + 2:2]
-    _, first, inverse = np.unique(f.window_codes(a_min, a_max),
-                                  return_index=True, return_inverse=True)
+    n = a_max - a_min + 1
+    seg = vals[a_min - 2:a_max + 2]  # the bytes of every window
+    base = int(seg.max()) + 1
+    code = seg[3:n + 3].astype(_narrowest(base ** 4))
+    for k in (2, 1, 0):
+        code *= base
+        code += seg[k:n + k]
+    ids, distinct = _compact(code, base ** 4)
+    span = 1 << 10
+    while True:
+        _, first = np.unique(ids[:span], return_index=True)
+        if len(first) == distinct:
+            break
+        span *= 4
     wins = [f.window4(a_min + int(i)) for i in first]
     by_a = np.argsort(first)
     realized = WindowRuleTable(
@@ -103,14 +135,15 @@ def _scan(f: SequenceTable, a_min: int, a_max: int,
         first_seen={wins[u]: a_min + int(first[u]) for u in by_a},
     )
     ref = realized if frozen is None else frozen
-    known = np.array([w in ref.even_rule for w in wins], dtype=bool)[inverse]
-    ref_even = np.array([ref.even_rule.get(w, 0) for w in wins])[inverse]
-    ref_odd = np.array([ref.odd_rule.get(w, 0) for w in wins])[inverse]
-    bad_even = known & (ref_even != even)
-    bad = np.flatnonzero(bad_even | (known & (ref_odd != odd)))
-    if bad.size:
-        i = int(bad[0])
-        w = wins[inverse[i]]
+    known = np.array([w in ref.even_rule for w in wins])[ids]
+    bad_even = _per_id([ref.even_rule.get(w, 0) for w in wins])[ids] != even
+    bad_even &= known
+    bad_odd = _per_id([ref.odd_rule.get(w, 0) for w in wins])[ids] != odd
+    bad_odd &= known
+    bad = bad_even | bad_odd
+    if bad.any():
+        i = int(bad.argmax())
+        w = wins[ids[i]]
         parity, table, image = (("even", ref.even_rule, even) if bad_even[i]
                                 else ("odd", ref.odd_rule, odd))
         raise RuleConflict(w, parity, ref.first_seen[w], table[w], a_min + i,

@@ -24,7 +24,6 @@ from dataclasses import dataclass
 from typing import IO, Sequence
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 
 class DeadSequence(Exception):
@@ -50,8 +49,9 @@ class SequenceTable:
 
     ``values`` may be any integer sequence; generators pick a compact
     backing store: a 32-bit ``array("I")`` for V and Q_{r,s}, a bytearray
-    for F, an int64 numpy array for first differences.  An F table is
-    counted without a V table, so it costs one byte per index in all.
+    for F, a numpy array in the narrowest integer dtype for first
+    differences.  An F table is counted without a V table, so it costs one
+    byte per index in all.
     """
 
     lo: int
@@ -103,7 +103,13 @@ class SequenceTable:
 
     def window_codes(self, lo: int, hi: int) -> np.ndarray:
         """pack_windows of window4(n) for every n in [lo, hi]: like window4,
-        indices below the table read as 0, indices above it are an error."""
+        indices below the table read as 0, indices above it are an error.
+
+        The four bytes at n - 2 are that code read as a little-endian
+        uint32, so the codes are a read-only view with a one-byte stride
+        over the values; only a window reaching below the table copies its
+        bytes, to put the zero pad in front.
+        """
         if hi < lo:
             return np.zeros(0, dtype=np.uint32)
         if hi + 1 > self.hi:
@@ -112,7 +118,10 @@ class SequenceTable:
         seg = self.byte_values()[max(start, 0):start + hi - lo + 4]
         if start < 0:
             seg = np.concatenate([np.zeros(-start, dtype=np.uint8), seg])
-        return pack_windows(sliding_window_view(seg, 4))
+        codes = np.ndarray(hi - lo + 1, dtype="<u4",
+                           buffer=np.ascontiguousarray(seg), strides=(1,))
+        codes.flags.writeable = False
+        return codes
 
 
 def pack_windows(windows) -> np.ndarray:
@@ -123,6 +132,25 @@ def pack_windows(windows) -> np.ndarray:
     for k in range(4):
         code |= np.left_shift(w[:, k], 8 * k, dtype=np.uint32)
     return code
+
+
+def _narrowest(d: int) -> np.dtype:
+    """The narrowest unsigned dtype holding every id below d."""
+    return np.min_scalar_type(max(d - 1, 0))
+
+
+def _compact(codes: np.ndarray, space: int) -> tuple[np.ndarray, int]:
+    """Dense ids for codes in [0, space): equal codes get equal ids, in the
+    narrowest dtype; and the number of distinct codes."""
+    if space <= codes.size + (1 << 16):
+        present = np.zeros(space, dtype=bool)
+        present[codes] = True
+        where = np.flatnonzero(present)
+        rank = np.zeros(space, dtype=_narrowest(len(where)))
+        rank[where] = np.arange(len(where))
+        return rank[codes], len(where)
+    distinct, ids = np.unique(codes, return_inverse=True)
+    return ids.astype(_narrowest(len(distinct))), len(distinct)
 
 
 # V and Q_{r,s} are stored in 32 bits, so no size may pass this
@@ -303,13 +331,37 @@ def gen_qrs(r: int, s: int, n_max: int) -> SequenceTable:
     return _recursion(r, s, n_max, f"Q[{r},{s}]")
 
 
+# first_difference works on this many entries at a time
+DIFF_CHUNK = 1 << 20
+
+
 def first_difference(t: SequenceTable) -> SequenceTable:
-    """The table D(n) = t(n+1) - t(n) on [lo, hi-1], as int64."""
+    """The table D(n) = t(n+1) - t(n) on [lo, hi-1], in the narrowest
+    integer dtype holding every difference (uint8 for V's steps in {0, 1}).
+
+    One pass over chunks finds the range of the differences and a second
+    fills them, so no int64 copy of the whole table is ever held.
+    """
     if len(t) < 2:
         raise ValueError("need at least 2 entries")
     vals = np.asarray(t.values)
-    d = np.subtract(vals[1:], vals[:-1], dtype=np.int64)
-    return SequenceTable(t.lo, t.hi - 1, d, f"diff({t.label})")
+    n = len(vals) - 1
+    chunks = [(i, min(i + DIFF_CHUNK, n)) for i in range(0, n, DIFF_CHUNK)]
+    wide = np.empty(min(DIFF_CHUNK, n), dtype=np.int64)
+    least = most = 0
+    for i, j in chunks:
+        d = np.subtract(vals[i + 1:j + 1], vals[i:j], out=wide[:j - i], dtype=np.int64)
+        least, most = min(least, int(d.min())), max(most, int(d.max()))
+    # a signed k-bit type holds [-2^(k-1), 2^(k-1) - 1]
+    dtype = np.min_scalar_type(min(least, -most - 1) if least < 0 else most)
+    out = np.empty(n, dtype=dtype)
+    for i, j in chunks:
+        # the low k bits of a difference are the difference of the low k
+        # bits, so subtracting in the k-bit dtype, each operand cut to it
+        # first, is exact for every difference that dtype holds
+        np.subtract(vals[i + 1:j + 1], vals[i:j], out=out[i:j], dtype=dtype,
+                    casting="unsafe")
+    return SequenceTable(t.lo, t.hi - 1, out, f"diff({t.label})")
 
 
 def write_table(t: SequenceTable, fp: IO[str]) -> None:

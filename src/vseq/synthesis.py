@@ -28,7 +28,7 @@ import numpy as np
 
 from .automaton import SINGLE, WINDOW, Dfao
 from .rules import RuleConflict, WindowRuleTable, verify_rules
-from .sequences import SequenceTable, pack_windows
+from .sequences import SequenceTable, _compact, _narrowest, pack_windows
 
 
 class NonpositiveDivisor(ValueError):
@@ -468,25 +468,6 @@ def check_probe_args(q: int, depth: int, prefix_len: int) -> None:
     """ValueError unless kernel_probe can take these arguments."""
     if q < 2 or depth < 0 or prefix_len < 1:
         raise ValueError("need q >= 2, depth >= 0, prefix_len >= 1")
-
-
-def _narrowest(d: int) -> np.dtype:
-    """The narrowest unsigned dtype holding every id below d."""
-    return np.min_scalar_type(max(d - 1, 0))
-
-
-def _compact(codes: np.ndarray, space: int) -> tuple[np.ndarray, int]:
-    """Dense ids for codes in [0, space): equal codes get equal ids, in the
-    narrowest dtype; and the number of distinct codes."""
-    if space <= codes.size + (1 << 16):
-        present = np.zeros(space, dtype=bool)
-        present[codes] = True
-        where = np.flatnonzero(present)
-        rank = np.zeros(space, dtype=_narrowest(len(where)))
-        rank[where] = np.arange(len(where))
-        return rank[codes], len(where)
-    distinct, ids = np.unique(codes, return_inverse=True)
-    return ids.astype(_narrowest(len(distinct))), len(distinct)
 
 
 def _join(children: list[np.ndarray], k: int) -> tuple[np.ndarray, int]:

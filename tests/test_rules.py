@@ -1,7 +1,15 @@
+import random
+
+import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from numpy.lib.stride_tricks import sliding_window_view
 
 from vseq import (OutsideDomain, RuleConflict, SequenceTable, apply_rule,
                   derive_rules, format_rules, gen_f, verify_rules)
+from vseq.rules import WindowRuleTable, _scan
+from vseq.sequences import pack_windows
 
 
 @pytest.fixture(scope="module")
@@ -124,3 +132,136 @@ def test_determinism(f50k):
     assert a.even_rule == b.even_rule
     assert a.odd_rule == b.odd_rule
     assert a.first_seen == b.first_seen
+
+
+def _scan_by_sorting(f, a_min, a_max, frozen=None):
+    """The reference _scan: sort the uint32 codes of every window to find
+    the distinct ones, their least a and each a's window, and check the
+    images through int64 arrays."""
+    vals = f.byte_values()
+    even = vals[2 * a_min:2 * a_max + 1:2]
+    odd = vals[2 * a_min + 1:2 * a_max + 2:2]
+    codes = pack_windows(sliding_window_view(vals[a_min - 2:a_max + 2], 4))
+    _, first, inverse = np.unique(codes, return_index=True, return_inverse=True)
+    inverse = inverse.ravel()
+    wins = [f.window4(a_min + int(i)) for i in first]
+    by_a = np.argsort(first)
+    realized = WindowRuleTable(
+        even_rule={wins[u]: int(even[first[u]]) for u in by_a},
+        odd_rule={wins[u]: int(odd[first[u]]) for u in by_a},
+        first_seen={wins[u]: a_min + int(first[u]) for u in by_a},
+    )
+    ref = realized if frozen is None else frozen
+    known = np.array([w in ref.even_rule for w in wins], dtype=bool)[inverse]
+    ref_even = np.array([ref.even_rule.get(w, 0) for w in wins], dtype=np.int64)[inverse]
+    ref_odd = np.array([ref.odd_rule.get(w, 0) for w in wins], dtype=np.int64)[inverse]
+    bad_even = known & (ref_even != even)
+    bad = np.flatnonzero(bad_even | (known & (ref_odd != odd)))
+    if bad.size:
+        i = int(bad[0])
+        w = wins[inverse[i]]
+        parity, table, image = (("even", ref.even_rule, even) if bad_even[i]
+                                else ("odd", ref.odd_rule, odd))
+        raise RuleConflict(w, parity, ref.first_seen[w], table[w], a_min + i,
+                           int(image[i]))
+    return realized
+
+
+def _fields(e: RuleConflict) -> tuple:
+    return e.window, e.parity, e.a_first, e.v_first, e.a_second, e.v_second
+
+
+def _outcome(scan, *args):
+    """What a scan gives, in a form that compares dict order too: the
+    three rule dicts as item lists, or the fields of its RuleConflict."""
+    try:
+        t = scan(*args)
+    except RuleConflict as e:
+        return ("conflict", *_fields(e))
+    return ("table", list(t.even_rule.items()), list(t.odd_rule.items()),
+            list(t.first_seen.items()))
+
+
+def _byte_table(palette, hi, late, follow_rule, rng) -> SequenceTable:
+    """An F-like table on [0, hi] over the palette: from n = 8 on its
+    images follow a random doubling rule (so a scan finds no conflict) or
+    are random.  The last palette value is held back until n = late, so
+    that the windows holding it are first seen late in a scan."""
+    vals, rule = [], {}
+    for n in range(hi + 1):
+        choices = palette if n >= late else palette[:-1] or palette
+        key = (tuple(vals[n // 2 - 2:n // 2 + 2]), n % 2)
+        if n < 8 or not follow_rule:
+            vals.append(rng.choice(choices))
+        else:
+            vals.append(rule.setdefault(key, rng.choice(choices)))
+    return SequenceTable(0, hi, bytearray(vals), "F")
+
+
+@st.composite
+def byte_tables(draw):
+    """(table, a_min, a_max): a _byte_table over up to five values in 0-255,
+    or over all of them, and a scan range that fits it."""
+    palette = draw(st.one_of(
+        st.lists(st.one_of(st.integers(0, 3), st.integers(0, 255)),
+                 min_size=1, max_size=5, unique=True),
+        st.just(list(range(256)))))
+    hi = draw(st.one_of(st.integers(9, 300), st.integers(3000, 6000)))
+    f = _byte_table(palette, hi, draw(st.sampled_from([0, hi // 3])),
+                    draw(st.booleans()), random.Random(draw(st.integers(0, 2 ** 32))))
+    a_max = draw(st.one_of(st.just((hi - 1) // 2), st.integers(4, (hi - 1) // 2)))
+    a_min = draw(st.one_of(st.integers(4, min(a_max, 12)), st.integers(4, a_max)))
+    return f, a_min, a_max
+
+
+def _flip(f, a_min, a_max, rng):
+    """f with one image F(2a) or F(2a+1), a in [a_min, a_max], changed:
+    often at a_max, whose window is the likeliest to have been seen."""
+    n = 2 * rng.choice([a_max, rng.randint(a_min, a_max)]) + rng.randint(0, 1)
+    vals = bytearray(f.values)
+    vals[n] = (vals[n] + rng.randint(1, 255)) % 256
+    return SequenceTable(0, f.hi, vals, "F")
+
+
+@settings(max_examples=100, deadline=None)
+@given(byte_tables(), st.integers(0, 2 ** 32))
+# F itself: 24 windows, the last first seen at a = 232
+@example((gen_f(2 ** 14 + 1), 4, 2 ** 13), 1)
+# windows first seen past the first prefix, for either kind of id
+@example((_byte_table([1, 2, 3], 6000, 3000, False, random.Random(2)), 4, 2999), 3)
+@example((_byte_table(list(range(256)), 4000, 0, True, random.Random(4)), 5, 1999), 5)
+def test_scan_matches_sorting_scan(case, seed):
+    f, a_min, a_max = case
+    rng = random.Random(seed)
+    assert _outcome(_scan, f, a_min, a_max) == _outcome(_scan_by_sorting, f, a_min, a_max)
+    bad = _flip(f, a_min, a_max, rng)
+    assert _outcome(_scan, bad, a_min, a_max) == _outcome(_scan_by_sorting, bad, a_min, a_max)
+    # a frozen table missing some of its windows: verify_rules reports them
+    try:
+        full = _scan_by_sorting(f, a_min, (a_min + a_max) // 2)
+    except RuleConflict:
+        return
+    keep = [w for w in full.even_rule if rng.random() < 0.7]
+    frozen = WindowRuleTable({w: full.even_rule[w] for w in keep},
+                             {w: full.odd_rule[w] for w in keep},
+                             {w: full.first_seen[w] for w in keep})
+    for table in (f, bad):
+        want = _outcome(_scan_by_sorting, table, a_min, a_max, frozen)
+        if want[0] == "conflict":
+            with pytest.raises(RuleConflict) as excinfo:
+                verify_rules(frozen, table, a_max, a_min)
+            assert _fields(excinfo.value) == want[1:]
+        else:
+            got = verify_rules(frozen, table, a_max, a_min).new_windows
+            assert list(got.items()) == [
+                (w, a) for w, a in want[3] if w not in frozen.even_rule]
+
+
+def test_frozen_image_outside_bytes_conflicts(f50k, rules10k):
+    # an image no byte can equal is a conflict at the window's first a
+    w = (1, 1, 2, 2)
+    frozen = WindowRuleTable({**rules10k.even_rule, w: 300}, rules10k.odd_rule,
+                             rules10k.first_seen)
+    with pytest.raises(RuleConflict) as excinfo:
+        verify_rules(frozen, f50k, 1000)
+    assert _fields(excinfo.value) == (w, "even", 5, 300, 5, 1)

@@ -1,11 +1,15 @@
 import io
+from array import array
 
+import numpy as np
 import pytest
+from numpy.lib.stride_tricks import sliding_window_view
 
 from vseq import (DeadSequence, MonotonicityViolation, SequenceTable,
                   first_difference, gen_f, gen_qrs, gen_v, read_table,
                   write_table)
 from vseq import _oracle, sequences
+from vseq.sequences import pack_windows
 
 V20 = [1, 1, 1, 1, 2, 3, 4, 5, 5, 6, 6, 7, 8, 8, 9, 9, 10, 11, 11, 11]
 F20 = [4, 1, 1, 1, 2, 2, 1, 2, 2, 1, 3, 2, 1, 2, 2, 1, 3, 2, 1, 2]
@@ -130,6 +134,30 @@ def test_first_difference_of_f_prefix():
 def test_first_difference_constant():
     t = SequenceTable(0, 9, [7] * 10, "c")
     assert list(first_difference(t).values) == [0] * 9
+
+
+def test_first_difference_dtype_is_narrowest():
+    assert first_difference(gen_v(20)).values.dtype == np.uint8
+    assert first_difference(SequenceTable(1, 6, F20[:6], "F")).values.dtype == np.int8
+    t = SequenceTable(0, 2, [0, 128, 0], "x")  # +128 and -128 need 16 bits
+    assert first_difference(t).values.dtype == np.int16
+    assert list(first_difference(t).values) == [128, -128]
+    wide = SequenceTable(0, 1, [0, 2 ** 31], "x")
+    assert first_difference(wide).values.dtype == np.uint32
+    # 32-bit operands far outside the differences' int8
+    big = first_difference(SequenceTable(0, 2, array("I", [70000, 70003, 69999]), "x"))
+    assert big.values.dtype == np.int8
+    assert list(big.values) == [3, -4]
+
+
+def test_first_difference_across_chunks(monkeypatch):
+    monkeypatch.setattr(sequences, "DIFF_CHUNK", 7)
+    rng = np.random.default_rng(5)
+    vals = rng.integers(-300, 300, 50)
+    d = first_difference(SequenceTable(2, 51, vals, "x"))
+    assert (d.lo, d.hi) == (2, 50)
+    assert d.values.dtype == np.int16
+    assert list(d.values) == list(np.diff(vals))
 
 
 def test_first_difference_needs_two():
@@ -260,3 +288,38 @@ def test_v_is_stored_in_32_bits():
 def test_oracle_sizes_checked_before_the_loops(call, error):
     with pytest.raises(error):
         call()
+
+
+def _windows_reference(t: SequenceTable, lo: int, hi: int) -> np.ndarray:
+    """pack_windows over the 4-windows of t on [lo, hi], read with get()."""
+    ext = np.array([t.get(i) for i in range(lo - 2, hi + 2)], dtype=np.uint8)
+    return pack_windows(sliding_window_view(ext, 4))
+
+
+@pytest.mark.parametrize("table_lo", [0, 5])
+@pytest.mark.parametrize("offset", [-3, 0, 1, 2, 3, "random"])
+@pytest.mark.parametrize("end", ["last", "random"])
+def test_window_codes_equal_packed_windows(table_lo, offset, end):
+    rng = np.random.default_rng(table_lo)
+    values = bytearray(rng.integers(0, 256, 600, dtype=np.uint8).tobytes())
+    t = SequenceTable(table_lo, table_lo + len(values) - 1, values, "x")
+    if offset == "random":
+        offset = int(rng.integers(4, 300))
+    lo = table_lo + offset
+    hi = t.hi - 1 if end == "last" else lo + int(rng.integers(0, 200))
+    codes = t.window_codes(lo, hi)
+    assert codes.dtype == np.dtype("<u4")
+    assert np.array_equal(codes, _windows_reference(t, lo, hi))
+    assert not codes.flags.writeable
+    # a window reaching below the table is padded in a copy; none other is
+    assert np.shares_memory(codes, t.byte_values()) == (lo - 2 >= table_lo)
+
+
+def test_window_codes_bounds():
+    t = SequenceTable(3, 40, bytearray(range(1, 39)), "x")
+    assert t.window_codes(10, 9).size == 0
+    assert list(t.window_codes(39, 39)) == [int.from_bytes(bytes([35, 36, 37, 38]), "little")]
+    with pytest.raises(IndexError):
+        t.window_codes(10, 40)
+    f = gen_f(64)
+    assert list(f.window_codes(0, 63)) == list(pack_windows([f.window4(n) for n in range(64)]))
