@@ -10,9 +10,8 @@ from .automaton import (SINGLE, WINDOW, BadDigit, BadNumeral, Dfao,
                         KindMismatch, NotWindowKind, ParseError, base_digits)
 from .published import (PAPER_TYPO, UNRESOLVED, DiffReport, Finding,
                         PrintedTable, diff_report, table1, table2)
-from .rules import (OutsideDomain, RuleConflict, RuleVerification,
-                    WindowRuleTable, apply_rule, derive_rules, format_rules,
-                    verify_rules)
+from .rules import (RuleConflict, RuleVerification, WindowRuleTable,
+                    derive_rules, format_rules, verify_rules)
 from .sequences import (DeadSequence, MonotonicityViolation, SequenceTable,
                         first_difference, gen_f, gen_qrs, gen_v, read_table,
                         write_table)

@@ -139,9 +139,9 @@ class Dfao:
 
     # -- evaluation ---------------------------------------------------------
 
-    def walk(self, digits: Iterable[int] | str, start: int | None = None) -> int:
-        """State reached from ``start`` (default: initial) on the digit string."""
-        state = self.initial if start is None else start
+    def walk(self, digits: Iterable[int] | str) -> int:
+        """State reached from the initial state on the digit string."""
+        state = self.initial
         q = self.alphabet_size
         trans = self.transitions
         for d in digits:
@@ -174,18 +174,16 @@ class Dfao:
 
     # -- transformations ----------------------------------------------------
 
-    def project_output(self, component: int = 2) -> "Dfao":
-        """Replace each window output by one of its components (default: the
-        third, which holds F(n) in the window F(n-2..n+1))."""
+    def project_output(self) -> "Dfao":
+        """Replace each window output by its third component, which holds
+        F(n) in the window F(n-2..n+1)."""
         if self.output_kind != WINDOW:
             raise NotWindowKind("outputs are not windows")
-        if not 0 <= component < 4:
-            raise ValueError("component must be in 0..3")
         return Dfao(
             alphabet_size=self.alphabet_size,
             initial=self.initial,
             transitions=self.transitions,
-            outputs=tuple(o[component] for o in self.outputs),
+            outputs=tuple(o[2] for o in self.outputs),
             output_kind=SINGLE,
             names=self.names,
         )

@@ -97,8 +97,8 @@ def cmd_rules(args) -> int:
 
 def cmd_synthesize(args) -> int:
     print(SEED_NOTE)
-    print(f"# synthesize --target {args.target} --horizon {args.horizon} "
-          f"--validate {args.validate} --depth {args.depth}")
+    print(f"# synthesize --horizon {args.horizon} --validate {args.validate} "
+          f"--depth {args.depth}")
     f, machine, verdict, report = _build_pipeline(args.horizon, args.validate,
                                                   args.depth)
     if args.windowed:
@@ -173,8 +173,11 @@ def cmd_probe(args) -> int:
     synthesis.check_probe_args(args.base, args.depth, args.prefix)
     if args.depth >= 32:  # base >= 2: refuse before building base ** depth
         raise ValueError(f"--depth {args.depth} needs an oracle past 2^32")
-    print(SEED_NOTE)
     span = args.prefix * args.base ** args.depth
+    if args.sequence == "vdiff" and span < 3:  # gen_v needs 4 terms
+        raise ValueError(f"--sequence vdiff needs --prefix * --base ** --depth "
+                         f">= 3, got {span}")
+    print(SEED_NOTE)
     print(f"# probe --sequence {args.sequence} --base {args.base} "
           f"--depth {args.depth} --prefix {args.prefix} (oracle to {span})")
     if args.sequence == "f":
@@ -236,7 +239,6 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--depth", type=int, default=16)
 
     s = sub.add_parser("synthesize", help="synthesize, validate, certify, write")
-    s.add_argument("--target", choices=["f"], default="f")
     pipeline_flags(s)
     s.add_argument("--out", required=True)
     s.add_argument("--dot", default=None)

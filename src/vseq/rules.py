@@ -19,8 +19,6 @@ densely, and the images are checked through one small table per id.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Literal
-
 import numpy as np
 
 from .sequences import SequenceTable, _compact, _narrowest
@@ -46,10 +44,6 @@ class RuleConflict(Exception):
             f"{parity} image of window {window} is {v_first} at a={a_first} "
             f"but {v_second} at a={a_second}"
         )
-
-
-class OutsideDomain(Exception):
-    """Window never observed; callers must treat this as 'cannot extend'."""
 
 
 @dataclass(frozen=True)
@@ -158,30 +152,14 @@ def derive_rules(f: SequenceTable, a_min: int, a_max: int) -> WindowRuleTable:
     return _scan(f, a_min, a_max)
 
 
-def apply_rule(rules: WindowRuleTable, window: Window,
-               parity: Literal["even", "odd"]) -> int:
-    """Pure lookup of the stored image; OutsideDomain if never observed."""
-    if parity == "even":
-        table = rules.even_rule
-    elif parity == "odd":
-        table = rules.odd_rule
-    else:
-        raise ValueError(f"parity must be 'even' or 'odd', got {parity!r}")
-    window = tuple(window)
-    try:
-        return table[window]
-    except KeyError:
-        raise OutsideDomain(f"window {window} never observed") from None
-
-
 def verify_rules(rules: WindowRuleTable, f: SequenceTable,
-                 a_max: int, a_min: int = DERIVATION_START) -> RuleVerification:
-    """Re-check every a in [a_min, a_max] against the frozen table.
+                 a_max: int) -> RuleVerification:
+    """Re-check every a in [DERIVATION_START, a_max] against the frozen table.
 
     Windows not present in the frozen domain are reported, not adopted:
     the table under verification never changes.
     """
-    realized = _scan(f, a_min, a_max, frozen=rules)
+    realized = _scan(f, DERIVATION_START, a_max, frozen=rules)
     new = {w: a for w, a in realized.first_seen.items() if w not in rules.even_rule}
     return RuleVerification(a_checked=a_max, new_windows=new)
 

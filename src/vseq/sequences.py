@@ -75,21 +75,16 @@ class SequenceTable:
             raise IndexError(f"index {n} outside [{self.lo}, {self.hi}]")
         return self.values[n - self.lo]
 
-    def get(self, n: int, pad: int = 0) -> int:
-        """Value at n, padding indices below lo with ``pad``.
+    def window4(self, n: int) -> tuple[int, int, int, int]:
+        """The 4-window (S(n-2), S(n-1), S(n), S(n+1)), zero-padded below lo.
 
         Indices above hi are an error: padding exists for the F(-1) and
         F(-2) boundary convention, never to fake missing data.
         """
-        if n < self.lo:
-            return pad
-        if n > self.hi:
-            raise IndexError(f"index {n} above table end {self.hi}")
-        return self.values[n - self.lo]
-
-    def window4(self, n: int) -> tuple[int, int, int, int]:
-        """The 4-window (S(n-2), S(n-1), S(n), S(n+1)), zero-padded below lo."""
-        return (self.get(n - 2), self.get(n - 1), self.get(n), self.get(n + 1))
+        if n + 1 > self.hi:
+            raise IndexError(f"index {n + 1} above table end {self.hi}")
+        vals, lo = self.values, self.lo
+        return tuple(vals[i - lo] if i >= lo else 0 for i in range(n - 2, n + 2))
 
     def byte_values(self) -> np.ndarray:
         """The values as a uint8 array, without a copy for a bytearray store;

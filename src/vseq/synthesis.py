@@ -13,11 +13,16 @@ finite horizon can over-merge.  Two independent gates follow:
   families 0^j, 0^j 1, 1^j, plus the doubling-rule propagation that carries
   window equality from each extension length to the next.
 
-The signature of a string with value m collects, level by level, the oracle
-slice covering all length-L extensions of the string (with the two-left
-one-right fringe when windows are tracked).  Levels are capped by the
-given horizon and by oracle coverage; two strings are merged when
-their signatures agree on every common level.
+Discovery builds the window automaton only: each state is annotated with
+the 4-window (F(n-2), F(n-1), F(n), F(n+1)) at its access value n.  The
+single-output form is that automaton's output projection, minimized
+(``project_output().minimize()``).
+
+The signature of a string with value m collects, level by level, the
+windows of all its length-L extensions: one slice of the oracle behind
+two zero bytes, from two left of the first extension to one right of the
+last.  Levels are capped by the given horizon and by oracle coverage; two
+strings are merged when their signatures agree on every common level.
 """
 
 from __future__ import annotations
@@ -77,74 +82,61 @@ def shift_bounds(q: int, t: int, a: int, b: int, n0: int) -> tuple[int, int]:
 
 @dataclass(frozen=True)
 class KernelNode:
-    """A discovered state: canonical access string, output annotation, and
-    the oracle signature that separates it from every other node."""
+    """A discovered state: canonical access string, and the oracle
+    signature that separates it from every other node."""
 
     rep: str           # shortlex-least access string; "" for the initial state
     value: int         # integer the access string denotes
-    window: tuple[int, int, int, int]
     signature: tuple[bytes, ...]
 
     @property
     def name(self) -> str:
         return self.rep if self.rep else "eps"
 
+    @property
+    def window(self) -> tuple[int, int, int, int]:
+        """The output annotation: the 4-window at the access value, which
+        is the level-0 signature."""
+        return tuple(self.signature[0])
 
-def _oracle_buffer(oracle: SequenceTable) -> bytes:
+
+def _padded(oracle: SequenceTable) -> bytes:
+    """The oracle's bytes behind two zero bytes: padded[i + 2] == F(i)."""
     if oracle.lo != 0:
         raise ValueError("synthesis expects an oracle table starting at index 0")
-    return bytes(oracle.values)
+    return bytes(2) + oracle.byte_values().data
 
 
-def signature(buf: bytes, hi: int, m: int, horizon: int,
-              kind: str) -> tuple[bytes, ...]:
-    """Per-level oracle slices describing all extensions of a value-m string.
+def signature(padded: bytes, m: int, horizon: int) -> tuple[bytes, ...]:
+    """Per-level oracle windows of all extensions of a value-m string.
 
-    Level L covers values at 2^L*m + c for 0 <= c < 2^L; window signatures
-    widen that by two to the left and one to the right (indices below zero
-    read as 0).  Levels stop at the horizon or where the oracle ends.
+    Level L covers the windows at 2^L*m + c for 0 <= c < 2^L, so it spans
+    F(2^L*m - 2) to F(2^L*(m+1)): the slice padded[2^L*m : 2^L*(m+1) + 3]
+    of the zero-padded oracle (see _padded).  Levels stop at the horizon
+    or where the oracle ends.
     """
-    fringe_hi = 1 if kind == WINDOW else 0
+    hi = len(padded) - 3
     out = []
-    step = 1
-    for _ in range(horizon + 1):
-        top = (m + 1) * step - 1 + fringe_hi
-        if top > hi:
+    for level in range(horizon + 1):
+        if (m + 1) << level > hi:
             break
-        if kind == WINDOW:
-            start = m * step - 2
-            sl = (bytes(-start) + buf[:top + 1]) if start < 0 else buf[start:top + 1]
-        else:
-            sl = buf[m * step:top + 1]
-        out.append(sl)
-        step *= 2
+        out.append(padded[m << level:((m + 1) << level) + 3])
     if not out:
         raise OracleTooShort(
             f"oracle ends at {hi}; cannot form a level-0 signature for value {m}")
     return tuple(out)
 
 
-def discover(oracle: SequenceTable, horizon: int,
-             kind: str = WINDOW) -> tuple[list[KernelNode], list[list[int]]]:
+def discover(oracle: SequenceTable,
+             horizon: int) -> tuple[list[KernelNode], list[list[int]]]:
     """Breadth-first state discovery from the empty string, in base 2.
 
     Each candidate extension of a known state is merged with the first
     existing node whose signature agrees on all common levels, or becomes a
     new node otherwise.  Breadth-first order makes every rep shortlex-least.
     """
-    buf = _oracle_buffer(oracle)
-    hi = oracle.hi
-
-    def sig(m: int) -> tuple[bytes, ...]:
-        return signature(buf, hi, m, horizon, kind)
-
-    def window(m: int) -> tuple[int, int, int, int]:
-        try:
-            return oracle.window4(m)
-        except IndexError:
-            raise OracleTooShort(f"oracle ends at {hi}; need window at {m}") from None
-
-    nodes = [KernelNode("", 0, window(0), sig(0))]
+    padded = _padded(oracle)
+    nodes = [KernelNode("", 0, signature(padded, 0, horizon))]
     trans: list[list[int]] = []
     queue = [0]
     head = 0
@@ -154,7 +146,7 @@ def discover(oracle: SequenceTable, horizon: int,
         row = []
         for d in (0, 1):
             c = nodes[s].value * 2 + d
-            cs = sig(c)
+            cs = signature(padded, c, horizon)
             tgt = None
             for j, node in enumerate(nodes):
                 k = min(len(cs), len(node.signature))
@@ -162,7 +154,7 @@ def discover(oracle: SequenceTable, horizon: int,
                     tgt = j
                     break
             if tgt is None:
-                nodes.append(KernelNode(nodes[s].rep + str(d), c, window(c), cs))
+                nodes.append(KernelNode(nodes[s].rep + str(d), c, cs))
                 tgt = len(nodes) - 1
                 queue.append(tgt)
             row.append(tgt)
@@ -170,25 +162,16 @@ def discover(oracle: SequenceTable, horizon: int,
     return nodes, trans
 
 
-def synthesize_msb(oracle: SequenceTable, horizon: int,
-                   kind: str = WINDOW) -> Dfao:
-    """Conjecture an automaton for the oracle; certification comes separately.
-
-    Window kind annotates each state with the 4-window at its access value;
-    single kind annotates the plain oracle value.
-    """
-    nodes, trans = discover(oracle, horizon, kind)
-    outputs: tuple
-    if kind == WINDOW:
-        outputs = tuple(n.window for n in nodes)
-    else:
-        outputs = tuple(n.window[2] for n in nodes)
+def synthesize_msb(oracle: SequenceTable, horizon: int) -> Dfao:
+    """Conjecture the window automaton for the oracle, each state annotated
+    with the 4-window at its access value; certification comes separately."""
+    nodes, trans = discover(oracle, horizon)
     m = Dfao(
         alphabet_size=2,
         initial=0,
         transitions=tuple(tuple(r) for r in trans),
-        outputs=outputs,
-        output_kind=kind,
+        outputs=tuple(n.window for n in nodes),
+        output_kind=WINDOW,
         names=tuple(n.name for n in nodes),
     )
     # digit 0 must fix the initial state, else leading zeros would change results
@@ -240,8 +223,8 @@ def _expected_outputs(m: Dfao, oracle: SequenceTable, n_max: int) -> tuple[np.nd
     """(per-n automaton output code, per-n oracle output code)."""
     states = _states_upto(m, n_max)
     if m.output_kind == SINGLE:
-        f = np.frombuffer(_oracle_buffer(oracle), dtype=np.uint8)
-        return np.asarray(m.outputs, dtype=np.uint8)[states], f[:n_max + 1]
+        f = np.frombuffer(_padded(oracle), dtype=np.uint8)
+        return np.asarray(m.outputs, dtype=np.uint8)[states], f[2:n_max + 3]
     return pack_windows(m.outputs)[states], oracle.window_codes(0, n_max)
 
 
@@ -272,14 +255,14 @@ def check_bounds(*, horizon: int = 1, validate_to: int = 2, depth: int = 2) -> N
         raise ValueError("depth must be >= 2")
 
 
-def synthesize_validated(oracle: SequenceTable, horizon: int, validate_to: int,
-                         kind: str = WINDOW) -> tuple[Dfao, Validation]:
+def synthesize_validated(oracle: SequenceTable, horizon: int,
+                         validate_to: int) -> tuple[Dfao, Validation]:
     """Synthesize and cross-validate on [0, validate_to] (cut to the oracle),
     doubling the horizon (up to 3 retries) when validation exposes an
     over-merge."""
     check_bounds(horizon=horizon, validate_to=validate_to)
     for attempt in range(4):
-        m = synthesize_msb(oracle, horizon, kind)
+        m = synthesize_msb(oracle, horizon)
         verdict = cross_validate(m, oracle, min(validate_to, oracle.hi - 1))
         if verdict.passed:
             return m, verdict

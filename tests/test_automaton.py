@@ -106,11 +106,8 @@ def test_projection():
     assert p.output_kind == SINGLE
     assert p.outputs == (2, 2)
     assert p.transitions == m.transitions
-    assert m.project_output(0).outputs == (0, 4)
     with pytest.raises(NotWindowKind):
         p.project_output()
-    with pytest.raises(ValueError):
-        m.project_output(4)
 
 
 def test_minimize_merges_equal_behavior():
@@ -212,8 +209,3 @@ def test_dot_output():
     two = windowed_pair()
     edge_lines = [l for l in two.to_dot().splitlines() if "->" in l and "label=" in l]
     assert len(edge_lines) == 2 * two.state_count
-
-
-def test_walk_from_state():
-    m = toggler()
-    assert m.walk("1", start=1) == 0

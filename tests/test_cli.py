@@ -62,9 +62,9 @@ def built(tmp_path_factory):
     b_path = tmp / "b.dfao"
     a_path = tmp / "a.dfao"
     dot_path = tmp / "b.dot"
-    assert run(["synthesize", "--target", "f", *FAST,
+    assert run(["synthesize", *FAST,
                 "--out", str(b_path), "--dot", str(dot_path)]) == 0
-    assert run(["synthesize", "--target", "f", *FAST, "--windowed",
+    assert run(["synthesize", *FAST, "--windowed",
                 "--out", str(a_path)]) == 0
     return a_path, b_path, dot_path
 
@@ -192,6 +192,8 @@ def test_unknown_flags_exit_2():
     ["synthesize", "--validate", "65536", "--depth", "-3", "--out", "x.dfao"],
     ["probe", "--sequence", "f", "--depth", "-1"],
     ["probe", "--sequence", "vdiff", "--prefix", "0"],
+    ["probe", "--sequence", "vdiff", "--depth", "0", "--prefix", "1"],
+    ["probe", "--sequence", "vdiff", "--depth", "1", "--prefix", "1"],
     ["probe", "--sequence", "f", "--depth", "40"],                  # oracle past 2^32
     ["probe", "--sequence", "f", "--prefix", "2000000", "--depth", "12"],
     ["gen", "v", "--max", str(2 ** 32)],
@@ -199,8 +201,8 @@ def test_unknown_flags_exit_2():
 ], ids=["bad-numeral", "bad-digit", "gen-max-0", "rules-max-3", "probe-base-1",
         "synthesize-depth-1", "synthesize-validate-10", "synthesize-horizon-0",
         "synthesize-depth-minus-3", "probe-depth-minus-1",
-        "probe-prefix-0", "probe-depth-40", "probe-prefix-2e6", "gen-v-2^32",
-        "qrs-max-2^32"])
+        "probe-prefix-0", "vdiff-span-1", "vdiff-span-2", "probe-depth-40",
+        "probe-prefix-2e6", "gen-v-2^32", "qrs-max-2^32"])
 def test_usage_errors_exit_2_with_one_line(argv, tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     Path("t.dfao").write_text(Dfao(2, 0, [(0, 1), (1, 0)], [0, 1], SINGLE).serialize())
@@ -208,6 +210,13 @@ def test_usage_errors_exit_2_with_one_line(argv, tmp_path, monkeypatch, capsys):
     err = capsys.readouterr().err
     assert err.startswith("vseq: ") and err.count("\n") == 1, err
     assert not Path("x.dfao").exists()
+
+
+def test_vdiff_span_below_3_prints_nothing(capsys):
+    # V's first difference on [1, span] needs V to span + 1 >= 4
+    assert run(["probe", "--sequence", "vdiff", "--depth", "1", "--prefix", "1"]) == 2
+    assert capsys.readouterr() == (
+        "", "vseq: --sequence vdiff needs --prefix * --base ** --depth >= 3, got 2\n")
 
 
 def test_depth_below_2_is_one_usage_line(built, tmp_path, monkeypatch, capsys):

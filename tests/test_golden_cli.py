@@ -26,8 +26,8 @@ FAST = ["--validate", "65536", "--depth", "3"]
 RUNS = [
     ["gen", "f", "--max", "20"],
     ["rules", "derive", "--max", "300"],
-    ["synthesize", "--target", "f", *FAST, "--out", "b.dfao", "--dot", "b.dot"],
-    ["synthesize", "--target", "f", *FAST, "--windowed", "--out", "a.dfao"],
+    ["synthesize", *FAST, "--out", "b.dfao", "--dot", "b.dot"],
+    ["synthesize", *FAST, "--windowed", "--out", "a.dfao"],
     ["certify", "--automaton", "a.dfao", *FAST],
     ["certify", "--automaton", "b.dfao", *FAST],
     ["certify", "--automaton", "bad.dfao", *FAST],

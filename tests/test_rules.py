@@ -6,9 +6,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.lib.stride_tricks import sliding_window_view
 
-from vseq import (OutsideDomain, RuleConflict, SequenceTable, apply_rule,
-                  derive_rules, format_rules, gen_f, verify_rules)
-from vseq.rules import WindowRuleTable, _scan
+from vseq import (RuleConflict, SequenceTable, derive_rules, format_rules,
+                  gen_f, verify_rules)
+from vseq.rules import DERIVATION_START, WindowRuleTable, _scan
 from vseq.sequences import pack_windows
 
 
@@ -24,24 +24,17 @@ def rules10k(f50k):
 
 def test_window_at_4(rules10k):
     # window (F(2), F(3), F(4), F(5)) = (1,1,1,2) maps to F(8), F(9)
-    assert apply_rule(rules10k, (1, 1, 1, 2), "even") == 2
-    assert apply_rule(rules10k, (1, 1, 1, 2), "odd") == 2
+    assert rules10k.even_rule[(1, 1, 1, 2)] == 2
+    assert rules10k.odd_rule[(1, 1, 1, 2)] == 2
 
 
 def test_window_at_5(rules10k):
-    assert apply_rule(rules10k, (1, 1, 2, 2), "even") == 1
-    assert apply_rule(rules10k, (1, 1, 2, 2), "odd") == 3
+    assert rules10k.even_rule[(1, 1, 2, 2)] == 1
+    assert rules10k.odd_rule[(1, 1, 2, 2)] == 3
 
 
 def test_unrealized_window(rules10k):
     assert (3, 3, 3, 3) not in rules10k.domain
-    with pytest.raises(OutsideDomain):
-        apply_rule(rules10k, (3, 3, 3, 3), "even")
-
-
-def test_bad_parity(rules10k):
-    with pytest.raises(ValueError):
-        apply_rule(rules10k, (1, 1, 1, 2), "both")
 
 
 def test_domain_size_and_first_occurrences(rules10k):
@@ -62,8 +55,9 @@ def test_images_stay_in_range(rules10k):
 def test_reconstruction(f50k, rules10k):
     for a in range(4, 20_001):
         w = (f50k[a - 2], f50k[a - 1], f50k[a], f50k[a + 1])
-        assert apply_rule(rules10k, w, "even") == f50k[2 * a]
-        assert apply_rule(rules10k, w, "odd") == f50k[2 * a + 1]
+        assert w in rules10k.domain
+        assert rules10k.even_rule[w] == f50k[2 * a]
+        assert rules10k.odd_rule[w] == f50k[2 * a + 1]
 
 
 def test_verify_beyond_derivation(f50k, rules10k):
@@ -246,13 +240,14 @@ def test_scan_matches_sorting_scan(case, seed):
                              {w: full.odd_rule[w] for w in keep},
                              {w: full.first_seen[w] for w in keep})
     for table in (f, bad):
-        want = _outcome(_scan_by_sorting, table, a_min, a_max, frozen)
+        # verify_rules scans from the start of the doubling rules
+        want = _outcome(_scan_by_sorting, table, DERIVATION_START, a_max, frozen)
         if want[0] == "conflict":
             with pytest.raises(RuleConflict) as excinfo:
-                verify_rules(frozen, table, a_max, a_min)
+                verify_rules(frozen, table, a_max)
             assert _fields(excinfo.value) == want[1:]
         else:
-            got = verify_rules(frozen, table, a_max, a_min).new_windows
+            got = verify_rules(frozen, table, a_max).new_windows
             assert list(got.items()) == [
                 (w, a) for w, a in want[3] if w not in frozen.even_rule]
 

@@ -3,7 +3,6 @@ from array import array
 
 import numpy as np
 import pytest
-from numpy.lib.stride_tricks import sliding_window_view
 
 from vseq import (DeadSequence, MonotonicityViolation, SequenceTable,
                   first_difference, gen_f, gen_qrs, gen_v, read_table,
@@ -179,7 +178,7 @@ def test_table_access_and_padding():
         t[5]
     with pytest.raises(IndexError):
         t[-1]
-    assert t.get(-2) == 0
+    assert t.window4(-3) == (0, 0, 0, 0)
     assert t.window4(0) == (0, 0, 0, 4)
     assert t.window4(3) == (4, 1, 1, 1)
     with pytest.raises(IndexError):
@@ -291,9 +290,8 @@ def test_oracle_sizes_checked_before_the_loops(call, error):
 
 
 def _windows_reference(t: SequenceTable, lo: int, hi: int) -> np.ndarray:
-    """pack_windows over the 4-windows of t on [lo, hi], read with get()."""
-    ext = np.array([t.get(i) for i in range(lo - 2, hi + 2)], dtype=np.uint8)
-    return pack_windows(sliding_window_view(ext, 4))
+    """pack_windows over the 4-windows of t on [lo, hi], read with window4()."""
+    return pack_windows([t.window4(n) for n in range(lo, hi + 1)])
 
 
 @pytest.mark.parametrize("table_lo", [0, 5])

@@ -60,25 +60,40 @@ def test_synthesis_rejects_bad_bounds():
 
 # -- signatures ----------------------------------------------------------------
 
+def _padded(f: SequenceTable) -> bytes:
+    return bytes(2) + bytes(f.values)  # padded[i + 2] == F(i)
+
+
 def test_signature_levels_and_padding():
     f = gen_f(1000)
-    buf = bytes(f.values)
-    sig0 = signature(buf, f.hi, 0, 4, WINDOW)
+    padded = _padded(f)
+    sig0 = signature(padded, 0, 4)
     assert len(sig0) == 5  # levels 0..4
     assert sig0[0] == bytes([0, 0, 0, 4])  # window at 0, padded below index 0
     assert len(sig0[2]) == 4 + 3  # level-2 slice spans [-2, 5]
-    sig1 = signature(buf, f.hi, 1, 30, WINDOW)
+    sig1 = signature(padded, 1, 30)
     # coverage, not the horizon, limits depth: (1+1)*2^L <= 1000
     assert len(sig1) == 9
-    s = signature(buf, f.hi, 6, 3, SINGLE)
-    assert s[0] == bytes([f[6]])
-    assert s[1] == bytes([f[12], f[13]])
+    s = signature(padded, 6, 3)
+    assert s[0] == bytes(f.window4(6))
+    assert s[1] == bytes([f[10], f[11], f[12], f[13], f[14]])  # windows at 12, 13
+
+
+def test_signature_slices_hold_the_extension_windows():
+    # level L of value m: F from 2 left of 2^L*m to 1 right of 2^L*(m+1) - 1
+    f = gen_f(3000)
+    padded = _padded(f)
+    for m in range(60):
+        for level, sl in enumerate(signature(padded, m, 8)):
+            first, last = m << level, ((m + 1) << level) - 1
+            want = bytes(f[i] if i >= 0 else 0 for i in range(first - 2, last + 2))
+            assert sl == want, (m, level)
 
 
 def test_signature_oracle_too_short():
     f = gen_f(10)
     with pytest.raises(OracleTooShort):
-        signature(bytes(f.values), f.hi, 10, 4, WINDOW)
+        signature(_padded(f), 10, 4)
 
 
 # -- discovery on the frequency oracle ------------------------------------------
@@ -138,6 +153,13 @@ def test_window_examples(truth_a):
     assert truth_a.eval("00110") == truth_a.eval("110")
 
 
+def test_node_windows_are_oracle_windows(f_main):
+    nodes, _ = discover(f_main, HORIZON)
+    assert len(nodes) == 33
+    for node in nodes:
+        assert node.window == f_main.window4(node.value), node.rep
+
+
 def test_signature_separation(f_main):
     nodes, _ = discover(f_main, HORIZON)
     for i in range(len(nodes)):
@@ -157,12 +179,6 @@ def test_minimized_form(truth_a, truth_b):
         "1100", "1101", "1110", "10101", "11010", "11011", "11100", "111001",
         "1110011", "11100111"}
     assert set(truth_b.names) == expected_names
-
-
-def test_direct_single_synthesis_matches_minimized(f_main, truth_b):
-    direct = synthesize_msb(f_main, HORIZON, kind=SINGLE)
-    ok, _ = direct.minimize().equivalent(truth_b)
-    assert ok
 
 
 def test_minimized_serialization_shape(truth_b):
@@ -288,20 +304,21 @@ def _contains_run(k: int, hi: int) -> SequenceTable:
 
 def test_insufficient_horizon_recovery():
     s3 = _contains_run(3, 4095)
-    conjecture = synthesize_msb(s3, 1, kind=SINGLE)
-    assert not cross_validate(conjecture, s3, 2048).passed
-    machine, verdict = synthesize_validated(s3, 1, 2048, kind=SINGLE)
+    conjecture = synthesize_msb(s3, 1)
+    assert conjecture.state_count == 1
+    assert cross_validate(conjecture, s3, 2048).first_mismatch == 6
+    machine, verdict = synthesize_validated(s3, 1, 2048)
     assert verdict.passed
-    assert machine.state_count == 4
-    direct = synthesize_msb(s3, 8, kind=SINGLE)
-    ok, _ = machine.equivalent(direct)
+    assert machine.state_count == 19
+    assert machine.project_output().minimize().state_count == 4
+    ok, _ = machine.equivalent(synthesize_msb(s3, 8))
     assert ok
 
 
 def test_insufficient_horizon_exhausts():
     s10 = _contains_run(10, 2047)
-    with pytest.raises(InsufficientHorizon):
-        synthesize_validated(s10, 1, 1500, kind=SINGLE)
+    with pytest.raises(InsufficientHorizon, match=r"n = 1022 .* horizon to 8$"):
+        synthesize_validated(s10, 1, 1500)
 
 
 # -- kernel probe ------------------------------------------------------------------
