@@ -10,7 +10,17 @@
      VALUE_OVERFLOW info = {n, Q(n)}       Q(n) does not fit 32 bits
      UNSETTLED      info = {n, argument}  Q(argument) read from a count that
                                           was still growing
-   In vseq_qrs, Q(i) lives at q[i - 1]. */
+   In vseq_qrs, Q(i) lives at q[i - 1].
+
+   The kernel probe's two passes, for synthesis.kernel_probe, which keeps
+   its numpy passes as the reference:
+     vseq_distinct_bytes  the number of distinct values among n bytes
+     vseq_join            one id per block of a level, from the ids of the
+                          q blocks of the level before it; ids are 1, 2 or
+                          4 bytes wide, with one loop per pair of widths,
+                          and the function returns the number of distinct
+                          ids, or -1 for a width, a code or a rank out of
+                          range */
 #include <stdint.h>
 
 enum { OK, DEAD, NOT_MONOTONE, COUNT_OVERFLOW, VALUE_OVERFLOW, UNSETTLED };
@@ -120,4 +130,89 @@ int vseq_count(uint8_t *counts, int64_t a_max, int64_t r, int64_t s,
         counts[val]++;
         ring[n & mask] = (uint32_t)val;
     }
+}
+
+int64_t vseq_distinct_bytes(const uint8_t *v, int64_t n)
+{
+    uint8_t seen[256] = {0};
+    int64_t distinct = 0;
+    for (int64_t i = 0; i < n; i++)
+        seen[v[i]] = 1;
+    for (int b = 0; b < 256; b++)
+        distinct += seen[b];
+    return distinct;
+}
+
+/* out[i] = the id of the code c_0 k^(parts-1) + ... + c_(parts-1), with
+   c_j = ids[first + q i + j], for i < count: ids in order of first
+   appearance, each the rank stored at rank[code] less one.  The caller
+   zeroes rank, which spans the codes below space.  A code at or past space
+   returns -1, so that a child at or past k reads and writes nothing outside
+   rank; so does a rank past the width of OUT, before it would wrap.
+   The joins of base 2 (q = parts = 2) get a loop of their own, with both
+   as constants. */
+#define JOIN(IN, OUT)                                                        \
+static inline __attribute__((always_inline)) int64_t                         \
+join_loop_##IN##_##OUT(const IN##_t *ids, int64_t q, int64_t parts,          \
+                       int64_t count, int64_t k, OUT##_t *rank,              \
+                       uint64_t space, OUT##_t *out)                         \
+{                                                                            \
+    int64_t distinct = 0;                                                    \
+    for (int64_t i = 0; i < count; i++, ids += q) {                          \
+        uint64_t code = ids[0];                                              \
+        for (int64_t j = 1; j < parts; j++)                                  \
+            code = code * (uint64_t)k + ids[j];                              \
+        if (code >= space)                                                   \
+            return -1;                                                       \
+        OUT##_t r = rank[code];                                              \
+        if (!r) {                                                            \
+            if (distinct == (OUT##_t)-1)                                     \
+                return -1;                                                   \
+            rank[code] = r = (OUT##_t)++distinct;                            \
+        }                                                                    \
+        out[i] = (OUT##_t)(r - 1);                                           \
+    }                                                                        \
+    return distinct;                                                         \
+}                                                                            \
+                                                                             \
+static int64_t join_##IN##_##OUT(const void *ids_, int64_t first, int64_t q, \
+                                 int64_t parts, int64_t count, int64_t k,    \
+                                 void *rank, uint64_t space, void *out)      \
+{                                                                            \
+    const IN##_t *ids = (const IN##_t *)ids_ + first;                        \
+    if (q == 2 && parts == 2)                                                \
+        return join_loop_##IN##_##OUT(ids, 2, 2, count, k, rank, space, out);\
+    return join_loop_##IN##_##OUT(ids, q, parts, count, k, rank, space, out);\
+}
+
+#define JOINS_FROM(IN) JOIN(IN, uint8) JOIN(IN, uint16) JOIN(IN, uint32)
+JOINS_FROM(uint8)
+JOINS_FROM(uint16)
+JOINS_FROM(uint32)
+
+typedef int64_t join_fn(const void *, int64_t, int64_t, int64_t, int64_t,
+                        int64_t, void *, uint64_t, void *);
+
+/* [in][out] by width_index */
+static join_fn *const joins[3][3] = {
+    {join_uint8_uint8, join_uint8_uint16, join_uint8_uint32},
+    {join_uint16_uint8, join_uint16_uint16, join_uint16_uint32},
+    {join_uint32_uint8, join_uint32_uint16, join_uint32_uint32},
+};
+
+static int width_index(int64_t width)
+{
+    return width == 1 ? 0 : width == 2 ? 1 : width == 4 ? 2 : -1;
+}
+
+/* The join of ids in_width bytes wide into ids out_width bytes wide; the
+   rank table has the width of the ids it makes. */
+int64_t vseq_join(const void *ids, int64_t in_width, int64_t first, int64_t q,
+                  int64_t parts, int64_t count, int64_t k, void *rank,
+                  uint64_t space, void *out, int64_t out_width)
+{
+    int a = width_index(in_width), b = width_index(out_width);
+    if (a < 0 || b < 0)
+        return -1;
+    return joins[a][b](ids, first, q, parts, count, k, rank, space, out);
 }

@@ -1,4 +1,5 @@
-"""The compiled Q_{r,s} loops of ``_oracle.c``, built on first use.
+"""The compiled loops of ``_oracle.c``, built on first use: the Q_{r,s}
+recursion and count for the oracle, and the kernel probe's passes.
 
 ``library`` compiles the source with the system ``cc`` and loads it with
 ctypes.  It runs on the first oracle call, never at import.  The shared
@@ -7,7 +8,7 @@ library is cached in ``$XDG_CACHE_HOME/vseq`` (by default
 from the source, the compiler command and the machine, and is written
 atomically.  When no library can be built or loaded, ``library`` prints one
 ``vseq: ...`` line on stderr and returns None; the oracle then runs its
-Python loops.
+Python loops and the kernel probe its numpy passes.
 """
 
 from __future__ import annotations
@@ -23,6 +24,8 @@ import tempfile
 from array import array
 from pathlib import Path
 
+import numpy as np
+
 SOURCE = Path(__file__).with_name("_oracle.c")
 COMPILE = ("cc", "-O2", "-shared", "-fPIC")
 
@@ -31,7 +34,8 @@ OK, DEAD, NOT_MONOTONE, COUNT_OVERFLOW, VALUE_OVERFLOW, UNSETTLED = range(6)
 
 
 class Oracle:
-    """The two loops of _oracle.c; each returns its status and info[3]."""
+    """The loops of _oracle.c: the two oracle loops, which return a status
+    and info[3], and the kernel probe's two passes."""
 
     def __init__(self, lib: ctypes.CDLL):
         i64 = ctypes.c_int64
@@ -41,6 +45,11 @@ class Oracle:
                                    ctypes.POINTER(ctypes.c_uint32), i64,
                                    ctypes.POINTER(i64)]
         lib.vseq_qrs.restype = lib.vseq_count.restype = ctypes.c_int
+        ptr = ctypes.c_void_p
+        lib.vseq_distinct_bytes.argtypes = [ptr, i64]
+        lib.vseq_join.argtypes = [ptr, i64, i64, i64, i64, i64, i64, ptr,
+                                  ctypes.c_uint64, ptr, i64]
+        lib.vseq_distinct_bytes.restype = lib.vseq_join.restype = i64
         self._lib = lib
 
     def qrs(self, q: array, r: int, s: int, done: int) -> tuple[int, list[int]]:
@@ -60,6 +69,35 @@ class Oracle:
         status = self._lib.vseq_count(view, len(counts) - 1, r, s,
                                       ring, len(ring) - 1, info)
         return status, list(info)
+
+    def distinct_bytes(self, vals: np.ndarray) -> int:
+        """The number of distinct values in the uint8 array vals."""
+        vals = np.ascontiguousarray(vals, dtype=np.uint8)
+        return self._lib.vseq_distinct_bytes(vals.ctypes.data, vals.size)
+
+    def join(self, ids: np.ndarray, first: int, q: int, parts: int,
+             count: int, k: int, d: int) -> tuple[np.ndarray, int]:
+        """Dense ids, in order of first appearance, for the tuples
+        (ids[first + q i], ..., ids[first + q i + parts - 1]), i < count, of
+        ids below k that take d distinct values; and their number.  One rank
+        table spans all k**parts tuples, so the caller keeps that space
+        small."""
+        ids = np.ascontiguousarray(ids)
+        if (ids.dtype.kind != "u" or first < 0 or count < 1 or not 1 <= parts <= q
+                or first + q * (count - 1) + parts > ids.size):
+            raise ValueError("join reads outside the ids")
+        # at most min(count, d**parts) ids; the rank that marks the last one
+        # seen is that number, so the dtype holds it
+        dtype = np.min_scalar_type(min(count, d ** parts))
+        rank = np.zeros(k ** parts, dtype=dtype)
+        out = np.empty(count, dtype=dtype)
+        distinct = self._lib.vseq_join(ids.ctypes.data, ids.itemsize, first, q, parts,
+                                       count, k, rank.ctypes.data, rank.size,
+                                       out.ctypes.data, out.itemsize)
+        if distinct < 0:
+            raise ValueError(f"ids at or past {k}, more than {d} distinct, "
+                             "or wider than 32 bits")
+        return out, distinct
 
 
 def _private_dir() -> Path:

@@ -134,10 +134,16 @@ def _narrowest(d: int) -> np.dtype:
     return np.min_scalar_type(max(d - 1, 0))
 
 
+def _dense(space: int, size: int) -> bool:
+    """Whether ``size`` codes in [0, space) are compacted through a table
+    over the whole space: only while it is not much larger than the codes."""
+    return space <= size + (1 << 16)
+
+
 def _compact(codes: np.ndarray, space: int) -> tuple[np.ndarray, int]:
     """Dense ids for codes in [0, space): equal codes get equal ids, in the
     narrowest dtype; and the number of distinct codes."""
-    if space <= codes.size + (1 << 16):
+    if _dense(space, codes.size):
         present = np.zeros(space, dtype=bool)
         present[codes] = True
         where = np.flatnonzero(present)

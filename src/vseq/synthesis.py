@@ -33,7 +33,8 @@ import numpy as np
 
 from .automaton import SINGLE, WINDOW, Dfao
 from .rules import RuleConflict, WindowRuleTable, verify_rules
-from .sequences import SequenceTable, _compact, _narrowest, pack_windows
+from .sequences import (SequenceTable, _compact, _compiled, _dense, _narrowest,
+                        pack_windows)
 
 
 class NonpositiveDivisor(ValueError):
@@ -100,10 +101,14 @@ class KernelNode:
         return tuple(self.signature[0])
 
 
-def _padded(oracle: SequenceTable) -> bytes:
-    """The oracle's bytes behind two zero bytes: padded[i + 2] == F(i)."""
+def _check_from_0(oracle: SequenceTable) -> None:
     if oracle.lo != 0:
         raise ValueError("synthesis expects an oracle table starting at index 0")
+
+
+def _padded(oracle: SequenceTable) -> bytes:
+    """The oracle's bytes behind two zero bytes: padded[i + 2] == F(i)."""
+    _check_from_0(oracle)
     return bytes(2) + oracle.byte_values().data
 
 
@@ -232,8 +237,10 @@ def cross_validate(m: Dfao, oracle: SequenceTable, n_max: int) -> Validation:
     """Compare the automaton against the oracle for every n in [0, n_max].
 
     A mismatch is a verdict, not an error; the verdict names the least
-    failing n.
+    failing n.  An oracle must start at index 0: one that starts later
+    raises ValueError, whichever output kind m has.
     """
+    _check_from_0(oracle)
     need = n_max + (1 if m.output_kind == WINDOW else 0)
     if oracle.hi < need:
         raise OracleTooShort(f"oracle ends at {oracle.hi}, need {need}")
@@ -486,9 +493,19 @@ def kernel_probe(table: SequenceTable, q: int, depth: int,
     the tuple of their ids; a block cut to ``prefix_len`` like the one
     before is that level's block at q n.  Only a level that cuts its block
     to a length of neither kind compares the bytes of its blocks.
+
+    Level 0 and the joins run as compiled passes (``_oracle.c``) on a table
+    of 2^14 entries or more; a join reads its children straight from the
+    ids of the level before and looks their tuple up in a table over all
+    k**parts tuples.  The numpy passes run instead on a shorter table, when
+    no library loads, for a join whose tuple space ``_compact`` would not
+    tabulate either (such as q = 3 over 256 byte values), and at the level
+    that compares bytes.  Only the counts are reported, so the order of the
+    ids is free.
     """
     check_probe_args(q, depth, prefix_len)
     vals = table.byte_values()
+    lib = _compiled(len(vals))
     lo, hi = table.lo, table.hi
     levels = []
     truncated = False
@@ -503,15 +520,21 @@ def kernel_probe(table: SequenceTable, q: int, depth: int,
         count = n1 - n0 + 1
         if e == 0:
             ids, k = vals, 256  # ids below k: the byte values themselves
-            seen = np.zeros(k, dtype=bool)
-            seen[vals] = True
-            distinct = int(np.count_nonzero(seen))
+            if lib is not None:
+                distinct = lib.distinct_bytes(vals)
+            else:
+                seen = np.zeros(k, dtype=bool)
+                seen[vals] = True
+                distinct = int(np.count_nonzero(seen))
         elif block in (prev_block, q * prev_block):
-            # level e-1's blocks q n + j, as strided views of its ids
+            # level e-1's blocks q n + j
             first = q * n0 - prev_n0
             parts = 1 if block == prev_block else q
-            ids, k = _join([ids[first + j:first + j + q * (count - 1) + 1:q]
-                            for j in range(parts)], k)
+            if lib is not None and _dense(k ** parts, count):
+                ids, k = lib.join(ids, first, q, parts, count, k, distinct)
+            else:  # as strided views of its ids
+                ids, k = _join([ids[first + j:first + j + q * (count - 1) + 1:q]
+                                for j in range(parts)], k)
             distinct = k
         else:
             rows = np.lib.stride_tricks.as_strided(

@@ -1,12 +1,15 @@
 import io
+import shutil
+import subprocess
 from array import array
+from unittest import mock
 
 import numpy as np
 import pytest
 
-from vseq import (DeadSequence, MonotonicityViolation, SequenceTable,
-                  first_difference, gen_f, gen_qrs, gen_v, read_table,
-                  write_table)
+from vseq import (DeadSequence, MonotonicityViolation, ProbeReport,
+                  SequenceTable, first_difference, gen_f, gen_qrs, gen_v,
+                  kernel_probe, read_table, write_table)
 from vseq import _oracle, sequences
 from vseq.sequences import pack_windows
 
@@ -206,14 +209,22 @@ def test_read_table_rejects_garbage():
 # -- compiled oracle against the Python loops ---------------------------------------
 
 def _outcome(call):
-    """What a call gives: its table's type and bytes, or its exception's
-    type, message, index and partial table."""
+    """What a call gives: its table's type and bytes (a probe report as it
+    is), or its exception's type, message, index and partial table."""
     try:
         values = call()
     except (DeadSequence, MonotonicityViolation) as e:
         return (type(e), str(e), getattr(e, "n", None),
                 bytes(getattr(e, "partial", b"")))
+    if isinstance(values, ProbeReport):
+        return type(values), values
     return type(values), bytes(values)
+
+
+def _numpy_probe(*args):
+    """kernel_probe with its numpy passes only."""
+    with mock.patch.object(_oracle, "library", lambda: None):
+        return kernel_probe(*args)
 
 
 ORACLE_CALLS = {
@@ -228,6 +239,8 @@ ORACLE_CALLS = {
                             lambda: sequences._recursion_py(1, 10, 10 ** 5, "Q[1,10]").values),
     "Q[1,2] counts jump": (lambda: sequences._frequency(1, 2, 10 ** 5, "Q"),
                            lambda: sequences._frequency_py(1, 2, 10 ** 5, "Q")),
+    "kernel_probe(F to 2^20)": (lambda: kernel_probe(gen_f(2 ** 20), 2, 8, 256),
+                                lambda: _numpy_probe(gen_f(2 ** 20), 2, 8, 256)),
 }
 
 
@@ -255,6 +268,15 @@ def test_oracle_falls_back_to_python_loops(monkeypatch, capsys):
     assert got == expected
     err = capsys.readouterr().err
     assert err.startswith("vseq: no compiled oracle") and err.count("\n") == 1, err
+
+
+def test_oracle_source_compiles_without_warnings():
+    if shutil.which("cc") is None:
+        pytest.skip("no C compiler")
+    result = subprocess.run(["cc", "-O2", "-Wall", "-Wextra", "-Werror", "-fsyntax-only",
+                             str(_oracle.SOURCE)], capture_output=True, text=True,
+                            timeout=120)
+    assert result.returncode == 0, result.stderr
 
 
 def test_count_reads_only_settled_counts():

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import vseq
+from vseq import _oracle
 from vseq import (SINGLE, WINDOW, CertificationFailure, Dfao,
                   InsufficientHorizon, NonpositiveDivisor, OracleTooShort,
                   ProbeReport,
@@ -233,6 +234,17 @@ def test_cross_validate_needs_coverage(truth_a):
         cross_validate(truth_a, f, 100)  # windows need index 101
 
 
+@pytest.mark.parametrize("kind", [WINDOW, SINGLE])
+def test_cross_validate_refuses_oracle_past_0(truth_a, truth_b, kind):
+    # a window machine once read the indices below lo as 0 and returned a
+    # verdict (first_mismatch=0) where the single-output machine refused
+    f = gen_f(2000)
+    late = SequenceTable(5, 2000, f.values[5:], "F")
+    machine = truth_a if kind == WINDOW else truth_b
+    with pytest.raises(ValueError, match="starting at index 0"):
+        cross_validate(machine, late, 1000)
+
+
 # -- certification ---------------------------------------------------------------
 
 def test_certify_small_depth(truth_a, f_main, rules_main):
@@ -385,14 +397,50 @@ def _probe_by_sorting(table, q, depth, prefix_len):
                        levels=tuple(levels), truncated=truncated)
 
 
-@pytest.mark.parametrize("lo", [0, 1, 5])
-@pytest.mark.parametrize("q", [2, 3])
-@pytest.mark.parametrize("prefix", ["power", "other"])
-def test_probe_matches_row_sorting(lo, q, prefix):
+@pytest.fixture
+def numpy_only(monkeypatch):
+    """_oracle._load fails, so kernel_probe runs its numpy passes only."""
+    def no_compiler():
+        raise FileNotFoundError("no such file: 'cc'")
+
+    monkeypatch.setattr(_oracle, "_load", no_compiler)
+    _oracle.library.cache_clear()
+    yield
+    _oracle.library.cache_clear()
+
+
+@pytest.fixture
+def compiled_joins(monkeypatch):
+    """The id dtype of each compiled join kernel_probe runs, in order."""
+    if _oracle.library() is None:
+        pytest.skip("no C compiler: only the numpy passes run here")
+    dtypes = []
+    join = _oracle.Oracle.join
+
+    def spy(self, *args):
+        ids, distinct = join(self, *args)
+        dtypes.append(ids.dtype)
+        return ids, distinct
+
+    monkeypatch.setattr(_oracle.Oracle, "join", spy)
+    return dtypes
+
+
+@pytest.fixture(params=["compiled", "numpy"])
+def probe_joins(request):
+    """compiled_joins, or None under numpy_only."""
+    if request.param == "numpy":
+        request.getfixturevalue("numpy_only")
+        return None
+    return request.getfixturevalue("compiled_joins")
+
+
+def _check_probe_by_sorting(lo, q, prefix):
     rng = np.random.default_rng(1000 * lo + 10 * q + len(prefix))
     prefix_len = q ** 4 if prefix == "power" else 2 * q ** 3 + 5
     cases = [
-        (50_000, 9),    # past the level where blocks reach prefix_len
+        # past the level where blocks reach prefix_len
+        (50_000, {2: 9, 3: 9, 5: 6}[q]),
         (50_000, 30),   # truncated: the oracle runs out before depth 30
     ]
     for n, depth in cases:
@@ -404,3 +452,40 @@ def test_probe_matches_row_sorting(lo, q, prefix):
             report = kernel_probe(table, q, depth, prefix_len)
             assert report == _probe_by_sorting(table, q, depth, prefix_len)
             assert report.truncated == (depth == 30)
+
+
+@pytest.mark.parametrize("lo", [0, 1, 5])
+@pytest.mark.parametrize("q", [2, 3, 5])
+@pytest.mark.parametrize("prefix", ["power", "other"])
+def test_probe_matches_row_sorting(lo, q, prefix):
+    _check_probe_by_sorting(lo, q, prefix)  # compiled where a library loads
+
+
+@pytest.mark.parametrize("lo", [0, 1, 5])
+@pytest.mark.parametrize("q", [2, 3, 5])
+@pytest.mark.parametrize("prefix", ["power", "other"])
+def test_probe_numpy_matches_row_sorting(lo, q, prefix, numpy_only):
+    _check_probe_by_sorting(lo, q, prefix)
+
+
+U8, U16, U32 = (np.dtype(t) for t in (np.uint8, np.uint16, np.uint32))
+
+
+@pytest.mark.parametrize("alphabet, q, n, depth, joins", [
+    # level 1: about 9,400 of the 65,536 byte pairs, so its ids pass 255;
+    # level 2's space of about 9,400^2 tuples passes count + 2^16: numpy
+    (256, 2, 20_000, 2, [U16]),
+    # level 1: every byte pair, 65,536 ids, so they pass 65,535
+    (256, 2, 2 ** 21, 1, [U32]),
+    # level 2: all 256 tuples of 4 values, one id past a byte
+    (4, 2, 50_000, 4, [U8, U16, U16]),
+    # level 1's 256^3 tuples pass count + 2^16 (numpy), level 2's 8^3 do not
+    (2, 3, 50_000, 3, [U16]),
+], ids=["ids-past-255", "ids-past-65535", "256-ids", "numpy-then-compiled"])
+def test_probe_ids_widen_and_fall_back(alphabet, q, n, depth, joins, probe_joins):
+    values = np.random.default_rng(n + q).integers(0, alphabet, n, dtype=np.uint8)
+    table = SequenceTable(0, n - 1, bytearray(values.tobytes()), "r")
+    report = kernel_probe(table, q, depth, q ** depth)
+    assert report == _probe_by_sorting(table, q, depth, q ** depth)
+    if probe_joins is not None:
+        assert probe_joins == joins
