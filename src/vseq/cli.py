@@ -86,6 +86,7 @@ def cmd_qrs(args) -> int:
 
 
 def cmd_rules(args) -> int:
+    rules.check_range(args.min, args.max)
     print(SEED_NOTE)
     print(f"# rules derived on ({args.min - 1}, {args.max}], oracle to {2 * args.max + 1}")
     f = gen_f(2 * args.max + 1)

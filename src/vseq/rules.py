@@ -92,10 +92,8 @@ def _scan(f: SequenceTable, a_min: int, a_max: int,
     Every image F(2a), F(2a+1) is then checked against ``frozen`` (windows
     it lacks are skipped) or else against the window's first occurrence,
     through per-id tables of the expected bytes; RuleConflict names the
-    least conflicting a, even before odd.
+    least conflicting a, even before odd.  Callers keep a_min > 3.
     """
-    if a_min <= 3:
-        raise ValueError("a_min must be > 3: the doubling rules start at a = 4")
     if f.lo != 0:
         raise ValueError("rule scans expect an F table starting at index 0")
     if f.hi < 2 * a_max + 1:
@@ -145,10 +143,18 @@ def _scan(f: SequenceTable, a_min: int, a_max: int,
     return realized
 
 
-def derive_rules(f: SequenceTable, a_min: int, a_max: int) -> WindowRuleTable:
-    """Record window -> (F(2a), F(2a+1)) for every a in [a_min, a_max]."""
+def check_range(a_min: int, a_max: int) -> None:
+    """ValueError unless derive_rules can take [a_min, a_max], checked
+    before any oracle is built for it."""
     if a_max < a_min:
         raise ValueError("a_max must be >= a_min")
+    if a_min <= 3:
+        raise ValueError("a_min must be > 3: the doubling rules start at a = 4")
+
+
+def derive_rules(f: SequenceTable, a_min: int, a_max: int) -> WindowRuleTable:
+    """Record window -> (F(2a), F(2a+1)) for every a in [a_min, a_max]."""
+    check_range(a_min, a_max)
     return _scan(f, a_min, a_max)
 
 

@@ -52,6 +52,10 @@ class SequenceTable:
     for F, a numpy array in the narrowest integer dtype for first
     differences.  An F table is counted without a V table, so it costs one
     byte per index in all.
+
+    The windows (S(n-2), S(n-1), S(n), S(n+1)) read 0 below lo, the F(-2)
+    = F(-1) = 0 convention: window4 gives one, window_bytes the bytes of
+    every window on a range.
     """
 
     lo: int
@@ -96,37 +100,16 @@ class SequenceTable:
             vals = vals.astype(np.uint8)
         return vals
 
-    def window_codes(self, lo: int, hi: int) -> np.ndarray:
-        """pack_windows of window4(n) for every n in [lo, hi]: like window4,
-        indices below the table read as 0, indices above it are an error.
-
-        The four bytes at n - 2 are that code read as a little-endian
-        uint32, so the codes are a read-only view with a one-byte stride
-        over the values; only a window reaching below the table copies its
-        bytes, to put the zero pad in front.
-        """
-        if hi < lo:
-            return np.zeros(0, dtype=np.uint32)
+    def window_bytes(self, lo: int, hi: int) -> bytes:
+        """S(lo-2) through S(hi+1), one byte each, in one copy: the window
+        at n, window4(n), is the four bytes at offset n - lo.  Like window4,
+        indices below the table read as 0 and indices above it are an
+        error; ValueError unless every value fits one byte."""
         if hi + 1 > self.hi:
             raise IndexError(f"index {hi + 1} above table end {self.hi}")
-        start = lo - 2 - self.lo
-        seg = self.byte_values()[max(start, 0):start + hi - lo + 4]
-        if start < 0:
-            seg = np.concatenate([np.zeros(-start, dtype=np.uint8), seg])
-        codes = np.ndarray(hi - lo + 1, dtype="<u4",
-                           buffer=np.ascontiguousarray(seg), strides=(1,))
-        codes.flags.writeable = False
-        return codes
-
-
-def pack_windows(windows) -> np.ndarray:
-    """One uint32 per row (w0, w1, w2, w3) of an (N, 4) array of byte-sized
-    values, w0 in the low byte: equal windows get equal codes."""
-    w = np.asarray(windows, dtype=np.uint8)
-    code = np.zeros(len(w), dtype=np.uint32)
-    for k in range(4):
-        code |= np.left_shift(w[:, k], 8 * k, dtype=np.uint32)
-    return code
+        seg = self.byte_values()[max(lo - 2 - self.lo, 0):max(hi + 2 - self.lo, 0)]
+        # the bytes missing from the table all lie below it
+        return b"".join((bytes(hi - lo + 4 - seg.size), np.ascontiguousarray(seg).data))
 
 
 def _narrowest(d: int) -> np.dtype:

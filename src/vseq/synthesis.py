@@ -31,10 +31,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .automaton import SINGLE, WINDOW, Dfao
+from .automaton import WINDOW, Dfao
 from .rules import RuleConflict, WindowRuleTable, verify_rules
-from .sequences import (SequenceTable, _compact, _compiled, _dense, _narrowest,
-                        pack_windows)
+from .sequences import SequenceTable, _compact, _compiled, _dense, _narrowest
 
 
 class NonpositiveDivisor(ValueError):
@@ -106,19 +105,14 @@ def _check_from_0(oracle: SequenceTable) -> None:
         raise ValueError("synthesis expects an oracle table starting at index 0")
 
 
-def _padded(oracle: SequenceTable) -> bytes:
-    """The oracle's bytes behind two zero bytes: padded[i + 2] == F(i)."""
-    _check_from_0(oracle)
-    return bytes(2) + oracle.byte_values().data
-
-
 def signature(padded: bytes, m: int, horizon: int) -> tuple[bytes, ...]:
     """Per-level oracle windows of all extensions of a value-m string.
 
     Level L covers the windows at 2^L*m + c for 0 <= c < 2^L, so it spans
     F(2^L*m - 2) to F(2^L*(m+1)): the slice padded[2^L*m : 2^L*(m+1) + 3]
-    of the zero-padded oracle (see _padded).  Levels stop at the horizon
-    or where the oracle ends.
+    of padded = oracle.window_bytes(0, oracle.hi - 1), which holds F(i) at
+    i + 2 behind two zero bytes.  Levels stop at the horizon or where the
+    oracle ends.
     """
     hi = len(padded) - 3
     out = []
@@ -140,7 +134,8 @@ def discover(oracle: SequenceTable,
     existing node whose signature agrees on all common levels, or becomes a
     new node otherwise.  Breadth-first order makes every rep shortlex-least.
     """
-    padded = _padded(oracle)
+    _check_from_0(oracle)
+    padded = oracle.window_bytes(0, oracle.hi - 1)
     nodes = [KernelNode("", 0, signature(padded, 0, horizon))]
     trans: list[list[int]] = []
     queue = [0]
@@ -225,12 +220,24 @@ def _states_upto(m: Dfao, n_max: int) -> np.ndarray:
 
 
 def _expected_outputs(m: Dfao, oracle: SequenceTable, n_max: int) -> tuple[np.ndarray, np.ndarray]:
-    """(per-n automaton output code, per-n oracle output code)."""
-    states = _states_upto(m, n_max)
-    if m.output_kind == SINGLE:
-        f = np.frombuffer(_padded(oracle), dtype=np.uint8)
-        return np.asarray(m.outputs, dtype=np.uint8)[states], f[2:n_max + 3]
-    return pack_windows(m.outputs)[states], oracle.window_codes(0, n_max)
+    """(the automaton's output at n, the oracle's) for every n in [0, n_max].
+
+    An output of w bytes, the window F(n-2..n+1) (w = 4) or F(n) alone
+    (w = 1), is read as one little-endian integer on both sides: the
+    machine's outputs as an S x w byte array, gathered by state, and the
+    oracle's as a one-byte-stride view of window_bytes, whose window at n
+    starts at byte n and holds F(n) at byte 2.
+    """
+    w = 4 if m.output_kind == WINDOW else 1
+    offset = 2 - w // 2  # the output's first byte in the window at n
+    need = n_max + offset + w - 3  # the last oracle index an output reads
+    if oracle.hi < need:
+        raise OracleTooShort(f"oracle ends at {oracle.hi}, need {need}")
+    outputs = np.asarray(m.outputs, dtype=np.uint8).reshape(m.state_count, w)
+    got = outputs.view(f"<u{w}").ravel()[_states_upto(m, n_max)]
+    want = np.ndarray(n_max + 1, dtype=f"<u{w}", buffer=oracle.window_bytes(0, need - 1),
+                      offset=offset, strides=(1,))
+    return got, want
 
 
 def cross_validate(m: Dfao, oracle: SequenceTable, n_max: int) -> Validation:
@@ -241,9 +248,6 @@ def cross_validate(m: Dfao, oracle: SequenceTable, n_max: int) -> Validation:
     raises ValueError, whichever output kind m has.
     """
     _check_from_0(oracle)
-    need = n_max + (1 if m.output_kind == WINDOW else 0)
-    if oracle.hi < need:
-        raise OracleTooShort(f"oracle ends at {oracle.hi}, need {need}")
     got, want = _expected_outputs(m, oracle, n_max)
     bad = np.flatnonzero(got != want)
     if bad.size:

@@ -266,6 +266,18 @@ def test_flag_values_are_checked_before_any_oracle(command, flag, value, message
     assert not Path("x.dfao").exists()
 
 
+@pytest.mark.parametrize("bounds, message", [
+    (["--max", "3"], "a_max must be >= a_min"),
+    (["--min", "3", "--max", "1000000000"],
+     "a_min must be > 3: the doubling rules start at a = 4"),
+], ids=["max-3", "min-3"])
+def test_rules_bounds_are_checked_before_any_oracle(bounds, message, monkeypatch,
+                                                    capsys):
+    monkeypatch.setattr(vseq.cli, "gen_f", _no_oracle)
+    assert run(["rules", "derive", *bounds]) == 2
+    assert capsys.readouterr() == ("", f"vseq: {message}\n")
+
+
 @pytest.mark.parametrize("machine", [
     Dfao(3, 0, [(0, 1, 0), (1, 0, 1)], [1, 2], SINGLE),
     Dfao(3, 0, [(0, 1, 1), (1, 1, 0)], [(0, 0, 1, 2), (0, 1, 2, 1)], WINDOW,

@@ -9,7 +9,6 @@ from numpy.lib.stride_tricks import sliding_window_view
 from vseq import (RuleConflict, SequenceTable, derive_rules, format_rules,
                   gen_f, verify_rules)
 from vseq.rules import DERIVATION_START, WindowRuleTable, _scan
-from vseq.sequences import pack_windows
 
 
 @pytest.fixture(scope="module")
@@ -135,7 +134,8 @@ def _scan_by_sorting(f, a_min, a_max, frozen=None):
     vals = f.byte_values()
     even = vals[2 * a_min:2 * a_max + 1:2]
     odd = vals[2 * a_min + 1:2 * a_max + 2:2]
-    codes = pack_windows(sliding_window_view(vals[a_min - 2:a_max + 2], 4))
+    win = sliding_window_view(vals[a_min - 2:a_max + 2], 4).astype(np.uint32)
+    codes = win[:, 0] | win[:, 1] << 8 | win[:, 2] << 16 | win[:, 3] << 24
     _, first, inverse = np.unique(codes, return_index=True, return_inverse=True)
     inverse = inverse.ravel()
     wins = [f.window4(a_min + int(i)) for i in first]

@@ -1,6 +1,8 @@
 import io
+import os
 import shutil
 import subprocess
+import sys
 from array import array
 from unittest import mock
 
@@ -11,7 +13,6 @@ from vseq import (DeadSequence, MonotonicityViolation, ProbeReport,
                   SequenceTable, first_difference, gen_f, gen_qrs, gen_v,
                   kernel_probe, read_table, write_table)
 from vseq import _oracle, sequences
-from vseq.sequences import pack_windows
 
 V20 = [1, 1, 1, 1, 2, 3, 4, 5, 5, 6, 6, 7, 8, 8, 9, 9, 10, 11, 11, 11]
 F20 = [4, 1, 1, 1, 2, 2, 1, 2, 2, 1, 3, 2, 1, 2, 2, 1, 3, 2, 1, 2]
@@ -311,15 +312,20 @@ def test_oracle_sizes_checked_before_the_loops(call, error):
         call()
 
 
-def _windows_reference(t: SequenceTable, lo: int, hi: int) -> np.ndarray:
-    """pack_windows over the 4-windows of t on [lo, hi], read with window4()."""
-    return pack_windows([t.window4(n) for n in range(lo, hi + 1)])
+def _check_window_bytes(t: SequenceTable, lo: int, hi: int) -> None:
+    """window_bytes(lo, hi) holds window4(n) at offset n - lo for every n
+    in [lo, hi], and nothing more."""
+    buf = t.window_bytes(lo, hi)
+    assert type(buf) is bytes and len(buf) == hi - lo + 4
+    for n in range(lo, hi + 1):
+        assert buf[n - lo:n - lo + 4] == bytes(t.window4(n)), n
 
 
 @pytest.mark.parametrize("table_lo", [0, 5])
 @pytest.mark.parametrize("offset", [-3, 0, 1, 2, 3, "random"])
 @pytest.mark.parametrize("end", ["last", "random"])
 def test_window_codes_equal_packed_windows(table_lo, offset, end):
+    # the window codes are window_bytes: four bytes per window, one-byte stride
     rng = np.random.default_rng(table_lo)
     values = bytearray(rng.integers(0, 256, 600, dtype=np.uint8).tobytes())
     t = SequenceTable(table_lo, table_lo + len(values) - 1, values, "x")
@@ -327,19 +333,46 @@ def test_window_codes_equal_packed_windows(table_lo, offset, end):
         offset = int(rng.integers(4, 300))
     lo = table_lo + offset
     hi = t.hi - 1 if end == "last" else lo + int(rng.integers(0, 200))
-    codes = t.window_codes(lo, hi)
-    assert codes.dtype == np.dtype("<u4")
-    assert np.array_equal(codes, _windows_reference(t, lo, hi))
-    assert not codes.flags.writeable
-    # a window reaching below the table is padded in a copy; none other is
-    assert np.shares_memory(codes, t.byte_values()) == (lo - 2 >= table_lo)
+    _check_window_bytes(t, lo, hi)
+    with pytest.raises(IndexError):
+        t.window_bytes(lo, t.hi)
+    for wide in (256, -1):
+        bad = np.array(values, dtype=np.int16)
+        bad[int(rng.integers(0, len(bad)))] = wide
+        with pytest.raises(ValueError):
+            SequenceTable(t.lo, t.hi, bad, "x").window_bytes(lo, hi)
 
 
 def test_window_codes_bounds():
-    t = SequenceTable(3, 40, bytearray(range(1, 39)), "x")
-    assert t.window_codes(10, 9).size == 0
-    assert list(t.window_codes(39, 39)) == [int.from_bytes(bytes([35, 36, 37, 38]), "little")]
+    t = SequenceTable(3, 40, bytearray(range(1, 39)), "x")  # S(n) = n - 2
+    assert t.window_bytes(10, 9) == bytes([6, 7, 8])  # no window: S(8..10)
+    assert t.window_bytes(39, 39) == bytes([35, 36, 37, 38])
+    assert t.window_bytes(0, 2) == bytes([0, 0, 0, 0, 0, 1])
+    assert t.window_bytes(-9, -4) == bytes(9)  # wholly below the table
+    _check_window_bytes(t, -9, -4)
     with pytest.raises(IndexError):
-        t.window_codes(10, 40)
+        t.window_bytes(10, 40)
     f = gen_f(64)
-    assert list(f.window_codes(0, 63)) == list(pack_windows([f.window4(n) for n in range(64)]))
+    assert f.window_bytes(0, 63) == bytes(2) + bytes(f.values)
+    _check_window_bytes(f, 0, 63)
+
+
+def test_compiled_loops_are_built_on_first_use_never_at_import():
+    # the query path and short oracles never load the compiled loops
+    script = "\n".join([
+        "import sys",
+        "import vseq, vseq.cli",
+        "from vseq import SINGLE, Dfao, gen_f, gen_v, kernel_probe",
+        "m = Dfao(2, 0, [(0, 1), (1, 0)], [0, 1], SINGLE)",
+        "Dfao.deserialize(m.serialize()).eval_big('9' * 5000)",
+        "gen_f(20), gen_v(20), kernel_probe(gen_f(4096), 2, 4, 16)",
+        "print('vseq._oracle' in sys.modules)",
+        "gen_f(2 ** 14)",
+        "print('vseq._oracle' in sys.modules)",
+    ])
+    src = os.path.dirname(os.path.dirname(os.path.abspath(sequences.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          text=True, env=env, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == ["False", "True"]

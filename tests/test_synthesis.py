@@ -245,6 +245,50 @@ def test_cross_validate_refuses_oracle_past_0(truth_a, truth_b, kind):
         cross_validate(machine, late, 1000)
 
 
+CORRUPT_N_MAX = 3000
+
+
+def _first_mismatch_by_eval(machine: Dfao, oracle: SequenceTable, n_max: int):
+    """The least n in [0, n_max] where machine.eval differs from the
+    oracle's output at n (its window, or F(n)), or None."""
+    def truth(n):
+        return oracle.window4(n) if machine.output_kind == WINDOW else oracle[n]
+    return next((n for n in range(n_max + 1)
+                 if machine.eval(format(n, "b")) != truth(n)), None)
+
+
+# the corrupted F(k): the edges, a middle value, and the last F each kind reads
+CORRUPT_AT = [0, 1, 2, CORRUPT_N_MAX // 2 + 1, CORRUPT_N_MAX - 1, CORRUPT_N_MAX]
+
+
+@pytest.mark.parametrize("kind, k", [(WINDOW, k) for k in CORRUPT_AT + [CORRUPT_N_MAX + 1]]
+                         + [(SINGLE, k) for k in CORRUPT_AT])
+def test_cross_validate_names_the_least_n_reading_a_corrupted_byte(
+        truth_a, truth_b, f_main, kind, k):
+    # both output kinds run one comparison; the window at n reads F(n-2..n+1)
+    n_max = CORRUPT_N_MAX
+    machine, hi = (truth_a, n_max + 1) if kind == WINDOW else (truth_b, n_max)
+    vals = bytearray(f_main.values[:hi + 1])
+    vals[k] = 9  # F takes the values 0-4
+    oracle = SequenceTable(0, hi, vals, "F")
+    least = max(k - 1, 0) if kind == WINDOW else k
+    assert _first_mismatch_by_eval(machine, oracle, n_max) == least
+    assert cross_validate(machine, oracle, n_max) == vseq.Validation(False, least, n_max)
+
+
+@pytest.mark.parametrize("kind", [WINDOW, SINGLE])
+def test_cross_validate_takes_an_oracle_of_exactly_the_needed_length(
+        truth_a, truth_b, f_main, kind):
+    n_max = CORRUPT_N_MAX
+    machine, hi = (truth_a, n_max + 1) if kind == WINDOW else (truth_b, n_max)
+    exact = SequenceTable(0, hi, f_main.values[:hi + 1], "F")
+    assert _first_mismatch_by_eval(machine, exact, n_max) is None
+    assert cross_validate(machine, exact, n_max) == vseq.Validation(True, None, n_max)
+    short = SequenceTable(0, hi - 1, f_main.values[:hi], "F")
+    with pytest.raises(OracleTooShort, match=f"need {hi}"):
+        cross_validate(machine, short, n_max)
+
+
 # -- certification ---------------------------------------------------------------
 
 def test_certify_small_depth(truth_a, f_main, rules_main):
