@@ -12,15 +12,15 @@
                                           was still growing
    In vseq_qrs, Q(i) lives at q[i - 1].
 
-   The kernel probe's two passes, for synthesis.kernel_probe, which keeps
-   its numpy passes as the reference:
-     vseq_distinct_bytes  the number of distinct values among n bytes
-     vseq_join            one id per block of a level, from the ids of the
-                          q blocks of the level before it; ids are 1, 2 or
-                          4 bytes wide, with one loop per pair of widths,
-                          and the function returns the number of distinct
-                          ids, or -1 for a width, a code or a rank out of
-                          range */
+   Two passes that number values, with numpy passes kept as the reference:
+     vseq_distinct_bytes  the number of distinct values among n bytes, for
+                          level 0 of synthesis.kernel_probe
+     vseq_join            for sequences.join_ids: one id per tuple of parts
+                          ids q apart (a probe block's q sub-blocks, or a
+                          rule scan's 4-window at q = 1, the tuples then
+                          overlapping); ids 1, 2 or 4 bytes wide, one loop
+                          per pair of widths; returns the number of distinct
+                          ids, or -1 for a width, code or rank out of range */
 #include <stdint.h>
 
 enum { OK, DEAD, NOT_MONOTONE, COUNT_OVERFLOW, VALUE_OVERFLOW, UNSETTLED };

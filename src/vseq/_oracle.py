@@ -1,5 +1,6 @@
 """The compiled loops of ``_oracle.c``, built on first use: the Q_{r,s}
-recursion and count for the oracle, and the kernel probe's passes.
+recursion and count for the oracle, and the tuple join that numbers the
+rule scan's windows and the kernel probe's blocks.
 
 ``library`` compiles the source with the system ``cc`` and loads it with
 ctypes.  It runs on the first oracle call, never at import.  The shared
@@ -8,7 +9,7 @@ library is cached in ``$XDG_CACHE_HOME/vseq`` (by default
 from the source, the compiler command and the machine, and is written
 atomically.  When no library can be built or loaded, ``library`` prints one
 ``vseq: ...`` line on stderr and returns None; the oracle then runs its
-Python loops and the kernel probe its numpy passes.
+Python loops and the joins their numpy passes.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ OK, DEAD, NOT_MONOTONE, COUNT_OVERFLOW, VALUE_OVERFLOW, UNSETTLED = range(6)
 
 class Oracle:
     """The loops of _oracle.c: the two oracle loops, which return a status
-    and info[3], and the kernel probe's two passes."""
+    and info[3], the kernel probe's distinct-byte count and the join."""
 
     def __init__(self, lib: ctypes.CDLL):
         i64 = ctypes.c_int64
@@ -75,24 +76,25 @@ class Oracle:
         vals = np.ascontiguousarray(vals, dtype=np.uint8)
         return self._lib.vseq_distinct_bytes(vals.ctypes.data, vals.size)
 
-    def join(self, ids: np.ndarray, first: int, q: int, parts: int,
+    def join(self, ids: np.ndarray, first: int, stride: int, parts: int,
              count: int, k: int, d: int) -> tuple[np.ndarray, int]:
         """Dense ids, in order of first appearance, for the tuples
-        (ids[first + q i], ..., ids[first + q i + parts - 1]), i < count, of
-        ids below k that take d distinct values; and their number.  One rank
-        table spans all k**parts tuples, so the caller keeps that space
-        small."""
+        (ids[first + stride i], ..., ids[first + stride i + parts - 1]),
+        i < count, of ids below k that take at most d distinct values; and
+        their number.  Tuples may overlap (parts > stride), but none reads
+        outside the ids.  One rank table spans all k**parts tuples, so the
+        caller keeps that space small: sequences.join_ids does."""
         ids = np.ascontiguousarray(ids)
-        if (ids.dtype.kind != "u" or first < 0 or count < 1 or not 1 <= parts <= q
-                or first + q * (count - 1) + parts > ids.size):
+        if (ids.dtype.kind != "u" or first < 0 or count < 1 or parts < 1
+                or first + stride * (count - 1) + parts > ids.size):
             raise ValueError("join reads outside the ids")
         # at most min(count, d**parts) ids; the rank that marks the last one
         # seen is that number, so the dtype holds it
         dtype = np.min_scalar_type(min(count, d ** parts))
         rank = np.zeros(k ** parts, dtype=dtype)
         out = np.empty(count, dtype=dtype)
-        distinct = self._lib.vseq_join(ids.ctypes.data, ids.itemsize, first, q, parts,
-                                       count, k, rank.ctypes.data, rank.size,
+        distinct = self._lib.vseq_join(ids.ctypes.data, ids.itemsize, first, stride,
+                                       parts, count, k, rank.ctypes.data, rank.size,
                                        out.ctypes.data, out.itemsize)
         if distinct < 0:
             raise ValueError(f"ids at or past {k}, more than {d} distinct, "

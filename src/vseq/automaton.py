@@ -86,6 +86,22 @@ def _format_output(out: Output, kind: str) -> str:
     return str(out)
 
 
+def _shortlex(start, successors):
+    """Each node reachable from start, with its shortlex-least access
+    string, in shortlex order of those strings: a breadth-first walk that
+    takes each node's successors, listed by digit by ``successors(node)``,
+    in digit order."""
+    access = {start: ""}
+    queue = [start]
+    for node in queue:  # the queue grows while it is walked
+        w = access[node]
+        yield node, w
+        for d, t in enumerate(successors(node)):
+            if t not in access:
+                access[t] = w + str(d)
+                queue.append(t)
+
+
 @dataclass(frozen=True)
 class Dfao:
     alphabet_size: int
@@ -188,98 +204,61 @@ class Dfao:
             names=self.names,
         )
 
-    def _reachable(self) -> list[int]:
-        seen = {self.initial}
-        order = [self.initial]
-        i = 0
-        while i < len(order):
-            s = order[i]
-            i += 1
-            for t in self.transitions[s]:
-                if t not in seen:
-                    seen.add(t)
-                    order.append(t)
-        return order
-
     def minimize(self) -> "Dfao":
         """The minimal automaton computing the same function, by Moore
         partition refinement from the output partition.
 
         States of the result are ordered and named by their shortlex-least
-        access strings (the empty access string prints as 'eps').
+        access strings (the empty access string prints as 'eps'): each class
+        is numbered by its first member in the shortlex walk of this
+        automaton, whose access string is the least one reaching the class.
         """
-        order = self._reachable()
+        walk = list(_shortlex(self.initial, self.transitions.__getitem__))
         # refine: class signature = (own class, classes of successors)
         cls: dict[int, int] = {}
         seen_out: dict[Output, int] = {}
-        for s in order:
-            o = self.outputs[s]
-            if o not in seen_out:
-                seen_out[o] = len(seen_out)
-            cls[s] = seen_out[o]
+        for s, _ in walk:
+            cls[s] = seen_out.setdefault(self.outputs[s], len(seen_out))
         while True:
             keys: dict[tuple, int] = {}
             new: dict[int, int] = {}
-            for s in order:
+            for s, _ in walk:
                 k = (cls[s], tuple(cls[t] for t in self.transitions[s]))
-                if k not in keys:
-                    keys[k] = len(keys)
-                new[s] = keys[k]
+                new[s] = keys.setdefault(k, len(keys))
             if new == cls:
                 break
             cls = new
-        member: dict[int, int] = {}
-        for s in order:
-            member.setdefault(cls[s], s)
-        # canonical BFS renumbering by shortlex access string
-        init_c = cls[self.initial]
-        access = {init_c: ""}
-        bfs = [init_c]
-        i = 0
-        while i < len(bfs):
-            c = bfs[i]
-            i += 1
-            for d in range(self.alphabet_size):
-                t = cls[self.transitions[member[c]][d]]
-                if t not in access:
-                    access[t] = access[c] + str(d)
-                    bfs.append(t)
-        pos = {c: i for i, c in enumerate(bfs)}
+        first: dict[int, tuple[int, str]] = {}  # class -> (member, access)
+        for s, w in walk:
+            first.setdefault(cls[s], (s, w))
+        pos = {c: i for i, c in enumerate(first)}
         return Dfao(
             alphabet_size=self.alphabet_size,
             initial=0,
-            transitions=tuple(
-                tuple(pos[cls[self.transitions[member[c]][d]]]
-                      for d in range(self.alphabet_size))
-                for c in bfs),
-            outputs=tuple(self.outputs[member[c]] for c in bfs),
+            transitions=tuple(tuple(pos[cls[t]] for t in self.transitions[s])
+                              for s, _ in first.values()),
+            outputs=tuple(self.outputs[s] for s, _ in first.values()),
             output_kind=self.output_kind,
-            names=tuple(access[c] if access[c] else "eps" for c in bfs),
+            names=tuple(w if w else "eps" for _, w in first.values()),
         )
 
     def equivalent(self, other: "Dfao") -> tuple[bool, str | None]:
-        """Product BFS over reachable pairs.
+        """The shortlex walk over reachable state pairs.
 
         Returns (True, None) or (False, w) with w the shortlex-least digit
-        string on which the outputs differ.
+        string on which the outputs differ: the access string of the first
+        pair in the walk whose outputs differ.
         """
         if (self.alphabet_size != other.alphabet_size
                 or self.output_kind != other.output_kind):
             raise KindMismatch("alphabet size and output kind must agree")
-        start = (self.initial, other.initial)
-        seen = {start}
-        queue: list[tuple[tuple[int, int], str]] = [(start, "")]
-        i = 0
-        while i < len(queue):
-            (s1, s2), w = queue[i]
-            i += 1
+
+        def successors(pair: tuple[int, int]):
+            return zip(self.transitions[pair[0]], other.transitions[pair[1]])
+
+        for (s1, s2), w in _shortlex((self.initial, other.initial), successors):
             if self.outputs[s1] != other.outputs[s2]:
                 return False, w
-            for d in range(self.alphabet_size):
-                pair = (self.transitions[s1][d], other.transitions[s2][d])
-                if pair not in seen:
-                    seen.add(pair)
-                    queue.append((pair, w + str(d)))
         return True, None
 
     # -- text formats ---------------------------------------------------------

@@ -10,10 +10,10 @@ The maps are partial by design.  Only windows actually realized by F get
 images; inventing values for the other tuples over {1,2,3}^4 would poison
 automaton certification.
 
-One scan serves derivation and verification.  It sorts nothing: each
-window's four bytes, read as a number in base 1 + (largest byte), index a
-table of the codes that occur (256 for F), which numbers the windows
-densely, and the images are checked through one small table per id.
+One scan serves derivation and verification.  It sorts nothing: the
+windows are the overlapping 4-tuples of F's bytes, numbered densely by the
+tuple join the kernel probe uses too (sequences.join_ids), and the images
+are checked through one small table per id.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 import numpy as np
 
-from .sequences import SequenceTable, _compact, _narrowest
+from .sequences import SequenceTable, join_ids
 
 Window = tuple[int, int, int, int]
 
@@ -85,10 +85,10 @@ def _scan(f: SequenceTable, a_min: int, a_max: int,
     """The one pass over a in [a_min, a_max]: the windows realized on it,
     with their images and least a, in order of that a.
 
-    Each window gets a dense id without sorting: its four bytes are read
-    as a number in base B = 1 + the largest byte in range (B^4 = 256 codes
-    for F), and _compact ranks the codes that occur.  The least a of each
-    id comes from the shortest prefix, grown fourfold, that holds every id.
+    Each window gets a dense id without sorting: join_ids numbers the
+    4-tuples of bytes at stride 1, ids below k = 1 + the largest byte in
+    range (k^4 = 256 tuples for F).  The least a of each id comes from the
+    shortest prefix, grown fourfold, that holds every id.
     Every image F(2a), F(2a+1) is then checked against ``frozen`` (windows
     it lacks are skipped) or else against the window's first occurrence,
     through per-id tables of the expected bytes; RuleConflict names the
@@ -105,14 +105,8 @@ def _scan(f: SequenceTable, a_min: int, a_max: int,
     vals = f.byte_values()
     even = vals[2 * a_min:2 * a_max + 1:2]
     odd = vals[2 * a_min + 1:2 * a_max + 2:2]
-    n = a_max - a_min + 1
-    seg = vals[a_min - 2:a_max + 2]  # the bytes of every window
-    base = int(seg.max()) + 1
-    code = seg[3:n + 3].astype(_narrowest(base ** 4))
-    for k in (2, 1, 0):
-        code *= base
-        code += seg[k:n + k]
-    ids, distinct = _compact(code, base ** 4)
+    k = int(vals[a_min - 2:a_max + 2].max()) + 1  # over the bytes of every window
+    ids, distinct = join_ids(vals, k, a_min - 2, 1, 4, a_max - a_min + 1, k)
     span = 1 << 10
     while True:
         _, first = np.unique(ids[:span], return_index=True)

@@ -137,6 +137,35 @@ def _compact(codes: np.ndarray, space: int) -> tuple[np.ndarray, int]:
     return ids.astype(_narrowest(len(distinct))), len(distinct)
 
 
+def join_ids(ids: np.ndarray, k: int, first: int, stride: int, parts: int,
+             count: int, d: int) -> tuple[np.ndarray, int]:
+    """Dense ids for the tuples (ids[first + stride i + j])_{j < parts},
+    i < count, of unsigned ids below k that take at most d distinct values:
+    equal tuples get equal ids, in a narrow dtype; and their number.  Tuples
+    may overlap (parts > stride), as the rule scan's 4-windows at stride 1 do.
+
+    The compiled join (``_oracle.c``) runs when a library loads for ids.size
+    steps and its rank table over all k**parts tuples is dense; otherwise
+    each tuple is packed into one code, compacted early where a code could
+    pass 64 bits, and _compact numbers the codes.  The two engines order the
+    ids differently, so callers read only which ids are equal.
+    """
+    lib = _compiled(ids.size)
+    if lib is not None and _dense(k ** parts, count):
+        return lib.join(ids, first, stride, parts, count, k, d)
+    children = [ids[first + j:first + j + stride * (count - 1) + 1:stride]
+                for j in range(parts)]
+    code, space = children[0], k
+    for child in children[1:]:
+        if space * k > 1 << 64:
+            code, space = _compact(code, space)
+        code = code.astype(_narrowest(space * k))  # a copy: ids stay intact
+        code *= k
+        code += child
+        space *= k
+    return _compact(code, space)
+
+
 # V and Q_{r,s} are stored in 32 bits, so no size may pass this
 MAX_SIZE = 2 ** 32 - 1
 

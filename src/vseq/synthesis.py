@@ -33,7 +33,7 @@ import numpy as np
 
 from .automaton import WINDOW, Dfao
 from .rules import RuleConflict, WindowRuleTable, verify_rules
-from .sequences import SequenceTable, _compact, _compiled, _dense, _narrowest
+from .sequences import SequenceTable, _compiled, _narrowest, join_ids
 
 
 class NonpositiveDivisor(ValueError):
@@ -354,8 +354,10 @@ def certify_transitions(m: Dfao, oracle: SequenceTable, rules: WindowRuleTable,
     x in {0^j, 0^j 1, 1^j}, 1 <= j <= depth.  Globally: the doubling rules
     reproduce F(2a) and F(2a+1) for every a in (3, validate_to/2], which is
     the step carrying window equality from each extension length to the
-    next.  Any failed check raises CertificationFailure naming a witness.
+    next.  Any failed check raises CertificationFailure naming a witness;
+    an oracle that does not start at index 0 raises ValueError first.
     """
+    _check_from_0(oracle)
     if m.output_kind != WINDOW:
         raise CertificationFailure("certification applies to window automata")
     if m.alphabet_size != 2:
@@ -464,21 +466,6 @@ def check_probe_args(q: int, depth: int, prefix_len: int) -> None:
         raise ValueError("need q >= 2, depth >= 0, prefix_len >= 1")
 
 
-def _join(children: list[np.ndarray], k: int) -> tuple[np.ndarray, int]:
-    """Dense ids for the tuples (children[0][i], children[1][i], ...) of ids
-    below k, packed into one code, compacted early where a code could pass
-    64 bits."""
-    code, space = children[0], k
-    for child in children[1:]:
-        if space * k > 1 << 64:
-            code, space = _compact(code, space)
-        code = code.astype(_narrowest(space * k))  # a copy: ids stay intact
-        code *= k
-        code += child
-        space *= k
-    return _compact(code, space)
-
-
 def kernel_probe(table: SequenceTable, q: int, depth: int,
                  prefix_len: int) -> ProbeReport:
     """Count distinct aligned blocks (S(q^e n + c))_{c} level by level.
@@ -498,14 +485,14 @@ def kernel_probe(table: SequenceTable, q: int, depth: int,
     before is that level's block at q n.  Only a level that cuts its block
     to a length of neither kind compares the bytes of its blocks.
 
-    Level 0 and the joins run as compiled passes (``_oracle.c``) on a table
-    of 2^14 entries or more; a join reads its children straight from the
-    ids of the level before and looks their tuple up in a table over all
-    k**parts tuples.  The numpy passes run instead on a shorter table, when
-    no library loads, for a join whose tuple space ``_compact`` would not
-    tabulate either (such as q = 3 over 256 byte values), and at the level
-    that compares bytes.  Only the counts are reported, so the order of the
-    ids is free.
+    Level 0's ids are the byte values, below k = 1 + the largest byte, so
+    that F's five values give level 1 a space of 5^q tuples.  Every join
+    goes through sequences.join_ids, which reads the children straight from
+    the ids of the level before and runs compiled (``_oracle.c``) where a
+    library loads and the tuple space is small enough to tabulate.  Level 0
+    counts its bytes compiled on a table of 2^14 entries or more.  The
+    level that compares bytes sorts them with numpy.  Only the counts are
+    reported, so the order of the ids is free.
     """
     check_probe_args(q, depth, prefix_len)
     vals = table.byte_values()
@@ -523,7 +510,7 @@ def kernel_probe(table: SequenceTable, q: int, depth: int,
             break
         count = n1 - n0 + 1
         if e == 0:
-            ids, k = vals, 256  # ids below k: the byte values themselves
+            ids, k = vals, int(vals.max()) + 1  # ids below k: the byte values
             if lib is not None:
                 distinct = lib.distinct_bytes(vals)
             else:
@@ -532,13 +519,8 @@ def kernel_probe(table: SequenceTable, q: int, depth: int,
                 distinct = int(np.count_nonzero(seen))
         elif block in (prev_block, q * prev_block):
             # level e-1's blocks q n + j
-            first = q * n0 - prev_n0
             parts = 1 if block == prev_block else q
-            if lib is not None and _dense(k ** parts, count):
-                ids, k = lib.join(ids, first, q, parts, count, k, distinct)
-            else:  # as strided views of its ids
-                ids, k = _join([ids[first + j:first + j + q * (count - 1) + 1:q]
-                                for j in range(parts)], k)
+            ids, k = join_ids(ids, k, q * n0 - prev_n0, q, parts, count, distinct)
             distinct = k
         else:
             rows = np.lib.stride_tricks.as_strided(

@@ -9,6 +9,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 from vseq import (RuleConflict, SequenceTable, derive_rules, format_rules,
                   gen_f, verify_rules)
 from vseq.rules import DERIVATION_START, WindowRuleTable, _scan
+from vseq.sequences import COMPILED_FROM
 
 
 @pytest.fixture(scope="module")
@@ -200,7 +201,11 @@ def byte_tables(draw):
         st.lists(st.one_of(st.integers(0, 3), st.integers(0, 255)),
                  min_size=1, max_size=5, unique=True),
         st.just(list(range(256)))))
-    hi = draw(st.one_of(st.integers(9, 300), st.integers(3000, 6000)))
+    # tables on both sides of COMPILED_FROM: the longer ones join their
+    # windows compiled, unless the palette's largest byte makes the tuple
+    # space too large to tabulate
+    hi = draw(st.one_of(st.integers(9, 300), st.integers(3000, 6000),
+                        st.integers(COMPILED_FROM, COMPILED_FROM + 3000)))
     f = _byte_table(palette, hi, draw(st.sampled_from([0, hi // 3])),
                     draw(st.booleans()), random.Random(draw(st.integers(0, 2 ** 32))))
     a_max = draw(st.one_of(st.just((hi - 1) // 2), st.integers(4, (hi - 1) // 2)))
@@ -224,6 +229,9 @@ def _flip(f, a_min, a_max, rng):
 # windows first seen past the first prefix, for either kind of id
 @example((_byte_table([1, 2, 3], 6000, 3000, False, random.Random(2)), 4, 2999), 3)
 @example((_byte_table(list(range(256)), 4000, 0, True, random.Random(4)), 5, 1999), 5)
+# a table long enough for the compiled join, whose 256^4 tuples fall back to numpy
+@example((_byte_table(list(range(256)), COMPILED_FROM + 9, 0, True, random.Random(6)),
+          4, COMPILED_FROM // 2), 7)
 def test_scan_matches_sorting_scan(case, seed):
     f, a_min, a_max = case
     rng = random.Random(seed)

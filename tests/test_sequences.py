@@ -280,6 +280,101 @@ def test_oracle_source_compiles_without_warnings():
     assert result.returncode == 0, result.stderr
 
 
+# Run under ASan and UBSan by test_oracle_loops_are_clean_under_sanitizers:
+# every compiled loop, each checked against the Python and numpy paths.
+SANITIZED_RUN = """
+import ctypes, sys
+import numpy as np
+from vseq import _oracle, gen_f, gen_qrs, gen_v, kernel_probe
+from vseq.rules import _scan
+from vseq.sequences import join_ids
+
+widths = set()  # (ids, joined ids) itemsizes of the compiled joins
+
+class Traced(_oracle.Oracle):
+    def join(self, ids, *args):
+        out, distinct = super().join(ids, *args)
+        widths.add((ids.itemsize, out.itemsize))
+        return out, distinct
+
+lib = Traced(ctypes.CDLL(sys.argv[1]))
+
+def both(call):
+    _oracle.library = lambda: lib
+    compiled = call()
+    _oracle.library = lambda: None
+    return compiled, call()
+
+def raised(call):
+    try:
+        call()
+    except Exception as e:
+        return repr(e)
+
+def same_partition(compiled, numpy_ids):
+    (a, da), (b, db) = compiled, numpy_ids
+    assert da == db == len(set(zip(a.tolist(), b.tolist()))), (da, db)
+
+# the count and the recursion, and two runs that die
+a, b = both(lambda: gen_f(2 ** 16).values)
+assert a == b
+a, b = both(lambda: gen_v(10 ** 5).values)
+assert a == b
+for r, s in ((2, 5), (1, 10)):
+    a, b = both(lambda: raised(lambda: gen_qrs(r, s, 10 ** 5)))
+    assert a == b != None, (a, b)
+
+# the rule scan's overlapping windows, the last one ending at the last byte
+rng = np.random.default_rng(7)
+for top in (4, 16, 256):
+    vals = rng.integers(0, top, 2 ** 15, dtype=np.uint8)
+    same_partition(*both(lambda: join_ids(vals, top, 5, 1, 4, vals.size - 8, top)))
+f = gen_f(2 ** 15 + 1)
+a, b = both(lambda: _scan(f, 4, 2 ** 14))
+assert a == b
+
+# probe joins at q = 2 and 3 over 1-, 2- and 4-byte ids into 1-, 2- and
+# 4-byte ids, the last tuple ending at the last id, and one join that
+# would read one id past them
+for dtype in (np.uint8, np.uint16, np.uint32):
+    for q, ks in ((2, (3, 60, 256)), (3, (3, 40, 45))):
+        for k in ks:
+            ids = rng.integers(0, k, 3 * 2 ** 16 + 1, dtype=dtype)
+            first, count = (ids.size - q) % q, (ids.size - q) // q + 1
+            same_partition(*both(lambda: join_ids(ids, k, first, q, q, count, k)))
+            err = raised(lambda: lib.join(ids, first, q, q, count + 1, k, k))
+            assert err and err.startswith("ValueError"), err
+for q in (2, 3):
+    a, b = both(lambda: kernel_probe(f, q, 8, 64))
+    assert a == b
+assert widths == {(i, o) for i in (1, 2, 4) for o in (1, 2, 4)}, widths
+print("ok")
+"""
+
+
+def test_oracle_loops_are_clean_under_sanitizers(tmp_path):
+    cc = shutil.which("cc")
+    if cc is None:
+        pytest.skip("no C compiler")
+    asan = subprocess.run([cc, "-print-file-name=libasan.so"], capture_output=True,
+                          text=True, timeout=60).stdout.strip()
+    if not os.path.isabs(asan) or not os.path.exists(asan):
+        pytest.skip("no libasan")
+    lib = tmp_path / "oracle_sanitized.so"
+    built = subprocess.run([cc, "-O1", "-g", "-fsanitize=address,undefined",
+                            "-fno-sanitize-recover=all", "-shared", "-fPIC",
+                            "-o", str(lib), str(_oracle.SOURCE)],
+                           capture_output=True, text=True, timeout=120)
+    if built.returncode != 0:
+        pytest.skip(f"cc cannot build with sanitizers: {built.stderr[-200:]}")
+    src = os.path.dirname(os.path.dirname(os.path.abspath(sequences.__file__)))
+    env = dict(os.environ, PYTHONPATH=src, LD_PRELOAD=asan,
+               ASAN_OPTIONS="detect_leaks=0")
+    done = subprocess.run([sys.executable, "-c", SANITIZED_RUN, str(lib)],
+                          capture_output=True, text=True, env=env, timeout=300)
+    assert done.returncode == 0 and done.stdout.split() == ["ok"], done.stderr[-3000:]
+
+
 def test_count_reads_only_settled_counts():
     # with the seed's count left out, V(5) = V(4) + V(4) reads V(4) from a
     # count the loop is still building: the cursor must refuse, not guess

@@ -245,6 +245,15 @@ def test_cross_validate_refuses_oracle_past_0(truth_a, truth_b, kind):
         cross_validate(machine, late, 1000)
 
 
+def test_certify_refuses_oracle_past_0(truth_a, rules_main):
+    # certification once read the window at 0 from a table starting at 5
+    # and blamed the correct machine's initial state for the difference
+    f = gen_f(2 ** 16 + 2)
+    late = SequenceTable(5, f.hi, f.values[5:], "F")
+    with pytest.raises(ValueError, match="starting at index 0"):
+        certify_transitions(truth_a, late, rules_main, 2, 2 ** 16)
+
+
 CORRUPT_N_MAX = 3000
 
 
@@ -515,17 +524,35 @@ def test_probe_numpy_matches_row_sorting(lo, q, prefix, numpy_only):
 U8, U16, U32 = (np.dtype(t) for t in (np.uint8, np.uint16, np.uint32))
 
 
+def test_probe_f_at_q3_joins_compiled(compiled_joins):
+    # level 0's ids lie below F's largest value + 1 = 5, so level 1 joins
+    # 5^3 tuples, not 256^3, and no join falls back to numpy (level 3 cuts
+    # its blocks to the 9 entries of level 2's)
+    table = gen_f(3 ** 11)
+    report = kernel_probe(table, 3, 3, 9)
+    assert report == _probe_by_sorting(table, 3, 3, 9)
+    assert len(compiled_joins) == len(report.levels) - 1 == 3
+
+
 @pytest.mark.parametrize("alphabet, q, n, depth, joins", [
     # level 1: about 9,400 of the 65,536 byte pairs, so its ids pass 255;
     # level 2's space of about 9,400^2 tuples passes count + 2^16: numpy
     (256, 2, 20_000, 2, [U16]),
     # level 1: every byte pair, 65,536 ids, so they pass 65,535
     (256, 2, 2 ** 21, 1, [U32]),
-    # level 2: all 256 tuples of 4 values, one id past a byte
-    (4, 2, 50_000, 4, [U8, U16, U16]),
-    # level 1's 256^3 tuples pass count + 2^16 (numpy), level 2's 8^3 do not
-    (2, 3, 50_000, 3, [U16]),
-], ids=["ids-past-255", "ids-past-65535", "256-ids", "numpy-then-compiled"])
+    # level 2: all 256 tuples of 4 values, one id past a byte; level 3
+    # joins level 2's 12,500 ids, too few to load the library for: numpy
+    (4, 2, 50_000, 4, [U8, U16]),
+    # level 0's ids lie below 2, not 256, so level 1's 2^3 tuples join
+    # compiled, and so do level 2's 8^3; level 3 joins level 2's 5,555
+    # ids: numpy
+    (2, 3, 50_000, 3, [U8, U16]),
+    # all 256 byte values: level 1's 256^3 tuples pass count + 2^16, so it
+    # falls back to numpy although a library loads, and so does every level
+    # after it
+    (256, 3, 50_000, 3, []),
+], ids=["ids-past-255", "ids-past-65535", "256-ids", "numpy-then-compiled",
+        "256-values-at-q3"])
 def test_probe_ids_widen_and_fall_back(alphabet, q, n, depth, joins, probe_joins):
     values = np.random.default_rng(n + q).integers(0, alphabet, n, dtype=np.uint8)
     table = SequenceTable(0, n - 1, bytearray(values.tobytes()), "r")
