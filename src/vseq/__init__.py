@@ -20,7 +20,6 @@ from .synthesis import (CertificateReport, CertificationFailure,
                         OracleTooShort, ProbeReport, TransitionCertificate,
                         Validation, cert_oracle_bound, certify_transitions,
                         cross_validate, discover, euclid_div, kernel_probe,
-                        shift_bounds, signature, synthesize_msb,
-                        synthesize_validated)
+                        shift_bounds, synthesize_msb, synthesize_validated)
 
 __version__ = "0.1.0"

@@ -336,7 +336,7 @@ class Dfao:
         n, q, kind = header
         if initial is None:
             raise ParseError(1, "missing 'initial' line")
-        if sorted(states) != list(range(n)):
+        if len(states) != n or any(sid >= n for sid in states):
             raise ParseError(1, f"expected state ids 0..{n - 1}")
         rows = []
         for s in range(n):

@@ -13,7 +13,7 @@ automaton certification.
 One scan serves derivation and verification.  It sorts nothing: the
 windows are the overlapping 4-tuples of F's bytes, numbered densely by the
 tuple join the kernel probe uses too (sequences.join_ids), and the images
-are checked through one small table per id.
+are checked through one table of expected pairs per id.
 """
 
 from __future__ import annotations
@@ -72,14 +72,6 @@ class RuleVerification:
     new_windows: dict[Window, int]  # windows absent from the frozen table
 
 
-def _per_id(values: list[int]) -> np.ndarray:
-    """One entry per window id, in the narrowest dtype holding them all:
-    uint8 for the images of any table derived from bytes."""
-    table = np.array(values)
-    return table.astype(np.result_type(np.min_scalar_type(table.min()),
-                                       np.min_scalar_type(table.max())))
-
-
 def _scan(f: SequenceTable, a_min: int, a_max: int,
           frozen: WindowRuleTable | None = None) -> WindowRuleTable:
     """The one pass over a in [a_min, a_max]: the windows realized on it,
@@ -89,9 +81,10 @@ def _scan(f: SequenceTable, a_min: int, a_max: int,
     4-tuples of bytes at stride 1, ids below k = 1 + the largest byte in
     range (k^4 = 256 tuples for F).  The least a of each id comes from the
     shortest prefix, grown fourfold, that holds every id.
-    Every image F(2a), F(2a+1) is then checked against ``frozen`` (windows
-    it lacks are skipped) or else against the window's first occurrence,
-    through per-id tables of the expected bytes; RuleConflict names the
+    The images of each a are read as one little-endian pair F(2a) +
+    256 F(2a+1) and checked in one compare against a per-id table of the
+    expected pairs: those of ``frozen`` (windows it lacks are skipped) or
+    else those of the window's first occurrence.  RuleConflict names the
     least conflicting a, even before odd.  Callers keep a_min > 3.
     """
     if f.lo != 0:
@@ -103,8 +96,7 @@ def _scan(f: SequenceTable, a_min: int, a_max: int,
     if a_max < a_min:
         return WindowRuleTable(even_rule={}, odd_rule={}, first_seen={})
     vals = f.byte_values()
-    even = vals[2 * a_min:2 * a_max + 1:2]
-    odd = vals[2 * a_min + 1:2 * a_max + 2:2]
+    pairs = vals[2 * a_min:2 * a_max + 2].view("<u2")  # F(2a) + 256 F(2a+1)
     k = int(vals[a_min - 2:a_max + 2].max()) + 1  # over the bytes of every window
     ids, distinct = join_ids(vals, k, a_min - 2, 1, 4, a_max - a_min + 1, k)
     span = 1 << 10
@@ -114,26 +106,30 @@ def _scan(f: SequenceTable, a_min: int, a_max: int,
             break
         span *= 4
     wins = [f.window4(a_min + int(i)) for i in first]
+    images = [(int(p) & 255, int(p) >> 8) for p in pairs[first]]
     by_a = np.argsort(first)
     realized = WindowRuleTable(
-        even_rule={wins[u]: int(even[first[u]]) for u in by_a},
-        odd_rule={wins[u]: int(odd[first[u]]) for u in by_a},
+        even_rule={wins[u]: images[u][0] for u in by_a},
+        odd_rule={wins[u]: images[u][1] for u in by_a},
         first_seen={wins[u]: a_min + int(first[u]) for u in by_a},
     )
     ref = realized if frozen is None else frozen
-    known = np.array([w in ref.even_rule for w in wins])[ids]
-    bad_even = _per_id([ref.even_rule.get(w, 0) for w in wins])[ids] != even
-    bad_even &= known
-    bad_odd = _per_id([ref.odd_rule.get(w, 0) for w in wins])[ids] != odd
-    bad_odd &= known
-    bad = bad_even | bad_odd
-    if bad.any():
-        i = int(bad.argmax())
+    known = np.array([w in ref.even_rule for w in wins])
+    expect = np.zeros(distinct, dtype="<u2")
+    for u, w in enumerate(wins):
+        g, h = ref.even_rule.get(w, 0), ref.odd_rule.get(w, 0)
+        # an image outside [0, 255] fits no pair and conflicts wherever its
+        # window occurs: a pair unlike the one at its first a says so
+        expect[u] = g | h << 8 if 0 <= g <= 255 and 0 <= h <= 255 else pairs[first[u]] ^ 1
+    miss = np.flatnonzero(expect[ids] != pairs)
+    miss = miss[known[ids[miss]]]
+    if miss.size:
+        i = int(miss[0])
         w = wins[ids[i]]
-        parity, table, image = (("even", ref.even_rule, even) if bad_even[i]
-                                else ("odd", ref.odd_rule, odd))
-        raise RuleConflict(w, parity, ref.first_seen[w], table[w], a_min + i,
-                           int(image[i]))
+        g, h = int(pairs[i]) & 255, int(pairs[i]) >> 8
+        parity, table, image = (("even", ref.even_rule, g) if ref.even_rule[w] != g
+                                else ("odd", ref.odd_rule, h))
+        raise RuleConflict(w, parity, ref.first_seen[w], table[w], a_min + i, image)
     return realized
 
 

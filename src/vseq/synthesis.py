@@ -18,11 +18,13 @@ the 4-window (F(n-2), F(n-1), F(n), F(n+1)) at its access value n.  The
 single-output form is that automaton's output projection, minimized
 (``project_output().minimize()``).
 
-The signature of a string with value m collects, level by level, the
-windows of all its length-L extensions: one slice of the oracle behind
-two zero bytes, from two left of the first extension to one right of the
-last.  Levels are capped by the given horizon and by oracle coverage; two
-strings are merged when their signatures agree on every common level.
+The signature of a string with value m holds one id per level L: that of
+the block of windows at 2^L m + c, c < 2^L, its length-L extensions.  A
+block is the pair of blocks at 2m and 2m + 1 one level down (Allouche &
+Shallit, Automatic Sequences, Thm 6.6.2), so each level is one tuple join
+(sequences.join_ids).  Levels are capped by the given horizon and by oracle
+coverage; two strings are merged when their signatures agree on every
+common level.
 """
 
 from __future__ import annotations
@@ -82,22 +84,17 @@ def shift_bounds(q: int, t: int, a: int, b: int, n0: int) -> tuple[int, int]:
 
 @dataclass(frozen=True)
 class KernelNode:
-    """A discovered state: canonical access string, and the oracle
-    signature that separates it from every other node."""
+    """A discovered state: canonical access string, its output annotation,
+    and the oracle signature that separates it from every other node."""
 
     rep: str           # shortlex-least access string; "" for the initial state
     value: int         # integer the access string denotes
-    signature: tuple[bytes, ...]
+    window: tuple[int, int, int, int]  # the 4-window at value
+    signature: tuple[int, ...]  # the block id at value, one per level
 
     @property
     def name(self) -> str:
         return self.rep if self.rep else "eps"
-
-    @property
-    def window(self) -> tuple[int, int, int, int]:
-        """The output annotation: the 4-window at the access value, which
-        is the level-0 signature."""
-        return tuple(self.signature[0])
 
 
 def _check_from_0(oracle: SequenceTable) -> None:
@@ -105,25 +102,35 @@ def _check_from_0(oracle: SequenceTable) -> None:
         raise ValueError("synthesis expects an oracle table starting at index 0")
 
 
-def signature(padded: bytes, m: int, horizon: int) -> tuple[bytes, ...]:
-    """Per-level oracle windows of all extensions of a value-m string.
+def _block_ids(oracle: SequenceTable, horizon: int) -> list[np.ndarray]:
+    """Per level L <= horizon, one id per m with (m + 1) 2^L <= oracle.hi
+    for the block of windows at 2^L m + c, c < 2^L: equal ids for equal
+    blocks.  Level 0 numbers the 4-windows at n < oracle.hi like the rule
+    scan, ids below k = 1 + the largest byte; level L joins level L-1's ids
+    at 2m and 2m + 1.  Levels stop at the horizon or where fewer than two
+    ids are left to join."""
+    if oracle.hi < 1 or horizon < 0:
+        return []
+    padded = np.frombuffer(oracle.window_bytes(0, oracle.hi - 1), dtype=np.uint8)
+    k = int(padded.max()) + 1
+    ids, k = join_ids(padded, k, 0, 1, 4, oracle.hi, k)
+    levels = [ids]
+    while len(levels) <= horizon and ids.size >= 2:
+        ids, k = join_ids(ids, k, 0, 2, 2, ids.size // 2, k)
+        levels.append(ids)
+    return levels
 
-    Level L covers the windows at 2^L*m + c for 0 <= c < 2^L, so it spans
-    F(2^L*m - 2) to F(2^L*(m+1)): the slice padded[2^L*m : 2^L*(m+1) + 3]
-    of padded = oracle.window_bytes(0, oracle.hi - 1), which holds F(i) at
-    i + 2 behind two zero bytes.  Levels stop at the horizon or where the
-    oracle ends.
-    """
-    hi = len(padded) - 3
-    out = []
-    for level in range(horizon + 1):
-        if (m + 1) << level > hi:
-            break
-        out.append(padded[m << level:((m + 1) << level) + 3])
-    if not out:
+
+def _kernel_node(oracle: SequenceTable, levels: list[np.ndarray], rep: str,
+                 m: int) -> KernelNode:
+    """The node for access string ``rep`` of value m: the window at m, and
+    the block id at m on every level of ``levels`` (from _block_ids) that
+    holds one.  OracleTooShort where level 0 holds none."""
+    if not levels or m >= levels[0].size:
         raise OracleTooShort(
-            f"oracle ends at {hi}; cannot form a level-0 signature for value {m}")
-    return tuple(out)
+            f"oracle ends at {oracle.hi}; cannot form a level-0 signature for value {m}")
+    sig = tuple(int(ids[m]) for ids in levels if m < ids.size)
+    return KernelNode(rep, m, oracle.window4(m), sig)
 
 
 def discover(oracle: SequenceTable,
@@ -131,32 +138,25 @@ def discover(oracle: SequenceTable,
     """Breadth-first state discovery from the empty string, in base 2.
 
     Each candidate extension of a known state is merged with the first
-    existing node whose signature agrees on all common levels, or becomes a
-    new node otherwise.  Breadth-first order makes every rep shortlex-least.
+    existing node whose signature, its block ids level by level (see
+    _block_ids), agrees on all common levels, or becomes a new node
+    otherwise.  Breadth-first order makes every rep shortlex-least.  A
+    value past the oracle's level-0 ids raises OracleTooShort.
     """
     _check_from_0(oracle)
-    padded = oracle.window_bytes(0, oracle.hi - 1)
-    nodes = [KernelNode("", 0, signature(padded, 0, horizon))]
+    levels = _block_ids(oracle, horizon)
+    nodes = [_kernel_node(oracle, levels, "", 0)]
     trans: list[list[int]] = []
-    queue = [0]
-    head = 0
-    while head < len(queue):
-        s = queue[head]
-        head += 1
-        row = []
+    while len(trans) < len(nodes):  # nodes doubles as the breadth-first queue
+        src, row = nodes[len(trans)], []
         for d in (0, 1):
-            c = nodes[s].value * 2 + d
-            cs = signature(padded, c, horizon)
-            tgt = None
-            for j, node in enumerate(nodes):
-                k = min(len(cs), len(node.signature))
-                if cs[:k] == node.signature[:k]:
-                    tgt = j
-                    break
+            cand = _kernel_node(oracle, levels, src.rep + str(d), src.value * 2 + d)
+            cs = cand.signature
+            tgt = next((j for j, other in enumerate(nodes)
+                        if cs[:len(other.signature)] == other.signature[:len(cs)]), None)
             if tgt is None:
-                nodes.append(KernelNode(nodes[s].rep + str(d), c, cs))
+                nodes.append(cand)
                 tgt = len(nodes) - 1
-                queue.append(tgt)
             row.append(tgt)
         trans.append(row)
     return nodes, trans
@@ -318,20 +318,21 @@ class CertificateReport:
 
 
 def _name_values(m: Dfao) -> list[int]:
-    # names are the states' claimed access values; every certification check
-    # tests those claims against the oracle, so no structural trust is needed
+    """The states' claimed access values: 0 for ``eps``, else the value of a
+    name of base-q digits; ValueError for any other name, signs, prefixes
+    and underscores included.  Every certification check tests those
+    claims against the oracle, so no structural trust is needed."""
+    digits = set("0123456789"[:m.alphabet_size])
     vals = []
     for s, name in enumerate(m.names):
         if name == "eps":
-            v = 0
+            vals.append(0)
+        elif name and set(name) <= digits:
+            vals.append(int(name, m.alphabet_size))
         else:
-            try:
-                v = int(name, m.alphabet_size)
-            except ValueError:
-                raise ValueError(
-                    f"state {s} name {name!r} is not a base-{m.alphabet_size} "
-                    "access string; certification needs synthesized names") from None
-        vals.append(v)
+            raise ValueError(
+                f"state {s} name {name!r} is not a base-{m.alphabet_size} "
+                "access string; certification needs synthesized names")
     return vals
 
 

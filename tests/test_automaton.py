@@ -1,3 +1,5 @@
+import tracemalloc
+
 import pytest
 
 from vseq import (SINGLE, WINDOW, BadDigit, BadNumeral, Dfao, KindMismatch,
@@ -198,6 +200,21 @@ def test_parse_errors_carry_line_numbers():
                 windowed_pair().serialize().replace("0123", "\u0661\u0662\u0663\u0664")):
         with pytest.raises(ParseError):
             Dfao.deserialize(bad)
+
+
+def test_state_ids_are_checked_without_allocating_by_the_header():
+    tracemalloc.start()
+    try:
+        with pytest.raises(ParseError, match="expected state ids 0..999999"):
+            Dfao.deserialize("dfao 1000000 2 single\ninitial 0\n")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    # as many ids as the header declares, one of them out of range
+    two = toggler().serialize().replace("state 1", "state 2", 1)
+    with pytest.raises(ParseError, match="expected state ids 0..1"):
+        Dfao.deserialize(two)
 
 
 def test_dot_output():

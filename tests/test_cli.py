@@ -133,6 +133,24 @@ def test_certify_rejects_corrupt(built, tmp_path, capsys):
     assert "differs from the certified reference" in out
 
 
+@pytest.mark.parametrize("name", ["-1", "+1", "0b1", "1_0"])
+def test_certify_refuses_names_that_are_not_access_strings(name, built, tmp_path,
+                                                           capsys):
+    # int(name, 2) reads each of these names; an unreachable state under
+    # one would get its windows from the zero padding below F
+    a_path, _, _ = built
+    a = Dfao.deserialize(a_path.read_text())
+    extra = a.state_count
+    bad = Dfao(2, a.initial, [*a.transitions, (extra, extra)],
+               [*a.outputs, (0, 0, 0, 0)], WINDOW, [*a.names, name])
+    bad_path = tmp_path / "named.dfao"
+    bad_path.write_text(bad.serialize())
+    assert run(["certify", "--automaton", str(bad_path), *FAST]) == 2
+    assert capsys.readouterr().err == (
+        f"vseq: state {extra} name {name!r} is not a base-2 access string; "
+        "certification needs synthesized names\n")
+
+
 def test_tables_check(capsys):
     assert run(["tables", "check", *FAST]) == 0
     out = capsys.readouterr().out

@@ -268,3 +268,19 @@ def test_frozen_image_outside_bytes_conflicts(f50k, rules10k):
     with pytest.raises(RuleConflict) as excinfo:
         verify_rules(frozen, f50k, 1000)
     assert _fields(excinfo.value) == (w, "even", 5, 300, 5, 1)
+
+
+def test_frozen_image_that_packs_like_a_real_pair_conflicts():
+    # even 300 with odd 0 packs into 16 bits as 300 = 44 + 256 * 1, the
+    # pair F(2a) = 44, F(2a+1) = 1 of the window at a = 5
+    vals = bytearray(range(22))
+    vals[10], vals[11] = 44, 1
+    f = SequenceTable(0, 21, vals, "F")
+    rules = derive_rules(f, 4, 10)
+    w = f.window4(5)
+    assert (rules.even_rule[w], rules.odd_rule[w]) == (44, 1)
+    frozen = WindowRuleTable({**rules.even_rule, w: 300}, {**rules.odd_rule, w: 0},
+                             rules.first_seen)
+    with pytest.raises(RuleConflict) as excinfo:
+        verify_rules(frozen, f, 10)
+    assert _fields(excinfo.value) == (w, "even", 5, 300, 5, 44)

@@ -2,6 +2,8 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import vseq
 from vseq import _oracle
@@ -11,7 +13,9 @@ from vseq import (SINGLE, WINDOW, CertificationFailure, Dfao,
                   SequenceTable, certify_transitions,
                   cross_validate, derive_rules, discover, euclid_div, gen_f,
                   gen_v, first_difference, kernel_probe, shift_bounds,
-                  signature, synthesize_msb, synthesize_validated)
+                  synthesize_msb, synthesize_validated)
+from vseq.sequences import COMPILED_FROM
+from vseq.synthesis import _block_ids, _kernel_node
 
 from conftest import HORIZON
 
@@ -65,36 +69,135 @@ def _padded(f: SequenceTable) -> bytes:
     return bytes(2) + bytes(f.values)  # padded[i + 2] == F(i)
 
 
+def _signature(f: SequenceTable, m: int, horizon: int) -> tuple[int, ...]:
+    return _kernel_node(f, _block_ids(f, horizon), "", m).signature
+
+
+def _assert_ids_number_slices(f: SequenceTable, horizon: int) -> None:
+    """The brute-force reference: ids at level L are equal exactly when the
+    byte slices padded[m<<L : ((m+1)<<L)+3] are equal, for every m the
+    level covers, (m + 1) 2^L <= f.hi."""
+    padded = _padded(f)
+    for level, ids in enumerate(_block_ids(f, horizon)):
+        assert ids.size == f.hi >> level
+        id_of = {}
+        for m in range(ids.size):
+            sl = padded[m << level:((m + 1) << level) + 3]
+            assert id_of.setdefault(sl, int(ids[m])) == int(ids[m]), (m, level)
+        assert len(set(id_of.values())) == len(id_of), level
+
+
 def test_signature_levels_and_padding():
     f = gen_f(1000)
-    padded = _padded(f)
-    sig0 = signature(padded, 0, 4)
+    levels = _block_ids(f, 4)
+    sig0 = _signature(f, 0, 4)
     assert len(sig0) == 5  # levels 0..4
-    assert sig0[0] == bytes([0, 0, 0, 4])  # window at 0, padded below index 0
-    assert len(sig0[2]) == 4 + 3  # level-2 slice spans [-2, 5]
-    sig1 = signature(padded, 1, 30)
+    # the window at 0, padded below index 0, occurs nowhere else
+    assert _kernel_node(f, levels, "", 0).window == (0, 0, 0, 4)
+    assert np.count_nonzero(levels[0] == sig0[0]) == 1
+    assert levels[2].size == 1000 // 4  # level-2 blocks span [4m - 2, 4m + 5]
+    sig1 = _signature(f, 1, 30)
     # coverage, not the horizon, limits depth: (1+1)*2^L <= 1000
     assert len(sig1) == 9
-    s = signature(padded, 6, 3)
-    assert s[0] == bytes(f.window4(6))
-    assert s[1] == bytes([f[10], f[11], f[12], f[13], f[14]])  # windows at 12, 13
+    s = _signature(f, 6, 3)
+    assert len(s) == 4
+    assert _kernel_node(f, levels, "", 6).window == f.window4(6)
+    # level 1 of 6: the windows at 12 and 13, F(10..14)
+    want = bytes([f[10], f[11], f[12], f[13], f[14]])
+    padded = _padded(f)
+    same = [m for m in range(levels[1].size) if padded[2 * m:2 * m + 5] == want]
+    assert np.flatnonzero(levels[1] == s[1]).tolist() == same
 
 
 def test_signature_slices_hold_the_extension_windows():
     # level L of value m: F from 2 left of 2^L*m to 1 right of 2^L*(m+1) - 1
-    f = gen_f(3000)
-    padded = _padded(f)
-    for m in range(60):
-        for level, sl in enumerate(signature(padded, m, 8)):
-            first, last = m << level, ((m + 1) << level) - 1
-            want = bytes(f[i] if i >= 0 else 0 for i in range(first - 2, last + 2))
-            assert sl == want, (m, level)
+    _assert_ids_number_slices(gen_f(3000), 8)
+    # both engines of join_ids: the compiled one from COMPILED_FROM ids on
+    _assert_ids_number_slices(gen_f(COMPILED_FROM + 5), 3)
 
 
 def test_signature_oracle_too_short():
     f = gen_f(10)
     with pytest.raises(OracleTooShort):
-        signature(_padded(f), 10, 4)
+        _signature(f, 10, 4)
+
+
+def _reference_signature(padded: bytes, m: int, horizon: int) -> tuple[bytes, ...]:
+    """Per-level byte slices of the extensions of a value-m string: level L
+    is padded[m<<L : ((m+1)<<L)+3] while (m + 1) 2^L <= the oracle's end."""
+    hi = len(padded) - 3
+    out = []
+    for level in range(horizon + 1):
+        if (m + 1) << level > hi:
+            break
+        out.append(padded[m << level:((m + 1) << level) + 3])
+    if not out:
+        raise OracleTooShort(
+            f"oracle ends at {hi}; cannot form a level-0 signature for value {m}")
+    return tuple(out)
+
+
+def _reference_discover(oracle: SequenceTable, horizon: int):
+    """Discovery by byte-slice signatures, as it ran before the block ids;
+    nodes as (rep, value, window)."""
+    padded = oracle.window_bytes(0, oracle.hi - 1)
+    nodes = [("", 0, _reference_signature(padded, 0, horizon))]
+    trans = []
+    queue = [0]
+    head = 0
+    while head < len(queue):
+        s = queue[head]
+        head += 1
+        row = []
+        for d in (0, 1):
+            c = nodes[s][1] * 2 + d
+            cs = _reference_signature(padded, c, horizon)
+            tgt = None
+            for j, node in enumerate(nodes):
+                k = min(len(cs), len(node[2]))
+                if cs[:k] == node[2][:k]:
+                    tgt = j
+                    break
+            if tgt is None:
+                nodes.append((nodes[s][0] + str(d), c, cs))
+                tgt = len(nodes) - 1
+                queue.append(tgt)
+            row.append(tgt)
+        trans.append(row)
+    return [(rep, value, tuple(sig[0])) for rep, value, sig in nodes], trans
+
+
+@pytest.fixture(scope="module")
+def f_long() -> SequenceTable:
+    return gen_f(2 ** 15 + 64)
+
+
+def _discovery(discover_fn, f_long: SequenceTable, hi: int, horizon: int):
+    f = SequenceTable(0, hi, f_long.values[:hi + 1], "F")
+    try:
+        nodes, trans = discover_fn(f, horizon)
+    except OracleTooShort as e:
+        return str(e)
+    if discover_fn is discover:
+        nodes = [(n.rep, n.value, n.window) for n in nodes]
+    return nodes, trans
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(st.integers(2, 300), st.integers(2, 2 ** 15 + 64)),
+       st.integers(1, 48))
+# level 0 joins hi + 3 window bytes, level 1 hi ids: each on both sides of
+# the compiled join's threshold
+@example(COMPILED_FROM - 4, 24)
+@example(COMPILED_FROM - 3, 24)
+@example(COMPILED_FROM - 1, 2)
+@example(COMPILED_FROM, 2)
+@example(2 ** 15 + 64, 48)
+@example(2, 1)
+@example(40, 24)
+def test_discover_matches_byte_signatures(f_long, hi, horizon):
+    assert (_discovery(discover, f_long, hi, horizon)
+            == _discovery(_reference_discover, f_long, hi, horizon))
 
 
 # -- discovery on the frequency oracle ------------------------------------------
