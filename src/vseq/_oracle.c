@@ -2,7 +2,8 @@
    all-ones seed Q(1..s) = 1, compiled for sequences.py, which loads it with
    ctypes and keeps the same loops in Python as the reference.  vseq_qrs
    stores Q; vseq_count keeps only the counts F(a) = #{n : Q(n) = a}, reading
-   Q's earlier terms back from them.  Both functions return a status; info[]
+   Q's earlier terms back from them, and resumes a finished count as it
+   starts a fresh one.  Both functions return a status; info[]
    carries what the caller needs to raise:
      DEAD           info = {n, argument}  an argument left [1, n-1]
      NOT_MONOTONE   info = {n, Q(n-1), Q(n)}
@@ -20,10 +21,12 @@
                           rule scan's 4-window at q = 1, the tuples then
                           overlapping); ids 1, 2 or 4 bytes wide, one loop
                           per pair of widths; returns the number of distinct
-                          ids, or -1 for a width, code or rank out of range */
+                          ids, -1 for a width or code out of range, or
+                          WIDER for more ids than the output width holds */
 #include <stdint.h>
 
 enum { OK, DEAD, NOT_MONOTONE, COUNT_OVERFLOW, VALUE_OVERFLOW, UNSETTLED };
+enum { WIDER = -2 };
 
 static int step(const uint32_t *q, int64_t n, int64_t r, int64_t s,
                 int64_t *info, uint32_t *out)
@@ -80,19 +83,34 @@ static int seek(const uint8_t *counts, struct cursor *c, int64_t p,
     return OK;
 }
 
-/* counts[a] += #{n > s : Q(n) = a} for a in [0, a_max]: Q runs until it
+/* counts[a] += #{n > done : Q(n) = a} for a in [0, a_max]: Q runs until it
    first reaches a_max + 1.  Q itself is not stored: its last s terms sit in
    the caller's ring, a power of two of them larger than s (Q(i) at
    ring[i & mask]), and every older term is read from the counts by two
-   cursors.  The caller zeroes counts and sets counts[1] = s for the seed. */
+   cursors.  The counts hold Q(1..done) already, done >= s: for a fresh
+   count the caller zeroes them and sets counts[1] = s for the seed, with
+   done = s; to resume a finished count up to some value, done is the sum
+   of its counts, and the ring's terms past the seed are read back from
+   them like the older ones. */
 int vseq_count(uint8_t *counts, int64_t a_max, int64_t r, int64_t s,
-               uint32_t *ring, int64_t mask, int64_t *info)
+               int64_t done, uint32_t *ring, int64_t mask, int64_t *info)
 {
-    struct cursor c1 = {1, 0}, c2 = {1, 0};
+    struct cursor c1 = {1, 0}, c2 = {1, 0}, back = {1, 0};
     int64_t prev = 1;
-    for (int64_t i = 1; i <= s; i++)
-        ring[i & mask] = 1;
-    for (int64_t n = s + 1;; n++) {
+    /* Q(done - s + 1..done): 1 in the seed, read back from the counts
+       past it */
+    for (int64_t i = done - s + 1; i <= done; i++) {
+        if (i > s) {
+            if (seek(counts, &back, i, a_max) != OK) {
+                info[0] = done + 1;
+                info[1] = i;
+                return UNSETTLED;
+            }
+            prev = back.value;
+        }
+        ring[i & mask] = (uint32_t)prev;
+    }
+    for (int64_t n = done + 1;; n++) {
         int64_t i1 = n - ring[(n - r) & mask], i2 = n - ring[(n - s) & mask];
         if (i1 < 1 || i2 < 1) {
             info[0] = n;
@@ -148,7 +166,8 @@ int64_t vseq_distinct_bytes(const uint8_t *v, int64_t n)
    appearance, each the rank stored at rank[code] less one.  The caller
    zeroes rank, which spans the codes below space.  A code at or past space
    returns -1, so that a child at or past k reads and writes nothing outside
-   rank; so does a rank past the width of OUT, before it would wrap.
+   rank; a rank past the width of OUT returns WIDER before it would wrap,
+   for the caller to join again into wider ids.
    The joins of base 2 (q = parts = 2) get a loop of their own, with both
    as constants. */
 #define JOIN(IN, OUT)                                                        \
@@ -167,7 +186,7 @@ join_loop_##IN##_##OUT(const IN##_t *ids, int64_t q, int64_t parts,          \
         OUT##_t r = rank[code];                                              \
         if (!r) {                                                            \
             if (distinct == (OUT##_t)-1)                                     \
-                return -1;                                                   \
+                return WIDER;                                                \
             rank[code] = r = (OUT##_t)++distinct;                            \
         }                                                                    \
         out[i] = (OUT##_t)(r - 1);                                           \

@@ -30,8 +30,10 @@ import numpy as np
 SOURCE = Path(__file__).with_name("_oracle.c")
 COMPILE = ("cc", "-O2", "-shared", "-fPIC")
 
-# the statuses of _oracle.c
+# the statuses of _oracle.c, and what vseq_join returns for ids wider than
+# its output's
 OK, DEAD, NOT_MONOTONE, COUNT_OVERFLOW, VALUE_OVERFLOW, UNSETTLED = range(6)
+WIDER = -2
 
 
 class Oracle:
@@ -43,7 +45,7 @@ class Oracle:
         lib.vseq_qrs.argtypes = [ctypes.POINTER(ctypes.c_uint32), i64, i64, i64,
                                  i64, ctypes.POINTER(i64)]
         lib.vseq_count.argtypes = [ctypes.POINTER(ctypes.c_uint8), i64, i64, i64,
-                                   ctypes.POINTER(ctypes.c_uint32), i64,
+                                   i64, ctypes.POINTER(ctypes.c_uint32), i64,
                                    ctypes.POINTER(i64)]
         lib.vseq_qrs.restype = lib.vseq_count.restype = ctypes.c_int
         ptr = ctypes.c_void_p
@@ -61,13 +63,15 @@ class Oracle:
         status = self._lib.vseq_qrs(view, r, s, done, len(q), info)
         return status, list(info)
 
-    def count(self, counts: bytearray, r: int, s: int) -> tuple[int, list[int]]:
-        """counts[a] += #{n > s : Q_{r,s}(n) = a} for a below len(counts),
-        with Q's last s terms in a ring of a power of two above s."""
+    def count(self, counts: bytearray, r: int, s: int,
+              done: int) -> tuple[int, list[int]]:
+        """counts[a] += #{n > done : Q_{r,s}(n) = a} for a below len(counts),
+        where counts holds Q_{r,s}(1..done) already, done >= s; Q's last s
+        terms go in a ring of a power of two above s."""
         info = (ctypes.c_int64 * 3)()
         view = (ctypes.c_uint8 * len(counts)).from_buffer(counts)
         ring = (ctypes.c_uint32 * (1 << s.bit_length()))()
-        status = self._lib.vseq_count(view, len(counts) - 1, r, s,
+        status = self._lib.vseq_count(view, len(counts) - 1, r, s, done,
                                       ring, len(ring) - 1, info)
         return status, list(info)
 
@@ -77,28 +81,31 @@ class Oracle:
         return self._lib.vseq_distinct_bytes(vals.ctypes.data, vals.size)
 
     def join(self, ids: np.ndarray, first: int, stride: int, parts: int,
-             count: int, k: int, d: int) -> tuple[np.ndarray, int]:
+             count: int, k: int) -> tuple[np.ndarray, int]:
         """Dense ids, in order of first appearance, for the tuples
         (ids[first + stride i], ..., ids[first + stride i + parts - 1]),
-        i < count, of ids below k that take at most d distinct values; and
-        their number.  Tuples may overlap (parts > stride), but none reads
+        i < count, of ids below k; and their number.  The ids come in the
+        narrowest dtype that holds their number, uint8 up to 255 of them:
+        the join runs at one byte and again at each wider width its ids
+        overflow.  Tuples may overlap (parts > stride), but none reads
         outside the ids.  One rank table spans all k**parts tuples, so the
         caller keeps that space small: sequences.join_ids does."""
         ids = np.ascontiguousarray(ids)
         if (ids.dtype.kind != "u" or first < 0 or count < 1 or parts < 1
                 or first + stride * (count - 1) + parts > ids.size):
             raise ValueError("join reads outside the ids")
-        # at most min(count, d**parts) ids; the rank that marks the last one
-        # seen is that number, so the dtype holds it
-        dtype = np.min_scalar_type(min(count, d ** parts))
-        rank = np.zeros(k ** parts, dtype=dtype)
-        out = np.empty(count, dtype=dtype)
-        distinct = self._lib.vseq_join(ids.ctypes.data, ids.itemsize, first, stride,
-                                       parts, count, k, rank.ctypes.data, rank.size,
-                                       out.ctypes.data, out.itemsize)
+        for dtype in (np.uint8, np.uint16, np.uint32):
+            # the rank that marks the last id seen is their number, so the
+            # rank table has the ids' width
+            rank = np.zeros(k ** parts, dtype=dtype)
+            out = np.empty(count, dtype=dtype)
+            distinct = self._lib.vseq_join(ids.ctypes.data, ids.itemsize, first,
+                                           stride, parts, count, k, rank.ctypes.data,
+                                           rank.size, out.ctypes.data, out.itemsize)
+            if distinct != WIDER:
+                break
         if distinct < 0:
-            raise ValueError(f"ids at or past {k}, more than {d} distinct, "
-                             "or wider than 32 bits")
+            raise ValueError(f"ids at or past {k}, or more than 2^32 - 1 of them")
         return out, distinct
 
 

@@ -14,8 +14,8 @@ from typing import Sequence
 
 from . import published, rules, synthesis
 from .automaton import WINDOW, BadDigit, BadNumeral, Dfao, ParseError
-from .sequences import (DeadSequence, SequenceTable, first_difference, gen_f,
-                        gen_qrs, gen_v, write_table)
+from .sequences import (DeadSequence, SequenceTable, extend_f, first_difference,
+                        gen_f, gen_qrs, gen_v, write_table)
 
 SEED_NOTE = "# seed convention: Q_{r,s}(1..s) = 1 (V is Q_{1,4}; F counts V and has F(0) = 0)"
 
@@ -45,23 +45,26 @@ def _load_automaton(path: str) -> Dfao:
         return Dfao.deserialize(fp.read())
 
 
-def _certify(machine: Dfao, f: SequenceTable, depth: int,
-             validate: int) -> synthesis.CertificateReport:
-    """Rules derived from the oracle, then the certificate, on an oracle
-    extended when the depth reads past its end."""
-    rule_table = rules.derive_rules(f, 4, min(2 ** 20, (f.hi - 1) // 2))
-    cert_bound = synthesis.cert_oracle_bound(machine, depth)
-    f_cert = gen_f(cert_bound) if cert_bound > f.hi else f
-    return synthesis.certify_transitions(machine, f_cert, rule_table,
-                                         depth=depth, validate_to=validate)
+def _rules(f: SequenceTable) -> rules.WindowRuleTable:
+    """The doubling rules the certificate checks, derived from f to
+    a = 2^20 or as far as f reaches."""
+    return rules.derive_rules(f, 4, min(2 ** 20, (f.hi - 1) // 2))
 
 
 def _build_pipeline(horizon: int, validate: int, depth: int):
-    """Oracle -> validated window automaton -> rules -> certificate."""
+    """Oracle -> validated window automaton -> rules -> certificate, on one
+    F: counted for validation, then extended, not counted again, to what
+    the certificate reads.  The F returned is the extended one."""
     synthesis.check_bounds(horizon=horizon, validate_to=validate, depth=depth)
     f = gen_f(validate + 2)
     machine, verdict = synthesis.synthesize_validated(f, horizon, validate)
-    return f, machine, verdict, _certify(machine, f, depth, validate)
+    rule_table = _rules(f)
+    bound = synthesis.cert_oracle_bound(machine, depth)
+    if bound > f.hi:
+        f = extend_f(f, bound)  # drops the shorter table
+    report = synthesis.certify_transitions(machine, f, rule_table, depth=depth,
+                                           validate_to=validate)
+    return f, machine, verdict, report
 
 
 def cmd_gen(args) -> int:
@@ -134,7 +137,9 @@ def cmd_certify(args) -> int:
         # one oracle serves both the certificate and the cross-check
         f = gen_f(max(synthesis.cert_oracle_bound(loaded, args.depth),
                       args.validate + 2))
-        sys.stdout.write(_certify(loaded, f, args.depth, args.validate).format())
+        report = synthesis.certify_transitions(loaded, f, _rules(f), depth=args.depth,
+                                               validate_to=args.validate)
+        sys.stdout.write(report.format())
         passed = "cross-validated"
     else:
         # single-output automaton: certify a fresh window automaton, then tie

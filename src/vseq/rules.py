@@ -98,7 +98,7 @@ def _scan(f: SequenceTable, a_min: int, a_max: int,
     vals = f.byte_values()
     pairs = vals[2 * a_min:2 * a_max + 2].view("<u2")  # F(2a) + 256 F(2a+1)
     k = int(vals[a_min - 2:a_max + 2].max()) + 1  # over the bytes of every window
-    ids, distinct = join_ids(vals, k, a_min - 2, 1, 4, a_max - a_min + 1, k)
+    ids, distinct = join_ids(vals, k, a_min - 2, 1, 4, a_max - a_min + 1)
     span = 1 << 10
     while True:
         _, first = np.unique(ids[:span], return_index=True)

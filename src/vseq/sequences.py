@@ -125,24 +125,26 @@ def _dense(space: int, size: int) -> bool:
 
 def _compact(codes: np.ndarray, space: int) -> tuple[np.ndarray, int]:
     """Dense ids for codes in [0, space): equal codes get equal ids, in the
-    narrowest dtype; and the number of distinct codes."""
+    narrowest dtype that holds their number, as the compiled join's ids
+    are; and the number of distinct codes."""
     if _dense(space, codes.size):
         present = np.zeros(space, dtype=bool)
         present[codes] = True
         where = np.flatnonzero(present)
-        rank = np.zeros(space, dtype=_narrowest(len(where)))
+        rank = np.zeros(space, dtype=np.min_scalar_type(len(where)))
         rank[where] = np.arange(len(where))
         return rank[codes], len(where)
     distinct, ids = np.unique(codes, return_inverse=True)
-    return ids.astype(_narrowest(len(distinct))), len(distinct)
+    return ids.astype(np.min_scalar_type(len(distinct))), len(distinct)
 
 
 def join_ids(ids: np.ndarray, k: int, first: int, stride: int, parts: int,
-             count: int, d: int) -> tuple[np.ndarray, int]:
+             count: int) -> tuple[np.ndarray, int]:
     """Dense ids for the tuples (ids[first + stride i + j])_{j < parts},
-    i < count, of unsigned ids below k that take at most d distinct values:
-    equal tuples get equal ids, in a narrow dtype; and their number.  Tuples
-    may overlap (parts > stride), as the rule scan's 4-windows at stride 1 do.
+    i < count, of unsigned ids below k: equal tuples get equal ids, in the
+    narrowest dtype that holds their number (uint8 up to 255 ids); and
+    their number.  Tuples may overlap (parts > stride), as the rule scan's
+    4-windows at stride 1 do.
 
     The compiled join (``_oracle.c``) runs when a library loads for ids.size
     steps and its rank table over all k**parts tuples is dense; otherwise
@@ -152,7 +154,7 @@ def join_ids(ids: np.ndarray, k: int, first: int, stride: int, parts: int,
     """
     lib = _compiled(ids.size)
     if lib is not None and _dense(k ** parts, count):
-        return lib.join(ids, first, stride, parts, count, k, d)
+        return lib.join(ids, first, stride, parts, count, k)
     children = [ids[first + j:first + j + stride * (count - 1) + 1:stride]
                 for j in range(parts)]
     code, space = children[0], k
@@ -255,18 +257,28 @@ def _recursion_py(r: int, s: int, n_max: int, label: str) -> SequenceTable:
     return SequenceTable(1, n_max, q[1:], label)
 
 
-def _frequency(r: int, s: int, a_max: int, label: str) -> bytearray:
+def _frequency(r: int, s: int, a_max: int, label: str,
+               counted: np.ndarray | None = None) -> bytearray:
     """counts[a] = #{n : Q_{r,s}(n) = a} for a in [0, a_max], compiled when
     possible; Q is generated and checked as in _frequency_py.  The compiled
     loop keeps only Q's last s terms and reads the older ones back from the
     counts (see _oracle.c), so the counts are all the memory it takes.
-    gen_f counts V = Q_{1,4}; other (r, s) reach the checks V never trips."""
+    gen_f counts V = Q_{1,4}; other (r, s) reach the checks V never trips.
+
+    ``counted``, a finished count of this Q for the values below its length
+    (at most a_max + 1 of them), is resumed: the compiled loop starts after
+    the terms it counts.  The Python loop counts from the start again.
+    """
     lib = _compiled(2 * a_max)  # V(n) is about n / 2
     if lib is None:
         return _frequency_py(r, s, a_max, label)
     counts = bytearray(a_max + 1)
-    counts[1] = s  # Q(1..s) = 1
-    status, info = lib.count(counts, r, s)
+    if counted is None:
+        counts[1] = done = s  # Q(1..s) = 1
+    else:
+        counts[:counted.size] = counted.data
+        done = int(counted.sum(dtype=np.int64))
+    status, info = lib.count(counts, r, s, done)
     _raise(status, info, label,
            lambda n: _recursion(r, s, n - 1, label).values)
     return counts
@@ -331,6 +343,20 @@ def gen_f(a_max: int) -> SequenceTable:
     return SequenceTable(0, a_max, counts, "F")
 
 
+def extend_f(f: SequenceTable, a_max: int) -> SequenceTable:
+    """F(0..a_max), a_max >= f.hi, from gen_f's table f: byte for byte
+    gen_f(a_max), but the compiled count resumes where f's stopped.  It
+    reads V's last four terms back from f's prefix sums, as it reads every
+    older term, so only V past f's end is computed.  Without the compiled
+    loops F is counted from the start again.
+    """
+    if f.lo != 0:
+        raise ValueError("extend_f takes an F table starting at index 0")
+    a_max = _size(a_max, "a_max", f.hi, f"the table's end, {f.hi}")
+    counts = _frequency(1, 4, a_max, "V", f.byte_values())
+    return SequenceTable(0, a_max, counts, "F")
+
+
 def gen_qrs(r: int, s: int, n_max: int) -> SequenceTable:
     """Q_{r,s}(1..n_max) under the all-ones seed Q_{r,s}(1..s) = 1.
 
@@ -365,6 +391,7 @@ def first_difference(t: SequenceTable) -> SequenceTable:
     for i, j in chunks:
         d = np.subtract(vals[i + 1:j + 1], vals[i:j], out=wide[:j - i], dtype=np.int64)
         least, most = min(least, int(d.min())), max(most, int(d.max()))
+    del wide, d  # before out, so the two are never held at once
     # a signed k-bit type holds [-2^(k-1), 2^(k-1) - 1]
     dtype = np.min_scalar_type(min(least, -most - 1) if least < 0 else most)
     out = np.empty(n, dtype=dtype)

@@ -108,15 +108,16 @@ def _block_ids(oracle: SequenceTable, horizon: int) -> list[np.ndarray]:
     blocks.  Level 0 numbers the 4-windows at n < oracle.hi like the rule
     scan, ids below k = 1 + the largest byte; level L joins level L-1's ids
     at 2m and 2m + 1.  Levels stop at the horizon or where fewer than two
-    ids are left to join."""
+    ids are left to join.  Each level's ids are one byte each while it has
+    at most 255 (F has about 28), and the window bytes go after level 0."""
     if oracle.hi < 1 or horizon < 0:
         return []
     padded = np.frombuffer(oracle.window_bytes(0, oracle.hi - 1), dtype=np.uint8)
-    k = int(padded.max()) + 1
-    ids, k = join_ids(padded, k, 0, 1, 4, oracle.hi, k)
+    ids, k = join_ids(padded, int(padded.max()) + 1, 0, 1, 4, oracle.hi)
+    del padded
     levels = [ids]
     while len(levels) <= horizon and ids.size >= 2:
-        ids, k = join_ids(ids, k, 0, 2, 2, ids.size // 2, k)
+        ids, k = join_ids(ids, k, 0, 2, 2, ids.size // 2)
         levels.append(ids)
     return levels
 
@@ -187,6 +188,16 @@ class Validation:
     n_max: int
 
 
+def _stride(m: Dfao) -> tuple[np.ndarray, np.ndarray]:
+    """δ as an S x q array in the narrowest dtype for the states, and the
+    stride table T of _states_upto."""
+    trans = np.asarray(m.transitions, dtype=_narrowest(m.state_count))
+    table = trans
+    while table.shape[1] * m.alphabet_size <= 256:
+        table = trans[table].reshape(m.state_count, -1)
+    return trans, table
+
+
 def _states_upto(m: Dfao, n_max: int) -> np.ndarray:
     """state(n) for all n in [0, n_max]: the state after reading the base-q
     numeral of n (state(0) = initial, the empty numeral), in the narrowest
@@ -201,10 +212,7 @@ def _states_upto(m: Dfao, n_max: int) -> np.ndarray:
     q^k-automatic: Allouche & Shallit, Automatic Sequences, Thm 6.6.4).
     """
     q = m.alphabet_size
-    trans = np.asarray(m.transitions, dtype=_narrowest(m.state_count))
-    table = trans
-    while table.shape[1] * q <= 256:
-        table = trans[table].reshape(m.state_count, -1)
+    trans, table = _stride(m)
     states = np.empty(n_max + 1, dtype=trans.dtype)
     states[0] = m.initial
     states[1:q] = trans[m.initial, 1:n_max + 1]  # the one-digit numerals
@@ -219,39 +227,58 @@ def _states_upto(m: Dfao, n_max: int) -> np.ndarray:
     return states
 
 
-def _expected_outputs(m: Dfao, oracle: SequenceTable, n_max: int) -> tuple[np.ndarray, np.ndarray]:
-    """(the automaton's output at n, the oracle's) for every n in [0, n_max].
+# cross_validate compares this many n at a time
+CHECK_CHUNK = 1 << 16
 
-    An output of w bytes, the window F(n-2..n+1) (w = 4) or F(n) alone
-    (w = 1), is read as one little-endian integer on both sides: the
-    machine's outputs as an S x w byte array, gathered by state, and the
-    oracle's as a one-byte-stride view of window_bytes, whose window at n
-    starts at byte n and holds F(n) at byte 2.
-    """
-    w = 4 if m.output_kind == WINDOW else 1
-    offset = 2 - w // 2  # the output's first byte in the window at n
-    need = n_max + offset + w - 3  # the last oracle index an output reads
-    if oracle.hi < need:
-        raise OracleTooShort(f"oracle ends at {oracle.hi}, need {need}")
-    outputs = np.asarray(m.outputs, dtype=np.uint8).reshape(m.state_count, w)
-    got = outputs.view(f"<u{w}").ravel()[_states_upto(m, n_max)]
-    want = np.ndarray(n_max + 1, dtype=f"<u{w}", buffer=oracle.window_bytes(0, need - 1),
-                      offset=offset, strides=(1,))
-    return got, want
+
+def _state_chunks(m: Dfao, n_max: int):
+    """(lo, state(n) for n in [lo, lo + CHECK_CHUNK) cut to n_max) for
+    consecutive chunks from lo = 0: _states_upto's last stride level, one
+    chunk at a time.  With T of width W = q^k, state(n) = T[state(n // W),
+    n % W] from n = W on, so only state(n) for n <= n_max // W is held
+    whole; the n below W, numerals shorter than a stride, come from it."""
+    table = _stride(m)[1]
+    width = table.shape[1]
+    head = _states_upto(m, max(n_max // width, width - 1))
+    for lo in range(0, n_max + 1, CHECK_CHUNK):
+        hi = min(lo + CHECK_CHUNK, n_max + 1)
+        rows = table[head[lo // width:-(-hi // width)]].ravel()
+        states = rows[lo % width:lo % width + hi - lo]
+        if lo < width:
+            states[:width - lo] = head[lo:min(width, hi)]
+        yield lo, states
 
 
 def cross_validate(m: Dfao, oracle: SequenceTable, n_max: int) -> Validation:
-    """Compare the automaton against the oracle for every n in [0, n_max].
+    """Compare the automaton against the oracle for every n in [0, n_max],
+    CHECK_CHUNK n at a time.
 
     A mismatch is a verdict, not an error; the verdict names the least
     failing n.  An oracle must start at index 0: one that starts later
     raises ValueError, whichever output kind m has.
+
+    An output of w bytes, the window F(n-2..n+1) (w = 4) or F(n) alone
+    (w = 1), is read as one little-endian integer on both sides: the
+    machine's outputs as an S x w byte array, gathered by state, and the
+    oracle's as a one-byte-stride view of a chunk's window_bytes, whose
+    window at n starts at byte n - lo and holds F(n) at byte 2.
     """
     _check_from_0(oracle)
-    got, want = _expected_outputs(m, oracle, n_max)
-    bad = np.flatnonzero(got != want)
-    if bad.size:
-        return Validation(False, int(bad[0]), n_max)
+    w = 4 if m.output_kind == WINDOW else 1
+    offset = 2 - w // 2  # the output's first byte in the window at n
+    reach = offset + w - 3  # the last oracle index an output at n reads, less n
+    if oracle.hi < n_max + reach:
+        raise OracleTooShort(f"oracle ends at {oracle.hi}, need {n_max + reach}")
+    # one conversion for a table not stored as bytes, not one per chunk
+    oracle = SequenceTable(0, oracle.hi, oracle.byte_values(), oracle.label)
+    outputs = np.asarray(m.outputs, dtype=np.uint8).reshape(m.state_count, w)
+    outputs = outputs.view(f"<u{w}").ravel()
+    for lo, states in _state_chunks(m, n_max):
+        want = np.ndarray(states.size, dtype=f"<u{w}", offset=offset, strides=(1,),
+                          buffer=oracle.window_bytes(lo, lo + states.size - 2 + reach))
+        bad = np.flatnonzero(outputs[states] != want)
+        if bad.size:
+            return Validation(False, lo + int(bad[0]), n_max)
     return Validation(True, None, n_max)
 
 
@@ -521,7 +548,7 @@ def kernel_probe(table: SequenceTable, q: int, depth: int,
         elif block in (prev_block, q * prev_block):
             # level e-1's blocks q n + j
             parts = 1 if block == prev_block else q
-            ids, k = join_ids(ids, k, q * n0 - prev_n0, q, parts, count, distinct)
+            ids, k = join_ids(ids, k, q * n0 - prev_n0, q, parts, count)
             distinct = k
         else:
             rows = np.lib.stride_tricks.as_strided(

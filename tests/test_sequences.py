@@ -1,8 +1,10 @@
+import contextlib
 import io
 import os
 import shutil
 import subprocess
 import sys
+import tracemalloc
 from array import array
 from unittest import mock
 
@@ -10,9 +12,10 @@ import numpy as np
 import pytest
 
 from vseq import (DeadSequence, MonotonicityViolation, ProbeReport,
-                  SequenceTable, first_difference, gen_f, gen_qrs, gen_v,
-                  kernel_probe, read_table, write_table)
+                  SequenceTable, extend_f, first_difference, gen_f, gen_qrs,
+                  gen_v, kernel_probe, read_table, write_table)
 from vseq import _oracle, sequences
+from vseq.sequences import COMPILED_FROM, join_ids
 
 V20 = [1, 1, 1, 1, 2, 3, 4, 5, 5, 6, 6, 7, 8, 8, 9, 9, 10, 11, 11, 11]
 F20 = [4, 1, 1, 1, 2, 2, 1, 2, 2, 1, 3, 2, 1, 2, 2, 1, 3, 2, 1, 2]
@@ -163,6 +166,20 @@ def test_first_difference_across_chunks(monkeypatch):
     assert list(d.values) == list(np.diff(vals))
 
 
+def test_first_difference_frees_its_range_buffer_before_the_result():
+    # V's steps to 2^22 take 4 MB as uint8, the int64 range buffer 8 MB;
+    # the two were once held together
+    v = gen_v(2 ** 22 + 1)
+    tracemalloc.start()
+    try:
+        d = first_difference(v)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert d.values.dtype == np.uint8
+    assert peak < 10 * 2 ** 20, peak
+
+
 def test_first_difference_needs_two():
     with pytest.raises(ValueError):
         first_difference(SequenceTable(5, 5, [1], "x"))
@@ -285,7 +302,7 @@ def test_oracle_source_compiles_without_warnings():
 SANITIZED_RUN = """
 import ctypes, sys
 import numpy as np
-from vseq import _oracle, gen_f, gen_qrs, gen_v, kernel_probe
+from vseq import _oracle, extend_f, gen_f, gen_qrs, gen_v, kernel_probe
 from vseq.rules import _scan
 from vseq.sequences import join_ids
 
@@ -318,6 +335,10 @@ def same_partition(compiled, numpy_ids):
 # the count and the recursion, and two runs that die
 a, b = both(lambda: gen_f(2 ** 16).values)
 assert a == b
+# the count resumed from a finished one, in the seed and past it
+for done in (1, 2 ** 10):
+    a, b = both(lambda: extend_f(gen_f(done), 2 ** 15).values)
+    assert a == b
 a, b = both(lambda: gen_v(10 ** 5).values)
 assert a == b
 for r, s in ((2, 5), (1, 10)):
@@ -328,7 +349,7 @@ for r, s in ((2, 5), (1, 10)):
 rng = np.random.default_rng(7)
 for top in (4, 16, 256):
     vals = rng.integers(0, top, 2 ** 15, dtype=np.uint8)
-    same_partition(*both(lambda: join_ids(vals, top, 5, 1, 4, vals.size - 8, top)))
+    same_partition(*both(lambda: join_ids(vals, top, 5, 1, 4, vals.size - 8)))
 f = gen_f(2 ** 15 + 1)
 a, b = both(lambda: _scan(f, 4, 2 ** 14))
 assert a == b
@@ -341,9 +362,13 @@ for dtype in (np.uint8, np.uint16, np.uint32):
         for k in ks:
             ids = rng.integers(0, k, 3 * 2 ** 16 + 1, dtype=dtype)
             first, count = (ids.size - q) % q, (ids.size - q) // q + 1
-            same_partition(*both(lambda: join_ids(ids, k, first, q, q, count, k)))
-            err = raised(lambda: lib.join(ids, first, q, q, count + 1, k, k))
+            same_partition(*both(lambda: join_ids(ids, k, first, q, q, count)))
+            err = raised(lambda: lib.join(ids, first, q, q, count + 1, k))
             assert err and err.startswith("ValueError"), err
+# more than 65,535 ids: the join overflows one and two bytes, then fits four
+for dtype in (np.uint8, np.uint16, np.uint32):
+    ids = rng.integers(0, 41, 3 * 2 ** 18, dtype=dtype)
+    same_partition(*both(lambda: join_ids(ids, 41, 0, 3, 3, 2 ** 18)))
 for q in (2, 3):
     a, b = both(lambda: kernel_probe(f, q, 8, 64))
     assert a == b
@@ -381,10 +406,93 @@ def test_count_reads_only_settled_counts():
     lib = _oracle.library()
     if lib is None:
         pytest.skip("no C compiler: only the Python loops run here")
-    status, info = lib.count(bytearray(100), 1, 4)
+    status, info = lib.count(bytearray(100), 1, 4, 4)
     assert (status, info[:2]) == (_oracle.UNSETTLED, [5, 4])
     with pytest.raises(RuntimeError, match=r"V\(5\) read V\(4\)"):
         sequences._raise(status, info, "V", None)
+
+
+def test_count_resumes_only_from_counted_terms():
+    # done = 50 claims terms the zeroed counts do not hold: reading them
+    # back stops at the counts' end, where it would read one still growing
+    lib = _oracle.library()
+    if lib is None:
+        pytest.skip("no C compiler: only the Python loops run here")
+    status, info = lib.count(bytearray(100), 1, 4, 50)
+    assert (status, info[:2]) == (_oracle.UNSETTLED, [51, 47])
+
+
+# (F's end, the end it is extended to): in the seed, where the ring's last
+# four terms are V(1..4) = 1 or straddle them; from a table the Python loop
+# counted to one the compiled loop extends, around COMPILED_FROM steps; and
+# from the validation oracle to the depth-12 certificate's
+EXTENSIONS = [(1, COMPILED_FROM), (2, COMPILED_FROM), (3, COMPILED_FROM),
+              (COMPILED_FROM // 2 - 2, COMPILED_FROM // 2 - 1),
+              (COMPILED_FROM // 2 - 1, COMPILED_FROM // 2),
+              (COMPILED_FROM // 2, COMPILED_FROM // 2 + 1),
+              (COMPILED_FROM, COMPILED_FROM),
+              (2 ** 22 + 2, 7593986)]
+
+
+@pytest.mark.parametrize("done, a_max", EXTENSIONS)
+def test_extend_f_equals_a_fresh_count(done, a_max):
+    extended = extend_f(gen_f(done), a_max)
+    assert (extended.lo, extended.hi, extended.label) == (0, a_max, "F")
+    assert extended.values == gen_f(a_max).values
+
+
+def test_extend_f_counts_again_without_the_compiled_loops():
+    want = gen_f(3 * COMPILED_FROM).values
+    with mock.patch.object(_oracle, "library", lambda: None):
+        assert extend_f(gen_f(100), 3 * COMPILED_FROM).values == want
+
+
+def test_extend_f_refuses_what_it_cannot_extend():
+    f = gen_f(100)
+    with pytest.raises(ValueError, match="must be >= the table's end, 100"):
+        extend_f(f, 99)
+    with pytest.raises(ValueError, match="starting at index 0"):
+        extend_f(SequenceTable(1, 100, f.values[1:], "F"), 200)
+    with pytest.raises(TypeError):
+        extend_f(f, 200.0)
+
+
+def _pair_ids(k: int, distinct: int) -> np.ndarray:
+    """Ids below k, at least COMPILED_FROM of them, whose pairs at stride 2
+    are the first ``distinct`` pairs of ids below k, over and over."""
+    pairs = np.array([(a, b) for a in range(k) for b in range(k)][:distinct],
+                     dtype=np.min_scalar_type(k - 1)).ravel()
+    return np.tile(pairs, -(-COMPILED_FROM // pairs.size) + 1)
+
+
+@pytest.mark.parametrize("engine", ["compiled", "numpy"])
+@pytest.mark.parametrize("k, distinct, dtype", [
+    (16, 255, np.uint8), (16, 256, np.uint16),
+    (256, 65535, np.uint16), (256, 65536, np.uint32),
+])
+def test_join_ids_take_the_narrowest_dtype_holding_their_number(engine, k, distinct,
+                                                                 dtype):
+    ids = _pair_ids(k, distinct)
+    if engine == "compiled" and _oracle.library() is None:
+        pytest.skip("no C compiler: only the numpy passes run here")
+    with (contextlib.nullcontext() if engine == "compiled"
+          else mock.patch.object(_oracle, "library", lambda: None)):
+        out, got = join_ids(ids, k, 0, 2, 2, ids.size // 2)
+    assert (got, out.dtype) == (distinct, np.dtype(dtype))
+    # equal pairs, and only they, get equal ids
+    assert len(set(zip(out.tolist(), ids[0::2].tolist(), ids[1::2].tolist()))) == distinct
+
+
+@pytest.mark.parametrize("at", ["first", "last"])
+def test_join_ids_past_k_raise_after_a_wider_retry(at):
+    # 256 pairs overflow the one-byte join at once; an id at or past k is
+    # refused before that ("first") or by the two-byte join that follows
+    if _oracle.library() is None:
+        pytest.skip("no C compiler: only the numpy passes run here")
+    ids = _pair_ids(16, 256)
+    ids[0 if at == "first" else -1] = 16
+    with pytest.raises(ValueError, match="ids at or past 16"):
+        join_ids(ids, 16, 0, 2, 2, ids.size // 2)
 
 
 def test_v_is_stored_in_32_bits():

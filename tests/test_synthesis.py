@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,10 +15,13 @@ from vseq import (SINGLE, WINDOW, CertificationFailure, Dfao,
                   cross_validate, derive_rules, discover, euclid_div, gen_f,
                   gen_v, first_difference, kernel_probe, shift_bounds,
                   synthesize_msb, synthesize_validated)
+from vseq import synthesis
 from vseq.sequences import COMPILED_FROM
-from vseq.synthesis import _block_ids, _kernel_node
+from vseq.synthesis import CHECK_CHUNK, _block_ids, _kernel_node, _state_chunks, _states_upto
 
-from conftest import HORIZON
+from conftest import HORIZON, VALIDATE_TO
+
+MB = 2 ** 20
 
 
 # -- arithmetic scaffolding ----------------------------------------------------
@@ -399,6 +403,74 @@ def test_cross_validate_takes_an_oracle_of_exactly_the_needed_length(
     short = SequenceTable(0, hi - 1, f_main.values[:hi], "F")
     with pytest.raises(OracleTooShort, match=f"need {hi}"):
         cross_validate(machine, short, n_max)
+
+
+# the edges of cross_validate's chunks: the last n of the first, the first
+# of the second, the last of the second, and n_max, past the last full one
+CHUNK_N_MAX = 2 * CHECK_CHUNK + 17
+
+
+@pytest.mark.parametrize("least", [CHECK_CHUNK - 1, CHECK_CHUNK, 2 * CHECK_CHUNK - 1,
+                                   CHUNK_N_MAX])
+@pytest.mark.parametrize("kind", [WINDOW, SINGLE])
+def test_cross_validate_names_the_least_mismatch_at_chunk_edges(
+        truth_a, truth_b, f_main, kind, least):
+    n_max = CHUNK_N_MAX
+    machine, hi = (truth_a, n_max + 1) if kind == WINDOW else (truth_b, n_max)
+    vals = bytearray(f_main.values[:hi + 1])
+    # the window at n reads F(n-2..n+1), so F(least + 1) is first read at
+    # least; a second corrupted byte, at the end, must not hide the first
+    vals[least + 1 if kind == WINDOW else least] = vals[hi] = 9
+    oracle = SequenceTable(0, hi, vals, "F")
+    assert cross_validate(machine, oracle, n_max) == vseq.Validation(False, least, n_max)
+    assert _first_mismatch_by_eval(machine, oracle, least) == least
+
+
+@pytest.mark.parametrize("chunk", [100, 1000, CHECK_CHUNK])
+@pytest.mark.parametrize("q", [2, 3, 5, 17])
+def test_state_chunks_are_the_batch_walk(monkeypatch, q, chunk):
+    # digit 0 moves the initial state, so the numerals shorter than a stride
+    # must not be read with leading zeros; 100 and 1000 are multiples of no
+    # stride width, and 100 is shorter than most
+    monkeypatch.setattr(synthesis, "CHECK_CHUNK", chunk)
+    rng = random.Random(q)
+    rows = [[rng.randrange(7) for _ in range(q)] for _ in range(7)]
+    rows[0][0] = 1
+    m = Dfao(q, 0, rows, [0] * 7, SINGLE)
+    width = q ** max(e for e in range(1, 9) if q ** e <= 256)  # the stride's
+    for n_max in (0, 1, width - 1, width, chunk - 1, chunk, 3 * chunk + 5,
+                  width * width + 1):
+        chunks = list(_state_chunks(m, n_max))
+        assert [lo for lo, _ in chunks] == list(range(0, n_max + 1, chunk))
+        got = np.concatenate([states for _, states in chunks])
+        assert got.tolist() == _states_upto(m, n_max).tolist()
+
+
+def _traced_peak(call) -> tuple[object, int]:
+    """call()'s result and the peak of the memory it allocated."""
+    tracemalloc.start()
+    try:
+        return call(), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_cross_validate_holds_chunks_not_the_range(truth_a, truth_b, f_main):
+    # the whole-range comparison held a state and an output per n: 24 MB
+    for machine in (truth_a, truth_b):
+        verdict, peak = _traced_peak(lambda: cross_validate(machine, f_main, VALIDATE_TO))
+        assert verdict.passed
+        assert peak <= 6 * MB, peak / MB
+
+
+def test_discover_holds_one_byte_ids(f_main):
+    # F has about 28 ids per level, one byte each; the levels were uint16
+    # and the window bytes lived through every level: 20 MB
+    if _oracle.library() is None:
+        pytest.skip("no C compiler: the numpy join sizes its codes more widely")
+    (nodes, _), peak = _traced_peak(lambda: discover(f_main, HORIZON))
+    assert len(nodes) == 33
+    assert peak <= 10 * MB, peak / MB
 
 
 # -- certification ---------------------------------------------------------------
