@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import ctypes
 import functools
-import hashlib
 import os
 import platform
 import subprocess
@@ -26,6 +25,11 @@ from array import array
 from pathlib import Path
 
 import numpy as np
+
+try:  # hashlib would map OpenSSL, about 3.5 MB, to name one file
+    from _blake2 import blake2b
+except ImportError:
+    from hashlib import blake2b
 
 SOURCE = Path(__file__).with_name("_oracle.c")
 COMPILE = ("cc", "-O2", "-shared", "-fPIC")
@@ -126,7 +130,7 @@ def _load() -> Oracle:
     key = b"\0".join([source, " ".join(COMPILE).encode(),
                       platform.machine().encode(), sys.platform.encode()])
     cache = _private_dir()
-    path = cache / f"oracle-{hashlib.sha256(key).hexdigest()[:16]}.so"
+    path = cache / f"oracle-{blake2b(key, digest_size=8).hexdigest()}.so"
     if not path.exists():
         fd, tmp = tempfile.mkstemp(dir=cache, suffix=".so")
         os.close(fd)

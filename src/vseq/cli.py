@@ -180,7 +180,10 @@ def cmd_probe(args) -> int:
     if args.depth >= 32:  # base >= 2: refuse before building base ** depth
         raise ValueError(f"--depth {args.depth} needs an oracle past 2^32")
     span = args.prefix * args.base ** args.depth
-    if args.sequence == "vdiff" and span < 3:  # gen_v needs 4 terms
+    # a documented usage error, kept from when vdiff was read off
+    # gen_v(span + 1), which needs 4 terms; first_difference(span) itself
+    # takes any span >= 1
+    if args.sequence == "vdiff" and span < 3:
         raise ValueError(f"--sequence vdiff needs --prefix * --base ** --depth "
                          f">= 3, got {span}")
     print(SEED_NOTE)
@@ -189,7 +192,7 @@ def cmd_probe(args) -> int:
     if args.sequence == "f":
         table: SequenceTable = gen_f(span)
     else:
-        table = first_difference(gen_v(span + 1))
+        table = first_difference(span)
         print("# first difference of V; whether it is automatic is an open "
               "question, so these counts carry no claim")
     report = synthesis.kernel_probe(table, args.base, args.depth, args.prefix)

@@ -371,16 +371,25 @@ def gen_qrs(r: int, s: int, n_max: int) -> SequenceTable:
 
 
 # first_difference works on this many entries at a time
-DIFF_CHUNK = 1 << 20
+DIFF_CHUNK = 1 << 16
 
 
-def first_difference(t: SequenceTable) -> SequenceTable:
+def first_difference(t: SequenceTable | int) -> SequenceTable:
     """The table D(n) = t(n+1) - t(n) on [lo, hi-1], in the narrowest
     integer dtype holding every difference (uint8 for V's steps in {0, 1}).
 
     One pass over chunks finds the range of the differences and a second
     fills them, so no int64 copy of the whole table is ever held.
+
+    Given an int n >= 1 instead of a table, the first difference of V on
+    [1, n], byte for byte ``first_difference(gen_v(n + 1))``, from F alone:
+    V is slow, so V(k+1) - V(k) = 1 exactly when k = S(a) = F(1) + ... +
+    F(a) for some a >= 1.  F is counted to n // 2 (V(n) is about n / 2) and
+    extended until S reaches n; the prefix sums S are taken a chunk at a
+    time, so F and the n steps are all it holds.
     """
+    if not isinstance(t, SequenceTable):
+        return _v_steps(_size(t, "n", 1))
     if len(t) < 2:
         raise ValueError("need at least 2 entries")
     vals = np.asarray(t.values)
@@ -402,6 +411,30 @@ def first_difference(t: SequenceTable) -> SequenceTable:
         np.subtract(vals[i + 1:j + 1], vals[i:j], out=out[i:j], dtype=dtype,
                     casting="unsafe")
     return SequenceTable(t.lo, t.hi - 1, out, f"diff({t.label})")
+
+
+def _v_steps(n: int) -> SequenceTable:
+    """first_difference(n): V's steps on [1, n], marked at each S(a) <= n."""
+    f = gen_f(max(n // 2, 1))
+    reached = int(f.byte_values().sum(dtype=np.int64))  # S(f.hi)
+    while reached < n:
+        # every F(a) >= 1, as V takes every value, so n - reached more
+        # values bring S to n
+        f = extend_f(f, f.hi + n - reached)
+        reached = int(f.byte_values().sum(dtype=np.int64))
+    counts = f.byte_values()
+    out = np.zeros(n, dtype=np.uint8)
+    buf = np.empty(min(DIFF_CHUNK, f.hi), dtype=np.intp)
+    below = 0  # S(i - 1)
+    for i in range(1, f.hi + 1, DIFF_CHUNK):
+        chunk = counts[i:i + DIFF_CHUNK]
+        at = buf[:chunk.size]
+        at[:] = chunk  # cast here, as np.cumsum would cast into a temporary
+        np.cumsum(at, out=at)
+        at += below - 1  # S(a) - 1, the offset of D(S(a)) in out
+        below = int(at[-1]) + 1
+        out[at[:at.searchsorted(n)]] = 1
+    return SequenceTable(1, n, out, "diff(V)")
 
 
 def write_table(t: SequenceTable, fp: IO[str]) -> None:

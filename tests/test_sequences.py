@@ -183,6 +183,76 @@ def test_first_difference_frees_its_range_buffer_before_the_result():
 def test_first_difference_needs_two():
     with pytest.raises(ValueError):
         first_difference(SequenceTable(5, 5, [1], "x"))
+    with pytest.raises(ValueError):
+        first_difference(0)  # no step of V on [1, 0]
+
+
+def _assert_v_steps(n):
+    """first_difference(n) is first_difference(gen_v(n + 1)), byte for byte."""
+    d, ref = first_difference(n), first_difference(gen_v(n + 1))
+    assert (d.lo, d.hi, d.label, d.values.dtype) == (ref.lo, ref.hi, ref.label,
+                                                     ref.values.dtype)
+    assert d.values.tobytes() == ref.values.tobytes()
+    return d
+
+
+def test_first_difference_of_n_is_v_steps_from_f(monkeypatch):
+    # at 7 entries a chunk, the F counted for n = 1..300 ends on both sides
+    # of a chunk edge: a full last chunk and a last chunk of one entry
+    monkeypatch.setattr(sequences, "DIFF_CHUNK", 7)
+    ends = []
+    for name in ("gen_f", "extend_f"):
+        def spy(*args, count=getattr(sequences, name)):
+            f = count(*args)
+            ends.append(f.hi)
+            return f
+        monkeypatch.setattr(sequences, name, spy)
+    edges = set()
+    for n in range(1, 301):
+        if n < 3:  # gen_v needs 4 terms; V(1..3) = 1 in the seed
+            d = first_difference(n)
+            assert (d.lo, d.hi, d.label, list(d.values)) == (1, n, "diff(V)", [0] * n)
+            assert d.values.dtype == np.uint8
+        else:
+            _assert_v_steps(n)
+        edges.add(ends[-1] % 7)
+    assert {0, 1} <= edges
+
+
+def test_first_difference_of_n_at_and_below_a_step():
+    f = gen_f(50000)
+    s = np.cumsum(f.byte_values(), dtype=np.int64)  # s[a] = S(a)
+    a = next(a for a in range(40000, 50000) if f[a] > 1)
+    assert _assert_v_steps(int(s[a])).values[-1] == 1
+    assert _assert_v_steps(int(s[a]) - 1).values[-1] == 0
+
+
+@pytest.mark.parametrize("n", [2 ** 20 + 3, 2 ** 24])
+def test_first_difference_of_n_at_scale(n):
+    _assert_v_steps(n)
+
+
+def test_first_difference_of_n_extends_a_short_f(monkeypatch):
+    extended = []
+    count, extend = sequences.gen_f, sequences.extend_f
+    monkeypatch.setattr(sequences, "gen_f", lambda a_max: count(a_max // 4))
+    monkeypatch.setattr(sequences, "extend_f",
+                        lambda f, a_max: extended.append(a_max) or extend(f, a_max))
+    _assert_v_steps(2 ** 16 + 5)
+    assert extended
+
+
+def test_first_difference_of_n_holds_f_and_the_steps_alone():
+    # the route through gen_v holds V, 16 MB at 2^22, before any step
+    gen_f(COMPILED_FROM)  # loads the compiled loops before tracing
+    tracemalloc.start()
+    try:
+        d = first_difference(2 ** 22)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert d.hi == 2 ** 22
+    assert peak < 8 * 2 ** 20, peak
 
 
 def test_table_invariants():
@@ -572,10 +642,12 @@ def test_compiled_loops_are_built_on_first_use_never_at_import():
         "print('vseq._oracle' in sys.modules)",
         "gen_f(2 ** 14)",
         "print('vseq._oracle' in sys.modules)",
+        # naming the cached library loads no OpenSSL
+        "print('hashlib' in sys.modules)",
     ])
     src = os.path.dirname(os.path.dirname(os.path.abspath(sequences.__file__)))
     env = dict(os.environ, PYTHONPATH=src)
     done = subprocess.run([sys.executable, "-c", script], capture_output=True,
                           text=True, env=env, timeout=120)
     assert done.returncode == 0, done.stderr
-    assert done.stdout.split() == ["False", "True"]
+    assert done.stdout.split() == ["False", "True", "False"]
