@@ -13,7 +13,10 @@
                                           was still growing
    In vseq_qrs, Q(i) lives at q[i - 1].
 
-   Two passes that number values, with numpy passes kept as the reference:
+   Three more passes, with numpy passes kept as the reference:
+     vseq_marks           Q's steps from a finished count, for
+                          sequences.first_difference: Q(p + 1) - Q(p) = 1
+                          exactly when p = S(a) for some a
      vseq_distinct_bytes  the number of distinct values among n bytes, for
                           level 0 of synthesis.kernel_probe
      vseq_join            for sequences.join_ids: one id per tuple of parts
@@ -83,6 +86,26 @@ static int seek(const uint8_t *counts, struct cursor *c, int64_t p,
     return OK;
 }
 
+/* Move c towards Q(p) 64 counts at a time, passing a block only when Q(p)
+   lies past it and every count in it is final (below latest); seek then
+   finishes the move.  A resumed count calls it once per cursor, so that it
+   does not step through all of F one count at a time: a plain block sum
+   runs several times faster than seek's loop, but slows every step of the
+   count if seek does it. */
+static void skip(const uint8_t *counts, struct cursor *c, int64_t p,
+                 int64_t latest)
+{
+    while (c->value + 64 <= latest) {
+        int64_t sum = 0;
+        for (int j = 0; j < 64; j++)
+            sum += counts[c->value + j];
+        if (p <= c->below + sum)
+            return;
+        c->below += sum;
+        c->value += 64;
+    }
+}
+
 /* counts[a] += #{n > done : Q(n) = a} for a in [0, a_max]: Q runs until it
    first reaches a_max + 1.  Q itself is not stored: its last s terms sit in
    the caller's ring, a power of two of them larger than s (Q(i) at
@@ -99,6 +122,7 @@ int vseq_count(uint8_t *counts, int64_t a_max, int64_t r, int64_t s,
     int64_t prev = 1;
     /* Q(done - s + 1..done): 1 in the seed, read back from the counts
        past it */
+    skip(counts, &back, done - s + 1, a_max);
     for (int64_t i = done - s + 1; i <= done; i++) {
         if (i > s) {
             if (seek(counts, &back, i, a_max) != OK) {
@@ -110,6 +134,10 @@ int vseq_count(uint8_t *counts, int64_t a_max, int64_t r, int64_t s,
         }
         ring[i & mask] = (uint32_t)prev;
     }
+    /* at n = done + 1 both arguments are at least done + 1 - Q(done), and
+       they never decrease */
+    skip(counts, &c1, done + 1 - prev, prev);
+    c2 = c1;
     for (int64_t n = done + 1;; n++) {
         int64_t i1 = n - ring[(n - r) & mask], i2 = n - ring[(n - s) & mask];
         if (i1 < 1 || i2 < 1) {
@@ -148,6 +176,23 @@ int vseq_count(uint8_t *counts, int64_t a_max, int64_t r, int64_t s,
         counts[val]++;
         ring[n & mask] = (uint32_t)val;
     }
+}
+
+/* out[S(a) - 1] = 1 for each a in [1, a_max] with 0 < S(a) <= n, where
+   S(a) = counts[1] + ... + counts[a]; returns S at the first a whose S
+   passes n, or S(a_max) if none does. */
+int64_t vseq_marks(const uint8_t *counts, int64_t a_max, uint8_t *out,
+                   int64_t n)
+{
+    int64_t s = 0;
+    for (int64_t a = 1; a <= a_max; a++) {
+        s += counts[a];
+        if (s > n)
+            break;
+        if (s > 0)
+            out[s - 1] = 1;
+    }
+    return s;
 }
 
 int64_t vseq_distinct_bytes(const uint8_t *v, int64_t n)

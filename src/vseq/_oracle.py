@@ -1,6 +1,7 @@
 """The compiled loops of ``_oracle.c``, built on first use: the Q_{r,s}
-recursion and count for the oracle, and the tuple join that numbers the
-rule scan's windows and the kernel probe's blocks.
+recursion and count for the oracle, the pass that marks V's steps from F,
+and the tuple join that numbers the rule scan's windows and the kernel
+probe's blocks.
 
 ``library`` compiles the source with the system ``cc`` and loads it with
 ctypes.  It runs on the first oracle call, never at import.  The shared
@@ -42,7 +43,8 @@ WIDER = -2
 
 class Oracle:
     """The loops of _oracle.c: the two oracle loops, which return a status
-    and info[3], the kernel probe's distinct-byte count and the join."""
+    and info[3], the marking pass, the kernel probe's distinct-byte count
+    and the join."""
 
     def __init__(self, lib: ctypes.CDLL):
         i64 = ctypes.c_int64
@@ -53,9 +55,11 @@ class Oracle:
                                    ctypes.POINTER(i64)]
         lib.vseq_qrs.restype = lib.vseq_count.restype = ctypes.c_int
         ptr = ctypes.c_void_p
+        lib.vseq_marks.argtypes = [ptr, i64, ptr, i64]
         lib.vseq_distinct_bytes.argtypes = [ptr, i64]
         lib.vseq_join.argtypes = [ptr, i64, i64, i64, i64, i64, i64, ptr,
                                   ctypes.c_uint64, ptr, i64]
+        lib.vseq_marks.restype = i64
         lib.vseq_distinct_bytes.restype = lib.vseq_join.restype = i64
         self._lib = lib
 
@@ -78,6 +82,19 @@ class Oracle:
         status = self._lib.vseq_count(view, len(counts) - 1, r, s, done,
                                       ring, len(ring) - 1, info)
         return status, list(info)
+
+    def marks(self, counts: np.ndarray, out: np.ndarray) -> int:
+        """out[S(a) - 1] = 1 for each a >= 1 with 0 < S(a) <= out.size,
+        where S(a) = counts[1] + ... + counts[a] over the uint8 counts; S at
+        the first a whose S passes out.size, or at the counts' end if none
+        does."""
+        counts = np.ascontiguousarray(counts, dtype=np.uint8)
+        if (counts.size < 1 or out.dtype != np.uint8
+                or not (out.flags.c_contiguous and out.flags.writeable)):
+            raise ValueError("marks takes counts from index 0 and a writable, "
+                             "contiguous uint8 out")
+        return self._lib.vseq_marks(counts.ctypes.data, counts.size - 1,
+                                    out.ctypes.data, out.size)
 
     def distinct_bytes(self, vals: np.ndarray) -> int:
         """The number of distinct values in the uint8 array vals."""

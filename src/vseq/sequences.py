@@ -267,7 +267,11 @@ def _frequency(r: int, s: int, a_max: int, label: str,
 
     ``counted``, a finished count of this Q for the values below its length
     (at most a_max + 1 of them), is resumed: the compiled loop starts after
-    the terms it counts.  The Python loop counts from the start again.
+    the terms it counts, and moves its read positions over the finished
+    counts 64 at a time before it steps on.  The counts are copied straight
+    into the new table, through a numpy view of it, so no third F-sized
+    buffer is held while the count resumes.  The Python loop counts from
+    the start again.
     """
     lib = _compiled(2 * a_max)  # V(n) is about n / 2
     if lib is None:
@@ -276,7 +280,8 @@ def _frequency(r: int, s: int, a_max: int, label: str,
     if counted is None:
         counts[1] = done = s  # Q(1..s) = 1
     else:
-        counts[:counted.size] = counted.data
+        # a bytearray slice assignment would copy its source first
+        np.frombuffer(counts, dtype=np.uint8)[:counted.size] = counted
         done = int(counted.sum(dtype=np.int64))
     status, info = lib.count(counts, r, s, done)
     _raise(status, info, label,
@@ -384,9 +389,13 @@ def first_difference(t: SequenceTable | int) -> SequenceTable:
     Given an int n >= 1 instead of a table, the first difference of V on
     [1, n], byte for byte ``first_difference(gen_v(n + 1))``, from F alone:
     V is slow, so V(k+1) - V(k) = 1 exactly when k = S(a) = F(1) + ... +
-    F(a) for some a >= 1.  F is counted to n // 2 (V(n) is about n / 2) and
-    extended until S reaches n; the prefix sums S are taken a chunk at a
-    time, so F and the n steps are all it holds.
+    F(a) for some a >= 1.  F is counted once, to n // 2 + n.bit_length():
+    V(n) is about n / 2, and the margin brought S to n for every n
+    measured (all n <= 2^20, and samples of each octave up to 2^27, with
+    a least slack of 3).  Should S still fall short, F is extended until it
+    reaches n, so the result never rests on the margin.  One pass over F
+    marks each S(a) <= n, compiled when possible (see _marks), so F and
+    the n steps are all it holds.
     """
     if not isinstance(t, SequenceTable):
         return _v_steps(_size(t, "n", 1))
@@ -415,26 +424,35 @@ def first_difference(t: SequenceTable | int) -> SequenceTable:
 
 def _v_steps(n: int) -> SequenceTable:
     """first_difference(n): V's steps on [1, n], marked at each S(a) <= n."""
-    f = gen_f(max(n // 2, 1))
-    reached = int(f.byte_values().sum(dtype=np.int64))  # S(f.hi)
-    while reached < n:
-        # every F(a) >= 1, as V takes every value, so n - reached more
-        # values bring S to n
-        f = extend_f(f, f.hi + n - reached)
-        reached = int(f.byte_values().sum(dtype=np.int64))
-    counts = f.byte_values()
+    f = gen_f(n // 2 + n.bit_length())
     out = np.zeros(n, dtype=np.uint8)
-    buf = np.empty(min(DIFF_CHUNK, f.hi), dtype=np.intp)
+    lib = _compiled(n)
+    while True:
+        counts = f.byte_values()
+        reached = _marks(counts, out) if lib is None else lib.marks(counts, out)
+        if reached >= n:
+            return SequenceTable(1, n, out, "diff(V)")
+        # every F(a) >= 1, as V takes every value, so n - reached more
+        # values bring S to n; marking again sets the same steps again
+        f = extend_f(f, f.hi + n - reached)
+
+
+def _marks(counts: np.ndarray, out: np.ndarray) -> int:
+    """The reference pass of _oracle.Oracle.marks: out[S(a) - 1] = 1 for
+    each a >= 1 with 0 < S(a) <= out.size, taking the prefix sums S of the
+    counts DIFF_CHUNK entries at a time; returns S at the counts' end."""
+    n = out.size
+    buf = np.empty(min(DIFF_CHUNK, counts.size), dtype=np.intp)
     below = 0  # S(i - 1)
-    for i in range(1, f.hi + 1, DIFF_CHUNK):
+    for i in range(1, counts.size, DIFF_CHUNK):
         chunk = counts[i:i + DIFF_CHUNK]
         at = buf[:chunk.size]
         at[:] = chunk  # cast here, as np.cumsum would cast into a temporary
         np.cumsum(at, out=at)
         at += below - 1  # S(a) - 1, the offset of D(S(a)) in out
         below = int(at[-1]) + 1
-        out[at[:at.searchsorted(n)]] = 1
-    return SequenceTable(1, n, out, "diff(V)")
+        out[at[at.searchsorted(0):at.searchsorted(n)]] = 1
+    return below
 
 
 def write_table(t: SequenceTable, fp: IO[str]) -> None:

@@ -1,3 +1,4 @@
+import hashlib
 import os
 import subprocess
 import sys
@@ -173,6 +174,22 @@ def test_probe_vdiff_makes_no_claim(capsys):
     out = capsys.readouterr().out
     assert "open" in out
     assert "level 5: distinct" in out
+
+
+# sha256 of vseq probe's stdout at the CLI defaults (depth 12, prefix
+# 4096), which users and the benchmark run; the golden transcript runs
+# faster settings
+PROBE_AT_DEFAULTS = {
+    "f": "5dedced71fb8f46b7b486621f75ad4545b146174a3240b83451e4fcf3a74eea4",
+    "vdiff": "6e2959843008d6df785e4e76ce9c9396ffa20c3b3596f3e3c3609ecdbc9e2b6f",
+}
+
+
+@pytest.mark.parametrize("sequence", PROBE_AT_DEFAULTS)
+def test_probe_stdout_at_the_defaults(sequence, capsys):
+    assert run(["probe", "--sequence", sequence]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == PROBE_AT_DEFAULTS[sequence]
 
 
 def test_dot_command(built, tmp_path, capsys):

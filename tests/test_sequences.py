@@ -10,6 +10,8 @@ from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from vseq import (DeadSequence, MonotonicityViolation, ProbeReport,
                   SequenceTable, extend_f, first_difference, gen_f, gen_qrs,
@@ -242,6 +244,22 @@ def test_first_difference_of_n_extends_a_short_f(monkeypatch):
     assert extended
 
 
+@pytest.mark.parametrize("ns", [range(1, 301), [2 ** 16 + 5, 2 ** 20 + 3, 2 ** 24]],
+                         ids=["1-300", "large"])
+def test_first_difference_of_n_counts_f_once(monkeypatch, ns):
+    # the margin past n // 2 brings S to n, so no resume is needed
+    calls = []
+    for name in ("gen_f", "extend_f"):
+        def spy(*args, name=name, count=getattr(sequences, name)):
+            calls.append(name)
+            return count(*args)
+        monkeypatch.setattr(sequences, name, spy)
+    for n in ns:
+        calls.clear()
+        assert first_difference(n).hi == n
+        assert calls == ["gen_f"], (n, calls)
+
+
 def test_first_difference_of_n_holds_f_and_the_steps_alone():
     # the route through gen_v holds V, 16 MB at 2^22, before any step
     gen_f(COMPILED_FROM)  # loads the compiled loops before tracing
@@ -315,6 +333,12 @@ def _numpy_probe(*args):
         return kernel_probe(*args)
 
 
+def _python_steps(n):
+    """first_difference(n) with the Python loops and numpy passes only."""
+    with mock.patch.object(_oracle, "library", lambda: None):
+        return first_difference(n).values
+
+
 ORACLE_CALLS = {
     "gen_f(2^20)": (lambda: gen_f(2 ** 20).values,
                     lambda: sequences._frequency_py(1, 4, 2 ** 20, "V")),
@@ -329,6 +353,8 @@ ORACLE_CALLS = {
                            lambda: sequences._frequency_py(1, 2, 10 ** 5, "Q")),
     "kernel_probe(F to 2^20)": (lambda: kernel_probe(gen_f(2 ** 20), 2, 8, 256),
                                 lambda: _numpy_probe(gen_f(2 ** 20), 2, 8, 256)),
+    "first_difference(2^20 + 3)": (lambda: first_difference(2 ** 20 + 3).values,
+                                   lambda: _python_steps(2 ** 20 + 3)),
 }
 
 
@@ -372,9 +398,10 @@ def test_oracle_source_compiles_without_warnings():
 SANITIZED_RUN = """
 import ctypes, sys
 import numpy as np
-from vseq import _oracle, extend_f, gen_f, gen_qrs, gen_v, kernel_probe
+from vseq import (_oracle, extend_f, first_difference, gen_f, gen_qrs, gen_v,
+                  kernel_probe)
 from vseq.rules import _scan
-from vseq.sequences import join_ids
+from vseq.sequences import _marks, join_ids
 
 widths = set()  # (ids, joined ids) itemsizes of the compiled joins
 
@@ -405,8 +432,9 @@ def same_partition(compiled, numpy_ids):
 # the count and the recursion, and two runs that die
 a, b = both(lambda: gen_f(2 ** 16).values)
 assert a == b
-# the count resumed from a finished one, in the seed and past it
-for done in (1, 2 ** 10):
+# the count resumed from a finished one, in the seed and past it, the
+# last past it skipping its read positions to the counts' end
+for done in (1, 2 ** 10, 2 ** 15 - 1):
     a, b = both(lambda: extend_f(gen_f(done), 2 ** 15).values)
     assert a == b
 a, b = both(lambda: gen_v(10 ** 5).values)
@@ -414,6 +442,20 @@ assert a == b
 for r, s in ((2, 5), (1, 10)):
     a, b = both(lambda: raised(lambda: gen_qrs(r, s, 10 ** 5)))
     assert a == b != None, (a, b)
+
+# the marking pass: V's steps from F, and counts that start with zeros,
+# end exactly at out's end or fall short of it
+for n in (2 ** 15 + 3, 2 ** 16):
+    a, b = both(lambda: first_difference(n).values.tobytes())
+    assert a == b
+counts = np.random.default_rng(11).integers(0, 4, 2 ** 12, dtype=np.uint8)
+counts[:3] = 0
+total = int(counts.sum())
+for n in (1, 100, total - 1, total, total + 7):
+    outs = np.zeros((2, n), dtype=np.uint8)
+    got = lib.marks(counts, outs[0]), _marks(counts, outs[1])
+    assert min(got[0], n + 1) == min(got[1], n + 1), (n, got)
+    assert outs[0].tobytes() == outs[1].tobytes(), n
 
 # the rule scan's overlapping windows, the last one ending at the last byte
 rng = np.random.default_rng(7)
@@ -509,6 +551,27 @@ def test_extend_f_equals_a_fresh_count(done, a_max):
     extended = extend_f(gen_f(done), a_max)
     assert (extended.lo, extended.hi, extended.label) == (0, a_max, "F")
     assert extended.values == gen_f(a_max).values
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 2 * COMPILED_FROM), st.integers(0, 2 * COMPILED_FROM))
+def test_extend_f_equals_a_fresh_count_from_any_end(done, more):
+    # the Python loop counts below COMPILED_FROM // 2; the compiled one
+    # resumes above it
+    assert extend_f(gen_f(done), done + more).values == gen_f(done + more).values
+
+
+def test_extend_f_holds_no_third_table():
+    # the old table and the new one, 2 MB each, are all it holds
+    gen_f(COMPILED_FROM)  # loads the compiled loops before tracing
+    tracemalloc.start()
+    try:
+        f = extend_f(gen_f(2 ** 21), 2 ** 21 + 27)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert f.hi == 2 ** 21 + 27
+    assert peak < 4.5 * 2 ** 20, peak
 
 
 def test_extend_f_counts_again_without_the_compiled_loops():
