@@ -13,7 +13,7 @@
                                           was still growing
    In vseq_qrs, Q(i) lives at q[i - 1].
 
-   Three more passes, with numpy passes kept as the reference:
+   Five more passes, with numpy passes kept as the reference:
      vseq_marks           Q's steps from a finished count, for
                           sequences.first_difference: Q(p + 1) - Q(p) = 1
                           exactly when p = S(a) for some a
@@ -21,12 +21,18 @@
                           level 0 of synthesis.kernel_probe
      vseq_join            for sequences.join_ids: one id per tuple of parts
                           ids q apart (a probe block's q sub-blocks, or a
-                          rule scan's 4-window at q = 1, the tuples then
-                          overlapping); ids 1, 2 or 4 bytes wide, one loop
-                          per pair of widths; returns the number of distinct
-                          ids, -1 for a width or code out of range, or
-                          WIDER for more ids than the output width holds */
+                          4-window at q = 1, the tuples then overlapping);
+                          ids 1, 2 or 4 bytes wide, one loop per pair of
+                          widths; returns the number of distinct ids, -1
+                          for a width or code out of range, or WIDER for
+                          more ids than the output width holds
+     vseq_check           for synthesis.cross_validate: the least n whose
+                          state's output differs from F, or -1
+     vseq_pairs           for rules._scan: the least a whose pair F(2a),
+                          F(2a+1) differs from its window's expected pair,
+                          or -1 */
 #include <stdint.h>
+#include <string.h>
 
 enum { OK, DEAD, NOT_MONOTONE, COUNT_OVERFLOW, VALUE_OVERFLOW, UNSETTLED };
 enum { WIDER = -2 };
@@ -213,8 +219,8 @@ int64_t vseq_distinct_bytes(const uint8_t *v, int64_t n)
    returns -1, so that a child at or past k reads and writes nothing outside
    rank; a rank past the width of OUT returns WIDER before it would wrap,
    for the caller to join again into wider ids.
-   The joins of base 2 (q = parts = 2) get a loop of their own, with both
-   as constants. */
+   The joins of base 2 (q = parts = 2) and of 4-windows (q = 1, parts = 4)
+   get loops of their own, with both as constants. */
 #define JOIN(IN, OUT)                                                        \
 static inline __attribute__((always_inline)) int64_t                         \
 join_loop_##IN##_##OUT(const IN##_t *ids, int64_t q, int64_t parts,          \
@@ -246,6 +252,8 @@ static int64_t join_##IN##_##OUT(const void *ids_, int64_t first, int64_t q, \
     const IN##_t *ids = (const IN##_t *)ids_ + first;                        \
     if (q == 2 && parts == 2)                                                \
         return join_loop_##IN##_##OUT(ids, 2, 2, count, k, rank, space, out);\
+    if (q == 1 && parts == 4)                                                \
+        return join_loop_##IN##_##OUT(ids, 1, 4, count, k, rank, space, out);\
     return join_loop_##IN##_##OUT(ids, q, parts, count, k, rank, space, out);\
 }
 
@@ -279,4 +287,71 @@ int64_t vseq_join(const void *ids, int64_t in_width, int64_t first, int64_t q,
     if (a < 0 || b < 0)
         return -1;
     return joins[a][b](ids, first, q, parts, count, k, rank, space, out);
+}
+
+/* Whether the w bytes at out equal F(n) (w = 1) or the window
+   F(n-2), ..., F(n+1) (w = 4, n >= 2). */
+static inline __attribute__((always_inline)) int
+same(const uint8_t *out, const uint8_t *f, int64_t n, int64_t w)
+{
+    if (w == 1)
+        return out[0] == f[n];
+    uint32_t a, b;
+    memcpy(&a, out, 4);
+    memcpy(&b, f + n - 2, 4);
+    return a == b;
+}
+
+static inline __attribute__((always_inline)) int64_t
+check_loop(const uint8_t *table, int64_t width, const uint8_t *head,
+           const uint8_t *outputs, int64_t w, const uint8_t *f, int64_t n_max)
+{
+    /* the windows at 0 and 1 read F(-2) = F(-1) = 0: low + 2 stands for
+       f there */
+    const uint8_t low[5] = {0, 0, f[0], w == 4 ? f[1] : 0,
+                            w == 4 && n_max >= 1 ? f[2] : 0};
+    for (int64_t n = 0; n < width && n <= n_max; n++)
+        if (!same(outputs + w * head[n], w == 4 && n < 2 ? low + 2 : f, n, w))
+            return n;
+    for (int64_t b = 1; b * width <= n_max; b++) {
+        const uint8_t *row = table + width * head[b];
+        int64_t n = b * width, end = n_max - n < width ? n_max - n + 1 : width;
+        for (int64_t c = 0; c < end; c++)
+            if (!same(outputs + w * row[c], f, n + c, w))
+                return n + c;
+    }
+    return -1;
+}
+
+/* The least n in [0, n_max] at which the output of state(n) differs from
+   F, or -1: state(n) = head[n] for n < width, and state(b width + c) =
+   table[width head[b] + c] from n = width on, table the S x width stride
+   table of synthesis._stride (width = q^k, δ composed over k digits), and
+   head state(n) for n <= max(n_max / width, width - 1).  The output of
+   state s is the w bytes at outputs[w s], w = 1 or else 4; f holds F(0) to
+   F(n_max) for w = 1, or to F(n_max + 1) for w = 4. */
+int64_t vseq_check(const uint8_t *table, int64_t width, const uint8_t *head,
+                   const uint8_t *outputs, int64_t w, const uint8_t *f,
+                   int64_t n_max)
+{
+    return w == 1 ? check_loop(table, width, head, outputs, 1, f, n_max)
+                  : check_loop(table, width, head, outputs, 4, f, n_max);
+}
+
+/* The least i < count with known[ids[i]] and the two bytes at pairs[2 i]
+   unlike the two at expect[2 ids[i]], or -1: the rule scan's images F(2a),
+   F(2a+1) against its window's expected pair.  expect and known span all
+   256 one-byte ids. */
+int64_t vseq_pairs(const uint8_t *ids, const uint8_t *expect,
+                   const uint8_t *known, const uint8_t *pairs, int64_t count)
+{
+    uint16_t want[256];
+    memcpy(want, expect, sizeof want);
+    for (int64_t i = 0; i < count; i++) {
+        uint16_t got;
+        memcpy(&got, pairs + 2 * i, 2);
+        if (got != want[ids[i]] && known[ids[i]])
+            return i;
+    }
+    return -1;
 }

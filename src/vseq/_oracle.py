@@ -1,7 +1,9 @@
 """The compiled loops of ``_oracle.c``, built on first use: the Q_{r,s}
 recursion and count for the oracle, the pass that marks V's steps from F,
-and the tuple join that numbers the rule scan's windows and the kernel
-probe's blocks.
+the tuple join that numbers the rule scan's windows, discovery's windows
+and the kernel probe's blocks, and the two checks of the synthesize
+pipeline: cross-validation's walk of the stride table against F, and the
+rule scan's compare of each a's image pair with its window's.
 
 ``library`` compiles the source with the system ``cc`` and loads it with
 ctypes.  It runs on the first oracle call, never at import.  The shared
@@ -10,7 +12,7 @@ library is cached in ``$XDG_CACHE_HOME/vseq`` (by default
 from the source, the compiler command and the machine, and is written
 atomically.  When no library can be built or loaded, ``library`` prints one
 ``vseq: ...`` line on stderr and returns None; the oracle then runs its
-Python loops and the joins their numpy passes.
+Python loops, and the joins and checks their numpy passes.
 """
 
 from __future__ import annotations
@@ -43,8 +45,8 @@ WIDER = -2
 
 class Oracle:
     """The loops of _oracle.c: the two oracle loops, which return a status
-    and info[3], the marking pass, the kernel probe's distinct-byte count
-    and the join."""
+    and info[3], the marking pass, the kernel probe's distinct-byte count,
+    the join, and the cross-validation and image-pair checks."""
 
     def __init__(self, lib: ctypes.CDLL):
         i64 = ctypes.c_int64
@@ -59,8 +61,11 @@ class Oracle:
         lib.vseq_distinct_bytes.argtypes = [ptr, i64]
         lib.vseq_join.argtypes = [ptr, i64, i64, i64, i64, i64, i64, ptr,
                                   ctypes.c_uint64, ptr, i64]
-        lib.vseq_marks.restype = i64
-        lib.vseq_distinct_bytes.restype = lib.vseq_join.restype = i64
+        lib.vseq_check.argtypes = [ptr, i64, ptr, ptr, i64, ptr, i64]
+        lib.vseq_pairs.argtypes = [ptr, ptr, ptr, ptr, i64]
+        for fn in (lib.vseq_marks, lib.vseq_distinct_bytes, lib.vseq_join,
+                   lib.vseq_check, lib.vseq_pairs):
+            fn.restype = i64
         self._lib = lib
 
     def qrs(self, q: array, r: int, s: int, done: int) -> tuple[int, list[int]]:
@@ -128,6 +133,47 @@ class Oracle:
         if distinct < 0:
             raise ValueError(f"ids at or past {k}, or more than 2^32 - 1 of them")
         return out, distinct
+
+    def check(self, table: np.ndarray, head: np.ndarray, outputs: np.ndarray,
+              f: np.ndarray, n_max: int) -> int:
+        """The least n in [0, n_max] at which the output of state(n) differs
+        from the oracle bytes f (F from index 0), or -1.  state(n) is
+        head[n] for n below the width W of the S x W stride table, and
+        table[head[n // W], n % W] from W on; outputs is S x w, one byte
+        per state and digit, each row compared with F(n) (w = 1) or
+        F(n-2..n+1) (w = 4, F(-2) = F(-1) = 0).  All four arrays are uint8,
+        so at most 256 states."""
+        width, w = table.shape[1], outputs.shape[1]
+        states = table.shape[0]
+        if (any(a.dtype != np.uint8 or not a.flags.c_contiguous
+                for a in (table, head, outputs, f))
+                or outputs.shape[0] != states or w not in (1, 4) or n_max < 0
+                or head.size <= max(n_max // width, min(n_max, width - 1))
+                or f.size <= n_max + (w == 4)
+                or max(int(table.max()), int(head.max())) >= states):
+            raise ValueError("check takes contiguous uint8 arrays that hold "
+                             "every state and F value it reads")
+        return self._lib.vseq_check(table.ctypes.data, width, head.ctypes.data,
+                                    outputs.ctypes.data, w, f.ctypes.data, n_max)
+
+    def pairs(self, ids: np.ndarray, expect: np.ndarray, known: np.ndarray,
+              pairs: np.ndarray) -> int:
+        """The least i with known[ids[i]] and pairs[i] != expect[ids[i]],
+        or -1: ids uint8, known bool and expect and pairs little-endian
+        uint16, one pair F(2a) + 256 F(2a+1) per a.  expect and known are
+        read through all 256 one-byte ids, padded here past their end."""
+        count = ids.size
+        if (ids.dtype != np.uint8 or expect.dtype != np.dtype("<u2")
+                or pairs.dtype != np.dtype("<u2") or pairs.size != count
+                or expect.size != known.size or expect.size > 256):
+            raise ValueError("pairs takes one-byte ids and a pair per id")
+        table = np.zeros(256, dtype="<u2")
+        table[:expect.size] = expect
+        seen = np.zeros(256, dtype=np.uint8)
+        seen[:known.size] = known
+        ids, pairs = np.ascontiguousarray(ids), np.ascontiguousarray(pairs)
+        return self._lib.vseq_pairs(ids.ctypes.data, table.ctypes.data,
+                                    seen.ctypes.data, pairs.ctypes.data, count)
 
 
 def _private_dir() -> Path:

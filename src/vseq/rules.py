@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 import numpy as np
 
-from .sequences import SequenceTable, join_ids
+from .sequences import SequenceTable, _compiled, join_ids
 
 Window = tuple[int, int, int, int]
 
@@ -84,8 +84,12 @@ def _scan(f: SequenceTable, a_min: int, a_max: int,
     The images of each a are read as one little-endian pair F(2a) +
     256 F(2a+1) and checked in one compare against a per-id table of the
     expected pairs: those of ``frozen`` (windows it lacks are skipped) or
-    else those of the window's first occurrence.  RuleConflict names the
-    least conflicting a, even before odd.  Callers keep a_min > 3.
+    else those of the window's first occurrence.  The compare runs
+    compiled (``_oracle.c`` vseq_pairs, stopping at the first conflict)
+    where a library loads for the scan's length and the ids are one byte
+    each, as F's 24 are; otherwise numpy compares every a, the reference.
+    RuleConflict names the least conflicting a, even before odd.  Callers
+    keep a_min > 3.
     """
     if f.lo != 0:
         raise ValueError("rule scans expect an F table starting at index 0")
@@ -121,10 +125,14 @@ def _scan(f: SequenceTable, a_min: int, a_max: int,
         # an image outside [0, 255] fits no pair and conflicts wherever its
         # window occurs: a pair unlike the one at its first a says so
         expect[u] = g | h << 8 if 0 <= g <= 255 and 0 <= h <= 255 else pairs[first[u]] ^ 1
-    miss = np.flatnonzero(expect[ids] != pairs)
-    miss = miss[known[ids[miss]]]
-    if miss.size:
-        i = int(miss[0])
+    lib = _compiled(ids.size)
+    if lib is not None and ids.dtype == np.uint8:
+        i = lib.pairs(ids, expect, known, pairs)
+    else:
+        miss = np.flatnonzero(expect[ids] != pairs)
+        miss = miss[known[ids[miss]]]
+        i = int(miss[0]) if miss.size else -1
+    if i >= 0:
         w = wins[ids[i]]
         g, h = int(pairs[i]) & 255, int(pairs[i]) >> 8
         parity, table, image = (("even", ref.even_rule, g) if ref.even_rule[w] != g

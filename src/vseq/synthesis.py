@@ -231,15 +231,22 @@ def _states_upto(m: Dfao, n_max: int) -> np.ndarray:
 CHECK_CHUNK = 1 << 16
 
 
+def _stride_head(m: Dfao, n_max: int) -> tuple[np.ndarray, np.ndarray]:
+    """The stride table T of _states_upto, of width W = q^k, and state(n)
+    for n <= max(n_max // W, W - 1): with state(n) = T[state(n // W),
+    n % W] from n = W on, all that a walk to n_max holds whole; the n
+    below W, numerals shorter than a stride, come from it."""
+    table = _stride(m)[1]
+    width = table.shape[1]
+    return table, _states_upto(m, max(n_max // width, width - 1))
+
+
 def _state_chunks(m: Dfao, n_max: int):
     """(lo, state(n) for n in [lo, lo + CHECK_CHUNK) cut to n_max) for
     consecutive chunks from lo = 0: _states_upto's last stride level, one
-    chunk at a time.  With T of width W = q^k, state(n) = T[state(n // W),
-    n % W] from n = W on, so only state(n) for n <= n_max // W is held
-    whole; the n below W, numerals shorter than a stride, come from it."""
-    table = _stride(m)[1]
+    chunk at a time, from _stride_head."""
+    table, head = _stride_head(m, n_max)
     width = table.shape[1]
-    head = _states_upto(m, max(n_max // width, width - 1))
     for lo in range(0, n_max + 1, CHECK_CHUNK):
         hi = min(lo + CHECK_CHUNK, n_max + 1)
         rows = table[head[lo // width:-(-hi // width)]].ravel()
@@ -250,18 +257,23 @@ def _state_chunks(m: Dfao, n_max: int):
 
 
 def cross_validate(m: Dfao, oracle: SequenceTable, n_max: int) -> Validation:
-    """Compare the automaton against the oracle for every n in [0, n_max],
-    CHECK_CHUNK n at a time.
+    """Compare the automaton against the oracle for every n in [0, n_max].
 
     A mismatch is a verdict, not an error; the verdict names the least
     failing n.  An oracle must start at index 0: one that starts later
     raises ValueError, whichever output kind m has.
 
     An output of w bytes, the window F(n-2..n+1) (w = 4) or F(n) alone
-    (w = 1), is read as one little-endian integer on both sides: the
-    machine's outputs as an S x w byte array, gathered by state, and the
-    oracle's as a one-byte-stride view of a chunk's window_bytes, whose
-    window at n starts at byte n - lo and holds F(n) at byte 2.
+    (w = 1), is compared with the oracle's w bytes at n.  Where a compiled
+    library loads for n_max steps and the states fit one byte (both
+    synthesized machines do), one compiled pass (``_oracle.c``
+    vseq_check) walks the stride table of _stride_head and stops at the
+    first mismatch.  Otherwise the numpy pass runs, the reference: it
+    walks CHECK_CHUNK n at a time and reads each output as one
+    little-endian integer on both sides, the machine's outputs as an
+    S x w byte array gathered by state, and the oracle's as a
+    one-byte-stride view of a chunk's window_bytes, whose window at n
+    starts at byte n - lo and holds F(n) at byte 2.
     """
     _check_from_0(oracle)
     w = 4 if m.output_kind == WINDOW else 1
@@ -269,9 +281,14 @@ def cross_validate(m: Dfao, oracle: SequenceTable, n_max: int) -> Validation:
     reach = offset + w - 3  # the last oracle index an output at n reads, less n
     if oracle.hi < n_max + reach:
         raise OracleTooShort(f"oracle ends at {oracle.hi}, need {n_max + reach}")
+    outputs = np.asarray(m.outputs, dtype=np.uint8).reshape(m.state_count, w)
+    lib = _compiled(n_max)
+    if lib is not None and m.state_count <= 256:
+        bad = lib.check(*_stride_head(m, n_max), outputs,
+                        np.ascontiguousarray(oracle.byte_values()), n_max)
+        return Validation(bad < 0, None if bad < 0 else bad, n_max)
     # one conversion for a table not stored as bytes, not one per chunk
     oracle = SequenceTable(0, oracle.hi, oracle.byte_values(), oracle.label)
-    outputs = np.asarray(m.outputs, dtype=np.uint8).reshape(m.state_count, w)
     outputs = outputs.view(f"<u{w}").ravel()
     for lo, states in _state_chunks(m, n_max):
         want = np.ndarray(states.size, dtype=f"<u{w}", offset=offset, strides=(1,),
@@ -363,6 +380,14 @@ def _name_values(m: Dfao) -> list[int]:
     return vals
 
 
+def _windows(vals: np.ndarray, n: np.ndarray) -> np.ndarray:
+    """The window (F(n-2), F(n-1), F(n), F(n+1)) of window4 for each n of
+    an int64 array, F from vals[0], shaped n.shape + (4,); indices below 0
+    read 0."""
+    at = n[..., None] + np.arange(-2, 2)
+    return np.where(at >= 0, vals[np.maximum(at, 0)], 0)
+
+
 def cert_oracle_bound(m: Dfao, depth: int) -> int:
     """Last oracle index that certify_transitions reads at this depth: the
     windows at [u d x] for the longest boundary-family extension x of every
@@ -384,6 +409,12 @@ def certify_transitions(m: Dfao, oracle: SequenceTable, rules: WindowRuleTable,
     the step carrying window equality from each extension length to the
     next.  Any failed check raises CertificationFailure naming a witness;
     an oracle that does not start at index 0 raises ValueError first.
+
+    The output windows are read one by one.  The windows of every
+    transition and extension are gathered into one numpy compare, listed
+    in the order the checks are stated, so the first failing pair names
+    the failure.  The rule propagation is verify_rules, whose compare runs
+    compiled or in numpy as rules._scan says.
     """
     _check_from_0(oracle)
     if m.output_kind != WINDOW:
@@ -409,28 +440,28 @@ def certify_transitions(m: Dfao, oracle: SequenceTable, rules: WindowRuleTable,
                 f"state output {m.outputs[s]} != oracle window {truth}",
                 from_name=m.names[s], witness=m.names[s])
 
-    # (b) base case and boundary families per transition
-    certs = []
-    for s in range(m.state_count):
-        for d in (0, 1):
-            p = m.transitions[s][d]
-            mu = (values[s] << 1) | d
-            mv = values[p]
-            if oracle.window4(mu) != oracle.window4(mv):
-                raise CertificationFailure(
-                    "base windows differ", m.names[s], d, m.names[p], witness="")
-            for j in range(1, depth + 1):
-                for xval, xlen, x in ((0, j, "0" * j),
-                                      (1, j + 1, "0" * j + "1"),
-                                      ((1 << j) - 1, j, "1" * j)):
-                    if (oracle.window4((mu << xlen) | xval)
-                            != oracle.window4((mv << xlen) | xval)):
-                        raise CertificationFailure(
-                            "family windows differ", m.names[s], d, m.names[p],
-                            witness=x)
-            certs.append(TransitionCertificate(
-                from_name=m.names[s], digit=d, to_name=m.names[p],
-                family_depth=depth))
+    # (b) base case and boundary families per transition, every pair of
+    # windows in one compare: row (s, d) holds [u d x] and [v x] for
+    # x = the empty string, then 0^j, 0^j 1, 1^j for j = 1..depth
+    exts = [(0, 0, "")] + [
+        ext for j in range(1, depth + 1)
+        for ext in ((0, j, "0" * j), (1, j + 1, "0" * j + "1"), ((1 << j) - 1, j, "1" * j))]
+    xval, xlen = (np.array([e[i] for e in exts], dtype=np.int64) for i in (0, 1))
+    edges = [(s, d, m.transitions[s][d]) for s in range(m.state_count) for d in (0, 1)]
+    mu = np.array([(values[s] << 1) | d for s, d, _ in edges], dtype=np.int64)
+    mv = np.array([values[p] for _, _, p in edges], dtype=np.int64)
+    vals = np.asarray(oracle.values)
+    windows = [_windows(vals, (n[:, None] << xlen) | xval) for n in (mu, mv)]
+    bad = np.flatnonzero((windows[0] != windows[1]).any(axis=-1).ravel())
+    if bad.size:
+        row, t = divmod(int(bad[0]), len(exts))
+        s, d, p = edges[row]
+        raise CertificationFailure(
+            "family windows differ" if t else "base windows differ",
+            m.names[s], d, m.names[p], witness=exts[t][2])
+    certs = [TransitionCertificate(from_name=m.names[s], digit=d, to_name=m.names[p],
+                                   family_depth=depth)
+             for s, d, p in edges]
 
     # (iii) doubling rules propagate windows across the validation range
     try:

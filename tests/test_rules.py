@@ -8,6 +8,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from vseq import (RuleConflict, SequenceTable, derive_rules, format_rules,
                   gen_f, verify_rules)
+from vseq import _oracle
 from vseq.rules import DERIVATION_START, WindowRuleTable, _scan
 from vseq.sequences import COMPILED_FROM
 
@@ -284,3 +285,97 @@ def test_frozen_image_that_packs_like_a_real_pair_conflicts():
     with pytest.raises(RuleConflict) as excinfo:
         verify_rules(frozen, f, 10)
     assert _fields(excinfo.value) == (w, "even", 5, 300, 5, 44)
+
+
+# -- the compiled pair compare against the numpy compare ------------------------
+
+A_MAX = 24_999  # f50k's last a: 24,996 pairs, a scan long enough to run compiled
+
+
+@pytest.fixture
+def on_both(monkeypatch):
+    """call() forced through _oracle.library onto each engine: the compiled
+    pair compare, then the numpy compare; each call's table, verification
+    or RuleConflict fields, and the number of compiled compares the first
+    call ran."""
+    lib = _oracle.library()
+    if lib is None:
+        pytest.skip("no C compiler: only the numpy compare runs here")
+    runs = []
+    pairs = _oracle.Oracle.pairs
+
+    def spy(self, *args):
+        runs.append(args)
+        return pairs(self, *args)
+
+    monkeypatch.setattr(_oracle.Oracle, "pairs", spy)
+
+    def outcome(call):
+        try:
+            got = call()
+        except RuleConflict as e:
+            return ("conflict", *_fields(e))
+        if isinstance(got, WindowRuleTable):
+            return _outcome(lambda: got)
+        return ("verified", got.a_checked, list(got.new_windows.items()))
+
+    def run(call):
+        runs.clear()
+        monkeypatch.setattr(_oracle, "library", lambda: lib)
+        compiled = outcome(call)
+        monkeypatch.setattr(_oracle, "library", lambda: None)
+        return compiled, outcome(call), len(runs)
+
+    return run
+
+
+def _with_pairs(f: SequenceTable, changes: dict[int, int]) -> SequenceTable:
+    vals = bytearray(f.values)
+    for n, v in changes.items():
+        vals[n] = v
+    return SequenceTable(0, f.hi, vals, "F")
+
+
+@pytest.mark.parametrize("a", [4, 5, 300, 12_345, A_MAX])
+@pytest.mark.parametrize("parity", [0, 1])
+def test_compiled_pair_compare_matches_numpy(on_both, f50k, rules10k, a, parity):
+    n = 2 * a + parity
+    image = f50k[n] % 3 + 1
+    assert image != f50k[n]
+    bad = _with_pairs(f50k, {n: image})
+    compiled, numpy_compare, runs = on_both(lambda: derive_rules(bad, 4, A_MAX))
+    assert compiled == numpy_compare and runs == 1
+    compiled, numpy_compare, runs = on_both(lambda: verify_rules(rules10k, bad, A_MAX))
+    assert compiled == numpy_compare and runs == 1
+    w = f50k.window4(a)
+    table = rules10k.odd_rule if parity else rules10k.even_rule
+    assert compiled == ("conflict", w, ("even", "odd")[parity], rules10k.first_seen[w],
+                        table[w], a, image)
+
+
+def test_compiled_pair_compare_skips_windows_the_frozen_table_lacks(on_both, f50k,
+                                                                    rules10k):
+    # (3, 2, 3, 2) is first seen at a = 232 and left out of the frozen
+    # table: its images are not checked, and it is reported instead; the
+    # images changed lie past every window's bytes, so no window changes
+    absent = (3, 2, 3, 2)
+    at = [a for a in range(A_MAX // 2 + 1, A_MAX + 1) if f50k.window4(a) == absent]
+    frozen = WindowRuleTable(*({w: v for w, v in t.items() if w != absent}
+                               for t in (rules10k.even_rule, rules10k.odd_rule,
+                                         rules10k.first_seen)))
+    bad = _with_pairs(f50k, {2 * a + 1: 9 for a in at})
+    compiled, numpy_compare, runs = on_both(lambda: verify_rules(frozen, bad, A_MAX))
+    assert compiled == numpy_compare == ("verified", A_MAX, [(absent, 232)])
+    assert runs == 1
+    # a conflict past the skipped ones is still named
+    later = next(a for a in range(at[0] + 1, A_MAX + 1) if f50k.window4(a) != absent)
+    bad = _with_pairs(bad, {2 * later: f50k[2 * later] % 3 + 1})
+    compiled, numpy_compare, runs = on_both(lambda: verify_rules(frozen, bad, A_MAX))
+    assert compiled == numpy_compare and runs == 1
+    assert compiled[0] == "conflict" and compiled[5] == later
+    # an image no byte can equal conflicts at its window's first a
+    w = (1, 1, 2, 2)
+    frozen = WindowRuleTable({**rules10k.even_rule, w: 300}, rules10k.odd_rule,
+                             rules10k.first_seen)
+    compiled, numpy_compare, runs = on_both(lambda: verify_rules(frozen, f50k, A_MAX))
+    assert compiled == numpy_compare == ("conflict", w, "even", 5, 300, 5, 1)

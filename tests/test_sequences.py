@@ -384,12 +384,14 @@ def test_oracle_falls_back_to_python_loops(monkeypatch, capsys):
     assert err.startswith("vseq: no compiled oracle") and err.count("\n") == 1, err
 
 
-def test_oracle_source_compiles_without_warnings():
+def test_oracle_source_compiles_without_warnings(tmp_path):
     if shutil.which("cc") is None:
         pytest.skip("no C compiler")
-    result = subprocess.run(["cc", "-O2", "-Wall", "-Wextra", "-Werror", "-fsyntax-only",
-                             str(_oracle.SOURCE)], capture_output=True, text=True,
-                            timeout=120)
+    # an object built as the library is, not -fsyntax-only, which skips the
+    # warnings that come from the optimization passes
+    result = subprocess.run([*_oracle.COMPILE, "-Wall", "-Wextra", "-Werror", "-c",
+                             "-o", str(tmp_path / "oracle.o"), str(_oracle.SOURCE)],
+                            capture_output=True, text=True, timeout=120)
     assert result.returncode == 0, result.stderr
 
 
@@ -398,10 +400,11 @@ def test_oracle_source_compiles_without_warnings():
 SANITIZED_RUN = """
 import ctypes, sys
 import numpy as np
-from vseq import (_oracle, extend_f, first_difference, gen_f, gen_qrs, gen_v,
-                  kernel_probe)
+from vseq import (SequenceTable, _oracle, cross_validate, extend_f,
+                  first_difference, gen_f, gen_qrs, gen_v, kernel_probe,
+                  sequences, synthesize_validated)
 from vseq.rules import _scan
-from vseq.sequences import _marks, join_ids
+from vseq.sequences import COMPILED_FROM, _marks, join_ids
 
 widths = set()  # (ids, joined ids) itemsizes of the compiled joins
 
@@ -457,14 +460,41 @@ for n in (1, 100, total - 1, total, total + 7):
     assert min(got[0], n + 1) == min(got[1], n + 1), (n, got)
     assert outs[0].tobytes() == outs[1].tobytes(), n
 
-# the rule scan's overlapping windows, the last one ending at the last byte
+# the 4-windows of the rule scan and of discovery (the q = 1, parts = 4
+# loop) over 1-, 2- and 4-byte ids, the last one ending at the last id
 rng = np.random.default_rng(7)
-for top in (4, 16, 256):
-    vals = rng.integers(0, top, 2 ** 15, dtype=np.uint8)
-    same_partition(*both(lambda: join_ids(vals, top, 5, 1, 4, vals.size - 8)))
-f = gen_f(2 ** 15 + 1)
-a, b = both(lambda: _scan(f, 4, 2 ** 14))
+for dtype in (np.uint8, np.uint16, np.uint32):
+    for top in (4, 16, 256):
+        vals = rng.integers(0, top, 2 ** 15, dtype=dtype)
+        same_partition(*both(lambda: join_ids(vals, top, 5, 1, 4, vals.size - 8)))
+
+# the rule scan's pair compare, long enough to run compiled, the last pair
+# ending at F's last byte, with and without a conflict there
+f16 = gen_f(2 ** 16 + 2)
+exact = SequenceTable(0, 2 ** 16 + 1, np.array(f16.byte_values()[:-1]), "F")
+a, b = both(lambda: _scan(exact, 4, 2 ** 15))
 assert a == b
+last = np.array(exact.values)
+last[-1] = last[-1] % 3 + 1
+a, b = both(lambda: raised(lambda: _scan(SequenceTable(0, exact.hi, last, "F"), 4,
+                                         2 ** 15)))
+assert a == b != None, (a, b)
+
+# cross-validation of both synthesized machines, reading F up to the last
+# index it needs: at n_max below the stride width 256, at 256 and past it,
+# clean and with that last byte changed; compiled at any n_max here
+sequences.COMPILED_FROM = 0
+window_machine = synthesize_validated(f16, 24, 2 ** 16)[0]
+single_machine = window_machine.project_output().minimize()
+for machine, reach in ((window_machine, 1), (single_machine, 0)):
+    for n_max in (0, 1, 100, 255, 256, 257, 2 ** 16 + 1 - reach):
+        for change in (0, 1):
+            vals = np.array(f16.byte_values()[:n_max + reach + 1])
+            vals[-1] += 5 * change
+            oracle = SequenceTable(0, vals.size - 1, vals, "F")
+            a, b = both(lambda: cross_validate(machine, oracle, n_max))
+            assert a == b and a.passed != change, (n_max, a, b)
+sequences.COMPILED_FROM = COMPILED_FROM
 
 # probe joins at q = 2 and 3 over 1-, 2- and 4-byte ids into 1-, 2- and
 # 4-byte ids, the last tuple ending at the last id, and one join that
@@ -481,6 +511,7 @@ for dtype in (np.uint8, np.uint16, np.uint32):
 for dtype in (np.uint8, np.uint16, np.uint32):
     ids = rng.integers(0, 41, 3 * 2 ** 18, dtype=dtype)
     same_partition(*both(lambda: join_ids(ids, 41, 0, 3, 3, 2 ** 18)))
+f = gen_f(2 ** 15 + 1)
 for q in (2, 3):
     a, b = both(lambda: kernel_probe(f, q, 8, 64))
     assert a == b

@@ -15,7 +15,7 @@ from vseq import (SINGLE, WINDOW, CertificationFailure, Dfao,
                   cross_validate, derive_rules, discover, euclid_div, gen_f,
                   gen_v, first_difference, kernel_probe, shift_bounds,
                   synthesize_msb, synthesize_validated)
-from vseq import synthesis
+from vseq import sequences, synthesis
 from vseq.sequences import COMPILED_FROM
 from vseq.synthesis import CHECK_CHUNK, _block_ids, _kernel_node, _state_chunks, _states_upto
 
@@ -446,6 +446,111 @@ def test_state_chunks_are_the_batch_walk(monkeypatch, q, chunk):
         assert got.tolist() == _states_upto(m, n_max).tolist()
 
 
+# -- the compiled cross-validation pass against the numpy pass -----------------
+
+@pytest.fixture
+def on_both(monkeypatch):
+    """cross_validate(machine, oracle, n_max) forced through _oracle.library
+    onto each engine: the compiled pass (at any n_max, COMPILED_FROM
+    lowered to 0), then the numpy pass; and the number of compiled passes
+    the first call ran."""
+    lib = _oracle.library()
+    if lib is None:
+        pytest.skip("no C compiler: only the numpy pass runs here")
+    runs = []
+    check = _oracle.Oracle.check
+
+    def spy(self, *args):
+        runs.append(args)
+        return check(self, *args)
+
+    monkeypatch.setattr(_oracle.Oracle, "check", spy)
+    monkeypatch.setattr(sequences, "COMPILED_FROM", 0)
+
+    def run(machine, oracle, n_max):
+        runs.clear()
+        monkeypatch.setattr(_oracle, "library", lambda: lib)
+        compiled = cross_validate(machine, oracle, n_max)
+        monkeypatch.setattr(_oracle, "library", lambda: None)
+        return compiled, cross_validate(machine, oracle, n_max), len(runs)
+
+    return run
+
+
+def _state_at(machine: Dfao, n: int) -> int:
+    return machine.walk(vseq.automaton.base_digits(n, machine.alphabet_size))
+
+
+def _corrupted(machine: Dfao, f: SequenceTable, what: str, n_max: int):
+    """The machine and an oracle of exactly the length n_max needs, one of
+    them corrupted: the output of state(n_max), the transition that ends
+    the numeral of n_max, or the oracle byte F((n_max + 1) // 2)."""
+    reach = 1 if machine.output_kind == WINDOW else 0
+    vals = bytearray(f.values[:n_max + reach + 1])
+    rows = [list(r) for r in machine.transitions]
+    outs = list(machine.outputs)
+    if what == "output":
+        s = _state_at(machine, n_max)
+        outs[s] = (tuple((x + 1) % 5 for x in outs[s]) if machine.output_kind == WINDOW
+                   else (outs[s] + 1) % 5)
+    elif what == "transition":
+        s = _state_at(machine, n_max // 2)
+        rows[s][n_max % 2] = (rows[s][n_max % 2] + 1) % machine.state_count
+    elif what == "oracle":
+        vals[(n_max + 1) // 2] = 9  # F takes the values 0-4
+    machine = Dfao(machine.alphabet_size, machine.initial, rows, outs,
+                   machine.output_kind, machine.names)
+    return machine, SequenceTable(0, len(vals) - 1, vals, "F")
+
+
+@pytest.mark.parametrize("n_max", [0, 1, 2, 255, 256, 257, 2 ** 16 - 1, 2 ** 16 + 1,
+                                   VALIDATE_TO])
+@pytest.mark.parametrize("what", ["none", "output", "transition", "oracle"])
+@pytest.mark.parametrize("kind", [WINDOW, SINGLE])
+def test_compiled_cross_validation_matches_numpy(on_both, truth_a, truth_b, f_main,
+                                                 kind, what, n_max):
+    # the stride width of base 2 is W = 256: n_max = 255, 256 and 257 end
+    # just below, at and past the first row of the stride table
+    machine = truth_a if kind == WINDOW else truth_b
+    machine, oracle = _corrupted(machine, f_main, what, n_max)
+    compiled, numpy_pass, runs = on_both(machine, oracle, n_max)
+    assert runs == 1
+    assert compiled == numpy_pass
+    if what != "transition":  # a misroute may reach a state of the same outputs
+        assert compiled.passed == (what == "none")
+    if n_max <= 257:
+        # state(0) is the initial state: the numeral of 0 is empty
+        def truth(n):
+            return oracle.window4(n) if kind == WINDOW else oracle[n]
+        assert compiled.first_mismatch == next(
+            (n for n in range(n_max + 1)
+             if machine.outputs[_state_at(machine, n)] != truth(n)), None)
+
+
+@pytest.mark.parametrize("states, q, runs", [(7, 3, 1), (300, 2, 0)],
+                         ids=["base-3", "300-states"])
+def test_cross_validation_of_machines_off_the_synthesized_path(on_both, states, q, runs):
+    # base 3 walks a stride table of width 3^5 = 243 compiled; 300 states
+    # do not fit one byte, so the numpy pass runs on both engines
+    rng = random.Random(states)
+    rows = [[rng.randrange(states) for _ in range(q)] for _ in range(states)]
+    rows[0][0] = 1  # digit 0 moves the initial state
+    m = Dfao(q, 0, rows, [rng.randrange(5) for _ in range(states)], SINGLE)
+    width = 3 ** 5 if q == 3 else 2 ** 8
+    for n_max in (0, 1, 2, width - 1, width, width + 1, 2 ** 16 + 1):
+        vals = np.asarray(m.outputs, dtype=np.uint8)[_states_upto(m, n_max)]
+        oracle = SequenceTable(0, n_max, bytearray(vals.tobytes()), "S")
+        assert on_both(m, oracle, n_max) == (
+            vseq.Validation(True, None, n_max), vseq.Validation(True, None, n_max), runs)
+        for at in (0, n_max // 2, n_max):
+            bad = bytearray(vals.tobytes())
+            bad[at] = 9
+            oracle = SequenceTable(0, n_max, bad, "S")
+            compiled, numpy_pass, ran = on_both(m, oracle, n_max)
+            assert compiled == numpy_pass == vseq.Validation(False, at, n_max)
+            assert ran == runs
+
+
 def _traced_peak(call) -> tuple[object, int]:
     """call()'s result and the peak of the memory it allocated."""
     tracemalloc.start()
@@ -501,6 +606,48 @@ def test_certify_catches_misrouted_transition(truth_a, f_main, rules_main):
     e = excinfo.value
     assert (e.from_name, e.digit, e.to_name) == ("101", 1, "11101")
     assert e.witness != ""
+
+
+# The 33 states are told apart by the base window, 0 or 01 (no two agree
+# on all three), so a misrouted transition fails first at one of those; a
+# failure first at a longer family needs one oracle byte corrupted, F(at)
+# set to 9.  Each message is pinned as a check-by-check loop over
+# (s, d, j, family) reports it.
+FAMILY_FAILURES = [
+    (("101", 1, "100"), None, ("101", 1, "100", ""),
+     "base windows differ at 101 -1-> 100 witness=''"),
+    (("101", 0, "11100"), None, ("101", 0, "11100", "0"),
+     "family windows differ at 101 -0-> 11100 witness='0'"),
+    (("100", 0, "1110"), None, ("100", 0, "1110", "01"),
+     "family windows differ at 100 -0-> 1110 witness='01'"),
+    (None, 1854, ("11101000", 0, "1110100", "00"),
+     "family windows differ at 11101000 -0-> 1110100 witness='00'"),
+    (None, 7409, ("111001111", 0, "111010", "001"),
+     "family windows differ at 111001111 -0-> 111010 witness='001'"),
+    (None, 3707, ("111001111", 0, "111010", "11"),
+     "family windows differ at 111001111 -0-> 111010 witness='11'"),
+]
+
+
+@pytest.mark.parametrize("redirect, at, fields, message", FAMILY_FAILURES,
+                         ids=["base", "0", "01", "0^2", "0^2 1", "1^2"])
+def test_certify_names_the_first_failing_window_pair(truth_a, f_main, rules_main,
+                                                     redirect, at, fields, message):
+    machine = truth_a
+    if redirect is not None:
+        rows = [list(r) for r in truth_a.transitions]
+        src, d, to = redirect
+        rows[truth_a.names.index(src)][d] = truth_a.names.index(to)
+        machine = Dfao(2, 0, rows, truth_a.outputs, WINDOW, truth_a.names)
+    vals = bytearray(f_main.values[:2 ** 16 + 2])  # what depth 4 and 2^16 read
+    if at is not None:
+        vals[at] = 9
+    oracle = SequenceTable(0, len(vals) - 1, vals, "F")
+    with pytest.raises(CertificationFailure) as excinfo:
+        certify_transitions(machine, oracle, rules_main, depth=4, validate_to=2 ** 16)
+    e = excinfo.value
+    assert str(e) == message
+    assert (e.from_name, e.digit, e.to_name, e.witness) == fields
 
 
 def test_certify_catches_wrong_output(truth_a, f_main, rules_main):
