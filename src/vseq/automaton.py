@@ -12,6 +12,9 @@ Automata are immutable once built; evaluation is pure and thread-safe.
 
 from __future__ import annotations
 
+import functools
+import operator
+from array import array
 from dataclasses import dataclass
 from typing import Iterable, Union
 
@@ -152,6 +155,25 @@ class Dfao:
     @property
     def state_count(self) -> int:
         return len(self.transitions)
+
+    @functools.cached_property
+    def stride_table(self) -> array:
+        """δ composed over k digits, for the largest k >= 1 with q^k <= 256
+        (k = 8 in base 2, k = 1 from q = 17): the state reached from s on
+        the k-digit numeral of w, leading zeros included, at s W + w, with
+        W = q^k.  One row of W states per state, in an ``array`` of the
+        narrowest typecode: 'B', rows of bytes, up to 256 states.  Built
+        once per automaton, on first use: row s for k + 1 digits is the
+        rows for k digits of δ(s, 0), ..., δ(s, q - 1), joined."""
+        n, q = self.state_count, self.alphabet_size
+        code = "B" if n <= 1 << 8 else "H" if n <= 1 << 16 else "I"
+        rows = [array(code, row) for row in self.transitions]
+        width = q
+        while width * q <= 256:
+            rows = [functools.reduce(operator.add, map(rows.__getitem__, row))
+                    for row in self.transitions]
+            width *= q
+        return functools.reduce(operator.iadd, rows, array(code))
 
     # -- evaluation ---------------------------------------------------------
 

@@ -18,10 +18,10 @@ are checked through one table of expected pairs per id.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
-import numpy as np
 
-from .sequences import SequenceTable, _compiled, join_ids
+from .sequences import SequenceTable, _compiled, join_ids, max_byte
 
 Window = tuple[int, int, int, int]
 
@@ -72,6 +72,38 @@ class RuleVerification:
     new_windows: dict[Window, int]  # windows absent from the frozen table
 
 
+def _first_seen(ids, distinct: int) -> list[int]:
+    """first[u], the least i with ids[i] == u, for each id u < distinct.
+    The compiled join's ids (an array) number first appearances in order,
+    so each is found with index from the one before; the numpy join's are
+    found by np.unique over the shortest prefix, grown fourfold, that holds
+    every id."""
+    if isinstance(ids, array):
+        first = [-1]
+        for u in range(distinct):
+            first.append(ids.index(u, first[-1] + 1))
+        return first[1:]
+    import numpy as np
+    span = 1 << 10
+    while True:
+        _, first = np.unique(ids[:span], return_index=True)
+        if len(first) == distinct:
+            return first.tolist()
+        span *= 4
+
+
+def _first_conflict(ids, expect: bytes, known: bytes, pairs) -> int:
+    """The reference compare of _oracle.Oracle.pairs in numpy, for ids of
+    any width: the least i with known[ids[i]] and the pair at 2i unlike
+    the expected pair of ids[i], or -1."""
+    import numpy as np
+    ids = np.asarray(memoryview(ids))
+    want, got = (np.frombuffer(b, dtype="<u2") for b in (expect, pairs))
+    miss = np.flatnonzero(want[ids] != got)
+    miss = miss[np.frombuffer(known, dtype=bool)[ids[miss]]]
+    return int(miss[0]) if miss.size else -1
+
+
 def _scan(f: SequenceTable, a_min: int, a_max: int,
           frozen: WindowRuleTable | None = None) -> WindowRuleTable:
     """The one pass over a in [a_min, a_max]: the windows realized on it,
@@ -79,17 +111,16 @@ def _scan(f: SequenceTable, a_min: int, a_max: int,
 
     Each window gets a dense id without sorting: join_ids numbers the
     4-tuples of bytes at stride 1, ids below k = 1 + the largest byte in
-    range (k^4 = 256 tuples for F).  The least a of each id comes from the
-    shortest prefix, grown fourfold, that holds every id.
-    The images of each a are read as one little-endian pair F(2a) +
-    256 F(2a+1) and checked in one compare against a per-id table of the
-    expected pairs: those of ``frozen`` (windows it lacks are skipped) or
-    else those of the window's first occurrence.  The compare runs
-    compiled (``_oracle.c`` vseq_pairs, stopping at the first conflict)
-    where a library loads for the scan's length and the ids are one byte
-    each, as F's 24 are; otherwise numpy compares every a, the reference.
-    RuleConflict names the least conflicting a, even before odd.  Callers
-    keep a_min > 3.
+    range (k^4 = 625 tuples for F), and _first_seen finds the least a of
+    each id.  The images of each a are the pair of bytes F(2a), F(2a+1),
+    checked in one compare against a per-id table of the expected pairs:
+    those of ``frozen`` (windows it lacks are skipped) or else those of the
+    window's first occurrence.  Where a library loads for the scan's
+    length, the largest byte, the join and, for one-byte ids as F's 24
+    are, the compare run compiled (``_oracle.c``; vseq_pairs stops at the
+    first conflict), and no numpy is loaded; otherwise numpy runs them, the
+    reference.  RuleConflict names the least conflicting a, even before
+    odd.  Callers keep a_min > 3.
     """
     if f.lo != 0:
         raise ValueError("rule scans expect an F table starting at index 0")
@@ -99,42 +130,37 @@ def _scan(f: SequenceTable, a_min: int, a_max: int,
         )
     if a_max < a_min:
         return WindowRuleTable(even_rule={}, odd_rule={}, first_seen={})
+    count = a_max - a_min + 1
     vals = f.byte_values()
-    pairs = vals[2 * a_min:2 * a_max + 2].view("<u2")  # F(2a) + 256 F(2a+1)
-    k = int(vals[a_min - 2:a_max + 2].max()) + 1  # over the bytes of every window
-    ids, distinct = join_ids(vals, k, a_min - 2, 1, 4, a_max - a_min + 1)
-    span = 1 << 10
-    while True:
-        _, first = np.unique(ids[:span], return_index=True)
-        if len(first) == distinct:
-            break
-        span *= 4
-    wins = [f.window4(a_min + int(i)) for i in first]
-    images = [(int(p) & 255, int(p) >> 8) for p in pairs[first]]
-    by_a = np.argsort(first)
+    pairs = vals[2 * a_min:2 * a_max + 2]  # F(2a), F(2a+1) for each a
+    # the largest byte over the bytes of every window
+    k = max_byte(vals[a_min - 2:a_max + 2], count) + 1
+    ids, distinct = join_ids(vals, k, a_min - 2, 1, 4, count, steps=count)
+    first = _first_seen(ids, distinct)
+    wins = [f.window4(a_min + i) for i in first]
+    by_a = sorted(range(distinct), key=first.__getitem__)
     realized = WindowRuleTable(
-        even_rule={wins[u]: images[u][0] for u in by_a},
-        odd_rule={wins[u]: images[u][1] for u in by_a},
-        first_seen={wins[u]: a_min + int(first[u]) for u in by_a},
+        even_rule={wins[u]: pairs[2 * first[u]] for u in by_a},
+        odd_rule={wins[u]: pairs[2 * first[u] + 1] for u in by_a},
+        first_seen={wins[u]: a_min + first[u] for u in by_a},
     )
     ref = realized if frozen is None else frozen
-    known = np.array([w in ref.even_rule for w in wins])
-    expect = np.zeros(distinct, dtype="<u2")
+    known = bytes(w in ref.even_rule for w in wins)
+    expect = bytearray()
     for u, w in enumerate(wins):
         g, h = ref.even_rule.get(w, 0), ref.odd_rule.get(w, 0)
         # an image outside [0, 255] fits no pair and conflicts wherever its
         # window occurs: a pair unlike the one at its first a says so
-        expect[u] = g | h << 8 if 0 <= g <= 255 and 0 <= h <= 255 else pairs[first[u]] ^ 1
-    lib = _compiled(ids.size)
-    if lib is not None and ids.dtype == np.uint8:
+        expect += (bytes((g, h)) if 0 <= g <= 255 and 0 <= h <= 255
+                   else bytes((pairs[2 * first[u]] ^ 1, pairs[2 * first[u] + 1])))
+    lib = _compiled(count)
+    if lib is not None and memoryview(ids).itemsize == 1:
         i = lib.pairs(ids, expect, known, pairs)
     else:
-        miss = np.flatnonzero(expect[ids] != pairs)
-        miss = miss[known[ids[miss]]]
-        i = int(miss[0]) if miss.size else -1
+        i = _first_conflict(ids, expect, known, pairs)
     if i >= 0:
         w = wins[ids[i]]
-        g, h = int(pairs[i]) & 255, int(pairs[i]) >> 8
+        g, h = pairs[2 * i], pairs[2 * i + 1]
         parity, table, image = (("even", ref.even_rule, g) if ref.even_rule[w] != g
                                 else ("odd", ref.odd_rule, h))
         raise RuleConflict(w, parity, ref.first_seen[w], table[w], a_min + i, image)

@@ -23,8 +23,6 @@ from array import array
 from dataclasses import dataclass
 from typing import IO, Sequence
 
-import numpy as np
-
 
 class DeadSequence(Exception):
     """A recursion argument left [1, n-1]; the sequence has no term at n."""
@@ -49,9 +47,9 @@ class SequenceTable:
 
     ``values`` may be any integer sequence; generators pick a compact
     backing store: a 32-bit ``array("I")`` for V and Q_{r,s}, a bytearray
-    for F, a numpy array in the narrowest integer dtype for first
-    differences.  An F table is counted without a V table, so it costs one
-    byte per index in all.
+    for F and for V's steps read off F, a numpy array in the narrowest
+    integer dtype for the first difference of a table.  An F table is
+    counted without a V table, so it costs one byte per index in all.
 
     The windows (S(n-2), S(n-1), S(n), S(n+1)) read 0 below lo, the F(-2)
     = F(-1) = 0 convention: window4 gives one, window_bytes the bytes of
@@ -90,15 +88,21 @@ class SequenceTable:
         vals, lo = self.values, self.lo
         return tuple(vals[i - lo] if i >= lo else 0 for i in range(n - 2, n + 2))
 
-    def byte_values(self) -> np.ndarray:
-        """The values as a uint8 array, without a copy for a bytearray store;
-        ValueError unless every value fits one byte."""
-        vals = np.asarray(self.values)
-        if vals.dtype != np.uint8:
-            if vals.size and (int(vals.min()) < 0 or int(vals.max()) > 255):
-                raise ValueError(f"{self.label} values must lie in [0, 255]")
-            vals = vals.astype(np.uint8)
-        return vals
+    def byte_values(self) -> memoryview:
+        """The values as a memoryview of bytes (format 'B'), without a copy
+        for a store of contiguous bytes: a bytearray, bytes, a uint8 array;
+        any other store is converted.  ValueError unless every value fits
+        one byte."""
+        try:
+            view = memoryview(self.values)
+        except TypeError:  # a list, say
+            view = None
+        if view is not None and view.format == "B" and view.ndim == 1:
+            return view if view.c_contiguous else memoryview(view.tobytes())
+        try:
+            return memoryview(bytes(self.values if view is None else view.tolist()))
+        except ValueError:
+            raise ValueError(f"{self.label} values must lie in [0, 255]") from None
 
     def window_bytes(self, lo: int, hi: int) -> bytes:
         """S(lo-2) through S(hi+1), one byte each, in one copy: the window
@@ -109,11 +113,12 @@ class SequenceTable:
             raise IndexError(f"index {hi + 1} above table end {self.hi}")
         seg = self.byte_values()[max(lo - 2 - self.lo, 0):max(hi + 2 - self.lo, 0)]
         # the bytes missing from the table all lie below it
-        return b"".join((bytes(hi - lo + 4 - seg.size), np.ascontiguousarray(seg).data))
+        return b"".join((bytes(hi - lo + 4 - len(seg)), seg))
 
 
-def _narrowest(d: int) -> np.dtype:
-    """The narrowest unsigned dtype holding every id below d."""
+def _narrowest(d: int):
+    """The narrowest unsigned numpy dtype holding every id below d."""
+    import numpy as np
     return np.min_scalar_type(max(d - 1, 0))
 
 
@@ -123,10 +128,11 @@ def _dense(space: int, size: int) -> bool:
     return space <= size + (1 << 16)
 
 
-def _compact(codes: np.ndarray, space: int) -> tuple[np.ndarray, int]:
-    """Dense ids for codes in [0, space): equal codes get equal ids, in the
-    narrowest dtype that holds their number, as the compiled join's ids
-    are; and the number of distinct codes."""
+def _compact(codes, space: int):
+    """Dense ids for the numpy array of codes in [0, space): equal codes get
+    equal ids, in the narrowest dtype that holds their number, as the
+    compiled join's ids are; and the number of distinct codes."""
+    import numpy as np
     if _dense(space, codes.size):
         present = np.zeros(space, dtype=bool)
         present[codes] = True
@@ -138,23 +144,31 @@ def _compact(codes: np.ndarray, space: int) -> tuple[np.ndarray, int]:
     return ids.astype(np.min_scalar_type(len(distinct))), len(distinct)
 
 
-def join_ids(ids: np.ndarray, k: int, first: int, stride: int, parts: int,
-             count: int) -> tuple[np.ndarray, int]:
+def join_ids(ids, k: int, first: int, stride: int, parts: int, count: int,
+             steps: int | None = None):
     """Dense ids for the tuples (ids[first + stride i + j])_{j < parts},
     i < count, of unsigned ids below k: equal tuples get equal ids, in the
-    narrowest dtype that holds their number (uint8 up to 255 ids); and
+    narrowest width that holds their number (one byte up to 255 ids); and
     their number.  Tuples may overlap (parts > stride), as the rule scan's
-    4-windows at stride 1 do.
+    4-windows at stride 1 do.  ids is any flat buffer of unsigned ids 1, 2
+    or 4 bytes wide: bytes, a bytearray, an ``array.array``, a memoryview or
+    a numpy array.
 
-    The compiled join (``_oracle.c``) runs when a library loads for ids.size
-    steps and its rank table over all k**parts tuples is dense; otherwise
-    each tuple is packed into one code, compacted early where a code could
-    pass 64 bits, and _compact numbers the codes.  The two engines order the
-    ids differently, so callers read only which ids are equal.
+    The compiled join (``_oracle.c``) runs when a library loads for
+    ``steps`` steps (len(ids) unless given; a caller that joins level after
+    level passes one figure for all of them) and its rank table over all
+    k**parts tuples is dense.  It numbers the ids in order of first
+    appearance and returns them as an ``array.array`` ('B', 'H' or 'I').
+    Otherwise numpy packs each tuple into one code, compacted early where a
+    code could pass 64 bits, and _compact numbers the codes into a numpy
+    array, in another order; callers read only which ids are equal, or
+    their first appearances from the compiled join's.
     """
-    lib = _compiled(ids.size)
+    lib = _compiled(len(ids) if steps is None else steps)
     if lib is not None and _dense(k ** parts, count):
         return lib.join(ids, first, stride, parts, count, k)
+    import numpy as np
+    ids = np.asarray(memoryview(ids))
     children = [ids[first + j:first + j + stride * (count - 1) + 1:stride]
                 for j in range(parts)]
     code, space = children[0], k
@@ -196,6 +210,16 @@ def _compiled(steps: int):
         return None
     from ._oracle import library
     return library()
+
+
+def max_byte(vals, steps: int) -> int:
+    """The largest of the bytes vals, compiled where a library loads for
+    ``steps`` steps, else in numpy, the reference."""
+    lib = _compiled(steps)
+    if lib is not None:
+        return lib.byte_max(vals)
+    import numpy as np
+    return int(np.asarray(memoryview(vals)).max())
 
 
 def _raise(status: int, info: list[int], label: str, partial) -> None:
@@ -258,7 +282,7 @@ def _recursion_py(r: int, s: int, n_max: int, label: str) -> SequenceTable:
 
 
 def _frequency(r: int, s: int, a_max: int, label: str,
-               counted: np.ndarray | None = None) -> bytearray:
+               counted: memoryview | None = None) -> bytearray:
     """counts[a] = #{n : Q_{r,s}(n) = a} for a in [0, a_max], compiled when
     possible; Q is generated and checked as in _frequency_py.  The compiled
     loop keeps only Q's last s terms and reads the older ones back from the
@@ -266,11 +290,12 @@ def _frequency(r: int, s: int, a_max: int, label: str,
     gen_f counts V = Q_{1,4}; other (r, s) reach the checks V never trips.
 
     ``counted``, a finished count of this Q for the values below its length
-    (at most a_max + 1 of them), is resumed: the compiled loop starts after
-    the terms it counts, and moves its read positions over the finished
-    counts 64 at a time before it steps on.  The counts are copied straight
-    into the new table, through a numpy view of it, so no third F-sized
-    buffer is held while the count resumes.  The Python loop counts from
+    (at most a_max + 1 of them, as bytes), is resumed: the compiled loop
+    starts after the terms it counts, their number the counts' sum, and
+    moves its read positions over the finished counts 64 at a time before
+    it steps on.  The counts are copied straight into the new table through
+    a memoryview of it, so no third F-sized buffer is held while the count
+    resumes; the sum is a compiled pass too.  The Python loop counts from
     the start again.
     """
     lib = _compiled(2 * a_max)  # V(n) is about n / 2
@@ -281,8 +306,8 @@ def _frequency(r: int, s: int, a_max: int, label: str,
         counts[1] = done = s  # Q(1..s) = 1
     else:
         # a bytearray slice assignment would copy its source first
-        np.frombuffer(counts, dtype=np.uint8)[:counted.size] = counted
-        done = int(counted.sum(dtype=np.int64))
+        memoryview(counts)[:len(counted)] = counted
+        done = lib.byte_sum(counted)
     status, info = lib.count(counts, r, s, done)
     _raise(status, info, label,
            lambda n: _recursion(r, s, n - 1, label).values)
@@ -380,8 +405,9 @@ DIFF_CHUNK = 1 << 16
 
 
 def first_difference(t: SequenceTable | int) -> SequenceTable:
-    """The table D(n) = t(n+1) - t(n) on [lo, hi-1], in the narrowest
-    integer dtype holding every difference (uint8 for V's steps in {0, 1}).
+    """The table D(n) = t(n+1) - t(n) on [lo, hi-1], in a numpy array of the
+    narrowest integer dtype holding every difference (uint8 for V's steps
+    in {0, 1}).
 
     One pass over chunks finds the range of the differences and a second
     fills them, so no int64 copy of the whole table is ever held.
@@ -395,12 +421,13 @@ def first_difference(t: SequenceTable | int) -> SequenceTable:
     a least slack of 3).  Should S still fall short, F is extended until it
     reaches n, so the result never rests on the margin.  One pass over F
     marks each S(a) <= n, compiled when possible (see _marks), so F and
-    the n steps are all it holds.
+    the n steps, a bytearray, are all it holds.
     """
     if not isinstance(t, SequenceTable):
         return _v_steps(_size(t, "n", 1))
     if len(t) < 2:
         raise ValueError("need at least 2 entries")
+    import numpy as np
     vals = np.asarray(t.values)
     n = len(vals) - 1
     chunks = [(i, min(i + DIFF_CHUNK, n)) for i in range(0, n, DIFF_CHUNK)]
@@ -425,7 +452,7 @@ def first_difference(t: SequenceTable | int) -> SequenceTable:
 def _v_steps(n: int) -> SequenceTable:
     """first_difference(n): V's steps on [1, n], marked at each S(a) <= n."""
     f = gen_f(n // 2 + n.bit_length())
-    out = np.zeros(n, dtype=np.uint8)
+    out = bytearray(n)
     lib = _compiled(n)
     while True:
         counts = f.byte_values()
@@ -437,10 +464,13 @@ def _v_steps(n: int) -> SequenceTable:
         f = extend_f(f, f.hi + n - reached)
 
 
-def _marks(counts: np.ndarray, out: np.ndarray) -> int:
+def _marks(counts, out) -> int:
     """The reference pass of _oracle.Oracle.marks: out[S(a) - 1] = 1 for
-    each a >= 1 with 0 < S(a) <= out.size, taking the prefix sums S of the
-    counts DIFF_CHUNK entries at a time; returns S at the counts' end."""
+    each a >= 1 with 0 < S(a) <= len(out), over byte buffers, taking the
+    prefix sums S of the counts DIFF_CHUNK entries at a time in numpy;
+    returns S at the counts' end."""
+    import numpy as np
+    counts, out = (np.asarray(memoryview(b)) for b in (counts, out))
     n = out.size
     buf = np.empty(min(DIFF_CHUNK, counts.size), dtype=np.intp)
     below = 0  # S(i - 1)

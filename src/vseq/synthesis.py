@@ -25,17 +25,20 @@ Shallit, Automatic Sequences, Thm 6.6.2), so each level is one tuple join
 (sequences.join_ids).  Levels are capped by the given horizon and by oracle
 coverage; two strings are merged when their signatures agree on every
 common level.
+
+On an oracle long enough to load the compiled loops (``_oracle.c``),
+discovery, cross-validation and certification run them and bytes
+operations, and load no numpy; numpy runs the reference passes.
 """
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
-
-import numpy as np
 
 from .automaton import WINDOW, Dfao
 from .rules import RuleConflict, WindowRuleTable, verify_rules
-from .sequences import SequenceTable, _compiled, _narrowest, join_ids
+from .sequences import SequenceTable, _compiled, _narrowest, join_ids, max_byte
 
 
 class NonpositiveDivisor(ValueError):
@@ -102,35 +105,39 @@ def _check_from_0(oracle: SequenceTable) -> None:
         raise ValueError("synthesis expects an oracle table starting at index 0")
 
 
-def _block_ids(oracle: SequenceTable, horizon: int) -> list[np.ndarray]:
+def _block_ids(oracle: SequenceTable, horizon: int) -> list:
     """Per level L <= horizon, one id per m with (m + 1) 2^L <= oracle.hi
     for the block of windows at 2^L m + c, c < 2^L: equal ids for equal
     blocks.  Level 0 numbers the 4-windows at n < oracle.hi like the rule
     scan, ids below k = 1 + the largest byte; level L joins level L-1's ids
     at 2m and 2m + 1.  Levels stop at the horizon or where fewer than two
-    ids are left to join.  Each level's ids are one byte each while it has
-    at most 255 (F has about 28), and the window bytes go after level 0."""
+    ids are left to join.  The engine is chosen once, from the oracle's
+    length, for the largest byte and every level's join (see join_ids).
+    Each level's ids are one byte each while it has at most 255 (F has
+    about 28), and the window bytes go after level 0."""
     if oracle.hi < 1 or horizon < 0:
         return []
-    padded = np.frombuffer(oracle.window_bytes(0, oracle.hi - 1), dtype=np.uint8)
-    ids, k = join_ids(padded, int(padded.max()) + 1, 0, 1, 4, oracle.hi)
+    steps = oracle.hi
+    padded = oracle.window_bytes(0, oracle.hi - 1)
+    k = max_byte(padded, steps) + 1
+    ids, k = join_ids(padded, k, 0, 1, 4, oracle.hi, steps=steps)
     del padded
     levels = [ids]
-    while len(levels) <= horizon and ids.size >= 2:
-        ids, k = join_ids(ids, k, 0, 2, 2, ids.size // 2)
+    while len(levels) <= horizon and len(ids) >= 2:
+        ids, k = join_ids(ids, k, 0, 2, 2, len(ids) // 2, steps=steps)
         levels.append(ids)
     return levels
 
 
-def _kernel_node(oracle: SequenceTable, levels: list[np.ndarray], rep: str,
+def _kernel_node(oracle: SequenceTable, levels: list, rep: str,
                  m: int) -> KernelNode:
     """The node for access string ``rep`` of value m: the window at m, and
     the block id at m on every level of ``levels`` (from _block_ids) that
     holds one.  OracleTooShort where level 0 holds none."""
-    if not levels or m >= levels[0].size:
+    if not levels or m >= len(levels[0]):
         raise OracleTooShort(
             f"oracle ends at {oracle.hi}; cannot form a level-0 signature for value {m}")
-    sig = tuple(int(ids[m]) for ids in levels if m < ids.size)
+    sig = tuple(int(ids[m]) for ids in levels if m < len(ids))
     return KernelNode(rep, m, oracle.window4(m), sig)
 
 
@@ -188,64 +195,59 @@ class Validation:
     n_max: int
 
 
-def _stride(m: Dfao) -> tuple[np.ndarray, np.ndarray]:
-    """δ as an S x q array in the narrowest dtype for the states, and the
-    stride table T of _states_upto."""
-    trans = np.asarray(m.transitions, dtype=_narrowest(m.state_count))
-    table = trans
-    while table.shape[1] * m.alphabet_size <= 256:
-        table = trans[table].reshape(m.state_count, -1)
-    return trans, table
-
-
-def _states_upto(m: Dfao, n_max: int) -> np.ndarray:
+def _states_upto(m: Dfao, n_max: int) -> array:
     """state(n) for all n in [0, n_max]: the state after reading the base-q
-    numeral of n (state(0) = initial, the empty numeral), in the narrowest
-    dtype for the states.
+    numeral of n (state(0) = initial, the empty numeral), in an ``array``
+    of the stride table's typecode ('B' up to 256 states).
 
-    A stride table T, δ composed over k digits for the largest k with
-    q^k <= 256 (k = 8 in base 2, k = 1 from q = 17), gives T[s, w], the state
-    reached from s on the k-digit numeral of w, leading zeros included.  n
-    below q^k is filled a digit level at a time, state(q n + d) =
-    δ(state(n), d); every later level in one row gather of T,
-    state(q^k n + w) = T[state(n), w] (a q-automatic sequence is
-    q^k-automatic: Allouche & Shallit, Automatic Sequences, Thm 6.6.4).
+    The stride table T of Dfao.stride_table, δ composed over k digits for
+    the largest k with q^k <= 256, gives T[s, w], the state reached from s
+    on the k-digit numeral of w, leading zeros included.  n below q^k is
+    filled a digit level at a time, state(q n + d) = δ(state(n), d); every
+    later level by joining rows of T, state(q^k n + w) = T[state(n), w]
+    (a q-automatic sequence is q^k-automatic: Allouche & Shallit, Automatic
+    Sequences, Thm 6.6.4).  A Python step per row, W = q^k states a step.
     """
-    q = m.alphabet_size
-    trans, table = _stride(m)
-    states = np.empty(n_max + 1, dtype=trans.dtype)
-    states[0] = m.initial
-    states[1:q] = trans[m.initial, 1:n_max + 1]  # the one-digit numerals
+    q, table = m.alphabet_size, m.stride_table
+    width = len(table) // m.state_count
+    delta = [array(table.typecode, row) for row in m.transitions]
+    strides = [table[s * width:(s + 1) * width] for s in range(m.state_count)]
+    states = array(table.typecode, [m.initial])
+    states += delta[m.initial][1:n_max + 1]  # the one-digit numerals
     hi = q  # states[:hi] is filled
     while hi <= n_max:
-        step = trans if hi < table.shape[1] else table
-        width = step.shape[1]
-        lo, end = hi // width, min(width * hi, n_max + 1)
-        rows = step[states[lo:-(-end // width)]].ravel()
-        states[hi:end] = rows[:end - hi]
-        hi *= width
+        rows, step = (delta, q) if hi < width else (strides, width)
+        lo, end = hi // step, min(step * hi, n_max + 1)
+        block = array(table.typecode)
+        for s in states[lo:-(-end // step)]:
+            block += rows[s]
+        states += block[:end - hi]
+        hi *= step
     return states
 
 
-# cross_validate compares this many n at a time
+# cross_validate compares this many n at a time in numpy
 CHECK_CHUNK = 1 << 16
 
 
-def _stride_head(m: Dfao, n_max: int) -> tuple[np.ndarray, np.ndarray]:
-    """The stride table T of _states_upto, of width W = q^k, and state(n)
-    for n <= max(n_max // W, W - 1): with state(n) = T[state(n // W),
-    n % W] from n = W on, all that a walk to n_max holds whole; the n
+def _stride_head(m: Dfao, n_max: int) -> tuple[array, array]:
+    """The stride table T of Dfao.stride_table, of width W = q^k, and
+    state(n) for n <= max(n_max // W, W - 1): with state(n) = T[state(n //
+    W), n % W] from n = W on, all that a walk to n_max holds whole; the n
     below W, numerals shorter than a stride, come from it."""
-    table = _stride(m)[1]
-    width = table.shape[1]
+    table = m.stride_table
+    width = len(table) // m.state_count
     return table, _states_upto(m, max(n_max // width, width - 1))
 
 
 def _state_chunks(m: Dfao, n_max: int):
     """(lo, state(n) for n in [lo, lo + CHECK_CHUNK) cut to n_max) for
-    consecutive chunks from lo = 0: _states_upto's last stride level, one
-    chunk at a time, from _stride_head."""
-    table, head = _stride_head(m, n_max)
+    consecutive chunks from lo = 0, as numpy arrays: _states_upto's last
+    stride level, one chunk at a time, from _stride_head.  The numpy
+    reference walk of cross_validate."""
+    import numpy as np
+    table, head = (np.asarray(memoryview(b)) for b in _stride_head(m, n_max))
+    table = table.reshape(m.state_count, -1)
     width = table.shape[1]
     for lo in range(0, n_max + 1, CHECK_CHUNK):
         hi = min(lo + CHECK_CHUNK, n_max + 1)
@@ -268,11 +270,11 @@ def cross_validate(m: Dfao, oracle: SequenceTable, n_max: int) -> Validation:
     library loads for n_max steps and the states fit one byte (both
     synthesized machines do), one compiled pass (``_oracle.c``
     vseq_check) walks the stride table of _stride_head and stops at the
-    first mismatch.  Otherwise the numpy pass runs, the reference: it
-    walks CHECK_CHUNK n at a time and reads each output as one
-    little-endian integer on both sides, the machine's outputs as an
-    S x w byte array gathered by state, and the oracle's as a
-    one-byte-stride view of a chunk's window_bytes, whose window at n
+    first mismatch, and no numpy is loaded.  Otherwise the numpy pass
+    runs, the reference: it walks CHECK_CHUNK n at a time and reads each
+    output as one little-endian integer on both sides, the machine's
+    outputs as an S x w byte array gathered by state, and the oracle's as
+    a one-byte-stride view of a chunk's window_bytes, whose window at n
     starts at byte n - lo and holds F(n) at byte 2.
     """
     _check_from_0(oracle)
@@ -281,15 +283,16 @@ def cross_validate(m: Dfao, oracle: SequenceTable, n_max: int) -> Validation:
     reach = offset + w - 3  # the last oracle index an output at n reads, less n
     if oracle.hi < n_max + reach:
         raise OracleTooShort(f"oracle ends at {oracle.hi}, need {n_max + reach}")
-    outputs = np.asarray(m.outputs, dtype=np.uint8).reshape(m.state_count, w)
+    outputs = bytes(m.outputs if w == 1 else (b for o in m.outputs for b in o))
     lib = _compiled(n_max)
     if lib is not None and m.state_count <= 256:
-        bad = lib.check(*_stride_head(m, n_max), outputs,
-                        np.ascontiguousarray(oracle.byte_values()), n_max)
+        table, head = _stride_head(m, n_max)
+        bad = lib.check(table, head, outputs, w, oracle.byte_values(), n_max)
         return Validation(bad < 0, None if bad < 0 else bad, n_max)
+    import numpy as np
     # one conversion for a table not stored as bytes, not one per chunk
     oracle = SequenceTable(0, oracle.hi, oracle.byte_values(), oracle.label)
-    outputs = outputs.view(f"<u{w}").ravel()
+    outputs = np.frombuffer(outputs, dtype=f"<u{w}")
     for lo, states in _state_chunks(m, n_max):
         want = np.ndarray(states.size, dtype=f"<u{w}", offset=offset, strides=(1,),
                           buffer=oracle.window_bytes(lo, lo + states.size - 2 + reach))
@@ -380,14 +383,6 @@ def _name_values(m: Dfao) -> list[int]:
     return vals
 
 
-def _windows(vals: np.ndarray, n: np.ndarray) -> np.ndarray:
-    """The window (F(n-2), F(n-1), F(n), F(n+1)) of window4 for each n of
-    an int64 array, F from vals[0], shaped n.shape + (4,); indices below 0
-    read 0."""
-    at = n[..., None] + np.arange(-2, 2)
-    return np.where(at >= 0, vals[np.maximum(at, 0)], 0)
-
-
 def cert_oracle_bound(m: Dfao, depth: int) -> int:
     """Last oracle index that certify_transitions reads at this depth: the
     windows at [u d x] for the longest boundary-family extension x of every
@@ -411,10 +406,11 @@ def certify_transitions(m: Dfao, oracle: SequenceTable, rules: WindowRuleTable,
     an oracle that does not start at index 0 raises ValueError first.
 
     The output windows are read one by one.  The windows of every
-    transition and extension are gathered into one numpy compare, listed
-    in the order the checks are stated, so the first failing pair names
-    the failure.  The rule propagation is verify_rules, whose compare runs
-    compiled or in numpy as rules._scan says.
+    transition and extension are joined, as byte slices of F, into two
+    byte strings compared at once, listed in the order the checks are
+    stated, so the first failing pair names the failure.  The rule
+    propagation is verify_rules, whose compare runs compiled or in numpy
+    as rules._scan says.
     """
     _check_from_0(oracle)
     if m.output_kind != WINDOW:
@@ -446,15 +442,19 @@ def certify_transitions(m: Dfao, oracle: SequenceTable, rules: WindowRuleTable,
     exts = [(0, 0, "")] + [
         ext for j in range(1, depth + 1)
         for ext in ((0, j, "0" * j), (1, j + 1, "0" * j + "1"), ((1 << j) - 1, j, "1" * j))]
-    xval, xlen = (np.array([e[i] for e in exts], dtype=np.int64) for i in (0, 1))
     edges = [(s, d, m.transitions[s][d]) for s in range(m.state_count) for d in (0, 1)]
-    mu = np.array([(values[s] << 1) | d for s, d, _ in edges], dtype=np.int64)
-    mv = np.array([values[p] for _, _, p in edges], dtype=np.int64)
-    vals = np.asarray(oracle.values)
-    windows = [_windows(vals, (n[:, None] << xlen) | xval) for n in (mu, mv)]
-    bad = np.flatnonzero((windows[0] != windows[1]).any(axis=-1).ravel())
-    if bad.size:
-        row, t = divmod(int(bad[0]), len(exts))
+    vals, low = oracle.byte_values(), oracle.window_bytes(0, 1)
+
+    def windows(starts) -> bytes:
+        """The windows at (u << len(x)) | x for u in starts, x in exts."""
+        at = [(u << xlen) | xval for u in starts for xval, xlen, _ in exts]
+        return b"".join(vals[n - 2:n + 2] if n >= 2 else low[n:n + 4] for n in at)
+
+    left = windows([(values[s] << 1) | d for s, d, _ in edges])
+    right = windows([values[p] for _, _, p in edges])
+    if left != right:
+        bad = next(i for i in range(0, len(left), 4) if left[i:i + 4] != right[i:i + 4])
+        row, t = divmod(bad // 4, len(exts))
         s, d, p = edges[row]
         raise CertificationFailure(
             "family windows differ" if t else "base windows differ",
@@ -547,15 +547,17 @@ def kernel_probe(table: SequenceTable, q: int, depth: int,
     Level 0's ids are the byte values, below k = 1 + the largest byte, so
     that F's five values give level 1 a space of 5^q tuples.  Every join
     goes through sequences.join_ids, which reads the children straight from
-    the ids of the level before and runs compiled (``_oracle.c``) where a
-    library loads and the tuple space is small enough to tabulate.  Level 0
-    counts its bytes compiled on a table of 2^14 entries or more.  The
-    level that compares bytes sorts them with numpy.  Only the counts are
-    reported, so the order of the ids is free.
+    the ids of the level before.  The engine is chosen once, from the
+    table's length: where a library loads, level 0 counts its bytes
+    compiled (``_oracle.c``) and every join whose tuple space is small
+    enough to tabulate runs compiled.  The level that compares bytes sorts
+    them with numpy.  Only the counts are reported, so the order of the
+    ids is free.
     """
     check_probe_args(q, depth, prefix_len)
     vals = table.byte_values()
-    lib = _compiled(len(vals))
+    steps = len(vals)
+    lib = _compiled(steps)
     lo, hi = table.lo, table.hi
     levels = []
     truncated = False
@@ -569,22 +571,24 @@ def kernel_probe(table: SequenceTable, q: int, depth: int,
             break
         count = n1 - n0 + 1
         if e == 0:
-            ids, k = vals, int(vals.max()) + 1  # ids below k: the byte values
+            ids, k = vals, max_byte(vals, steps) + 1  # ids below k: the byte values
             if lib is not None:
                 distinct = lib.distinct_bytes(vals)
             else:
+                import numpy as np
                 seen = np.zeros(k, dtype=bool)
-                seen[vals] = True
+                seen[np.asarray(vals)] = True
                 distinct = int(np.count_nonzero(seen))
         elif block in (prev_block, q * prev_block):
             # level e-1's blocks q n + j
             parts = 1 if block == prev_block else q
-            ids, k = join_ids(ids, k, q * n0 - prev_n0, q, parts, count)
+            ids, k = join_ids(ids, k, q * n0 - prev_n0, q, parts, count, steps=steps)
             distinct = k
         else:
+            import numpy as np
             rows = np.lib.stride_tricks.as_strided(
-                vals[n0 * step - lo:], shape=(count, block),
-                strides=(step * vals.strides[0], vals.strides[0]), writeable=False)
+                np.asarray(vals)[n0 * step - lo:], shape=(count, block),
+                strides=(step, 1), writeable=False)
             rows = np.ascontiguousarray(rows).view(f"V{block}").ravel()
             uniq, ids = np.unique(rows, return_inverse=True)
             distinct = k = len(uniq)

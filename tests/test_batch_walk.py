@@ -55,7 +55,7 @@ def test_batch_walk_equals_single_walk(case):
     m, n_max, picks = case
     states = _states_upto(m, n_max)
     assert len(states) == n_max + 1
-    assert states.dtype == np.min_scalar_type(max(m.state_count - 1, 0))
+    assert np.asarray(states).dtype == np.min_scalar_type(max(m.state_count - 1, 0))
     q = m.alphabet_size
     for i in [*range(min(n_max, 300) + 1), *picks, n_max]:
         assert states[i] == m.walk(base_digits(i, q)), i

@@ -83,9 +83,9 @@ def _assert_ids_number_slices(f: SequenceTable, horizon: int) -> None:
     level covers, (m + 1) 2^L <= f.hi."""
     padded = _padded(f)
     for level, ids in enumerate(_block_ids(f, horizon)):
-        assert ids.size == f.hi >> level
+        assert len(ids) == f.hi >> level
         id_of = {}
-        for m in range(ids.size):
+        for m in range(len(ids)):
             sl = padded[m << level:((m + 1) << level) + 3]
             assert id_of.setdefault(sl, int(ids[m])) == int(ids[m]), (m, level)
         assert len(set(id_of.values())) == len(id_of), level
@@ -366,11 +366,25 @@ CORRUPT_N_MAX = 3000
 
 def _first_mismatch_by_eval(machine: Dfao, oracle: SequenceTable, n_max: int):
     """The least n in [0, n_max] where machine.eval differs from the
-    oracle's output at n (its window, or F(n)), or None."""
+    oracle's output at n (its window, or F(n)), or None.  The numeral of
+    n = 0 is the empty one, as in cross_validate."""
     def truth(n):
         return oracle.window4(n) if machine.output_kind == WINDOW else oracle[n]
     return next((n for n in range(n_max + 1)
-                 if machine.eval(format(n, "b")) != truth(n)), None)
+                 if machine.eval(format(n, "b") if n else "") != truth(n)), None)
+
+
+def test_first_mismatch_by_eval_reads_0_as_the_empty_numeral(truth_a, f_main):
+    # with eps -0-> redirected to the state of "1", the numeral "0" reaches
+    # another window; no numeral of n >= 1 reads that transition, so the
+    # machine still computes F, and the walk agrees with cross_validate
+    rows = [list(r) for r in truth_a.transitions]
+    rows[truth_a.initial][0] = rows[truth_a.initial][1]
+    m = Dfao(2, truth_a.initial, rows, truth_a.outputs, WINDOW, truth_a.names)
+    assert m.eval("0") != f_main.window4(0)
+    for n_max in (0, CORRUPT_N_MAX):
+        assert _first_mismatch_by_eval(m, f_main, n_max) is None
+        assert cross_validate(m, f_main, n_max) == vseq.Validation(True, None, n_max)
 
 
 # the corrupted F(k): the edges, a middle value, and the last F each kind reads
@@ -751,7 +765,7 @@ def test_probe_argument_validation():
 def _probe_by_sorting(table, q, depth, prefix_len):
     """The reference kernel_probe: gather every block's bytes and count the
     distinct rows by sorting them, level by level."""
-    vals = table.byte_values()
+    vals = np.asarray(table.byte_values())
     lo, hi = table.lo, table.hi
     levels = []
     truncated = False
@@ -794,7 +808,7 @@ def compiled_joins(monkeypatch):
 
     def spy(self, *args):
         ids, distinct = join(self, *args)
-        dtypes.append(ids.dtype)
+        dtypes.append(np.asarray(ids).dtype)
         return ids, distinct
 
     monkeypatch.setattr(_oracle.Oracle, "join", spy)
@@ -863,8 +877,10 @@ def test_probe_f_at_q3_joins_compiled(compiled_joins):
     # level 1: every byte pair, 65,536 ids, so they pass 65,535
     (256, 2, 2 ** 21, 1, [U32]),
     # level 2: all 256 tuples of 4 values, one id past a byte; level 3
-    # joins level 2's 12,500 ids, too few to load the library for: numpy
-    (4, 2, 50_000, 4, [U8, U16]),
+    # joins level 2's 12,500 ids compiled too, as the engine is chosen
+    # once, from the table's 50,000 entries; level 4's space of level 3's
+    # ids squared passes count + 2^16: numpy
+    (4, 2, 50_000, 4, [U8, U16, U16]),
     # level 0's ids lie below 2, not 256, so level 1's 2^3 tuples join
     # compiled, and so do level 2's 8^3; level 3 joins level 2's 5,555
     # ids: numpy
