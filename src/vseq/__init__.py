@@ -12,14 +12,16 @@ from .published import (PAPER_TYPO, UNRESOLVED, DiffReport, Finding,
                         PrintedTable, diff_report, table1, table2)
 from .rules import (RuleConflict, RuleVerification, WindowRuleTable,
                     derive_rules, format_rules, verify_rules)
-from .sequences import (DeadSequence, MonotonicityViolation, SequenceTable,
-                        extend_f, first_difference, gen_f, gen_qrs, gen_v,
-                        read_table, write_table)
+from .sequences import (DeadSequence, MonotonicityViolation, PlannedWindows,
+                        SequenceTable, count_windows, extend_f,
+                        first_difference, gen_f, gen_qrs, gen_v, read_table,
+                        write_table)
 from .synthesis import (CertificateReport, CertificationFailure,
                         InsufficientHorizon, KernelNode, NonpositiveDivisor,
                         OracleTooShort, ProbeReport, TransitionCertificate,
-                        Validation, cert_oracle_bound, certify_transitions,
-                        cross_validate, discover, euclid_div, kernel_probe,
-                        shift_bounds, synthesize_msb, synthesize_validated)
+                        Validation, cert_oracle_bound, cert_plan,
+                        certify_transitions, cross_validate, discover,
+                        euclid_div, kernel_probe, shift_bounds, synthesize_msb,
+                        synthesize_validated)
 
 __version__ = "0.1.0"

@@ -1,5 +1,6 @@
 """The compiled loops of ``_oracle.c``, built on first use: the Q_{r,s}
-recursion and count for the oracle, the pass that marks V's steps from F,
+recursion and count for the oracle, the count resumed into a ring that keeps
+F's windows at planned indices, the pass that marks V's steps from F,
 the byte sum, maximum and distinct count, the tuple join that numbers the
 rule scan's windows, discovery's windows and the kernel probe's blocks,
 and the two checks of the synthesize pipeline: cross-validation's walk of
@@ -41,7 +42,7 @@ COMPILE = ("cc", "-O2", "-shared", "-fPIC")
 
 # the statuses of _oracle.c, and what vseq_join returns for ids wider than
 # its output's
-OK, DEAD, NOT_MONOTONE, COUNT_OVERFLOW, VALUE_OVERFLOW, UNSETTLED = range(6)
+OK, DEAD, NOT_MONOTONE, COUNT_OVERFLOW, VALUE_OVERFLOW, UNSETTLED, RING_SHORT = range(7)
 WIDER = -2
 
 # array typecodes of the id widths the join reads and writes: 1, 2, 4 bytes
@@ -75,7 +76,7 @@ def _pointer(view: memoryview):
 
 
 class Oracle:
-    """The loops of _oracle.c: the two oracle loops, which return a status
+    """The loops of _oracle.c: the three oracle loops, which return a status
     and info[3], the marking pass, the byte passes, the join, and the
     cross-validation and image-pair checks.  Each pass checks the
     format, length and bounds of its buffers before it passes pointers."""
@@ -87,13 +88,16 @@ class Oracle:
         lib.vseq_count.argtypes = [ctypes.POINTER(ctypes.c_uint8), i64, i64, i64,
                                    i64, ctypes.POINTER(ctypes.c_uint32), i64,
                                    ctypes.POINTER(i64)]
-        lib.vseq_qrs.restype = lib.vseq_count.restype = ctypes.c_int
         ptr = ctypes.c_void_p
+        lib.vseq_ring_count.argtypes = [ptr, i64, ptr, i64, i64, i64, ptr, i64,
+                                        ptr, ctypes.POINTER(i64)]
+        lib.vseq_qrs.restype = lib.vseq_count.restype = ctypes.c_int
+        lib.vseq_ring_count.restype = ctypes.c_int
         lib.vseq_marks.argtypes = [ptr, i64, ptr, i64]
         for fn in (lib.vseq_byte_sum, lib.vseq_byte_max, lib.vseq_distinct_bytes):
             fn.argtypes = [ptr, i64]
         lib.vseq_join.argtypes = [ptr, i64, i64, i64, i64, i64, i64, ptr,
-                                  ctypes.c_uint64, ptr, i64]
+                                  ctypes.c_uint64, ptr, i64, i64]
         lib.vseq_check.argtypes = [ptr, i64, ptr, ptr, i64, ptr, i64]
         lib.vseq_pairs.argtypes = [ptr, ptr, ptr, ptr, i64]
         for fn in (lib.vseq_marks, lib.vseq_byte_sum, lib.vseq_byte_max,
@@ -121,6 +125,31 @@ class Oracle:
         status = self._lib.vseq_count(view, len(counts) - 1, r, s, done,
                                       ring, len(ring) - 1, info)
         return status, list(info)
+
+    def ring_count(self, prefix, done: int, a_max: int, size: int,
+                   plan: list[int]) -> tuple[int, list[int], bytearray]:
+        """count's loop for V resumed from F's finished counts prefix
+        (values 0 to p = len(prefix) - 1, done their sum) up to a_max, the
+        counts past p kept in a ring of ``size`` counts, a power of two of
+        at least 64: the status, info, and the windows F(n-2..n+1) at the
+        sorted, distinct planned n in [p, a_max - 1], four bytes each."""
+        prefix = _view(prefix, "B", "ring_count's prefix")
+        p = len(prefix) - 1
+        if size < 64 or size & (size - 1):
+            raise ValueError(f"a ring of {size} counts is not a power of two >= 64")
+        if (p < 1 or a_max < p or any(b <= a for a, b in zip(plan, plan[1:]))
+                or any(not p <= n < a_max for n in plan[:1] + plan[-1:])):
+            raise ValueError("ring_count plans sorted, distinct windows from "
+                             "the prefix's end to the count's")
+        info = (ctypes.c_int64 * 3)()
+        planned = array("q", plan)
+        windows = bytearray(4 * len(plan))
+        counts = bytearray(size)
+        status = self._lib.vseq_ring_count(
+            _pointer(prefix), p, _pointer(memoryview(counts)), size - 1, a_max,
+            done, planned.buffer_info()[0], len(planned),
+            _pointer(memoryview(windows)), info)
+        return status, list(info), windows
 
     def marks(self, counts, out) -> int:
         """out[S(a) - 1] = 1 for each a >= 1 with 0 < S(a) <= len(out),
@@ -150,30 +179,51 @@ class Oracle:
         return self._lib.vseq_distinct_bytes(_pointer(vals), len(vals))
 
     def join(self, ids, first: int, stride: int, parts: int, count: int,
-             k: int) -> tuple[array, int]:
+             k: int, pad: int = 0) -> tuple[array, int]:
         """Dense ids, in order of first appearance, for the tuples
         (ids[first + stride i], ..., ids[first + stride i + parts - 1]),
         i < count, of unsigned ids below k, 1, 2 or 4 bytes each; and their
-        number.  The ids come as an ``array`` of the narrowest typecode that
-        holds their number, 'B' up to 255 of them: the join runs at one byte
-        and again at each wider width its ids overflow.  Tuples may overlap
-        (parts > stride), but none reads outside the ids.  One rank table
-        spans all k**parts tuples, so the caller keeps that space small:
-        sequences.join_ids does."""
+        number.  The ids are read as if ``pad`` zero ids came before them,
+        without a copy: the few tuples that reach into the pad are ranked
+        here, the rest by the compiled loop after them.  The ids come as an
+        ``array`` of the narrowest typecode that holds their number, 'B' up
+        to 255 of them: the join runs at one byte and again at each wider
+        width its ids overflow.  Tuples may overlap (parts > stride), but
+        none reads outside the ids.  One rank table spans all k**parts
+        tuples, so the caller keeps that space small: sequences.join_ids
+        does."""
         view = _view(ids, "BHILQ", "join's ids")
-        if (first < 0 or count < 1 or parts < 1
-                or first + stride * (count - 1) + parts > len(view)):
+        if (first < 0 or count < 1 or parts < 1 or pad < 0
+                or first + stride * (count - 1) + parts > pad + len(view)):
             raise ValueError("join reads outside the ids")
+        # the tuples that read the pad, each as its code
+        lead = min(count, max(0, -(-(pad - first) // stride)))
+        codes = []
+        for i in range(lead):
+            tuple_code = 0
+            for j in range(first + stride * i, first + stride * i + parts):
+                tuple_code = tuple_code * k + (view[j - pad] if j >= pad else 0)
+            codes.append(tuple_code)
+        if any(c >= k ** parts for c in codes):
+            raise ValueError(f"ids at or past {k}")
         src = _pointer(view)
         for code in ID_CODES:
             # the rank that marks the last id seen is their number, so the
             # rank table has the ids' width
             rank = array(code, [0]) * k ** parts
             out = array(code, [0]) * count
-            distinct = self._lib.vseq_join(src, view.itemsize, first, stride,
-                                           parts, count, k, rank.buffer_info()[0],
-                                           len(rank), out.buffer_info()[0],
-                                           out.itemsize)
+            distinct = 0
+            for i, c in enumerate(codes):
+                if not rank[c]:
+                    distinct += 1
+                    rank[c] = distinct
+                out[i] = rank[c] - 1
+            if lead < count:
+                distinct = self._lib.vseq_join(
+                    src, view.itemsize, first + stride * lead - pad, stride,
+                    parts, count - lead, k, rank.buffer_info()[0], len(rank),
+                    out.buffer_info()[0] + lead * out.itemsize, out.itemsize,
+                    distinct)
             if distinct != WIDER:
                 break
         if distinct < 0:

@@ -14,8 +14,8 @@ from typing import Sequence
 
 from . import published, rules, synthesis
 from .automaton import WINDOW, BadDigit, BadNumeral, Dfao, ParseError
-from .sequences import (DeadSequence, SequenceTable, extend_f, first_difference,
-                        gen_f, gen_qrs, gen_v, write_table)
+from .sequences import (DeadSequence, SequenceTable, count_windows,
+                        first_difference, gen_f, gen_qrs, gen_v, write_table)
 
 SEED_NOTE = "# seed convention: Q_{r,s}(1..s) = 1 (V is Q_{1,4}; F counts V and has F(0) = 0)"
 
@@ -45,25 +45,34 @@ def _load_automaton(path: str) -> Dfao:
         return Dfao.deserialize(fp.read())
 
 
+# the doubling rules the certificate checks are derived to a = 2^20, which
+# reads F to 2^21 + 1
+RULES_TO = 2 ** 20
+
+
 def _rules(f: SequenceTable) -> rules.WindowRuleTable:
     """The doubling rules the certificate checks, derived from f to
-    a = 2^20 or as far as f reaches."""
-    return rules.derive_rules(f, 4, min(2 ** 20, (f.hi - 1) // 2))
+    a = RULES_TO or as far as f reaches."""
+    return rules.derive_rules(f, 4, min(RULES_TO, (f.hi - 1) // 2))
+
+
+def _certify(machine: Dfao, f: SequenceTable, plan: list[int], depth: int,
+             validate: int) -> synthesis.CertificateReport:
+    """The certificate of machine at depth, from f, which reaches
+    validate + 1: F past f is read only at plan's windows, which
+    count_windows counts on into a ring."""
+    return synthesis.certify_transitions(machine, count_windows(f, plan), _rules(f),
+                                         depth=depth, validate_to=validate)
 
 
 def _build_pipeline(horizon: int, validate: int, depth: int):
     """Oracle -> validated window automaton -> rules -> certificate, on one
-    F: counted for validation, then extended, not counted again, to what
-    the certificate reads.  The F returned is the extended one."""
+    F, counted for validation; the certificate's windows past it are counted
+    on from it, not counted again.  The F returned is that F."""
     synthesis.check_bounds(horizon=horizon, validate_to=validate, depth=depth)
     f = gen_f(validate + 2)
     machine, verdict = synthesis.synthesize_validated(f, horizon, validate)
-    rule_table = _rules(f)
-    bound = synthesis.cert_oracle_bound(machine, depth)
-    if bound > f.hi:
-        f = extend_f(f, bound)  # drops the shorter table
-    report = synthesis.certify_transitions(machine, f, rule_table, depth=depth,
-                                           validate_to=validate)
+    report = _certify(machine, f, synthesis.cert_plan(machine, depth), depth, validate)
     return f, machine, verdict, report
 
 
@@ -134,11 +143,12 @@ def cmd_certify(args) -> int:
     synthesis.check_bounds(horizon=args.horizon, validate_to=args.validate,
                            depth=args.depth)
     if loaded.output_kind == WINDOW:
-        # one oracle serves both the certificate and the cross-check
-        f = gen_f(max(synthesis.cert_oracle_bound(loaded, args.depth),
-                      args.validate + 2))
-        report = synthesis.certify_transitions(loaded, f, _rules(f), depth=args.depth,
-                                               validate_to=args.validate)
+        # one F serves the certificate, its rules and the cross-check: F to
+        # --validate + 2, and as far towards the certificate's bound as the
+        # rules read, so that a small --validate derives the same rules
+        plan = synthesis.cert_plan(loaded, args.depth)
+        f = gen_f(max(args.validate + 2, min(plan[-1] + 1, 2 * RULES_TO + 1)))
+        report = _certify(loaded, f, plan, args.depth, args.validate)
         sys.stdout.write(report.format())
         passed = "cross-validated"
     else:

@@ -21,7 +21,7 @@ from __future__ import annotations
 import operator
 from array import array
 from dataclasses import dataclass
-from typing import IO, Sequence
+from typing import IO, Iterable, Sequence
 
 
 class DeadSequence(Exception):
@@ -53,7 +53,8 @@ class SequenceTable:
 
     The windows (S(n-2), S(n-1), S(n), S(n+1)) read 0 below lo, the F(-2)
     = F(-1) = 0 convention: window4 gives one, window_bytes the bytes of
-    every window on a range.
+    every window on a range, windows_at the bytes of the windows at a list
+    of indices.
     """
 
     lo: int
@@ -115,6 +116,41 @@ class SequenceTable:
         # the bytes missing from the table all lie below it
         return b"".join((bytes(hi - lo + 4 - len(seg)), seg))
 
+    def windows_at(self, at: Iterable[int]) -> bytes:
+        """The windows at the indices ``at``, four bytes each, in order:
+        window4(n) as bytes for each n, read as slices of the values, and
+        padded or refused like window_bytes."""
+        vals, lo, hi = self.byte_values(), self.lo, self.hi
+        return b"".join(vals[n - 2 - lo:n + 2 - lo] if lo + 2 <= n < hi
+                        else self.window_bytes(n, n) for n in at)
+
+
+class PlannedWindows:
+    """F's windows at a plan of indices, as count_windows counts them: F's
+    prefix, a gen_f table, and the window at each planned index, four bytes
+    each.  It holds no F past the prefix, and is read like an F table
+    through windows_at, at the planned indices and at every index the
+    prefix holds a window for.  (A plain class: a dataclass would add
+    about 0.5 ms to ``import vseq``.)"""
+
+    lo = 0
+
+    def __init__(self, prefix: SequenceTable, windows: dict[int, bytes]):
+        self.prefix = prefix
+        self.windows = windows
+
+    @property
+    def hi(self) -> int:
+        """The last index of F that some window here reads."""
+        return max(self.prefix.hi, max(self.windows, default=0) + 1)
+
+    def windows_at(self, at: Iterable[int]) -> bytes:
+        """The windows at the indices ``at``, four bytes each, in order;
+        IndexError for an index neither planned nor inside the prefix."""
+        planned, prefix = self.windows, self.prefix
+        return b"".join(planned[n] if n in planned else prefix.windows_at((n,))
+                        for n in at)
+
 
 def _narrowest(d: int):
     """The narrowest unsigned numpy dtype holding every id below d."""
@@ -145,14 +181,16 @@ def _compact(codes, space: int):
 
 
 def join_ids(ids, k: int, first: int, stride: int, parts: int, count: int,
-             steps: int | None = None):
+             steps: int | None = None, pad: int = 0):
     """Dense ids for the tuples (ids[first + stride i + j])_{j < parts},
     i < count, of unsigned ids below k: equal tuples get equal ids, in the
     narrowest width that holds their number (one byte up to 255 ids); and
     their number.  Tuples may overlap (parts > stride), as the rule scan's
     4-windows at stride 1 do.  ids is any flat buffer of unsigned ids 1, 2
     or 4 bytes wide: bytes, a bytearray, an ``array.array``, a memoryview or
-    a numpy array.
+    a numpy array.  It is read as if ``pad`` zero ids came before it, as
+    discovery reads F(-2) = F(-1) = 0 before F; the compiled join makes no
+    padded copy.
 
     The compiled join (``_oracle.c``) runs when a library loads for
     ``steps`` steps (len(ids) unless given; a caller that joins level after
@@ -166,9 +204,11 @@ def join_ids(ids, k: int, first: int, stride: int, parts: int, count: int,
     """
     lib = _compiled(len(ids) if steps is None else steps)
     if lib is not None and _dense(k ** parts, count):
-        return lib.join(ids, first, stride, parts, count, k)
+        return lib.join(ids, first, stride, parts, count, k, pad)
     import numpy as np
     ids = np.asarray(memoryview(ids))
+    if pad:
+        ids = np.concatenate((np.zeros(pad, dtype=ids.dtype), ids))
     children = [ids[first + j:first + j + stride * (count - 1) + 1:stride]
                 for j in range(parts)]
     code, space = children[0], k
@@ -241,6 +281,11 @@ def _raise(status: int, info: list[int], label: str, partial) -> None:
         n, argument = info[0], info[1]
         raise RuntimeError(f"{label}({n}) read {label}({argument}) from a count "
                            "that was not final")
+    if status == _oracle.RING_SHORT:
+        value, lag, size = info
+        raise RuntimeError(f"a ring of {size} counts is too short: counting "
+                           f"{label} = {value}, a read position lags {lag} "
+                           "values behind")
 
 
 def _recursion(r: int, s: int, n_max: int, label: str) -> SequenceTable:
@@ -379,12 +424,63 @@ def extend_f(f: SequenceTable, a_max: int) -> SequenceTable:
     reads V's last four terms back from f's prefix sums, as it reads every
     older term, so only V past f's end is computed.  Without the compiled
     loops F is counted from the start again.
+
+    It holds f and all of F to a_max at once.  Certification reads F past
+    the prefix only at planned windows, which count_windows keeps instead,
+    so this serves first_difference, should its F fall short, and
+    count_windows without the compiled loops.
     """
     if f.lo != 0:
         raise ValueError("extend_f takes an F table starting at index 0")
     a_max = _size(a_max, "a_max", f.hi, f"the table's end, {f.hi}")
     counts = _frequency(1, 4, a_max, "V", f.byte_values())
     return SequenceTable(0, a_max, counts, "F")
+
+
+def _ring_size(a_max: int) -> int:
+    """The ring count_windows counts to a_max in: a read position lags the
+    count by at most a_max / 2 + 1.5 (measured for every a_max to 2^25),
+    and the ring is zeroed 64 slots ahead of the count."""
+    return 1 << (a_max // 2 + 128).bit_length()
+
+
+def count_windows(f: SequenceTable, plan: Iterable[int]) -> PlannedWindows:
+    """F's windows at the indices of ``plan`` (in any order, repeats
+    allowed), from gen_f's table f: byte for byte those of
+    gen_f(max(plan) + 1), but holding f and a ring of counts, never F to
+    the plan's end.  Windows inside f are read from it.  For the rest, the
+    compiled count resumes where f's stopped, like extend_f's, and keeps
+    the counts past f in a ring of a power of two of them, just over
+    a_max / 2 for a_max = max(plan) + 1, as a read position lags the count
+    by about half its value (_ring_size).  Each planned window is copied out
+    once its last count is final.  A ring too short for the count is
+    refused, never returning a window read from a reused slot, and counted
+    again in one twice its size.  Without the compiled loops F is counted
+    flat, with extend_f.
+    """
+    if f.lo != 0:
+        raise ValueError("count_windows takes an F table starting at index 0")
+    plan = sorted(set(map(operator.index, plan)))
+    inside = [n for n in plan if n < f.hi]
+    past = plan[len(inside):]
+    read = f.windows_at(inside)
+    if past:
+        a_max = _size(past[-1] + 1, "the plan's end", 1)
+        lib = _compiled(2 * a_max)  # V(n) is about n / 2
+        if lib is None:
+            read += extend_f(f, a_max).windows_at(past)
+        else:
+            from . import _oracle
+            counts = f.byte_values()
+            done = lib.byte_sum(counts)
+            size = _ring_size(a_max)
+            status, info, windows = lib.ring_count(counts, done, a_max, size, past)
+            while status == _oracle.RING_SHORT:
+                size *= 2
+                status, info, windows = lib.ring_count(counts, done, a_max, size, past)
+            _raise(status, info, "V", lambda n: _recursion(1, 4, n - 1, "V").values)
+            read += windows
+    return PlannedWindows(f, {n: read[4 * i:4 * i + 4] for i, n in enumerate(plan)})
 
 
 def gen_qrs(r: int, s: int, n_max: int) -> SequenceTable:

@@ -38,7 +38,8 @@ from dataclasses import dataclass
 
 from .automaton import WINDOW, Dfao
 from .rules import RuleConflict, WindowRuleTable, verify_rules
-from .sequences import SequenceTable, _compiled, _narrowest, join_ids, max_byte
+from .sequences import (PlannedWindows, SequenceTable, _compiled, _narrowest,
+                        join_ids, max_byte)
 
 
 class NonpositiveDivisor(ValueError):
@@ -105,39 +106,68 @@ def _check_from_0(oracle: SequenceTable) -> None:
         raise ValueError("synthesis expects an oracle table starting at index 0")
 
 
-def _block_ids(oracle: SequenceTable, horizon: int) -> list:
-    """Per level L <= horizon, one id per m with (m + 1) 2^L <= oracle.hi
-    for the block of windows at 2^L m + c, c < 2^L: equal ids for equal
-    blocks.  Level 0 numbers the 4-windows at n < oracle.hi like the rule
-    scan, ids below k = 1 + the largest byte; level L joins level L-1's ids
-    at 2m and 2m + 1.  Levels stop at the horizon or where fewer than two
-    ids are left to join.  The engine is chosen once, from the oracle's
-    length, for the largest byte and every level's join (see join_ids).
-    Each level's ids are one byte each while it has at most 255 (F has
-    about 28), and the window bytes go after level 0."""
-    if oracle.hi < 1 or horizon < 0:
+def _head(ids, keep: int | None):
+    """ids cut to its first ``keep`` (all, for None), owning its memory."""
+    if keep is None or len(ids) <= keep:
+        return ids
+    return ids[:keep] if isinstance(ids, array) else ids[:keep].copy()
+
+
+def _block_ids(oracle: SequenceTable, horizon: int, keep: int | None = None) -> list:
+    """Per level L <= horizon, one id per m with (m + 1) 2^L <= oracle.hi,
+    that is m < oracle.hi >> L, for the block of windows at 2^L m + c,
+    c < 2^L: equal ids for equal blocks.  The block spans F(2^L m - 2) to
+    F(2^L (m + 1) + 1), F(-2) = F(-1) = 0.  Each level is read straight
+    from F's bytes or from the level before, never from a padded copy:
+
+    * level 0 numbers the 4-windows at n like the rule scan, ids below
+      k = 1 + the largest byte, the two zeros below index 0 read as the
+      join's pad: the windows at n = 0 and 1, the only ones that reach
+      into it, are ranked apart from the rest;
+    * level 1 numbers the 5 bytes F(2m - 2..2m + 2) that the windows at 2m
+      and 2m + 1 span, the same way, so that level 0 need not be whole;
+    * level L > 1 joins level L-1's ids at 2m and 2m + 1.
+
+    With ``keep``, a level holds only its ids at m < keep, cut once the
+    level after it is joined: level 0 is numbered only there.  Levels stop
+    at the horizon or where fewer than two ids are left to join.  The
+    engine is chosen once, from the oracle's length, for the largest byte
+    and every level's join (see join_ids).  Each level's ids are one byte
+    each while it has at most 255 (F has about 28)."""
+    hi = oracle.hi
+    if hi < 1 or horizon < 0:
         return []
-    steps = oracle.hi
-    padded = oracle.window_bytes(0, oracle.hi - 1)
-    k = max_byte(padded, steps) + 1
-    ids, k = join_ids(padded, k, 0, 1, 4, oracle.hi, steps=steps)
-    del padded
-    levels = [ids]
-    while len(levels) <= horizon and len(ids) >= 2:
-        ids, k = join_ids(ids, k, 0, 2, 2, len(ids) // 2, steps=steps)
+    vals = oracle.byte_values()
+    k = max_byte(vals, hi) + 1
+    levels = [join_ids(vals, k, 0, 1, 4, hi if keep is None else min(hi, keep),
+                       steps=hi, pad=2)[0]]
+    if horizon >= 1 and hi >> 1:
+        ids, k = join_ids(vals, k, 0, 2, 5, hi >> 1, steps=hi, pad=2)
         levels.append(ids)
+    while len(levels) <= horizon and hi >> len(levels) - 1 >= 2:
+        ids, k = join_ids(ids, k, 0, 2, 2, hi >> len(levels), steps=hi)
+        levels[-1] = _head(levels[-1], keep)
+        levels.append(ids)
+    levels[-1] = _head(levels[-1], keep)
     return levels
+
+
+# discovery keeps the ids of each level at m below this: F's states have
+# access values below 2^10
+KEEP_IDS = 1 << 16
 
 
 def _kernel_node(oracle: SequenceTable, levels: list, rep: str,
                  m: int) -> KernelNode:
     """The node for access string ``rep`` of value m: the window at m, and
     the block id at m on every level of ``levels`` (from _block_ids) that
-    holds one.  OracleTooShort where level 0 holds none."""
-    if not levels or m >= len(levels[0]):
+    holds one, m < oracle.hi >> L.  OracleTooShort where level 0 holds
+    none; IndexError where a level holds one but was cut before it."""
+    if not levels or m >= oracle.hi:
         raise OracleTooShort(
             f"oracle ends at {oracle.hi}; cannot form a level-0 signature for value {m}")
-    sig = tuple(int(ids[m]) for ids in levels if m < len(ids))
+    sig = tuple(int(ids[m]) for level, ids in enumerate(levels)
+                if m < oracle.hi >> level)
     return KernelNode(rep, m, oracle.window4(m), sig)
 
 
@@ -150,9 +180,21 @@ def discover(oracle: SequenceTable,
     _block_ids), agrees on all common levels, or becomes a new node
     otherwise.  Breadth-first order makes every rep shortlex-least.  A
     value past the oracle's level-0 ids raises OracleTooShort.
+
+    The levels keep their ids at values below KEEP_IDS only, about 0.5 MB
+    at 2^22 where whole they take twice F's bytes; should a value reach
+    past them, discovery starts again with whole levels.
     """
     _check_from_0(oracle)
-    levels = _block_ids(oracle, horizon)
+    try:
+        return _breadth_first(oracle, _block_ids(oracle, horizon, KEEP_IDS))
+    except IndexError:
+        return _breadth_first(oracle, _block_ids(oracle, horizon))
+
+
+def _breadth_first(oracle: SequenceTable,
+                   levels: list) -> tuple[list[KernelNode], list[list[int]]]:
+    """discover's search over the block ids of ``levels``."""
     nodes = [_kernel_node(oracle, levels, "", 0)]
     trans: list[list[int]] = []
     while len(trans) < len(nodes):  # nodes doubles as the breadth-first queue
@@ -343,10 +385,20 @@ class TransitionCertificate:
 
 @dataclass(frozen=True)
 class CertificateReport:
+    """What certify_transitions checked.  Besides what format() prints, it
+    records what it read: prefix_hi, the last index of the F prefix it
+    read whole (PlannedWindows' prefix, or an F table's end); windows_read,
+    the windows at cert_plan's indices, each read once; and pairs_compared,
+    the window pairs compared, one per state output and one per transition
+    and extension."""
+
     transitions: tuple[TransitionCertificate, ...]
     states_checked: int
     propagation_checked_to: int
     depth: int
+    prefix_hi: int
+    windows_read: int
+    pairs_compared: int
 
     @property
     def verdict(self) -> str:
@@ -383,16 +435,42 @@ def _name_values(m: Dfao) -> list[int]:
     return vals
 
 
+def _family_reads(m: Dfao, depth: int):
+    """What certification compares: the states' claimed values; the
+    extensions x (value, length, text): the empty string, then 0^j, 0^j 1,
+    1^j for j = 1..depth; the transitions (s, d, p); the two lists of
+    window indices compared pairwise, [u d x] and [v x], row by row; and
+    the plan, the sorted, distinct indices of all those windows."""
+    check_bounds(depth=depth)
+    values = _name_values(m)
+    exts = [(0, 0, "")] + [
+        ext for j in range(1, depth + 1)
+        for ext in ((0, j, "0" * j), (1, j + 1, "0" * j + "1"), ((1 << j) - 1, j, "1" * j))]
+    edges = [(s, d, m.transitions[s][d]) for s in range(m.state_count) for d in (0, 1)]
+
+    def at(starts) -> list[int]:
+        return [(u << xlen) | xval for u in starts for xval, xlen, _ in exts]
+
+    left = at([(values[s] << 1) | d for s, d, _ in edges])
+    right = at([values[p] for _, _, p in edges])
+    return values, exts, edges, left, right, sorted({*values, *left, *right})
+
+
+def cert_plan(m: Dfao, depth: int) -> list[int]:
+    """The sorted, distinct indices whose windows certify_transitions reads
+    at this depth: every state's claimed access value u, and [u d x] and
+    [v x] for every transition u -d-> v and boundary-family extension x.
+    Their windows are all it reads of F past the rule propagation's."""
+    return _family_reads(m, depth)[-1]
+
+
 def cert_oracle_bound(m: Dfao, depth: int) -> int:
     """Last oracle index that certify_transitions reads at this depth: the
-    windows at [u d x] for the longest boundary-family extension x of every
-    transition u -d->, with u the state's claimed access value."""
-    check_bounds(depth=depth)
-    max_ud = max((v << 1) | d for v in _name_values(m) for d in (0, 1))
-    return max(((max_ud << (depth + 1)) | 1) + 1, (max_ud + 1) << depth)
+    last planned window's last index, cert_plan(m, depth)[-1] + 1."""
+    return cert_plan(m, depth)[-1] + 1
 
 
-def certify_transitions(m: Dfao, oracle: SequenceTable, rules: WindowRuleTable,
+def certify_transitions(m: Dfao, oracle, rules: WindowRuleTable,
                         depth: int, validate_to: int) -> CertificateReport:
     """Run the inductive correctness scheme against the oracle.
 
@@ -405,32 +483,40 @@ def certify_transitions(m: Dfao, oracle: SequenceTable, rules: WindowRuleTable,
     next.  Any failed check raises CertificationFailure naming a witness;
     an oracle that does not start at index 0 raises ValueError first.
 
-    The output windows are read one by one.  The windows of every
-    transition and extension are joined, as byte slices of F, into two
-    byte strings compared at once, listed in the order the checks are
-    stated, so the first failing pair names the failure.  The rule
-    propagation is verify_rules, whose compare runs compiled or in numpy
-    as rules._scan says.
+    The oracle is an F table from index 0 that reaches the last planned
+    window, or sequences.count_windows' PlannedWindows for cert_plan(m,
+    depth) from such a table reaching validate_to + 1, which holds no F
+    past that prefix.  Every window is read once, through the oracle's
+    windows_at, at the plan's indices.  The windows of every transition
+    and extension are joined into two byte strings compared at once,
+    listed in the order the checks are stated, so the first failing pair
+    names the failure.  The rule propagation is verify_rules on the
+    prefix, whose compare runs compiled or in numpy as rules._scan says.
     """
     _check_from_0(oracle)
     if m.output_kind != WINDOW:
         raise CertificationFailure("certification applies to window automata")
     if m.alphabet_size != 2:
         raise CertificationFailure("certification scheme is specific to base 2")
-    hi = oracle.hi
-    max_needed = cert_oracle_bound(m, depth)
-    if hi < max_needed:
+    values, exts, edges, left_at, right_at, plan = _family_reads(m, depth)
+    if oracle.hi < plan[-1] + 1:
         raise OracleTooShort(
-            f"oracle ends at {hi}; depth {depth} family checks need {max_needed}")
-    values = _name_values(m)
+            f"oracle ends at {oracle.hi}; depth {depth} family checks need {plan[-1] + 1}")
+    prefix = oracle.prefix if isinstance(oracle, PlannedWindows) else oracle
     prop_to = validate_to // 2
-    if hi < 2 * prop_to + 1:
+    if prefix.hi < 2 * prop_to + 1:
         raise OracleTooShort(
-            f"oracle ends at {hi}; rule propagation to {prop_to} needs {2 * prop_to + 1}")
+            f"oracle ends at {prefix.hi}; rule propagation to {prop_to} needs "
+            f"{2 * prop_to + 1}")
+    try:
+        read = oracle.windows_at(plan)
+    except IndexError as e:
+        raise OracleTooShort(f"the oracle holds no window the plan needs: {e}") from None
+    window = {n: read[4 * i:4 * i + 4] for i, n in enumerate(plan)}
 
     # (a) output windows
     for s in range(m.state_count):
-        truth = oracle.window4(values[s])
+        truth = tuple(window[values[s]])
         if tuple(m.outputs[s]) != truth:
             raise CertificationFailure(
                 f"state output {m.outputs[s]} != oracle window {truth}",
@@ -439,19 +525,8 @@ def certify_transitions(m: Dfao, oracle: SequenceTable, rules: WindowRuleTable,
     # (b) base case and boundary families per transition, every pair of
     # windows in one compare: row (s, d) holds [u d x] and [v x] for
     # x = the empty string, then 0^j, 0^j 1, 1^j for j = 1..depth
-    exts = [(0, 0, "")] + [
-        ext for j in range(1, depth + 1)
-        for ext in ((0, j, "0" * j), (1, j + 1, "0" * j + "1"), ((1 << j) - 1, j, "1" * j))]
-    edges = [(s, d, m.transitions[s][d]) for s in range(m.state_count) for d in (0, 1)]
-    vals, low = oracle.byte_values(), oracle.window_bytes(0, 1)
-
-    def windows(starts) -> bytes:
-        """The windows at (u << len(x)) | x for u in starts, x in exts."""
-        at = [(u << xlen) | xval for u in starts for xval, xlen, _ in exts]
-        return b"".join(vals[n - 2:n + 2] if n >= 2 else low[n:n + 4] for n in at)
-
-    left = windows([(values[s] << 1) | d for s, d, _ in edges])
-    right = windows([values[p] for _, _, p in edges])
+    left = b"".join(window[n] for n in left_at)
+    right = b"".join(window[n] for n in right_at)
     if left != right:
         bad = next(i for i in range(0, len(left), 4) if left[i:i + 4] != right[i:i + 4])
         row, t = divmod(bad // 4, len(exts))
@@ -465,7 +540,7 @@ def certify_transitions(m: Dfao, oracle: SequenceTable, rules: WindowRuleTable,
 
     # (iii) doubling rules propagate windows across the validation range
     try:
-        outside = verify_rules(rules, oracle, prop_to).new_windows
+        outside = verify_rules(rules, prefix, prop_to).new_windows
     except RuleConflict as e:
         raise CertificationFailure(
             f"doubling rules disagree with the oracle at a = {e.a_second}",
@@ -480,6 +555,9 @@ def certify_transitions(m: Dfao, oracle: SequenceTable, rules: WindowRuleTable,
         states_checked=m.state_count,
         propagation_checked_to=prop_to,
         depth=depth,
+        prefix_hi=prefix.hi,
+        windows_read=len(plan),
+        pairs_compared=m.state_count + len(left_at),
     )
 
 

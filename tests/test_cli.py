@@ -121,6 +121,19 @@ def test_certify_window(built, capsys):
     assert "cross-validated on [0, 65536]" in out
 
 
+@pytest.mark.parametrize("validate", ["2", "5", "100"])
+def test_certify_window_at_a_small_validate(built, validate, capsys):
+    # F to --validate + 2 alone would hold no rule domain below 7; the window
+    # file's certificate reads F as far as its rules do, as it did when F
+    # was counted whole to the certificate's bound
+    a_path, _, _ = built
+    assert run(["certify", "--automaton", str(a_path), "--depth", "4",
+                "--validate", validate]) == 0
+    out = capsys.readouterr().out
+    assert f"rule propagation to a = {int(validate) // 2})" in out
+    assert f"cross-validated on [0, {validate}]" in out
+
+
 def test_certify_rejects_corrupt(built, tmp_path, capsys):
     _, b_path, _ = built
     b = Dfao.deserialize(b_path.read_text())

@@ -54,3 +54,18 @@ def test_compiled_synthesize_loads_no_numpy(tmp_path, truth_b):
         CLI, ["synthesize", "--depth", "12", "--out", "f.dfao"], tmp_path, "f.dfao")
     assert "certificate: pass at depth 12" in stdout
     assert written == truth_b.serialize().encode()
+
+
+@pytest.mark.parametrize("kind", ["single", "window"])
+def test_compiled_certify_loads_no_numpy(tmp_path, truth_a, truth_b, kind):
+    # both certify paths count F past the validation prefix in a ring: the
+    # reference pipeline's for a single-output file, the file's own plan
+    # for a window file
+    if _oracle.library() is None:
+        pytest.skip("no C compiler: the numpy passes run in place of the compiled ones")
+    machine = tmp_path / "m.dfao"
+    machine.write_text((truth_b if kind == "single" else truth_a).serialize())
+    stdout, _ = _same_blocked_or_not(
+        CLI, ["certify", "--automaton", str(machine), "--depth", "12"], tmp_path)
+    assert "verdict: pass (66 transitions, depth 12," in stdout
+    assert "cross-validated on [0, 4194304]" in stdout

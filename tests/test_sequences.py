@@ -14,8 +14,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from vseq import (DeadSequence, MonotonicityViolation, ProbeReport,
-                  SequenceTable, extend_f, first_difference, gen_f, gen_qrs,
-                  gen_v, kernel_probe, read_table, write_table)
+                  SequenceTable, count_windows, extend_f, first_difference,
+                  gen_f, gen_qrs, gen_v, kernel_probe, read_table, write_table)
 from vseq import _oracle, sequences
 from vseq.sequences import COMPILED_FROM, join_ids
 
@@ -400,9 +400,9 @@ def test_oracle_source_compiles_without_warnings(tmp_path):
 SANITIZED_RUN = """
 import ctypes, sys
 import numpy as np
-from vseq import (SequenceTable, _oracle, cross_validate, extend_f,
-                  first_difference, gen_f, gen_qrs, gen_v, kernel_probe,
-                  sequences, synthesize_validated)
+from vseq import (SequenceTable, _oracle, count_windows, cross_validate,
+                  extend_f, first_difference, gen_f, gen_qrs, gen_v,
+                  kernel_probe, sequences, synthesize_validated)
 from vseq.rules import _scan
 from vseq.sequences import COMPILED_FROM, _marks, join_ids
 
@@ -440,6 +440,23 @@ assert a == b
 for done in (1, 2 ** 10, 2 ** 15 - 1):
     a, b = both(lambda: extend_f(gen_f(done), 2 ** 15).values)
     assert a == b
+# the ring count's planned windows against the Python loop's flat count,
+# from prefix ends whose ring seed wraps and ends mid-block or not, windows
+# straddling the prefix's end and ending the count; and rings too short for
+# it, which refuse at the start or mid-count
+for end in (1, 2, 5, 2 ** 12 + 1, 2 ** 15 - 3):
+    plan = [max(end - 2, 0), end - 1, end, end + 1, end + 70, 2 ** 16 - 1, 2 ** 16]
+    a, b = both(lambda: count_windows(gen_f(end), plan).windows)
+    assert a == b
+    past = sorted({n for n in plan if n >= end})
+    prefix = gen_f(end).byte_values()
+    for size in (64, 2 ** 10, 2 ** 15, 2 ** 16):
+        status, info, got = lib.ring_count(prefix, lib.byte_sum(prefix),
+                                           past[-1] + 1, size, past)
+        if status == _oracle.RING_SHORT:
+            assert info[1] >= size == info[2], (end, size, info)
+        else:
+            assert (status, got) == (_oracle.OK, b"".join(a[n] for n in past)), (end, size)
 a, b = both(lambda: gen_v(10 ** 5).values)
 assert a == b
 for r, s in ((2, 5), (1, 10)):
@@ -478,6 +495,9 @@ for dtype in (np.uint8, np.uint16, np.uint32):
     for top in (4, 16, 256):
         vals = rng.integers(0, top, 2 ** 15, dtype=dtype)
         same_partition(*both(lambda: join_ids(vals, top, 5, 1, 4, vals.size - 8)))
+        # read after a pad of two zeros, as discovery reads F
+        same_partition(*both(lambda: join_ids(vals, top, 0, 1, 4, vals.size - 1,
+                                              pad=2)))
 
 # the rule scan's pair compare, long enough to run compiled, the last pair
 # ending at F's last byte, with and without a conflict there
@@ -630,6 +650,136 @@ def test_extend_f_refuses_what_it_cannot_extend():
         extend_f(SequenceTable(1, 100, f.values[1:], "F"), 200)
     with pytest.raises(TypeError):
         extend_f(f, 200.0)
+
+
+# -- the ring count --------------------------------------------------------------
+
+@pytest.fixture(scope="module")
+def f_ring() -> SequenceTable:
+    """F past every window the ring-count tests plan, to 2^20 + 1."""
+    return gen_f(2 ** 20 + 2)
+
+
+def _windows4(f: SequenceTable, plan) -> bytes:
+    return b"".join(bytes(f.window4(n)) for n in plan)
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_count_windows_equal_a_flat_count(f_ring, data):
+    # any prefix end, the plan's end past it, and indices inside the
+    # prefix, straddling its end, in adjacent runs and repeated
+    end = data.draw(st.integers(1, 2 ** 19), label="end")
+    top = data.draw(st.integers(end, 2 ** 20), label="top")
+    picks = data.draw(st.lists(st.integers(0, top), max_size=20), label="picks")
+    runs = data.draw(st.lists(st.sampled_from([0, end - 2, end - 1, end, end + 1])
+                              | st.integers(0, top), max_size=4), label="runs")
+    plan = picks + [top] + [min(max(a + i, 0), top) for a in runs for i in range(4)]
+    plan += picks[:3]
+    got = count_windows(gen_f(end), plan)
+    assert got.prefix.hi == end and sorted(got.windows) == sorted(set(plan))
+    assert got.hi == max(end, top + 1)
+    assert got.windows_at(plan) == _windows4(f_ring, plan)
+
+
+def test_count_windows_at_the_depth_12_plan(f_main):
+    # the benchmark's certificate: two windows past the 2^22 + 2 prefix
+    plan = [0, 1, 2, 4195000, 7593983, 7593984, 7593985]
+    got = count_windows(f_main, plan)
+    want = gen_f(7593986)
+    assert got.windows_at(plan) == _windows4(want, plan)
+
+
+def test_count_windows_read_nothing_else(f_ring):
+    got = count_windows(gen_f(1000), [5, 3000])
+    assert got.windows_at([3000, 5, 999]) == _windows4(f_ring, [3000, 5, 999])
+    with pytest.raises(IndexError):
+        got.windows_at([2000])
+    with pytest.raises(ValueError, match="starting at index 0"):
+        count_windows(SequenceTable(1, 100, gen_f(100).values[1:], "F"), [200])
+
+
+@pytest.mark.parametrize("end, size", [(2 ** 16, 2 ** 12), (2 ** 16, 2 ** 16)],
+                         ids=["at-the-start", "mid-count"])
+def test_ring_count_refuses_a_ring_too_short(f_ring, end, size):
+    # the read positions lag about 2^15 values behind the prefix's end, and
+    # 2^17 behind the count's: a ring of 2^12 is short from the start, one
+    # of 2^16 once the count passes about 2^17
+    lib = _oracle.library()
+    if lib is None:
+        pytest.skip("no C compiler: the flat count runs in place of the ring")
+    plan = [2 ** 18 - 5]
+    prefix = gen_f(end).byte_values()
+    status, info, _ = lib.ring_count(prefix, lib.byte_sum(prefix), plan[-1] + 1, size,
+                                     plan)
+    assert status == _oracle.RING_SHORT
+    with pytest.raises(RuntimeError, match=rf"a ring of {size} counts is too "
+                       r"short: counting V = \d+, a read position lags (\d+) ") as e:
+        sequences._raise(status, info, "V", None)
+    assert int(e.value.args[0].split("lags ")[1].split()[0]) >= size
+    assert count_windows(gen_f(end), plan).windows_at(plan) == _windows4(f_ring, plan)
+
+
+@pytest.mark.parametrize("size, plan", [(32, [200]), (100, [200]), (64, [300, 200]),
+                                        (64, [200, 200]), (64, [50]), (64, [999])],
+                         ids=["small", "odd", "unsorted", "repeated", "inside",
+                              "past-the-end"])
+def test_ring_count_refuses_what_it_cannot_count(size, plan):
+    lib = _oracle.library()
+    if lib is None:
+        pytest.skip("no C compiler: the flat count runs in place of the ring")
+    prefix = gen_f(100).values
+    with pytest.raises(ValueError):
+        lib.ring_count(prefix, sum(prefix), 999, size, plan)
+
+
+def test_count_windows_double_a_default_ring_too_short(f_ring, monkeypatch):
+    if _oracle.library() is None:
+        pytest.skip("no C compiler: the flat count runs in place of the ring")
+    sizes = []
+    ring_count = _oracle.Oracle.ring_count
+
+    def spy(self, prefix, done, a_max, size, plan):
+        sizes.append(size)
+        return ring_count(self, prefix, done, a_max, size, plan)
+
+    plan = [2 ** 18 - 5, 2 ** 20]
+    default = sequences._ring_size(2 ** 20 + 1)
+    monkeypatch.setattr(_oracle.Oracle, "ring_count", spy)
+    monkeypatch.setattr(sequences, "_ring_size", lambda a_max: 2 ** 12)
+    assert count_windows(gen_f(2 ** 16), plan).windows_at(plan) == _windows4(f_ring, plan)
+    # the lag reaches about 2^19 at the count's end, so 2^20 is the first
+    # ring that holds it, and the default
+    assert sizes == [2 ** k for k in range(12, 21)] and sizes[-1] == default
+
+
+def test_count_windows_count_flat_without_the_compiled_loops(f_ring):
+    plan = [7, 3 * COMPILED_FROM, 2 ** 20]
+    with mock.patch.object(_oracle, "library", lambda: None):
+        got = count_windows(gen_f(100), plan)
+    assert got.windows_at(plan) == _windows4(f_ring, plan)
+
+
+@pytest.mark.parametrize("pad", [0, 1, 2, 3, 5])
+@pytest.mark.parametrize("stride, parts", [(1, 4), (2, 2), (2, 5), (3, 3)])
+def test_join_ids_read_a_pad_of_zeros(pad, stride, parts):
+    # the compiled join ranks the tuples that reach into the pad itself and
+    # numbers the rest after them: the same ids as a join of a padded copy
+    lib = _oracle.library()
+    if lib is None:
+        pytest.skip("no C compiler: only the numpy join runs here")
+    ids = np.random.default_rng(pad).integers(0, 3, 5000, dtype=np.uint8)
+    ids[:9] = [0, 0, 1, 0, 0, 0, 2, 0, 0]  # tuples like the pad's
+    count = (ids.size + pad - parts) // stride + 1
+    padded = np.concatenate((np.zeros(pad, dtype=np.uint8), ids))
+    got, distinct = lib.join(ids, 0, stride, parts, count, 3, pad)
+    want, want_distinct = lib.join(padded, 0, stride, parts, count, 3)
+    assert (got.tolist(), distinct) == (want.tolist(), want_distinct)
+    numpy_ids, numpy_distinct = join_ids(ids, 3, 0, stride, parts, count,
+                                         steps=0, pad=pad)
+    assert numpy_distinct == distinct == len(set(zip(got, numpy_ids.tolist())))
+    with pytest.raises(ValueError, match="outside the ids"):
+        lib.join(ids, 0, stride, parts, count + 1, 3, pad)
 
 
 def _pair_ids(k: int, distinct: int) -> np.ndarray:

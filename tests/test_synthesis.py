@@ -1,3 +1,4 @@
+import dataclasses
 import random
 import tracemalloc
 
@@ -11,7 +12,7 @@ from vseq import _oracle
 from vseq import (SINGLE, WINDOW, CertificationFailure, Dfao,
                   InsufficientHorizon, NonpositiveDivisor, OracleTooShort,
                   ProbeReport,
-                  SequenceTable, certify_transitions,
+                  SequenceTable, certify_transitions, count_windows,
                   cross_validate, derive_rules, discover, euclid_div, gen_f,
                   gen_v, first_difference, kernel_probe, shift_bounds,
                   synthesize_msb, synthesize_validated)
@@ -202,6 +203,27 @@ def _discovery(discover_fn, f_long: SequenceTable, hi: int, horizon: int):
 def test_discover_matches_byte_signatures(f_long, hi, horizon):
     assert (_discovery(discover, f_long, hi, horizon)
             == _discovery(_reference_discover, f_long, hi, horizon))
+
+
+@pytest.mark.parametrize("keep", [1, 7, 64, 1024])
+def test_discover_with_levels_cut_matches_byte_signatures(f_long, monkeypatch, keep):
+    # F's access values reach 927: levels cut below that are cut too soon,
+    # and discovery starts again with whole ones
+    monkeypatch.setattr(synthesis, "KEEP_IDS", keep)
+    for hi, horizon in ((2 ** 15 + 64, 24), (300, 5), (COMPILED_FROM + 5, 3)):
+        assert (_discovery(discover, f_long, hi, horizon)
+                == _discovery(_reference_discover, f_long, hi, horizon)), (hi, horizon)
+
+
+def test_block_ids_cut_keep_the_whole_levels_ids(f_long):
+    for hi in (300, 2 ** 15 + 64):
+        f = SequenceTable(0, hi, f_long.values[:hi + 1], "F")
+        whole, cut = _block_ids(f, 24), _block_ids(f, 24, 100)
+        assert len(cut) == len(whole)
+        for level, (w, c) in enumerate(zip(whole, cut)):
+            assert len(w) == hi >> level and len(c) == min(100, hi >> level)
+            a, b = list(w[:100]), list(c)  # equal ids at the same m
+            assert len(set(a)) == len(set(b)) == len(set(zip(a, b))), level
 
 
 # -- discovery on the frequency oracle ------------------------------------------
@@ -584,12 +606,13 @@ def test_cross_validate_holds_chunks_not_the_range(truth_a, truth_b, f_main):
 
 def test_discover_holds_one_byte_ids(f_main):
     # F has about 28 ids per level, one byte each; the levels were uint16
-    # and the window bytes lived through every level: 20 MB
+    # and the window bytes lived through every level: 20 MB.  Whole levels
+    # took 8.4 MB; cut below KEEP_IDS, levels 1 and 2 at once, 3.2 MB
     if _oracle.library() is None:
         pytest.skip("no C compiler: the numpy join sizes its codes more widely")
     (nodes, _), peak = _traced_peak(lambda: discover(f_main, HORIZON))
     assert len(nodes) == 33
-    assert peak <= 10 * MB, peak / MB
+    assert peak <= 4 * MB, peak / MB
 
 
 # -- certification ---------------------------------------------------------------
@@ -690,6 +713,72 @@ def test_certify_rejects_single_kind(truth_b, f_main, rules_main):
     with pytest.raises(CertificationFailure):
         certify_transitions(truth_b, f_main, rules_main, depth=2,
                             validate_to=2 ** 10)
+
+
+# -- certification from planned windows -----------------------------------------
+
+@pytest.mark.parametrize("depth, size, past, bound", [(12, 1254, 2, 7593986),
+                                                      (16, 1650, 131, 121503746)])
+def test_cert_plan_is_what_certification_reads(truth_a, depth, size, past, bound):
+    # the benchmark's depth and the default one: all but a few of the
+    # windows lie in the validation prefix, F to 2^22 + 2
+    plan = synthesis.cert_plan(truth_a, depth)
+    assert plan == sorted(set(plan))
+    assert (len(plan), sum(n >= VALIDATE_TO + 2 for n in plan)) == (size, past)
+    assert synthesis.cert_oracle_bound(truth_a, depth) == plan[-1] + 1 == bound
+
+
+def _short_certificate(machine, depth=6):
+    """The certificate of machine from F to 2^15 + 2 and the windows of its
+    plan past it, which reach 474,626 at depth 8 and 118,658 at depth 6."""
+    f = gen_f(2 ** 15 + 2)
+    rules = derive_rules(f, 4, 2 ** 14)
+    oracle = count_windows(f, synthesis.cert_plan(machine, depth))
+    return certify_transitions(machine, oracle, rules, depth, 2 ** 15), rules
+
+
+def test_certificate_records_what_it_read(truth_a):
+    depth = 6
+    planned, rules = _short_certificate(truth_a, depth)
+    plan = synthesis.cert_plan(truth_a, depth)
+    flat = certify_transitions(truth_a, gen_f(plan[-1] + 1), rules, depth, 2 ** 15)
+    assert (planned.prefix_hi, flat.prefix_hi) == (2 ** 15 + 2, plan[-1] + 1)
+    assert planned.windows_read == flat.windows_read == len(plan)
+    assert planned.pairs_compared == flat.pairs_compared == 33 + 66 * (1 + 3 * depth)
+    assert planned.format() == flat.format()
+    assert dataclasses.replace(planned, prefix_hi=flat.prefix_hi) == flat
+
+
+def test_certificate_from_the_flat_fallback_is_the_same(truth_a, monkeypatch):
+    compiled, _ = _short_certificate(truth_a)
+    monkeypatch.setattr(sequences, "_compiled", lambda steps: None)
+    assert _short_certificate(truth_a)[0] == compiled
+
+
+@pytest.mark.parametrize("redirect, fields, message",
+                         [(r, fields, m) for r, at, fields, m in FAMILY_FAILURES
+                          if at is None], ids=["base", "0", "01"])
+def test_certify_from_planned_windows_names_the_same_failure(truth_a, redirect, fields,
+                                                             message):
+    rows = [list(r) for r in truth_a.transitions]
+    src, d, to = redirect
+    rows[truth_a.names.index(src)][d] = truth_a.names.index(to)
+    machine = Dfao(2, 0, rows, truth_a.outputs, WINDOW, truth_a.names)
+    with pytest.raises(CertificationFailure) as excinfo:
+        _short_certificate(machine, depth=8)
+    e = excinfo.value
+    assert str(e) == message
+    assert (e.from_name, e.digit, e.to_name, e.witness) == fields
+
+
+def test_certify_refuses_windows_planned_for_another_depth(truth_a, rules_main):
+    f = gen_f(2 ** 11 + 2)
+    fewer = count_windows(f, synthesis.cert_plan(truth_a, 2))
+    with pytest.raises(OracleTooShort, match="oracle ends at 7418"):
+        certify_transitions(truth_a, fewer, rules_main, 4, 2 ** 11)
+    last = count_windows(f, [synthesis.cert_oracle_bound(truth_a, 4) - 1])
+    with pytest.raises(OracleTooShort, match="holds no window"):
+        certify_transitions(truth_a, last, rules_main, 4, 2 ** 11)
 
 
 # -- retry wrapper ----------------------------------------------------------------
