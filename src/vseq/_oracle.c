@@ -4,38 +4,35 @@
    stores Q; vseq_count keeps only the counts F(a) = #{n : Q(n) = a}, reading
    Q's earlier terms back from them, and resumes a finished count as it
    starts a fresh one; vseq_ring_count resumes V's into a ring of counts
-   and keeps only the windows of F a plan names.  The three return a status;
-   info[] carries what the caller needs to raise:
+   and keeps only the windows of F a plan names; vseq_steps keeps only Q's
+   steps Q(k+1) - Q(k), reading Q's earlier terms back from them.  The four
+   return a status; info[] carries what the caller needs to raise:
      DEAD           info = {n, argument}  an argument left [1, n-1]
      NOT_MONOTONE   info = {n, Q(n-1), Q(n)}
      COUNT_OVERFLOW info = {value}         a count would pass 255
      VALUE_OVERFLOW info = {n, Q(n)}       Q(n) does not fit 32 bits
      UNSETTLED      info = {n, argument}  Q(argument) read from a count that
-                                          was still growing
+                                          was still growing, or from a step
+                                          not yet written
      RING_SHORT     info = {value, lag, size}  counting value would reuse the
                                           ring slot of a value a read position
                                           lag values back still needs
    In vseq_qrs, Q(i) lives at q[i - 1].
 
-   Seven more passes, with numpy passes kept as the reference:
-     vseq_marks           Q's steps from a finished count, for
-                          sequences.first_difference: Q(p + 1) - Q(p) = 1
-                          exactly when p = S(a) for some a
+   Five more passes, with numpy passes kept as the reference:
      vseq_byte_sum        the sum of n bytes, for sequences.extend_f and
                           count_windows: the number of terms a finished
                           count holds
      vseq_byte_max        the largest of n bytes, the bound k of the ids a
                           tuple join reads from bytes
-     vseq_distinct_bytes  the number of distinct values among n bytes, for
-                          level 0 of synthesis.kernel_probe
      vseq_join            for sequences.join_ids: one id per tuple of parts
-                          ids q apart (a probe block's q sub-blocks, or a
-                          4-window at q = 1, the tuples then overlapping),
-                          after any ids the caller has ranked already;
-                          ids 1, 2 or 4 bytes wide, one loop per pair of
-                          widths; returns the number of distinct ids, -1
-                          for a width or code out of range, or WIDER for
-                          more ids than the output width holds
+                          ids q apart (a probe block's q sub-blocks or its
+                          q^E bytes, or a 4-window at q = 1, the tuples then
+                          overlapping), after any ids the caller has ranked
+                          already; ids 1, 2 or 4 bytes wide, one loop per
+                          pair of widths; returns the number of distinct
+                          ids, -1 for a width or code out of range, or WIDER
+                          for more ids than the output width holds
      vseq_check           for synthesis.cross_validate: the least n whose
                           state's output differs from F, or -1
      vseq_pairs           for rules._scan: the least a whose pair F(2a),
@@ -299,21 +296,63 @@ int vseq_ring_count(const uint8_t *pre, int64_t p, uint8_t *counts,
                       plan, planned, windows, info);
 }
 
-/* out[S(a) - 1] = 1 for each a in [1, a_max] with 0 < S(a) <= n, where
-   S(a) = counts[1] + ... + counts[a]; returns S at the first a whose S
-   passes n, or S(a_max) if none does. */
-int64_t vseq_marks(const uint8_t *counts, int64_t a_max, uint8_t *out,
-                   int64_t n)
+/* The loop of vseq_steps, for n = s + 1 to n_max + 1.  Each caller passes
+   r, s and mask, so that V gets a loop with its constants. */
+static inline __attribute__((always_inline)) int
+steps_loop(uint8_t *out, int64_t n_max, int64_t r, int64_t s, uint32_t *ring,
+           int64_t mask, int64_t *info)
 {
-    int64_t s = 0;
-    for (int64_t a = 1; a <= a_max; a++) {
-        s += counts[a];
-        if (s > n)
-            break;
-        if (s > 0)
-            out[s - 1] = 1;
+    /* Q(p1) = v1 and Q(p2) = v2, the cursors; both start at Q(s) = 1 */
+    int64_t p1 = s, v1 = 1, p2 = s, v2 = 1, prev = 1;
+    for (int64_t n = s + 1; n <= n_max + 1; n++) {
+        int64_t i1 = n - ring[(n - r) & mask], i2 = n - ring[(n - s) & mask];
+        if (i1 < 1 || i2 < 1) {
+            info[0] = n;
+            info[1] = i1 < i2 ? i1 : i2;
+            return DEAD;
+        }
+        if (i1 >= n || i2 >= n) {
+            info[0] = n;
+            info[1] = i1 > i2 ? i1 : i2;
+            return UNSETTLED;
+        }
+        /* Q(p + 1) = Q(p) + out[p - 1]: p < i <= n - 1, so the step read
+           is one this loop has written */
+        if (p1 < i1)
+            v1 += out[p1++ - 1];
+        if (p2 < i2)
+            v2 += out[p2++ - 1];
+        int64_t val = v1 + v2;
+        if (val != prev && val != prev + 1) {
+            info[0] = n;
+            info[1] = prev;
+            info[2] = val;
+            return NOT_MONOTONE;
+        }
+        out[n - 2] = (uint8_t)(val - prev);
+        ring[n & mask] = (uint32_t)val;
+        prev = val;
     }
-    return s;
+    return OK;
+}
+
+/* out[k - 1] = Q(k + 1) - Q(k) for k in [1, n_max]: Q runs to Q(n_max + 1)
+   and is not stored.  Its last s terms sit in the caller's ring, a power of
+   two of them larger than s (Q(i) at ring[i & mask]), and every older term
+   is read back from the steps already written by two cursors, Q(p) = 1 +
+   out[0] + ... + out[p - 2].  Q is non-decreasing with steps in {0, 1}
+   (checked as it runs), so both arguments n - Q(n-r) and n - Q(n-s) grow
+   by 0 or 1 a term, and each cursor moves at most one position per term.
+   The seed's steps, out[0..s-2], are zero. */
+int vseq_steps(uint8_t *out, int64_t n_max, int64_t r, int64_t s,
+               uint32_t *ring, int64_t mask, int64_t *info)
+{
+    memset(out, 0, (size_t)(s - 1 < n_max ? s - 1 : n_max));
+    for (int64_t i = 1; i <= s; i++)
+        ring[i & mask] = 1;
+    if (r == 1 && s == 4 && mask == 7) /* V's loop, with its constants */
+        return steps_loop(out, n_max, 1, 4, ring, 7, info);
+    return steps_loop(out, n_max, r, s, ring, mask, info);
 }
 
 /* The byte sum and maximum go 64 bytes at a time, a block loop that gcc
@@ -345,17 +384,6 @@ int64_t vseq_byte_max(const uint8_t *v, int64_t n)
     for (; i < n; i++)
         most = v[i] > most ? v[i] : most;
     return most;
-}
-
-int64_t vseq_distinct_bytes(const uint8_t *v, int64_t n)
-{
-    uint8_t seen[256] = {0};
-    int64_t distinct = 0;
-    for (int64_t i = 0; i < n; i++)
-        seen[v[i]] = 1;
-    for (int b = 0; b < 256; b++)
-        distinct += seen[b];
-    return distinct;
 }
 
 /* out[i] = the id of the code c_0 k^(parts-1) + ... + c_(parts-1), with

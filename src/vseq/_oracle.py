@@ -1,11 +1,11 @@
 """The compiled loops of ``_oracle.c``, built on first use: the Q_{r,s}
 recursion and count for the oracle, the count resumed into a ring that keeps
-F's windows at planned indices, the pass that marks V's steps from F,
-the byte sum, maximum and distinct count, the tuple join that numbers the
-rule scan's windows, discovery's windows and the kernel probe's blocks,
-and the two checks of the synthesize pipeline: cross-validation's walk of
-the stride table against F, and the rule scan's compare of each a's image
-pair with its window's.
+F's windows at planned indices, the loop that writes V's steps and reads V's
+older terms back from them, the byte sum and maximum, the tuple join that
+numbers the rule scan's windows, discovery's windows and the kernel probe's
+blocks, and the two checks of the synthesize pipeline: cross-validation's
+walk of the stride table against F, and the rule scan's compare of each a's
+image pair with its window's.
 
 ``library`` compiles the source with the system ``cc`` and loads it with
 ctypes.  It runs on the first oracle call, never at import.  The shared
@@ -76,9 +76,9 @@ def _pointer(view: memoryview):
 
 
 class Oracle:
-    """The loops of _oracle.c: the three oracle loops, which return a status
-    and info[3], the marking pass, the byte passes, the join, and the
-    cross-validation and image-pair checks.  Each pass checks the
+    """The loops of _oracle.c: the four oracle loops, which return a status
+    and info[3], the byte passes, the join, and the cross-validation and
+    image-pair checks.  Each pass checks the
     format, length and bounds of its buffers before it passes pointers."""
 
     def __init__(self, lib: ctypes.CDLL):
@@ -91,18 +91,18 @@ class Oracle:
         ptr = ctypes.c_void_p
         lib.vseq_ring_count.argtypes = [ptr, i64, ptr, i64, i64, i64, ptr, i64,
                                         ptr, ctypes.POINTER(i64)]
-        lib.vseq_qrs.restype = lib.vseq_count.restype = ctypes.c_int
-        lib.vseq_ring_count.restype = ctypes.c_int
-        lib.vseq_marks.argtypes = [ptr, i64, ptr, i64]
-        for fn in (lib.vseq_byte_sum, lib.vseq_byte_max, lib.vseq_distinct_bytes):
+        lib.vseq_steps.argtypes = [ptr, i64, i64, i64, ptr, i64, ptr]
+        for fn in (lib.vseq_qrs, lib.vseq_count, lib.vseq_ring_count,
+                   lib.vseq_steps):
+            fn.restype = ctypes.c_int
+        for fn in (lib.vseq_byte_sum, lib.vseq_byte_max):
             fn.argtypes = [ptr, i64]
         lib.vseq_join.argtypes = [ptr, i64, i64, i64, i64, i64, i64, ptr,
                                   ctypes.c_uint64, ptr, i64, i64]
         lib.vseq_check.argtypes = [ptr, i64, ptr, ptr, i64, ptr, i64]
         lib.vseq_pairs.argtypes = [ptr, ptr, ptr, ptr, i64]
-        for fn in (lib.vseq_marks, lib.vseq_byte_sum, lib.vseq_byte_max,
-                   lib.vseq_distinct_bytes, lib.vseq_join, lib.vseq_check,
-                   lib.vseq_pairs):
+        for fn in (lib.vseq_byte_sum, lib.vseq_byte_max, lib.vseq_join,
+                   lib.vseq_check, lib.vseq_pairs):
             fn.restype = i64
         self._lib = lib
 
@@ -151,17 +151,19 @@ class Oracle:
             _pointer(memoryview(windows)), info)
         return status, list(info), windows
 
-    def marks(self, counts, out) -> int:
-        """out[S(a) - 1] = 1 for each a >= 1 with 0 < S(a) <= len(out),
-        where S(a) = counts[1] + ... + counts[a] over the byte counts; S at
-        the first a whose S passes len(out), or at the counts' end if none
-        does.  out is a writable byte buffer."""
-        counts = _view(counts, "B", "marks' counts")
-        out = _view(out, "B", "marks' out", writable=True)
-        if len(counts) < 1:
-            raise ValueError("marks takes counts from index 0")
-        return self._lib.vseq_marks(_pointer(counts), len(counts) - 1,
-                                    _pointer(out), len(out))
+    def steps(self, out, r: int, s: int) -> tuple[int, list[int]]:
+        """out[k - 1] = Q_{r,s}(k + 1) - Q_{r,s}(k) for k in [1, len(out)],
+        s > r >= 1, into the writable byte buffer out, reading Q's older
+        terms back from the steps written; Q's last s terms go in a ring of
+        a power of two above s."""
+        out = _view(out, "B", "steps' out", writable=True)
+        if not s > r >= 1:
+            raise ValueError(f"need s > r >= 1, got r={r}, s={s}")
+        info = (ctypes.c_int64 * 3)()
+        ring = (ctypes.c_uint32 * (1 << s.bit_length()))()
+        status = self._lib.vseq_steps(_pointer(out), len(out), r, s, ring,
+                                      len(ring) - 1, info)
+        return status, list(info)
 
     def byte_sum(self, vals) -> int:
         """The sum of the bytes vals."""
@@ -172,11 +174,6 @@ class Oracle:
         """The largest of the bytes vals, 0 for none."""
         vals = _view(vals, "B", "byte_max's input")
         return self._lib.vseq_byte_max(_pointer(vals), len(vals))
-
-    def distinct_bytes(self, vals) -> int:
-        """The number of distinct values among the bytes vals."""
-        vals = _view(vals, "B", "distinct_bytes' input")
-        return self._lib.vseq_distinct_bytes(_pointer(vals), len(vals))
 
     def join(self, ids, first: int, stride: int, parts: int, count: int,
              k: int, pad: int = 0) -> tuple[array, int]:

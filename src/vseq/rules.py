@@ -18,10 +18,9 @@ are checked through one table of expected pairs per id.
 
 from __future__ import annotations
 
-from array import array
 from dataclasses import dataclass
 
-from .sequences import SequenceTable, _compiled, join_ids, max_byte
+from .sequences import SequenceTable, _compiled, _first_seen, join_ids, max_byte
 
 Window = tuple[int, int, int, int]
 
@@ -70,26 +69,6 @@ class RuleVerification:
 
     a_checked: int
     new_windows: dict[Window, int]  # windows absent from the frozen table
-
-
-def _first_seen(ids, distinct: int) -> list[int]:
-    """first[u], the least i with ids[i] == u, for each id u < distinct.
-    The compiled join's ids (an array) number first appearances in order,
-    so each is found with index from the one before; the numpy join's are
-    found by np.unique over the shortest prefix, grown fourfold, that holds
-    every id."""
-    if isinstance(ids, array):
-        first = [-1]
-        for u in range(distinct):
-            first.append(ids.index(u, first[-1] + 1))
-        return first[1:]
-    import numpy as np
-    span = 1 << 10
-    while True:
-        _, first = np.unique(ids[:span], return_index=True)
-        if len(first) == distinct:
-            return first.tolist()
-        span *= 4
 
 
 def _first_conflict(ids, expect: bytes, known: bytes, pairs) -> int:

@@ -47,7 +47,7 @@ class SequenceTable:
 
     ``values`` may be any integer sequence; generators pick a compact
     backing store: a 32-bit ``array("I")`` for V and Q_{r,s}, a bytearray
-    for F and for V's steps read off F, a numpy array in the narrowest
+    for F and for V's steps written in place, a numpy array in the narrowest
     integer dtype for the first difference of a table.  An F table is
     counted without a V table, so it costs one byte per index in all.
 
@@ -222,6 +222,26 @@ def join_ids(ids, k: int, first: int, stride: int, parts: int, count: int,
     return _compact(code, space)
 
 
+def _first_seen(ids, distinct: int) -> list[int]:
+    """first[u], the least i with ids[i] == u, for each id u < distinct.
+    The compiled join's ids (an array) number first appearances in order,
+    so each is found with index from the one before; the numpy join's are
+    found by np.unique over the shortest prefix, grown fourfold, that holds
+    every id."""
+    if isinstance(ids, array):
+        first = [-1]
+        for u in range(distinct):
+            first.append(ids.index(u, first[-1] + 1))
+        return first[1:]
+    import numpy as np
+    span = 1 << 10
+    while True:
+        _, first = np.unique(ids[:span], return_index=True)
+        if len(first) == distinct:
+            return first.tolist()
+        span *= 4
+
+
 # V and Q_{r,s} are stored in 32 bits, so no size may pass this
 MAX_SIZE = 2 ** 32 - 1
 
@@ -279,8 +299,8 @@ def _raise(status: int, info: list[int], label: str, partial) -> None:
         raise OverflowError(f"{label}({info[0]}) = {info[1]} does not fit 32 bits")
     if status == _oracle.UNSETTLED:
         n, argument = info[0], info[1]
-        raise RuntimeError(f"{label}({n}) read {label}({argument}) from a count "
-                           "that was not final")
+        raise RuntimeError(f"{label}({n}) read {label}({argument}) before it "
+                           "was final")
     if status == _oracle.RING_SHORT:
         value, lag, size = info
         raise RuntimeError(f"a ring of {size} counts is too short: counting "
@@ -394,6 +414,60 @@ def _frequency_py(r: int, s: int, a_max: int, label: str) -> bytearray:
     return counts
 
 
+def _steps(r: int, s: int, n: int, label: str) -> bytearray:
+    """out[k - 1] = Q_{r,s}(k + 1) - Q_{r,s}(k) for k in [1, n], compiled
+    when possible; Q is generated and checked as in _steps_py.  Like the
+    count, the compiled loop keeps only Q's last s terms, and reads the
+    older ones back from the steps it has written (see _oracle.c), so the
+    steps are all the memory it takes."""
+    lib = _compiled(n)
+    if lib is None:
+        return _steps_py(r, s, n, label)
+    out = bytearray(n)
+    status, info = lib.steps(out, r, s)
+    _raise(status, info, label,
+           lambda n: _recursion(r, s, n - 1, label).values)
+    return out
+
+
+def _steps_py(r: int, s: int, n: int, label: str) -> bytearray:
+    """The reference loop of _steps.
+
+    Q(p) = 1 + out[0] + ... + out[p - 2], so two cursors (p, Q(p)) read
+    the terms at the arguments n - Q(n-r) and n - Q(n-s) back from the
+    steps.  A step outside {0, 1} raises before it is written; as long as
+    none is, both arguments grow by 0 or 1 a term, and each cursor moves
+    at most one position per term.
+    """
+    out = bytearray(n)
+    mask = (1 << s.bit_length()) - 1
+    ring = [1] * (mask + 1)  # Q(i) at ring[i & mask]: the seed's ones
+    p1 = p2 = s  # the cursors, at Q(s) = 1
+    v1 = v2 = prev = 1
+    for m in range(s + 1, n + 2):
+        i1 = m - ring[(m - r) & mask]
+        i2 = m - ring[(m - s) & mask]
+        if i1 < 1 or i2 < 1:
+            raise DeadSequence(label, m, min(i1, i2),
+                               _recursion_py(r, s, m - 1, label).values)
+        if i1 >= m or i2 >= m:
+            raise RuntimeError(f"{label}({m}) read {label}({max(i1, i2)}) "
+                               "before it was final")
+        if p1 < i1:
+            v1 += out[p1 - 1]
+            p1 += 1
+        if p2 < i2:
+            v2 += out[p2 - 1]
+            p2 += 1
+        val = v1 + v2
+        if val != prev and val != prev + 1:
+            raise MonotonicityViolation(
+                f"{label}({m - 1}) = {prev} followed by {label}({m}) = {val}")
+        out[m - 2] = val - prev
+        ring[m & mask] = prev = val
+    return out
+
+
 def gen_v(n_max: int) -> SequenceTable:
     """V(1..n_max) by direct recursion with a full memo table.
 
@@ -427,8 +501,7 @@ def extend_f(f: SequenceTable, a_max: int) -> SequenceTable:
 
     It holds f and all of F to a_max at once.  Certification reads F past
     the prefix only at planned windows, which count_windows keeps instead,
-    so this serves first_difference, should its F fall short, and
-    count_windows without the compiled loops.
+    so this serves count_windows without the compiled loops.
     """
     if f.lo != 0:
         raise ValueError("extend_f takes an F table starting at index 0")
@@ -509,18 +582,14 @@ def first_difference(t: SequenceTable | int) -> SequenceTable:
     fills them, so no int64 copy of the whole table is ever held.
 
     Given an int n >= 1 instead of a table, the first difference of V on
-    [1, n], byte for byte ``first_difference(gen_v(n + 1))``, from F alone:
-    V is slow, so V(k+1) - V(k) = 1 exactly when k = S(a) = F(1) + ... +
-    F(a) for some a >= 1.  F is counted once, to n // 2 + n.bit_length():
-    V(n) is about n / 2, and the margin brought S to n for every n
-    measured (all n <= 2^20, and samples of each octave up to 2^27, with
-    a least slack of 3).  Should S still fall short, F is extended until it
-    reaches n, so the result never rests on the margin.  One pass over F
-    marks each S(a) <= n, compiled when possible (see _marks), so F and
-    the n steps, a bytearray, are all it holds.
+    [1, n], byte for byte ``first_difference(gen_v(n + 1))``, in a
+    bytearray: V's recursion runs to V(n + 1) and writes each step straight
+    into it, reading V's older terms back from the steps already written
+    (see _steps), so the n steps are all it holds.
     """
     if not isinstance(t, SequenceTable):
-        return _v_steps(_size(t, "n", 1))
+        n = _size(t, "n", 1)
+        return SequenceTable(1, n, _steps(1, 4, n, "V"), "diff(V)")
     if len(t) < 2:
         raise ValueError("need at least 2 entries")
     import numpy as np
@@ -543,42 +612,6 @@ def first_difference(t: SequenceTable | int) -> SequenceTable:
         np.subtract(vals[i + 1:j + 1], vals[i:j], out=out[i:j], dtype=dtype,
                     casting="unsafe")
     return SequenceTable(t.lo, t.hi - 1, out, f"diff({t.label})")
-
-
-def _v_steps(n: int) -> SequenceTable:
-    """first_difference(n): V's steps on [1, n], marked at each S(a) <= n."""
-    f = gen_f(n // 2 + n.bit_length())
-    out = bytearray(n)
-    lib = _compiled(n)
-    while True:
-        counts = f.byte_values()
-        reached = _marks(counts, out) if lib is None else lib.marks(counts, out)
-        if reached >= n:
-            return SequenceTable(1, n, out, "diff(V)")
-        # every F(a) >= 1, as V takes every value, so n - reached more
-        # values bring S to n; marking again sets the same steps again
-        f = extend_f(f, f.hi + n - reached)
-
-
-def _marks(counts, out) -> int:
-    """The reference pass of _oracle.Oracle.marks: out[S(a) - 1] = 1 for
-    each a >= 1 with 0 < S(a) <= len(out), over byte buffers, taking the
-    prefix sums S of the counts DIFF_CHUNK entries at a time in numpy;
-    returns S at the counts' end."""
-    import numpy as np
-    counts, out = (np.asarray(memoryview(b)) for b in (counts, out))
-    n = out.size
-    buf = np.empty(min(DIFF_CHUNK, counts.size), dtype=np.intp)
-    below = 0  # S(i - 1)
-    for i in range(1, counts.size, DIFF_CHUNK):
-        chunk = counts[i:i + DIFF_CHUNK]
-        at = buf[:chunk.size]
-        at[:] = chunk  # cast here, as np.cumsum would cast into a temporary
-        np.cumsum(at, out=at)
-        at += below - 1  # S(a) - 1, the offset of D(S(a)) in out
-        below = int(at[-1]) + 1
-        out[at[at.searchsorted(0):at.searchsorted(n)]] = 1
-    return below
 
 
 def write_table(t: SequenceTable, fp: IO[str]) -> None:

@@ -38,8 +38,8 @@ from dataclasses import dataclass
 
 from .automaton import WINDOW, Dfao
 from .rules import RuleConflict, WindowRuleTable, verify_rules
-from .sequences import (PlannedWindows, SequenceTable, _compiled, _narrowest,
-                        join_ids, max_byte)
+from .sequences import (PlannedWindows, SequenceTable, _compiled, _dense,
+                        _first_seen, _narrowest, join_ids, max_byte)
 
 
 class NonpositiveDivisor(ValueError):
@@ -615,64 +615,80 @@ def kernel_probe(table: SequenceTable, q: int, depth: int,
     complete blocks are not reported (a single sample cannot witness any
     distinction) and set the truncated flag instead.
 
-    Each level keeps one id per block, equal ids for equal blocks.  A block
-    q times as long as the one before is the q blocks of the level before
-    it (Allouche & Shallit, Automatic Sequences, Thm 6.6.2), so its id is
-    the tuple of their ids; a block cut to ``prefix_len`` like the one
-    before is that level's block at q n.  Only a level that cuts its block
-    to a length of neither kind compares the bytes of its blocks.
+    Each level from E on keeps one id per block, equal ids for equal
+    blocks.  Level E is the deepest whose blocks are uncut, q^E bytes each,
+    with a space of k^(q^E) tuples small enough to tabulate, k = 1 + the
+    largest byte (E = 3 for F's five values at q = 2, and 4 for V's two
+    steps): its ids are the join of the bytes, q^E at a time.  A block q
+    times as long as the one before is the q blocks of the level before it
+    (Allouche & Shallit, Automatic Sequences, Thm 6.6.2), so its id is the
+    tuple of their ids; a block cut to ``prefix_len`` like the one before
+    is that level's block at q n.  Only a level that cuts its block to a
+    length of neither kind compares the bytes of its blocks.  The levels
+    below E are never numbered: each of their blocks lies inside a level-E
+    block, but for the few at the table's two ends, so their distinct
+    blocks are the pieces of the distinct level-E blocks, found at their
+    first appearances, and those few.
 
-    Level 0's ids are the byte values, below k = 1 + the largest byte, so
-    that F's five values give level 1 a space of 5^q tuples.  Every join
-    goes through sequences.join_ids, which reads the children straight from
-    the ids of the level before.  The engine is chosen once, from the
-    table's length: where a library loads, level 0 counts its bytes
-    compiled (``_oracle.c``) and every join whose tuple space is small
-    enough to tabulate runs compiled.  The level that compares bytes sorts
-    them with numpy.  Only the counts are reported, so the order of the
-    ids is free.
+    Every join goes through sequences.join_ids, which reads the children
+    straight from the ids of the level before, and runs compiled
+    (``_oracle.c``) where a library loads for the table's length and the
+    join's tuple space is small enough to tabulate.  The level that
+    compares bytes sorts them with numpy.  Only the counts are reported,
+    so the order of the ids is free.
     """
     check_probe_args(q, depth, prefix_len)
     vals = table.byte_values()
     steps = len(vals)
-    lib = _compiled(steps)
     lo, hi = table.lo, table.hi
-    levels = []
-    truncated = False
+    shapes = []  # (q^e, block, n0, count) for each level with two blocks
     step = 1
     for e in range(depth + 1):
         block = min(prefix_len, step)
         n0 = -(-lo // step)
-        n1 = (hi - block + 1) // step
-        if n1 < n0 + 1:
-            truncated = True
+        count = (hi - block + 1) // step - n0 + 1
+        if count < 2:
             break
-        count = n1 - n0 + 1
-        if e == 0:
-            ids, k = vals, max_byte(vals, steps) + 1  # ids below k: the byte values
-            if lib is not None:
-                distinct = lib.distinct_bytes(vals)
+        shapes.append((step, block, n0, count))
+        step *= q
+    levels = []
+    if shapes:
+        k = max_byte(vals, steps) + 1  # the byte values as ids below k
+        top = 0  # E
+        for step, block, _, count in shapes[1:]:
+            if block < step or not _dense(k ** block, count):
+                break
+            top += 1
+        _, block, n0, count = shapes[top]
+        first, end = n0 * block - lo, (n0 + count) * block - lo
+        ids, k = join_ids(vals, k, first, block, block, count, steps=steps)
+        seen = [bytes(vals[first + block * i:first + block * (i + 1)])
+                for i in _first_seen(ids, k)]
+        for e, (size, _, n0_e, count_e) in enumerate(shapes[:top]):
+            start = n0_e * size - lo
+            pieces = {b[j:j + size] for b in seen for j in range(0, block, size)}
+            pieces.update(bytes(vals[i:i + size]) for i in (
+                *range(start, first, size), *range(end, start + size * count_e, size)))
+            levels.append(ProbeLevel(e, size, count_e, len(pieces)))
+        levels.append(ProbeLevel(top, block, count, k))
+        prev_block, prev_n0 = block, n0
+        for e in range(top + 1, len(shapes)):
+            step, block, n0, count = shapes[e]
+            if block in (prev_block, q * prev_block):
+                # level e-1's blocks q n + j
+                parts = 1 if block == prev_block else q
+                ids, k = join_ids(ids, k, q * n0 - prev_n0, q, parts, count,
+                                  steps=steps)
             else:
                 import numpy as np
-                seen = np.zeros(k, dtype=bool)
-                seen[np.asarray(vals)] = True
-                distinct = int(np.count_nonzero(seen))
-        elif block in (prev_block, q * prev_block):
-            # level e-1's blocks q n + j
-            parts = 1 if block == prev_block else q
-            ids, k = join_ids(ids, k, q * n0 - prev_n0, q, parts, count, steps=steps)
-            distinct = k
-        else:
-            import numpy as np
-            rows = np.lib.stride_tricks.as_strided(
-                np.asarray(vals)[n0 * step - lo:], shape=(count, block),
-                strides=(step, 1), writeable=False)
-            rows = np.ascontiguousarray(rows).view(f"V{block}").ravel()
-            uniq, ids = np.unique(rows, return_inverse=True)
-            distinct = k = len(uniq)
-            ids = ids.astype(_narrowest(k))
-        levels.append(ProbeLevel(e, block, count, distinct))
-        prev_block, prev_n0 = block, n0
-        step *= q
+                rows = np.lib.stride_tricks.as_strided(
+                    np.asarray(vals)[n0 * step - lo:], shape=(count, block),
+                    strides=(step, 1), writeable=False)
+                rows = np.ascontiguousarray(rows).view(f"V{block}").ravel()
+                uniq, ids = np.unique(rows, return_inverse=True)
+                k = len(uniq)
+                ids = ids.astype(_narrowest(k))
+            levels.append(ProbeLevel(e, block, count, k))
+            prev_block, prev_n0 = block, n0
     return ProbeReport(q=q, depth=depth, prefix_len=prefix_len,
-                       levels=tuple(levels), truncated=truncated)
+                       levels=tuple(levels), truncated=len(shapes) < depth + 1)

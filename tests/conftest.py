@@ -15,6 +15,14 @@ HORIZON = 24  # the CLI's default --horizon
 VALIDATE_TO = 2 ** 22  # the CLI's default --validate
 CERT_DEPTH = 16
 
+# sha256 of vseq probe's stdout at the CLI defaults (depth 12, prefix
+# 4096), which users and the benchmark run; the golden transcript runs
+# faster settings
+PROBE_AT_DEFAULTS = {
+    "f": "5dedced71fb8f46b7b486621f75ad4545b146174a3240b83451e4fcf3a74eea4",
+    "vdiff": "6e2959843008d6df785e4e76ce9c9396ffa20c3b3596f3e3c3609ecdbc9e2b6f",
+}
+
 
 @pytest.fixture(scope="session")
 def f_main() -> vseq.SequenceTable:

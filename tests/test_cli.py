@@ -10,6 +10,8 @@ import vseq
 from vseq import SINGLE, WINDOW, Dfao, gen_f
 from vseq.cli import run
 
+from conftest import PROBE_AT_DEFAULTS
+
 FAST = ["--validate", "65536", "--depth", "3"]
 
 
@@ -187,15 +189,6 @@ def test_probe_vdiff_makes_no_claim(capsys):
     out = capsys.readouterr().out
     assert "open" in out
     assert "level 5: distinct" in out
-
-
-# sha256 of vseq probe's stdout at the CLI defaults (depth 12, prefix
-# 4096), which users and the benchmark run; the golden transcript runs
-# faster settings
-PROBE_AT_DEFAULTS = {
-    "f": "5dedced71fb8f46b7b486621f75ad4545b146174a3240b83451e4fcf3a74eea4",
-    "vdiff": "6e2959843008d6df785e4e76ce9c9396ffa20c3b3596f3e3c3609ecdbc9e2b6f",
-}
 
 
 @pytest.mark.parametrize("sequence", PROBE_AT_DEFAULTS)

@@ -1,7 +1,9 @@
-"""`import vseq`, `vseq eval` and the compiled synthesize pipeline run
-without numpy: each runs in a subprocess where importing numpy fails, and
-must print and write the same bytes as a run where numpy loads."""
+"""`import vseq`, `vseq eval`, the compiled synthesize pipeline and both
+compiled probes run without numpy: each runs in a subprocess where
+importing numpy fails, and must print and write the same bytes as a run
+where numpy loads."""
 
+import hashlib
 import os
 import subprocess
 import sys
@@ -9,6 +11,8 @@ import sys
 import pytest
 
 from vseq import _oracle
+
+from conftest import PROBE_AT_DEFAULTS
 
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(_oracle.__file__)))
 # any import of numpy in the process raises ImportError
@@ -69,3 +73,14 @@ def test_compiled_certify_loads_no_numpy(tmp_path, truth_a, truth_b, kind):
         CLI, ["certify", "--automaton", str(machine), "--depth", "12"], tmp_path)
     assert "verdict: pass (66 transitions, depth 12," in stdout
     assert "cross-validated on [0, 4194304]" in stdout
+
+
+@pytest.mark.parametrize("sequence", PROBE_AT_DEFAULTS)
+def test_compiled_probe_loads_no_numpy(tmp_path, sequence):
+    # vdiff's steps are written in place, and each probe joins its levels
+    # from the bytes and the ids before them: no pass needs numpy at the
+    # defaults, whose prefix 4096 is a power of the base
+    if _oracle.library() is None:
+        pytest.skip("no C compiler: the numpy passes run in place of the compiled ones")
+    stdout, _ = _same_blocked_or_not(CLI, ["probe", "--sequence", sequence], tmp_path)
+    assert hashlib.sha256(stdout.encode()).hexdigest() == PROBE_AT_DEFAULTS[sequence]

@@ -189,36 +189,41 @@ def test_first_difference_needs_two():
         first_difference(0)  # no step of V on [1, 0]
 
 
+def _on(engine, call, *args):
+    """call(*args) on the compiled loops at every size ("compiled"), or on
+    the Python loops and numpy passes ("python")."""
+    if engine == "compiled":
+        with mock.patch.object(sequences, "COMPILED_FROM", 0):
+            return call(*args)
+    with mock.patch.object(_oracle, "library", lambda: None):
+        return call(*args)
+
+
+def _engines():
+    return ("compiled", "python") if _oracle.library() is not None else ("python",)
+
+
 def _assert_v_steps(n):
-    """first_difference(n) is first_difference(gen_v(n + 1)), byte for byte."""
-    d, ref = first_difference(n), first_difference(gen_v(n + 1))
-    assert (d.lo, d.hi, d.label, np.asarray(d.values).dtype) == (ref.lo, ref.hi, ref.label,
-                                                                 ref.values.dtype)
-    assert bytes(d.values) == ref.values.tobytes()
+    """first_difference(n) is first_difference(gen_v(n + 1)), byte for byte,
+    on the compiled loop (where a library loads) and on the Python loop."""
+    ref = first_difference(gen_v(n + 1))
+    for engine in _engines():
+        d = _on(engine, first_difference, n)
+        assert (d.lo, d.hi, d.label, np.asarray(d.values).dtype) == (
+            ref.lo, ref.hi, ref.label, ref.values.dtype), engine
+        assert bytes(d.values) == ref.values.tobytes(), engine
     return d
 
 
-def test_first_difference_of_n_is_v_steps_from_f(monkeypatch):
-    # at 7 entries a chunk, the F counted for n = 1..300 ends on both sides
-    # of a chunk edge: a full last chunk and a last chunk of one entry
-    monkeypatch.setattr(sequences, "DIFF_CHUNK", 7)
-    ends = []
-    for name in ("gen_f", "extend_f"):
-        def spy(*args, count=getattr(sequences, name)):
-            f = count(*args)
-            ends.append(f.hi)
-            return f
-        monkeypatch.setattr(sequences, name, spy)
-    edges = set()
+def test_first_difference_of_n_is_v_steps():
     for n in range(1, 301):
         if n < 3:  # gen_v needs 4 terms; V(1..3) = 1 in the seed
-            d = first_difference(n)
-            assert (d.lo, d.hi, d.label, list(d.values)) == (1, n, "diff(V)", [0] * n)
-            assert np.asarray(d.values).dtype == np.uint8
+            for engine in _engines():
+                d = _on(engine, first_difference, n)
+                assert (d.lo, d.hi, d.label, bytes(d.values)) == (1, n, "diff(V)", bytes(n))
+                assert np.asarray(d.values).dtype == np.uint8
         else:
             _assert_v_steps(n)
-        edges.add(ends[-1] % 7)
-    assert {0, 1} <= edges
 
 
 def test_first_difference_of_n_at_and_below_a_step():
@@ -234,34 +239,40 @@ def test_first_difference_of_n_at_scale(n):
     _assert_v_steps(n)
 
 
-def test_first_difference_of_n_extends_a_short_f(monkeypatch):
-    extended = []
-    count, extend = sequences.gen_f, sequences.extend_f
-    monkeypatch.setattr(sequences, "gen_f", lambda a_max: count(a_max // 4))
-    monkeypatch.setattr(sequences, "extend_f",
-                        lambda f, a_max: extended.append(a_max) or extend(f, a_max))
-    _assert_v_steps(2 ** 16 + 5)
-    assert extended
+@settings(max_examples=100, deadline=None)
+@given(st.integers(3, 5000))
+def test_first_difference_of_n_is_v_steps_at_any_n(n):
+    _assert_v_steps(n)
 
 
-@pytest.mark.parametrize("ns", [range(1, 301), [2 ** 16 + 5, 2 ** 20 + 3, 2 ** 24]],
+@pytest.mark.parametrize("ns", [range(1, 301), [2 ** 16 + 5, 2 ** 20 + 3]],
                          ids=["1-300", "large"])
-def test_first_difference_of_n_counts_f_once(monkeypatch, ns):
-    # the margin past n // 2 brings S to n, so no resume is needed
-    calls = []
-    for name in ("gen_f", "extend_f"):
-        def spy(*args, name=name, count=getattr(sequences, name)):
-            calls.append(name)
-            return count(*args)
-        monkeypatch.setattr(sequences, name, spy)
+def test_steps_match_the_python_loop(ns):
+    # vseq_steps writes every step itself, the seed's zeros too: out starts
+    # as ones, not zeros
+    lib = _oracle.library()
+    if lib is None:
+        pytest.skip("no C compiler: only the Python loops run here")
     for n in ns:
-        calls.clear()
-        assert first_difference(n).hi == n
-        assert calls == ["gen_f"], (n, calls)
+        out = bytearray(b"\1" * n)
+        assert lib.steps(out, 1, 4) == (_oracle.OK, [0, 0, 0]), n
+        assert out == sequences._steps_py(1, 4, n, "V"), n
 
 
-def test_first_difference_of_n_holds_f_and_the_steps_alone():
-    # the route through gen_v holds V, 16 MB at 2^22, before any step
+def test_steps_checks_match_the_python_loop():
+    # these Q_{r,s} take a step past 1: both loops stop at the same term and
+    # raise the same MonotonicityViolation, at the seed's end or after it
+    # (Q[1,10] at n = 35, so its steps to n = 33 are all in {0, 1})
+    for r, s, n in ((1, 2, 10 ** 5), (2, 3, 10 ** 5), (2, 5, 10 ** 5),
+                    (1, 10, 10 ** 5), (3, 7, 10 ** 5), (1, 10, 33)):
+        got = [_outcome(lambda: _on(engine, sequences._steps, r, s, n, "Q"))
+               for engine in _engines()]
+        assert got[0][0] is (bytearray if n == 33 else MonotonicityViolation)
+        assert got[1:] in ([], [got[0]]), (r, s, got)
+
+
+def test_first_difference_of_n_holds_the_steps_alone():
+    # the steps, 4 MB at 2^22, and neither V (16 MB) nor F (2 MB) beside them
     gen_f(COMPILED_FROM)  # loads the compiled loops before tracing
     tracemalloc.start()
     try:
@@ -270,7 +281,7 @@ def test_first_difference_of_n_holds_f_and_the_steps_alone():
     finally:
         tracemalloc.stop()
     assert d.hi == 2 ** 22
-    assert peak < 8 * 2 ** 20, peak
+    assert peak < 2 ** 22 + 2 ** 16, peak
 
 
 def test_table_invariants():
@@ -327,18 +338,6 @@ def _outcome(call):
     return type(values), bytes(values)
 
 
-def _numpy_probe(*args):
-    """kernel_probe with its numpy passes only."""
-    with mock.patch.object(_oracle, "library", lambda: None):
-        return kernel_probe(*args)
-
-
-def _python_steps(n):
-    """first_difference(n) with the Python loops and numpy passes only."""
-    with mock.patch.object(_oracle, "library", lambda: None):
-        return first_difference(n).values
-
-
 ORACLE_CALLS = {
     "gen_f(2^20)": (lambda: gen_f(2 ** 20).values,
                     lambda: sequences._frequency_py(1, 4, 2 ** 20, "V")),
@@ -352,9 +351,9 @@ ORACLE_CALLS = {
     "Q[1,2] counts jump": (lambda: sequences._frequency(1, 2, 10 ** 5, "Q"),
                            lambda: sequences._frequency_py(1, 2, 10 ** 5, "Q")),
     "kernel_probe(F to 2^20)": (lambda: kernel_probe(gen_f(2 ** 20), 2, 8, 256),
-                                lambda: _numpy_probe(gen_f(2 ** 20), 2, 8, 256)),
+                                lambda: _on("python", kernel_probe, gen_f(2 ** 20), 2, 8, 256)),
     "first_difference(2^20 + 3)": (lambda: first_difference(2 ** 20 + 3).values,
-                                   lambda: _python_steps(2 ** 20 + 3)),
+                                   lambda: sequences._steps_py(1, 4, 2 ** 20 + 3, "V")),
 }
 
 
@@ -404,7 +403,7 @@ from vseq import (SequenceTable, _oracle, count_windows, cross_validate,
                   extend_f, first_difference, gen_f, gen_qrs, gen_v,
                   kernel_probe, sequences, synthesize_validated)
 from vseq.rules import _scan
-from vseq.sequences import COMPILED_FROM, _marks, join_ids
+from vseq.sequences import COMPILED_FROM, join_ids
 
 widths = set()  # (ids, joined ids) itemsizes of the compiled joins
 
@@ -463,19 +462,13 @@ for r, s in ((2, 5), (1, 10)):
     a, b = both(lambda: raised(lambda: gen_qrs(r, s, 10 ** 5)))
     assert a == b != None, (a, b)
 
-# the marking pass: V's steps from F, and counts that start with zeros,
-# end exactly at out's end or fall short of it
+# V's steps written in place, each read back by the cursors, against the
+# Python loop; and a Q_{r,s} whose step past 1 stops both loops
 for n in (2 ** 15 + 3, 2 ** 16):
     a, b = both(lambda: bytes(first_difference(n).values))
     assert a == b
-counts = np.random.default_rng(11).integers(0, 4, 2 ** 12, dtype=np.uint8)
-counts[:3] = 0
-total = int(counts.sum())
-for n in (1, 100, total - 1, total, total + 7):
-    outs = np.zeros((2, n), dtype=np.uint8)
-    got = lib.marks(counts, outs[0]), _marks(counts, outs[1])
-    assert min(got[0], n + 1) == min(got[1], n + 1), (n, got)
-    assert outs[0].tobytes() == outs[1].tobytes(), n
+a, b = both(lambda: raised(lambda: sequences._steps(1, 2, 10 ** 5, "Q")))
+assert a == b != None, (a, b)
 
 # the 4-windows of the rule scan and of discovery (the q = 1, parts = 4
 # loop) over 1-, 2- and 4-byte ids, the last one ending at the last id
@@ -489,8 +482,7 @@ for n in (1, 63, 64, 65, 2 ** 12 + 37):
     for at in (0, n // 2, n - 1):
         top = vals.copy()
         top[at] = 255
-        assert (lib.byte_max(top), lib.distinct_bytes(top)) == (
-            255, np.unique(top).size), (n, at)
+        assert lib.byte_max(top) == 255, (n, at)
 for dtype in (np.uint8, np.uint16, np.uint32):
     for top in (4, 16, 256):
         vals = rng.integers(0, top, 2 ** 15, dtype=dtype)
@@ -538,6 +530,13 @@ for dtype in (np.uint8, np.uint16, np.uint32):
             same_partition(*both(lambda: join_ids(ids, k, first, q, q, count)))
             err = raised(lambda: lib.join(ids, first, q, q, count + 1, k))
             assert err and err.startswith("ValueError"), err
+# the probe's level E joined straight from the bytes, q^E = 8 and 16 of
+# them a tuple (F's five values, V's two steps), the last tuple ending at
+# the last byte
+for parts, k in ((8, 5), (16, 2)):
+    vals = rng.integers(0, k, 3 + parts * 2 ** 12, dtype=np.uint8)
+    vals[-parts:] = k - 1
+    same_partition(*both(lambda: join_ids(vals, k, 3, parts, parts, 2 ** 12)))
 # more than 65,535 ids: the join overflows one and two bytes, then fits four
 for dtype in (np.uint8, np.uint16, np.uint32):
     ids = rng.integers(0, 41, 3 * 2 ** 18, dtype=dtype)

@@ -1,6 +1,7 @@
 import dataclasses
 import random
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -960,24 +961,24 @@ def test_probe_f_at_q3_joins_compiled(compiled_joins):
 
 
 @pytest.mark.parametrize("alphabet, q, n, depth, joins", [
-    # level 1: about 9,400 of the 65,536 byte pairs, so its ids pass 255;
+    # level 1, joined from the bytes (level 2's 256^4 tuples pass count +
+    # 2^16): about 9,400 of the 65,536 byte pairs, so its ids pass 255;
     # level 2's space of about 9,400^2 tuples passes count + 2^16: numpy
     (256, 2, 20_000, 2, [U16]),
     # level 1: every byte pair, 65,536 ids, so they pass 65,535
     (256, 2, 2 ** 21, 1, [U32]),
-    # level 2: all 256 tuples of 4 values, one id past a byte; level 3
-    # joins level 2's 12,500 ids compiled too, as the engine is chosen
-    # once, from the table's 50,000 entries; level 4's space of level 3's
-    # ids squared passes count + 2^16: numpy
-    (4, 2, 50_000, 4, [U8, U16, U16]),
-    # level 0's ids lie below 2, not 256, so level 1's 2^3 tuples join
-    # compiled, and so do level 2's 8^3; level 3 joins level 2's 5,555
-    # ids: numpy
-    (2, 3, 50_000, 3, [U8, U16]),
-    # all 256 byte values: level 1's 256^3 tuples pass count + 2^16, so it
-    # falls back to numpy although a library loads, and so does every level
-    # after it
-    (256, 3, 50_000, 3, []),
+    # level 3, joined from the bytes, 8 at a time, over a space of 4^8 =
+    # 65,536 tuples: about 6,000 of them, past a byte; level 4's space of
+    # level 3's ids squared passes count + 2^16: numpy
+    (4, 2, 50_000, 4, [U16]),
+    # level 0's ids lie below 2, not 256, so level 2 joins its 2^9 tuples
+    # straight from the bytes, compiled: all 512, past a byte; level 3
+    # joins level 2's 5,555 ids: numpy
+    (2, 3, 50_000, 3, [U16]),
+    # all 256 byte values: level 1's 256^3 tuples pass count + 2^16, so
+    # level 0 joins the bytes one at a time (256 ids, past a byte), and
+    # every level after it falls back to numpy although a library loads
+    (256, 3, 50_000, 3, [U16]),
 ], ids=["ids-past-255", "ids-past-65535", "256-ids", "numpy-then-compiled",
         "256-values-at-q3"])
 def test_probe_ids_widen_and_fall_back(alphabet, q, n, depth, joins, probe_joins):
@@ -987,3 +988,47 @@ def test_probe_ids_widen_and_fall_back(alphabet, q, n, depth, joins, probe_joins
     assert report == _probe_by_sorting(table, q, depth, q ** depth)
     if probe_joins is not None:
         assert probe_joins == joins
+
+
+@st.composite
+def _probe_tables(draw):
+    """A random byte table, half of it periodic so that blocks repeat, and
+    kernel_probe's other arguments: level E, the deepest joined from the
+    bytes, is 0 (alphabet 256 at q = 3) to 4 (alphabet 2 at q = 2), and the
+    depth runs past it.  Some tables hold their largest value only at a
+    few bytes near either end, so that the blocks there, which level E's
+    may not cover, are new."""
+    alphabet = draw(st.sampled_from([2, 4, 5, 256]))
+    lo = draw(st.sampled_from([0, 1, 5]))
+    q = draw(st.sampled_from([2, 3]))
+    n = draw(st.integers(1, 3000))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    planted = draw(st.booleans())
+    values = rng.integers(0, alphabet - planted, n, dtype=np.uint8)
+    if draw(st.booleans()):
+        values[n // 2:] = np.resize(values[:q ** 3], n - n // 2)
+    if planted:
+        for at in draw(st.lists(st.integers(0, 12), max_size=2)):
+            values[min(at, n - 1)] = alphabet - 1
+        for at in draw(st.lists(st.integers(0, 12), max_size=2)):
+            values[max(n - 1 - at, 0)] = alphabet - 1
+    if draw(st.booleans()):
+        prefix_len = q ** draw(st.integers(0, 6))
+    else:
+        prefix_len = draw(st.integers(1, 200))
+    table = SequenceTable(lo, lo + n - 1, bytearray(values.tobytes()), "r")
+    return table, q, draw(st.integers(0, 9)), prefix_len
+
+
+@settings(max_examples=200, deadline=None)
+@given(_probe_tables())
+# V's two steps, level E = 4, with the one 1 in the blocks that level 4
+# leaves out: at lo = 1, before its first block; past its last block
+@example((SequenceTable(1, 1000, bytearray(b"\1" + bytes(999)), "r"), 2, 6, 64))
+@example((SequenceTable(0, 1000, bytearray(bytes(1000) + b"\1"), "r"), 2, 6, 64))
+def test_probe_matches_row_sorting_on_any_table(case):
+    want = _probe_by_sorting(*case)
+    with mock.patch.object(sequences, "COMPILED_FROM", 0):  # compiled at any size
+        assert kernel_probe(*case) == want
+    with mock.patch.object(_oracle, "library", lambda: None):
+        assert kernel_probe(*case) == want
