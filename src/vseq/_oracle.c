@@ -20,9 +20,8 @@
    In vseq_qrs, Q(i) lives at q[i - 1].
 
    Five more passes, with numpy passes kept as the reference:
-     vseq_byte_sum        the sum of n bytes, for sequences.extend_f and
-                          count_windows: the number of terms a finished
-                          count holds
+     vseq_byte_sum        the sum of n bytes, for sequences.count_windows:
+                          the number of terms a finished count holds
      vseq_byte_max        the largest of n bytes, the bound k of the ids a
                           tuple join reads from bytes
      vseq_join            for sequences.join_ids: one id per tuple of parts

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .sequences import SequenceTable, _compiled, _first_seen, join_ids, max_byte
+from .sequences import SequenceTable, _first_seen, _library, join_ids, max_byte
 
 Window = tuple[int, int, int, int]
 
@@ -94,12 +94,12 @@ def _scan(f: SequenceTable, a_min: int, a_max: int,
     each id.  The images of each a are the pair of bytes F(2a), F(2a+1),
     checked in one compare against a per-id table of the expected pairs:
     those of ``frozen`` (windows it lacks are skipped) or else those of the
-    window's first occurrence.  Where a library loads for the scan's
-    length, the largest byte, the join and, for one-byte ids as F's 24
-    are, the compare run compiled (``_oracle.c``; vseq_pairs stops at the
-    first conflict), and no numpy is loaded; otherwise numpy runs them, the
-    reference.  RuleConflict names the least conflicting a, even before
-    odd.  Callers keep a_min > 3.
+    window's first occurrence.  Where a library loads, the largest byte,
+    the join and, for one-byte ids as F's 24 are, the compare run compiled
+    (``_oracle.c``; vseq_pairs stops at the first conflict), and no numpy
+    is loaded; otherwise numpy runs them, the reference.  RuleConflict
+    names the least conflicting a, even before odd.  Callers keep
+    a_min > 3.
     """
     if f.lo != 0:
         raise ValueError("rule scans expect an F table starting at index 0")
@@ -113,8 +113,8 @@ def _scan(f: SequenceTable, a_min: int, a_max: int,
     vals = f.byte_values()
     pairs = vals[2 * a_min:2 * a_max + 2]  # F(2a), F(2a+1) for each a
     # the largest byte over the bytes of every window
-    k = max_byte(vals[a_min - 2:a_max + 2], count) + 1
-    ids, distinct = join_ids(vals, k, a_min - 2, 1, 4, count, steps=count)
+    k = max_byte(vals[a_min - 2:a_max + 2]) + 1
+    ids, distinct = join_ids(vals, k, a_min - 2, 1, 4, count)
     first = _first_seen(ids, distinct)
     wins = [f.window4(a_min + i) for i in first]
     by_a = sorted(range(distinct), key=first.__getitem__)
@@ -132,7 +132,7 @@ def _scan(f: SequenceTable, a_min: int, a_max: int,
         # window occurs: a pair unlike the one at its first a says so
         expect += (bytes((g, h)) if 0 <= g <= 255 and 0 <= h <= 255
                    else bytes((pairs[2 * first[u]] ^ 1, pairs[2 * first[u] + 1])))
-    lib = _compiled(count)
+    lib = _library()
     if lib is not None and memoryview(ids).itemsize == 1:
         i = lib.pairs(ids, expect, known, pairs)
     else:

@@ -181,7 +181,7 @@ def _compact(codes, space: int):
 
 
 def join_ids(ids, k: int, first: int, stride: int, parts: int, count: int,
-             steps: int | None = None, pad: int = 0):
+             pad: int = 0):
     """Dense ids for the tuples (ids[first + stride i + j])_{j < parts},
     i < count, of unsigned ids below k: equal tuples get equal ids, in the
     narrowest width that holds their number (one byte up to 255 ids); and
@@ -192,17 +192,15 @@ def join_ids(ids, k: int, first: int, stride: int, parts: int, count: int,
     discovery reads F(-2) = F(-1) = 0 before F; the compiled join makes no
     padded copy.
 
-    The compiled join (``_oracle.c``) runs when a library loads for
-    ``steps`` steps (len(ids) unless given; a caller that joins level after
-    level passes one figure for all of them) and its rank table over all
-    k**parts tuples is dense.  It numbers the ids in order of first
-    appearance and returns them as an ``array.array`` ('B', 'H' or 'I').
-    Otherwise numpy packs each tuple into one code, compacted early where a
-    code could pass 64 bits, and _compact numbers the codes into a numpy
-    array, in another order; callers read only which ids are equal, or
-    their first appearances from the compiled join's.
+    The compiled join (``_oracle.c``) runs when a library loads and its
+    rank table over all k**parts tuples is dense.  It numbers the ids in
+    order of first appearance and returns them as an ``array.array`` ('B',
+    'H' or 'I').  Otherwise numpy packs each tuple into one code, compacted
+    early where a code could pass 64 bits, and _compact numbers the codes
+    into a numpy array, in another order; callers read only which ids are
+    equal, or their first appearances from the compiled join's.
     """
-    lib = _compiled(len(ids) if steps is None else steps)
+    lib = _library()
     if lib is not None and _dense(k ** parts, count):
         return lib.join(ids, first, stride, parts, count, k, pad)
     import numpy as np
@@ -257,25 +255,24 @@ def _size(value, name: str, least: int, least_text: str = "") -> int:
     return value
 
 
-# under this many recursion steps the Python loop takes a few ms, less than
-# loading the compiled loops (let alone building them on first use)
-COMPILED_FROM = 1 << 14
-
-
-def _compiled(steps: int):
-    """The compiled loops for a run of ``steps`` recursion steps, or None
-    for the Python loops: for a short run, or when they cannot be built.
-    They are built on the first long run, never at import."""
-    if steps < COMPILED_FROM:
-        return None
+def _library():
+    """The compiled loops of ``_oracle.c``, or None for the Python loops
+    and numpy passes when they cannot be built.  They are built on first
+    use, never at import."""
     from ._oracle import library
     return library()
 
 
-def max_byte(vals, steps: int) -> int:
-    """The largest of the bytes vals, compiled where a library loads for
-    ``steps`` steps, else in numpy, the reference."""
-    lib = _compiled(steps)
+# the recursions run compiled from this many steps on: under it the Python
+# loop takes a few ms, less than loading the compiled loops (let alone
+# building them on first use)
+COMPILED_FROM = 1 << 14
+
+
+def max_byte(vals) -> int:
+    """The largest of the bytes vals, compiled where a library loads, else
+    in numpy, the reference."""
+    lib = _library()
     if lib is not None:
         return lib.byte_max(vals)
     import numpy as np
@@ -314,7 +311,7 @@ def _recursion(r: int, s: int, n_max: int, label: str) -> SequenceTable:
     The table grows by doubling, so that a sequence that dies early never
     holds memory for all of n_max.
     """
-    lib = _compiled(n_max)
+    lib = _library() if n_max >= COMPILED_FROM else None
     if lib is None:
         return _recursion_py(r, s, n_max, label)
     q = array("I", [1]) * s
@@ -346,34 +343,20 @@ def _recursion_py(r: int, s: int, n_max: int, label: str) -> SequenceTable:
     return SequenceTable(1, n_max, q[1:], label)
 
 
-def _frequency(r: int, s: int, a_max: int, label: str,
-               counted: memoryview | None = None) -> bytearray:
+def _frequency(r: int, s: int, a_max: int, label: str) -> bytearray:
     """counts[a] = #{n : Q_{r,s}(n) = a} for a in [0, a_max], compiled when
     possible; Q is generated and checked as in _frequency_py.  The compiled
     loop keeps only Q's last s terms and reads the older ones back from the
     counts (see _oracle.c), so the counts are all the memory it takes.
     gen_f counts V = Q_{1,4}; other (r, s) reach the checks V never trips.
-
-    ``counted``, a finished count of this Q for the values below its length
-    (at most a_max + 1 of them, as bytes), is resumed: the compiled loop
-    starts after the terms it counts, their number the counts' sum, and
-    moves its read positions over the finished counts 64 at a time before
-    it steps on.  The counts are copied straight into the new table through
-    a memoryview of it, so no third F-sized buffer is held while the count
-    resumes; the sum is a compiled pass too.  The Python loop counts from
-    the start again.
     """
-    lib = _compiled(2 * a_max)  # V(n) is about n / 2
+    # V(n) is about n / 2
+    lib = _library() if 2 * a_max >= COMPILED_FROM else None
     if lib is None:
         return _frequency_py(r, s, a_max, label)
     counts = bytearray(a_max + 1)
-    if counted is None:
-        counts[1] = done = s  # Q(1..s) = 1
-    else:
-        # a bytearray slice assignment would copy its source first
-        memoryview(counts)[:len(counted)] = counted
-        done = lib.byte_sum(counted)
-    status, info = lib.count(counts, r, s, done)
+    counts[1] = s  # Q(1..s) = 1
+    status, info = lib.count(counts, r, s, s)
     _raise(status, info, label,
            lambda n: _recursion(r, s, n - 1, label).values)
     return counts
@@ -420,7 +403,7 @@ def _steps(r: int, s: int, n: int, label: str) -> bytearray:
     count, the compiled loop keeps only Q's last s terms, and reads the
     older ones back from the steps it has written (see _oracle.c), so the
     steps are all the memory it takes."""
-    lib = _compiled(n)
+    lib = _library() if n >= COMPILED_FROM else None
     if lib is None:
         return _steps_py(r, s, n, label)
     out = bytearray(n)
@@ -492,24 +475,6 @@ def gen_f(a_max: int) -> SequenceTable:
     return SequenceTable(0, a_max, counts, "F")
 
 
-def extend_f(f: SequenceTable, a_max: int) -> SequenceTable:
-    """F(0..a_max), a_max >= f.hi, from gen_f's table f: byte for byte
-    gen_f(a_max), but the compiled count resumes where f's stopped.  It
-    reads V's last four terms back from f's prefix sums, as it reads every
-    older term, so only V past f's end is computed.  Without the compiled
-    loops F is counted from the start again.
-
-    It holds f and all of F to a_max at once.  Certification reads F past
-    the prefix only at planned windows, which count_windows keeps instead,
-    so this serves count_windows without the compiled loops.
-    """
-    if f.lo != 0:
-        raise ValueError("extend_f takes an F table starting at index 0")
-    a_max = _size(a_max, "a_max", f.hi, f"the table's end, {f.hi}")
-    counts = _frequency(1, 4, a_max, "V", f.byte_values())
-    return SequenceTable(0, a_max, counts, "F")
-
-
 def _ring_size(a_max: int) -> int:
     """The ring count_windows counts to a_max in: a read position lags the
     count by at most a_max / 2 + 1.5 (measured for every a_max to 2^25),
@@ -522,14 +487,14 @@ def count_windows(f: SequenceTable, plan: Iterable[int]) -> PlannedWindows:
     allowed), from gen_f's table f: byte for byte those of
     gen_f(max(plan) + 1), but holding f and a ring of counts, never F to
     the plan's end.  Windows inside f are read from it.  For the rest, the
-    compiled count resumes where f's stopped, like extend_f's, and keeps
-    the counts past f in a ring of a power of two of them, just over
-    a_max / 2 for a_max = max(plan) + 1, as a read position lags the count
-    by about half its value (_ring_size).  Each planned window is copied out
-    once its last count is final.  A ring too short for the count is
+    compiled count resumes where f's stopped and keeps the counts past f
+    in a ring of a power of two of them, just over a_max / 2 for a_max =
+    max(plan) + 1, as a read position lags the count by about half its
+    value (_ring_size).  Each planned window is copied out once its last
+    count is final.  A ring too short for the count is
     refused, never returning a window read from a reused slot, and counted
-    again in one twice its size.  Without the compiled loops F is counted
-    flat, with extend_f.
+    again in one twice its size.  Without the compiled loops the windows
+    are read from gen_f(max(plan) + 1), counted flat from the start.
     """
     if f.lo != 0:
         raise ValueError("count_windows takes an F table starting at index 0")
@@ -539,9 +504,10 @@ def count_windows(f: SequenceTable, plan: Iterable[int]) -> PlannedWindows:
     read = f.windows_at(inside)
     if past:
         a_max = _size(past[-1] + 1, "the plan's end", 1)
-        lib = _compiled(2 * a_max)  # V(n) is about n / 2
+        # V(n) is about n / 2
+        lib = _library() if 2 * a_max >= COMPILED_FROM else None
         if lib is None:
-            read += extend_f(f, a_max).windows_at(past)
+            read += gen_f(a_max).windows_at(past)
         else:
             from . import _oracle
             counts = f.byte_values()

@@ -26,9 +26,9 @@ Shallit, Automatic Sequences, Thm 6.6.2), so each level is one tuple join
 coverage; two strings are merged when their signatures agree on every
 common level.
 
-On an oracle long enough to load the compiled loops (``_oracle.c``),
-discovery, cross-validation and certification run them and bytes
-operations, and load no numpy; numpy runs the reference passes.
+Where the compiled loops (``_oracle.c``) load, discovery,
+cross-validation and certification run them and bytes operations, and
+load no numpy; numpy runs the reference passes.
 """
 
 from __future__ import annotations
@@ -38,8 +38,8 @@ from dataclasses import dataclass
 
 from .automaton import WINDOW, Dfao
 from .rules import RuleConflict, WindowRuleTable, verify_rules
-from .sequences import (PlannedWindows, SequenceTable, _compiled, _dense,
-                        _first_seen, _narrowest, join_ids, max_byte)
+from .sequences import (PlannedWindows, SequenceTable, _dense, _first_seen,
+                        _library, _narrowest, join_ids, max_byte)
 
 
 class NonpositiveDivisor(ValueError):
@@ -130,22 +130,21 @@ def _block_ids(oracle: SequenceTable, horizon: int, keep: int | None = None) -> 
 
     With ``keep``, a level holds only its ids at m < keep, cut once the
     level after it is joined: level 0 is numbered only there.  Levels stop
-    at the horizon or where fewer than two ids are left to join.  The
-    engine is chosen once, from the oracle's length, for the largest byte
-    and every level's join (see join_ids).  Each level's ids are one byte
-    each while it has at most 255 (F has about 28)."""
+    at the horizon or where fewer than two ids are left to join.  Each
+    level's ids are one byte each while it has at most 255 (F has about
+    28)."""
     hi = oracle.hi
     if hi < 1 or horizon < 0:
         return []
     vals = oracle.byte_values()
-    k = max_byte(vals, hi) + 1
+    k = max_byte(vals) + 1
     levels = [join_ids(vals, k, 0, 1, 4, hi if keep is None else min(hi, keep),
-                       steps=hi, pad=2)[0]]
+                       pad=2)[0]]
     if horizon >= 1 and hi >> 1:
-        ids, k = join_ids(vals, k, 0, 2, 5, hi >> 1, steps=hi, pad=2)
+        ids, k = join_ids(vals, k, 0, 2, 5, hi >> 1, pad=2)
         levels.append(ids)
     while len(levels) <= horizon and hi >> len(levels) - 1 >= 2:
-        ids, k = join_ids(ids, k, 0, 2, 2, hi >> len(levels), steps=hi)
+        ids, k = join_ids(ids, k, 0, 2, 2, hi >> len(levels))
         levels[-1] = _head(levels[-1], keep)
         levels.append(ids)
     levels[-1] = _head(levels[-1], keep)
@@ -309,15 +308,15 @@ def cross_validate(m: Dfao, oracle: SequenceTable, n_max: int) -> Validation:
 
     An output of w bytes, the window F(n-2..n+1) (w = 4) or F(n) alone
     (w = 1), is compared with the oracle's w bytes at n.  Where a compiled
-    library loads for n_max steps and the states fit one byte (both
-    synthesized machines do), one compiled pass (``_oracle.c``
-    vseq_check) walks the stride table of _stride_head and stops at the
-    first mismatch, and no numpy is loaded.  Otherwise the numpy pass
-    runs, the reference: it walks CHECK_CHUNK n at a time and reads each
-    output as one little-endian integer on both sides, the machine's
-    outputs as an S x w byte array gathered by state, and the oracle's as
-    a one-byte-stride view of a chunk's window_bytes, whose window at n
-    starts at byte n - lo and holds F(n) at byte 2.
+    library loads and the states fit one byte (both synthesized machines
+    do), one compiled pass (``_oracle.c`` vseq_check) walks the stride
+    table of _stride_head and stops at the first mismatch, and no numpy
+    is loaded.  Otherwise the numpy pass runs, the reference: it walks
+    CHECK_CHUNK n at a time and reads each output as one little-endian
+    integer on both sides, the machine's outputs as an S x w byte array
+    gathered by state, and the oracle's as a one-byte-stride view of a
+    chunk's window_bytes, whose window at n starts at byte n - lo and
+    holds F(n) at byte 2.
     """
     _check_from_0(oracle)
     w = 4 if m.output_kind == WINDOW else 1
@@ -326,7 +325,7 @@ def cross_validate(m: Dfao, oracle: SequenceTable, n_max: int) -> Validation:
     if oracle.hi < n_max + reach:
         raise OracleTooShort(f"oracle ends at {oracle.hi}, need {n_max + reach}")
     outputs = bytes(m.outputs if w == 1 else (b for o in m.outputs for b in o))
-    lib = _compiled(n_max)
+    lib = _library()
     if lib is not None and m.state_count <= 256:
         table, head = _stride_head(m, n_max)
         bad = lib.check(table, head, outputs, w, oracle.byte_values(), n_max)
@@ -632,14 +631,13 @@ def kernel_probe(table: SequenceTable, q: int, depth: int,
 
     Every join goes through sequences.join_ids, which reads the children
     straight from the ids of the level before, and runs compiled
-    (``_oracle.c``) where a library loads for the table's length and the
-    join's tuple space is small enough to tabulate.  The level that
-    compares bytes sorts them with numpy.  Only the counts are reported,
-    so the order of the ids is free.
+    (``_oracle.c``) where a library loads and the join's tuple space is
+    small enough to tabulate.  The level that compares bytes sorts them
+    with numpy.  Only the counts are reported, so the order of the ids is
+    free.
     """
     check_probe_args(q, depth, prefix_len)
     vals = table.byte_values()
-    steps = len(vals)
     lo, hi = table.lo, table.hi
     shapes = []  # (q^e, block, n0, count) for each level with two blocks
     step = 1
@@ -653,7 +651,7 @@ def kernel_probe(table: SequenceTable, q: int, depth: int,
         step *= q
     levels = []
     if shapes:
-        k = max_byte(vals, steps) + 1  # the byte values as ids below k
+        k = max_byte(vals) + 1  # the byte values as ids below k
         top = 0  # E
         for step, block, _, count in shapes[1:]:
             if block < step or not _dense(k ** block, count):
@@ -661,7 +659,7 @@ def kernel_probe(table: SequenceTable, q: int, depth: int,
             top += 1
         _, block, n0, count = shapes[top]
         first, end = n0 * block - lo, (n0 + count) * block - lo
-        ids, k = join_ids(vals, k, first, block, block, count, steps=steps)
+        ids, k = join_ids(vals, k, first, block, block, count)
         seen = [bytes(vals[first + block * i:first + block * (i + 1)])
                 for i in _first_seen(ids, k)]
         for e, (size, _, n0_e, count_e) in enumerate(shapes[:top]):
@@ -677,8 +675,7 @@ def kernel_probe(table: SequenceTable, q: int, depth: int,
             if block in (prev_block, q * prev_block):
                 # level e-1's blocks q n + j
                 parts = 1 if block == prev_block else q
-                ids, k = join_ids(ids, k, q * n0 - prev_n0, q, parts, count,
-                                  steps=steps)
+                ids, k = join_ids(ids, k, q * n0 - prev_n0, q, parts, count)
             else:
                 import numpy as np
                 rows = np.lib.stride_tricks.as_strided(

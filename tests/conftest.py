@@ -7,9 +7,12 @@ oracle pull it in.
 
 from __future__ import annotations
 
+from unittest import mock
+
 import pytest
 
 import vseq
+from vseq import _oracle
 
 HORIZON = 24  # the CLI's default --horizon
 VALIDATE_TO = 2 ** 22  # the CLI's default --validate
@@ -22,6 +25,18 @@ PROBE_AT_DEFAULTS = {
     "f": "5dedced71fb8f46b7b486621f75ad4545b146174a3240b83451e4fcf3a74eea4",
     "vdiff": "6e2959843008d6df785e4e76ce9c9396ffa20c3b3596f3e3c3609ecdbc9e2b6f",
 }
+
+
+def on_each_engine(call) -> list:
+    """call()'s result on each engine, forced through _oracle.library: the
+    library as it loads (the compiled passes, where one does), then None
+    (the numpy passes and the Python loops), at any input size."""
+    lib = _oracle.library()
+    got = []
+    for forced in ((lib, None) if lib is not None else (None,)):
+        with mock.patch.object(_oracle, "library", lambda: forced):
+            got.append(call())
+    return got
 
 
 @pytest.fixture(scope="session")

@@ -1,5 +1,6 @@
-"""`import vseq`, `vseq eval`, the compiled synthesize pipeline and both
-compiled probes run without numpy: each runs in a subprocess where
+"""`import vseq`, `vseq eval`, the compiled synthesize pipeline, both
+compiled probes and the golden transcript's short oracle commands run
+without numpy: each runs in a subprocess where
 importing numpy fails, and must print and write the same bytes as a run
 where numpy loads."""
 
@@ -84,3 +85,16 @@ def test_compiled_probe_loads_no_numpy(tmp_path, sequence):
         pytest.skip("no C compiler: the numpy passes run in place of the compiled ones")
     stdout, _ = _same_blocked_or_not(CLI, ["probe", "--sequence", sequence], tmp_path)
     assert hashlib.sha256(stdout.encode()).hexdigest() == PROBE_AT_DEFAULTS[sequence]
+
+
+@pytest.mark.parametrize("args", [
+    ["rules", "derive", "--max", "300"],
+    ["probe", "--sequence", "f", "--depth", "6", "--prefix", "64"],
+    ["probe", "--sequence", "vdiff", "--depth", "5", "--prefix", "32"],
+], ids=["rules", "probe-f", "probe-vdiff"])
+def test_short_oracle_commands_load_no_numpy(tmp_path, args):
+    # their oracles run the Python loops, short of COMPILED_FROM steps, but
+    # the rule scan and the probe's joins run compiled at any size
+    if _oracle.library() is None:
+        pytest.skip("no C compiler: the numpy passes run in place of the compiled ones")
+    _same_blocked_or_not(CLI, args, tmp_path)

@@ -9,8 +9,9 @@ from numpy.lib.stride_tricks import sliding_window_view
 from vseq import (RuleConflict, SequenceTable, derive_rules, format_rules,
                   gen_f, verify_rules)
 from vseq import _oracle
-from vseq.rules import DERIVATION_START, WindowRuleTable, _scan
-from vseq.sequences import COMPILED_FROM
+from vseq.rules import DERIVATION_START, RuleVerification, WindowRuleTable, _scan
+
+from conftest import on_each_engine
 
 
 @pytest.fixture(scope="module")
@@ -168,14 +169,25 @@ def _fields(e: RuleConflict) -> tuple:
 
 
 def _outcome(scan, *args):
-    """What a scan gives, in a form that compares dict order too: the
-    three rule dicts as item lists, or the fields of its RuleConflict."""
+    """What a scan or verify_rules gives, in a form that compares dict
+    order too: the three rule dicts as item lists, the range and new
+    windows verified, or the fields of its RuleConflict."""
     try:
         t = scan(*args)
     except RuleConflict as e:
         return ("conflict", *_fields(e))
+    if isinstance(t, RuleVerification):
+        return ("verified", t.a_checked, list(t.new_windows.items()))
     return ("table", list(t.even_rule.items()), list(t.odd_rule.items()),
             list(t.first_seen.items()))
+
+
+def _on_both(scan, *args):
+    """_outcome(scan, *args), the same on the compiled passes, where a
+    library loads, and on the numpy passes."""
+    got = on_each_engine(lambda: _outcome(scan, *args))
+    assert got.count(got[0]) == len(got), got
+    return got[0]
 
 
 def _byte_table(palette, hi, late, follow_rule, rng) -> SequenceTable:
@@ -202,11 +214,9 @@ def byte_tables(draw):
         st.lists(st.one_of(st.integers(0, 3), st.integers(0, 255)),
                  min_size=1, max_size=5, unique=True),
         st.just(list(range(256)))))
-    # tables on both sides of COMPILED_FROM: the longer ones join their
-    # windows compiled, unless the palette's largest byte makes the tuple
-    # space too large to tabulate
-    hi = draw(st.one_of(st.integers(9, 300), st.integers(3000, 6000),
-                        st.integers(COMPILED_FROM, COMPILED_FROM + 3000)))
+    # each table is scanned on both engines: the compiled join runs unless
+    # the palette's largest byte makes the tuple space too large to tabulate
+    hi = draw(st.one_of(st.integers(9, 300), st.integers(3000, 6000)))
     f = _byte_table(palette, hi, draw(st.sampled_from([0, hi // 3])),
                     draw(st.booleans()), random.Random(draw(st.integers(0, 2 ** 32))))
     a_max = draw(st.one_of(st.just((hi - 1) // 2), st.integers(4, (hi - 1) // 2)))
@@ -230,15 +240,15 @@ def _flip(f, a_min, a_max, rng):
 # windows first seen past the first prefix, for either kind of id
 @example((_byte_table([1, 2, 3], 6000, 3000, False, random.Random(2)), 4, 2999), 3)
 @example((_byte_table(list(range(256)), 4000, 0, True, random.Random(4)), 5, 1999), 5)
-# a table long enough for the compiled join, whose 256^4 tuples fall back to numpy
-@example((_byte_table(list(range(256)), COMPILED_FROM + 9, 0, True, random.Random(6)),
-          4, COMPILED_FROM // 2), 7)
+# all 256 byte values, whose 256^4 tuples fall back to numpy where a library loads
+@example((_byte_table(list(range(256)), 2 ** 14 + 9, 0, True, random.Random(6)),
+          4, 2 ** 13), 7)
 def test_scan_matches_sorting_scan(case, seed):
     f, a_min, a_max = case
     rng = random.Random(seed)
-    assert _outcome(_scan, f, a_min, a_max) == _outcome(_scan_by_sorting, f, a_min, a_max)
+    assert _on_both(_scan, f, a_min, a_max) == _outcome(_scan_by_sorting, f, a_min, a_max)
     bad = _flip(f, a_min, a_max, rng)
-    assert _outcome(_scan, bad, a_min, a_max) == _outcome(_scan_by_sorting, bad, a_min, a_max)
+    assert _on_both(_scan, bad, a_min, a_max) == _outcome(_scan_by_sorting, bad, a_min, a_max)
     # a frozen table missing some of its windows: verify_rules reports them
     try:
         full = _scan_by_sorting(f, a_min, (a_min + a_max) // 2)
@@ -251,14 +261,10 @@ def test_scan_matches_sorting_scan(case, seed):
     for table in (f, bad):
         # verify_rules scans from the start of the doubling rules
         want = _outcome(_scan_by_sorting, table, DERIVATION_START, a_max, frozen)
-        if want[0] == "conflict":
-            with pytest.raises(RuleConflict) as excinfo:
-                verify_rules(frozen, table, a_max)
-            assert _fields(excinfo.value) == want[1:]
-        else:
-            got = verify_rules(frozen, table, a_max).new_windows
-            assert list(got.items()) == [
-                (w, a) for w, a in want[3] if w not in frozen.even_rule]
+        if want[0] != "conflict":
+            want = ("verified", a_max,
+                    [(w, a) for w, a in want[3] if w not in frozen.even_rule])
+        assert _on_both(verify_rules, frozen, table, a_max) == want
 
 
 def test_frozen_image_outside_bytes_conflicts(f50k, rules10k):
@@ -289,7 +295,7 @@ def test_frozen_image_that_packs_like_a_real_pair_conflicts():
 
 # -- the compiled pair compare against the numpy compare ------------------------
 
-A_MAX = 24_999  # f50k's last a: 24,996 pairs, a scan long enough to run compiled
+A_MAX = 24_999  # f50k's last a: 24,996 pairs
 
 
 @pytest.fixture
@@ -310,21 +316,12 @@ def on_both(monkeypatch):
 
     monkeypatch.setattr(_oracle.Oracle, "pairs", spy)
 
-    def outcome(call):
-        try:
-            got = call()
-        except RuleConflict as e:
-            return ("conflict", *_fields(e))
-        if isinstance(got, WindowRuleTable):
-            return _outcome(lambda: got)
-        return ("verified", got.a_checked, list(got.new_windows.items()))
-
     def run(call):
         runs.clear()
         monkeypatch.setattr(_oracle, "library", lambda: lib)
-        compiled = outcome(call)
+        compiled = _outcome(call)
         monkeypatch.setattr(_oracle, "library", lambda: None)
-        return compiled, outcome(call), len(runs)
+        return compiled, _outcome(call), len(runs)
 
     return run
 

@@ -14,8 +14,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from vseq import (DeadSequence, MonotonicityViolation, ProbeReport,
-                  SequenceTable, count_windows, extend_f, first_difference,
-                  gen_f, gen_qrs, gen_v, kernel_probe, read_table, write_table)
+                  SequenceTable, count_windows, first_difference, gen_f,
+                  gen_qrs, gen_v, kernel_probe, read_table, write_table)
 from vseq import _oracle, sequences
 from vseq.sequences import COMPILED_FROM, join_ids
 
@@ -190,8 +190,8 @@ def test_first_difference_needs_two():
 
 
 def _on(engine, call, *args):
-    """call(*args) on the compiled loops at every size ("compiled"), or on
-    the Python loops and numpy passes ("python")."""
+    """call(*args) on the compiled loops, the recursions at every size
+    ("compiled"), or on the Python loops and numpy passes ("python")."""
     if engine == "compiled":
         with mock.patch.object(sequences, "COMPILED_FROM", 0):
             return call(*args)
@@ -400,10 +400,10 @@ SANITIZED_RUN = """
 import ctypes, sys
 import numpy as np
 from vseq import (SequenceTable, _oracle, count_windows, cross_validate,
-                  extend_f, first_difference, gen_f, gen_qrs, gen_v,
-                  kernel_probe, sequences, synthesize_validated)
+                  first_difference, gen_f, gen_qrs, gen_v, kernel_probe,
+                  sequences, synthesize_validated)
 from vseq.rules import _scan
-from vseq.sequences import COMPILED_FROM, join_ids
+from vseq.sequences import join_ids
 
 widths = set()  # (ids, joined ids) itemsizes of the compiled joins
 
@@ -434,11 +434,6 @@ def same_partition(compiled, numpy_ids):
 # the count and the recursion, and two runs that die
 a, b = both(lambda: gen_f(2 ** 16).values)
 assert a == b
-# the count resumed from a finished one, in the seed and past it, the
-# last past it skipping its read positions to the counts' end
-for done in (1, 2 ** 10, 2 ** 15 - 1):
-    a, b = both(lambda: extend_f(gen_f(done), 2 ** 15).values)
-    assert a == b
 # the ring count's planned windows against the Python loop's flat count,
 # from prefix ends whose ring seed wraps and ends mid-block or not, windows
 # straddling the prefix's end and ending the count; and rings too short for
@@ -491,8 +486,8 @@ for dtype in (np.uint8, np.uint16, np.uint32):
         same_partition(*both(lambda: join_ids(vals, top, 0, 1, 4, vals.size - 1,
                                               pad=2)))
 
-# the rule scan's pair compare, long enough to run compiled, the last pair
-# ending at F's last byte, with and without a conflict there
+# the rule scan's pair compare, the last pair ending at F's last byte, with
+# and without a conflict there
 f16 = gen_f(2 ** 16 + 2)
 exact = SequenceTable(0, 2 ** 16 + 1, np.array(f16.byte_values()[:-1]), "F")
 a, b = both(lambda: _scan(exact, 4, 2 ** 15))
@@ -505,8 +500,7 @@ assert a == b != None, (a, b)
 
 # cross-validation of both synthesized machines, reading F up to the last
 # index it needs: at n_max below the stride width 256, at 256 and past it,
-# clean and with that last byte changed; compiled at any n_max here
-sequences.COMPILED_FROM = 0
+# clean and with that last byte changed
 window_machine = synthesize_validated(f16, 24, 2 ** 16)[0]
 single_machine = window_machine.project_output().minimize()
 for machine, reach in ((window_machine, 1), (single_machine, 0)):
@@ -517,7 +511,6 @@ for machine, reach in ((window_machine, 1), (single_machine, 0)):
             oracle = SequenceTable(0, vals.size - 1, vals, "F")
             a, b = both(lambda: cross_validate(machine, oracle, n_max))
             assert a == b and a.passed != change, (n_max, a, b)
-sequences.COMPILED_FROM = COMPILED_FROM
 
 # probe joins at q = 2 and 3 over 1-, 2- and 4-byte ids into 1-, 2- and
 # 4-byte ids, the last tuple ending at the last id, and one join that
@@ -593,62 +586,6 @@ def test_count_resumes_only_from_counted_terms():
         pytest.skip("no C compiler: only the Python loops run here")
     status, info = lib.count(bytearray(100), 1, 4, 50)
     assert (status, info[:2]) == (_oracle.UNSETTLED, [51, 47])
-
-
-# (F's end, the end it is extended to): in the seed, where the ring's last
-# four terms are V(1..4) = 1 or straddle them; from a table the Python loop
-# counted to one the compiled loop extends, around COMPILED_FROM steps; and
-# from the validation oracle to the depth-12 certificate's
-EXTENSIONS = [(1, COMPILED_FROM), (2, COMPILED_FROM), (3, COMPILED_FROM),
-              (COMPILED_FROM // 2 - 2, COMPILED_FROM // 2 - 1),
-              (COMPILED_FROM // 2 - 1, COMPILED_FROM // 2),
-              (COMPILED_FROM // 2, COMPILED_FROM // 2 + 1),
-              (COMPILED_FROM, COMPILED_FROM),
-              (2 ** 22 + 2, 7593986)]
-
-
-@pytest.mark.parametrize("done, a_max", EXTENSIONS)
-def test_extend_f_equals_a_fresh_count(done, a_max):
-    extended = extend_f(gen_f(done), a_max)
-    assert (extended.lo, extended.hi, extended.label) == (0, a_max, "F")
-    assert extended.values == gen_f(a_max).values
-
-
-@settings(max_examples=40, deadline=None)
-@given(st.integers(1, 2 * COMPILED_FROM), st.integers(0, 2 * COMPILED_FROM))
-def test_extend_f_equals_a_fresh_count_from_any_end(done, more):
-    # the Python loop counts below COMPILED_FROM // 2; the compiled one
-    # resumes above it
-    assert extend_f(gen_f(done), done + more).values == gen_f(done + more).values
-
-
-def test_extend_f_holds_no_third_table():
-    # the old table and the new one, 2 MB each, are all it holds
-    gen_f(COMPILED_FROM)  # loads the compiled loops before tracing
-    tracemalloc.start()
-    try:
-        f = extend_f(gen_f(2 ** 21), 2 ** 21 + 27)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert f.hi == 2 ** 21 + 27
-    assert peak < 4.5 * 2 ** 20, peak
-
-
-def test_extend_f_counts_again_without_the_compiled_loops():
-    want = gen_f(3 * COMPILED_FROM).values
-    with mock.patch.object(_oracle, "library", lambda: None):
-        assert extend_f(gen_f(100), 3 * COMPILED_FROM).values == want
-
-
-def test_extend_f_refuses_what_it_cannot_extend():
-    f = gen_f(100)
-    with pytest.raises(ValueError, match="must be >= the table's end, 100"):
-        extend_f(f, 99)
-    with pytest.raises(ValueError, match="starting at index 0"):
-        extend_f(SequenceTable(1, 100, f.values[1:], "F"), 200)
-    with pytest.raises(TypeError):
-        extend_f(f, 200.0)
 
 
 # -- the ring count --------------------------------------------------------------
@@ -774,19 +711,19 @@ def test_join_ids_read_a_pad_of_zeros(pad, stride, parts):
     got, distinct = lib.join(ids, 0, stride, parts, count, 3, pad)
     want, want_distinct = lib.join(padded, 0, stride, parts, count, 3)
     assert (got.tolist(), distinct) == (want.tolist(), want_distinct)
-    numpy_ids, numpy_distinct = join_ids(ids, 3, 0, stride, parts, count,
-                                         steps=0, pad=pad)
+    with mock.patch.object(_oracle, "library", lambda: None):
+        numpy_ids, numpy_distinct = join_ids(ids, 3, 0, stride, parts, count, pad=pad)
     assert numpy_distinct == distinct == len(set(zip(got, numpy_ids.tolist())))
     with pytest.raises(ValueError, match="outside the ids"):
         lib.join(ids, 0, stride, parts, count + 1, 3, pad)
 
 
 def _pair_ids(k: int, distinct: int) -> np.ndarray:
-    """Ids below k, at least COMPILED_FROM of them, whose pairs at stride 2
-    are the first ``distinct`` pairs of ids below k, over and over."""
+    """Ids below k whose pairs at stride 2 are the first ``distinct`` pairs
+    of ids below k, twice over."""
     pairs = np.array([(a, b) for a in range(k) for b in range(k)][:distinct],
                      dtype=np.min_scalar_type(k - 1)).ravel()
-    return np.tile(pairs, -(-COMPILED_FROM // pairs.size) + 1)
+    return np.tile(pairs, 2)
 
 
 @pytest.mark.parametrize("engine", ["compiled", "numpy"])
@@ -885,19 +822,20 @@ def test_window_codes_bounds():
 
 
 def test_compiled_loops_are_built_on_first_use_never_at_import():
-    # the query path and short oracles never load the compiled loops, and
-    # the query path loads no numpy
+    # the query path loads neither numpy nor the compiled loops, and short
+    # oracles run the Python loops; a pass, here a short probe's, loads the
+    # compiled loops and no numpy
     script = "\n".join([
         "import sys",
         "import vseq, vseq.cli",
         "from vseq import SINGLE, Dfao, gen_f, gen_v, kernel_probe",
         "m = Dfao(2, 0, [(0, 1), (1, 0)], [0, 1], SINGLE)",
         "Dfao.deserialize(m.serialize()).eval_big('9' * 5000)",
-        "print('numpy' in sys.modules)",
-        "gen_f(20), gen_v(20), kernel_probe(gen_f(4096), 2, 4, 16)",
+        "print('numpy' in sys.modules, 'vseq._oracle' in sys.modules)",
+        "gen_f(20), gen_v(20)",
         "print('vseq._oracle' in sys.modules)",
-        "gen_f(2 ** 14)",
-        "print('vseq._oracle' in sys.modules)",
+        "kernel_probe(gen_f(4096), 2, 4, 16)",
+        "print('vseq._oracle' in sys.modules, 'numpy' in sys.modules)",
         # naming the cached library loads no OpenSSL
         "print('hashlib' in sys.modules)",
     ])
@@ -906,4 +844,7 @@ def test_compiled_loops_are_built_on_first_use_never_at_import():
     done = subprocess.run([sys.executable, "-c", script], capture_output=True,
                           text=True, env=env, timeout=120)
     assert done.returncode == 0, done.stderr
-    assert done.stdout.split() == ["False", "False", "True", "False"]
+    # without a C compiler the probe's passes run in numpy
+    numpy_after_probe = str(_oracle.library() is None)
+    assert done.stdout.split() == ["False", "False", "False", "True", numpy_after_probe,
+                                   "False"]

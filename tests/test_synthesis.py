@@ -1,7 +1,6 @@
 import dataclasses
 import random
 import tracemalloc
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -17,11 +16,10 @@ from vseq import (SINGLE, WINDOW, CertificationFailure, Dfao,
                   cross_validate, derive_rules, discover, euclid_div, gen_f,
                   gen_v, first_difference, kernel_probe, shift_bounds,
                   synthesize_msb, synthesize_validated)
-from vseq import sequences, synthesis
-from vseq.sequences import COMPILED_FROM
+from vseq import synthesis
 from vseq.synthesis import CHECK_CHUNK, _block_ids, _kernel_node, _state_chunks, _states_upto
 
-from conftest import HORIZON, VALIDATE_TO
+from conftest import HORIZON, VALIDATE_TO, on_each_engine
 
 MB = 2 ** 20
 
@@ -93,15 +91,17 @@ def _assert_ids_number_slices(f: SequenceTable, horizon: int) -> None:
         assert len(set(id_of.values())) == len(id_of), level
 
 
-def test_signature_levels_and_padding():
-    f = gen_f(1000)
+def _check_signature_levels(f: SequenceTable) -> None:
+    """The levels and signatures of F to 1000."""
     levels = _block_ids(f, 4)
     sig0 = _signature(f, 0, 4)
     assert len(sig0) == 5  # levels 0..4
     # the window at 0, padded below index 0, occurs nowhere else
     assert _kernel_node(f, levels, "", 0).window == (0, 0, 0, 4)
-    assert np.count_nonzero(levels[0] == sig0[0]) == 1
-    assert levels[2].size == 1000 // 4  # level-2 blocks span [4m - 2, 4m + 5]
+    # read as numpy arrays: the compiled join returns an array.array
+    level0, level1, level2 = (np.asarray(memoryview(ids)) for ids in levels[:3])
+    assert np.count_nonzero(level0 == sig0[0]) == 1
+    assert level2.size == 1000 // 4  # level-2 blocks span [4m - 2, 4m + 5]
     sig1 = _signature(f, 1, 30)
     # coverage, not the horizon, limits depth: (1+1)*2^L <= 1000
     assert len(sig1) == 9
@@ -111,15 +111,19 @@ def test_signature_levels_and_padding():
     # level 1 of 6: the windows at 12 and 13, F(10..14)
     want = bytes([f[10], f[11], f[12], f[13], f[14]])
     padded = _padded(f)
-    same = [m for m in range(levels[1].size) if padded[2 * m:2 * m + 5] == want]
-    assert np.flatnonzero(levels[1] == s[1]).tolist() == same
+    same = [m for m in range(level1.size) if padded[2 * m:2 * m + 5] == want]
+    assert np.flatnonzero(level1 == s[1]).tolist() == same
+
+
+def test_signature_levels_and_padding():
+    f = gen_f(1000)
+    on_each_engine(lambda: _check_signature_levels(f))
 
 
 def test_signature_slices_hold_the_extension_windows():
     # level L of value m: F from 2 left of 2^L*m to 1 right of 2^L*(m+1) - 1
-    _assert_ids_number_slices(gen_f(3000), 8)
-    # both engines of join_ids: the compiled one from COMPILED_FROM ids on
-    _assert_ids_number_slices(gen_f(COMPILED_FROM + 5), 3)
+    f = gen_f(3000)
+    on_each_engine(lambda: _assert_ids_number_slices(f, 8))
 
 
 def test_signature_oracle_too_short():
@@ -192,18 +196,13 @@ def _discovery(discover_fn, f_long: SequenceTable, hi: int, horizon: int):
 @settings(max_examples=60, deadline=None)
 @given(st.one_of(st.integers(2, 300), st.integers(2, 2 ** 15 + 64)),
        st.integers(1, 48))
-# level 0 joins hi + 3 window bytes, level 1 hi ids: each on both sides of
-# the compiled join's threshold
-@example(COMPILED_FROM - 4, 24)
-@example(COMPILED_FROM - 3, 24)
-@example(COMPILED_FROM - 1, 2)
-@example(COMPILED_FROM, 2)
 @example(2 ** 15 + 64, 48)
 @example(2, 1)
 @example(40, 24)
 def test_discover_matches_byte_signatures(f_long, hi, horizon):
-    assert (_discovery(discover, f_long, hi, horizon)
-            == _discovery(_reference_discover, f_long, hi, horizon))
+    want = _discovery(_reference_discover, f_long, hi, horizon)
+    for got in on_each_engine(lambda: _discovery(discover, f_long, hi, horizon)):
+        assert got == want
 
 
 @pytest.mark.parametrize("keep", [1, 7, 64, 1024])
@@ -211,9 +210,10 @@ def test_discover_with_levels_cut_matches_byte_signatures(f_long, monkeypatch, k
     # F's access values reach 927: levels cut below that are cut too soon,
     # and discovery starts again with whole ones
     monkeypatch.setattr(synthesis, "KEEP_IDS", keep)
-    for hi, horizon in ((2 ** 15 + 64, 24), (300, 5), (COMPILED_FROM + 5, 3)):
-        assert (_discovery(discover, f_long, hi, horizon)
-                == _discovery(_reference_discover, f_long, hi, horizon)), (hi, horizon)
+    for hi, horizon in ((2 ** 15 + 64, 24), (300, 5)):
+        want = _discovery(_reference_discover, f_long, hi, horizon)
+        for got in on_each_engine(lambda: _discovery(discover, f_long, hi, horizon)):
+            assert got == want, (hi, horizon)
 
 
 def test_block_ids_cut_keep_the_whole_levels_ids(f_long):
@@ -488,9 +488,8 @@ def test_state_chunks_are_the_batch_walk(monkeypatch, q, chunk):
 @pytest.fixture
 def on_both(monkeypatch):
     """cross_validate(machine, oracle, n_max) forced through _oracle.library
-    onto each engine: the compiled pass (at any n_max, COMPILED_FROM
-    lowered to 0), then the numpy pass; and the number of compiled passes
-    the first call ran."""
+    onto each engine: the compiled pass, then the numpy pass; and the
+    number of compiled passes the first call ran."""
     lib = _oracle.library()
     if lib is None:
         pytest.skip("no C compiler: only the numpy pass runs here")
@@ -502,7 +501,6 @@ def on_both(monkeypatch):
         return check(self, *args)
 
     monkeypatch.setattr(_oracle.Oracle, "check", spy)
-    monkeypatch.setattr(sequences, "COMPILED_FROM", 0)
 
     def run(machine, oracle, n_max):
         runs.clear()
@@ -752,7 +750,7 @@ def test_certificate_records_what_it_read(truth_a):
 
 def test_certificate_from_the_flat_fallback_is_the_same(truth_a, monkeypatch):
     compiled, _ = _short_certificate(truth_a)
-    monkeypatch.setattr(sequences, "_compiled", lambda steps: None)
+    monkeypatch.setattr(_oracle, "library", lambda: None)
     assert _short_certificate(truth_a)[0] == compiled
 
 
@@ -1028,7 +1026,5 @@ def _probe_tables(draw):
 @example((SequenceTable(0, 1000, bytearray(bytes(1000) + b"\1"), "r"), 2, 6, 64))
 def test_probe_matches_row_sorting_on_any_table(case):
     want = _probe_by_sorting(*case)
-    with mock.patch.object(sequences, "COMPILED_FROM", 0):  # compiled at any size
-        assert kernel_probe(*case) == want
-    with mock.patch.object(_oracle, "library", lambda: None):
-        assert kernel_probe(*case) == want
+    for got in on_each_engine(lambda: kernel_probe(*case)):
+        assert got == want
