@@ -19,19 +19,20 @@
                                           lag values back still needs
    In vseq_qrs, Q(i) lives at q[i - 1].
 
-   Five more passes, with numpy passes kept as the reference:
+   Five more passes, whose plain-Python loops run where no library loads;
+   ids and states are 1, 2 or 4 bytes wide:
      vseq_byte_sum        the sum of n bytes, for sequences.count_windows:
                           the number of terms a finished count holds
      vseq_byte_max        the largest of n bytes, the bound k of the ids a
                           tuple join reads from bytes
      vseq_join            for sequences.join_ids: one id per tuple of parts
                           ids q apart (a probe block's q sub-blocks or its
-                          q^E bytes, or a 4-window at q = 1, the tuples then
-                          overlapping), after any ids the caller has ranked
-                          already; ids 1, 2 or 4 bytes wide, one loop per
-                          pair of widths; returns the number of distinct
-                          ids, -1 for a width or code out of range, or WIDER
-                          for more ids than the output width holds
+                          bytes, or a 4-window at q = 1, the tuples then
+                          overlapping), numbered in order of first appearance
+                          through a rank table or a hash table; returns the
+                          number of distinct ids, -1 for a width or code out
+                          of range, WIDER for more ids than the output width
+                          holds, or FULL for a hash table half full
      vseq_check           for synthesis.cross_validate: the least n whose
                           state's output differs from F, or -1
      vseq_pairs           for rules._scan: the least a whose pair F(2a),
@@ -42,7 +43,7 @@
 
 enum { OK, DEAD, NOT_MONOTONE, COUNT_OVERFLOW, VALUE_OVERFLOW, UNSETTLED,
        RING_SHORT };
-enum { WIDER = -2 };
+enum { WIDER = -2, FULL = -3 };
 /* a ring of counts is zeroed this many slots at a time */
 enum { BLOCK = 64 };
 
@@ -454,17 +455,71 @@ static int width_index(int64_t width)
     return width == 1 ? 0 : width == 2 ? 1 : width == 4 ? 2 : -1;
 }
 
-/* The join of ids in_width bytes wide into ids out_width bytes wide, after
-   ranked ids already in rank; the rank table has the width of the ids it
-   makes. */
+/* v[i], of ids width bytes wide (1, 2 or 4) */
+static inline uint64_t get(const void *v, int64_t width, int64_t i)
+{
+    return width == 1 ? ((const uint8_t *)v)[i]
+           : width == 2 ? ((const uint16_t *)v)[i] : ((const uint32_t *)v)[i];
+}
+
+/* The join of tuples of any length through a table of size slots (a
+   power of two, zeroed, probed linearly) holding i + 1 for the first i of
+   each distinct tuple, count < 2^32 - 1: a repeated tuple, its bytes equal
+   to those at that first i, takes the id out[first].  A rank past the
+   width of out returns WIDER, and a table half full FULL, for the caller
+   to join again into a table twice the size. */
+static int64_t hash_join(const uint8_t *ids, int64_t width, int64_t q,
+                         int64_t parts, int64_t count, uint32_t *slots,
+                         uint64_t size, void *out, int64_t out_width)
+{
+    int64_t len = width * parts, distinct = 0;
+    for (int64_t i = 0; i < count; i++) {
+        const uint8_t *t = ids + width * q * i;
+        uint64_t h = 0, id;
+        for (int64_t j = 0; j < len; j++)
+            h = (h + t[j] + 1) * 0x9e3779b97f4a7c15u;
+        /* the product's high bits down into the bits the mask keeps */
+        for (h ^= h >> 32;; h++) {
+            uint32_t at = slots[h & (size - 1)];
+            if (!at) {
+                if ((uint64_t)distinct == (1ull << 8 * out_width) - 1)
+                    return WIDER;
+                if (2 * (uint64_t)distinct >= size - 1)
+                    return FULL;
+                slots[h & (size - 1)] = (uint32_t)(i + 1);
+                id = (uint64_t)distinct++;
+                break;
+            }
+            if (!memcmp(ids + width * q * (at - 1), t, len)) {
+                id = get(out, out_width, at - 1);
+                break;
+            }
+        }
+        if (out_width == 1)
+            ((uint8_t *)out)[i] = (uint8_t)id;
+        else if (out_width == 2)
+            ((uint16_t *)out)[i] = (uint16_t)id;
+        else
+            ((uint32_t *)out)[i] = (uint32_t)id;
+    }
+    return distinct;
+}
+
+/* The join of ids in_width bytes wide into ids out_width bytes wide: after
+   ranked ids already in the rank table over the space of codes, which has
+   the width of the ids it makes, or through hash_join's space slots. */
 int64_t vseq_join(const void *ids, int64_t in_width, int64_t first, int64_t q,
-                  int64_t parts, int64_t count, int64_t k, void *rank,
-                  uint64_t space, void *out, int64_t out_width, int64_t ranked)
+                  int64_t parts, int64_t count, int64_t k, void *table,
+                  uint64_t space, void *out, int64_t out_width, int64_t ranked,
+                  int64_t hashed)
 {
     int a = width_index(in_width), b = width_index(out_width);
     if (a < 0 || b < 0)
         return -1;
-    return joins[a][b](ids, first, q, parts, count, k, rank, space, out, ranked);
+    if (hashed)
+        return hash_join((const uint8_t *)ids + in_width * first, in_width, q,
+                         parts, count, table, space, out, out_width);
+    return joins[a][b](ids, first, q, parts, count, k, table, space, out, ranked);
 }
 
 /* Whether the w bytes at out equal F(n) (w = 1) or the window
@@ -481,7 +536,7 @@ same(const uint8_t *out, const uint8_t *f, int64_t n, int64_t w)
 }
 
 static inline __attribute__((always_inline)) int64_t
-check_loop(const uint8_t *table, int64_t width, const uint8_t *head,
+check_loop(const void *table, int64_t width, const void *head, int64_t sw,
            const uint8_t *outputs, int64_t w, const uint8_t *f, int64_t n_max)
 {
     /* the windows at 0 and 1 read F(-2) = F(-1) = 0: low + 2 stands for
@@ -489,39 +544,76 @@ check_loop(const uint8_t *table, int64_t width, const uint8_t *head,
     const uint8_t low[5] = {0, 0, f[0], w == 4 ? f[1] : 0,
                             w == 4 && n_max >= 1 ? f[2] : 0};
     for (int64_t n = 0; n < width && n <= n_max; n++)
-        if (!same(outputs + w * head[n], w == 4 && n < 2 ? low + 2 : f, n, w))
+        if (!same(outputs + w * get(head, sw, n), w == 4 && n < 2 ? low + 2 : f,
+                  n, w))
             return n;
     for (int64_t b = 1; b * width <= n_max; b++) {
-        const uint8_t *row = table + width * head[b];
+        int64_t row = width * get(head, sw, b);
         int64_t n = b * width, end = n_max - n < width ? n_max - n + 1 : width;
         for (int64_t c = 0; c < end; c++)
-            if (!same(outputs + w * row[c], f, n + c, w))
+            if (!same(outputs + w * get(table, sw, row + c), f, n + c, w))
                 return n + c;
     }
     return -1;
+}
+
+/* vseq_check's loops for states of one byte, and of sw = 2 or 4 */
+static __attribute__((noinline)) int64_t
+check_narrow(const void *table, int64_t width, const void *head,
+             const uint8_t *outputs, int64_t w, const uint8_t *f, int64_t n_max)
+{
+    return w == 1 ? check_loop(table, width, head, 1, outputs, 1, f, n_max)
+                  : check_loop(table, width, head, 1, outputs, 4, f, n_max);
+}
+
+static __attribute__((noinline)) int64_t
+check_wide(const void *table, int64_t width, const void *head, int64_t sw,
+           const uint8_t *outputs, int64_t w, const uint8_t *f, int64_t n_max)
+{
+    return check_loop(table, width, head, sw, outputs, w, f, n_max);
 }
 
 /* The least n in [0, n_max] at which the output of state(n) differs from
    F, or -1: state(n) = head[n] for n < width, and state(b width + c) =
    table[width head[b] + c] from n = width on, table the S x width stride
    table of Dfao.stride_table (width = q^k, δ composed over k digits), and
-   head state(n) for n <= max(n_max / width, width - 1).  The output of
-   state s is the w bytes at outputs[w s], w = 1 or else 4; f holds F(0) to
-   F(n_max) for w = 1, or to F(n_max + 1) for w = 4. */
-int64_t vseq_check(const uint8_t *table, int64_t width, const uint8_t *head,
+   head state(n) for n <= max(n_max / width, width - 1), both of states sw
+   = 1, 2 or 4 bytes wide.  The output of state s is the w bytes at
+   outputs[w s], w = 1 or else 4; f holds F(0) to F(n_max) for w = 1, or to
+   F(n_max + 1) for w = 4. */
+int64_t vseq_check(const void *table, int64_t width, const void *head,
                    const uint8_t *outputs, int64_t w, const uint8_t *f,
-                   int64_t n_max)
+                   int64_t n_max, int64_t sw)
 {
-    return w == 1 ? check_loop(table, width, head, outputs, 1, f, n_max)
-                  : check_loop(table, width, head, outputs, 4, f, n_max);
+    return sw == 1 ? check_narrow(table, width, head, outputs, w, f, n_max)
+                   : check_wide(table, width, head, sw, outputs, w, f, n_max);
 }
 
 /* The least i < count with known[ids[i]] and the two bytes at pairs[2 i]
    unlike the two at expect[2 ids[i]], or -1: the rule scan's images F(2a),
-   F(2a+1) against its window's expected pair.  expect and known span all
-   256 one-byte ids. */
-int64_t vseq_pairs(const uint8_t *ids, const uint8_t *expect,
-                   const uint8_t *known, const uint8_t *pairs, int64_t count)
+   F(2a+1) against its window's expected pair.  For ids of width = 2 or 4
+   bytes, expect and known hold n ids; an id past them returns -2. */
+static __attribute__((noinline)) int64_t
+pairs_wide(const void *ids, const uint8_t *expect, const uint8_t *known,
+           const uint8_t *pairs, int64_t count, int64_t width, int64_t n)
+{
+    for (int64_t i = 0; i < count; i++) {
+        uint64_t id = get(ids, width, i);
+        uint16_t got, want;
+        if (id >= (uint64_t)n)
+            return -2;
+        memcpy(&got, pairs + 2 * i, 2);
+        memcpy(&want, expect + 2 * id, 2);
+        if (got != want && known[id])
+            return i;
+    }
+    return -1;
+}
+
+/* The same for one-byte ids, reading expect and known through all 256. */
+static __attribute__((noinline)) int64_t
+pairs_narrow(const uint8_t *ids, const uint8_t *expect, const uint8_t *known,
+             const uint8_t *pairs, int64_t count)
 {
     uint16_t want[256];
     memcpy(want, expect, sizeof want);
@@ -532,4 +624,11 @@ int64_t vseq_pairs(const uint8_t *ids, const uint8_t *expect,
             return i;
     }
     return -1;
+}
+
+int64_t vseq_pairs(const void *ids, const uint8_t *expect, const uint8_t *known,
+                   const uint8_t *pairs, int64_t count, int64_t width, int64_t n)
+{
+    return width == 1 ? pairs_narrow(ids, expect, known, pairs, count)
+                      : pairs_wide(ids, expect, known, pairs, count, width, n);
 }

@@ -13,14 +13,13 @@ library is cached in ``$XDG_CACHE_HOME/vseq`` (by default
 ``~/.cache/vseq``), a directory only the user may write, under a name hashed
 from the source, the compiler command and the machine, and is written
 atomically.  When no library can be built or loaded, ``library`` prints one
-``vseq: ...`` line on stderr and returns None; the oracle then runs its
-Python loops, and the joins and checks their numpy passes.
+``vseq: ...`` line on stderr and returns None; every pass then runs its
+plain-Python loop.
 
-Nothing here imports numpy.  The passes take any flat, contiguous buffer of
-the format they read (a bytearray, bytes, an ``array.array``, a memoryview
-or a numpy array) and pass a pointer into it, not a copy; only a read-only
-buffer other than a whole bytes object is copied, as ctypes takes no
-pointer into one.
+The passes take any flat, contiguous buffer of the format they read (a
+bytearray, bytes, an ``array.array`` or a memoryview) and pass a pointer
+into it, not a copy; only a read-only buffer other than a whole bytes
+object is copied, as ctypes takes no pointer into one.
 """
 
 from __future__ import annotations
@@ -32,6 +31,8 @@ import sys
 from array import array
 from pathlib import Path
 
+from .sequences import _dense
+
 try:  # hashlib would map OpenSSL, about 3.5 MB, to name one file
     from _blake2 import blake2b
 except ImportError:
@@ -41,11 +42,11 @@ SOURCE = Path(__file__).with_name("_oracle.c")
 COMPILE = ("cc", "-O2", "-shared", "-fPIC")
 
 # the statuses of _oracle.c, and what vseq_join returns for ids wider than
-# its output's
+# its output's and for a hash table half full
 OK, DEAD, NOT_MONOTONE, COUNT_OVERFLOW, VALUE_OVERFLOW, UNSETTLED, RING_SHORT = range(7)
-WIDER = -2
+WIDER, FULL = -2, -3
 
-# array typecodes of the id widths the join reads and writes: 1, 2, 4 bytes
+# array typecodes of the id widths the join writes: 1, 2, 4 bytes
 ID_CODES = "BHI"
 
 
@@ -98,9 +99,9 @@ class Oracle:
         for fn in (lib.vseq_byte_sum, lib.vseq_byte_max):
             fn.argtypes = [ptr, i64]
         lib.vseq_join.argtypes = [ptr, i64, i64, i64, i64, i64, i64, ptr,
-                                  ctypes.c_uint64, ptr, i64, i64]
-        lib.vseq_check.argtypes = [ptr, i64, ptr, ptr, i64, ptr, i64]
-        lib.vseq_pairs.argtypes = [ptr, ptr, ptr, ptr, i64]
+                                  ctypes.c_uint64, ptr, i64, i64, i64]
+        lib.vseq_check.argtypes = [ptr, i64, ptr, ptr, i64, ptr, i64, i64]
+        lib.vseq_pairs.argtypes = [ptr, ptr, ptr, ptr, i64, i64, i64]
         for fn in (lib.vseq_byte_sum, lib.vseq_byte_max, lib.vseq_join,
                    lib.vseq_check, lib.vseq_pairs):
             fn.restype = i64
@@ -177,51 +178,49 @@ class Oracle:
 
     def join(self, ids, first: int, stride: int, parts: int, count: int,
              k: int, pad: int = 0) -> tuple[array, int]:
-        """Dense ids, in order of first appearance, for the tuples
-        (ids[first + stride i], ..., ids[first + stride i + parts - 1]),
-        i < count, of unsigned ids below k, 1, 2 or 4 bytes each; and their
-        number.  The ids are read as if ``pad`` zero ids came before them,
-        without a copy: the few tuples that reach into the pad are ranked
-        here, the rest by the compiled loop after them.  The ids come as an
-        ``array`` of the narrowest typecode that holds their number, 'B' up
-        to 255 of them: the join runs at one byte and again at each wider
-        width its ids overflow.  Tuples may overlap (parts > stride), but
-        none reads outside the ids.  One rank table spans all k**parts
-        tuples, so the caller keeps that space small: sequences.join_ids
-        does."""
+        """sequences.join_ids, compiled, run at one byte and again at each
+        wider width its ids overflow.  Where the k**parts tuples are few
+        (_dense), one rank table spans them, the tuples that reach into the
+        pad ranked here, the rest by the compiled loop, with no copy.  Past
+        that, a hash table of 2^12 slots, doubled each time the loop finds
+        it half full, over a padded copy of the ids where pad > 0."""
         view = _view(ids, "BHILQ", "join's ids")
-        if (first < 0 or count < 1 or parts < 1 or pad < 0
+        if (first < 0 or count < 1 or parts < 1 or pad < 0 or count >= 2 ** 32 - 1
                 or first + stride * (count - 1) + parts > pad + len(view)):
             raise ValueError("join reads outside the ids")
-        # the tuples that read the pad, each as its code
-        lead = min(count, max(0, -(-(pad - first) // stride)))
-        codes = []
-        for i in range(lead):
-            tuple_code = 0
-            for j in range(first + stride * i, first + stride * i + parts):
-                tuple_code = tuple_code * k + (view[j - pad] if j >= pad else 0)
-            codes.append(tuple_code)
+        dense = _dense(k ** parts, count)
+        if pad and not dense:
+            view = memoryview(bytes(pad * view.itemsize) + view.tobytes()).cast(
+                view.format.lstrip("@="))
+            pad = 0
+        # the codes of the tuples that read the pad
+        codes = [sum((view[j - pad] if j >= pad else 0) * k ** (s + parts - 1 - j)
+                     for j in range(s, s + parts))
+                 for s in range(first, min(pad, first + stride * count), stride)]
         if any(c >= k ** parts for c in codes):
             raise ValueError(f"ids at or past {k}")
-        src = _pointer(view)
-        for code in ID_CODES:
-            # the rank that marks the last id seen is their number, so the
-            # rank table has the ids' width
-            rank = array(code, [0]) * k ** parts
-            out = array(code, [0]) * count
+        src, width, slots = _pointer(view), 0, 1 << 12
+        while True:
+            out = array(ID_CODES[width], [0]) * count
+            table = array(ID_CODES[width] if dense else "I", [0]) * (
+                k ** parts if dense else slots)
             distinct = 0
-            for i, c in enumerate(codes):
-                if not rank[c]:
+            for i, c in enumerate(codes):  # the rank of an id is its number
+                if not table[c]:
                     distinct += 1
-                    rank[c] = distinct
-                out[i] = rank[c] - 1
-            if lead < count:
+                    table[c] = distinct
+                out[i] = table[c] - 1
+            if len(codes) < count:
                 distinct = self._lib.vseq_join(
-                    src, view.itemsize, first + stride * lead - pad, stride,
-                    parts, count - lead, k, rank.buffer_info()[0], len(rank),
-                    out.buffer_info()[0] + lead * out.itemsize, out.itemsize,
-                    distinct)
-            if distinct != WIDER:
+                    src, view.itemsize, first + stride * len(codes) - pad,
+                    stride, parts, count - len(codes), k, table.buffer_info()[0],
+                    len(table), out.buffer_info()[0] + len(codes) * out.itemsize,
+                    out.itemsize, distinct, not dense)
+            if distinct == WIDER and width < 2:
+                width += 1
+            elif distinct == FULL:
+                slots *= 2
+            else:
                 break
         if distinct < 0:
             raise ValueError(f"ids at or past {k}, or more than 2^32 - 1 of them")
@@ -231,46 +230,51 @@ class Oracle:
         """The least n in [0, n_max] at which the output of state(n) differs
         from the oracle bytes f (F from index 0), or -1.  state(n) is
         head[n] for n below the width W of the S x W stride table (rows
-        of W bytes, Dfao.stride_table), and table[W head[n // W] + n % W]
-        from W on; outputs holds w bytes per state, compared with F(n)
-        (w = 1) or F(n-2..n+1) (w = 4, F(-2) = F(-1) = 0).  All four are
-        byte buffers, so at most 256 states."""
-        table, head, outputs, f = (_view(b, "B", what) for b, what in (
-            (table, "check's table"), (head, "check's head"),
+        of W states, Dfao.stride_table), and table[W head[n // W] + n % W]
+        from W on, states 1, 2 or 4 bytes wide; outputs holds w bytes per
+        state, compared with F(n) (w = 1) or F(n-2..n+1) (w = 4, F(-2) =
+        F(-1) = 0)."""
+        table, head = (_view(b, "BHI", what) for b, what in (
+            (table, "check's table"), (head, "check's head")))
+        outputs, f = (_view(b, "B", what) for b, what in (
             (outputs, "check's outputs"), (f, "check's oracle")))
         states = len(outputs) // w if w in (1, 4) else 0
         if (states < 1 or len(outputs) != states * w or len(table) % states
-                or n_max < 0):
+                or n_max < 0 or table.itemsize != head.itemsize):
             raise ValueError("check takes a row of the stride table and w "
                              "output bytes for each state")
         width = len(table) // states
         if (width < 1 or len(head) <= max(n_max // width, min(n_max, width - 1))
                 or len(f) <= n_max + (w == 4)
-                or max(self.byte_max(table), self.byte_max(head)) >= states):
+                or max(self.byte_max(b) if b.itemsize == 1 else max(b)
+                       for b in (table, head)) >= states):
             raise ValueError("check takes buffers that hold every state and "
                              "F value it reads")
         return self._lib.vseq_check(_pointer(table), width, _pointer(head),
-                                    _pointer(outputs), w, _pointer(f), n_max)
+                                    _pointer(outputs), w, _pointer(f), n_max,
+                                    table.itemsize)
 
     def pairs(self, ids, expect, known, pairs) -> int:
         """The least i with known[ids[i]] and the pair pairs[2i:2i + 2]
-        unlike expect[2 ids[i]:2 ids[i] + 2], or -1: one-byte ids, one
-        known flag and one expected pair F(2a), F(2a+1) per id, and one pair
-        per i, all byte buffers.  expect and known are read through all 256
-        one-byte ids, padded here past their end."""
-        ids, expect, known, pairs = (_view(b, "B", what) for b, what in (
-            (ids, "pairs' ids"), (expect, "pairs' expected pairs"),
-            (known, "pairs' known flags"), (pairs, "pairs' pairs")))
-        if (len(pairs) != 2 * len(ids) or len(expect) != 2 * len(known)
-                or len(known) > 256):
-            raise ValueError("pairs takes one-byte ids and a pair per id")
-        table = bytearray(512)
-        table[:len(expect)] = expect
-        seen = bytearray(256)
-        seen[:len(known)] = known
-        return self._lib.vseq_pairs(_pointer(ids), _pointer(memoryview(table)),
-                                    _pointer(memoryview(seen)), _pointer(pairs),
-                                    len(ids))
+        unlike expect[2 ids[i]:2 ids[i] + 2], or -1: ids 1, 2 or 4 bytes
+        wide, one known flag and one expected pair F(2a), F(2a+1) per id,
+        padded here to 256 ids, and one pair per i, all bytes.  An id past
+        them raises ValueError."""
+        ids = _view(ids, "BHI", "pairs' ids")
+        expect, known, pairs = (_view(b, "B", what) for b, what in (
+            (expect, "pairs' expected pairs"), (known, "pairs' known flags"),
+            (pairs, "pairs' pairs")))
+        if len(pairs) != 2 * len(ids) or len(expect) != 2 * len(known):
+            raise ValueError("pairs takes a pair per id and a pair per i")
+        size = max(len(known), 256)
+        table, seen = bytearray(2 * size), bytearray(size)
+        table[:len(expect)], seen[:len(known)] = expect, known
+        i = self._lib.vseq_pairs(_pointer(ids), _pointer(memoryview(table)),
+                                 _pointer(memoryview(seen)), _pointer(pairs),
+                                 len(ids), ids.itemsize, size)
+        if i == -2:
+            raise ValueError("pairs' ids must lie below their tables")
+        return i
 
 
 def _private_dir() -> Path:

@@ -20,7 +20,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .sequences import SequenceTable, _first_seen, _library, join_ids, max_byte
+from .sequences import (SequenceTable, _first_seen, _library, _mismatch, join_ids,
+                        max_byte)
 
 Window = tuple[int, int, int, int]
 
@@ -72,15 +73,15 @@ class RuleVerification:
 
 
 def _first_conflict(ids, expect: bytes, known: bytes, pairs) -> int:
-    """The reference compare of _oracle.Oracle.pairs in numpy, for ids of
-    any width: the least i with known[ids[i]] and the pair at 2i unlike
-    the expected pair of ids[i], or -1."""
-    import numpy as np
-    ids = np.asarray(memoryview(ids))
-    want, got = (np.frombuffer(b, dtype="<u2") for b in (expect, pairs))
-    miss = np.flatnonzero(want[ids] != got)
-    miss = miss[np.frombuffer(known, dtype=bool)[ids[miss]]]
-    return int(miss[0]) if miss.size else -1
+    """_oracle.Oracle.pairs in plain Python: every i's expected pair joined
+    into one byte string, compared with the pairs, passing over a mismatch
+    at an id not known."""
+    table = [expect[2 * u:2 * u + 2] for u in range(len(known))]
+    want = b"".join(map(table.__getitem__, ids))
+    i = _mismatch(want, pairs)
+    while i >= 0 and not known[ids[i // 2]]:
+        i = _mismatch(want, pairs, i // 2 * 2 + 2)
+    return i // 2 if i >= 0 else -1
 
 
 def _scan(f: SequenceTable, a_min: int, a_max: int,
@@ -95,11 +96,10 @@ def _scan(f: SequenceTable, a_min: int, a_max: int,
     checked in one compare against a per-id table of the expected pairs:
     those of ``frozen`` (windows it lacks are skipped) or else those of the
     window's first occurrence.  Where a library loads, the largest byte,
-    the join and, for one-byte ids as F's 24 are, the compare run compiled
-    (``_oracle.c``; vseq_pairs stops at the first conflict), and no numpy
-    is loaded; otherwise numpy runs them, the reference.  RuleConflict
-    names the least conflicting a, even before odd.  Callers keep
-    a_min > 3.
+    the join and the compare run compiled (``_oracle.c``; vseq_pairs stops
+    at the first conflict); otherwise their plain-Python loops run.
+    RuleConflict names the least conflicting a, even before odd.  Callers
+    keep a_min > 3.
     """
     if f.lo != 0:
         raise ValueError("rule scans expect an F table starting at index 0")
@@ -133,10 +133,8 @@ def _scan(f: SequenceTable, a_min: int, a_max: int,
         expect += (bytes((g, h)) if 0 <= g <= 255 and 0 <= h <= 255
                    else bytes((pairs[2 * first[u]] ^ 1, pairs[2 * first[u] + 1])))
     lib = _library()
-    if lib is not None and memoryview(ids).itemsize == 1:
-        i = lib.pairs(ids, expect, known, pairs)
-    else:
-        i = _first_conflict(ids, expect, known, pairs)
+    i = (lib.pairs(ids, expect, known, pairs) if lib is not None
+         else _first_conflict(ids, expect, known, pairs))
     if i >= 0:
         w = wins[ids[i]]
         g, h = pairs[2 * i], pairs[2 * i + 1]

@@ -21,6 +21,7 @@ from __future__ import annotations
 import operator
 from array import array
 from dataclasses import dataclass
+from itertools import tee
 from typing import IO, Iterable, Sequence
 
 
@@ -47,9 +48,9 @@ class SequenceTable:
 
     ``values`` may be any integer sequence; generators pick a compact
     backing store: a 32-bit ``array("I")`` for V and Q_{r,s}, a bytearray
-    for F and for V's steps written in place, a numpy array in the narrowest
-    integer dtype for the first difference of a table.  An F table is
-    counted without a V table, so it costs one byte per index in all.
+    for F and for V's steps written in place, an ``array`` of the narrowest
+    typecode for the first difference of a table.  An F table is counted
+    without a V table, so it costs one byte per index in all.
 
     The windows (S(n-2), S(n-1), S(n), S(n+1)) read 0 below lo, the F(-2)
     = F(-1) = 0 convention: window4 gives one, window_bytes the bytes of
@@ -152,92 +153,50 @@ class PlannedWindows:
                         for n in at)
 
 
-def _narrowest(d: int):
-    """The narrowest unsigned numpy dtype holding every id below d."""
-    import numpy as np
-    return np.min_scalar_type(max(d - 1, 0))
-
-
 def _dense(space: int, size: int) -> bool:
-    """Whether ``size`` codes in [0, space) are compacted through a table
-    over the whole space: only while it is not much larger than the codes."""
+    """Whether the compiled join numbers ``size`` tuples of a space of
+    ``space`` through a rank table over it, not a hash table: only while
+    the space is not much larger than the tuples."""
     return space <= size + (1 << 16)
 
 
-def _compact(codes, space: int):
-    """Dense ids for the numpy array of codes in [0, space): equal codes get
-    equal ids, in the narrowest dtype that holds their number, as the
-    compiled join's ids are; and the number of distinct codes."""
-    import numpy as np
-    if _dense(space, codes.size):
-        present = np.zeros(space, dtype=bool)
-        present[codes] = True
-        where = np.flatnonzero(present)
-        rank = np.zeros(space, dtype=np.min_scalar_type(len(where)))
-        rank[where] = np.arange(len(where))
-        return rank[codes], len(where)
-    distinct, ids = np.unique(codes, return_inverse=True)
-    return ids.astype(np.min_scalar_type(len(distinct))), len(distinct)
-
-
 def join_ids(ids, k: int, first: int, stride: int, parts: int, count: int,
-             pad: int = 0):
+             pad: int = 0) -> tuple[array, int]:
     """Dense ids for the tuples (ids[first + stride i + j])_{j < parts},
-    i < count, of unsigned ids below k: equal tuples get equal ids, in the
-    narrowest width that holds their number (one byte up to 255 ids); and
-    their number.  Tuples may overlap (parts > stride), as the rule scan's
-    4-windows at stride 1 do.  ids is any flat buffer of unsigned ids 1, 2
-    or 4 bytes wide: bytes, a bytearray, an ``array.array``, a memoryview or
-    a numpy array.  It is read as if ``pad`` zero ids came before it, as
-    discovery reads F(-2) = F(-1) = 0 before F; the compiled join makes no
-    padded copy.
-
-    The compiled join (``_oracle.c``) runs when a library loads and its
-    rank table over all k**parts tuples is dense.  It numbers the ids in
-    order of first appearance and returns them as an ``array.array`` ('B',
-    'H' or 'I').  Otherwise numpy packs each tuple into one code, compacted
-    early where a code could pass 64 bits, and _compact numbers the codes
-    into a numpy array, in another order; callers read only which ids are
-    equal, or their first appearances from the compiled join's.
-    """
+    i < count, of unsigned ids below k, read as if ``pad`` zero ids came
+    before them (discovery reads F(-2) = F(-1) = 0 before F): equal tuples
+    get equal ids, numbered in order of first appearance, in an ``array``
+    of the narrowest typecode that holds their number ('B' up to 255 ids,
+    then 'H', 'I'); and their number.  Tuples may overlap (parts > stride),
+    as the rule scan's 4-windows do.  ids is any flat buffer of ids 1, 2 or
+    4 bytes wide.  The compiled join runs where a library loads; without
+    one, a dict numbers the bytes of each tuple of a padded copy."""
     lib = _library()
-    if lib is not None and _dense(k ** parts, count):
+    if lib is not None:
         return lib.join(ids, first, stride, parts, count, k, pad)
-    import numpy as np
-    ids = np.asarray(memoryview(ids))
-    if pad:
-        ids = np.concatenate((np.zeros(pad, dtype=ids.dtype), ids))
-    children = [ids[first + j:first + j + stride * (count - 1) + 1:stride]
-                for j in range(parts)]
-    code, space = children[0], k
-    for child in children[1:]:
-        if space * k > 1 << 64:
-            code, space = _compact(code, space)
-        code = code.astype(_narrowest(space * k))  # a copy: ids stay intact
-        code *= k
-        code += child
-        space *= k
-    return _compact(code, space)
+    size, seen = memoryview(ids).itemsize, {}
+    raw = bytes(pad * size) + bytes(memoryview(ids))
+    out = array("I", (seen.setdefault(raw[s:s + parts * size], len(seen)) for s in
+                      range(first * size, (first + stride * count) * size, stride * size)))
+    d = len(seen)
+    return (out if d >= 1 << 16 else array("B" if d < 1 << 8 else "H", out)), d
 
 
-def _first_seen(ids, distinct: int) -> list[int]:
-    """first[u], the least i with ids[i] == u, for each id u < distinct.
-    The compiled join's ids (an array) number first appearances in order,
-    so each is found with index from the one before; the numpy join's are
-    found by np.unique over the shortest prefix, grown fourfold, that holds
-    every id."""
-    if isinstance(ids, array):
-        first = [-1]
-        for u in range(distinct):
-            first.append(ids.index(u, first[-1] + 1))
-        return first[1:]
-    import numpy as np
-    span = 1 << 10
-    while True:
-        _, first = np.unique(ids[:span], return_index=True)
-        if len(first) == distinct:
-            return first.tolist()
-        span *= 4
+def _first_seen(ids: array, distinct: int) -> list[int]:
+    """first[u], the least i with ids[i] == u, for each id u < distinct:
+    join_ids numbers first appearances in order, so each is found with
+    index from the one before."""
+    first = [-1]
+    for u in range(distinct):
+        first.append(ids.index(u, first[-1] + 1))
+    return first[1:]
+
+
+def _mismatch(a, b, start: int = 0) -> int:
+    """The least i >= start with a[i] != b[i], or -1, for bytes of one length."""
+    if a[start:] == b[start:]:
+        return -1
+    return next(i for i in range(start, len(a)) if a[i] != b[i])
 
 
 # V and Q_{r,s} are stored in 32 bits, so no size may pass this
@@ -257,8 +216,8 @@ def _size(value, name: str, least: int, least_text: str = "") -> int:
 
 def _library():
     """The compiled loops of ``_oracle.c``, or None for the Python loops
-    and numpy passes when they cannot be built.  They are built on first
-    use, never at import."""
+    when they cannot be built.  They are built on first use, never at
+    import."""
     from ._oracle import library
     return library()
 
@@ -270,13 +229,10 @@ COMPILED_FROM = 1 << 14
 
 
 def max_byte(vals) -> int:
-    """The largest of the bytes vals, compiled where a library loads, else
-    in numpy, the reference."""
+    """The largest of the bytes vals, 0 for none: compiled where a library
+    loads, else Python's max."""
     lib = _library()
-    if lib is not None:
-        return lib.byte_max(vals)
-    import numpy as np
-    return int(np.asarray(memoryview(vals)).max())
+    return lib.byte_max(vals) if lib is not None else max(memoryview(vals), default=0)
 
 
 def _raise(status: int, info: list[int], label: str, partial) -> None:
@@ -535,17 +491,11 @@ def gen_qrs(r: int, s: int, n_max: int) -> SequenceTable:
     return _recursion(r, s, n_max, f"Q[{r},{s}]")
 
 
-# first_difference works on this many entries at a time
-DIFF_CHUNK = 1 << 16
-
-
 def first_difference(t: SequenceTable | int) -> SequenceTable:
-    """The table D(n) = t(n+1) - t(n) on [lo, hi-1], in a numpy array of the
-    narrowest integer dtype holding every difference (uint8 for V's steps
-    in {0, 1}).
-
-    One pass over chunks finds the range of the differences and a second
-    fills them, so no int64 copy of the whole table is ever held.
+    """The table D(n) = t(n+1) - t(n) on [lo, hi-1], in an ``array`` of
+    the narrowest typecode holding every difference, the first of 'B', 'b',
+    'H', 'h', 'I', 'i' and 'q' whose pass does not overflow: one pass ('B')
+    for V's steps in {0, 1}.
 
     Given an int n >= 1 instead of a table, the first difference of V on
     [1, n], byte for byte ``first_difference(gen_v(n + 1))``, in a
@@ -558,26 +508,15 @@ def first_difference(t: SequenceTable | int) -> SequenceTable:
         return SequenceTable(1, n, _steps(1, 4, n, "V"), "diff(V)")
     if len(t) < 2:
         raise ValueError("need at least 2 entries")
-    import numpy as np
-    vals = np.asarray(t.values)
-    n = len(vals) - 1
-    chunks = [(i, min(i + DIFF_CHUNK, n)) for i in range(0, n, DIFF_CHUNK)]
-    wide = np.empty(min(DIFF_CHUNK, n), dtype=np.int64)
-    least = most = 0
-    for i, j in chunks:
-        d = np.subtract(vals[i + 1:j + 1], vals[i:j], out=wide[:j - i], dtype=np.int64)
-        least, most = min(least, int(d.min())), max(most, int(d.max()))
-    del wide, d  # before out, so the two are never held at once
-    # a signed k-bit type holds [-2^(k-1), 2^(k-1) - 1]
-    dtype = np.min_scalar_type(min(least, -most - 1) if least < 0 else most)
-    out = np.empty(n, dtype=dtype)
-    for i, j in chunks:
-        # the low k bits of a difference are the difference of the low k
-        # bits, so subtracting in the k-bit dtype, each operand cut to it
-        # first, is exact for every difference that dtype holds
-        np.subtract(vals[i + 1:j + 1], vals[i:j], out=out[i:j], dtype=dtype,
-                    casting="unsafe")
-    return SequenceTable(t.lo, t.hi - 1, out, f"diff({t.label})")
+    for code in "BbHhIiq":
+        ahead, behind = tee(t.values)  # each value read once, for two differences
+        next(ahead)
+        try:
+            diffs = array(code, map(operator.sub, ahead, behind))
+            return SequenceTable(t.lo, t.hi - 1, diffs, f"diff({t.label})")
+        except OverflowError:
+            if code == "q":
+                raise
 
 
 def write_table(t: SequenceTable, fp: IO[str]) -> None:

@@ -26,9 +26,9 @@ Shallit, Automatic Sequences, Thm 6.6.2), so each level is one tuple join
 coverage; two strings are merged when their signatures agree on every
 common level.
 
-Where the compiled loops (``_oracle.c``) load, discovery,
-cross-validation and certification run them and bytes operations, and
-load no numpy; numpy runs the reference passes.
+Discovery, cross-validation and certification run the compiled loops
+(``_oracle.c``) and bytes operations where a library loads, and the
+plain-Python loops of the same passes where none does.
 """
 
 from __future__ import annotations
@@ -39,7 +39,7 @@ from dataclasses import dataclass
 from .automaton import WINDOW, Dfao
 from .rules import RuleConflict, WindowRuleTable, verify_rules
 from .sequences import (PlannedWindows, SequenceTable, _dense, _first_seen,
-                        _library, _narrowest, join_ids, max_byte)
+                        _library, _mismatch, join_ids, max_byte)
 
 
 class NonpositiveDivisor(ValueError):
@@ -106,13 +106,6 @@ def _check_from_0(oracle: SequenceTable) -> None:
         raise ValueError("synthesis expects an oracle table starting at index 0")
 
 
-def _head(ids, keep: int | None):
-    """ids cut to its first ``keep`` (all, for None), owning its memory."""
-    if keep is None or len(ids) <= keep:
-        return ids
-    return ids[:keep] if isinstance(ids, array) else ids[:keep].copy()
-
-
 def _block_ids(oracle: SequenceTable, horizon: int, keep: int | None = None) -> list:
     """Per level L <= horizon, one id per m with (m + 1) 2^L <= oracle.hi,
     that is m < oracle.hi >> L, for the block of windows at 2^L m + c,
@@ -136,18 +129,18 @@ def _block_ids(oracle: SequenceTable, horizon: int, keep: int | None = None) -> 
     hi = oracle.hi
     if hi < 1 or horizon < 0:
         return []
+    keep = hi if keep is None else keep
     vals = oracle.byte_values()
     k = max_byte(vals) + 1
-    levels = [join_ids(vals, k, 0, 1, 4, hi if keep is None else min(hi, keep),
-                       pad=2)[0]]
+    levels = [join_ids(vals, k, 0, 1, 4, min(hi, keep), pad=2)[0]]
     if horizon >= 1 and hi >> 1:
         ids, k = join_ids(vals, k, 0, 2, 5, hi >> 1, pad=2)
         levels.append(ids)
     while len(levels) <= horizon and hi >> len(levels) - 1 >= 2:
         ids, k = join_ids(ids, k, 0, 2, 2, hi >> len(levels))
-        levels[-1] = _head(levels[-1], keep)
+        del levels[-1][keep:]
         levels.append(ids)
-    levels[-1] = _head(levels[-1], keep)
+    del levels[-1][keep:]
     return levels
 
 
@@ -267,38 +260,6 @@ def _states_upto(m: Dfao, n_max: int) -> array:
     return states
 
 
-# cross_validate compares this many n at a time in numpy
-CHECK_CHUNK = 1 << 16
-
-
-def _stride_head(m: Dfao, n_max: int) -> tuple[array, array]:
-    """The stride table T of Dfao.stride_table, of width W = q^k, and
-    state(n) for n <= max(n_max // W, W - 1): with state(n) = T[state(n //
-    W), n % W] from n = W on, all that a walk to n_max holds whole; the n
-    below W, numerals shorter than a stride, come from it."""
-    table = m.stride_table
-    width = len(table) // m.state_count
-    return table, _states_upto(m, max(n_max // width, width - 1))
-
-
-def _state_chunks(m: Dfao, n_max: int):
-    """(lo, state(n) for n in [lo, lo + CHECK_CHUNK) cut to n_max) for
-    consecutive chunks from lo = 0, as numpy arrays: _states_upto's last
-    stride level, one chunk at a time, from _stride_head.  The numpy
-    reference walk of cross_validate."""
-    import numpy as np
-    table, head = (np.asarray(memoryview(b)) for b in _stride_head(m, n_max))
-    table = table.reshape(m.state_count, -1)
-    width = table.shape[1]
-    for lo in range(0, n_max + 1, CHECK_CHUNK):
-        hi = min(lo + CHECK_CHUNK, n_max + 1)
-        rows = table[head[lo // width:-(-hi // width)]].ravel()
-        states = rows[lo % width:lo % width + hi - lo]
-        if lo < width:
-            states[:width - lo] = head[lo:min(width, hi)]
-        yield lo, states
-
-
 def cross_validate(m: Dfao, oracle: SequenceTable, n_max: int) -> Validation:
     """Compare the automaton against the oracle for every n in [0, n_max].
 
@@ -307,16 +268,14 @@ def cross_validate(m: Dfao, oracle: SequenceTable, n_max: int) -> Validation:
     raises ValueError, whichever output kind m has.
 
     An output of w bytes, the window F(n-2..n+1) (w = 4) or F(n) alone
-    (w = 1), is compared with the oracle's w bytes at n.  Where a compiled
-    library loads and the states fit one byte (both synthesized machines
-    do), one compiled pass (``_oracle.c`` vseq_check) walks the stride
-    table of _stride_head and stops at the first mismatch, and no numpy
-    is loaded.  Otherwise the numpy pass runs, the reference: it walks
-    CHECK_CHUNK n at a time and reads each output as one little-endian
-    integer on both sides, the machine's outputs as an S x w byte array
-    gathered by state, and the oracle's as a one-byte-stride view of a
-    chunk's window_bytes, whose window at n starts at byte n - lo and
-    holds F(n) at byte 2.
+    (w = 1), is compared with the oracle's w bytes at n.  The walk reads
+    the stride table T of Dfao.stride_table, of width W: state(n) = T[
+    state(n // W), n % W] from n = W on, so it holds whole only the states
+    to max(n_max // W, W - 1), numerals shorter than a stride among them.
+    Where a library loads, one compiled pass (``_oracle.c`` vseq_check)
+    walks it and stops at the first mismatch; otherwise a Python loop takes
+    a row of T at a time, byte j of each state's output against byte j of
+    the windows.
     """
     _check_from_0(oracle)
     w = 4 if m.output_kind == WINDOW else 1
@@ -325,21 +284,30 @@ def cross_validate(m: Dfao, oracle: SequenceTable, n_max: int) -> Validation:
     if oracle.hi < n_max + reach:
         raise OracleTooShort(f"oracle ends at {oracle.hi}, need {n_max + reach}")
     outputs = bytes(m.outputs if w == 1 else (b for o in m.outputs for b in o))
+    table = m.stride_table
+    width = len(table) // m.state_count
+    head = _states_upto(m, max(n_max // width, width - 1))
     lib = _library()
-    if lib is not None and m.state_count <= 256:
-        table, head = _stride_head(m, n_max)
+    if lib is not None:
         bad = lib.check(table, head, outputs, w, oracle.byte_values(), n_max)
         return Validation(bad < 0, None if bad < 0 else bad, n_max)
-    import numpy as np
-    # one conversion for a table not stored as bytes, not one per chunk
+    # byte j of each state's output, a translate table for states of a byte
+    outs = [outputs[j::w].ljust(256, b"\0") for j in range(w)]
+    # one conversion for a table not stored as bytes, not one per row
     oracle = SequenceTable(0, oracle.hi, oracle.byte_values(), oracle.label)
-    outputs = np.frombuffer(outputs, dtype=f"<u{w}")
-    for lo, states in _state_chunks(m, n_max):
-        want = np.ndarray(states.size, dtype=f"<u{w}", offset=offset, strides=(1,),
-                          buffer=oracle.window_bytes(lo, lo + states.size - 2 + reach))
-        bad = np.flatnonzero(outputs[states] != want)
-        if bad.size:
-            return Validation(False, lo + int(bad[0]), n_max)
+    for lo in range(0, n_max + 1, width):
+        s = head[lo // width]
+        row = head[:width] if lo == 0 else table[width * s:width * s + width]
+        row = row[:n_max + 1 - lo]
+        want = oracle.window_bytes(lo, lo + len(row) - 2 + reach)  # window n at n - lo
+        misses = []
+        for j, out in enumerate(outs):
+            got = (row.tobytes().translate(out) if row.itemsize == 1
+                   else bytes(map(out.__getitem__, row)))
+            misses.append(_mismatch(got, want[offset + j:offset + j + len(row)]))
+        bad = min((i for i in misses if i >= 0), default=-1)
+        if bad >= 0:
+            return Validation(False, lo + bad, n_max)
     return Validation(True, None, n_max)
 
 
@@ -490,7 +458,7 @@ def certify_transitions(m: Dfao, oracle, rules: WindowRuleTable,
     and extension are joined into two byte strings compared at once,
     listed in the order the checks are stated, so the first failing pair
     names the failure.  The rule propagation is verify_rules on the
-    prefix, whose compare runs compiled or in numpy as rules._scan says.
+    prefix, whose compare runs compiled or in Python as rules._scan says.
     """
     _check_from_0(oracle)
     if m.output_kind != WINDOW:
@@ -629,12 +597,9 @@ def kernel_probe(table: SequenceTable, q: int, depth: int,
     blocks are the pieces of the distinct level-E blocks, found at their
     first appearances, and those few.
 
-    Every join goes through sequences.join_ids, which reads the children
-    straight from the ids of the level before, and runs compiled
-    (``_oracle.c``) where a library loads and the join's tuple space is
-    small enough to tabulate.  The level that compares bytes sorts them
-    with numpy.  Only the counts are reported, so the order of the ids is
-    free.
+    Every join goes through sequences.join_ids, from the ids of the level
+    before, or from the bytes for level E and for a level that cuts its
+    blocks to a length of neither kind.  Only the counts are reported.
     """
     check_probe_args(q, depth, prefix_len)
     vals = table.byte_values()
@@ -651,15 +616,15 @@ def kernel_probe(table: SequenceTable, q: int, depth: int,
         step *= q
     levels = []
     if shapes:
-        k = max_byte(vals) + 1  # the byte values as ids below k
+        byte_k = max_byte(vals) + 1  # the byte values as ids below byte_k
         top = 0  # E
         for step, block, _, count in shapes[1:]:
-            if block < step or not _dense(k ** block, count):
+            if block < step or not _dense(byte_k ** block, count):
                 break
             top += 1
         _, block, n0, count = shapes[top]
         first, end = n0 * block - lo, (n0 + count) * block - lo
-        ids, k = join_ids(vals, k, first, block, block, count)
+        ids, k = join_ids(vals, byte_k, first, block, block, count)
         seen = [bytes(vals[first + block * i:first + block * (i + 1)])
                 for i in _first_seen(ids, k)]
         for e, (size, _, n0_e, count_e) in enumerate(shapes[:top]):
@@ -677,14 +642,7 @@ def kernel_probe(table: SequenceTable, q: int, depth: int,
                 parts = 1 if block == prev_block else q
                 ids, k = join_ids(ids, k, q * n0 - prev_n0, q, parts, count)
             else:
-                import numpy as np
-                rows = np.lib.stride_tricks.as_strided(
-                    np.asarray(vals)[n0 * step - lo:], shape=(count, block),
-                    strides=(step, 1), writeable=False)
-                rows = np.ascontiguousarray(rows).view(f"V{block}").ravel()
-                uniq, ids = np.unique(rows, return_inverse=True)
-                k = len(uniq)
-                ids = ids.astype(_narrowest(k))
+                ids, k = join_ids(vals, byte_k, n0 * step - lo, step, block, count)
             levels.append(ProbeLevel(e, block, count, k))
             prev_block, prev_n0 = block, n0
     return ProbeReport(q=q, depth=depth, prefix_len=prefix_len,

@@ -30,7 +30,7 @@ PROBE_AT_DEFAULTS = {
 def on_each_engine(call) -> list:
     """call()'s result on each engine, forced through _oracle.library: the
     library as it loads (the compiled passes, where one does), then None
-    (the numpy passes and the Python loops), at any input size."""
+    (the plain-Python loops), at any input size."""
     lib = _oracle.library()
     got = []
     for forced in ((lib, None) if lib is not None else (None,)):

@@ -1,8 +1,8 @@
-"""`import vseq`, `vseq eval`, the compiled synthesize pipeline, both
+"""`import vseq`, `vseq eval`, the compiled synthesize pipeline, the
 compiled probes and the golden transcript's short oracle commands run
-without numpy: each runs in a subprocess where
-importing numpy fails, and must print and write the same bytes as a run
-where numpy loads."""
+without numpy, and the short commands on the plain-Python passes too: each
+runs in a subprocess where importing numpy fails, and must print and write
+the same bytes as a plain run, where numpy and the library load."""
 
 import hashlib
 import os
@@ -18,18 +18,21 @@ from conftest import PROBE_AT_DEFAULTS
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(_oracle.__file__)))
 # any import of numpy in the process raises ImportError
 BLOCK = "import sys; sys.modules['numpy'] = None\n"
+# and no library: every pass runs its plain-Python loop
+NO_LIBRARY = BLOCK + "import vseq._oracle; vseq._oracle.library = lambda: None\n"
 CLI = "import sys\nfrom vseq.cli import run\nsys.exit(run(sys.argv[1:]))\n"
 
 
-def _same_blocked_or_not(script: str, args: list[str], tmp_path, out: str | None = None):
+def _same_blocked_or_not(script: str, args: list[str], tmp_path, out: str | None = None,
+                         block: str = BLOCK):
     """stdout and, if named, the bytes of the file written by ``script``
-    run with numpy blocked, which must equal those of a plain run; each
-    run must exit 0."""
+    run after ``block`` (numpy blocked), which must equal those of a plain
+    run; each run must exit 0."""
     got = []
     for blocked in (True, False):
         cwd = tmp_path / ("blocked" if blocked else "plain")
         cwd.mkdir()
-        done = subprocess.run([sys.executable, "-c", (BLOCK if blocked else "") + script,
+        done = subprocess.run([sys.executable, "-c", (block if blocked else "") + script,
                                *args], cwd=cwd, env=dict(os.environ, PYTHONPATH=SRC),
                               capture_output=True, text=True, timeout=300)
         assert done.returncode == 0, done.stderr[-2000:]
@@ -54,7 +57,7 @@ def test_eval_of_a_4000_digit_numeral_loads_no_numpy(tmp_path, truth_b):
 
 def test_compiled_synthesize_loads_no_numpy(tmp_path, truth_b):
     if _oracle.library() is None:
-        pytest.skip("no C compiler: the numpy passes run in place of the compiled ones")
+        pytest.skip("no C compiler: the Python loops would count F for minutes")
     stdout, written = _same_blocked_or_not(
         CLI, ["synthesize", "--depth", "12", "--out", "f.dfao"], tmp_path, "f.dfao")
     assert "certificate: pass at depth 12" in stdout
@@ -67,7 +70,7 @@ def test_compiled_certify_loads_no_numpy(tmp_path, truth_a, truth_b, kind):
     # reference pipeline's for a single-output file, the file's own plan
     # for a window file
     if _oracle.library() is None:
-        pytest.skip("no C compiler: the numpy passes run in place of the compiled ones")
+        pytest.skip("no C compiler: the Python loops would count F for minutes")
     machine = tmp_path / "m.dfao"
     machine.write_text((truth_b if kind == "single" else truth_a).serialize())
     stdout, _ = _same_blocked_or_not(
@@ -82,9 +85,21 @@ def test_compiled_probe_loads_no_numpy(tmp_path, sequence):
     # from the bytes and the ids before them: no pass needs numpy at the
     # defaults, whose prefix 4096 is a power of the base
     if _oracle.library() is None:
-        pytest.skip("no C compiler: the numpy passes run in place of the compiled ones")
+        pytest.skip("no C compiler: the Python loops would count F for minutes")
     stdout, _ = _same_blocked_or_not(CLI, ["probe", "--sequence", sequence], tmp_path)
     assert hashlib.sha256(stdout.encode()).hexdigest() == PROBE_AT_DEFAULTS[sequence]
+
+
+@pytest.mark.parametrize("args", [
+    ["probe", "--sequence", "f", "--base", "3", "--depth", "10", "--prefix", "2187"],
+    ["probe", "--sequence", "vdiff", "--prefix", "100", "--depth", "8"],
+], ids=["probe-f-base-3", "probe-vdiff-prefix-100"])
+def test_compiled_probe_off_the_defaults_loads_no_numpy(tmp_path, args):
+    # base 3 hashes its joins past the rank table's reach, and a prefix
+    # that is not a power of the base joins that level from the bytes
+    if _oracle.library() is None:
+        pytest.skip("no C compiler: the Python loops would count F for minutes")
+    _same_blocked_or_not(CLI, args, tmp_path)
 
 
 @pytest.mark.parametrize("args", [
@@ -94,7 +109,15 @@ def test_compiled_probe_loads_no_numpy(tmp_path, sequence):
 ], ids=["rules", "probe-f", "probe-vdiff"])
 def test_short_oracle_commands_load_no_numpy(tmp_path, args):
     # their oracles run the Python loops, short of COMPILED_FROM steps, but
-    # the rule scan and the probe's joins run compiled at any size
-    if _oracle.library() is None:
-        pytest.skip("no C compiler: the numpy passes run in place of the compiled ones")
+    # the rule scan and the probe's joins run compiled, where a library
+    # loads, at any size
     _same_blocked_or_not(CLI, args, tmp_path)
+
+
+@pytest.mark.parametrize("args", [
+    ["probe", "--sequence", "f", "--depth", "6", "--prefix", "64"],
+    ["probe", "--sequence", "f", "--prefix", "100", "--depth", "4"],
+    ["rules", "derive", "--max", "300"],
+], ids=["probe-f", "probe-f-prefix-100", "rules"])
+def test_short_oracle_commands_run_in_plain_python(tmp_path, args):
+    _same_blocked_or_not(CLI, args, tmp_path, block=NO_LIBRARY)

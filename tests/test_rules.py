@@ -184,7 +184,7 @@ def _outcome(scan, *args):
 
 def _on_both(scan, *args):
     """_outcome(scan, *args), the same on the compiled passes, where a
-    library loads, and on the numpy passes."""
+    library loads, and on the plain-Python passes."""
     got = on_each_engine(lambda: _outcome(scan, *args))
     assert got.count(got[0]) == len(got), got
     return got[0]
@@ -240,7 +240,7 @@ def _flip(f, a_min, a_max, rng):
 # windows first seen past the first prefix, for either kind of id
 @example((_byte_table([1, 2, 3], 6000, 3000, False, random.Random(2)), 4, 2999), 3)
 @example((_byte_table(list(range(256)), 4000, 0, True, random.Random(4)), 5, 1999), 5)
-# all 256 byte values, whose 256^4 tuples fall back to numpy where a library loads
+# all 256 byte values, whose 256^4 tuples the compiled join hashes
 @example((_byte_table(list(range(256)), 2 ** 14 + 9, 0, True, random.Random(6)),
           4, 2 ** 13), 7)
 def test_scan_matches_sorting_scan(case, seed):
@@ -293,7 +293,7 @@ def test_frozen_image_that_packs_like_a_real_pair_conflicts():
     assert _fields(excinfo.value) == (w, "even", 5, 300, 5, 44)
 
 
-# -- the compiled pair compare against the numpy compare ------------------------
+# -- the compiled pair compare against the Python compare -----------------------
 
 A_MAX = 24_999  # f50k's last a: 24,996 pairs
 
@@ -301,12 +301,12 @@ A_MAX = 24_999  # f50k's last a: 24,996 pairs
 @pytest.fixture
 def on_both(monkeypatch):
     """call() forced through _oracle.library onto each engine: the compiled
-    pair compare, then the numpy compare; each call's table, verification
-    or RuleConflict fields, and the number of compiled compares the first
-    call ran."""
+    pair compare, then the plain-Python compare; each call's table,
+    verification or RuleConflict fields, and the number of compiled
+    compares the first call ran."""
     lib = _oracle.library()
     if lib is None:
-        pytest.skip("no C compiler: only the numpy compare runs here")
+        pytest.skip("no C compiler: only the Python compare runs here")
     runs = []
     pairs = _oracle.Oracle.pairs
 
@@ -340,10 +340,10 @@ def test_compiled_pair_compare_matches_numpy(on_both, f50k, rules10k, a, parity)
     image = f50k[n] % 3 + 1
     assert image != f50k[n]
     bad = _with_pairs(f50k, {n: image})
-    compiled, numpy_compare, runs = on_both(lambda: derive_rules(bad, 4, A_MAX))
-    assert compiled == numpy_compare and runs == 1
-    compiled, numpy_compare, runs = on_both(lambda: verify_rules(rules10k, bad, A_MAX))
-    assert compiled == numpy_compare and runs == 1
+    compiled, python_compare, runs = on_both(lambda: derive_rules(bad, 4, A_MAX))
+    assert compiled == python_compare and runs == 1
+    compiled, python_compare, runs = on_both(lambda: verify_rules(rules10k, bad, A_MAX))
+    assert compiled == python_compare and runs == 1
     w = f50k.window4(a)
     table = rules10k.odd_rule if parity else rules10k.even_rule
     assert compiled == ("conflict", w, ("even", "odd")[parity], rules10k.first_seen[w],
@@ -361,18 +361,18 @@ def test_compiled_pair_compare_skips_windows_the_frozen_table_lacks(on_both, f50
                                for t in (rules10k.even_rule, rules10k.odd_rule,
                                          rules10k.first_seen)))
     bad = _with_pairs(f50k, {2 * a + 1: 9 for a in at})
-    compiled, numpy_compare, runs = on_both(lambda: verify_rules(frozen, bad, A_MAX))
-    assert compiled == numpy_compare == ("verified", A_MAX, [(absent, 232)])
+    compiled, python_compare, runs = on_both(lambda: verify_rules(frozen, bad, A_MAX))
+    assert compiled == python_compare == ("verified", A_MAX, [(absent, 232)])
     assert runs == 1
     # a conflict past the skipped ones is still named
     later = next(a for a in range(at[0] + 1, A_MAX + 1) if f50k.window4(a) != absent)
     bad = _with_pairs(bad, {2 * later: f50k[2 * later] % 3 + 1})
-    compiled, numpy_compare, runs = on_both(lambda: verify_rules(frozen, bad, A_MAX))
-    assert compiled == numpy_compare and runs == 1
+    compiled, python_compare, runs = on_both(lambda: verify_rules(frozen, bad, A_MAX))
+    assert compiled == python_compare and runs == 1
     assert compiled[0] == "conflict" and compiled[5] == later
     # an image no byte can equal conflicts at its window's first a
     w = (1, 1, 2, 2)
     frozen = WindowRuleTable({**rules10k.even_rule, w: 300}, rules10k.odd_rule,
                              rules10k.first_seen)
-    compiled, numpy_compare, runs = on_both(lambda: verify_rules(frozen, f50k, A_MAX))
-    assert compiled == numpy_compare == ("conflict", w, "even", 5, 300, 5, 1)
+    compiled, python_compare, runs = on_both(lambda: verify_rules(frozen, f50k, A_MAX))
+    assert compiled == python_compare == ("conflict", w, "even", 5, 300, 5, 1)

@@ -19,6 +19,8 @@ from vseq import (DeadSequence, MonotonicityViolation, ProbeReport,
 from vseq import _oracle, sequences
 from vseq.sequences import COMPILED_FROM, join_ids
 
+from conftest import on_each_engine
+
 V20 = [1, 1, 1, 1, 2, 3, 4, 5, 5, 6, 6, 7, 8, 8, 9, 9, 10, 11, 11, 11]
 F20 = [4, 1, 1, 1, 2, 2, 1, 2, 2, 1, 3, 2, 1, 2, 2, 1, 3, 2, 1, 2]
 
@@ -145,32 +147,33 @@ def test_first_difference_constant():
 
 
 def test_first_difference_dtype_is_narrowest():
-    assert first_difference(gen_v(20)).values.dtype == np.uint8
-    assert first_difference(SequenceTable(1, 6, F20[:6], "F")).values.dtype == np.int8
+    # the typecode of each, the dtype np.min_scalar_type picks for its range
+    assert first_difference(gen_v(20)).values.typecode == "B"
+    assert first_difference(SequenceTable(1, 6, F20[:6], "F")).values.typecode == "b"
     t = SequenceTable(0, 2, [0, 128, 0], "x")  # +128 and -128 need 16 bits
-    assert first_difference(t).values.dtype == np.int16
+    assert first_difference(t).values.typecode == "h"
     assert list(first_difference(t).values) == [128, -128]
     wide = SequenceTable(0, 1, [0, 2 ** 31], "x")
-    assert first_difference(wide).values.dtype == np.uint32
+    assert first_difference(wide).values.typecode == "I"
     # 32-bit operands far outside the differences' int8
     big = first_difference(SequenceTable(0, 2, array("I", [70000, 70003, 69999]), "x"))
-    assert big.values.dtype == np.int8
+    assert big.values.typecode == "b"
     assert list(big.values) == [3, -4]
 
 
-def test_first_difference_across_chunks(monkeypatch):
-    monkeypatch.setattr(sequences, "DIFF_CHUNK", 7)
+def test_first_difference_across_chunks():
+    # differences past one byte both ways, after ones that fit 'B' and 'b'
     rng = np.random.default_rng(5)
     vals = rng.integers(-300, 300, 50)
     d = first_difference(SequenceTable(2, 51, vals, "x"))
     assert (d.lo, d.hi) == (2, 50)
-    assert d.values.dtype == np.int16
+    assert d.values.typecode == "h"
     assert list(d.values) == list(np.diff(vals))
 
 
 def test_first_difference_frees_its_range_buffer_before_the_result():
-    # V's steps to 2^22 take 4 MB as uint8, the int64 range buffer 8 MB;
-    # the two were once held together
+    # V's steps to 2^22 take 4 MB as bytes; nothing else of their size is
+    # held while they are written
     v = gen_v(2 ** 22 + 1)
     tracemalloc.start()
     try:
@@ -178,7 +181,7 @@ def test_first_difference_frees_its_range_buffer_before_the_result():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert d.values.dtype == np.uint8
+    assert d.values.typecode == "B"
     assert peak < 10 * 2 ** 20, peak
 
 
@@ -191,7 +194,7 @@ def test_first_difference_needs_two():
 
 def _on(engine, call, *args):
     """call(*args) on the compiled loops, the recursions at every size
-    ("compiled"), or on the Python loops and numpy passes ("python")."""
+    ("compiled"), or on the Python loops ("python")."""
     if engine == "compiled":
         with mock.patch.object(sequences, "COMPILED_FROM", 0):
             return call(*args)
@@ -210,7 +213,7 @@ def _assert_v_steps(n):
     for engine in _engines():
         d = _on(engine, first_difference, n)
         assert (d.lo, d.hi, d.label, np.asarray(d.values).dtype) == (
-            ref.lo, ref.hi, ref.label, ref.values.dtype), engine
+            ref.lo, ref.hi, ref.label, np.asarray(ref.values).dtype), engine
         assert bytes(d.values) == ref.values.tobytes(), engine
     return d
 
@@ -395,22 +398,25 @@ def test_oracle_source_compiles_without_warnings(tmp_path):
 
 
 # Run under ASan and UBSan by test_oracle_loops_are_clean_under_sanitizers:
-# every compiled loop, each checked against the Python and numpy paths.
+# every compiled loop, each checked against the plain-Python one.
 SANITIZED_RUN = """
 import ctypes, sys
 import numpy as np
-from vseq import (SequenceTable, _oracle, count_windows, cross_validate,
-                  first_difference, gen_f, gen_qrs, gen_v, kernel_probe,
-                  sequences, synthesize_validated)
+from vseq import (SINGLE, Dfao, SequenceTable, _oracle, count_windows,
+                  cross_validate, first_difference, gen_f, gen_qrs, gen_v,
+                  kernel_probe, sequences, synthesize_validated)
 from vseq.rules import _scan
 from vseq.sequences import join_ids
 
 widths = set()  # (ids, joined ids) itemsizes of the compiled joins
+hashed = set()  # the same, of the joins past their rank table
 
 class Traced(_oracle.Oracle):
-    def join(self, ids, *args):
-        out, distinct = super().join(ids, *args)
+    def join(self, ids, first, stride, parts, count, k, pad=0):
+        out, distinct = super().join(ids, first, stride, parts, count, k, pad)
         widths.add((ids.itemsize, out.itemsize))
+        if not sequences._dense(k ** parts, count):
+            hashed.add((ids.itemsize, out.itemsize))
         return out, distinct
 
 lib = Traced(ctypes.CDLL(sys.argv[1]))
@@ -427,9 +433,9 @@ def raised(call):
     except Exception as e:
         return repr(e)
 
-def same_partition(compiled, numpy_ids):
-    (a, da), (b, db) = compiled, numpy_ids
-    assert da == db == len(set(zip(a.tolist(), b.tolist()))), (da, db)
+def same_ids(compiled, python_ids):
+    (a, da), (b, db) = compiled, python_ids
+    assert (a.typecode, a.tolist(), da) == (b.typecode, b.tolist(), db), (da, db)
 
 # the count and the recursion, and two runs that die
 a, b = both(lambda: gen_f(2 ** 16).values)
@@ -481,9 +487,9 @@ for n in (1, 63, 64, 65, 2 ** 12 + 37):
 for dtype in (np.uint8, np.uint16, np.uint32):
     for top in (4, 16, 256):
         vals = rng.integers(0, top, 2 ** 15, dtype=dtype)
-        same_partition(*both(lambda: join_ids(vals, top, 5, 1, 4, vals.size - 8)))
+        same_ids(*both(lambda: join_ids(vals, top, 5, 1, 4, vals.size - 8)))
         # read after a pad of two zeros, as discovery reads F
-        same_partition(*both(lambda: join_ids(vals, top, 0, 1, 4, vals.size - 1,
+        same_ids(*both(lambda: join_ids(vals, top, 0, 1, 4, vals.size - 1,
                                               pad=2)))
 
 # the rule scan's pair compare, the last pair ending at F's last byte, with
@@ -497,6 +503,23 @@ last[-1] = last[-1] % 3 + 1
 a, b = both(lambda: raised(lambda: _scan(SequenceTable(0, exact.hi, last, "F"), 4,
                                          2 ** 15)))
 assert a == b != None, (a, b)
+# a table of six values whose images follow a random rule: 1,292 windows,
+# two-byte ids, clean and with one image changed
+pick = np.random.default_rng(7)
+rule, wide = {}, bytearray(pick.integers(0, 6, 8, dtype=np.uint8).tobytes())
+for n in range(8, 2 ** 14 + 2):
+    key = (bytes(wide[n // 2 - 2:n // 2 + 2]), n % 2)
+    if key not in rule:
+        rule[key] = int(pick.integers(0, 6))
+    wide.append(rule[key])
+table = SequenceTable(0, len(wide) - 1, wide, "F")
+a, b = both(lambda: _scan(table, 4, 2 ** 13))
+assert a == b and len(a) > 255, len(a)
+# the odd image of the last a whose window was seen before
+at = max(n for n in range(5, 2 ** 13 + 1) if a.first_seen[table.window4(n)] < n)
+wide[2 * at + 1] ^= 1
+a, b = both(lambda: raised(lambda: _scan(table, 4, 2 ** 13)))
+assert a == b != None and f"at a={at}" in a, (a, b)
 
 # cross-validation of both synthesized machines, reading F up to the last
 # index it needs: at n_max below the stride width 256, at 256 and past it,
@@ -511,6 +534,19 @@ for machine, reach in ((window_machine, 1), (single_machine, 0)):
             oracle = SequenceTable(0, vals.size - 1, vals, "F")
             a, b = both(lambda: cross_validate(machine, oracle, n_max))
             assert a == b and a.passed != change, (n_max, a, b)
+# a machine of 320 states, two bytes each: the 20-state machine times a
+# count of the digits read, mod 16, which changes no output
+m20, states = single_machine, range(16 * single_machine.state_count)
+product = Dfao(2, 16 * m20.initial,
+               [[16 * m20.transitions[s // 16][d] + (s + 1) % 16 for d in (0, 1)]
+                for s in states], [m20.outputs[s // 16] for s in states], SINGLE)
+assert product.state_count == 320 and product.stride_table.typecode == "H"
+for change in (0, 1):
+    vals = np.array(f16.byte_values()[:2 ** 16 + 1])
+    vals[-1] += 5 * change
+    oracle = SequenceTable(0, vals.size - 1, vals, "F")
+    a, b = both(lambda: cross_validate(product, oracle, 2 ** 16))
+    assert a == b and a.passed != change, (a, b)
 
 # probe joins at q = 2 and 3 over 1-, 2- and 4-byte ids into 1-, 2- and
 # 4-byte ids, the last tuple ending at the last id, and one join that
@@ -520,7 +556,7 @@ for dtype in (np.uint8, np.uint16, np.uint32):
         for k in ks:
             ids = rng.integers(0, k, 3 * 2 ** 16 + 1, dtype=dtype)
             first, count = (ids.size - q) % q, (ids.size - q) // q + 1
-            same_partition(*both(lambda: join_ids(ids, k, first, q, q, count)))
+            same_ids(*both(lambda: join_ids(ids, k, first, q, q, count)))
             err = raised(lambda: lib.join(ids, first, q, q, count + 1, k))
             assert err and err.startswith("ValueError"), err
 # the probe's level E joined straight from the bytes, q^E = 8 and 16 of
@@ -529,16 +565,34 @@ for dtype in (np.uint8, np.uint16, np.uint32):
 for parts, k in ((8, 5), (16, 2)):
     vals = rng.integers(0, k, 3 + parts * 2 ** 12, dtype=np.uint8)
     vals[-parts:] = k - 1
-    same_partition(*both(lambda: join_ids(vals, k, 3, parts, parts, 2 ** 12)))
+    same_ids(*both(lambda: join_ids(vals, k, 3, parts, parts, 2 ** 12)))
 # more than 65,535 ids: the join overflows one and two bytes, then fits four
 for dtype in (np.uint8, np.uint16, np.uint32):
     ids = rng.integers(0, 41, 3 * 2 ** 18, dtype=dtype)
-    same_partition(*both(lambda: join_ids(ids, 41, 0, 3, 3, 2 ** 18)))
+    same_ids(*both(lambda: join_ids(ids, 41, 0, 3, 3, 2 ** 18)))
+# sparse joins, hashed: 3-tuples of ids below 332 and 1,065 into 1-, 2-
+# and 4-byte ids, a tuple of 100 bytes at stride 128, and one read after a
+# pad of two zeros; the hash table fills and doubles on the way
+for dtype, ks in ((np.uint8, (256,)), (np.uint16, (332, 1065)),
+                  (np.uint32, (332, 1065))):
+    for k in ks:
+        # drawn from 200, 1,065 and 2^17 tuples: about 200, 1,065 and
+        # 69,000 distinct ones, past one and two bytes
+        for distinct in (200, 1065, 2 ** 17):
+            pool = rng.integers(0, k, (distinct, 3), dtype=dtype)
+            ids = pool[rng.integers(0, distinct, 3 * 2 ** 15)].ravel()
+            same_ids(*both(lambda: join_ids(ids, k, 0, 3, 3, ids.size // 3)))
+            same_ids(*both(lambda: join_ids(ids, k, 1, 3, 3, ids.size // 3 - 1,
+                                            pad=2)))
+vals = rng.integers(0, 5, 128 * 2 ** 10, dtype=np.uint8)
+same_ids(*both(lambda: join_ids(vals, 5, 0, 128, 100, 2 ** 10)))
+same_ids(*both(lambda: join_ids(vals, 5, 28, 128, 100, 2 ** 10)))
 f = gen_f(2 ** 15 + 1)
 for q in (2, 3):
     a, b = both(lambda: kernel_probe(f, q, 8, 64))
     assert a == b
 assert widths == {(i, o) for i in (1, 2, 4) for o in (1, 2, 4)}, widths
+assert hashed == widths, hashed
 print("ok")
 """
 
@@ -703,7 +757,7 @@ def test_join_ids_read_a_pad_of_zeros(pad, stride, parts):
     # numbers the rest after them: the same ids as a join of a padded copy
     lib = _oracle.library()
     if lib is None:
-        pytest.skip("no C compiler: only the numpy join runs here")
+        pytest.skip("no C compiler: only the Python join runs here")
     ids = np.random.default_rng(pad).integers(0, 3, 5000, dtype=np.uint8)
     ids[:9] = [0, 0, 1, 0, 0, 0, 2, 0, 0]  # tuples like the pad's
     count = (ids.size + pad - parts) // stride + 1
@@ -712,10 +766,26 @@ def test_join_ids_read_a_pad_of_zeros(pad, stride, parts):
     want, want_distinct = lib.join(padded, 0, stride, parts, count, 3)
     assert (got.tolist(), distinct) == (want.tolist(), want_distinct)
     with mock.patch.object(_oracle, "library", lambda: None):
-        numpy_ids, numpy_distinct = join_ids(ids, 3, 0, stride, parts, count, pad=pad)
-    assert numpy_distinct == distinct == len(set(zip(got, numpy_ids.tolist())))
+        python_ids, python_distinct = join_ids(ids, 3, 0, stride, parts, count, pad=pad)
+    assert (python_ids.tolist(), python_distinct) == (got.tolist(), distinct)
     with pytest.raises(ValueError, match="outside the ids"):
         lib.join(ids, 0, stride, parts, count + 1, 3, pad)
+
+
+@pytest.mark.parametrize("pad", [1, 2, 5])
+def test_hashed_join_reads_a_pad_of_zeros(pad):
+    # past the rank table's reach, 256^3 tuples, the join hashes them: the
+    # ids of a join of a padded copy, on each engine, with the first tuple,
+    # which reads the pad, seen again as the third
+    ids = np.random.default_rng(pad).integers(0, 256, 3 * 5000, dtype=np.uint8)
+    padded = np.concatenate((np.zeros(pad, dtype=np.uint8), ids))
+    ids[6 - pad:9 - pad] = padded[:3]
+    padded[6:9] = padded[:3]
+    count = (padded.size - 3) // 3 + 1
+    want = on_each_engine(lambda: join_ids(padded, 256, 0, 3, 3, count))
+    got = on_each_engine(lambda: join_ids(ids, 256, 0, 3, 3, count, pad=pad))
+    assert [(a.tolist(), d) for a, d in got] == [(a.tolist(), d) for a, d in want]
+    assert want[0][0][0] == want[0][0][2] == 0
 
 
 def _pair_ids(k: int, distinct: int) -> np.ndarray:
@@ -726,7 +796,7 @@ def _pair_ids(k: int, distinct: int) -> np.ndarray:
     return np.tile(pairs, 2)
 
 
-@pytest.mark.parametrize("engine", ["compiled", "numpy"])
+@pytest.mark.parametrize("engine", ["compiled", "python"])
 @pytest.mark.parametrize("k, distinct, dtype", [
     (16, 255, np.uint8), (16, 256, np.uint16),
     (256, 65535, np.uint16), (256, 65536, np.uint32),
@@ -735,7 +805,7 @@ def test_join_ids_take_the_narrowest_dtype_holding_their_number(engine, k, disti
                                                                  dtype):
     ids = _pair_ids(k, distinct)
     if engine == "compiled" and _oracle.library() is None:
-        pytest.skip("no C compiler: only the numpy passes run here")
+        pytest.skip("no C compiler: only the Python passes run here")
     with (contextlib.nullcontext() if engine == "compiled"
           else mock.patch.object(_oracle, "library", lambda: None)):
         out, got = join_ids(ids, k, 0, 2, 2, ids.size // 2)
@@ -749,7 +819,7 @@ def test_join_ids_past_k_raise_after_a_wider_retry(at):
     # 256 pairs overflow the one-byte join at once; an id at or past k is
     # refused before that ("first") or by the two-byte join that follows
     if _oracle.library() is None:
-        pytest.skip("no C compiler: only the numpy passes run here")
+        pytest.skip("no C compiler: only the Python passes run here")
     ids = _pair_ids(16, 256)
     ids[0 if at == "first" else -1] = 16
     with pytest.raises(ValueError, match="ids at or past 16"):
@@ -824,7 +894,7 @@ def test_window_codes_bounds():
 def test_compiled_loops_are_built_on_first_use_never_at_import():
     # the query path loads neither numpy nor the compiled loops, and short
     # oracles run the Python loops; a pass, here a short probe's, loads the
-    # compiled loops and no numpy
+    # compiled loops, or tries to, and no numpy
     script = "\n".join([
         "import sys",
         "import vseq, vseq.cli",
@@ -844,7 +914,4 @@ def test_compiled_loops_are_built_on_first_use_never_at_import():
     done = subprocess.run([sys.executable, "-c", script], capture_output=True,
                           text=True, env=env, timeout=120)
     assert done.returncode == 0, done.stderr
-    # without a C compiler the probe's passes run in numpy
-    numpy_after_probe = str(_oracle.library() is None)
-    assert done.stdout.split() == ["False", "False", "False", "True", numpy_after_probe,
-                                   "False"]
+    assert done.stdout.split() == ["False", "False", "False", "True", "False", "False"]

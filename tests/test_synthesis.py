@@ -17,7 +17,7 @@ from vseq import (SINGLE, WINDOW, CertificationFailure, Dfao,
                   gen_v, first_difference, kernel_probe, shift_bounds,
                   synthesize_msb, synthesize_validated)
 from vseq import synthesis
-from vseq.synthesis import CHECK_CHUNK, _block_ids, _kernel_node, _state_chunks, _states_upto
+from vseq.synthesis import _block_ids, _kernel_node, _states_upto
 
 from conftest import HORIZON, VALIDATE_TO, on_each_engine
 
@@ -98,7 +98,7 @@ def _check_signature_levels(f: SequenceTable) -> None:
     assert len(sig0) == 5  # levels 0..4
     # the window at 0, padded below index 0, occurs nowhere else
     assert _kernel_node(f, levels, "", 0).window == (0, 0, 0, 4)
-    # read as numpy arrays: the compiled join returns an array.array
+    # read as numpy arrays: both joins return an array.array
     level0, level1, level2 = (np.asarray(memoryview(ids)) for ids in levels[:3])
     assert np.count_nonzero(level0 == sig0[0]) == 1
     assert level2.size == 1000 // 4  # level-2 blocks span [4m - 2, 4m + 5]
@@ -442,13 +442,12 @@ def test_cross_validate_takes_an_oracle_of_exactly_the_needed_length(
         cross_validate(machine, short, n_max)
 
 
-# the edges of cross_validate's chunks: the last n of the first, the first
-# of the second, the last of the second, and n_max, past the last full one
-CHUNK_N_MAX = 2 * CHECK_CHUNK + 17
+# n on both sides of 2^16, just below 2^17, and n_max itself
+CHUNK = 2 ** 16
+CHUNK_N_MAX = 2 * CHUNK + 17
 
 
-@pytest.mark.parametrize("least", [CHECK_CHUNK - 1, CHECK_CHUNK, 2 * CHECK_CHUNK - 1,
-                                   CHUNK_N_MAX])
+@pytest.mark.parametrize("least", [CHUNK - 1, CHUNK, 2 * CHUNK - 1, CHUNK_N_MAX])
 @pytest.mark.parametrize("kind", [WINDOW, SINGLE])
 def test_cross_validate_names_the_least_mismatch_at_chunk_edges(
         truth_a, truth_b, f_main, kind, least):
@@ -463,36 +462,16 @@ def test_cross_validate_names_the_least_mismatch_at_chunk_edges(
     assert _first_mismatch_by_eval(machine, oracle, least) == least
 
 
-@pytest.mark.parametrize("chunk", [100, 1000, CHECK_CHUNK])
-@pytest.mark.parametrize("q", [2, 3, 5, 17])
-def test_state_chunks_are_the_batch_walk(monkeypatch, q, chunk):
-    # digit 0 moves the initial state, so the numerals shorter than a stride
-    # must not be read with leading zeros; 100 and 1000 are multiples of no
-    # stride width, and 100 is shorter than most
-    monkeypatch.setattr(synthesis, "CHECK_CHUNK", chunk)
-    rng = random.Random(q)
-    rows = [[rng.randrange(7) for _ in range(q)] for _ in range(7)]
-    rows[0][0] = 1
-    m = Dfao(q, 0, rows, [0] * 7, SINGLE)
-    width = q ** max(e for e in range(1, 9) if q ** e <= 256)  # the stride's
-    for n_max in (0, 1, width - 1, width, chunk - 1, chunk, 3 * chunk + 5,
-                  width * width + 1):
-        chunks = list(_state_chunks(m, n_max))
-        assert [lo for lo, _ in chunks] == list(range(0, n_max + 1, chunk))
-        got = np.concatenate([states for _, states in chunks])
-        assert got.tolist() == _states_upto(m, n_max).tolist()
-
-
-# -- the compiled cross-validation pass against the numpy pass -----------------
+# -- the compiled cross-validation pass against the Python pass ----------------
 
 @pytest.fixture
 def on_both(monkeypatch):
     """cross_validate(machine, oracle, n_max) forced through _oracle.library
-    onto each engine: the compiled pass, then the numpy pass; and the
-    number of compiled passes the first call ran."""
+    onto each engine: the compiled pass, then the plain-Python pass; and
+    the number of compiled passes the first call ran."""
     lib = _oracle.library()
     if lib is None:
-        pytest.skip("no C compiler: only the numpy pass runs here")
+        pytest.skip("no C compiler: only the Python pass runs here")
     runs = []
     check = _oracle.Oracle.check
 
@@ -548,9 +527,9 @@ def test_compiled_cross_validation_matches_numpy(on_both, truth_a, truth_b, f_ma
     # just below, at and past the first row of the stride table
     machine = truth_a if kind == WINDOW else truth_b
     machine, oracle = _corrupted(machine, f_main, what, n_max)
-    compiled, numpy_pass, runs = on_both(machine, oracle, n_max)
+    compiled, python_pass, runs = on_both(machine, oracle, n_max)
     assert runs == 1
-    assert compiled == numpy_pass
+    assert compiled == python_pass
     if what != "transition":  # a misroute may reach a state of the same outputs
         assert compiled.passed == (what == "none")
     if n_max <= 257:
@@ -562,11 +541,11 @@ def test_compiled_cross_validation_matches_numpy(on_both, truth_a, truth_b, f_ma
              if machine.outputs[_state_at(machine, n)] != truth(n)), None)
 
 
-@pytest.mark.parametrize("states, q, runs", [(7, 3, 1), (300, 2, 0)],
+@pytest.mark.parametrize("states, q, runs", [(7, 3, 1), (300, 2, 1)],
                          ids=["base-3", "300-states"])
 def test_cross_validation_of_machines_off_the_synthesized_path(on_both, states, q, runs):
-    # base 3 walks a stride table of width 3^5 = 243 compiled; 300 states
-    # do not fit one byte, so the numpy pass runs on both engines
+    # base 3 walks a stride table of width 3^5 = 243; 300 states do not fit
+    # one byte, so the stride table and the states are two bytes each
     rng = random.Random(states)
     rows = [[rng.randrange(states) for _ in range(q)] for _ in range(states)]
     rows[0][0] = 1  # digit 0 moves the initial state
@@ -581,8 +560,8 @@ def test_cross_validation_of_machines_off_the_synthesized_path(on_both, states, 
             bad = bytearray(vals.tobytes())
             bad[at] = 9
             oracle = SequenceTable(0, n_max, bad, "S")
-            compiled, numpy_pass, ran = on_both(m, oracle, n_max)
-            assert compiled == numpy_pass == vseq.Validation(False, at, n_max)
+            compiled, python_pass, ran = on_both(m, oracle, n_max)
+            assert compiled == python_pass == vseq.Validation(False, at, n_max)
             assert ran == runs
 
 
@@ -608,7 +587,7 @@ def test_discover_holds_one_byte_ids(f_main):
     # and the window bytes lived through every level: 20 MB.  Whole levels
     # took 8.4 MB; cut below KEEP_IDS, levels 1 and 2 at once, 3.2 MB
     if _oracle.library() is None:
-        pytest.skip("no C compiler: the numpy join sizes its codes more widely")
+        pytest.skip("no C compiler: the Python join holds 4-byte ids and a copy of F")
     (nodes, _), peak = _traced_peak(lambda: discover(f_main, HORIZON))
     assert len(nodes) == 33
     assert peak <= 4 * MB, peak / MB
@@ -875,8 +854,9 @@ def _probe_by_sorting(table, q, depth, prefix_len):
 
 
 @pytest.fixture
-def numpy_only(monkeypatch):
-    """_oracle._load fails, so kernel_probe runs its numpy passes only."""
+def python_only(monkeypatch):
+    """_oracle._load fails, so kernel_probe runs its plain-Python passes
+    only."""
     def no_compiler():
         raise FileNotFoundError("no such file: 'cc'")
 
@@ -888,26 +868,26 @@ def numpy_only(monkeypatch):
 
 @pytest.fixture
 def compiled_joins(monkeypatch):
-    """The id dtype of each compiled join kernel_probe runs, in order."""
+    """The id typecode of each compiled join kernel_probe runs, in order."""
     if _oracle.library() is None:
-        pytest.skip("no C compiler: only the numpy passes run here")
-    dtypes = []
+        pytest.skip("no C compiler: only the Python passes run here")
+    codes = []
     join = _oracle.Oracle.join
 
     def spy(self, *args):
         ids, distinct = join(self, *args)
-        dtypes.append(np.asarray(ids).dtype)
+        codes.append(ids.typecode)
         return ids, distinct
 
     monkeypatch.setattr(_oracle.Oracle, "join", spy)
-    return dtypes
+    return codes
 
 
-@pytest.fixture(params=["compiled", "numpy"])
+@pytest.fixture(params=["compiled", "python"])
 def probe_joins(request):
-    """compiled_joins, or None under numpy_only."""
-    if request.param == "numpy":
-        request.getfixturevalue("numpy_only")
+    """compiled_joins, or None under python_only."""
+    if request.param == "python":
+        request.getfixturevalue("python_only")
         return None
     return request.getfixturevalue("compiled_joins")
 
@@ -941,17 +921,15 @@ def test_probe_matches_row_sorting(lo, q, prefix):
 @pytest.mark.parametrize("lo", [0, 1, 5])
 @pytest.mark.parametrize("q", [2, 3, 5])
 @pytest.mark.parametrize("prefix", ["power", "other"])
-def test_probe_numpy_matches_row_sorting(lo, q, prefix, numpy_only):
+def test_probe_numpy_matches_row_sorting(lo, q, prefix, python_only):
+    # the plain-Python passes, where no library loads
     _check_probe_by_sorting(lo, q, prefix)
-
-
-U8, U16, U32 = (np.dtype(t) for t in (np.uint8, np.uint16, np.uint32))
 
 
 def test_probe_f_at_q3_joins_compiled(compiled_joins):
     # level 0's ids lie below F's largest value + 1 = 5, so level 1 joins
-    # 5^3 tuples, not 256^3, and no join falls back to numpy (level 3 cuts
-    # its blocks to the 9 entries of level 2's)
+    # 5^3 tuples, not 256^3, through a rank table, and level 3 cuts its
+    # blocks to the 9 entries of level 2's
     table = gen_f(3 ** 11)
     report = kernel_probe(table, 3, 3, 9)
     assert report == _probe_by_sorting(table, 3, 3, 9)
@@ -961,23 +939,23 @@ def test_probe_f_at_q3_joins_compiled(compiled_joins):
 @pytest.mark.parametrize("alphabet, q, n, depth, joins", [
     # level 1, joined from the bytes (level 2's 256^4 tuples pass count +
     # 2^16): about 9,400 of the 65,536 byte pairs, so its ids pass 255;
-    # level 2's space of about 9,400^2 tuples passes count + 2^16: numpy
-    (256, 2, 20_000, 2, [U16]),
+    # level 2's space of about 9,400^2 tuples passes count + 2^16: hashed
+    (256, 2, 20_000, 2, ["H", "H"]),
     # level 1: every byte pair, 65,536 ids, so they pass 65,535
-    (256, 2, 2 ** 21, 1, [U32]),
+    (256, 2, 2 ** 21, 1, ["I"]),
     # level 3, joined from the bytes, 8 at a time, over a space of 4^8 =
     # 65,536 tuples: about 6,000 of them, past a byte; level 4's space of
-    # level 3's ids squared passes count + 2^16: numpy
-    (4, 2, 50_000, 4, [U16]),
+    # level 3's ids squared passes count + 2^16: hashed
+    (4, 2, 50_000, 4, ["H", "H"]),
     # level 0's ids lie below 2, not 256, so level 2 joins its 2^9 tuples
-    # straight from the bytes, compiled: all 512, past a byte; level 3
-    # joins level 2's 5,555 ids: numpy
-    (2, 3, 50_000, 3, [U16]),
+    # straight from the bytes: all 512, past a byte; level 3 joins level
+    # 2's 5,555 ids, hashed
+    (2, 3, 50_000, 3, ["H", "H"]),
     # all 256 byte values: level 1's 256^3 tuples pass count + 2^16, so
     # level 0 joins the bytes one at a time (256 ids, past a byte), and
-    # every level after it falls back to numpy although a library loads
-    (256, 3, 50_000, 3, [U16]),
-], ids=["ids-past-255", "ids-past-65535", "256-ids", "numpy-then-compiled",
+    # every level after it is hashed
+    (256, 3, 50_000, 3, ["H", "H", "H", "H"]),
+], ids=["ids-past-255", "ids-past-65535", "256-ids", "bytes-then-hashed",
         "256-values-at-q3"])
 def test_probe_ids_widen_and_fall_back(alphabet, q, n, depth, joins, probe_joins):
     values = np.random.default_rng(n + q).integers(0, alphabet, n, dtype=np.uint8)
@@ -986,6 +964,19 @@ def test_probe_ids_widen_and_fall_back(alphabet, q, n, depth, joins, probe_joins
     assert report == _probe_by_sorting(table, q, depth, q ** depth)
     if probe_joins is not None:
         assert probe_joins == joins
+
+
+@pytest.mark.parametrize("q, depth, prefix_len", [(3, 10, 2187), (2, 12, 100)],
+                         ids=["base-3", "prefix-100"])
+def test_probe_of_f_and_v_steps_matches_row_sorting(q, depth, prefix_len):
+    # base 3 hashes the joins of ids whose tuples pass count + 2^16, as the
+    # CLI's base-3 probes do at every size; a prefix of 100 cuts level 7's
+    # blocks of 128 to 100 bytes, joined straight from the bytes and hashed
+    n = 3 ** 12 if q == 3 else 2 ** 17
+    for table in (gen_f(n), first_difference(n)):
+        want = _probe_by_sorting(table, q, depth, prefix_len)
+        assert on_each_engine(lambda: kernel_probe(table, q, depth, prefix_len)) == \
+            [want] * (1 + (_oracle.library() is not None))
 
 
 @st.composite
