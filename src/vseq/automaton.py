@@ -15,8 +15,9 @@ from __future__ import annotations
 import functools
 import operator
 from array import array
-from dataclasses import dataclass
 from typing import Iterable, Union
+
+from ._record import Record
 
 WINDOW = "window"
 SINGLE = "single"
@@ -105,25 +106,22 @@ def _shortlex(start, successors):
                 queue.append(t)
 
 
-@dataclass(frozen=True)
-class Dfao:
-    alphabet_size: int
-    initial: int
-    transitions: tuple[tuple[int, ...], ...]  # [state][digit] -> state
-    outputs: tuple[Output, ...]
-    output_kind: str
-    names: tuple[str, ...] = ()
+class Dfao(Record):
+    """An immutable automaton: Record's equality, hash and repr over its
+    fields, which are converted to tuples and checked when it is built."""
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "transitions",
-                           tuple(tuple(row) for row in self.transitions))
-        object.__setattr__(self, "outputs", tuple(
-            tuple(o) if self.output_kind == WINDOW else o for o in self.outputs))
-        if not self.names:
-            object.__setattr__(self, "names",
-                               tuple(f"q{i}" for i in range(len(self.transitions))))
-        else:
-            object.__setattr__(self, "names", tuple(self.names))
+    _fields = ("alphabet_size", "initial", "transitions", "outputs", "output_kind",
+               "names")
+
+    def __init__(self, alphabet_size: int, initial: int,
+                 transitions: Iterable[Iterable[int]],  # [state][digit] -> state
+                 outputs: Iterable[Output], output_kind: str,
+                 names: Iterable[str] = ()) -> None:
+        transitions = tuple(tuple(row) for row in transitions)
+        super().__init__(
+            alphabet_size, initial, transitions,
+            tuple(tuple(o) if output_kind == WINDOW else o for o in outputs),
+            output_kind, tuple(names) or tuple(f"q{i}" for i in range(len(transitions))))
         self._validate()
 
     def _validate(self) -> None:

@@ -11,9 +11,8 @@ when exactly one truth state accounts for a printed row.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from functools import cache
-from importlib import resources
+from typing import NamedTuple
 
 from .automaton import WINDOW, SINGLE, Dfao, _format_output
 
@@ -23,8 +22,7 @@ UNRESOLVED = "unresolved"
 Row = tuple[str, str, str, str]  # name, target on 0, target on 1, output
 
 
-@dataclass(frozen=True)
-class PrintedTable:
+class PrintedTable(NamedTuple):
     label: str
     rows: tuple[Row, ...]
     claimed_state_count: int
@@ -35,6 +33,8 @@ class PrintedTable:
 
 
 def _load(filename: str, label: str, claimed: int, kind: str) -> PrintedTable:
+    # imported here, as from Python 3.12 on it imports inspect
+    from importlib import resources
     text = resources.files("vseq.data").joinpath(filename).read_text()
     rows = tuple(tuple(line.split()) for line in text.splitlines() if line.strip())
     return PrintedTable(label=label, rows=rows, claimed_state_count=claimed,
@@ -53,8 +53,7 @@ def table2() -> PrintedTable:
     return _load("table_b.txt", "B", 20, SINGLE)
 
 
-@dataclass(frozen=True)
-class Finding:
+class Finding(NamedTuple):
     kind: str         # duplicate-name | row-mismatch | unknown-name |
                       # missing-row | undefined-reference | count-mismatch
     subject: str
@@ -67,8 +66,7 @@ class Finding:
         return f"[{self.classification}] {self.kind} {self.subject}: {self.detail}{tail}"
 
 
-@dataclass(frozen=True)
-class DiffReport:
+class DiffReport(NamedTuple):
     table_label: str
     findings: tuple[Finding, ...]
     printed_rows: int

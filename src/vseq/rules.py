@@ -18,8 +18,9 @@ are checked through one table of expected pairs per id.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
+from ._record import Record
 from .sequences import (SequenceTable, _first_seen, _library, _mismatch, join_ids,
                         max_byte)
 
@@ -46,11 +47,17 @@ class RuleConflict(Exception):
         )
 
 
-@dataclass(frozen=True)
-class WindowRuleTable:
-    even_rule: dict[Window, int]  # window -> F(2a)
-    odd_rule: dict[Window, int]   # window -> F(2a+1)
-    first_seen: dict[Window, int]  # window -> least a realizing it
+class WindowRuleTable(Record):
+    """The images F(2a) and F(2a+1) of each window realized on the scan,
+    and its least a: a Record, not a tuple, as its length is the number of
+    windows."""
+
+    _fields = ("even_rule", "odd_rule", "first_seen")
+
+    def __init__(self, even_rule: dict[Window, int],  # window -> F(2a)
+                 odd_rule: dict[Window, int],  # window -> F(2a+1)
+                 first_seen: dict[Window, int]) -> None:  # window -> least a realizing it
+        super().__init__(even_rule, odd_rule, first_seen)
 
     @property
     def domain(self) -> frozenset[Window]:
@@ -60,8 +67,7 @@ class WindowRuleTable:
         return len(self.even_rule)
 
 
-@dataclass(frozen=True)
-class RuleVerification:
+class RuleVerification(NamedTuple):
     """Outcome of re-checking frozen rules against a longer oracle.
 
     A conflict raises RuleConflict instead of being recorded, so an instance

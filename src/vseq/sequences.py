@@ -20,9 +20,10 @@ from __future__ import annotations
 
 import operator
 from array import array
-from dataclasses import dataclass
 from itertools import tee
 from typing import IO, Iterable, Sequence
+
+from ._record import Record
 
 
 class DeadSequence(Exception):
@@ -42,8 +43,7 @@ class MonotonicityViolation(Exception):
     """V failed to be non-decreasing with steps in {0, 1} during a scan."""
 
 
-@dataclass(frozen=True)
-class SequenceTable:
+class SequenceTable(Record):
     """Integer sequence values on the inclusive index interval [lo, hi].
 
     ``values`` may be any integer sequence; generators pick a compact
@@ -56,20 +56,18 @@ class SequenceTable:
     = F(-1) = 0 convention: window4 gives one, window_bytes the bytes of
     every window on a range, windows_at the bytes of the windows at a list
     of indices.
+
+    Immutable, a Record: equal fields make equal tables.
     """
 
-    lo: int
-    hi: int
-    values: Sequence[int]
-    label: str = ""
+    _fields = ("lo", "hi", "values", "label")
 
-    def __post_init__(self) -> None:
-        if self.hi < self.lo:
-            raise ValueError(f"hi={self.hi} < lo={self.lo}")
-        if len(self.values) != self.hi - self.lo + 1:
-            raise ValueError(
-                f"length {len(self.values)} != hi-lo+1 = {self.hi - self.lo + 1}"
-            )
+    def __init__(self, lo: int, hi: int, values: Sequence[int], label: str = "") -> None:
+        if hi < lo:
+            raise ValueError(f"hi={hi} < lo={lo}")
+        if len(values) != hi - lo + 1:
+            raise ValueError(f"length {len(values)} != hi-lo+1 = {hi - lo + 1}")
+        super().__init__(lo, hi, values, label)
 
     def __len__(self) -> int:
         return self.hi - self.lo + 1
@@ -131,8 +129,7 @@ class PlannedWindows:
     prefix, a gen_f table, and the window at each planned index, four bytes
     each.  It holds no F past the prefix, and is read like an F table
     through windows_at, at the planned indices and at every index the
-    prefix holds a window for.  (A plain class: a dataclass would add
-    about 0.5 ms to ``import vseq``.)"""
+    prefix holds a window for."""
 
     lo = 0
 
@@ -169,17 +166,41 @@ def join_ids(ids, k: int, first: int, stride: int, parts: int, count: int,
     of the narrowest typecode that holds their number ('B' up to 255 ids,
     then 'H', 'I'); and their number.  Tuples may overlap (parts > stride),
     as the rule scan's 4-windows do.  ids is any flat buffer of ids 1, 2 or
-    4 bytes wide.  The compiled join runs where a library loads; without
-    one, a dict numbers the bytes of each tuple of a padded copy."""
+    4 bytes wide.  The compiled join runs where a library loads.  Without
+    one, a dict numbers the bytes of each tuple: those of the tuples that
+    reach into the pad from a padded copy of the ids they span, the rest
+    from the ids, copied a chunk of about 16 KB at a time; the ids are
+    written one byte each until their number needs two or four."""
     lib = _library()
     if lib is not None:
         return lib.join(ids, first, stride, parts, count, k, pad)
-    size, seen = memoryview(ids).itemsize, {}
-    raw = bytes(pad * size) + bytes(memoryview(ids))
-    out = array("I", (seen.setdefault(raw[s:s + parts * size], len(seen)) for s in
-                      range(first * size, (first + stride * count) * size, stride * size)))
-    d = len(seen)
-    return (out if d >= 1 << 16 else array("B" if d < 1 << 8 else "H", out)), d
+    view = memoryview(ids)
+    size = view.itemsize
+    view, width, step = view.cast("B"), parts * size, stride * size
+    lead = len(range(first, min(pad, first + stride * count), stride))
+    per_chunk = max(1, (1 << 14) // step)
+
+    def chunks():
+        """(i, j, buf, at): the tuples i to j - 1 start at byte at of buf,
+        step bytes apart."""
+        if lead:
+            end = first + stride * (lead - 1) + parts - pad  # past the last id they read
+            yield 0, lead, bytes(pad * size) + view[:max(end, 0) * size], first * size
+        for i in range(lead, count, per_chunk):
+            j = min(i + per_chunk, count)
+            at = (first + stride * i - pad) * size
+            yield i, j, view[at:at + step * (j - 1 - i) + width].tobytes(), 0
+
+    seen, out = {}, array("B", [0]) * count
+    for i, j, buf, at in chunks():
+        got = [seen.setdefault(buf[s:s + width], len(seen))
+               for s in range(at, at + step * (j - i), step)]
+        d = len(seen)
+        code = "B" if d < 1 << 8 else "H" if d < 1 << 16 else "I"
+        if code != out.typecode:
+            out = array(code, out)
+        out[i:j] = array(code, got)
+    return out, len(seen)
 
 
 def _first_seen(ids: array, distinct: int) -> list[int]:

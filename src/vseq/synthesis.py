@@ -34,7 +34,7 @@ plain-Python loops of the same passes where none does.
 from __future__ import annotations
 
 from array import array
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .automaton import WINDOW, Dfao
 from .rules import RuleConflict, WindowRuleTable, verify_rules
@@ -86,8 +86,7 @@ def shift_bounds(q: int, t: int, a: int, b: int, n0: int) -> tuple[int, int]:
     return big_a, big_b
 
 
-@dataclass(frozen=True)
-class KernelNode:
+class KernelNode(NamedTuple):
     """A discovered state: canonical access string, its output annotation,
     and the oracle signature that separates it from every other node."""
 
@@ -222,8 +221,7 @@ def synthesize_msb(oracle: SequenceTable, horizon: int) -> Dfao:
     return m
 
 
-@dataclass(frozen=True)
-class Validation:
+class Validation(NamedTuple):
     passed: bool
     first_mismatch: int | None
     n_max: int
@@ -342,16 +340,14 @@ def synthesize_validated(oracle: SequenceTable, horizon: int,
 
 # -- certification ------------------------------------------------------------
 
-@dataclass(frozen=True)
-class TransitionCertificate:
+class TransitionCertificate(NamedTuple):
     from_name: str
     digit: int
     to_name: str
     family_depth: int
 
 
-@dataclass(frozen=True)
-class CertificateReport:
+class CertificateReport(NamedTuple):
     """What certify_transitions checked.  Besides what format() prints, it
     records what it read: prefix_hi, the last index of the F prefix it
     read whole (PlannedWindows' prefix, or an F table's end); windows_read,
@@ -530,16 +526,14 @@ def certify_transitions(m: Dfao, oracle, rules: WindowRuleTable,
 
 # -- kernel-size probe ---------------------------------------------------------
 
-@dataclass(frozen=True)
-class ProbeLevel:
+class ProbeLevel(NamedTuple):
     level: int
     block_len: int
     samples: int
     distinct: int
 
 
-@dataclass(frozen=True)
-class ProbeReport:
+class ProbeReport(NamedTuple):
     q: int
     depth: int
     prefix_len: int

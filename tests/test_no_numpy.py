@@ -2,7 +2,9 @@
 compiled probes and the golden transcript's short oracle commands run
 without numpy, and the short commands on the plain-Python passes too: each
 runs in a subprocess where importing numpy fails, and must print and write
-the same bytes as a plain run, where numpy and the library load."""
+the same bytes as a plain run, where numpy and the library load.
+`import vseq` and `vseq eval` run as well where importing dataclasses or
+inspect fails: importing them would slow every short run."""
 
 import hashlib
 import os
@@ -18,6 +20,8 @@ from conftest import PROBE_AT_DEFAULTS
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(_oracle.__file__)))
 # any import of numpy in the process raises ImportError
 BLOCK = "import sys; sys.modules['numpy'] = None\n"
+# any import of dataclasses or inspect raises ImportError
+NO_DATACLASSES = "import sys; sys.modules['dataclasses'] = sys.modules['inspect'] = None\n"
 # and no library: every pass runs its plain-Python loop
 NO_LIBRARY = BLOCK + "import vseq._oracle; vseq._oracle.library = lambda: None\n"
 CLI = "import sys\nfrom vseq.cli import run\nsys.exit(run(sys.argv[1:]))\n"
@@ -26,8 +30,8 @@ CLI = "import sys\nfrom vseq.cli import run\nsys.exit(run(sys.argv[1:]))\n"
 def _same_blocked_or_not(script: str, args: list[str], tmp_path, out: str | None = None,
                          block: str = BLOCK):
     """stdout and, if named, the bytes of the file written by ``script``
-    run after ``block`` (numpy blocked), which must equal those of a plain
-    run; each run must exit 0."""
+    run after ``block`` (by default, numpy blocked), which must equal those
+    of a plain run; each run must exit 0."""
     got = []
     for blocked in (True, False):
         cwd = tmp_path / ("blocked" if blocked else "plain")
@@ -52,6 +56,21 @@ def test_eval_of_a_4000_digit_numeral_loads_no_numpy(tmp_path, truth_b):
     machine.write_text(truth_b.serialize())
     stdout, _ = _same_blocked_or_not(
         CLI, ["eval", "--automaton", str(machine), "--n", "7" * 4000], tmp_path)
+    assert stdout.strip() in ("1", "2", "3")
+
+
+def test_import_loads_neither_dataclasses_nor_inspect(tmp_path):
+    script = ("import vseq, vseq.cli\n"
+              "print(vseq.__version__, sorted(n for n in dir(vseq) if n[0] != '_'))\n")
+    _same_blocked_or_not(script, [], tmp_path, block=NO_DATACLASSES)
+
+
+def test_eval_loads_neither_dataclasses_nor_inspect(tmp_path, truth_b):
+    machine = tmp_path / "f.dfao"
+    machine.write_text(truth_b.serialize())
+    stdout, _ = _same_blocked_or_not(
+        CLI, ["eval", "--automaton", str(machine), "--n", "7" * 4000], tmp_path,
+        block=NO_DATACLASSES)
     assert stdout.strip() in ("1", "2", "3")
 
 

@@ -1,4 +1,3 @@
-import dataclasses
 import random
 import tracemalloc
 
@@ -586,8 +585,6 @@ def test_discover_holds_one_byte_ids(f_main):
     # F has about 28 ids per level, one byte each; the levels were uint16
     # and the window bytes lived through every level: 20 MB.  Whole levels
     # took 8.4 MB; cut below KEEP_IDS, levels 1 and 2 at once, 3.2 MB
-    if _oracle.library() is None:
-        pytest.skip("no C compiler: the Python join holds 4-byte ids and a copy of F")
     (nodes, _), peak = _traced_peak(lambda: discover(f_main, HORIZON))
     assert len(nodes) == 33
     assert peak <= 4 * MB, peak / MB
@@ -724,7 +721,7 @@ def test_certificate_records_what_it_read(truth_a):
     assert planned.windows_read == flat.windows_read == len(plan)
     assert planned.pairs_compared == flat.pairs_compared == 33 + 66 * (1 + 3 * depth)
     assert planned.format() == flat.format()
-    assert dataclasses.replace(planned, prefix_hi=flat.prefix_hi) == flat
+    assert planned._replace(prefix_hi=flat.prefix_hi) == flat
 
 
 def test_certificate_from_the_flat_fallback_is_the_same(truth_a, monkeypatch):
