@@ -12,9 +12,9 @@ from .published import (PAPER_TYPO, UNRESOLVED, DiffReport, Finding,
                         PrintedTable, diff_report, table1, table2)
 from .rules import (RuleConflict, RuleVerification, WindowRuleTable,
                     derive_rules, format_rules, verify_rules)
-from .sequences import (DeadSequence, MonotonicityViolation, PlannedWindows,
-                        SequenceTable, count_windows, first_difference, gen_f,
-                        gen_qrs, gen_v, read_table, write_table)
+from .sequences import (DeadSequence, MonotonicityViolation, SequenceTable,
+                        count_windows, first_difference, gen_f, gen_qrs, gen_v,
+                        read_table, write_table)
 from .synthesis import (CertificateReport, CertificationFailure,
                         InsufficientHorizon, KernelNode, NonpositiveDivisor,
                         OracleTooShort, ProbeReport, TransitionCertificate,

@@ -1,10 +1,11 @@
 """The base of vseq's immutable records that are not tuples.
 
-Most records are ``typing.NamedTuple`` classes.  A record that checks or
-converts its fields, caches a derived table, or has a length of its own
-(an automaton, a sequence table, a rule table) subclasses Record instead.
-Neither needs the dataclasses module, whose import loads inspect and ast
-and whose generated methods are compiled at import time.
+Most records subclass a ``collections.namedtuple`` with empty
+``__slots__``.  A record that checks or converts its fields, caches a
+derived table, or has a length of its own (an automaton, a sequence table,
+a rule table) subclasses Record instead.  Neither needs the dataclasses
+module, whose import loads inspect and ast and whose generated methods are
+compiled at import time, nor the typing module.
 """
 
 

@@ -15,7 +15,7 @@ from __future__ import annotations
 import functools
 import operator
 from array import array
-from typing import Iterable, Union
+from collections.abc import Iterable
 
 from ._record import Record
 
@@ -23,8 +23,6 @@ WINDOW = "window"
 SINGLE = "single"
 
 OUTPUT_DIGITS = range(0, 5)  # output alphabet 0..4
-
-Output = Union[int, tuple[int, int, int, int]]
 
 
 class BadDigit(Exception):
@@ -84,7 +82,7 @@ def _is_digits(tok: str) -> bool:
     return tok.isascii() and tok.isdigit()
 
 
-def _format_output(out: Output, kind: str) -> str:
+def _format_output(out: int | tuple[int, ...], kind: str) -> str:
     if kind == WINDOW:
         return "".join(map(str, out))
     return str(out)
@@ -115,7 +113,7 @@ class Dfao(Record):
 
     def __init__(self, alphabet_size: int, initial: int,
                  transitions: Iterable[Iterable[int]],  # [state][digit] -> state
-                 outputs: Iterable[Output], output_kind: str,
+                 outputs: Iterable[int | tuple[int, ...]], output_kind: str,
                  names: Iterable[str] = ()) -> None:
         transitions = tuple(tuple(row) for row in transitions)
         super().__init__(
@@ -190,11 +188,11 @@ class Dfao(Record):
             state = trans[state][d]
         return state
 
-    def eval(self, digits: Iterable[int] | str) -> Output:
+    def eval(self, digits: Iterable[int] | str) -> int | tuple[int, ...]:
         """Output after reading the digits MSB-first; '' is n = 0."""
         return self.outputs[self.walk(digits)]
 
-    def eval_big(self, n: int | str) -> Output:
+    def eval_big(self, n: int | str) -> int | tuple[int, ...]:
         """Output at index n, given as an int or decimal numeral of any length.
 
         Work is polynomial in the numeral length (base conversion) plus one
@@ -236,7 +234,7 @@ class Dfao(Record):
         walk = list(_shortlex(self.initial, self.transitions.__getitem__))
         # refine: class signature = (own class, classes of successors)
         cls: dict[int, int] = {}
-        seen_out: dict[Output, int] = {}
+        seen_out: dict[int | tuple[int, ...], int] = {}
         for s, _ in walk:
             cls[s] = seen_out.setdefault(self.outputs[s], len(seen_out))
         while True:
@@ -299,7 +297,7 @@ class Dfao(Record):
     def deserialize(cls, text: str) -> "Dfao":
         header = None
         initial = None
-        states: dict[int, tuple[str, Output]] = {}
+        states: dict[int, tuple[str, int | tuple[int, ...]]] = {}
         trans: dict[tuple[int, int], int] = {}
         for line_no, raw in enumerate(text.splitlines(), start=1):
             line = raw.split("#", 1)[0].strip()
@@ -334,7 +332,7 @@ class Dfao(Record):
                 if kind == WINDOW:
                     if len(out_tok) != 4 or not _is_digits(out_tok):
                         raise ParseError(line_no, f"window output must be 4 digits, got {out_tok!r}")
-                    out: Output = tuple(int(c) for c in out_tok)
+                    out: int | tuple[int, ...] = tuple(int(c) for c in out_tok)
                 else:
                     if len(out_tok) != 1 or not _is_digits(out_tok):
                         raise ParseError(line_no, f"single output must be 1 digit, got {out_tok!r}")

@@ -10,12 +10,12 @@ from __future__ import annotations
 import argparse
 import contextlib
 import sys
-from typing import Sequence
+from collections.abc import Sequence
 
 from . import published, rules, synthesis
 from .automaton import WINDOW, BadDigit, BadNumeral, Dfao, ParseError
-from .sequences import (DeadSequence, SequenceTable, count_windows,
-                        first_difference, gen_f, gen_qrs, gen_v, write_table)
+from .sequences import (DeadSequence, SequenceTable, first_difference, gen_f,
+                        gen_qrs, gen_v, write_table)
 
 SEED_NOTE = "# seed convention: Q_{r,s}(1..s) = 1 (V is Q_{1,4}; F counts V and has F(0) = 0)"
 
@@ -56,15 +56,6 @@ def _rules(f: SequenceTable) -> rules.WindowRuleTable:
     return rules.derive_rules(f, 4, min(RULES_TO, (f.hi - 1) // 2))
 
 
-def _certify(machine: Dfao, f: SequenceTable, plan: list[int], depth: int,
-             validate: int) -> synthesis.CertificateReport:
-    """The certificate of machine at depth, from f, which reaches
-    validate + 1: F past f is read only at plan's windows, which
-    count_windows counts on into a ring."""
-    return synthesis.certify_transitions(machine, count_windows(f, plan), _rules(f),
-                                         depth=depth, validate_to=validate)
-
-
 def _build_pipeline(horizon: int, validate: int, depth: int):
     """Oracle -> validated window automaton -> rules -> certificate, on one
     F, counted for validation; the certificate's windows past it are counted
@@ -72,7 +63,7 @@ def _build_pipeline(horizon: int, validate: int, depth: int):
     synthesis.check_bounds(horizon=horizon, validate_to=validate, depth=depth)
     f = gen_f(validate + 2)
     machine, verdict = synthesis.synthesize_validated(f, horizon, validate)
-    report = _certify(machine, f, synthesis.cert_plan(machine, depth), depth, validate)
+    report = synthesis.certify_transitions(machine, f, _rules(f), depth, validate)
     return f, machine, verdict, report
 
 
@@ -146,9 +137,10 @@ def cmd_certify(args) -> int:
         # one F serves the certificate, its rules and the cross-check: F to
         # --validate + 2, and as far towards the certificate's bound as the
         # rules read, so that a small --validate derives the same rules
-        plan = synthesis.cert_plan(loaded, args.depth)
-        f = gen_f(max(args.validate + 2, min(plan[-1] + 1, 2 * RULES_TO + 1)))
-        report = _certify(loaded, f, plan, args.depth, args.validate)
+        bound = synthesis.cert_oracle_bound(loaded, args.depth)
+        f = gen_f(max(args.validate + 2, min(bound, 2 * RULES_TO + 1)))
+        report = synthesis.certify_transitions(loaded, f, _rules(f), args.depth,
+                                               args.validate)
         sys.stdout.write(report.format())
         passed = "cross-validated"
     else:
@@ -253,9 +245,16 @@ def build_parser() -> argparse.ArgumentParser:
     rd.set_defaults(func=cmd_rules)
 
     def pipeline_flags(sp):
-        sp.add_argument("--horizon", type=int, default=24)
-        sp.add_argument("--validate", type=int, default=2 ** 22)
-        sp.add_argument("--depth", type=int, default=16)
+        sp.add_argument("--horizon", type=int, default=24,
+                        help="discovery's signature levels, doubled up to 3 times "
+                             "on an over-merge; read by synthesize, tables check and "
+                             "certify of a single-output file")
+        sp.add_argument("--validate", type=int, default=2 ** 22,
+                        help="cross-validate on [0, VALIDATE] and check the "
+                             "doubling rules to a = VALIDATE // 2")
+        sp.add_argument("--depth", type=int, default=16,
+                        help="the certificate's boundary families 0^j, 0^j 1, "
+                             "1^j for j up to DEPTH")
 
     s = sub.add_parser("synthesize", help="synthesize, validate, certify, write")
     pipeline_flags(s)

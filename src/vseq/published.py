@@ -10,9 +10,8 @@ when exactly one truth state accounts for a printed row.
 
 from __future__ import annotations
 
-from collections import Counter
+from collections import Counter, namedtuple
 from functools import cache
-from typing import NamedTuple
 
 from .automaton import WINDOW, SINGLE, Dfao, _format_output
 
@@ -22,11 +21,11 @@ UNRESOLVED = "unresolved"
 Row = tuple[str, str, str, str]  # name, target on 0, target on 1, output
 
 
-class PrintedTable(NamedTuple):
-    label: str
-    rows: tuple[Row, ...]
-    claimed_state_count: int
-    output_kind: str
+class PrintedTable(namedtuple("PrintedTable",
+                               "label rows claimed_state_count output_kind")):
+    """A printed table: its rows, a tuple of Row, as printed."""
+
+    __slots__ = ()
 
     def to_text(self) -> str:
         return "".join(" ".join(row) + "\n" for row in self.rows)
@@ -53,25 +52,23 @@ def table2() -> PrintedTable:
     return _load("table_b.txt", "B", 20, SINGLE)
 
 
-class Finding(NamedTuple):
-    kind: str         # duplicate-name | row-mismatch | unknown-name |
-                      # missing-row | undefined-reference | count-mismatch
-    subject: str
-    detail: str
-    classification: str  # PAPER_TYPO or UNRESOLVED
-    proposal: str | None
+class Finding(namedtuple("Finding", "kind subject detail classification proposal")):
+    """One inconsistency: kind is duplicate-name, row-mismatch,
+    unknown-name, missing-row, undefined-reference or count-mismatch;
+    classification PAPER_TYPO or UNRESOLVED; proposal a str or None."""
+
+    __slots__ = ()
 
     def format(self) -> str:
         tail = f" -> {self.proposal}" if self.proposal else ""
         return f"[{self.classification}] {self.kind} {self.subject}: {self.detail}{tail}"
 
 
-class DiffReport(NamedTuple):
-    table_label: str
-    findings: tuple[Finding, ...]
-    printed_rows: int
-    claimed_state_count: int
-    truth_state_count: int
+class DiffReport(namedtuple("DiffReport", "table_label findings printed_rows "
+                             "claimed_state_count truth_state_count")):
+    """diff_report's findings, a tuple of Finding, and the counts it prints."""
+
+    __slots__ = ()
 
     @property
     def clean(self) -> bool:

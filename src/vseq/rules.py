@@ -18,7 +18,7 @@ are checked through one table of expected pairs per id.
 
 from __future__ import annotations
 
-from typing import NamedTuple
+from collections import namedtuple
 
 from ._record import Record
 from .sequences import (SequenceTable, _first_seen, _library, _mismatch, join_ids,
@@ -67,15 +67,15 @@ class WindowRuleTable(Record):
         return len(self.even_rule)
 
 
-class RuleVerification(NamedTuple):
-    """Outcome of re-checking frozen rules against a longer oracle.
+class RuleVerification(namedtuple("RuleVerification", "a_checked new_windows")):
+    """Outcome of re-checking frozen rules against a longer oracle:
+    new_windows maps each window absent from the frozen table to its least a.
 
     A conflict raises RuleConflict instead of being recorded, so an instance
     of this report always means zero violations.
     """
 
-    a_checked: int
-    new_windows: dict[Window, int]  # windows absent from the frozen table
+    __slots__ = ()
 
 
 def _first_conflict(ids, expect: bytes, known: bytes, pairs) -> int:
@@ -122,7 +122,8 @@ def _scan(f: SequenceTable, a_min: int, a_max: int,
     k = max_byte(vals[a_min - 2:a_max + 2]) + 1
     ids, distinct = join_ids(vals, k, a_min - 2, 1, 4, count)
     first = _first_seen(ids, distinct)
-    wins = [f.window4(a_min + i) for i in first]
+    read = f.windows_at(a_min + i for i in first)
+    wins = [tuple(read[i:i + 4]) for i in range(0, len(read), 4)]
     by_a = sorted(range(distinct), key=first.__getitem__)
     realized = WindowRuleTable(
         even_rule={wins[u]: pairs[2 * first[u]] for u in by_a},

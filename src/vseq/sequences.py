@@ -20,8 +20,9 @@ from __future__ import annotations
 
 import operator
 from array import array
+from collections.abc import Iterable, Sequence
+from io import TextIOBase
 from itertools import tee
-from typing import IO, Iterable, Sequence
 
 from ._record import Record
 
@@ -52,10 +53,8 @@ class SequenceTable(Record):
     typecode for the first difference of a table.  An F table is counted
     without a V table, so it costs one byte per index in all.
 
-    The windows (S(n-2), S(n-1), S(n), S(n+1)) read 0 below lo, the F(-2)
-    = F(-1) = 0 convention: window4 gives one, window_bytes the bytes of
-    every window on a range, windows_at the bytes of the windows at a list
-    of indices.
+    windows_at is the one accessor of the windows (S(n-2), S(n-1), S(n),
+    S(n+1)), which read 0 below lo, the F(-2) = F(-1) = 0 convention.
 
     Immutable, a Record: equal fields make equal tables.
     """
@@ -77,17 +76,6 @@ class SequenceTable(Record):
             raise IndexError(f"index {n} outside [{self.lo}, {self.hi}]")
         return self.values[n - self.lo]
 
-    def window4(self, n: int) -> tuple[int, int, int, int]:
-        """The 4-window (S(n-2), S(n-1), S(n), S(n+1)), zero-padded below lo.
-
-        Indices above hi are an error: padding exists for the F(-1) and
-        F(-2) boundary convention, never to fake missing data.
-        """
-        if n + 1 > self.hi:
-            raise IndexError(f"index {n + 1} above table end {self.hi}")
-        vals, lo = self.values, self.lo
-        return tuple(vals[i - lo] if i >= lo else 0 for i in range(n - 2, n + 2))
-
     def byte_values(self) -> memoryview:
         """The values as a memoryview of bytes (format 'B'), without a copy
         for a store of contiguous bytes: a bytearray, bytes, a uint8 array;
@@ -104,50 +92,22 @@ class SequenceTable(Record):
         except ValueError:
             raise ValueError(f"{self.label} values must lie in [0, 255]") from None
 
-    def window_bytes(self, lo: int, hi: int) -> bytes:
-        """S(lo-2) through S(hi+1), one byte each, in one copy: the window
-        at n, window4(n), is the four bytes at offset n - lo.  Like window4,
-        indices below the table read as 0 and indices above it are an
-        error; ValueError unless every value fits one byte."""
-        if hi + 1 > self.hi:
-            raise IndexError(f"index {hi + 1} above table end {self.hi}")
-        seg = self.byte_values()[max(lo - 2 - self.lo, 0):max(hi + 2 - self.lo, 0)]
-        # the bytes missing from the table all lie below it
-        return b"".join((bytes(hi - lo + 4 - len(seg)), seg))
-
     def windows_at(self, at: Iterable[int]) -> bytes:
-        """The windows at the indices ``at``, four bytes each, in order:
-        window4(n) as bytes for each n, read as slices of the values, and
-        padded or refused like window_bytes."""
+        """The windows (S(n-2), S(n-1), S(n), S(n+1)) at the indices
+        ``at``, four bytes each, in order, sliced from byte_values().
+        Indices below lo read 0, the F(-2) = F(-1) = 0 convention; a window
+        reaching past hi is an IndexError, as padding exists for that
+        convention, never to fake missing data.  ValueError unless every
+        value fits one byte."""
         vals, lo, hi = self.byte_values(), self.lo, self.hi
-        return b"".join(vals[n - 2 - lo:n + 2 - lo] if lo + 2 <= n < hi
-                        else self.window_bytes(n, n) for n in at)
-
-
-class PlannedWindows:
-    """F's windows at a plan of indices, as count_windows counts them: F's
-    prefix, a gen_f table, and the window at each planned index, four bytes
-    each.  It holds no F past the prefix, and is read like an F table
-    through windows_at, at the planned indices and at every index the
-    prefix holds a window for."""
-
-    lo = 0
-
-    def __init__(self, prefix: SequenceTable, windows: dict[int, bytes]):
-        self.prefix = prefix
-        self.windows = windows
-
-    @property
-    def hi(self) -> int:
-        """The last index of F that some window here reads."""
-        return max(self.prefix.hi, max(self.windows, default=0) + 1)
-
-    def windows_at(self, at: Iterable[int]) -> bytes:
-        """The windows at the indices ``at``, four bytes each, in order;
-        IndexError for an index neither planned nor inside the prefix."""
-        planned, prefix = self.windows, self.prefix
-        return b"".join(planned[n] if n in planned else prefix.windows_at((n,))
-                        for n in at)
+        out = bytearray()
+        for n in at:
+            if n >= hi:
+                raise IndexError(f"index {n + 1} above table end {hi}")
+            start = n - 2 - lo
+            out += (vals[start:start + 4] if start >= 0
+                    else bytes(min(-start, 4)) + vals[:max(start + 4, 0)])
+        return bytes(out)
 
 
 def _dense(space: int, size: int) -> bool:
@@ -459,25 +419,26 @@ def _ring_size(a_max: int) -> int:
     return 1 << (a_max // 2 + 128).bit_length()
 
 
-def count_windows(f: SequenceTable, plan: Iterable[int]) -> PlannedWindows:
-    """F's windows at the indices of ``plan`` (in any order, repeats
-    allowed), from gen_f's table f: byte for byte those of
-    gen_f(max(plan) + 1), but holding f and a ring of counts, never F to
-    the plan's end.  Windows inside f are read from it.  For the rest, the
-    compiled count resumes where f's stopped and keeps the counts past f
-    in a ring of a power of two of them, just over a_max / 2 for a_max =
-    max(plan) + 1, as a read position lags the count by about half its
-    value (_ring_size).  Each planned window is copied out once its last
-    count is final.  A ring too short for the count is
+def count_windows(f: SequenceTable, plan: Iterable[int]) -> bytes:
+    """F's windows at the indices of ``plan``, four bytes each, in plan
+    order (repeats allowed), from gen_f's table f: byte for byte
+    gen_f(max(plan) + 1).windows_at(plan), but holding f and a ring of
+    counts, never F to the plan's end.  Windows inside f are sliced from
+    it.  For the rest, the compiled count resumes where f's stopped and
+    keeps the counts past f in a ring of a power of two of them, just over
+    a_max / 2 for a_max = max(plan) + 1, as a read position lags the count
+    by about half its value (_ring_size).  Each planned window is copied
+    out once its last count is final.  A ring too short for the count is
     refused, never returning a window read from a reused slot, and counted
     again in one twice its size.  Without the compiled loops the windows
-    are read from gen_f(max(plan) + 1), counted flat from the start.
+    past f are read from gen_f(max(plan) + 1), counted flat from the start.
     """
     if f.lo != 0:
         raise ValueError("count_windows takes an F table starting at index 0")
-    plan = sorted(set(map(operator.index, plan)))
-    inside = [n for n in plan if n < f.hi]
-    past = plan[len(inside):]
+    plan = list(map(operator.index, plan))
+    at = sorted(set(plan))
+    inside = [n for n in at if n < f.hi]
+    past = at[len(inside):]
     read = f.windows_at(inside)
     if past:
         a_max = _size(past[-1] + 1, "the plan's end", 1)
@@ -496,7 +457,8 @@ def count_windows(f: SequenceTable, plan: Iterable[int]) -> PlannedWindows:
                 status, info, windows = lib.ring_count(counts, done, a_max, size, past)
             _raise(status, info, "V", lambda n: _recursion(1, 4, n - 1, "V").values)
             read += windows
-    return PlannedWindows(f, {n: read[4 * i:4 * i + 4] for i, n in enumerate(plan)})
+    window = {n: read[4 * i:4 * i + 4] for i, n in enumerate(at)}
+    return b"".join(map(window.__getitem__, plan))
 
 
 def gen_qrs(r: int, s: int, n_max: int) -> SequenceTable:
@@ -540,14 +502,14 @@ def first_difference(t: SequenceTable | int) -> SequenceTable:
                 raise
 
 
-def write_table(t: SequenceTable, fp: IO[str]) -> None:
+def write_table(t: SequenceTable, fp: TextIOBase) -> None:
     """Line-oriented text format: ``seq <label> <lo> <hi>``, one value per line."""
     fp.write(f"seq {t.label} {t.lo} {t.hi}\n")
     for v in t.values:
         fp.write(f"{v}\n")
 
 
-def read_table(fp: IO[str]) -> SequenceTable:
+def read_table(fp: Iterable[str]) -> SequenceTable:
     """Inverse of write_table.  Lines starting with '#' are ignored."""
     header = None
     values: list[int] = []

@@ -34,12 +34,12 @@ plain-Python loops of the same passes where none does.
 from __future__ import annotations
 
 from array import array
-from typing import NamedTuple
+from collections import namedtuple
 
 from .automaton import WINDOW, Dfao
 from .rules import RuleConflict, WindowRuleTable, verify_rules
-from .sequences import (PlannedWindows, SequenceTable, _dense, _first_seen,
-                        _library, _mismatch, join_ids, max_byte)
+from .sequences import (SequenceTable, _dense, _first_seen, _library, _mismatch,
+                        count_windows, join_ids, max_byte)
 
 
 class NonpositiveDivisor(ValueError):
@@ -86,14 +86,14 @@ def shift_bounds(q: int, t: int, a: int, b: int, n0: int) -> tuple[int, int]:
     return big_a, big_b
 
 
-class KernelNode(NamedTuple):
+class KernelNode(namedtuple("KernelNode", "rep value window signature")):
     """A discovered state: canonical access string, its output annotation,
-    and the oracle signature that separates it from every other node."""
+    and the oracle signature that separates it from every other node.
+    rep is the shortlex-least access string, "" for the initial state;
+    value the int it denotes; window the 4-window at value, a tuple of 4
+    ints; signature the block id at value, one per level, a tuple."""
 
-    rep: str           # shortlex-least access string; "" for the initial state
-    value: int         # integer the access string denotes
-    window: tuple[int, int, int, int]  # the 4-window at value
-    signature: tuple[int, ...]  # the block id at value, one per level
+    __slots__ = ()
 
     @property
     def name(self) -> str:
@@ -159,7 +159,7 @@ def _kernel_node(oracle: SequenceTable, levels: list, rep: str,
             f"oracle ends at {oracle.hi}; cannot form a level-0 signature for value {m}")
     sig = tuple(int(ids[m]) for level, ids in enumerate(levels)
                 if m < oracle.hi >> level)
-    return KernelNode(rep, m, oracle.window4(m), sig)
+    return KernelNode(rep, m, tuple(oracle.windows_at((m,))), sig)
 
 
 def discover(oracle: SequenceTable,
@@ -221,10 +221,11 @@ def synthesize_msb(oracle: SequenceTable, horizon: int) -> Dfao:
     return m
 
 
-class Validation(NamedTuple):
-    passed: bool
-    first_mismatch: int | None
-    n_max: int
+class Validation(namedtuple("Validation", "passed first_mismatch n_max")):
+    """cross_validate's verdict on [0, n_max]: passed, a bool, and
+    first_mismatch, the least failing n or None."""
+
+    __slots__ = ()
 
 
 def _states_upto(m: Dfao, n_max: int) -> array:
@@ -291,13 +292,15 @@ def cross_validate(m: Dfao, oracle: SequenceTable, n_max: int) -> Validation:
         return Validation(bad < 0, None if bad < 0 else bad, n_max)
     # byte j of each state's output, a translate table for states of a byte
     outs = [outputs[j::w].ljust(256, b"\0") for j in range(w)]
-    # one conversion for a table not stored as bytes, not one per row
-    oracle = SequenceTable(0, oracle.hi, oracle.byte_values(), oracle.label)
+    vals = oracle.byte_values()
     for lo in range(0, n_max + 1, width):
         s = head[lo // width]
         row = head[:width] if lo == 0 else table[width * s:width * s + width]
         row = row[:n_max + 1 - lo]
-        want = oracle.window_bytes(lo, lo + len(row) - 2 + reach)  # window n at n - lo
+        # F(lo - 2) on, F(-2) = F(-1) = 0 for the first row: the window at
+        # n starts at n - lo
+        end = lo + len(row) + reach
+        want = vals[lo - 2:end] if lo else bytes(2) + vals[:end]
         misses = []
         for j, out in enumerate(outs):
             got = (row.tobytes().translate(out) if row.itemsize == 1
@@ -340,28 +343,26 @@ def synthesize_validated(oracle: SequenceTable, horizon: int,
 
 # -- certification ------------------------------------------------------------
 
-class TransitionCertificate(NamedTuple):
-    from_name: str
-    digit: int
-    to_name: str
-    family_depth: int
+class TransitionCertificate(namedtuple("TransitionCertificate",
+                                        "from_name digit to_name family_depth")):
+    """A certified transition from_name -digit-> to_name, its boundary
+    families checked to family_depth."""
+
+    __slots__ = ()
 
 
-class CertificateReport(NamedTuple):
-    """What certify_transitions checked.  Besides what format() prints, it
-    records what it read: prefix_hi, the last index of the F prefix it
-    read whole (PlannedWindows' prefix, or an F table's end); windows_read,
-    the windows at cert_plan's indices, each read once; and pairs_compared,
-    the window pairs compared, one per state output and one per transition
-    and extension."""
+class CertificateReport(namedtuple(
+        "CertificateReport", "transitions states_checked propagation_checked_to "
+        "depth prefix_hi windows_read pairs_compared")):
+    """What certify_transitions checked: the transitions, a tuple of
+    TransitionCertificate, and the ints format() prints.  Besides those, it
+    records what it read: prefix_hi, the last index of the F prefix it was
+    given, which it read whole, past which it read only the planned
+    windows; windows_read, the windows at cert_plan's indices, each read
+    once; and pairs_compared, the window pairs compared, one per state
+    output and one per transition and extension."""
 
-    transitions: tuple[TransitionCertificate, ...]
-    states_checked: int
-    propagation_checked_to: int
-    depth: int
-    prefix_hi: int
-    windows_read: int
-    pairs_compared: int
+    __slots__ = ()
 
     @property
     def verdict(self) -> str:
@@ -433,53 +434,48 @@ def cert_oracle_bound(m: Dfao, depth: int) -> int:
     return cert_plan(m, depth)[-1] + 1
 
 
-def certify_transitions(m: Dfao, oracle, rules: WindowRuleTable,
+def certify_transitions(m: Dfao, f: SequenceTable, rules: WindowRuleTable,
                         depth: int, validate_to: int) -> CertificateReport:
-    """Run the inductive correctness scheme against the oracle.
+    """Run the inductive correctness scheme against F.
 
-    Per state: the output window equals the oracle window at the state's
-    access value.  Per transition u -d-> v: oracle windows agree at [u d]
-    and [v], and at [u d x] and [v x] for the boundary families
-    x in {0^j, 0^j 1, 1^j}, 1 <= j <= depth.  Globally: the doubling rules
-    reproduce F(2a) and F(2a+1) for every a in (3, validate_to/2], which is
-    the step carrying window equality from each extension length to the
-    next.  Any failed check raises CertificationFailure naming a witness;
-    an oracle that does not start at index 0 raises ValueError first.
+    Per state: the output window equals F's window at the state's access
+    value.  Per transition u -d-> v: F's windows agree at [u d] and [v],
+    and at [u d x] and [v x] for the boundary families x in {0^j, 0^j 1,
+    1^j}, 1 <= j <= depth.  Globally: the doubling rules reproduce F(2a)
+    and F(2a+1) for every a in (3, validate_to/2], which is the step
+    carrying window equality from each extension length to the next.  Any
+    failed check raises CertificationFailure naming a witness; a table f
+    that does not start at index 0 raises ValueError first, and one too
+    short for the rule propagation, F to 2 (validate_to // 2) + 1, raises
+    OracleTooShort.
 
-    The oracle is an F table from index 0 that reaches the last planned
-    window, or sequences.count_windows' PlannedWindows for cert_plan(m,
-    depth) from such a table reaching validate_to + 1, which holds no F
-    past that prefix.  Every window is read once, through the oracle's
-    windows_at, at the plan's indices.  The windows of every transition
-    and extension are joined into two byte strings compared at once,
-    listed in the order the checks are stated, so the first failing pair
-    names the failure.  The rule propagation is verify_rules on the
-    prefix, whose compare runs compiled or in Python as rules._scan says.
+    f is gen_f's table, F's prefix; the planned windows (cert_plan(m,
+    depth)) are read through sequences.count_windows, sliced from f where
+    it holds them and counted on past it, each read once.  The windows of
+    every transition and extension are joined into two byte strings
+    compared at once, listed in the order the checks are stated, so the
+    first failing pair names the failure.  The rule propagation is
+    verify_rules on f, whose compare runs compiled or in Python as
+    rules._scan says.
     """
-    _check_from_0(oracle)
+    _check_from_0(f)
     if m.output_kind != WINDOW:
         raise CertificationFailure("certification applies to window automata")
     if m.alphabet_size != 2:
         raise CertificationFailure("certification scheme is specific to base 2")
     values, exts, edges, left_at, right_at, plan = _family_reads(m, depth)
-    if oracle.hi < plan[-1] + 1:
-        raise OracleTooShort(
-            f"oracle ends at {oracle.hi}; depth {depth} family checks need {plan[-1] + 1}")
-    prefix = oracle.prefix if isinstance(oracle, PlannedWindows) else oracle
     prop_to = validate_to // 2
-    if prefix.hi < 2 * prop_to + 1:
+    if f.hi < 2 * prop_to + 1:
         raise OracleTooShort(
-            f"oracle ends at {prefix.hi}; rule propagation to {prop_to} needs "
+            f"oracle ends at {f.hi}; rule propagation to {prop_to} needs "
             f"{2 * prop_to + 1}")
-    try:
-        read = oracle.windows_at(plan)
-    except IndexError as e:
-        raise OracleTooShort(f"the oracle holds no window the plan needs: {e}") from None
-    window = {n: read[4 * i:4 * i + 4] for i, n in enumerate(plan)}
+    read = count_windows(f, [*values, *left_at, *right_at])
+    half = 4 * len(left_at)
+    outs, left, right = read[:-2 * half], read[-2 * half:-half], read[-half:]
 
     # (a) output windows
     for s in range(m.state_count):
-        truth = tuple(window[values[s]])
+        truth = tuple(outs[4 * s:4 * s + 4])
         if tuple(m.outputs[s]) != truth:
             raise CertificationFailure(
                 f"state output {m.outputs[s]} != oracle window {truth}",
@@ -488,8 +484,6 @@ def certify_transitions(m: Dfao, oracle, rules: WindowRuleTable,
     # (b) base case and boundary families per transition, every pair of
     # windows in one compare: row (s, d) holds [u d x] and [v x] for
     # x = the empty string, then 0^j, 0^j 1, 1^j for j = 1..depth
-    left = b"".join(window[n] for n in left_at)
-    right = b"".join(window[n] for n in right_at)
     if left != right:
         bad = next(i for i in range(0, len(left), 4) if left[i:i + 4] != right[i:i + 4])
         row, t = divmod(bad // 4, len(exts))
@@ -503,7 +497,7 @@ def certify_transitions(m: Dfao, oracle, rules: WindowRuleTable,
 
     # (iii) doubling rules propagate windows across the validation range
     try:
-        outside = verify_rules(rules, prefix, prop_to).new_windows
+        outside = verify_rules(rules, f, prop_to).new_windows
     except RuleConflict as e:
         raise CertificationFailure(
             f"doubling rules disagree with the oracle at a = {e.a_second}",
@@ -518,7 +512,7 @@ def certify_transitions(m: Dfao, oracle, rules: WindowRuleTable,
         states_checked=m.state_count,
         propagation_checked_to=prop_to,
         depth=depth,
-        prefix_hi=prefix.hi,
+        prefix_hi=f.hi,
         windows_read=len(plan),
         pairs_compared=m.state_count + len(left_at),
     )
@@ -526,19 +520,17 @@ def certify_transitions(m: Dfao, oracle, rules: WindowRuleTable,
 
 # -- kernel-size probe ---------------------------------------------------------
 
-class ProbeLevel(NamedTuple):
-    level: int
-    block_len: int
-    samples: int
-    distinct: int
+class ProbeLevel(namedtuple("ProbeLevel", "level block_len samples distinct")):
+    """One level of kernel_probe: distinct blocks of block_len among samples."""
+
+    __slots__ = ()
 
 
-class ProbeReport(NamedTuple):
-    q: int
-    depth: int
-    prefix_len: int
-    levels: tuple[ProbeLevel, ...]
-    truncated: bool  # oracle ran out before the requested depth
+class ProbeReport(namedtuple("ProbeReport", "q depth prefix_len levels truncated")):
+    """kernel_probe's counts: levels, a tuple of ProbeLevel, and truncated,
+    whether the oracle ran out before the requested depth."""
+
+    __slots__ = ()
 
     @property
     def stabilized(self) -> bool:

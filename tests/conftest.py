@@ -27,6 +27,11 @@ PROBE_AT_DEFAULTS = {
 }
 
 
+def window4(t: vseq.SequenceTable, n: int) -> tuple[int, int, int, int]:
+    """t's window (S(n-2), S(n-1), S(n), S(n+1)) at n, as a tuple."""
+    return tuple(t.windows_at((n,)))
+
+
 def on_each_engine(call) -> list:
     """call()'s result on each engine, forced through _oracle.library: the
     library as it loads (the compiled passes, where one does), then None

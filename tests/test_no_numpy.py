@@ -3,8 +3,8 @@ compiled probes and the golden transcript's short oracle commands run
 without numpy, and the short commands on the plain-Python passes too: each
 runs in a subprocess where importing numpy fails, and must print and write
 the same bytes as a plain run, where numpy and the library load.
-`import vseq` and `vseq eval` run as well where importing dataclasses or
-inspect fails: importing them would slow every short run."""
+`import vseq` and `vseq eval` run as well where importing dataclasses,
+inspect or typing fails: importing them would slow every short run."""
 
 import hashlib
 import os
@@ -20,8 +20,9 @@ from conftest import PROBE_AT_DEFAULTS
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(_oracle.__file__)))
 # any import of numpy in the process raises ImportError
 BLOCK = "import sys; sys.modules['numpy'] = None\n"
-# any import of dataclasses or inspect raises ImportError
-NO_DATACLASSES = "import sys; sys.modules['dataclasses'] = sys.modules['inspect'] = None\n"
+# any import of dataclasses, inspect or typing raises ImportError
+NO_DATACLASSES = ("import sys; sys.modules['dataclasses'] = sys.modules['inspect'] = "
+                  "sys.modules['typing'] = None\n")
 # and no library: every pass runs its plain-Python loop
 NO_LIBRARY = BLOCK + "import vseq._oracle; vseq._oracle.library = lambda: None\n"
 CLI = "import sys\nfrom vseq.cli import run\nsys.exit(run(sys.argv[1:]))\n"

@@ -11,7 +11,7 @@ from vseq import (RuleConflict, SequenceTable, derive_rules, format_rules,
 from vseq import _oracle
 from vseq.rules import DERIVATION_START, RuleVerification, WindowRuleTable, _scan
 
-from conftest import on_each_engine
+from conftest import on_each_engine, window4
 
 
 @pytest.fixture(scope="module")
@@ -141,7 +141,7 @@ def _scan_by_sorting(f, a_min, a_max, frozen=None):
     codes = win[:, 0] | win[:, 1] << 8 | win[:, 2] << 16 | win[:, 3] << 24
     _, first, inverse = np.unique(codes, return_index=True, return_inverse=True)
     inverse = inverse.ravel()
-    wins = [f.window4(a_min + int(i)) for i in first]
+    wins = [window4(f, a_min + int(i)) for i in first]
     by_a = np.argsort(first)
     realized = WindowRuleTable(
         even_rule={wins[u]: int(even[first[u]]) for u in by_a},
@@ -284,7 +284,7 @@ def test_frozen_image_that_packs_like_a_real_pair_conflicts():
     vals[10], vals[11] = 44, 1
     f = SequenceTable(0, 21, vals, "F")
     rules = derive_rules(f, 4, 10)
-    w = f.window4(5)
+    w = window4(f, 5)
     assert (rules.even_rule[w], rules.odd_rule[w]) == (44, 1)
     frozen = WindowRuleTable({**rules.even_rule, w: 300}, {**rules.odd_rule, w: 0},
                              rules.first_seen)
@@ -344,7 +344,7 @@ def test_compiled_pair_compare_matches_numpy(on_both, f50k, rules10k, a, parity)
     assert compiled == python_compare and runs == 1
     compiled, python_compare, runs = on_both(lambda: verify_rules(rules10k, bad, A_MAX))
     assert compiled == python_compare and runs == 1
-    w = f50k.window4(a)
+    w = window4(f50k, a)
     table = rules10k.odd_rule if parity else rules10k.even_rule
     assert compiled == ("conflict", w, ("even", "odd")[parity], rules10k.first_seen[w],
                         table[w], a, image)
@@ -356,7 +356,7 @@ def test_compiled_pair_compare_skips_windows_the_frozen_table_lacks(on_both, f50
     # table: its images are not checked, and it is reported instead; the
     # images changed lie past every window's bytes, so no window changes
     absent = (3, 2, 3, 2)
-    at = [a for a in range(A_MAX // 2 + 1, A_MAX + 1) if f50k.window4(a) == absent]
+    at = [a for a in range(A_MAX // 2 + 1, A_MAX + 1) if window4(f50k, a) == absent]
     frozen = WindowRuleTable(*({w: v for w, v in t.items() if w != absent}
                                for t in (rules10k.even_rule, rules10k.odd_rule,
                                          rules10k.first_seen)))
@@ -365,7 +365,7 @@ def test_compiled_pair_compare_skips_windows_the_frozen_table_lacks(on_both, f50
     assert compiled == python_compare == ("verified", A_MAX, [(absent, 232)])
     assert runs == 1
     # a conflict past the skipped ones is still named
-    later = next(a for a in range(at[0] + 1, A_MAX + 1) if f50k.window4(a) != absent)
+    later = next(a for a in range(at[0] + 1, A_MAX + 1) if window4(f50k, a) != absent)
     bad = _with_pairs(bad, {2 * later: f50k[2 * later] % 3 + 1})
     compiled, python_compare, runs = on_both(lambda: verify_rules(frozen, bad, A_MAX))
     assert compiled == python_compare and runs == 1

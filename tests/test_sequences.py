@@ -172,9 +172,11 @@ def test_first_difference_across_chunks():
 
 
 def test_first_difference_frees_its_range_buffer_before_the_result():
-    # V's steps to 2^22 take 4 MB as bytes; nothing else of their size is
-    # held while they are written
-    v = gen_v(2 ** 22 + 1)
+    # V's steps to 2^18 take 256 KiB as bytes; nothing else of their size
+    # is held while they are written: the bound is 2.5 times their size.
+    # tracemalloc traces every int read from V, so 2^22 took 7-9 s
+    n = 2 ** 18
+    v = gen_v(n + 1)
     tracemalloc.start()
     try:
         d = first_difference(v)
@@ -182,7 +184,7 @@ def test_first_difference_frees_its_range_buffer_before_the_result():
     finally:
         tracemalloc.stop()
     assert d.values.typecode == "B"
-    assert peak < 10 * 2 ** 20, peak
+    assert peak < 5 * n // 2, peak
 
 
 def test_first_difference_needs_two():
@@ -301,11 +303,13 @@ def test_table_access_and_padding():
         t[5]
     with pytest.raises(IndexError):
         t[-1]
-    assert t.window4(-3) == (0, 0, 0, 0)
-    assert t.window4(0) == (0, 0, 0, 4)
-    assert t.window4(3) == (4, 1, 1, 1)
+    # below lo, the padded windows at 0 and 1, and the last window, at hi - 1
+    assert t.windows_at([-3]) == bytes(4)
+    assert t.windows_at([0, 1]) == bytes([0, 0, 0, 4, 0, 0, 4, 1])
+    assert t.windows_at([3, -3]) == bytes([4, 1, 1, 1, 0, 0, 0, 0])
+    assert t.windows_at([]) == b""
     with pytest.raises(IndexError):
-        t.window4(4)  # needs index 5
+        t.windows_at([4])  # needs index 5
 
 
 def test_io_round_trip():
@@ -446,8 +450,9 @@ assert a == b
 # it, which refuse at the start or mid-count
 for end in (1, 2, 5, 2 ** 12 + 1, 2 ** 15 - 3):
     plan = [max(end - 2, 0), end - 1, end, end + 1, end + 70, 2 ** 16 - 1, 2 ** 16]
-    a, b = both(lambda: count_windows(gen_f(end), plan).windows)
+    a, b = both(lambda: count_windows(gen_f(end), plan))
     assert a == b
+    window = {n: a[4 * i:4 * i + 4] for i, n in enumerate(plan)}
     past = sorted({n for n in plan if n >= end})
     prefix = gen_f(end).byte_values()
     for size in (64, 2 ** 10, 2 ** 15, 2 ** 16):
@@ -456,7 +461,7 @@ for end in (1, 2, 5, 2 ** 12 + 1, 2 ** 15 - 3):
         if status == _oracle.RING_SHORT:
             assert info[1] >= size == info[2], (end, size, info)
         else:
-            assert (status, got) == (_oracle.OK, b"".join(a[n] for n in past)), (end, size)
+            assert (status, got) == (_oracle.OK, b"".join(map(window.get, past))), (end, size)
 a, b = both(lambda: gen_v(10 ** 5).values)
 assert a == b
 for r, s in ((2, 5), (1, 10)):
@@ -516,7 +521,8 @@ table = SequenceTable(0, len(wide) - 1, wide, "F")
 a, b = both(lambda: _scan(table, 4, 2 ** 13))
 assert a == b and len(a) > 255, len(a)
 # the odd image of the last a whose window was seen before
-at = max(n for n in range(5, 2 ** 13 + 1) if a.first_seen[table.window4(n)] < n)
+at = max(n for n in range(5, 2 ** 13 + 1)
+         if a.first_seen[tuple(table.windows_at((n,)))] < n)
 wide[2 * at + 1] ^= 1
 a, b = both(lambda: raised(lambda: _scan(table, 4, 2 ** 13)))
 assert a == b != None and f"at a={at}" in a, (a, b)
@@ -650,10 +656,6 @@ def f_ring() -> SequenceTable:
     return gen_f(2 ** 20 + 2)
 
 
-def _windows4(f: SequenceTable, plan) -> bytes:
-    return b"".join(bytes(f.window4(n)) for n in plan)
-
-
 @settings(max_examples=60, deadline=None)
 @given(data=st.data())
 def test_count_windows_equal_a_flat_count(f_ring, data):
@@ -666,25 +668,20 @@ def test_count_windows_equal_a_flat_count(f_ring, data):
                               | st.integers(0, top), max_size=4), label="runs")
     plan = picks + [top] + [min(max(a + i, 0), top) for a in runs for i in range(4)]
     plan += picks[:3]
-    got = count_windows(gen_f(end), plan)
-    assert got.prefix.hi == end and sorted(got.windows) == sorted(set(plan))
-    assert got.hi == max(end, top + 1)
-    assert got.windows_at(plan) == _windows4(f_ring, plan)
+    assert count_windows(gen_f(end), plan) == f_ring.windows_at(plan)
 
 
 def test_count_windows_at_the_depth_12_plan(f_main):
     # the benchmark's certificate: two windows past the 2^22 + 2 prefix
     plan = [0, 1, 2, 4195000, 7593983, 7593984, 7593985]
-    got = count_windows(f_main, plan)
-    want = gen_f(7593986)
-    assert got.windows_at(plan) == _windows4(want, plan)
+    assert count_windows(f_main, plan) == gen_f(7593986).windows_at(plan)
 
 
 def test_count_windows_read_nothing_else(f_ring):
-    got = count_windows(gen_f(1000), [5, 3000])
-    assert got.windows_at([3000, 5, 999]) == _windows4(f_ring, [3000, 5, 999])
-    with pytest.raises(IndexError):
-        got.windows_at([2000])
+    # the planned windows, in plan order, and nothing more
+    plan = [3000, 5, 999, 5]
+    assert count_windows(gen_f(1000), plan) == f_ring.windows_at(plan)
+    assert count_windows(gen_f(1000), []) == b""
     with pytest.raises(ValueError, match="starting at index 0"):
         count_windows(SequenceTable(1, 100, gen_f(100).values[1:], "F"), [200])
 
@@ -707,7 +704,7 @@ def test_ring_count_refuses_a_ring_too_short(f_ring, end, size):
                        r"short: counting V = \d+, a read position lags (\d+) ") as e:
         sequences._raise(status, info, "V", None)
     assert int(e.value.args[0].split("lags ")[1].split()[0]) >= size
-    assert count_windows(gen_f(end), plan).windows_at(plan) == _windows4(f_ring, plan)
+    assert count_windows(gen_f(end), plan) == f_ring.windows_at(plan)
 
 
 @pytest.mark.parametrize("size, plan", [(32, [200]), (100, [200]), (64, [300, 200]),
@@ -737,7 +734,7 @@ def test_count_windows_double_a_default_ring_too_short(f_ring, monkeypatch):
     default = sequences._ring_size(2 ** 20 + 1)
     monkeypatch.setattr(_oracle.Oracle, "ring_count", spy)
     monkeypatch.setattr(sequences, "_ring_size", lambda a_max: 2 ** 12)
-    assert count_windows(gen_f(2 ** 16), plan).windows_at(plan) == _windows4(f_ring, plan)
+    assert count_windows(gen_f(2 ** 16), plan) == f_ring.windows_at(plan)
     # the lag reaches about 2^19 at the count's end, so 2^20 is the first
     # ring that holds it, and the default
     assert sizes == [2 ** k for k in range(12, 21)] and sizes[-1] == default
@@ -747,7 +744,7 @@ def test_count_windows_count_flat_without_the_compiled_loops(f_ring):
     plan = [7, 3 * COMPILED_FROM, 2 ** 20]
     with mock.patch.object(_oracle, "library", lambda: None):
         got = count_windows(gen_f(100), plan)
-    assert got.windows_at(plan) == _windows4(f_ring, plan)
+    assert got == f_ring.windows_at(plan)
 
 
 @pytest.mark.parametrize("pad", [0, 1, 2, 3, 5])
@@ -846,20 +843,22 @@ def test_oracle_sizes_checked_before_the_loops(call, error):
         call()
 
 
-def _check_window_bytes(t: SequenceTable, lo: int, hi: int) -> None:
-    """window_bytes(lo, hi) holds window4(n) at offset n - lo for every n
-    in [lo, hi], and nothing more."""
-    buf = t.window_bytes(lo, hi)
-    assert type(buf) is bytes and len(buf) == hi - lo + 4
+def _check_windows_at(t: SequenceTable, lo: int, hi: int) -> None:
+    """windows_at(range(lo, hi + 1)) holds, at offset 4 (n - lo), the
+    values at n - 2 to n + 1, 0 below the table, and nothing more."""
+    buf = t.windows_at(range(lo, hi + 1))
+    assert type(buf) is bytes and len(buf) == 4 * (hi + 1 - lo)
     for n in range(lo, hi + 1):
-        assert buf[n - lo:n - lo + 4] == bytes(t.window4(n)), n
+        want = bytes(t.values[i - t.lo] if i >= t.lo else 0 for i in range(n - 2, n + 2))
+        assert buf[4 * (n - lo):4 * (n - lo) + 4] == want, n
 
 
 @pytest.mark.parametrize("table_lo", [0, 5])
 @pytest.mark.parametrize("offset", [-3, 0, 1, 2, 3, "random"])
 @pytest.mark.parametrize("end", ["last", "random"])
 def test_window_codes_equal_packed_windows(table_lo, offset, end):
-    # the window codes are window_bytes: four bytes per window, one-byte stride
+    # windows_at on every n of a range, from below the table to its last
+    # window or short of it
     rng = np.random.default_rng(table_lo)
     values = bytearray(rng.integers(0, 256, 600, dtype=np.uint8).tobytes())
     t = SequenceTable(table_lo, table_lo + len(values) - 1, values, "x")
@@ -867,28 +866,31 @@ def test_window_codes_equal_packed_windows(table_lo, offset, end):
         offset = int(rng.integers(4, 300))
     lo = table_lo + offset
     hi = t.hi - 1 if end == "last" else lo + int(rng.integers(0, 200))
-    _check_window_bytes(t, lo, hi)
+    _check_windows_at(t, lo, hi)
     with pytest.raises(IndexError):
-        t.window_bytes(lo, t.hi)
+        t.windows_at(range(lo, t.hi + 1))
     for wide in (256, -1):
         bad = np.array(values, dtype=np.int16)
         bad[int(rng.integers(0, len(bad)))] = wide
         with pytest.raises(ValueError):
-            SequenceTable(t.lo, t.hi, bad, "x").window_bytes(lo, hi)
+            SequenceTable(t.lo, t.hi, bad, "x").windows_at(range(lo, hi + 1))
 
 
 def test_window_codes_bounds():
     t = SequenceTable(3, 40, bytearray(range(1, 39)), "x")  # S(n) = n - 2
-    assert t.window_bytes(10, 9) == bytes([6, 7, 8])  # no window: S(8..10)
-    assert t.window_bytes(39, 39) == bytes([35, 36, 37, 38])
-    assert t.window_bytes(0, 2) == bytes([0, 0, 0, 0, 0, 1])
-    assert t.window_bytes(-9, -4) == bytes(9)  # wholly below the table
-    _check_window_bytes(t, -9, -4)
+    assert t.windows_at(range(10, 10)) == b""
+    assert t.windows_at([39]) == bytes([35, 36, 37, 38])
+    assert t.windows_at([0, 1, 2]) == bytes(4) + bytes(4) + bytes([0, 0, 0, 1])
+    assert t.windows_at([3, 4]) == bytes([0, 0, 1, 2, 0, 1, 2, 3])
+    assert t.windows_at(range(-9, -3)) == bytes(24)  # wholly below the table
+    _check_windows_at(t, -9, -4)
+    _check_windows_at(t, -3, 39)
     with pytest.raises(IndexError):
-        t.window_bytes(10, 40)
+        t.windows_at([40])
     f = gen_f(64)
-    assert f.window_bytes(0, 63) == bytes(2) + bytes(f.values)
-    _check_window_bytes(f, 0, 63)
+    padded = bytes(2) + bytes(f.values)
+    assert f.windows_at(range(64)) == b"".join(padded[n:n + 4] for n in range(64))
+    _check_windows_at(f, 0, 63)
 
 
 def test_compiled_loops_are_built_on_first_use_never_at_import():

@@ -11,14 +11,14 @@ from vseq import _oracle
 from vseq import (SINGLE, WINDOW, CertificationFailure, Dfao,
                   InsufficientHorizon, NonpositiveDivisor, OracleTooShort,
                   ProbeReport,
-                  SequenceTable, certify_transitions, count_windows,
+                  SequenceTable, certify_transitions,
                   cross_validate, derive_rules, discover, euclid_div, gen_f,
                   gen_v, first_difference, kernel_probe, shift_bounds,
                   synthesize_msb, synthesize_validated)
 from vseq import synthesis
 from vseq.synthesis import _block_ids, _kernel_node, _states_upto
 
-from conftest import HORIZON, VALIDATE_TO, on_each_engine
+from conftest import HORIZON, VALIDATE_TO, on_each_engine, window4
 
 MB = 2 ** 20
 
@@ -106,7 +106,7 @@ def _check_signature_levels(f: SequenceTable) -> None:
     assert len(sig1) == 9
     s = _signature(f, 6, 3)
     assert len(s) == 4
-    assert _kernel_node(f, levels, "", 6).window == f.window4(6)
+    assert _kernel_node(f, levels, "", 6).window == window4(f, 6)
     # level 1 of 6: the windows at 12 and 13, F(10..14)
     want = bytes([f[10], f[11], f[12], f[13], f[14]])
     padded = _padded(f)
@@ -149,7 +149,7 @@ def _reference_signature(padded: bytes, m: int, horizon: int) -> tuple[bytes, ..
 def _reference_discover(oracle: SequenceTable, horizon: int):
     """Discovery by byte-slice signatures, as it ran before the block ids;
     nodes as (rep, value, window)."""
-    padded = oracle.window_bytes(0, oracle.hi - 1)
+    padded = _padded(oracle)
     nodes = [("", 0, _reference_signature(padded, 0, horizon))]
     trans = []
     queue = [0]
@@ -252,7 +252,7 @@ def test_window_outputs_for_all_short_strings(truth_a, f_main):
     for length in range(10):
         for bits in range(1 << length):
             w = format(bits, f"0{length}b") if length else ""
-            assert truth_a.eval(w) == f_main.window4(bits)
+            assert truth_a.eval(w) == window4(f_main, bits)
 
 
 def test_synthesis_deterministic(f_main, truth_a):
@@ -287,7 +287,7 @@ def test_node_windows_are_oracle_windows(f_main):
     nodes, _ = discover(f_main, HORIZON)
     assert len(nodes) == 33
     for node in nodes:
-        assert node.window == f_main.window4(node.value), node.rep
+        assert node.window == window4(f_main, node.value), node.rep
 
 
 def test_signature_separation(f_main):
@@ -391,7 +391,7 @@ def _first_mismatch_by_eval(machine: Dfao, oracle: SequenceTable, n_max: int):
     oracle's output at n (its window, or F(n)), or None.  The numeral of
     n = 0 is the empty one, as in cross_validate."""
     def truth(n):
-        return oracle.window4(n) if machine.output_kind == WINDOW else oracle[n]
+        return window4(oracle, n) if machine.output_kind == WINDOW else oracle[n]
     return next((n for n in range(n_max + 1)
                  if machine.eval(format(n, "b") if n else "") != truth(n)), None)
 
@@ -403,7 +403,7 @@ def test_first_mismatch_by_eval_reads_0_as_the_empty_numeral(truth_a, f_main):
     rows = [list(r) for r in truth_a.transitions]
     rows[truth_a.initial][0] = rows[truth_a.initial][1]
     m = Dfao(2, truth_a.initial, rows, truth_a.outputs, WINDOW, truth_a.names)
-    assert m.eval("0") != f_main.window4(0)
+    assert m.eval("0") != window4(f_main, 0)
     for n_max in (0, CORRUPT_N_MAX):
         assert _first_mismatch_by_eval(m, f_main, n_max) is None
         assert cross_validate(m, f_main, n_max) == vseq.Validation(True, None, n_max)
@@ -534,7 +534,7 @@ def test_compiled_cross_validation_matches_numpy(on_both, truth_a, truth_b, f_ma
     if n_max <= 257:
         # state(0) is the initial state: the numeral of 0 is empty
         def truth(n):
-            return oracle.window4(n) if kind == WINDOW else oracle[n]
+            return window4(oracle, n) if kind == WINDOW else oracle[n]
         assert compiled.first_mismatch == next(
             (n for n in range(n_max + 1)
              if machine.outputs[_state_at(machine, n)] != truth(n)), None)
@@ -623,8 +623,8 @@ def test_certify_catches_misrouted_transition(truth_a, f_main, rules_main):
 # The 33 states are told apart by the base window, 0 or 01 (no two agree
 # on all three), so a misrouted transition fails first at one of those; a
 # failure first at a longer family needs one oracle byte corrupted, F(at)
-# set to 9.  Each message is pinned as a check-by-check loop over
-# (s, d, j, family) reports it.
+# set to 9.  Each message is pinned, at depth 4, as a check-by-check loop
+# over (s, d, j, family) reports it.
 FAMILY_FAILURES = [
     (("101", 1, "100"), None, ("101", 1, "100", ""),
      "base windows differ at 101 -1-> 100 witness=''"),
@@ -641,25 +641,51 @@ FAMILY_FAILURES = [
 ]
 
 
-@pytest.mark.parametrize("redirect, at, fields, message", FAMILY_FAILURES,
-                         ids=["base", "0", "01", "0^2", "0^2 1", "1^2"])
-def test_certify_names_the_first_failing_window_pair(truth_a, f_main, rules_main,
-                                                     redirect, at, fields, message):
-    machine = truth_a
-    if redirect is not None:
-        rows = [list(r) for r in truth_a.transitions]
-        src, d, to = redirect
-        rows[truth_a.names.index(src)][d] = truth_a.names.index(to)
-        machine = Dfao(2, 0, rows, truth_a.outputs, WINDOW, truth_a.names)
-    vals = bytearray(f_main.values[:2 ** 16 + 2])  # what depth 4 and 2^16 read
+# certificates given F to 2^15 + 2, validate_to = 2^15: every window of
+# depth 4 lies in that prefix, and depth 8's reach 474,626
+SHORT = 2 ** 15
+
+
+def _short_certificate(machine: Dfao, depth: int, hi: int = SHORT + 2,
+                       at: int | None = None):
+    """certify_transitions of machine at depth, given F to hi, with F(at)
+    set to 9 if at is given, against the rules derived to 2^14."""
+    f = gen_f(hi)
     if at is not None:
+        vals = bytearray(f.values)
         vals[at] = 9
-    oracle = SequenceTable(0, len(vals) - 1, vals, "F")
+        f = SequenceTable(0, hi, vals, "F")
+    rules = derive_rules(gen_f(SHORT + 2), 4, SHORT // 2)
+    return certify_transitions(machine, f, rules, depth, SHORT)
+
+
+def _mutant(truth_a: Dfao, redirect) -> Dfao:
+    """truth_a with the transition (src, d) redirected to state ``to``."""
+    if redirect is None:
+        return truth_a
+    rows = [list(r) for r in truth_a.transitions]
+    src, d, to = redirect
+    rows[truth_a.names.index(src)][d] = truth_a.names.index(to)
+    return Dfao(2, 0, rows, truth_a.outputs, WINDOW, truth_a.names)
+
+
+def _failure(call) -> tuple:
+    """The message and the fields of the CertificationFailure call raises."""
     with pytest.raises(CertificationFailure) as excinfo:
-        certify_transitions(machine, oracle, rules_main, depth=4, validate_to=2 ** 16)
+        call()
     e = excinfo.value
-    assert str(e) == message
-    assert (e.from_name, e.digit, e.to_name, e.witness) == fields
+    return str(e), e.from_name, e.digit, e.to_name, e.witness
+
+
+FAMILY_IDS = ["base", "0", "01", "0^2", "0^2 1", "1^2"]
+
+
+@pytest.mark.parametrize("redirect, at, fields, message", FAMILY_FAILURES,
+                         ids=FAMILY_IDS)
+def test_certify_names_the_first_failing_window_pair(truth_a, redirect, at, fields,
+                                                     message):
+    machine = _mutant(truth_a, redirect)
+    assert _failure(lambda: _short_certificate(machine, 4, at=at)) == (message, *fields)
 
 
 def test_certify_catches_wrong_output(truth_a, f_main, rules_main):
@@ -671,9 +697,11 @@ def test_certify_catches_wrong_output(truth_a, f_main, rules_main):
                             validate_to=2 ** 10)
 
 
-def test_certify_needs_long_oracle(truth_a, f_main, rules_main):
-    with pytest.raises(OracleTooShort):
-        certify_transitions(truth_a, f_main, rules_main, depth=16,
+def test_certify_needs_the_rule_propagations_prefix(truth_a, rules_main):
+    # the planned windows are counted on past any prefix; the propagation
+    # to a = validate_to / 2 reads F to 2 a + 1 from the prefix itself
+    with pytest.raises(OracleTooShort, match="rule propagation to 32768 needs 65537"):
+        certify_transitions(truth_a, gen_f(2 ** 16), rules_main, depth=2,
                             validate_to=2 ** 16)
 
 
@@ -703,20 +731,13 @@ def test_cert_plan_is_what_certification_reads(truth_a, depth, size, past, bound
     assert synthesis.cert_oracle_bound(truth_a, depth) == plan[-1] + 1 == bound
 
 
-def _short_certificate(machine, depth=6):
-    """The certificate of machine from F to 2^15 + 2 and the windows of its
-    plan past it, which reach 474,626 at depth 8 and 118,658 at depth 6."""
-    f = gen_f(2 ** 15 + 2)
-    rules = derive_rules(f, 4, 2 ** 14)
-    oracle = count_windows(f, synthesis.cert_plan(machine, depth))
-    return certify_transitions(machine, oracle, rules, depth, 2 ** 15), rules
-
-
 def test_certificate_records_what_it_read(truth_a):
+    # from F to 2^15 + 2, counting on to the plan's end, and from a flat F
+    # to the plan's end: the same certificate, bar the prefix given
     depth = 6
-    planned, rules = _short_certificate(truth_a, depth)
     plan = synthesis.cert_plan(truth_a, depth)
-    flat = certify_transitions(truth_a, gen_f(plan[-1] + 1), rules, depth, 2 ** 15)
+    planned = _short_certificate(truth_a, depth)
+    flat = _short_certificate(truth_a, depth, plan[-1] + 1)
     assert (planned.prefix_hi, flat.prefix_hi) == (2 ** 15 + 2, plan[-1] + 1)
     assert planned.windows_read == flat.windows_read == len(plan)
     assert planned.pairs_compared == flat.pairs_compared == 33 + 66 * (1 + 3 * depth)
@@ -725,35 +746,24 @@ def test_certificate_records_what_it_read(truth_a):
 
 
 def test_certificate_from_the_flat_fallback_is_the_same(truth_a, monkeypatch):
-    compiled, _ = _short_certificate(truth_a)
+    compiled = _short_certificate(truth_a, 6)
     monkeypatch.setattr(_oracle, "library", lambda: None)
-    assert _short_certificate(truth_a)[0] == compiled
+    assert _short_certificate(truth_a, 6) == compiled
 
 
-@pytest.mark.parametrize("redirect, fields, message",
-                         [(r, fields, m) for r, at, fields, m in FAMILY_FAILURES
-                          if at is None], ids=["base", "0", "01"])
-def test_certify_from_planned_windows_names_the_same_failure(truth_a, redirect, fields,
-                                                             message):
-    rows = [list(r) for r in truth_a.transitions]
-    src, d, to = redirect
-    rows[truth_a.names.index(src)][d] = truth_a.names.index(to)
-    machine = Dfao(2, 0, rows, truth_a.outputs, WINDOW, truth_a.names)
-    with pytest.raises(CertificationFailure) as excinfo:
-        _short_certificate(machine, depth=8)
-    e = excinfo.value
-    assert str(e) == message
-    assert (e.from_name, e.digit, e.to_name, e.witness) == fields
-
-
-def test_certify_refuses_windows_planned_for_another_depth(truth_a, rules_main):
-    f = gen_f(2 ** 11 + 2)
-    fewer = count_windows(f, synthesis.cert_plan(truth_a, 2))
-    with pytest.raises(OracleTooShort, match="oracle ends at 7418"):
-        certify_transitions(truth_a, fewer, rules_main, 4, 2 ** 11)
-    last = count_windows(f, [synthesis.cert_oracle_bound(truth_a, 4) - 1])
-    with pytest.raises(OracleTooShort, match="holds no window"):
-        certify_transitions(truth_a, last, rules_main, 4, 2 ** 11)
+@pytest.mark.parametrize("redirect, at, fields, message", FAMILY_FAILURES,
+                         ids=FAMILY_IDS)
+def test_certify_from_planned_windows_names_the_same_failure(truth_a, redirect, at,
+                                                             fields, message):
+    # at depth 8, from F to 2^15 + 2 counting on, and from a flat F to the
+    # plan's end: the same failure for each mutant; a misrouted transition
+    # fails where it fails at depth 4
+    machine = _mutant(truth_a, redirect)
+    bound = synthesis.cert_oracle_bound(machine, 8)
+    planned = _failure(lambda: _short_certificate(machine, 8, at=at))
+    assert planned == _failure(lambda: _short_certificate(machine, 8, bound, at))
+    if redirect is not None:
+        assert planned == (message, *fields)
 
 
 # -- retry wrapper ----------------------------------------------------------------
