@@ -2,11 +2,11 @@
    all-ones seed Q(1..s) = 1, compiled for sequences.py, which loads it with
    ctypes and keeps the same loops in Python as the reference.  vseq_qrs
    stores Q; vseq_count keeps only the counts F(a) = #{n : Q(n) = a}, reading
-   Q's earlier terms back from them, and resumes a finished count as it
-   starts a fresh one; vseq_ring_count resumes V's into a ring of counts
-   and keeps only the windows of F a plan names; vseq_steps keeps only Q's
-   steps Q(k+1) - Q(k), reading Q's earlier terms back from them.  The four
-   return a status; info[] carries what the caller needs to raise:
+   Q's earlier terms back from them; vseq_ring_count resumes a finished
+   count of V's into a ring of counts and keeps only the windows of F a
+   plan names; vseq_steps keeps only Q's steps Q(k+1) - Q(k), reading Q's
+   earlier terms back from them.  The four return a status; info[] carries
+   what the caller needs to raise:
      DEAD           info = {n, argument}  an argument left [1, n-1]
      NOT_MONOTONE   info = {n, Q(n-1), Q(n)}
      COUNT_OVERFLOW info = {value}         a count would pass 255
@@ -157,16 +157,17 @@ resume(const uint8_t *counts, int64_t latest, int64_t s, int64_t done,
     return OK;
 }
 
-/* The loop of both counts from n = done + 1, with c placed by resume and
-   prev = Q(done), until Q first reaches a_max + 1.  Each caller passes
-   flat as a constant, so that each gets a loop of its own.  Flat counts
-   are a table (cmask and the planned windows unused); otherwise they are a
-   ring of cmask + 1 counts, the count of a at counts[a & cmask].  As
-   each block of BLOCK values starts, and once the count is done, a ring
-   copies out each planned window F(n-2..n+1) whose last count is final,
-   n + 2 <= value (F(-1) reads 0); then, before it zeroes the new block's
-   slots, it refuses with RING_SHORT to reuse the slot of a value a cursor
-   may still read. */
+/* The loop of both counts from n = done + 1, with c at or before the read
+   position of n (at the start for a fresh count, placed by resume for a
+   resumed one) and prev = Q(done), until Q first reaches a_max + 1.  Each
+   caller passes flat as a constant, so that each gets a loop of its own.
+   Flat counts are a table (cmask and the planned windows unused);
+   otherwise they are a ring of cmask + 1 counts, the count of a at
+   counts[a & cmask].  As each block of BLOCK values starts, and once the
+   count is done, a ring copies out each planned window F(n-2..n+1) whose
+   last count is final, n + 2 <= value (F(-1) reads 0); then, before it
+   zeroes the new block's slots, it refuses with RING_SHORT to reuse the
+   slot of a value a cursor may still read. */
 static inline __attribute__((always_inline)) int
 count_loop(int flat, uint8_t *counts, int64_t cmask, int64_t a_max, int64_t r,
            int64_t s, int64_t done, struct cursor c1, int64_t prev,
@@ -233,27 +234,22 @@ count_loop(int flat, uint8_t *counts, int64_t cmask, int64_t a_max, int64_t r,
     }
 }
 
-/* counts[a] += #{n > done : Q(n) = a} for a in [0, a_max]: Q runs until it
+/* counts[a] = #{n : Q(n) = a} for a in [0, a_max], into counts the caller
+   zeroes but for counts[1] = s, the seed's: Q runs from n = s + 1 until it
    first reaches a_max + 1.  Q itself is not stored: its last s terms sit in
    the caller's ring, a power of two of them larger than s (Q(i) at
    ring[i & mask]), and every older term is read from the counts by two
-   cursors.  The counts hold Q(1..done) already, done >= s: for a fresh
-   count the caller zeroes them and sets counts[1] = s for the seed, with
-   done = s; to resume a finished count up to some value, done is the sum
-   of its counts, and the ring's terms past the seed are read back from
-   them like the older ones. */
+   cursors. */
 int vseq_count(uint8_t *counts, int64_t a_max, int64_t r, int64_t s,
-               int64_t done, uint32_t *ring, int64_t mask, int64_t *info)
+               uint32_t *ring, int64_t mask, int64_t *info)
 {
     struct cursor c = {1, 0, 0};
-    int64_t prev;
-    int status = resume(counts, a_max, s, done, ring, mask, &c, &prev, info);
-    if (status != OK)
-        return status;
+    for (int64_t i = 1; i <= s; i++)
+        ring[i & mask] = 1;
     if (r == 1 && s == 4 && mask == 7) /* V's loop, with its constants */
-        return count_loop(1, counts, -1, a_max, 1, 4, done, c, prev, ring, 7,
+        return count_loop(1, counts, -1, a_max, 1, 4, 4, c, 1, ring, 7,
                           NULL, 0, NULL, info);
-    return count_loop(1, counts, -1, a_max, r, s, done, c, prev, ring, mask,
+    return count_loop(1, counts, -1, a_max, r, s, s, c, 1, ring, mask,
                       NULL, 0, NULL, info);
 }
 

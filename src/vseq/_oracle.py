@@ -87,7 +87,7 @@ class Oracle:
         lib.vseq_qrs.argtypes = [ctypes.POINTER(ctypes.c_uint32), i64, i64, i64,
                                  i64, ctypes.POINTER(i64)]
         lib.vseq_count.argtypes = [ctypes.POINTER(ctypes.c_uint8), i64, i64, i64,
-                                   i64, ctypes.POINTER(ctypes.c_uint32), i64,
+                                   ctypes.POINTER(ctypes.c_uint32), i64,
                                    ctypes.POINTER(i64)]
         ptr = ctypes.c_void_p
         lib.vseq_ring_count.argtypes = [ptr, i64, ptr, i64, i64, i64, ptr, i64,
@@ -115,15 +115,14 @@ class Oracle:
         status = self._lib.vseq_qrs(view, r, s, done, len(q), info)
         return status, list(info)
 
-    def count(self, counts: bytearray, r: int, s: int,
-              done: int) -> tuple[int, list[int]]:
-        """counts[a] += #{n > done : Q_{r,s}(n) = a} for a below len(counts),
-        where counts holds Q_{r,s}(1..done) already, done >= s; Q's last s
-        terms go in a ring of a power of two above s."""
+    def count(self, counts: bytearray, r: int, s: int) -> tuple[int, list[int]]:
+        """counts[a] = #{n : Q_{r,s}(n) = a} for a below len(counts), into
+        counts zeroed but for counts[1] = s, the seed's; Q's last s terms go
+        in a ring of a power of two above s."""
         info = (ctypes.c_int64 * 3)()
         view = (ctypes.c_uint8 * len(counts)).from_buffer(counts)
         ring = (ctypes.c_uint32 * (1 << s.bit_length()))()
-        status = self._lib.vseq_count(view, len(counts) - 1, r, s, done,
+        status = self._lib.vseq_count(view, len(counts) - 1, r, s,
                                       ring, len(ring) - 1, info)
         return status, list(info)
 

@@ -52,17 +52,26 @@ RULES_TO = 2 ** 20
 
 def _rules(f: SequenceTable) -> rules.WindowRuleTable:
     """The doubling rules the certificate checks, derived from f to
-    a = RULES_TO or as far as f reaches."""
-    return rules.derive_rules(f, 4, min(RULES_TO, (f.hi - 1) // 2))
+    a = RULES_TO or as far as f reaches; none where f ends before F(9), the
+    images of a = 4, as at a --validate below 7, whose rule propagation
+    reads no a either."""
+    a_max = min(RULES_TO, (f.hi - 1) // 2)
+    if a_max < rules.DERIVATION_START:
+        return rules.WindowRuleTable({}, {}, {})
+    return rules.derive_rules(f, rules.DERIVATION_START, a_max)
 
 
-def _build_pipeline(horizon: int, validate: int, depth: int):
+def _build_pipeline(validate: int, depth: int, machine: Dfao | None = None):
     """Oracle -> validated window automaton -> rules -> certificate, on one
-    F, counted for validation; the certificate's windows past it are counted
-    on from it, not counted again.  The F returned is that F."""
-    synthesis.check_bounds(horizon=horizon, validate_to=validate, depth=depth)
+    F, counted to validate + 2 for validation; the certificate's windows
+    past it are counted on from it, not counted again.  A window machine
+    given is certified in place of a synthesized one, with no verdict.  The
+    F returned is that F."""
+    synthesis.check_bounds(validate_to=validate, depth=depth)
     f = gen_f(validate + 2)
-    machine, verdict = synthesis.synthesize_validated(f, horizon, validate)
+    verdict = None
+    if machine is None:
+        machine, verdict = synthesis.synthesize_validated(f, validate)
     report = synthesis.certify_transitions(machine, f, _rules(f), depth, validate)
     return f, machine, verdict, report
 
@@ -101,10 +110,8 @@ def cmd_rules(args) -> int:
 
 def cmd_synthesize(args) -> int:
     print(SEED_NOTE)
-    print(f"# synthesize --horizon {args.horizon} --validate {args.validate} "
-          f"--depth {args.depth}")
-    f, machine, verdict, report = _build_pipeline(args.horizon, args.validate,
-                                                  args.depth)
+    print(f"# synthesize --validate {args.validate} --depth {args.depth}")
+    f, machine, verdict, report = _build_pipeline(args.validate, args.depth)
     if args.windowed:
         out = machine
     else:
@@ -131,24 +138,17 @@ def cmd_certify(args) -> int:
     if loaded.alphabet_size != 2:
         raise ValueError(f"{args.automaton} reads base {loaded.alphabet_size}; "
                          "certification is for base-2 automata")
-    synthesis.check_bounds(horizon=args.horizon, validate_to=args.validate,
-                           depth=args.depth)
-    if loaded.output_kind == WINDOW:
-        # one F serves the certificate, its rules and the cross-check: F to
-        # --validate + 2, and as far towards the certificate's bound as the
-        # rules read, so that a small --validate derives the same rules
-        bound = synthesis.cert_oracle_bound(loaded, args.depth)
-        f = gen_f(max(args.validate + 2, min(bound, 2 * RULES_TO + 1)))
-        report = synthesis.certify_transitions(loaded, f, _rules(f), args.depth,
-                                               args.validate)
-        sys.stdout.write(report.format())
+    # a window file is certified itself; a single-output file is tied by
+    # exact product equivalence to a fresh window automaton, certified
+    window = loaded.output_kind == WINDOW
+    if window:  # refuse names that are not access strings before any oracle
+        synthesis.cert_plan(loaded, args.depth)
+    f, machine, _, report = _build_pipeline(args.validate, args.depth,
+                                            loaded if window else None)
+    sys.stdout.write(report.format())
+    if window:
         passed = "cross-validated"
     else:
-        # single-output automaton: certify a fresh window automaton, then tie
-        # the loaded machine to it by exact product equivalence
-        f, machine, _, report = _build_pipeline(
-            args.horizon, args.validate, args.depth)
-        sys.stdout.write(report.format())
         same, witness = machine.project_output().minimize().equivalent(loaded)
         if not same:
             print(f"loaded automaton differs from the certified reference on "
@@ -166,7 +166,7 @@ def cmd_certify(args) -> int:
 def cmd_tables(args) -> int:
     print(SEED_NOTE)
     print(f"# tables check --validate {args.validate} --depth {args.depth}")
-    _, machine, _, _ = _build_pipeline(args.horizon, args.validate, args.depth)
+    _, machine, _, _ = _build_pipeline(args.validate, args.depth)
     minimized = machine.project_output().minimize()
     ok = True
     for printed, truth in ((published.table1(), machine),
@@ -245,13 +245,10 @@ def build_parser() -> argparse.ArgumentParser:
     rd.set_defaults(func=cmd_rules)
 
     def pipeline_flags(sp):
-        sp.add_argument("--horizon", type=int, default=24,
-                        help="discovery's signature levels, doubled up to 3 times "
-                             "on an over-merge; read by synthesize, tables check and "
-                             "certify of a single-output file")
         sp.add_argument("--validate", type=int, default=2 ** 22,
-                        help="cross-validate on [0, VALIDATE] and check the "
-                             "doubling rules to a = VALIDATE // 2")
+                        help="count F to VALIDATE + 2, which discovery reads "
+                             "whole; cross-validate on [0, VALIDATE] and check "
+                             "the doubling rules to a = VALIDATE // 2")
         sp.add_argument("--depth", type=int, default=16,
                         help="the certificate's boundary families 0^j, 0^j 1, "
                              "1^j for j up to DEPTH")

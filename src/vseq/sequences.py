@@ -293,7 +293,7 @@ def _frequency(r: int, s: int, a_max: int, label: str) -> bytearray:
         return _frequency_py(r, s, a_max, label)
     counts = bytearray(a_max + 1)
     counts[1] = s  # Q(1..s) = 1
-    status, info = lib.count(counts, r, s, s)
+    status, info = lib.count(counts, r, s)
     _raise(status, info, label,
            lambda n: _recursion(r, s, n - 1, label).values)
     return counts

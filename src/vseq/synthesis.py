@@ -2,8 +2,9 @@
 
 Synthesis is conjecture-then-certify.  A breadth-first Myhill-Nerode style
 discovery reads the oracle and merges digit strings whose observable
-behavior agrees up to a horizon; the result is only a conjecture, because a
-finite horizon can over-merge.  Two independent gates follow:
+behavior agrees as far as the oracle reaches; the result is only a
+conjecture, because a finite oracle can over-merge.  Two independent gates
+follow:
 
 * ``cross_validate`` replays every n up to a bound through the automaton
   and compares against the oracle;
@@ -22,9 +23,8 @@ The signature of a string with value m holds one id per level L: that of
 the block of windows at 2^L m + c, c < 2^L, its length-L extensions.  A
 block is the pair of blocks at 2m and 2m + 1 one level down (Allouche &
 Shallit, Automatic Sequences, Thm 6.6.2), so each level is one tuple join
-(sequences.join_ids).  Levels are capped by the given horizon and by oracle
-coverage; two strings are merged when their signatures agree on every
-common level.
+(sequences.join_ids).  Levels end where the oracle does; two strings are
+merged when their signatures agree on every common level.
 
 Discovery, cross-validation and certification run the compiled loops
 (``_oracle.c``) and bytes operations where a library loads, and the
@@ -51,7 +51,8 @@ class OracleTooShort(Exception):
 
 
 class InsufficientHorizon(Exception):
-    """Discovery merged states that later validation distinguishes."""
+    """Discovery merged states that validation on the same oracle
+    distinguishes; only a longer oracle can separate them."""
 
 
 class CertificationFailure(Exception):
@@ -105,8 +106,8 @@ def _check_from_0(oracle: SequenceTable) -> None:
         raise ValueError("synthesis expects an oracle table starting at index 0")
 
 
-def _block_ids(oracle: SequenceTable, horizon: int, keep: int | None = None) -> list:
-    """Per level L <= horizon, one id per m with (m + 1) 2^L <= oracle.hi,
+def _block_ids(oracle: SequenceTable, keep: int | None = None) -> list:
+    """Per level L, one id per m with (m + 1) 2^L <= oracle.hi,
     that is m < oracle.hi >> L, for the block of windows at 2^L m + c,
     c < 2^L: equal ids for equal blocks.  The block spans F(2^L m - 2) to
     F(2^L (m + 1) + 1), F(-2) = F(-1) = 0.  Each level is read straight
@@ -122,20 +123,19 @@ def _block_ids(oracle: SequenceTable, horizon: int, keep: int | None = None) -> 
 
     With ``keep``, a level holds only its ids at m < keep, cut once the
     level after it is joined: level 0 is numbered only there.  Levels stop
-    at the horizon or where fewer than two ids are left to join.  Each
-    level's ids are one byte each while it has at most 255 (F has about
-    28)."""
+    where fewer than two ids are left to join.  Each level's ids are one
+    byte each while it has at most 255 (F has about 28)."""
     hi = oracle.hi
-    if hi < 1 or horizon < 0:
+    if hi < 1:
         return []
     keep = hi if keep is None else keep
     vals = oracle.byte_values()
     k = max_byte(vals) + 1
     levels = [join_ids(vals, k, 0, 1, 4, min(hi, keep), pad=2)[0]]
-    if horizon >= 1 and hi >> 1:
+    if hi >> 1:
         ids, k = join_ids(vals, k, 0, 2, 5, hi >> 1, pad=2)
         levels.append(ids)
-    while len(levels) <= horizon and hi >> len(levels) - 1 >= 2:
+    while hi >> len(levels) - 1 >= 2:
         ids, k = join_ids(ids, k, 0, 2, 2, hi >> len(levels))
         del levels[-1][keep:]
         levels.append(ids)
@@ -162,8 +162,7 @@ def _kernel_node(oracle: SequenceTable, levels: list, rep: str,
     return KernelNode(rep, m, tuple(oracle.windows_at((m,))), sig)
 
 
-def discover(oracle: SequenceTable,
-             horizon: int) -> tuple[list[KernelNode], list[list[int]]]:
+def discover(oracle: SequenceTable) -> tuple[list[KernelNode], list[list[int]]]:
     """Breadth-first state discovery from the empty string, in base 2.
 
     Each candidate extension of a known state is merged with the first
@@ -178,9 +177,9 @@ def discover(oracle: SequenceTable,
     """
     _check_from_0(oracle)
     try:
-        return _breadth_first(oracle, _block_ids(oracle, horizon, KEEP_IDS))
+        return _breadth_first(oracle, _block_ids(oracle, KEEP_IDS))
     except IndexError:
-        return _breadth_first(oracle, _block_ids(oracle, horizon))
+        return _breadth_first(oracle, _block_ids(oracle))
 
 
 def _breadth_first(oracle: SequenceTable,
@@ -203,10 +202,10 @@ def _breadth_first(oracle: SequenceTable,
     return nodes, trans
 
 
-def synthesize_msb(oracle: SequenceTable, horizon: int) -> Dfao:
+def synthesize_msb(oracle: SequenceTable) -> Dfao:
     """Conjecture the window automaton for the oracle, each state annotated
     with the 4-window at its access value; certification comes separately."""
-    nodes, trans = discover(oracle, horizon)
+    nodes, trans = discover(oracle)
     m = Dfao(
         alphabet_size=2,
         initial=0,
@@ -263,8 +262,8 @@ def cross_validate(m: Dfao, oracle: SequenceTable, n_max: int) -> Validation:
     """Compare the automaton against the oracle for every n in [0, n_max].
 
     A mismatch is a verdict, not an error; the verdict names the least
-    failing n.  An oracle must start at index 0: one that starts later
-    raises ValueError, whichever output kind m has.
+    failing n.  An oracle must start at index 0 and n_max must be at least
+    0: either fault raises ValueError, whichever output kind m has.
 
     An output of w bytes, the window F(n-2..n+1) (w = 4) or F(n) alone
     (w = 1), is compared with the oracle's w bytes at n.  The walk reads
@@ -277,6 +276,8 @@ def cross_validate(m: Dfao, oracle: SequenceTable, n_max: int) -> Validation:
     the windows.
     """
     _check_from_0(oracle)
+    if n_max < 0:
+        raise ValueError(f"cross_validate needs n_max >= 0, got {n_max}")
     w = 4 if m.output_kind == WINDOW else 1
     offset = 2 - w // 2  # the output's first byte in the window at n
     reach = offset + w - 3  # the last oracle index an output at n reads, less n
@@ -312,33 +313,28 @@ def cross_validate(m: Dfao, oracle: SequenceTable, n_max: int) -> Validation:
     return Validation(True, None, n_max)
 
 
-def check_bounds(*, horizon: int = 1, validate_to: int = 2, depth: int = 2) -> None:
+def check_bounds(*, validate_to: int = 2, depth: int = 2) -> None:
     """ValueError unless the pipeline can take these bounds; each defaults
     to the least value it takes, so a caller names only what it has."""
-    if horizon < 1:
-        raise ValueError("horizon must be >= 1")
     if validate_to < 2:
         raise ValueError("validate_to must be >= 2")
     if depth < 2:
         raise ValueError("depth must be >= 2")
 
 
-def synthesize_validated(oracle: SequenceTable, horizon: int,
+def synthesize_validated(oracle: SequenceTable,
                          validate_to: int) -> tuple[Dfao, Validation]:
-    """Synthesize and cross-validate on [0, validate_to] (cut to the oracle),
-    doubling the horizon (up to 3 retries) when validation exposes an
-    over-merge."""
-    check_bounds(horizon=horizon, validate_to=validate_to)
-    for attempt in range(4):
-        m = synthesize_msb(oracle, horizon)
-        verdict = cross_validate(m, oracle, min(validate_to, oracle.hi - 1))
-        if verdict.passed:
-            return m, verdict
-        if attempt < 3:
-            horizon *= 2
-    raise InsufficientHorizon(
-        f"automaton still disagrees with the oracle at n = {verdict.first_mismatch} "
-        f"after raising the horizon to {horizon}")
+    """Synthesize and cross-validate on [0, validate_to] (cut to the oracle).
+    Discovery reads every level the oracle covers, so a mismatch cannot be
+    mended on this oracle: it raises InsufficientHorizon."""
+    check_bounds(validate_to=validate_to)
+    m = synthesize_msb(oracle)
+    verdict = cross_validate(m, oracle, min(validate_to, oracle.hi - 1))
+    if not verdict.passed:
+        raise InsufficientHorizon(
+            f"automaton disagrees with the oracle at n = {verdict.first_mismatch}; "
+            "only a longer oracle (--validate) can separate the states it merged")
+    return m, verdict
 
 
 # -- certification ------------------------------------------------------------

@@ -14,7 +14,6 @@ import pytest
 import vseq
 from vseq import _oracle
 
-HORIZON = 24  # the CLI's default --horizon
 VALIDATE_TO = 2 ** 22  # the CLI's default --validate
 CERT_DEPTH = 16
 
@@ -52,7 +51,7 @@ def f_main() -> vseq.SequenceTable:
 
 @pytest.fixture(scope="session")
 def truth_a(f_main) -> vseq.Dfao:
-    machine, verdict = vseq.synthesize_validated(f_main, HORIZON, VALIDATE_TO)
+    machine, verdict = vseq.synthesize_validated(f_main, VALIDATE_TO)
     assert verdict.passed
     return machine
 

@@ -125,9 +125,9 @@ def test_certify_window(built, capsys):
 
 @pytest.mark.parametrize("validate", ["2", "5", "100"])
 def test_certify_window_at_a_small_validate(built, validate, capsys):
-    # F to --validate + 2 alone would hold no rule domain below 7; the window
-    # file's certificate reads F as far as its rules do, as it did when F
-    # was counted whole to the certificate's bound
+    # F to --validate + 2 holds no rule domain below 7, and the rule
+    # propagation to --validate // 2 then checks no a: the window file's
+    # certificate passes on its planned windows and outputs alone
     a_path, _, _ = built
     assert run(["certify", "--automaton", str(a_path), "--depth", "4",
                 "--validate", validate]) == 0
@@ -151,10 +151,12 @@ def test_certify_rejects_corrupt(built, tmp_path, capsys):
 
 @pytest.mark.parametrize("name", ["-1", "+1", "0b1", "1_0"])
 def test_certify_refuses_names_that_are_not_access_strings(name, built, tmp_path,
-                                                           capsys):
+                                                           monkeypatch, capsys):
     # int(name, 2) reads each of these names; an unreachable state under
-    # one would get its windows from the zero padding below F
+    # one would get its windows from the zero padding below F.  The names
+    # are refused before any oracle is built
     a_path, _, _ = built
+    monkeypatch.setattr(vseq.cli, "gen_f", _no_oracle)
     a = Dfao.deserialize(a_path.read_text())
     extra = a.state_count
     bad = Dfao(2, a.initial, [*a.transitions, (extra, extra)],
@@ -229,7 +231,6 @@ def test_unknown_flags_exit_2():
     ["probe", "--sequence", "f", "--base", "1"],
     ["synthesize", "--validate", "65536", "--depth", "1", "--out", "x.dfao"],
     ["synthesize", "--validate", "10", "--out", "x.dfao"],          # OracleTooShort
-    ["synthesize", "--validate", "65536", "--horizon", "0", "--out", "x.dfao"],
     ["synthesize", "--validate", "65536", "--depth", "-3", "--out", "x.dfao"],
     ["probe", "--sequence", "f", "--depth", "-1"],
     ["probe", "--sequence", "vdiff", "--prefix", "0"],
@@ -240,8 +241,7 @@ def test_unknown_flags_exit_2():
     ["gen", "v", "--max", str(2 ** 32)],
     ["qrs", "--r", "2", "--s", "5", "--max", str(2 ** 32)],
 ], ids=["bad-numeral", "bad-digit", "gen-max-0", "rules-max-3", "probe-base-1",
-        "synthesize-depth-1", "synthesize-validate-10", "synthesize-horizon-0",
-        "synthesize-depth-minus-3", "probe-depth-minus-1",
+        "synthesize-depth-1", "synthesize-validate-10", "synthesize-depth-minus-3", "probe-depth-minus-1",
         "probe-prefix-0", "vdiff-span-1", "vdiff-span-2", "probe-depth-40",
         "probe-prefix-2e6", "gen-v-2^32", "qrs-max-2^32"])
 def test_usage_errors_exit_2_with_one_line(argv, tmp_path, monkeypatch, capsys):
@@ -289,10 +289,9 @@ PIPELINE_COMMANDS = {
 
 
 @pytest.mark.parametrize("flag, value, message", [
-    ("--horizon", "0", "horizon must be >= 1"),
     ("--validate", "1", "validate_to must be >= 2"),
     ("--depth", "-3", "depth must be >= 2"),
-], ids=["horizon-0", "validate-1", "depth-minus-3"])
+], ids=["validate-1", "depth-minus-3"])
 @pytest.mark.parametrize("command", PIPELINE_COMMANDS)
 def test_flag_values_are_checked_before_any_oracle(command, flag, value, message,
                                                    tmp_path, monkeypatch, capsys):
@@ -304,6 +303,17 @@ def test_flag_values_are_checked_before_any_oracle(command, flag, value, message
     monkeypatch.setattr(vseq.cli, "gen_f", _no_oracle)
     assert run([*PIPELINE_COMMANDS[command], flag, value]) == 2
     assert capsys.readouterr().err == f"vseq: {message}\n"
+    assert not Path("x.dfao").exists()
+
+
+@pytest.mark.parametrize("command", PIPELINE_COMMANDS)
+def test_horizon_is_no_flag(command, tmp_path, monkeypatch):
+    # --validate alone sets how far discovery reads
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(vseq.cli, "gen_f", _no_oracle)
+    with pytest.raises(SystemExit) as e:
+        run([*PIPELINE_COMMANDS[command], "--horizon", "24"])
+    assert e.value.code == 2
     assert not Path("x.dfao").exists()
 
 

@@ -530,7 +530,7 @@ assert a == b != None and f"at a={at}" in a, (a, b)
 # cross-validation of both synthesized machines, reading F up to the last
 # index it needs: at n_max below the stride width 256, at 256 and past it,
 # clean and with that last byte changed
-window_machine = synthesize_validated(f16, 24, 2 ** 16)[0]
+window_machine = synthesize_validated(f16, 2 ** 16)[0]
 single_machine = window_machine.project_output().minimize()
 for machine, reach in ((window_machine, 1), (single_machine, 0)):
     for n_max in (0, 1, 100, 255, 256, 257, 2 ** 16 + 1 - reach):
@@ -632,20 +632,26 @@ def test_count_reads_only_settled_counts():
     lib = _oracle.library()
     if lib is None:
         pytest.skip("no C compiler: only the Python loops run here")
-    status, info = lib.count(bytearray(100), 1, 4, 4)
+    status, info = lib.count(bytearray(100), 1, 4)
     assert (status, info[:2]) == (_oracle.UNSETTLED, [5, 4])
     with pytest.raises(RuntimeError, match=r"V\(5\) read V\(4\)"):
         sequences._raise(status, info, "V", None)
 
 
 def test_count_resumes_only_from_counted_terms():
-    # done = 50 claims terms the zeroed counts do not hold: reading them
-    # back stops at the counts' end, where it would read one still growing
+    # the ring count resumes from the prefix's terms, done their sum; a
+    # done 50 past it claims terms the prefix does not hold: reading them
+    # back stops at the prefix's end, where it would read a count still
+    # growing
     lib = _oracle.library()
     if lib is None:
         pytest.skip("no C compiler: only the Python loops run here")
-    status, info = lib.count(bytearray(100), 1, 4, 50)
-    assert (status, info[:2]) == (_oracle.UNSETTLED, [51, 47])
+    prefix = gen_f(100).byte_values()
+    done = lib.byte_sum(prefix)
+    status, _, windows = lib.ring_count(prefix, done, 999, 2 ** 10, [200])
+    assert (status, windows) == (_oracle.OK, gen_f(201).windows_at([200]))
+    status, info, _ = lib.ring_count(prefix, done + 50, 999, 2 ** 10, [200])
+    assert (status, info[:2]) == (_oracle.UNSETTLED, [done + 51, done + 47])
 
 
 # -- the ring count --------------------------------------------------------------

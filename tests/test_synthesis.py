@@ -18,7 +18,7 @@ from vseq import (SINGLE, WINDOW, CertificationFailure, Dfao,
 from vseq import synthesis
 from vseq.synthesis import _block_ids, _kernel_node, _states_upto
 
-from conftest import HORIZON, VALIDATE_TO, on_each_engine, window4
+from conftest import VALIDATE_TO, on_each_engine, window4
 
 MB = 2 ** 20
 
@@ -60,10 +60,8 @@ def test_shift_bounds():
 
 def test_synthesis_rejects_bad_bounds():
     f = gen_f(100)
-    with pytest.raises(ValueError, match="horizon must be >= 1"):
-        synthesize_validated(f, 0, 64)
     with pytest.raises(ValueError, match="validate_to must be >= 2"):
-        synthesize_validated(f, 24, 1)
+        synthesize_validated(f, 1)
 
 
 # -- signatures ----------------------------------------------------------------
@@ -72,16 +70,17 @@ def _padded(f: SequenceTable) -> bytes:
     return bytes(2) + bytes(f.values)  # padded[i + 2] == F(i)
 
 
-def _signature(f: SequenceTable, m: int, horizon: int) -> tuple[int, ...]:
-    return _kernel_node(f, _block_ids(f, horizon), "", m).signature
+def _signature(f: SequenceTable, m: int, k: int | None = None) -> tuple[int, ...]:
+    """m's signature on the first k levels, on every level by default."""
+    return _kernel_node(f, _block_ids(f)[:k], "", m).signature
 
 
-def _assert_ids_number_slices(f: SequenceTable, horizon: int) -> None:
+def _assert_ids_number_slices(f: SequenceTable) -> None:
     """The brute-force reference: ids at level L are equal exactly when the
     byte slices padded[m<<L : ((m+1)<<L)+3] are equal, for every m the
     level covers, (m + 1) 2^L <= f.hi."""
     padded = _padded(f)
-    for level, ids in enumerate(_block_ids(f, horizon)):
+    for level, ids in enumerate(_block_ids(f)):
         assert len(ids) == f.hi >> level
         id_of = {}
         for m in range(len(ids)):
@@ -92,8 +91,8 @@ def _assert_ids_number_slices(f: SequenceTable, horizon: int) -> None:
 
 def _check_signature_levels(f: SequenceTable) -> None:
     """The levels and signatures of F to 1000."""
-    levels = _block_ids(f, 4)
-    sig0 = _signature(f, 0, 4)
+    levels = _block_ids(f)[:5]
+    sig0 = _signature(f, 0, 5)
     assert len(sig0) == 5  # levels 0..4
     # the window at 0, padded below index 0, occurs nowhere else
     assert _kernel_node(f, levels, "", 0).window == (0, 0, 0, 4)
@@ -101,10 +100,10 @@ def _check_signature_levels(f: SequenceTable) -> None:
     level0, level1, level2 = (np.asarray(memoryview(ids)) for ids in levels[:3])
     assert np.count_nonzero(level0 == sig0[0]) == 1
     assert level2.size == 1000 // 4  # level-2 blocks span [4m - 2, 4m + 5]
-    sig1 = _signature(f, 1, 30)
-    # coverage, not the horizon, limits depth: (1+1)*2^L <= 1000
+    sig1 = _signature(f, 1)
+    # coverage limits depth: (1+1)*2^L <= 1000
     assert len(sig1) == 9
-    s = _signature(f, 6, 3)
+    s = _signature(f, 6, 4)
     assert len(s) == 4
     assert _kernel_node(f, levels, "", 6).window == window4(f, 6)
     # level 1 of 6: the windows at 12 and 13, F(10..14)
@@ -122,35 +121,35 @@ def test_signature_levels_and_padding():
 def test_signature_slices_hold_the_extension_windows():
     # level L of value m: F from 2 left of 2^L*m to 1 right of 2^L*(m+1) - 1
     f = gen_f(3000)
-    on_each_engine(lambda: _assert_ids_number_slices(f, 8))
+    on_each_engine(lambda: _assert_ids_number_slices(f))
 
 
 def test_signature_oracle_too_short():
     f = gen_f(10)
     with pytest.raises(OracleTooShort):
-        _signature(f, 10, 4)
+        _signature(f, 10)
 
 
-def _reference_signature(padded: bytes, m: int, horizon: int) -> tuple[bytes, ...]:
+def _reference_signature(padded: bytes, m: int) -> tuple[bytes, ...]:
     """Per-level byte slices of the extensions of a value-m string: level L
     is padded[m<<L : ((m+1)<<L)+3] while (m + 1) 2^L <= the oracle's end."""
     hi = len(padded) - 3
     out = []
-    for level in range(horizon + 1):
-        if (m + 1) << level > hi:
-            break
+    level = 0
+    while (m + 1) << level <= hi:
         out.append(padded[m << level:((m + 1) << level) + 3])
+        level += 1
     if not out:
         raise OracleTooShort(
             f"oracle ends at {hi}; cannot form a level-0 signature for value {m}")
     return tuple(out)
 
 
-def _reference_discover(oracle: SequenceTable, horizon: int):
+def _reference_discover(oracle: SequenceTable):
     """Discovery by byte-slice signatures, as it ran before the block ids;
     nodes as (rep, value, window)."""
     padded = _padded(oracle)
-    nodes = [("", 0, _reference_signature(padded, 0, horizon))]
+    nodes = [("", 0, _reference_signature(padded, 0))]
     trans = []
     queue = [0]
     head = 0
@@ -160,7 +159,7 @@ def _reference_discover(oracle: SequenceTable, horizon: int):
         row = []
         for d in (0, 1):
             c = nodes[s][1] * 2 + d
-            cs = _reference_signature(padded, c, horizon)
+            cs = _reference_signature(padded, c)
             tgt = None
             for j, node in enumerate(nodes):
                 k = min(len(cs), len(node[2]))
@@ -181,10 +180,10 @@ def f_long() -> SequenceTable:
     return gen_f(2 ** 15 + 64)
 
 
-def _discovery(discover_fn, f_long: SequenceTable, hi: int, horizon: int):
+def _discovery(discover_fn, f_long: SequenceTable, hi: int):
     f = SequenceTable(0, hi, f_long.values[:hi + 1], "F")
     try:
-        nodes, trans = discover_fn(f, horizon)
+        nodes, trans = discover_fn(f)
     except OracleTooShort as e:
         return str(e)
     if discover_fn is discover:
@@ -193,14 +192,13 @@ def _discovery(discover_fn, f_long: SequenceTable, hi: int, horizon: int):
 
 
 @settings(max_examples=60, deadline=None)
-@given(st.one_of(st.integers(2, 300), st.integers(2, 2 ** 15 + 64)),
-       st.integers(1, 48))
-@example(2 ** 15 + 64, 48)
-@example(2, 1)
-@example(40, 24)
-def test_discover_matches_byte_signatures(f_long, hi, horizon):
-    want = _discovery(_reference_discover, f_long, hi, horizon)
-    for got in on_each_engine(lambda: _discovery(discover, f_long, hi, horizon)):
+@given(st.one_of(st.integers(2, 300), st.integers(2, 2 ** 15 + 64)))
+@example(2 ** 15 + 64)
+@example(2)
+@example(40)
+def test_discover_matches_byte_signatures(f_long, hi):
+    want = _discovery(_reference_discover, f_long, hi)
+    for got in on_each_engine(lambda: _discovery(discover, f_long, hi)):
         assert got == want
 
 
@@ -209,16 +207,16 @@ def test_discover_with_levels_cut_matches_byte_signatures(f_long, monkeypatch, k
     # F's access values reach 927: levels cut below that are cut too soon,
     # and discovery starts again with whole ones
     monkeypatch.setattr(synthesis, "KEEP_IDS", keep)
-    for hi, horizon in ((2 ** 15 + 64, 24), (300, 5)):
-        want = _discovery(_reference_discover, f_long, hi, horizon)
-        for got in on_each_engine(lambda: _discovery(discover, f_long, hi, horizon)):
-            assert got == want, (hi, horizon)
+    for hi in (2 ** 15 + 64, 300):
+        want = _discovery(_reference_discover, f_long, hi)
+        for got in on_each_engine(lambda: _discovery(discover, f_long, hi)):
+            assert got == want, hi
 
 
 def test_block_ids_cut_keep_the_whole_levels_ids(f_long):
     for hi in (300, 2 ** 15 + 64):
         f = SequenceTable(0, hi, f_long.values[:hi + 1], "F")
-        whole, cut = _block_ids(f, 24), _block_ids(f, 24, 100)
+        whole, cut = _block_ids(f), _block_ids(f, keep=100)
         assert len(cut) == len(whole)
         for level, (w, c) in enumerate(zip(whole, cut)):
             assert len(w) == hi >> level and len(c) == min(100, hi >> level)
@@ -256,7 +254,7 @@ def test_window_outputs_for_all_short_strings(truth_a, f_main):
 
 
 def test_synthesis_deterministic(f_main, truth_a):
-    again = synthesize_msb(f_main, HORIZON)
+    again = synthesize_msb(f_main)
     assert again == truth_a
 
 
@@ -284,14 +282,14 @@ def test_window_examples(truth_a):
 
 
 def test_node_windows_are_oracle_windows(f_main):
-    nodes, _ = discover(f_main, HORIZON)
+    nodes, _ = discover(f_main)
     assert len(nodes) == 33
     for node in nodes:
         assert node.window == window4(f_main, node.value), node.rep
 
 
 def test_signature_separation(f_main):
-    nodes, _ = discover(f_main, HORIZON)
+    nodes, _ = discover(f_main)
     for i in range(len(nodes)):
         for j in range(i + 1, len(nodes)):
             a, b = nodes[i].signature, nodes[j].signature
@@ -321,7 +319,7 @@ def test_minimized_serialization_shape(truth_b):
 def test_oracle_too_short_for_discovery():
     f = gen_f(40)
     with pytest.raises(OracleTooShort):
-        synthesize_msb(f, HORIZON)
+        synthesize_msb(f)
 
 
 # -- cross-validation -----------------------------------------------------------
@@ -355,6 +353,19 @@ def test_cross_validate_monotone(truth_b, f_main):
     assert cross_validate(truth_b, f_main, 2 ** 18).passed
     for bound in (10, 1000, 65536):
         assert cross_validate(truth_b, f_main, bound).passed
+
+
+@pytest.mark.parametrize("kind", [WINDOW, SINGLE])
+def test_cross_validate_refuses_a_negative_bound(truth_a, truth_b, kind):
+    # the compiled pass refused n_max = -1 with a message about its buffers,
+    # and the Python pass returned a pass that checked nothing
+    machine, f = (truth_a if kind == WINDOW else truth_b), gen_f(100)
+
+    def refused():
+        with pytest.raises(ValueError, match="n_max >= 0, got -1"):
+            cross_validate(machine, f, -1)
+
+    on_each_engine(refused)
 
 
 def test_cross_validate_needs_coverage(truth_a):
@@ -585,7 +596,7 @@ def test_discover_holds_one_byte_ids(f_main):
     # F has about 28 ids per level, one byte each; the levels were uint16
     # and the window bytes lived through every level: 20 MB.  Whole levels
     # took 8.4 MB; cut below KEEP_IDS, levels 1 and 2 at once, 3.2 MB
-    (nodes, _), peak = _traced_peak(lambda: discover(f_main, HORIZON))
+    (nodes, _), peak = _traced_peak(lambda: discover(f_main))
     assert len(nodes) == 33
     assert peak <= 4 * MB, peak / MB
 
@@ -766,7 +777,7 @@ def test_certify_from_planned_windows_names_the_same_failure(truth_a, redirect, 
         assert planned == (message, *fields)
 
 
-# -- retry wrapper ----------------------------------------------------------------
+# -- validation of the conjecture --------------------------------------------------
 
 def _contains_run(k: int, hi: int) -> SequenceTable:
     vals = bytearray(hi + 1)
@@ -777,23 +788,19 @@ def _contains_run(k: int, hi: int) -> SequenceTable:
     return SequenceTable(0, hi, vals, f"run{k}")
 
 
-def test_insufficient_horizon_recovery():
-    s3 = _contains_run(3, 4095)
-    conjecture = synthesize_msb(s3, 1)
-    assert conjecture.state_count == 1
-    assert cross_validate(conjecture, s3, 2048).first_mismatch == 6
-    machine, verdict = synthesize_validated(s3, 1, 2048)
-    assert verdict.passed
-    assert machine.state_count == 19
-    assert machine.project_output().minimize().state_count == 4
-    ok, _ = machine.equivalent(synthesize_msb(s3, 8))
-    assert ok
-
-
-def test_insufficient_horizon_exhausts():
-    s10 = _contains_run(10, 2047)
-    with pytest.raises(InsufficientHorizon, match=r"n = 1022 .* horizon to 8$"):
-        synthesize_validated(s10, 1, 1500)
+def test_insufficient_horizon_exhausts(monkeypatch):
+    # a run of ten ones first appears at 1023, the oracle's end: no level it
+    # covers separates the states that lead to it, and the window at 1022 is
+    # the first to read it.  One discovery, then the verdict
+    s10 = _contains_run(10, 1023)
+    calls = []
+    msb = synthesis.synthesize_msb
+    monkeypatch.setattr(synthesis, "synthesize_msb",
+                        lambda oracle: calls.append(oracle) or msb(oracle))
+    with pytest.raises(InsufficientHorizon, match=r"at n = 1022; only a longer "
+                       r"oracle \(--validate\) can separate"):
+        synthesize_validated(s10, 1022)
+    assert calls == [s10]
 
 
 # -- kernel probe ------------------------------------------------------------------
