@@ -18,9 +18,8 @@ from .sequences import (DeadSequence, MonotonicityViolation, SequenceTable,
 from .synthesis import (CertificateReport, CertificationFailure,
                         InsufficientHorizon, KernelNode, NonpositiveDivisor,
                         OracleTooShort, ProbeReport, TransitionCertificate,
-                        Validation, cert_oracle_bound, cert_plan,
-                        certify_transitions, cross_validate, discover,
-                        euclid_div, kernel_probe, shift_bounds, synthesize_msb,
-                        synthesize_validated)
+                        Validation, cert_plan, certify_transitions,
+                        cross_validate, discover, euclid_div, kernel_probe,
+                        shift_bounds, synthesize_msb, synthesize_validated)
 
 __version__ = "0.1.0"

@@ -45,34 +45,18 @@ def _load_automaton(path: str) -> Dfao:
         return Dfao.deserialize(fp.read())
 
 
-# the doubling rules the certificate checks are derived to a = 2^20, which
-# reads F to 2^21 + 1
-RULES_TO = 2 ** 20
-
-
-def _rules(f: SequenceTable) -> rules.WindowRuleTable:
-    """The doubling rules the certificate checks, derived from f to
-    a = RULES_TO or as far as f reaches; none where f ends before F(9), the
-    images of a = 4, as at a --validate below 7, whose rule propagation
-    reads no a either."""
-    a_max = min(RULES_TO, (f.hi - 1) // 2)
-    if a_max < rules.DERIVATION_START:
-        return rules.WindowRuleTable({}, {}, {})
-    return rules.derive_rules(f, rules.DERIVATION_START, a_max)
-
-
 def _build_pipeline(validate: int, depth: int, machine: Dfao | None = None):
-    """Oracle -> validated window automaton -> rules -> certificate, on one
-    F, counted to validate + 2 for validation; the certificate's windows
-    past it are counted on from it, not counted again.  A window machine
-    given is certified in place of a synthesized one, with no verdict.  The
-    F returned is that F."""
+    """Oracle -> validated window automaton -> certificate, on one F,
+    counted to validate + 2 for validation; the certificate's windows past
+    it are counted on from it, not counted again.  A window machine given
+    is certified in place of a synthesized one, with no verdict.  The F
+    returned is that F."""
     synthesis.check_bounds(validate_to=validate, depth=depth)
     f = gen_f(validate + 2)
     verdict = None
     if machine is None:
         machine, verdict = synthesis.synthesize_validated(f, validate)
-    report = synthesis.certify_transitions(machine, f, _rules(f), depth, validate)
+    report = synthesis.certify_transitions(machine, f, depth, validate)
     return f, machine, verdict, report
 
 

@@ -36,8 +36,8 @@ from __future__ import annotations
 from array import array
 from collections import namedtuple
 
+from . import rules
 from .automaton import WINDOW, Dfao
-from .rules import RuleConflict, WindowRuleTable, verify_rules
 from .sequences import (SequenceTable, _dense, _first_seen, _library, _mismatch,
                         count_windows, join_ids, max_byte)
 
@@ -424,14 +424,13 @@ def cert_plan(m: Dfao, depth: int) -> list[int]:
     return _family_reads(m, depth)[-1]
 
 
-def cert_oracle_bound(m: Dfao, depth: int) -> int:
-    """Last oracle index that certify_transitions reads at this depth: the
-    last planned window's last index, cert_plan(m, depth)[-1] + 1."""
-    return cert_plan(m, depth)[-1] + 1
+# the rule domain: every window the doubling rules propagate must first
+# appear at some a <= RULES_TO
+RULES_TO = 2 ** 20
 
 
-def certify_transitions(m: Dfao, f: SequenceTable, rules: WindowRuleTable,
-                        depth: int, validate_to: int) -> CertificateReport:
+def certify_transitions(m: Dfao, f: SequenceTable, depth: int,
+                        validate_to: int) -> CertificateReport:
     """Run the inductive correctness scheme against F.
 
     Per state: the output window equals F's window at the state's access
@@ -439,11 +438,13 @@ def certify_transitions(m: Dfao, f: SequenceTable, rules: WindowRuleTable,
     and at [u d x] and [v x] for the boundary families x in {0^j, 0^j 1,
     1^j}, 1 <= j <= depth.  Globally: the doubling rules reproduce F(2a)
     and F(2a+1) for every a in (3, validate_to/2], which is the step
-    carrying window equality from each extension length to the next.  Any
-    failed check raises CertificationFailure naming a witness; a table f
-    that does not start at index 0 raises ValueError first, and one too
-    short for the rule propagation, F to 2 (validate_to // 2) + 1, raises
-    OracleTooShort.
+    carrying window equality from each extension length to the next.  The
+    rules are derived from f on that range in one scan (none where it holds
+    no a), and every window they map must first appear at an a <= RULES_TO,
+    the rule domain.  Any failed check raises CertificationFailure naming a
+    witness; a table f that does not start at index 0 raises ValueError
+    first, and one too short for the rule propagation, F to
+    2 (validate_to // 2) + 1, raises OracleTooShort.
 
     f is gen_f's table, F's prefix; the planned windows (cert_plan(m,
     depth)) are read through sequences.count_windows, sliced from f where
@@ -451,8 +452,9 @@ def certify_transitions(m: Dfao, f: SequenceTable, rules: WindowRuleTable,
     every transition and extension are joined into two byte strings
     compared at once, listed in the order the checks are stated, so the
     first failing pair names the failure.  The rule propagation is
-    verify_rules on f, whose compare runs compiled or in Python as
-    rules._scan says.
+    rules.derive_rules on f, whose compare runs compiled or in Python as
+    rules._scan says: a window demanding two images fails at the least a
+    where it does.
     """
     _check_from_0(f)
     if m.output_kind != WINDOW:
@@ -492,16 +494,17 @@ def certify_transitions(m: Dfao, f: SequenceTable, rules: WindowRuleTable,
              for s, d, p in edges]
 
     # (iii) doubling rules propagate windows across the validation range
-    try:
-        outside = verify_rules(rules, f, prop_to).new_windows
-    except RuleConflict as e:
-        raise CertificationFailure(
-            f"doubling rules disagree with the oracle at a = {e.a_second}",
-            witness=str(e.a_second)) from None
-    if outside:
-        w, a = next(iter(outside.items()))  # the least a: scans list windows by a
-        raise CertificationFailure(
-            f"window {w} at a = {a} outside the rule domain", witness=str(a))
+    if prop_to >= rules.DERIVATION_START:
+        try:
+            first_seen = rules.derive_rules(f, rules.DERIVATION_START, prop_to).first_seen
+        except rules.RuleConflict as e:
+            raise CertificationFailure(
+                f"doubling rules disagree with the oracle at a = {e.a_second}",
+                witness=str(e.a_second)) from None
+        for w, a in first_seen.items():  # the least a first: scans list windows by a
+            if a > RULES_TO:
+                raise CertificationFailure(
+                    f"window {w} at a = {a} outside the rule domain", witness=str(a))
 
     return CertificateReport(
         transitions=tuple(certs),

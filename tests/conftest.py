@@ -62,14 +62,9 @@ def truth_b(truth_a) -> vseq.Dfao:
 
 
 @pytest.fixture(scope="session")
-def rules_main(f_main) -> vseq.WindowRuleTable:
-    return vseq.derive_rules(f_main, 4, 2 ** 20)
-
-
-@pytest.fixture(scope="session")
 def f_cert(truth_a) -> vseq.SequenceTable:
     """Oracle long enough for depth-16 boundary-family certification."""
-    return vseq.gen_f(vseq.cert_oracle_bound(truth_a, CERT_DEPTH))
+    return vseq.gen_f(vseq.cert_plan(truth_a, CERT_DEPTH)[-1] + 1)
 
 
 @pytest.fixture(scope="session")

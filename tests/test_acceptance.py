@@ -128,11 +128,11 @@ def test_criterion_8_scaffolding_properties():
         assert shift_bounds(2, 0, 2, 1, 4) == (6, 4)
 
 
-def test_criterion_9_certification_suite(truth_a, f_cert, rules_main):
+def test_criterion_9_certification_suite(truth_a, f_cert):
     with criterion(9, "every transition certifies at depth 16 across all "
                       "three boundary families; failures name a witness"):
-        report = certify_transitions(truth_a, f_cert, rules_main,
-                                     depth=CERT_DEPTH, validate_to=2 ** 22)
+        report = certify_transitions(truth_a, f_cert, depth=CERT_DEPTH,
+                                     validate_to=2 ** 22)
         assert report.verdict == "pass"
         assert len(report.transitions) == 66
         assert all(t.family_depth == CERT_DEPTH for t in report.transitions)
@@ -143,7 +143,7 @@ def test_criterion_9_certification_suite(truth_a, f_cert, rules_main):
         rows[s][1] = truth_a.names.index("11101")
         broken = Dfao(2, 0, rows, truth_a.outputs, WINDOW, truth_a.names)
         try:
-            certify_transitions(broken, f_cert, rules_main, depth=CERT_DEPTH,
+            certify_transitions(broken, f_cert, depth=CERT_DEPTH,
                                 validate_to=2 ** 22)
             raise AssertionError("corrupted automaton was certified")
         except CertificationFailure as e:

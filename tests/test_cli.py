@@ -123,11 +123,11 @@ def test_certify_window(built, capsys):
     assert "cross-validated on [0, 65536]" in out
 
 
-@pytest.mark.parametrize("validate", ["2", "5", "100"])
+@pytest.mark.parametrize("validate", ["2", "5", "7", "8", "100"])
 def test_certify_window_at_a_small_validate(built, validate, capsys):
-    # F to --validate + 2 holds no rule domain below 7, and the rule
-    # propagation to --validate // 2 then checks no a: the window file's
-    # certificate passes on its planned windows and outputs alone
+    # the rule propagation to --validate // 2 reads no a below --validate 8,
+    # where the window file's certificate passes on its planned windows and
+    # outputs alone, and at 8 reads its first, a = 4, from F to 9
     a_path, _, _ = built
     assert run(["certify", "--automaton", str(a_path), "--depth", "4",
                 "--validate", validate]) == 0
@@ -167,6 +167,29 @@ def test_certify_refuses_names_that_are_not_access_strings(name, built, tmp_path
     assert capsys.readouterr().err == (
         f"vseq: state {extra} name {name!r} is not a base-2 access string; "
         "certification needs synthesized names\n")
+
+
+@pytest.mark.parametrize("command", ["synthesize", "certify-window", "certify-single",
+                                     "tables-check"])
+def test_each_verifying_command_scans_the_rules_once(command, built, tmp_path,
+                                                     monkeypatch, capsys):
+    # certification derives the doubling rules it propagates in one scan to
+    # a = --validate // 2, checked against no frozen table
+    a_path, b_path, _ = built
+    argv = {"synthesize": ["synthesize", "--out", str(tmp_path / "x.dfao")],
+            "certify-window": ["certify", "--automaton", str(a_path)],
+            "certify-single": ["certify", "--automaton", str(b_path)],
+            "tables-check": ["tables", "check"]}[command]
+    scans = []
+    scan = vseq.rules._scan
+
+    def spy(f, a_min, a_max, frozen=None):
+        scans.append((a_min, a_max, frozen))
+        return scan(f, a_min, a_max, frozen)
+
+    monkeypatch.setattr(vseq.rules, "_scan", spy)
+    assert run([*argv, *FAST]) == 0
+    assert scans == [(4, 65536 // 2, None)]
 
 
 def test_tables_check(capsys):

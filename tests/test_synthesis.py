@@ -12,7 +12,7 @@ from vseq import (SINGLE, WINDOW, CertificationFailure, Dfao,
                   InsufficientHorizon, NonpositiveDivisor, OracleTooShort,
                   ProbeReport,
                   SequenceTable, certify_transitions,
-                  cross_validate, derive_rules, discover, euclid_div, gen_f,
+                  cross_validate, discover, euclid_div, gen_f,
                   gen_v, first_difference, kernel_probe, shift_bounds,
                   synthesize_msb, synthesize_validated)
 from vseq import synthesis
@@ -385,13 +385,13 @@ def test_cross_validate_refuses_oracle_past_0(truth_a, truth_b, kind):
         cross_validate(machine, late, 1000)
 
 
-def test_certify_refuses_oracle_past_0(truth_a, rules_main):
+def test_certify_refuses_oracle_past_0(truth_a):
     # certification once read the window at 0 from a table starting at 5
     # and blamed the correct machine's initial state for the difference
     f = gen_f(2 ** 16 + 2)
     late = SequenceTable(5, f.hi, f.values[5:], "F")
     with pytest.raises(ValueError, match="starting at index 0"):
-        certify_transitions(truth_a, late, rules_main, 2, 2 ** 16)
+        certify_transitions(truth_a, late, 2, 2 ** 16)
 
 
 CORRUPT_N_MAX = 3000
@@ -603,9 +603,8 @@ def test_discover_holds_one_byte_ids(f_main):
 
 # -- certification ---------------------------------------------------------------
 
-def test_certify_small_depth(truth_a, f_main, rules_main):
-    report = certify_transitions(truth_a, f_main, rules_main, depth=4,
-                                 validate_to=2 ** 16)
+def test_certify_small_depth(truth_a, f_main):
+    report = certify_transitions(truth_a, f_main, depth=4, validate_to=2 ** 16)
     assert report.verdict == "pass"
     assert len(report.transitions) == 66
     assert all(t.family_depth == 4 for t in report.transitions)
@@ -615,7 +614,7 @@ def test_certify_small_depth(truth_a, f_main, rules_main):
     assert "verdict: pass" in text
 
 
-def test_certify_catches_misrouted_transition(truth_a, f_main, rules_main):
+def test_certify_catches_misrouted_transition(truth_a, f_main):
     # 1011 and 11101 carry the same window, so the base check alone cannot
     # tell them apart; the boundary families must
     rows = [list(r) for r in truth_a.transitions]
@@ -624,8 +623,7 @@ def test_certify_catches_misrouted_transition(truth_a, f_main, rules_main):
     rows[s][1] = truth_a.names.index("11101")
     broken = Dfao(2, 0, rows, truth_a.outputs, WINDOW, truth_a.names)
     with pytest.raises(CertificationFailure) as excinfo:
-        certify_transitions(broken, f_main, rules_main, depth=4,
-                            validate_to=2 ** 16)
+        certify_transitions(broken, f_main, depth=4, validate_to=2 ** 16)
     e = excinfo.value
     assert (e.from_name, e.digit, e.to_name) == ("101", 1, "11101")
     assert e.witness != ""
@@ -660,14 +658,13 @@ SHORT = 2 ** 15
 def _short_certificate(machine: Dfao, depth: int, hi: int = SHORT + 2,
                        at: int | None = None):
     """certify_transitions of machine at depth, given F to hi, with F(at)
-    set to 9 if at is given, against the rules derived to 2^14."""
+    set to 9 if at is given."""
     f = gen_f(hi)
     if at is not None:
         vals = bytearray(f.values)
         vals[at] = 9
         f = SequenceTable(0, hi, vals, "F")
-    rules = derive_rules(gen_f(SHORT + 2), 4, SHORT // 2)
-    return certify_transitions(machine, f, rules, depth, SHORT)
+    return certify_transitions(machine, f, depth, SHORT)
 
 
 def _mutant(truth_a: Dfao, redirect) -> Dfao:
@@ -699,34 +696,50 @@ def test_certify_names_the_first_failing_window_pair(truth_a, redirect, at, fiel
     assert _failure(lambda: _short_certificate(machine, 4, at=at)) == (message, *fields)
 
 
-def test_certify_catches_wrong_output(truth_a, f_main, rules_main):
+def test_certify_catches_wrong_output(truth_a, f_main):
     outs = list(truth_a.outputs)
     outs[3] = (1, 2, 3, 1)
     broken = Dfao(2, 0, truth_a.transitions, outs, WINDOW, truth_a.names)
     with pytest.raises(CertificationFailure):
-        certify_transitions(broken, f_main, rules_main, depth=2,
-                            validate_to=2 ** 10)
+        certify_transitions(broken, f_main, depth=2, validate_to=2 ** 10)
 
 
-def test_certify_needs_the_rule_propagations_prefix(truth_a, rules_main):
+def test_certify_needs_the_rule_propagations_prefix(truth_a):
     # the planned windows are counted on past any prefix; the propagation
     # to a = validate_to / 2 reads F to 2 a + 1 from the prefix itself
     with pytest.raises(OracleTooShort, match="rule propagation to 32768 needs 65537"):
-        certify_transitions(truth_a, gen_f(2 ** 16), rules_main, depth=2,
-                            validate_to=2 ** 16)
+        certify_transitions(truth_a, gen_f(2 ** 16), depth=2, validate_to=2 ** 16)
 
 
-def test_certify_needs_full_rule_domain(truth_a, f_main):
-    sparse = derive_rules(f_main, 4, 8)
+def test_certify_needs_full_rule_domain(truth_a, f_main, monkeypatch):
+    # a window first seen past the rule domain fails at its least a
+    monkeypatch.setattr(synthesis, "RULES_TO", 8)
+    message, *_, witness = _failure(
+        lambda: certify_transitions(truth_a, f_main, depth=2, validate_to=2 ** 10))
+    assert message == ("window (2, 2, 1, 3) at a = 10 outside the rule domain "
+                       "witness='10'")
+    assert witness == "10"
+
+
+def test_certify_catches_a_doubling_rule_conflict(truth_a):
+    # F(60001) = F(2a + 1) at a = 30000, past every planned window (the last
+    # is 7417 at depth 2), so only the rule propagation reads it
+    assert synthesis.cert_plan(truth_a, 2)[-1] == 7417
+    f = gen_f(2 ** 16 + 2)
+    vals = bytearray(f.values)
+    assert vals[60001] == 2
+    vals[60001] = 1
+    bad = SequenceTable(0, f.hi, vals, "F")
+    message, *_, witness = _failure(
+        lambda: certify_transitions(truth_a, bad, depth=2, validate_to=2 ** 16))
+    assert message == ("doubling rules disagree with the oracle at a = 30000 "
+                       "witness='30000'")
+    assert witness == "30000"
+
+
+def test_certify_rejects_single_kind(truth_b, f_main):
     with pytest.raises(CertificationFailure):
-        certify_transitions(truth_a, f_main, sparse, depth=2,
-                            validate_to=2 ** 10)
-
-
-def test_certify_rejects_single_kind(truth_b, f_main, rules_main):
-    with pytest.raises(CertificationFailure):
-        certify_transitions(truth_b, f_main, rules_main, depth=2,
-                            validate_to=2 ** 10)
+        certify_transitions(truth_b, f_main, depth=2, validate_to=2 ** 10)
 
 
 # -- certification from planned windows -----------------------------------------
@@ -739,7 +752,7 @@ def test_cert_plan_is_what_certification_reads(truth_a, depth, size, past, bound
     plan = synthesis.cert_plan(truth_a, depth)
     assert plan == sorted(set(plan))
     assert (len(plan), sum(n >= VALIDATE_TO + 2 for n in plan)) == (size, past)
-    assert synthesis.cert_oracle_bound(truth_a, depth) == plan[-1] + 1 == bound
+    assert plan[-1] + 1 == bound
 
 
 def test_certificate_records_what_it_read(truth_a):
@@ -770,7 +783,7 @@ def test_certify_from_planned_windows_names_the_same_failure(truth_a, redirect, 
     # plan's end: the same failure for each mutant; a misrouted transition
     # fails where it fails at depth 4
     machine = _mutant(truth_a, redirect)
-    bound = synthesis.cert_oracle_bound(machine, 8)
+    bound = synthesis.cert_plan(machine, 8)[-1] + 1
     planned = _failure(lambda: _short_certificate(machine, 8, at=at))
     assert planned == _failure(lambda: _short_certificate(machine, 8, bound, at))
     if redirect is not None:
