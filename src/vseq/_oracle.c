@@ -384,9 +384,8 @@ int64_t vseq_byte_max(const uint8_t *v, int64_t n)
 
 /* out[i] = the id of the code c_0 k^(parts-1) + ... + c_(parts-1), with
    c_j = ids[first + q i + j], for i < count: ids in order of first
-   appearance, each the rank stored at rank[code] less one, after the
-   distinct ids the caller has already ranked.  The caller zeroes rank
-   (but for those ranks), which spans the codes below space.  A code at or past space
+   appearance, each the rank stored at rank[code] less one.  The caller
+   zeroes rank, which spans the codes below space.  A code at or past space
    returns -1, so that a child at or past k reads and writes nothing outside
    rank; a rank past the width of OUT returns WIDER before it would wrap,
    for the caller to join again into wider ids.
@@ -396,8 +395,9 @@ int64_t vseq_byte_max(const uint8_t *v, int64_t n)
 static inline __attribute__((always_inline)) int64_t                         \
 join_loop_##IN##_##OUT(const IN##_t *ids, int64_t q, int64_t parts,          \
                        int64_t count, int64_t k, OUT##_t *rank,              \
-                       uint64_t space, OUT##_t *out, int64_t distinct)       \
+                       uint64_t space, OUT##_t *out)                         \
 {                                                                            \
+    int64_t distinct = 0;                                                    \
     for (int64_t i = 0; i < count; i++, ids += q) {                          \
         uint64_t code = ids[0];                                              \
         for (int64_t j = 1; j < parts; j++)                                  \
@@ -417,18 +417,14 @@ join_loop_##IN##_##OUT(const IN##_t *ids, int64_t q, int64_t parts,          \
                                                                              \
 static int64_t join_##IN##_##OUT(const void *ids_, int64_t first, int64_t q, \
                                  int64_t parts, int64_t count, int64_t k,    \
-                                 void *rank, uint64_t space, void *out,      \
-                                 int64_t ranked)                             \
+                                 void *rank, uint64_t space, void *out)      \
 {                                                                            \
     const IN##_t *ids = (const IN##_t *)ids_ + first;                        \
     if (q == 2 && parts == 2)                                                \
-        return join_loop_##IN##_##OUT(ids, 2, 2, count, k, rank, space, out, \
-                                      ranked);                               \
+        return join_loop_##IN##_##OUT(ids, 2, 2, count, k, rank, space, out);\
     if (q == 1 && parts == 4)                                                \
-        return join_loop_##IN##_##OUT(ids, 1, 4, count, k, rank, space, out, \
-                                      ranked);                               \
-    return join_loop_##IN##_##OUT(ids, q, parts, count, k, rank, space, out, \
-                                  ranked);                                   \
+        return join_loop_##IN##_##OUT(ids, 1, 4, count, k, rank, space, out);\
+    return join_loop_##IN##_##OUT(ids, q, parts, count, k, rank, space, out);\
 }
 
 #define JOINS_FROM(IN) JOIN(IN, uint8) JOIN(IN, uint16) JOIN(IN, uint32)
@@ -437,7 +433,7 @@ JOINS_FROM(uint16)
 JOINS_FROM(uint32)
 
 typedef int64_t join_fn(const void *, int64_t, int64_t, int64_t, int64_t,
-                        int64_t, void *, uint64_t, void *, int64_t);
+                        int64_t, void *, uint64_t, void *);
 
 /* [in][out] by width_index */
 static join_fn *const joins[3][3] = {
@@ -501,13 +497,12 @@ static int64_t hash_join(const uint8_t *ids, int64_t width, int64_t q,
     return distinct;
 }
 
-/* The join of ids in_width bytes wide into ids out_width bytes wide: after
-   ranked ids already in the rank table over the space of codes, which has
-   the width of the ids it makes, or through hash_join's space slots. */
+/* The join of ids in_width bytes wide into ids out_width bytes wide:
+   through the rank table over the space of codes, which has the width of
+   the ids it makes, or through hash_join's space slots. */
 int64_t vseq_join(const void *ids, int64_t in_width, int64_t first, int64_t q,
                   int64_t parts, int64_t count, int64_t k, void *table,
-                  uint64_t space, void *out, int64_t out_width, int64_t ranked,
-                  int64_t hashed)
+                  uint64_t space, void *out, int64_t out_width, int64_t hashed)
 {
     int a = width_index(in_width), b = width_index(out_width);
     if (a < 0 || b < 0)
@@ -515,7 +510,7 @@ int64_t vseq_join(const void *ids, int64_t in_width, int64_t first, int64_t q,
     if (hashed)
         return hash_join((const uint8_t *)ids + in_width * first, in_width, q,
                          parts, count, table, space, out, out_width);
-    return joins[a][b](ids, first, q, parts, count, k, table, space, out, ranked);
+    return joins[a][b](ids, first, q, parts, count, k, table, space, out);
 }
 
 /* Whether the w bytes at out equal F(n) (w = 1) or the window
@@ -585,46 +580,43 @@ int64_t vseq_check(const void *table, int64_t width, const void *head,
                    : check_wide(table, width, head, sw, outputs, w, f, n_max);
 }
 
-/* The least i < count with known[ids[i]] and the two bytes at pairs[2 i]
-   unlike the two at expect[2 ids[i]], or -1: the rule scan's images F(2a),
-   F(2a+1) against its window's expected pair.  For ids of width = 2 or 4
-   bytes, expect and known hold n ids; an id past them returns -2. */
+/* The least i < count with the two bytes at pairs[2 i] unlike the two at
+   expect[2 ids[i]], or -1: the rule scan's images F(2a), F(2a+1) against
+   its window's expected pair.  For ids of width = 2 or 4 bytes, expect
+   holds n ids; an id past them returns -2. */
 static __attribute__((noinline)) int64_t
-pairs_wide(const void *ids, const uint8_t *expect, const uint8_t *known,
-           const uint8_t *pairs, int64_t count, int64_t width, int64_t n)
+pairs_wide(const void *ids, const uint8_t *expect, const uint8_t *pairs,
+           int64_t count, int64_t width, int64_t n)
 {
     for (int64_t i = 0; i < count; i++) {
         uint64_t id = get(ids, width, i);
-        uint16_t got, want;
         if (id >= (uint64_t)n)
             return -2;
-        memcpy(&got, pairs + 2 * i, 2);
-        memcpy(&want, expect + 2 * id, 2);
-        if (got != want && known[id])
+        if (memcmp(pairs + 2 * i, expect + 2 * id, 2))
             return i;
     }
     return -1;
 }
 
-/* The same for one-byte ids, reading expect and known through all 256. */
+/* The same for one-byte ids, reading expect through all 256. */
 static __attribute__((noinline)) int64_t
-pairs_narrow(const uint8_t *ids, const uint8_t *expect, const uint8_t *known,
-             const uint8_t *pairs, int64_t count)
+pairs_narrow(const uint8_t *ids, const uint8_t *expect, const uint8_t *pairs,
+             int64_t count)
 {
     uint16_t want[256];
     memcpy(want, expect, sizeof want);
     for (int64_t i = 0; i < count; i++) {
         uint16_t got;
         memcpy(&got, pairs + 2 * i, 2);
-        if (got != want[ids[i]] && known[ids[i]])
+        if (got != want[ids[i]])
             return i;
     }
     return -1;
 }
 
-int64_t vseq_pairs(const void *ids, const uint8_t *expect, const uint8_t *known,
-                   const uint8_t *pairs, int64_t count, int64_t width, int64_t n)
+int64_t vseq_pairs(const void *ids, const uint8_t *expect, const uint8_t *pairs,
+                   int64_t count, int64_t width, int64_t n)
 {
-    return width == 1 ? pairs_narrow(ids, expect, known, pairs, count)
-                      : pairs_wide(ids, expect, known, pairs, count, width, n);
+    return width == 1 ? pairs_narrow(ids, expect, pairs, count)
+                      : pairs_wide(ids, expect, pairs, count, width, n);
 }

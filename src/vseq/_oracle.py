@@ -2,10 +2,10 @@
 recursion and count for the oracle, the count resumed into a ring that keeps
 F's windows at planned indices, the loop that writes V's steps and reads V's
 older terms back from them, the byte sum and maximum, the tuple join that
-numbers the rule scan's windows, discovery's windows and the kernel probe's
-blocks, and the two checks of the synthesize pipeline: cross-validation's
-walk of the stride table against F, and the rule scan's compare of each a's
-image pair with its window's.
+numbers the rule scan's windows and the kernel probe's blocks, and the two
+checks of the synthesize pipeline: cross-validation's walk of the stride
+table against F, and the rule scan's compare of each a's image pair with
+its window's.
 
 ``library`` compiles the source with the system ``cc`` and loads it with
 ctypes.  It runs on the first oracle call, never at import.  The shared
@@ -99,9 +99,9 @@ class Oracle:
         for fn in (lib.vseq_byte_sum, lib.vseq_byte_max):
             fn.argtypes = [ptr, i64]
         lib.vseq_join.argtypes = [ptr, i64, i64, i64, i64, i64, i64, ptr,
-                                  ctypes.c_uint64, ptr, i64, i64, i64]
+                                  ctypes.c_uint64, ptr, i64, i64]
         lib.vseq_check.argtypes = [ptr, i64, ptr, ptr, i64, ptr, i64, i64]
-        lib.vseq_pairs.argtypes = [ptr, ptr, ptr, ptr, i64, i64, i64]
+        lib.vseq_pairs.argtypes = [ptr, ptr, ptr, i64, i64, i64]
         for fn in (lib.vseq_byte_sum, lib.vseq_byte_max, lib.vseq_join,
                    lib.vseq_check, lib.vseq_pairs):
             fn.restype = i64
@@ -176,45 +176,25 @@ class Oracle:
         return self._lib.vseq_byte_max(_pointer(vals), len(vals))
 
     def join(self, ids, first: int, stride: int, parts: int, count: int,
-             k: int, pad: int = 0) -> tuple[array, int]:
+             k: int) -> tuple[array, int]:
         """sequences.join_ids, compiled, run at one byte and again at each
         wider width its ids overflow.  Where the k**parts tuples are few
-        (_dense), one rank table spans them, the tuples that reach into the
-        pad ranked here, the rest by the compiled loop, with no copy.  Past
-        that, a hash table of 2^12 slots, doubled each time the loop finds
-        it half full, over a padded copy of the ids where pad > 0."""
+        (_dense), one rank table spans them; past that, a hash table of
+        2^12 slots, doubled each time the loop finds it half full."""
         view = _view(ids, "BHILQ", "join's ids")
-        if (first < 0 or count < 1 or parts < 1 or pad < 0 or count >= 2 ** 32 - 1
-                or first + stride * (count - 1) + parts > pad + len(view)):
+        if (first < 0 or count < 1 or parts < 1 or count >= 2 ** 32 - 1
+                or first + stride * (count - 1) + parts > len(view)):
             raise ValueError("join reads outside the ids")
         dense = _dense(k ** parts, count)
-        if pad and not dense:
-            view = memoryview(bytes(pad * view.itemsize) + view.tobytes()).cast(
-                view.format.lstrip("@="))
-            pad = 0
-        # the codes of the tuples that read the pad
-        codes = [sum((view[j - pad] if j >= pad else 0) * k ** (s + parts - 1 - j)
-                     for j in range(s, s + parts))
-                 for s in range(first, min(pad, first + stride * count), stride)]
-        if any(c >= k ** parts for c in codes):
-            raise ValueError(f"ids at or past {k}")
         src, width, slots = _pointer(view), 0, 1 << 12
         while True:
             out = array(ID_CODES[width], [0]) * count
             table = array(ID_CODES[width] if dense else "I", [0]) * (
                 k ** parts if dense else slots)
-            distinct = 0
-            for i, c in enumerate(codes):  # the rank of an id is its number
-                if not table[c]:
-                    distinct += 1
-                    table[c] = distinct
-                out[i] = table[c] - 1
-            if len(codes) < count:
-                distinct = self._lib.vseq_join(
-                    src, view.itemsize, first + stride * len(codes) - pad,
-                    stride, parts, count - len(codes), k, table.buffer_info()[0],
-                    len(table), out.buffer_info()[0] + len(codes) * out.itemsize,
-                    out.itemsize, distinct, not dense)
+            distinct = self._lib.vseq_join(
+                src, view.itemsize, first, stride, parts, count, k,
+                table.buffer_info()[0], len(table), out.buffer_info()[0],
+                out.itemsize, not dense)
             if distinct == WIDER and width < 2:
                 width += 1
             elif distinct == FULL:
@@ -253,24 +233,19 @@ class Oracle:
                                     _pointer(outputs), w, _pointer(f), n_max,
                                     table.itemsize)
 
-    def pairs(self, ids, expect, known, pairs) -> int:
-        """The least i with known[ids[i]] and the pair pairs[2i:2i + 2]
-        unlike expect[2 ids[i]:2 ids[i] + 2], or -1: ids 1, 2 or 4 bytes
-        wide, one known flag and one expected pair F(2a), F(2a+1) per id,
-        padded here to 256 ids, and one pair per i, all bytes.  An id past
-        them raises ValueError."""
+    def pairs(self, ids, expect, pairs) -> int:
+        """The least i with the pair pairs[2i:2i + 2] unlike
+        expect[2 ids[i]:2 ids[i] + 2], or -1: ids 1, 2 or 4 bytes wide, one
+        expected pair F(2a), F(2a+1) per id, padded here to 256 ids, and
+        one pair per i, all bytes.  An id past them raises ValueError."""
         ids = _view(ids, "BHI", "pairs' ids")
-        expect, known, pairs = (_view(b, "B", what) for b, what in (
-            (expect, "pairs' expected pairs"), (known, "pairs' known flags"),
-            (pairs, "pairs' pairs")))
-        if len(pairs) != 2 * len(ids) or len(expect) != 2 * len(known):
+        expect, pairs = (_view(b, "B", what) for b, what in (
+            (expect, "pairs' expected pairs"), (pairs, "pairs' pairs")))
+        if len(pairs) != 2 * len(ids) or len(expect) % 2:
             raise ValueError("pairs takes a pair per id and a pair per i")
-        size = max(len(known), 256)
-        table, seen = bytearray(2 * size), bytearray(size)
-        table[:len(expect)], seen[:len(known)] = expect, known
-        i = self._lib.vseq_pairs(_pointer(ids), _pointer(memoryview(table)),
-                                 _pointer(memoryview(seen)), _pointer(pairs),
-                                 len(ids), ids.itemsize, size)
+        table = bytes(expect).ljust(512, b"\0")
+        i = self._lib.vseq_pairs(_pointer(ids), table, _pointer(pairs), len(ids),
+                                 ids.itemsize, len(table) // 2)
         if i == -2:
             raise ValueError("pairs' ids must lie below their tables")
         return i

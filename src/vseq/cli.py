@@ -230,9 +230,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     def pipeline_flags(sp):
         sp.add_argument("--validate", type=int, default=2 ** 22,
-                        help="count F to VALIDATE + 2, which discovery reads "
-                             "whole; cross-validate on [0, VALIDATE] and check "
-                             "the doubling rules to a = VALIDATE // 2")
+                        help="count F to VALIDATE + 2 (synthesis reads it to "
+                             "465, so VALIDATE >= 463); cross-validate on "
+                             "[0, VALIDATE] and check the doubling rules to "
+                             "a = VALIDATE // 2")
         sp.add_argument("--depth", type=int, default=16,
                         help="the certificate's boundary families 0^j, 0^j 1, "
                              "1^j for j up to DEPTH")

@@ -10,10 +10,11 @@ The maps are partial by design.  Only windows actually realized by F get
 images; inventing values for the other tuples over {1,2,3}^4 would poison
 automaton certification.
 
-One scan serves derivation and verification.  It sorts nothing: the
-windows are the overlapping 4-tuples of F's bytes, numbered densely by the
-tuple join the kernel probe uses too (sequences.join_ids), and the images
-are checked through one table of expected pairs per id.
+One scan derives the rules.  It sorts nothing: the windows are the
+overlapping 4-tuples of F's bytes, numbered densely by the tuple join the
+kernel probe uses too (sequences.join_ids), and the images are checked
+through one table of expected pairs per id.  Verifying a rule table is
+that scan and a compare of its images.
 """
 
 from __future__ import annotations
@@ -60,16 +61,17 @@ class WindowRuleTable(Record):
         super().__init__(even_rule, odd_rule, first_seen)
 
     @property
-    def domain(self) -> frozenset[Window]:
-        return frozenset(self.even_rule)
+    def domain(self):
+        """The windows that have images, as a set-like view."""
+        return self.even_rule.keys()
 
     def __len__(self) -> int:
         return len(self.even_rule)
 
 
 class RuleVerification(namedtuple("RuleVerification", "a_checked new_windows")):
-    """Outcome of re-checking frozen rules against a longer oracle:
-    new_windows maps each window absent from the frozen table to its least a.
+    """Outcome of re-checking a rule table against a longer oracle:
+    new_windows maps each window absent from the table to its least a.
 
     A conflict raises RuleConflict instead of being recorded, so an instance
     of this report always means zero violations.
@@ -78,20 +80,7 @@ class RuleVerification(namedtuple("RuleVerification", "a_checked new_windows")):
     __slots__ = ()
 
 
-def _first_conflict(ids, expect: bytes, known: bytes, pairs) -> int:
-    """_oracle.Oracle.pairs in plain Python: every i's expected pair joined
-    into one byte string, compared with the pairs, passing over a mismatch
-    at an id not known."""
-    table = [expect[2 * u:2 * u + 2] for u in range(len(known))]
-    want = b"".join(map(table.__getitem__, ids))
-    i = _mismatch(want, pairs)
-    while i >= 0 and not known[ids[i // 2]]:
-        i = _mismatch(want, pairs, i // 2 * 2 + 2)
-    return i // 2 if i >= 0 else -1
-
-
-def _scan(f: SequenceTable, a_min: int, a_max: int,
-          frozen: WindowRuleTable | None = None) -> WindowRuleTable:
+def _scan(f: SequenceTable, a_min: int, a_max: int) -> WindowRuleTable:
     """The one pass over a in [a_min, a_max]: the windows realized on it,
     with their images and least a, in order of that a.
 
@@ -99,8 +88,7 @@ def _scan(f: SequenceTable, a_min: int, a_max: int,
     4-tuples of bytes at stride 1, ids below k = 1 + the largest byte in
     range (k^4 = 625 tuples for F), and _first_seen finds the least a of
     each id.  The images of each a are the pair of bytes F(2a), F(2a+1),
-    checked in one compare against a per-id table of the expected pairs:
-    those of ``frozen`` (windows it lacks are skipped) or else those of the
+    checked in one compare against a per-id table of the pairs at each
     window's first occurrence.  Where a library loads, the largest byte,
     the join and the compare run compiled (``_oracle.c``; vseq_pairs stops
     at the first conflict); otherwise their plain-Python loops run.
@@ -130,24 +118,19 @@ def _scan(f: SequenceTable, a_min: int, a_max: int,
         odd_rule={wins[u]: pairs[2 * first[u] + 1] for u in by_a},
         first_seen={wins[u]: a_min + first[u] for u in by_a},
     )
-    ref = realized if frozen is None else frozen
-    known = bytes(w in ref.even_rule for w in wins)
-    expect = bytearray()
-    for u, w in enumerate(wins):
-        g, h = ref.even_rule.get(w, 0), ref.odd_rule.get(w, 0)
-        # an image outside [0, 255] fits no pair and conflicts wherever its
-        # window occurs: a pair unlike the one at its first a says so
-        expect += (bytes((g, h)) if 0 <= g <= 255 and 0 <= h <= 255
-                   else bytes((pairs[2 * first[u]] ^ 1, pairs[2 * first[u] + 1])))
+    images = [bytes(pairs[2 * i:2 * i + 2]) for i in first]  # at each id's first a
     lib = _library()
-    i = (lib.pairs(ids, expect, known, pairs) if lib is not None
-         else _first_conflict(ids, expect, known, pairs))
+    if lib is not None:
+        i = lib.pairs(ids, b"".join(images), pairs)
+    else:  # every a's expected pair, joined; -1 // 2 is -1, no conflict
+        i = _mismatch(b"".join(map(images.__getitem__, ids)), pairs) // 2
     if i >= 0:
         w = wins[ids[i]]
         g, h = pairs[2 * i], pairs[2 * i + 1]
-        parity, table, image = (("even", ref.even_rule, g) if ref.even_rule[w] != g
-                                else ("odd", ref.odd_rule, h))
-        raise RuleConflict(w, parity, ref.first_seen[w], table[w], a_min + i, image)
+        parity, table, image = (("even", realized.even_rule, g)
+                                if realized.even_rule[w] != g
+                                else ("odd", realized.odd_rule, h))
+        raise RuleConflict(w, parity, realized.first_seen[w], table[w], a_min + i, image)
     return realized
 
 
@@ -168,13 +151,20 @@ def derive_rules(f: SequenceTable, a_min: int, a_max: int) -> WindowRuleTable:
 
 def verify_rules(rules: WindowRuleTable, f: SequenceTable,
                  a_max: int) -> RuleVerification:
-    """Re-check every a in [DERIVATION_START, a_max] against the frozen table.
+    """Re-check every a in [DERIVATION_START, a_max] against a rule table:
+    one derive_rules scan, then a compare of its images with the table's.
 
-    Windows not present in the frozen domain are reported, not adopted:
-    the table under verification never changes.
+    A window whose derived images differ from the table's raises
+    RuleConflict at its least a, the first such window first.  Windows the
+    table lacks are reported, not adopted: the table never changes.
     """
-    realized = _scan(f, DERIVATION_START, a_max, frozen=rules)
-    new = {w: a for w, a in realized.first_seen.items() if w not in rules.even_rule}
+    derived = derive_rules(f, DERIVATION_START, a_max)
+    for w, a in derived.first_seen.items():
+        for parity, want, got in (("even", rules.even_rule, derived.even_rule),
+                                  ("odd", rules.odd_rule, derived.odd_rule)):
+            if w in want and want[w] != got[w]:
+                raise RuleConflict(w, parity, rules.first_seen[w], want[w], a, got[w])
+    new = {w: a for w, a in derived.first_seen.items() if w not in rules.even_rule}
     return RuleVerification(a_checked=a_max, new_windows=new)
 
 

@@ -117,44 +117,32 @@ def _dense(space: int, size: int) -> bool:
     return space <= size + (1 << 16)
 
 
-def join_ids(ids, k: int, first: int, stride: int, parts: int, count: int,
-             pad: int = 0) -> tuple[array, int]:
+def join_ids(ids, k: int, first: int, stride: int, parts: int,
+             count: int) -> tuple[array, int]:
     """Dense ids for the tuples (ids[first + stride i + j])_{j < parts},
-    i < count, of unsigned ids below k, read as if ``pad`` zero ids came
-    before them (discovery reads F(-2) = F(-1) = 0 before F): equal tuples
-    get equal ids, numbered in order of first appearance, in an ``array``
-    of the narrowest typecode that holds their number ('B' up to 255 ids,
-    then 'H', 'I'); and their number.  Tuples may overlap (parts > stride),
-    as the rule scan's 4-windows do.  ids is any flat buffer of ids 1, 2 or
-    4 bytes wide.  The compiled join runs where a library loads.  Without
-    one, a dict numbers the bytes of each tuple: those of the tuples that
-    reach into the pad from a padded copy of the ids they span, the rest
-    from the ids, copied a chunk of about 16 KB at a time; the ids are
-    written one byte each until their number needs two or four."""
+    i < count, of unsigned ids below k: equal tuples get equal ids,
+    numbered in order of first appearance, in an ``array`` of the narrowest
+    typecode that holds their number ('B' up to 255 ids, then 'H', 'I');
+    and their number.  Tuples may overlap (parts > stride), as the rule
+    scan's 4-windows do.  ids is any flat buffer of ids 1, 2 or 4 bytes
+    wide.  The compiled join runs where a library loads.  Without one, a
+    dict numbers the bytes of each tuple, copied a chunk of about 16 KB at
+    a time; the ids are written one byte each until their number needs two
+    or four."""
     lib = _library()
     if lib is not None:
-        return lib.join(ids, first, stride, parts, count, k, pad)
+        return lib.join(ids, first, stride, parts, count, k)
     view = memoryview(ids)
     size = view.itemsize
     view, width, step = view.cast("B"), parts * size, stride * size
-    lead = len(range(first, min(pad, first + stride * count), stride))
     per_chunk = max(1, (1 << 14) // step)
-
-    def chunks():
-        """(i, j, buf, at): the tuples i to j - 1 start at byte at of buf,
-        step bytes apart."""
-        if lead:
-            end = first + stride * (lead - 1) + parts - pad  # past the last id they read
-            yield 0, lead, bytes(pad * size) + view[:max(end, 0) * size], first * size
-        for i in range(lead, count, per_chunk):
-            j = min(i + per_chunk, count)
-            at = (first + stride * i - pad) * size
-            yield i, j, view[at:at + step * (j - 1 - i) + width].tobytes(), 0
-
     seen, out = {}, array("B", [0]) * count
-    for i, j, buf, at in chunks():
+    for i in range(0, count, per_chunk):
+        j = min(i + per_chunk, count)
+        at = (first + stride * i) * size
+        buf = view[at:at + step * (j - 1 - i) + width].tobytes()
         got = [seen.setdefault(buf[s:s + width], len(seen))
-               for s in range(at, at + step * (j - i), step)]
+               for s in range(0, step * (j - i), step)]
         d = len(seen)
         code = "B" if d < 1 << 8 else "H" if d < 1 << 16 else "I"
         if code != out.typecode:

@@ -1,10 +1,9 @@
 """Automaton synthesis from a sequence oracle, and its certification.
 
-Synthesis is conjecture-then-certify.  A breadth-first Myhill-Nerode style
-discovery reads the oracle and merges digit strings whose observable
-behavior agrees as far as the oracle reaches; the result is only a
-conjecture, because a finite oracle can over-merge.  Two independent gates
-follow:
+Synthesis is conjecture-then-certify.  A breadth-first walk builds the
+automaton from the doubling rules as read off the oracle; the result is
+only a conjecture, because the rules are read on a finite range.  Two
+independent gates follow:
 
 * ``cross_validate`` replays every n up to a bound through the automaton
   and compares against the oracle;
@@ -14,30 +13,30 @@ follow:
   families 0^j, 0^j 1, 1^j, plus the doubling-rule propagation that carries
   window equality from each extension length to the next.
 
-Discovery builds the window automaton only: each state is annotated with
-the 4-window (F(n-2), F(n-1), F(n), F(n+1)) at its access value n.  The
-single-output form is that automaton's output projection, minimized
-(``project_output().minimize()``).
+Discovery builds the window automaton, each state annotated with the
+4-window F(n-2..n+1) at its access value n; the single-output form is its
+output projection, minimized.  For a >= 6, X(a) = F(a-4..a+2) fixes X(2a)
+and X(2a+1) through the doubling rules of its four 4-windows, so a
+breadth-first walk keyed by X is a finite state discovery (the k-kernel
+argument of Allouche & Shallit, Automatic Sequences, Thm 6.6.2), right on
+every n >= 6 by strong induction on the numeral's length wherever the
+rules hold.  It keys the numerals below 6 by their value and reads
+X(6..11) from the oracle; on F it reads F to 465, and its 69 states
+minimize to 33.
 
-The signature of a string with value m holds one id per level L: that of
-the block of windows at 2^L m + c, c < 2^L, its length-L extensions.  A
-block is the pair of blocks at 2m and 2m + 1 one level down (Allouche &
-Shallit, Automatic Sequences, Thm 6.6.2), so each level is one tuple join
-(sequences.join_ids).  Levels end where the oracle does; two strings are
-merged when their signatures agree on every common level.
-
-Discovery, cross-validation and certification run the compiled loops
-(``_oracle.c``) and bytes operations where a library loads, and the
-plain-Python loops of the same passes where none does.
+The walk runs in plain Python; cross-validation and certification run the
+compiled loops (``_oracle.c``) where a library loads, and the plain-Python
+loops of the same passes where none does.
 """
 
 from __future__ import annotations
 
+import itertools
 from array import array
 from collections import namedtuple
 
 from . import rules
-from .automaton import WINDOW, Dfao
+from .automaton import WINDOW, Dfao, _shortlex
 from .sequences import (SequenceTable, _dense, _first_seen, _library, _mismatch,
                         count_windows, join_ids, max_byte)
 
@@ -51,8 +50,8 @@ class OracleTooShort(Exception):
 
 
 class InsufficientHorizon(Exception):
-    """Discovery merged states that validation on the same oracle
-    distinguishes; only a longer oracle can separate them."""
+    """The synthesized automaton disagrees with the oracle it was built
+    from: the doubling rules, read at each window's least a, fail on it."""
 
 
 class CertificationFailure(Exception):
@@ -88,11 +87,10 @@ def shift_bounds(q: int, t: int, a: int, b: int, n0: int) -> tuple[int, int]:
 
 
 class KernelNode(namedtuple("KernelNode", "rep value window signature")):
-    """A discovered state: canonical access string, its output annotation,
-    and the oracle signature that separates it from every other node.
-    rep is the shortlex-least access string, "" for the initial state;
-    value the int it denotes; window the 4-window at value, a tuple of 4
-    ints; signature the block id at value, one per level, a tuple."""
+    """A synthesized state: rep, its shortlex-least access string ("" for
+    the initial state); value, the int rep denotes; window, the 4-window at
+    value, a tuple of 4 ints; signature, the key of the state rep reaches
+    in discover's walk."""
 
     __slots__ = ()
 
@@ -106,100 +104,63 @@ def _check_from_0(oracle: SequenceTable) -> None:
         raise ValueError("synthesis expects an oracle table starting at index 0")
 
 
-def _block_ids(oracle: SequenceTable, keep: int | None = None) -> list:
-    """Per level L, one id per m with (m + 1) 2^L <= oracle.hi,
-    that is m < oracle.hi >> L, for the block of windows at 2^L m + c,
-    c < 2^L: equal ids for equal blocks.  The block spans F(2^L m - 2) to
-    F(2^L (m + 1) + 1), F(-2) = F(-1) = 0.  Each level is read straight
-    from F's bytes or from the level before, never from a padded copy:
-
-    * level 0 numbers the 4-windows at n like the rule scan, ids below
-      k = 1 + the largest byte, the two zeros below index 0 read as the
-      join's pad: the windows at n = 0 and 1, the only ones that reach
-      into it, are ranked apart from the rest;
-    * level 1 numbers the 5 bytes F(2m - 2..2m + 2) that the windows at 2m
-      and 2m + 1 span, the same way, so that level 0 need not be whole;
-    * level L > 1 joins level L-1's ids at 2m and 2m + 1.
-
-    With ``keep``, a level holds only its ids at m < keep, cut once the
-    level after it is joined: level 0 is numbered only there.  Levels stop
-    where fewer than two ids are left to join.  Each level's ids are one
-    byte each while it has at most 255 (F has about 28)."""
-    hi = oracle.hi
-    if hi < 1:
-        return []
-    keep = hi if keep is None else keep
-    vals = oracle.byte_values()
-    k = max_byte(vals) + 1
-    levels = [join_ids(vals, k, 0, 1, 4, min(hi, keep), pad=2)[0]]
-    if hi >> 1:
-        ids, k = join_ids(vals, k, 0, 2, 5, hi >> 1, pad=2)
-        levels.append(ids)
-    while hi >> len(levels) - 1 >= 2:
-        ids, k = join_ids(ids, k, 0, 2, 2, hi >> len(levels))
-        del levels[-1][keep:]
-        levels.append(ids)
-    del levels[-1][keep:]
-    return levels
+# the walk keys the numerals below this by their value, the rest by X(n)
+WALK_FROM = 6
 
 
-# discovery keeps the ids of each level at m below this: F's states have
-# access values below 2^10
-KEEP_IDS = 1 << 16
+def _walk(oracle: SequenceTable) -> tuple[list, Dfao]:
+    """discover's walk: the keys of its states in breadth-first order, and
+    the window automaton over them.  Each 4-window's image F(2a), F(2a+1)
+    is read at its least a > 3, by a scan that stops at the last window the
+    walk asks for; an index past the oracle raises OracleTooShort."""
+    vals, hi = oracle.byte_values(), oracle.hi
 
+    def read(lo: int, end: int) -> bytes:  # F(lo..end - 1)
+        if end > hi + 1:
+            raise OracleTooShort(
+                f"oracle ends at F({hi}); the automaton walk needs F({end - 1}) "
+                f"at least, so --validate must be at least {end - 3}")
+        return bytes(vals[lo:end])
 
-def _kernel_node(oracle: SequenceTable, levels: list, rep: str,
-                 m: int) -> KernelNode:
-    """The node for access string ``rep`` of value m: the window at m, and
-    the block id at m on every level of ``levels`` (from _block_ids) that
-    holds one, m < oracle.hi >> L.  OracleTooShort where level 0 holds
-    none; IndexError where a level holds one but was cut before it."""
-    if not levels or m >= oracle.hi:
-        raise OracleTooShort(
-            f"oracle ends at {oracle.hi}; cannot form a level-0 signature for value {m}")
-    sig = tuple(int(ids[m]) for level, ids in enumerate(levels)
-                if m < oracle.hi >> level)
-    return KernelNode(rep, m, tuple(oracle.windows_at((m,))), sig)
+    scan = ((read(a - 2, a + 2), read(2 * a, 2 * a + 2))
+            for a in itertools.count(rules.DERIVATION_START))
+    images, succ = {}, {}
+
+    def step(key) -> list:
+        if isinstance(key, int):  # the numeral 2n + d, or X(2n + d) from F
+            succ[key] = [n if n < WALK_FROM else read(n - 4, n + 3)
+                         for n in (2 * key, 2 * key + 1)]
+        else:  # X(a) -> F(2a-4..2a+3), the images of its windows at a-2..a+1
+            for j in range(4):
+                while key[j:j + 4] not in images:
+                    images.setdefault(*next(scan))
+            y = b"".join(images[key[j:j + 4]] for j in range(4))
+            succ[key] = [y[:7], y[1:]]
+        return succ[key]
+
+    keys = [key for key, _ in _shortlex(0, step)]
+    index = {key: s for s, key in enumerate(keys)}
+    return keys, Dfao(
+        alphabet_size=2,
+        initial=0,
+        transitions=[[index[t] for t in succ[key]] for key in keys],
+        outputs=[oracle.windows_at((key,)) if isinstance(key, int) else key[2:6]
+                 for key in keys],
+        output_kind=WINDOW,
+    )
 
 
 def discover(oracle: SequenceTable) -> tuple[list[KernelNode], list[list[int]]]:
-    """Breadth-first state discovery from the empty string, in base 2.
-
-    Each candidate extension of a known state is merged with the first
-    existing node whose signature, its block ids level by level (see
-    _block_ids), agrees on all common levels, or becomes a new node
-    otherwise.  Breadth-first order makes every rep shortlex-least.  A
-    value past the oracle's level-0 ids raises OracleTooShort.
-
-    The levels keep their ids at values below KEEP_IDS only, about 0.5 MB
-    at 2^22 where whole they take twice F's bytes; should a value reach
-    past them, discovery starts again with whole levels.
-    """
+    """The states of _walk's automaton, minimized (Dfao.minimize), as
+    KernelNodes in shortlex order of their reps, and their transitions.
+    It checks nothing: cross-validation and certification do."""
     _check_from_0(oracle)
-    try:
-        return _breadth_first(oracle, _block_ids(oracle, KEEP_IDS))
-    except IndexError:
-        return _breadth_first(oracle, _block_ids(oracle))
-
-
-def _breadth_first(oracle: SequenceTable,
-                   levels: list) -> tuple[list[KernelNode], list[list[int]]]:
-    """discover's search over the block ids of ``levels``."""
-    nodes = [_kernel_node(oracle, levels, "", 0)]
-    trans: list[list[int]] = []
-    while len(trans) < len(nodes):  # nodes doubles as the breadth-first queue
-        src, row = nodes[len(trans)], []
-        for d in (0, 1):
-            cand = _kernel_node(oracle, levels, src.rep + str(d), src.value * 2 + d)
-            cs = cand.signature
-            tgt = next((j for j, other in enumerate(nodes)
-                        if cs[:len(other.signature)] == other.signature[:len(cs)]), None)
-            if tgt is None:
-                nodes.append(cand)
-                tgt = len(nodes) - 1
-            row.append(tgt)
-        trans.append(row)
-    return nodes, trans
+    keys, walked = _walk(oracle)
+    m = walked.minimize()
+    reps = ["" if name == "eps" else name for name in m.names]
+    nodes = [KernelNode(rep, int(rep or "0", 2), window, keys[walked.walk(rep)])
+             for rep, window in zip(reps, m.outputs)]
+    return nodes, [list(row) for row in m.transitions]
 
 
 def synthesize_msb(oracle: SequenceTable) -> Dfao:
@@ -325,15 +286,15 @@ def check_bounds(*, validate_to: int = 2, depth: int = 2) -> None:
 def synthesize_validated(oracle: SequenceTable,
                          validate_to: int) -> tuple[Dfao, Validation]:
     """Synthesize and cross-validate on [0, validate_to] (cut to the oracle).
-    Discovery reads every level the oracle covers, so a mismatch cannot be
-    mended on this oracle: it raises InsufficientHorizon."""
+    A mismatch means the doubling rules read from the oracle fail on it: it
+    raises InsufficientHorizon."""
     check_bounds(validate_to=validate_to)
     m = synthesize_msb(oracle)
     verdict = cross_validate(m, oracle, min(validate_to, oracle.hi - 1))
     if not verdict.passed:
         raise InsufficientHorizon(
             f"automaton disagrees with the oracle at n = {verdict.first_mismatch}; "
-            "only a longer oracle (--validate) can separate the states it merged")
+            "the doubling rules read from it do not hold there")
     return m, verdict
 
 

@@ -13,6 +13,7 @@ from vseq.cli import run
 from conftest import PROBE_AT_DEFAULTS
 
 FAST = ["--validate", "65536", "--depth", "3"]
+BENCH_F20 = Path(__file__).resolve().parents[1] / "benchmark" / "data" / "f20.dfao"
 
 
 def seq_values(out: str) -> list[int]:
@@ -174,7 +175,7 @@ def test_certify_refuses_names_that_are_not_access_strings(name, built, tmp_path
 def test_each_verifying_command_scans_the_rules_once(command, built, tmp_path,
                                                      monkeypatch, capsys):
     # certification derives the doubling rules it propagates in one scan to
-    # a = --validate // 2, checked against no frozen table
+    # a = --validate // 2
     a_path, b_path, _ = built
     argv = {"synthesize": ["synthesize", "--out", str(tmp_path / "x.dfao")],
             "certify-window": ["certify", "--automaton", str(a_path)],
@@ -183,13 +184,42 @@ def test_each_verifying_command_scans_the_rules_once(command, built, tmp_path,
     scans = []
     scan = vseq.rules._scan
 
-    def spy(f, a_min, a_max, frozen=None):
-        scans.append((a_min, a_max, frozen))
-        return scan(f, a_min, a_max, frozen)
+    def spy(f, a_min, a_max):
+        scans.append((a_min, a_max))
+        return scan(f, a_min, a_max)
 
     monkeypatch.setattr(vseq.rules, "_scan", spy)
     assert run([*argv, *FAST]) == 0
-    assert scans == [(4, 65536 // 2, None)]
+    assert scans == [(4, 65536 // 2)]
+
+
+@pytest.mark.parametrize("argv", [
+    ["synthesize", "--validate", "462", "--out", "x.dfao"],
+    ["tables", "check", "--validate", "50"],
+    ["certify", "--automaton", "single.dfao", "--validate", "3"],
+], ids=["synthesize-462", "tables-check-50", "certify-single-3"])
+def test_an_f_too_short_for_the_walk_names_validate(argv, tmp_path, monkeypatch,
+                                                      capsys):
+    # the walk reads F to 465, so --validate must be at least 463
+    monkeypatch.chdir(tmp_path)
+    Path("single.dfao").write_text(BENCH_F20.read_text())
+    assert run(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("vseq: oracle ends at F(")
+    assert "--validate" in captured.err and captured.err.count("\n") == 1
+    assert not Path("x.dfao").exists()
+
+
+@pytest.mark.parametrize("validate", ["463", "1000", "1853"])
+def test_the_walks_floor_and_past_it_write_the_committed_file(validate, tmp_path,
+                                                             capsys):
+    # signature discovery needed --validate 1854: at 463 it could not form
+    # its signatures, at 1000 its 32 states failed certification, and at
+    # 1853 cross-validation
+    out = tmp_path / "x.dfao"
+    assert run(["synthesize", "--validate", validate, "--depth", "16",
+                "--out", str(out)]) == 0
+    assert out.read_bytes() == BENCH_F20.read_bytes()
 
 
 def test_tables_check(capsys):
@@ -331,7 +361,7 @@ def test_flag_values_are_checked_before_any_oracle(command, flag, value, message
 
 @pytest.mark.parametrize("command", PIPELINE_COMMANDS)
 def test_horizon_is_no_flag(command, tmp_path, monkeypatch):
-    # --validate alone sets how far discovery reads
+    # --validate alone sets how far F is counted
     monkeypatch.chdir(tmp_path)
     monkeypatch.setattr(vseq.cli, "gen_f", _no_oracle)
     with pytest.raises(SystemExit) as e:

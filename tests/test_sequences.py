@@ -19,8 +19,6 @@ from vseq import (DeadSequence, MonotonicityViolation, ProbeReport,
 from vseq import _oracle, sequences
 from vseq.sequences import COMPILED_FROM, join_ids
 
-from conftest import on_each_engine
-
 V20 = [1, 1, 1, 1, 2, 3, 4, 5, 5, 6, 6, 7, 8, 8, 9, 9, 10, 11, 11, 11]
 F20 = [4, 1, 1, 1, 2, 2, 1, 2, 2, 1, 3, 2, 1, 2, 2, 1, 3, 2, 1, 2]
 
@@ -416,8 +414,8 @@ widths = set()  # (ids, joined ids) itemsizes of the compiled joins
 hashed = set()  # the same, of the joins past their rank table
 
 class Traced(_oracle.Oracle):
-    def join(self, ids, first, stride, parts, count, k, pad=0):
-        out, distinct = super().join(ids, first, stride, parts, count, k, pad)
+    def join(self, ids, first, stride, parts, count, k):
+        out, distinct = super().join(ids, first, stride, parts, count, k)
         widths.add((ids.itemsize, out.itemsize))
         if not sequences._dense(k ** parts, count):
             hashed.add((ids.itemsize, out.itemsize))
@@ -476,8 +474,8 @@ for n in (2 ** 15 + 3, 2 ** 16):
 a, b = both(lambda: raised(lambda: sequences._steps(1, 2, 10 ** 5, "Q")))
 assert a == b != None, (a, b)
 
-# the 4-windows of the rule scan and of discovery (the q = 1, parts = 4
-# loop) over 1-, 2- and 4-byte ids, the last one ending at the last id
+# the 4-windows of the rule scan (the q = 1, parts = 4 loop) over 1-, 2-
+# and 4-byte ids, the last one ending at the last id
 rng = np.random.default_rng(7)
 
 # the byte sum and maximum, reading to the last byte of lengths on both
@@ -493,9 +491,6 @@ for dtype in (np.uint8, np.uint16, np.uint32):
     for top in (4, 16, 256):
         vals = rng.integers(0, top, 2 ** 15, dtype=dtype)
         same_ids(*both(lambda: join_ids(vals, top, 5, 1, 4, vals.size - 8)))
-        # read after a pad of two zeros, as discovery reads F
-        same_ids(*both(lambda: join_ids(vals, top, 0, 1, 4, vals.size - 1,
-                                              pad=2)))
 
 # the rule scan's pair compare, the last pair ending at F's last byte, with
 # and without a conflict there
@@ -577,8 +572,8 @@ for dtype in (np.uint8, np.uint16, np.uint32):
     ids = rng.integers(0, 41, 3 * 2 ** 18, dtype=dtype)
     same_ids(*both(lambda: join_ids(ids, 41, 0, 3, 3, 2 ** 18)))
 # sparse joins, hashed: 3-tuples of ids below 332 and 1,065 into 1-, 2-
-# and 4-byte ids, a tuple of 100 bytes at stride 128, and one read after a
-# pad of two zeros; the hash table fills and doubles on the way
+# and 4-byte ids, from the first id and from the second, and a tuple of
+# 100 bytes at stride 128; the hash table fills and doubles on the way
 for dtype, ks in ((np.uint8, (256,)), (np.uint16, (332, 1065)),
                   (np.uint32, (332, 1065))):
     for k in ks:
@@ -588,8 +583,7 @@ for dtype, ks in ((np.uint8, (256,)), (np.uint16, (332, 1065)),
             pool = rng.integers(0, k, (distinct, 3), dtype=dtype)
             ids = pool[rng.integers(0, distinct, 3 * 2 ** 15)].ravel()
             same_ids(*both(lambda: join_ids(ids, k, 0, 3, 3, ids.size // 3)))
-            same_ids(*both(lambda: join_ids(ids, k, 1, 3, 3, ids.size // 3 - 1,
-                                            pad=2)))
+            same_ids(*both(lambda: join_ids(ids, k, 1, 3, 3, ids.size // 3 - 1)))
 vals = rng.integers(0, 5, 128 * 2 ** 10, dtype=np.uint8)
 same_ids(*both(lambda: join_ids(vals, 5, 0, 128, 100, 2 ** 10)))
 same_ids(*both(lambda: join_ids(vals, 5, 28, 128, 100, 2 ** 10)))
@@ -751,44 +745,6 @@ def test_count_windows_count_flat_without_the_compiled_loops(f_ring):
     with mock.patch.object(_oracle, "library", lambda: None):
         got = count_windows(gen_f(100), plan)
     assert got == f_ring.windows_at(plan)
-
-
-@pytest.mark.parametrize("pad", [0, 1, 2, 3, 5])
-@pytest.mark.parametrize("stride, parts", [(1, 4), (2, 2), (2, 5), (3, 3)])
-def test_join_ids_read_a_pad_of_zeros(pad, stride, parts):
-    # the compiled join ranks the tuples that reach into the pad itself and
-    # numbers the rest after them: the same ids as a join of a padded copy
-    lib = _oracle.library()
-    if lib is None:
-        pytest.skip("no C compiler: only the Python join runs here")
-    ids = np.random.default_rng(pad).integers(0, 3, 5000, dtype=np.uint8)
-    ids[:9] = [0, 0, 1, 0, 0, 0, 2, 0, 0]  # tuples like the pad's
-    count = (ids.size + pad - parts) // stride + 1
-    padded = np.concatenate((np.zeros(pad, dtype=np.uint8), ids))
-    got, distinct = lib.join(ids, 0, stride, parts, count, 3, pad)
-    want, want_distinct = lib.join(padded, 0, stride, parts, count, 3)
-    assert (got.tolist(), distinct) == (want.tolist(), want_distinct)
-    with mock.patch.object(_oracle, "library", lambda: None):
-        python_ids, python_distinct = join_ids(ids, 3, 0, stride, parts, count, pad=pad)
-    assert (python_ids.tolist(), python_distinct) == (got.tolist(), distinct)
-    with pytest.raises(ValueError, match="outside the ids"):
-        lib.join(ids, 0, stride, parts, count + 1, 3, pad)
-
-
-@pytest.mark.parametrize("pad", [1, 2, 5])
-def test_hashed_join_reads_a_pad_of_zeros(pad):
-    # past the rank table's reach, 256^3 tuples, the join hashes them: the
-    # ids of a join of a padded copy, on each engine, with the first tuple,
-    # which reads the pad, seen again as the third
-    ids = np.random.default_rng(pad).integers(0, 256, 3 * 5000, dtype=np.uint8)
-    padded = np.concatenate((np.zeros(pad, dtype=np.uint8), ids))
-    ids[6 - pad:9 - pad] = padded[:3]
-    padded[6:9] = padded[:3]
-    count = (padded.size - 3) // 3 + 1
-    want = on_each_engine(lambda: join_ids(padded, 256, 0, 3, 3, count))
-    got = on_each_engine(lambda: join_ids(ids, 256, 0, 3, 3, count, pad=pad))
-    assert [(a.tolist(), d) for a, d in got] == [(a.tolist(), d) for a, d in want]
-    assert want[0][0][0] == want[0][0][2] == 0
 
 
 def _pair_ids(k: int, distinct: int) -> np.ndarray:

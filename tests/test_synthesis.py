@@ -1,3 +1,4 @@
+import hashlib
 import random
 import tracemalloc
 
@@ -16,7 +17,7 @@ from vseq import (SINGLE, WINDOW, CertificationFailure, Dfao,
                   gen_v, first_difference, kernel_probe, shift_bounds,
                   synthesize_msb, synthesize_validated)
 from vseq import synthesis
-from vseq.synthesis import _block_ids, _kernel_node, _states_upto
+from vseq.synthesis import _states_upto, _walk
 
 from conftest import VALIDATE_TO, on_each_engine, window4
 
@@ -64,164 +65,46 @@ def test_synthesis_rejects_bad_bounds():
         synthesize_validated(f, 1)
 
 
-# -- signatures ----------------------------------------------------------------
+# -- the rule walk ----------------------------------------------------------------
 
-def _padded(f: SequenceTable) -> bytes:
-    return bytes(2) + bytes(f.values)  # padded[i + 2] == F(i)
-
-
-def _signature(f: SequenceTable, m: int, k: int | None = None) -> tuple[int, ...]:
-    """m's signature on the first k levels, on every level by default."""
-    return _kernel_node(f, _block_ids(f)[:k], "", m).signature
+# sha256 of synthesize_msb(gen_f(2^22 + 2)).serialize() and of its
+# project_output().minimize().serialize(): the 33-state window automaton and
+# the committed 20-state file
+WINDOW_SHA256 = "d3787c2d4e4b8a7a13e3b124b0005e1ff941b6847c0887440c36f93b80fa1543"
+SINGLE_SHA256 = "5cd2579f947bc86cf09a08573a1353134ad0167751f656baccc4676cfa2250e6"
 
 
-def _assert_ids_number_slices(f: SequenceTable) -> None:
-    """The brute-force reference: ids at level L are equal exactly when the
-    byte slices padded[m<<L : ((m+1)<<L)+3] are equal, for every m the
-    level covers, (m + 1) 2^L <= f.hi."""
-    padded = _padded(f)
-    for level, ids in enumerate(_block_ids(f)):
-        assert len(ids) == f.hi >> level
-        id_of = {}
-        for m in range(len(ids)):
-            sl = padded[m << level:((m + 1) << level) + 3]
-            assert id_of.setdefault(sl, int(ids[m])) == int(ids[m]), (m, level)
-        assert len(set(id_of.values())) == len(id_of), level
+def _sha256(m: Dfao) -> str:
+    return hashlib.sha256(m.serialize().encode()).hexdigest()
 
 
-def _check_signature_levels(f: SequenceTable) -> None:
-    """The levels and signatures of F to 1000."""
-    levels = _block_ids(f)[:5]
-    sig0 = _signature(f, 0, 5)
-    assert len(sig0) == 5  # levels 0..4
-    # the window at 0, padded below index 0, occurs nowhere else
-    assert _kernel_node(f, levels, "", 0).window == (0, 0, 0, 4)
-    # read as numpy arrays: both joins return an array.array
-    level0, level1, level2 = (np.asarray(memoryview(ids)) for ids in levels[:3])
-    assert np.count_nonzero(level0 == sig0[0]) == 1
-    assert level2.size == 1000 // 4  # level-2 blocks span [4m - 2, 4m + 5]
-    sig1 = _signature(f, 1)
-    # coverage limits depth: (1+1)*2^L <= 1000
-    assert len(sig1) == 9
-    s = _signature(f, 6, 4)
-    assert len(s) == 4
-    assert _kernel_node(f, levels, "", 6).window == window4(f, 6)
-    # level 1 of 6: the windows at 12 and 13, F(10..14)
-    want = bytes([f[10], f[11], f[12], f[13], f[14]])
-    padded = _padded(f)
-    same = [m for m in range(level1.size) if padded[2 * m:2 * m + 5] == want]
-    assert np.flatnonzero(level1 == s[1]).tolist() == same
+def test_synthesized_machines_are_pinned(f_main):
+    m = synthesize_msb(f_main)
+    assert _sha256(m) == WINDOW_SHA256
+    assert _sha256(m.project_output().minimize()) == SINGLE_SHA256
 
 
-def test_signature_levels_and_padding():
-    f = gen_f(1000)
-    on_each_engine(lambda: _check_signature_levels(f))
+def test_walk_reads_f_to_465():
+    # the last window the walk needs first occurs at a = 232, whose images
+    # are F(464) and F(465)
+    keys, walked = _walk(gen_f(465))
+    assert len(keys) == 69 and sum(isinstance(k, int) for k in keys) == 6
+    m = synthesize_msb(gen_f(465))
+    assert _sha256(m) == WINDOW_SHA256
+    with pytest.raises(OracleTooShort, match=r"^oracle ends at F\(464\); the automaton "
+                       r"walk needs F\(465\) at least, so --validate must be at "
+                       r"least 463$"):
+        discover(gen_f(464))
 
 
-def test_signature_slices_hold_the_extension_windows():
-    # level L of value m: F from 2 left of 2^L*m to 1 right of 2^L*(m+1) - 1
-    f = gen_f(3000)
-    on_each_engine(lambda: _assert_ids_number_slices(f))
-
-
-def test_signature_oracle_too_short():
-    f = gen_f(10)
-    with pytest.raises(OracleTooShort):
-        _signature(f, 10)
-
-
-def _reference_signature(padded: bytes, m: int) -> tuple[bytes, ...]:
-    """Per-level byte slices of the extensions of a value-m string: level L
-    is padded[m<<L : ((m+1)<<L)+3] while (m + 1) 2^L <= the oracle's end."""
-    hi = len(padded) - 3
-    out = []
-    level = 0
-    while (m + 1) << level <= hi:
-        out.append(padded[m << level:((m + 1) << level) + 3])
-        level += 1
-    if not out:
-        raise OracleTooShort(
-            f"oracle ends at {hi}; cannot form a level-0 signature for value {m}")
-    return tuple(out)
-
-
-def _reference_discover(oracle: SequenceTable):
-    """Discovery by byte-slice signatures, as it ran before the block ids;
-    nodes as (rep, value, window)."""
-    padded = _padded(oracle)
-    nodes = [("", 0, _reference_signature(padded, 0))]
-    trans = []
-    queue = [0]
-    head = 0
-    while head < len(queue):
-        s = queue[head]
-        head += 1
-        row = []
-        for d in (0, 1):
-            c = nodes[s][1] * 2 + d
-            cs = _reference_signature(padded, c)
-            tgt = None
-            for j, node in enumerate(nodes):
-                k = min(len(cs), len(node[2]))
-                if cs[:k] == node[2][:k]:
-                    tgt = j
-                    break
-            if tgt is None:
-                nodes.append((nodes[s][0] + str(d), c, cs))
-                tgt = len(nodes) - 1
-                queue.append(tgt)
-            row.append(tgt)
-        trans.append(row)
-    return [(rep, value, tuple(sig[0])) for rep, value, sig in nodes], trans
-
-
-@pytest.fixture(scope="module")
-def f_long() -> SequenceTable:
-    return gen_f(2 ** 15 + 64)
-
-
-def _discovery(discover_fn, f_long: SequenceTable, hi: int):
-    f = SequenceTable(0, hi, f_long.values[:hi + 1], "F")
-    try:
-        nodes, trans = discover_fn(f)
-    except OracleTooShort as e:
-        return str(e)
-    if discover_fn is discover:
-        nodes = [(n.rep, n.value, n.window) for n in nodes]
-    return nodes, trans
-
-
-@settings(max_examples=60, deadline=None)
-@given(st.one_of(st.integers(2, 300), st.integers(2, 2 ** 15 + 64)))
-@example(2 ** 15 + 64)
-@example(2)
-@example(40)
-def test_discover_matches_byte_signatures(f_long, hi):
-    want = _discovery(_reference_discover, f_long, hi)
-    for got in on_each_engine(lambda: _discovery(discover, f_long, hi)):
-        assert got == want
-
-
-@pytest.mark.parametrize("keep", [1, 7, 64, 1024])
-def test_discover_with_levels_cut_matches_byte_signatures(f_long, monkeypatch, keep):
-    # F's access values reach 927: levels cut below that are cut too soon,
-    # and discovery starts again with whole ones
-    monkeypatch.setattr(synthesis, "KEEP_IDS", keep)
-    for hi in (2 ** 15 + 64, 300):
-        want = _discovery(_reference_discover, f_long, hi)
-        for got in on_each_engine(lambda: _discovery(discover, f_long, hi)):
-            assert got == want, hi
-
-
-def test_block_ids_cut_keep_the_whole_levels_ids(f_long):
-    for hi in (300, 2 ** 15 + 64):
-        f = SequenceTable(0, hi, f_long.values[:hi + 1], "F")
-        whole, cut = _block_ids(f), _block_ids(f, keep=100)
-        assert len(cut) == len(whole)
-        for level, (w, c) in enumerate(zip(whole, cut)):
-            assert len(w) == hi >> level and len(c) == min(100, hi >> level)
-            a, b = list(w[:100]), list(c)  # equal ids at the same m
-            assert len(set(a)) == len(set(b)) == len(set(zip(a, b))), level
+def test_walk_keys_are_numerals_then_x(f_main):
+    # the numeral n below 6, else X(n) = F(n-4..n+2)
+    nodes, _ = discover(f_main)
+    for node in nodes:
+        n = node.value
+        want = n if n < 6 else bytes(f_main.values[n - 4:n + 3])
+        assert node.signature == want, node.rep
+    assert len({node.signature for node in nodes}) == len(nodes)
 
 
 # -- discovery on the frequency oracle ------------------------------------------
@@ -286,15 +169,6 @@ def test_node_windows_are_oracle_windows(f_main):
     assert len(nodes) == 33
     for node in nodes:
         assert node.window == window4(f_main, node.value), node.rep
-
-
-def test_signature_separation(f_main):
-    nodes, _ = discover(f_main)
-    for i in range(len(nodes)):
-        for j in range(i + 1, len(nodes)):
-            a, b = nodes[i].signature, nodes[j].signature
-            k = min(len(a), len(b))
-            assert a[:k] != b[:k], (nodes[i].rep, nodes[j].rep)
 
 
 def test_minimized_form(truth_a, truth_b):
@@ -592,13 +466,12 @@ def test_cross_validate_holds_chunks_not_the_range(truth_a, truth_b, f_main):
         assert peak <= 6 * MB, peak / MB
 
 
-def test_discover_holds_one_byte_ids(f_main):
-    # F has about 28 ids per level, one byte each; the levels were uint16
-    # and the window bytes lived through every level: 20 MB.  Whole levels
-    # took 8.4 MB; cut below KEEP_IDS, levels 1 and 2 at once, 3.2 MB
+def test_discover_walk_holds_kilobytes(f_main):
+    # signature discovery held its block ids, 3.2 MB at 2^22; the walk holds
+    # its 69 states and 24 images
     (nodes, _), peak = _traced_peak(lambda: discover(f_main))
     assert len(nodes) == 33
-    assert peak <= 4 * MB, peak / MB
+    assert peak <= 256 * 1024, peak / 1024
 
 
 # -- certification ---------------------------------------------------------------
@@ -802,16 +675,16 @@ def _contains_run(k: int, hi: int) -> SequenceTable:
 
 
 def test_insufficient_horizon_exhausts(monkeypatch):
-    # a run of ten ones first appears at 1023, the oracle's end: no level it
-    # covers separates the states that lead to it, and the window at 1022 is
-    # the first to read it.  One discovery, then the verdict
+    # a run of ten ones first appears at 1023, the oracle's end: the
+    # doubling rules read from this sequence fail there, and the window at
+    # 1022 is the first to read it.  One synthesis, then the verdict
     s10 = _contains_run(10, 1023)
     calls = []
     msb = synthesis.synthesize_msb
     monkeypatch.setattr(synthesis, "synthesize_msb",
                         lambda oracle: calls.append(oracle) or msb(oracle))
-    with pytest.raises(InsufficientHorizon, match=r"at n = 1022; only a longer "
-                       r"oracle \(--validate\) can separate"):
+    with pytest.raises(InsufficientHorizon, match=r"at n = 1022; the doubling "
+                       r"rules read from it do not hold there"):
         synthesize_validated(s10, 1022)
     assert calls == [s10]
 
