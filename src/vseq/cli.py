@@ -12,7 +12,9 @@ import contextlib
 import sys
 from collections.abc import Sequence
 
-from . import published, rules, synthesis
+# only the oracle and the automaton are imported with the CLI: each command
+# imports the layers it runs (rules, synthesis, published) and calls them
+# through the module, so that eval and dot compile none of them
 from .automaton import WINDOW, BadDigit, BadNumeral, Dfao, ParseError
 from .sequences import (DeadSequence, SequenceTable, first_difference, gen_f,
                         gen_qrs, gen_v, write_table)
@@ -20,9 +22,18 @@ from .sequences import (DeadSequence, SequenceTable, first_difference, gen_f,
 SEED_NOTE = "# seed convention: Q_{r,s}(1..s) = 1 (V is Q_{1,4}; F counts V and has F(0) = 0)"
 
 # what bad flag values, numerals or files, or an oracle too large for
-# memory, raise: usage errors, exit 2
+# memory, raise: usage errors, exit 2; and synthesis.OracleTooShort
 USAGE_ERRORS = (ValueError, OSError, MemoryError, ParseError, BadNumeral,
-                BadDigit, synthesis.OracleTooShort)
+                BadDigit)
+
+
+def _synthesis_errors(*names: str) -> tuple:
+    """The exception classes of these names in vseq.synthesis, or none
+    while it is not loaded, as then none of them can have been raised.  An
+    except clause evaluates its tuple only when an exception arrives, so
+    the commands that never synthesize never import synthesis."""
+    synthesis = sys.modules.get(f"{__package__}.synthesis")
+    return tuple(getattr(synthesis, name) for name in names) if synthesis else ()
 
 
 @contextlib.contextmanager
@@ -51,6 +62,7 @@ def _build_pipeline(validate: int, depth: int, machine: Dfao | None = None):
     it are counted on from it, not counted again.  A window machine given
     is certified in place of a synthesized one, with no verdict.  The F
     returned is that F."""
+    from . import synthesis
     synthesis.check_bounds(validate_to=validate, depth=depth)
     f = gen_f(validate + 2)
     verdict = None
@@ -82,6 +94,7 @@ def cmd_qrs(args) -> int:
 
 
 def cmd_rules(args) -> int:
+    from . import rules
     rules.check_range(args.min, args.max)
     print(SEED_NOTE)
     print(f"# rules derived on ({args.min - 1}, {args.max}], oracle to {2 * args.max + 1}")
@@ -93,6 +106,7 @@ def cmd_rules(args) -> int:
 
 
 def cmd_synthesize(args) -> int:
+    from . import synthesis
     print(SEED_NOTE)
     print(f"# synthesize --validate {args.validate} --depth {args.depth}")
     f, machine, verdict, report = _build_pipeline(args.validate, args.depth)
@@ -115,6 +129,7 @@ def cmd_synthesize(args) -> int:
 
 
 def cmd_certify(args) -> int:
+    from . import synthesis
     print(SEED_NOTE)
     print(f"# certify --automaton {args.automaton} --depth {args.depth} "
           f"--validate {args.validate}")
@@ -148,6 +163,7 @@ def cmd_certify(args) -> int:
 
 
 def cmd_tables(args) -> int:
+    from . import published
     print(SEED_NOTE)
     print(f"# tables check --validate {args.validate} --depth {args.depth}")
     _, machine, _, _ = _build_pipeline(args.validate, args.depth)
@@ -162,6 +178,7 @@ def cmd_tables(args) -> int:
 
 
 def cmd_probe(args) -> int:
+    from . import synthesis
     synthesis.check_probe_args(args.base, args.depth, args.prefix)
     if args.depth >= 32:  # base >= 2: refuse before building base ** depth
         raise ValueError(f"--depth {args.depth} needs an oracle past 2^32")
@@ -282,13 +299,13 @@ def run(argv: Sequence[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (synthesis.CertificationFailure, synthesis.InsufficientHorizon) as e:
+    except _synthesis_errors("CertificationFailure", "InsufficientHorizon") as e:
         print(f"FAIL {e}")
         return 1
     except DeadSequence as e:
         print(f"dead sequence: {e}")
         return 1
-    except USAGE_ERRORS as e:
+    except (*USAGE_ERRORS, *_synthesis_errors("OracleTooShort")) as e:
         print(f"vseq: {e}", file=sys.stderr)
         return 2
 

@@ -37,8 +37,8 @@ from collections import namedtuple
 
 from . import rules
 from .automaton import WINDOW, Dfao, _shortlex
-from .sequences import (SequenceTable, _dense, _first_seen, _library, _mismatch,
-                        count_windows, join_ids, max_byte)
+from .sequences import (MAX_SIZE, SequenceTable, _dense, _first_seen, _library,
+                        _mismatch, count_windows, gen_f, join_ids, max_byte)
 
 
 class NonpositiveDivisor(ValueError):
@@ -112,14 +112,34 @@ def _walk(oracle: SequenceTable) -> tuple[list, Dfao]:
     """discover's walk: the keys of its states in breadth-first order, and
     the window automaton over them.  Each 4-window's image F(2a), F(2a+1)
     is read at its least a > 3, by a scan that stops at the last window the
-    walk asks for; an index past the oracle raises OracleTooShort."""
+    walk asks for.  An index past the oracle raises OracleTooShort naming
+    the last index of F the whole walk reads, and the least --validate
+    that counts F to it, found by walking again on F counted further."""
+    f = oracle
+    while True:
+        try:
+            keys, walked, reach = _walk_reading(f)
+        except OracleTooShort:  # F counts to a few thousand in microseconds
+            f = gen_f(2 * (f.hi + 1))
+            continue
+        if f is oracle:
+            return keys, walked
+        raise OracleTooShort(
+            f"oracle ends at F({oracle.hi}); the automaton walk needs F({reach}) "
+            f"at least, so --validate must be at least {reach - 2}")
+
+
+def _walk_reading(oracle: SequenceTable) -> tuple[list, Dfao, int]:
+    """_walk's keys and automaton, and the last index of the oracle it
+    read; an index past the oracle raises OracleTooShort."""
     vals, hi = oracle.byte_values(), oracle.hi
+    reach = 0
 
     def read(lo: int, end: int) -> bytes:  # F(lo..end - 1)
+        nonlocal reach
         if end > hi + 1:
-            raise OracleTooShort(
-                f"oracle ends at F({hi}); the automaton walk needs F({end - 1}) "
-                f"at least, so --validate must be at least {end - 3}")
+            raise OracleTooShort(f"oracle ends at F({hi}), need F({end - 1})")
+        reach = max(reach, end - 1)
         return bytes(vals[lo:end])
 
     scan = ((read(a - 2, a + 2), read(2 * a, 2 * a + 2))
@@ -147,7 +167,7 @@ def _walk(oracle: SequenceTable) -> tuple[list, Dfao]:
         outputs=[oracle.windows_at((key,)) if isinstance(key, int) else key[2:6]
                  for key in keys],
         output_kind=WINDOW,
-    )
+    ), reach
 
 
 def discover(oracle: SequenceTable) -> tuple[list[KernelNode], list[list[int]]]:
@@ -274,6 +294,11 @@ def cross_validate(m: Dfao, oracle: SequenceTable, n_max: int) -> Validation:
     return Validation(True, None, n_max)
 
 
+# the family 0^depth 1 from the initial state reads F(2^(depth + 1) + 1),
+# which must lie in the oracle's 32-bit range
+MAX_DEPTH = MAX_SIZE.bit_length() - 2
+
+
 def check_bounds(*, validate_to: int = 2, depth: int = 2) -> None:
     """ValueError unless the pipeline can take these bounds; each defaults
     to the least value it takes, so a caller names only what it has."""
@@ -281,6 +306,9 @@ def check_bounds(*, validate_to: int = 2, depth: int = 2) -> None:
         raise ValueError("validate_to must be >= 2")
     if depth < 2:
         raise ValueError("depth must be >= 2")
+    if depth > MAX_DEPTH:
+        raise ValueError(f"depth must be <= {MAX_DEPTH}: the certificate reads F "
+                         f"past 2^{depth + 1}, beyond the oracle's 32-bit range")
 
 
 def synthesize_validated(oracle: SequenceTable,

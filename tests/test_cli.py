@@ -1,5 +1,8 @@
+import contextlib
 import hashlib
+import io
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -200,13 +203,16 @@ def test_each_verifying_command_scans_the_rules_once(command, built, tmp_path,
 ], ids=["synthesize-462", "tables-check-50", "certify-single-3"])
 def test_an_f_too_short_for_the_walk_names_validate(argv, tmp_path, monkeypatch,
                                                       capsys):
-    # the walk reads F to 465, so --validate must be at least 463
+    # the walk reads F to 465, so --validate must be at least 463, whichever
+    # index of F it first misses
     monkeypatch.chdir(tmp_path)
     Path("single.dfao").write_text(BENCH_F20.read_text())
     assert run(argv) == 2
     captured = capsys.readouterr()
-    assert captured.err.startswith("vseq: oracle ends at F(")
-    assert "--validate" in captured.err and captured.err.count("\n") == 1
+    validate = int(argv[argv.index("--validate") + 1])
+    assert captured.err == (
+        f"vseq: oracle ends at F({validate + 2}); the automaton walk needs F(465) "
+        "at least, so --validate must be at least 463\n")
     assert not Path("x.dfao").exists()
 
 
@@ -344,7 +350,9 @@ PIPELINE_COMMANDS = {
 @pytest.mark.parametrize("flag, value, message", [
     ("--validate", "1", "validate_to must be >= 2"),
     ("--depth", "-3", "depth must be >= 2"),
-], ids=["validate-1", "depth-minus-3"])
+    ("--depth", "31", "depth must be <= 30: the certificate reads F past 2^32, "
+                      "beyond the oracle's 32-bit range"),
+], ids=["validate-1", "depth-minus-3", "depth-31"])
 @pytest.mark.parametrize("command", PIPELINE_COMMANDS)
 def test_flag_values_are_checked_before_any_oracle(command, flag, value, message,
                                                    tmp_path, monkeypatch, capsys):
@@ -415,3 +423,110 @@ def test_python_dash_m_runs_the_cli():
                           capture_output=True, text=True, env=env, timeout=60)
     assert done.returncode == 0, done.stderr
     assert "seq F 0 5" in done.stdout
+
+
+# -- the exit-code property ------------------------------------------------------
+
+# flag values no command takes: zero, negatives, past the oracle's 32-bit
+# range, text, and digits int() refuses ('²') or reads as 1 ('١')
+BAD_VALUES = ["0", "-1", "-9", str(2 ** 32), str(2 ** 63), "ten", "²", "١"]
+# the files a --automaton flag may name, written by _automaton_files
+AUTOMATA = ["single.dfao", "window.dfao", "binary.dfao", "a_directory",
+            "missing.dfao", "base3.dfao", "wrong_outputs.dfao"]
+COUNT_LIMIT = 2 ** 16  # an oracle counted past this was not refused
+
+
+def _automaton_files(tmp: Path) -> None:
+    window = vseq.synthesize_msb(gen_f(465))
+    (tmp / "single.dfao").write_text(BENCH_F20.read_text())
+    (tmp / "window.dfao").write_text(window.serialize())
+    (tmp / "binary.dfao").write_bytes(bytes(range(256)))
+    (tmp / "a_directory").mkdir()
+    (tmp / "base3.dfao").write_text(
+        Dfao(3, 0, [(0, 1, 0), (1, 0, 1)], [1, 2], SINGLE).serialize())
+    wrong = [tuple(4 - v if v else 0 for v in o) for o in window.outputs]
+    (tmp / "wrong_outputs.dfao").write_text(
+        Dfao(2, window.initial, window.transitions, wrong, WINDOW,
+             window.names).serialize())
+
+
+def _commands(st, tmp: Path):
+    """A subcommand and its flags, each value drawn from a pool of small
+    valid values, four times in five, or else from BAD_VALUES; the flags
+    whose defaults count a large oracle are always drawn."""
+
+    def value(*valid):
+        return st.sampled_from([True] * 4 + [False]).flatmap(
+            lambda ok: st.sampled_from(valid if ok else BAD_VALUES))
+
+    def flags(*switches, **pools):
+        named = st.tuples(*(st.tuples(st.just(f"--{name}"), pool)
+                            for name, pool in pools.items()))
+        on = st.lists(st.booleans(), min_size=len(switches), max_size=len(switches))
+        return st.tuples(named, on).map(
+            lambda drawn: [word for flag in drawn[0] for word in flag]
+            + [switch for switch, used in zip(switches, drawn[1]) if used])
+
+    automaton = st.sampled_from([str(tmp / name) for name in AUTOMATA])
+    out = st.sampled_from([str(tmp / "out.txt"), str(tmp / "a_directory"),
+                           str(tmp / "missing" / "out.txt")])
+    pipeline = dict(validate=value("2", "50", "463", "1000", "2000"),
+                    depth=value("2", "3", "4"))
+    probe = dict(base=value("2", "3"), depth=value("0", "1", "4"),
+                 prefix=value("1", "3", "64"))
+    commands = {
+        ("gen", "f"): flags(max=value("1", "20", "300"), out=out),
+        ("gen", "v"): flags(max=value("4", "20", "300"), out=out),
+        ("qrs",): flags(r=value("1", "2", "3"), s=value("2", "4", "5"),
+                        max=value("5", "20", "300"), out=out),
+        ("rules", "derive"): flags(max=value("4", "20", "300"), min=value("4", "5", "10")),
+        ("synthesize",): flags("--windowed", **pipeline, out=out),
+        ("certify",): flags(automaton=automaton, **pipeline),
+        ("tables", "check"): flags(**pipeline),
+        ("probe", "--sequence", "f"): flags(**probe),
+        ("probe", "--sequence", "vdiff"): flags(**probe),
+        ("eval",): flags("--binary", automaton=automaton,
+                         n=value("1", "463", "111001111", "7" * 40)),
+        ("dot",): flags(automaton=automaton, out=out),
+    }
+    return st.sampled_from(sorted(commands)).flatmap(
+        lambda head: commands[head].map(lambda tail: [*head, *tail]))
+
+
+def test_every_command_exits_0_1_or_2_without_a_traceback(tmp_path, monkeypatch):
+    hypothesis = pytest.importorskip("hypothesis")
+    from hypothesis import strategies as st
+    _automaton_files(tmp_path)
+
+    def refuse_large(count):
+        def bounded(n):
+            if COUNT_LIMIT < n <= vseq.sequences.MAX_SIZE:
+                raise AssertionError(f"an oracle of {n} was counted, not refused")
+            return count(n)
+        return bounded
+
+    monkeypatch.setattr(vseq.cli, "gen_f", refuse_large(vseq.cli.gen_f))
+    monkeypatch.setattr(vseq.cli, "first_difference",
+                        refuse_large(vseq.cli.first_difference))
+
+    @hypothesis.settings(max_examples=300, deadline=None, database=None)
+    @hypothesis.given(_commands(st, tmp_path))
+    def exits(argv):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = run(argv)
+            except SystemExit as e:  # argparse's usage errors
+                code = e.code
+        assert code in (0, 1, 2), (argv, code)
+        assert "Traceback" not in out.getvalue() + err.getvalue()
+        lines = err.getvalue().splitlines()
+        if code == 2:
+            assert (len(lines) == 1 and lines[0].startswith("vseq: ")
+                    or lines[0].startswith("usage: vseq")
+                    and re.match(r"vseq( [a-z]+)*: error: ", lines[-1])), (
+                argv, err.getvalue())
+        else:
+            assert lines == [], (argv, err.getvalue())
+
+    exits()
