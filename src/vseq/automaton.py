@@ -62,18 +62,21 @@ def base_digits(n: int, q: int) -> list[int]:
     return digits
 
 
-def _decimal_int(s: str) -> int:
+def _decimal_int(s: str, pow10=None) -> int:
     """int(s) for a numeral of ASCII digits of any length.
 
     Past CPython's str -> int digit limit, int(s) raises ValueError; the
     halves are then converted separately and joined, so the process-wide
-    limit stays as it is.
+    limit stays as it is.  pow10 computes each 10 ** k once per conversion:
+    the halves at one depth differ in length by at most one, so a 10^5-digit
+    numeral needs 5 distinct powers for its 31 joins.
     """
     try:
         return int(s)
     except ValueError:
+        pow10 = pow10 or functools.cache((10).__pow__)
         k = len(s) // 2
-        return _decimal_int(s[:-k]) * 10 ** k + _decimal_int(s[-k:])
+        return _decimal_int(s[:-k], pow10) * pow10(k) + _decimal_int(s[-k:], pow10)
 
 
 def _is_digits(tok: str) -> bool:
@@ -171,6 +174,14 @@ class Dfao(Record):
             width *= q
         return functools.reduce(operator.iadd, rows, array(code))
 
+    @functools.cached_property
+    def _stride_rows(self) -> tuple[tuple[int, ...], ...]:
+        """stride_table's rows as tuples, which Python indexes about three
+        times faster than an array: row s holds the W states of T[s, w]."""
+        table = self.stride_table
+        width = len(table) // self.state_count
+        return tuple(tuple(table[i:i + width]) for i in range(0, len(table), width))
+
     # -- evaluation ---------------------------------------------------------
 
     def walk(self, digits: Iterable[int] | str) -> int:
@@ -193,18 +204,41 @@ class Dfao(Record):
         return self.outputs[self.walk(digits)]
 
     def eval_big(self, n: int | str) -> int | tuple[int, ...]:
-        """Output at index n, given as an int or decimal numeral of any length.
+        """Output at index n, given as an integer or a decimal numeral of any
+        length.
 
-        Work is polynomial in the numeral length (base conversion) plus one
-        automaton step per base-q digit.
+        Work is the base conversion, polynomial in the numeral's length, plus
+        one stride-table lookup per base-W digit of n (per byte in base 2):
+        see _walk_int.
         """
         if isinstance(n, str):
             if not _is_digits(n):
                 raise BadNumeral(f"not a decimal numeral: {n[:30]!r}")
             n = _decimal_int(n)
-        elif n < 0:
-            raise BadNumeral("n must be nonnegative")
-        return self.eval(base_digits(n, self.alphabet_size))
+        else:
+            n = operator.index(n)
+            if n < 0:
+                raise BadNumeral("n must be nonnegative")
+        return self.outputs[self._walk_int(n)]
+
+    def _walk_int(self, n: int) -> int:
+        """walk(base_digits(n, q)) for n >= 0, through the stride table of
+        width W = q^k: one row lookup per base-W digit of n, which are n's
+        bytes when W = 256.  Each base-W digit is k base-q digits, leading
+        zeros included, so where digit 0 moves the initial state the top one
+        is walked a base-q digit at a time, from its numeral."""
+        rows = self._stride_rows
+        width = len(rows[0])
+        chunks = (n.to_bytes(-(-n.bit_length() // 8), "big") if width == 256
+                  else base_digits(n, width))
+        state, trans = self.initial, self.transitions
+        if chunks and trans[state][0] != state:
+            for d in base_digits(chunks[0], self.alphabet_size):
+                state = trans[state][d]
+            chunks = chunks[1:]
+        for w in chunks:
+            state = rows[state][w]
+        return state
 
     # -- transformations ----------------------------------------------------
 

@@ -47,6 +47,18 @@ def test_eval_big_decimal():
         m.eval_big("")
     with pytest.raises(BadNumeral):
         m.eval_big(-1)
+    # any integer through __index__: bools too; floats, None and lists are
+    # refused as int() would refuse them as indices
+    assert m.eval_big(True) == 1 and m.eval_big(False) == 0
+    for bad in (2.0, None, [1]):
+        with pytest.raises(TypeError):
+            m.eval_big(bad)
+    np = pytest.importorskip("numpy")
+    # 463 = 111001111 has seven 1-bits
+    assert m.eval_big(np.int64(463)) == 1 and m.eval_big(np.uint8(7)) == 1
+    assert m.eval_big(np.uint64(2 ** 64 - 1)) == 0
+    with pytest.raises(BadNumeral):
+        m.eval_big(np.int8(-1))
 
 
 def test_eval_big_matches_digit_walk():

@@ -1,6 +1,9 @@
 """minimize, equivalent and the text format over random machines, against
 reference copies of the two separate breadth-first walks that minimize and
-equivalent made before they shared one shortlex walk."""
+equivalent made before they shared one shortlex walk; and deserialize over
+fuzzed text."""
+
+from pathlib import Path
 
 import pytest
 
@@ -8,7 +11,7 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from vseq import SINGLE, WINDOW, Dfao
+from vseq import SINGLE, WINDOW, Dfao, ParseError
 
 
 def minimize_reference(m: Dfao) -> Dfao:
@@ -149,3 +152,48 @@ def test_serialize_round_trips(m):
     assert Dfao.deserialize(m.serialize()) == m
     mm = m.minimize()
     assert Dfao.deserialize(mm.serialize()) == mm
+
+
+F20_LINES = (Path(__file__).resolve().parents[1] / "benchmark" / "data"
+             / "f20.dfao").read_text().splitlines(keepends=True)
+TOKENS = ("dfao", "initial", "state", "trans", "window", "single", "#", "0", "1", "2",
+          "3", "19", "20", "2133", "00000", "-1", "+1", "1_0", "²", "١", "9" * 30, "eps",
+          "x", "")
+
+
+@st.composite
+def fuzzed_line(draw) -> str:
+    """One line of random text, or of tokens of the format."""
+    if draw(st.booleans()):
+        return draw(st.text(max_size=40))
+    return " ".join(draw(st.lists(st.sampled_from(TOKENS), max_size=6))) + "\n"
+
+
+@st.composite
+def fuzzed_text(draw):
+    """Random text, token soup, or f20.dfao with one line replaced, cut out
+    or cut short."""
+    how = draw(st.sampled_from(["text", "soup", "replace", "cut", "truncate"]))
+    if how == "text":
+        return draw(st.text(max_size=200))
+    if how == "soup":
+        return "".join(draw(st.lists(fuzzed_line(), max_size=12)))
+    lines = list(F20_LINES)
+    i = draw(st.integers(0, len(lines) - 1))
+    if how == "replace":
+        lines[i] = draw(fuzzed_line())
+    elif how == "cut":
+        del lines[i]
+    else:
+        lines[i:] = [lines[i][:draw(st.integers(0, len(lines[i])))]]
+    return "".join(lines)
+
+
+@settings(max_examples=300, deadline=None)
+@given(fuzzed_text())
+def test_deserialize_raises_only_parse_error(text):
+    try:
+        m = Dfao.deserialize(text)
+    except ParseError:
+        return
+    assert Dfao.deserialize(m.serialize()) == m
