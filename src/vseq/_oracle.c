@@ -4,12 +4,16 @@
    stores Q; vseq_count keeps only the counts F(a) = #{n : Q(n) = a}, reading
    Q's earlier terms back from them; vseq_ring_count resumes a finished
    count of V's into a ring of counts and keeps only the windows of F a
-   plan names; vseq_steps keeps only Q's steps Q(k+1) - Q(k), reading Q's
-   earlier terms back from them.  The four return a status; info[] carries
-   what the caller needs to raise:
+   plan names, two bits a count; vseq_steps keeps only Q's steps
+   Q(k+1) - Q(k), reading Q's earlier terms back from them.  The four
+   return a status; info[] carries what the caller needs to raise:
      DEAD           info = {n, argument}  an argument left [1, n-1]
      NOT_MONOTONE   info = {n, Q(n-1), Q(n)}
-     COUNT_OVERFLOW info = {value}         a count would pass 255
+     COUNT_OVERFLOW info = {value, bound, count}  a count would pass bound,
+                                          255 in a flat table and 4 in a
+                                          ring (count = bound + 1), or a
+                                          count seeded into a ring lies
+                                          outside 1..4
      VALUE_OVERFLOW info = {n, Q(n)}       Q(n) does not fit 32 bits
      UNSETTLED      info = {n, argument}  Q(argument) read from a count that
                                           was still growing, or from a step
@@ -44,8 +48,9 @@
 enum { OK, DEAD, NOT_MONOTONE, COUNT_OVERFLOW, VALUE_OVERFLOW, UNSETTLED,
        RING_SHORT };
 enum { WIDER = -2, FULL = -3 };
-/* a ring of counts is zeroed this many slots at a time */
-enum { BLOCK = 64 };
+/* a ring of counts is zeroed this many slots at a time; it holds a count
+   of at most RING_MOST */
+enum { BLOCK = 64, RING_MOST = 4 };
 
 static int step(const uint32_t *q, int64_t n, int64_t r, int64_t s,
                 int64_t *info, uint32_t *out)
@@ -83,27 +88,42 @@ int vseq_qrs(uint32_t *q, int64_t r, int64_t s, int64_t n_done, int64_t n_max,
    below < p <= top = below + counts[value], with below = S(value - 1) and
    S(a) = #{n : Q(n) <= a}.  top is as read when the cursor last looked:
    the count at value may still be growing while value is Q's latest term,
-   so a position past top is looked up again before the cursor moves. */
+   so over a flat table a position past top is looked up again before the
+   cursor moves.  Over a ring, whose counts are dearer to read, the count
+   moves the top of a cursor at Q's latest term with each term it counts,
+   so that a top is never looked up again. */
 struct cursor {
     int64_t value, below, top;
 };
 
+/* The count of a value a: counts[a] in a flat table; in a ring of
+   cmask + 1 counts, F(a) - 1 in the two bits at 2 (a & 3) of byte
+   (a & cmask) / 4, four counts a byte.  A ring holds only counts of 1 to
+   4, as F(a) is past F(0) = 0, so a zeroed slot reads 1. */
+static inline __attribute__((always_inline)) int64_t
+count_of(const uint8_t *counts, int flat, int64_t cmask, int64_t a)
+{
+    if (flat)
+        return counts[a];
+    return (counts[(a & cmask) >> 2] >> 2 * (a & 3) & 3) + 1;
+}
+
 /* Move c to Q(p).  Q is non-decreasing with steps in {0, 1} (checked as it
    is counted), so both arguments n - Q(n-r) and n - Q(n-s) are
    non-decreasing in n and a cursor only moves forward; it may pass only
-   counts below latest = Q(n-1), the ones that are final.  The count of a
-   value a is at counts[a & cmask]: cmask = -1 for a flat table. */
+   counts below latest = Q(n-1), the ones that are final. */
 static inline __attribute__((always_inline)) int
-seek(const uint8_t *counts, int64_t cmask, struct cursor *c, int64_t p,
-     int64_t latest)
+seek(const uint8_t *counts, int flat, int64_t cmask, struct cursor *c,
+     int64_t p, int64_t latest)
 {
     if (p > c->top) {
-        c->top = c->below + counts[c->value & cmask];
+        if (flat)
+            c->top = c->below + counts[c->value];
         while (p > c->top) {
             if (c->value >= latest)
                 return UNSETTLED;
             c->below = c->top;
-            c->top += counts[++c->value & cmask];
+            c->top += count_of(counts, flat, cmask, ++c->value);
         }
     }
     return OK;
@@ -144,7 +164,7 @@ resume(const uint8_t *counts, int64_t latest, int64_t s, int64_t done,
     skip(counts, &back, done - s + 1, latest);
     for (int64_t i = done - s + 1; i <= done; i++) {
         if (i > s) {
-            if (seek(counts, -1, &back, i, latest) != OK) {
+            if (seek(counts, 1, -1, &back, i, latest) != OK) {
                 info[0] = done + 1;
                 info[1] = i;
                 return UNSETTLED;
@@ -157,17 +177,28 @@ resume(const uint8_t *counts, int64_t latest, int64_t s, int64_t done,
     return OK;
 }
 
+static int overflow(int64_t *info, int64_t value, int64_t bound, int64_t count)
+{
+    info[0] = value;
+    info[1] = bound;
+    info[2] = count;
+    return COUNT_OVERFLOW;
+}
+
 /* The loop of both counts from n = done + 1, with c at or before the read
    position of n (at the start for a fresh count, placed by resume for a
    resumed one) and prev = Q(done), until Q first reaches a_max + 1.  Each
    caller passes flat as a constant, so that each gets a loop of its own.
    Flat counts are a table (cmask and the planned windows unused);
-   otherwise they are a ring of cmask + 1 counts, the count of a at
-   counts[a & cmask].  As each block of BLOCK values starts, and once the
-   count is done, a ring copies out each planned window F(n-2..n+1) whose
-   last count is final, n + 2 <= value (F(-1) reads 0); then, before it
-   zeroes the new block's slots, it refuses with RING_SHORT to reuse the
-   slot of a value a cursor may still read. */
+   otherwise they are a ring of cmask + 1 counts of two bits (count_of).
+   There a value's first term leaves its zeroed slot, which reads 1, and
+   each later term adds 1 to it and to the top of a cursor at the value;
+   the terms of the latest value, counted in a register, find a fifth.  As
+   each block of BLOCK values starts, and once the count is done, a ring
+   copies out each planned window F(n-2..n+1) whose last count is final,
+   n + 2 <= value (F(-1) and F(0) read 0); then, before it zeroes the new
+   block's slots, it refuses with RING_SHORT to reuse the slot of a value
+   a cursor may still read. */
 static inline __attribute__((always_inline)) int
 count_loop(int flat, uint8_t *counts, int64_t cmask, int64_t a_max, int64_t r,
            int64_t s, int64_t done, struct cursor c1, int64_t prev,
@@ -175,6 +206,8 @@ count_loop(int flat, uint8_t *counts, int64_t cmask, int64_t a_max, int64_t r,
            int64_t planned, uint8_t *windows, int64_t *info)
 {
     struct cursor c2 = c1;
+    /* in a ring, the terms counted so far of the latest value */
+    int64_t run = flat ? 0 : count_of(counts, 0, cmask, prev);
     if (flat)
         cmask = -1;
     for (int64_t n = done + 1;; n++) {
@@ -184,8 +217,9 @@ count_loop(int flat, uint8_t *counts, int64_t cmask, int64_t a_max, int64_t r,
             info[1] = i1 < i2 ? i1 : i2;
             return DEAD;
         }
-        int64_t unread = seek(counts, cmask, &c1, i1, prev) != OK ? i1
-                         : seek(counts, cmask, &c2, i2, prev) != OK ? i2 : 0;
+        int64_t unread =
+            seek(counts, flat, cmask, &c1, i1, prev) != OK ? i1
+            : seek(counts, flat, cmask, &c2, i2, prev) != OK ? i2 : 0;
         if (unread) {
             info[0] = n;
             info[1] = unread;
@@ -197,7 +231,8 @@ count_loop(int flat, uint8_t *counts, int64_t cmask, int64_t a_max, int64_t r,
             info[1] = val;
             return VALUE_OVERFLOW;
         }
-        if (val != prev) {
+        int moved = val != prev;
+        if (moved) {
             if (val != prev + 1) {
                 info[0] = n;
                 info[1] = prev;
@@ -205,10 +240,11 @@ count_loop(int flat, uint8_t *counts, int64_t cmask, int64_t a_max, int64_t r,
                 return NOT_MONOTONE;
             }
             prev = val;
+            run = 1;
             if (!flat && (!(val & (BLOCK - 1)) || val > a_max)) {
                 for (; planned && *plan + 2 <= val; plan++, planned--)
                     for (int64_t a = *plan - 2; a < *plan + 2; a++)
-                        *windows++ = a < 0 ? 0 : counts[a & cmask];
+                        *windows++ = a < 1 ? 0 : count_of(counts, 0, cmask, a);
                 if (val > a_max)
                     return OK;
                 int64_t back = c1.value < c2.value ? c1.value : c2.value;
@@ -218,18 +254,25 @@ count_loop(int flat, uint8_t *counts, int64_t cmask, int64_t a_max, int64_t r,
                     info[2] = cmask + 1;
                     return RING_SHORT;
                 }
-                memset(counts + (val & cmask), 0, BLOCK);
+                memset(counts + ((val & cmask) >> 2), 0, BLOCK / 4);
                 /* the slots a few blocks on were last written a ring ago */
-                __builtin_prefetch(counts + ((val + 4 * BLOCK) & cmask), 1);
+                __builtin_prefetch(
+                    counts + (((val + 4 * BLOCK) & cmask) >> 2), 1);
             }
             if (val > a_max)
                 return OK;
         }
-        if (counts[val & cmask] == 255) {
-            info[0] = val;
-            return COUNT_OVERFLOW;
+        if (flat) {
+            if (counts[val] == 255)
+                return overflow(info, val, 255, 256);
+            counts[val]++;
+        } else if (!moved) {
+            if (++run > RING_MOST)
+                return overflow(info, val, RING_MOST, RING_MOST + 1);
+            counts[(val & cmask) >> 2] += (uint8_t)(1 << 2 * (val & 3));
+            c1.top += c1.value == val;
+            c2.top += c2.value == val;
         }
-        counts[val & cmask]++;
         ring[n & mask] = (uint32_t)val;
     }
 }
@@ -253,15 +296,40 @@ int vseq_count(uint8_t *counts, int64_t a_max, int64_t r, int64_t s,
                       NULL, 0, NULL, info);
 }
 
+/* The least i < n whose count v[i] lies outside 1..RING_MOST, or -1: 64
+   counts at a time, a block loop gcc vectorizes, then one at a time from
+   the block that holds it. */
+static int64_t outside(const uint8_t *v, int64_t n)
+{
+    int64_t i = 0;
+    for (; i + 64 <= n; i += 64) {
+        uint8_t most = 0;
+        for (int j = 0; j < 64; j++) {
+            uint8_t less = (uint8_t)(v[i + j] - 1); /* 0 wraps to 255 */
+            most = less > most ? less : most;
+        }
+        if (most >= RING_MOST)
+            break;
+    }
+    for (; i < n; i++)
+        if ((uint8_t)(v[i] - 1) >= RING_MOST)
+            return i;
+    return -1;
+}
+
 /* vseq_count of V = Q_{1,4} resumed from the finished flat counts
    pre[0..p], p >= 1, done their sum, into the caller's ring of cmask + 1
-   counts (a power of two, at least BLOCK), which takes the counts of the
-   last values: the cursors start over pre, the ring is seeded with pre's
-   last values, and the count goes on in the ring to a_max.  The windows
+   counts of two bits, (cmask + 1) / 4 bytes (cmask + 1 a power of two, at
+   least BLOCK), which takes the counts of the last values: the cursors
+   start over pre, the ring is seeded with pre's counts from the least
+   value a cursor or planned window reads, min(c.value, p - 2), each of
+   them 1 to 4 or COUNT_OVERFLOW, and the count goes on in the ring to
+   a_max, a fifth term of a value COUNT_OVERFLOW too.  The windows
    F(n-2..n+1) at the plan[]'s sorted, distinct n in [p, a_max - 1] go to
    windows[], four bytes each.
    A read position lags a count by about half its value, so the ring needs
-   just over a_max / 2 counts; a smaller one returns RING_SHORT. */
+   just over a_max / 2 counts, a_max / 8 bytes; a smaller one returns
+   RING_SHORT. */
 int vseq_ring_count(const uint8_t *pre, int64_t p, uint8_t *counts,
                     int64_t cmask, int64_t a_max, int64_t done,
                     const int64_t *plan, int64_t planned, uint8_t *windows,
@@ -273,21 +341,33 @@ int vseq_ring_count(const uint8_t *pre, int64_t p, uint8_t *counts,
     int status = resume(pre, p, 4, done, ring, 7, &c, &prev, info);
     if (status != OK)
         return status;
+    c.top = c.below + pre[c.value]; /* skip leaves top behind */
+    /* the least value a cursor or planned window reads; F(0) reads 0 */
+    int64_t first = c.value < p - 2 ? c.value : p - 2 > 1 ? p - 2 : 1;
     int64_t last = (p | (BLOCK - 1)); /* the last value of p's block */
-    if (last - c.value > cmask) {
+    if (last - first > cmask) {
         info[0] = p;
-        info[1] = last - c.value;
+        info[1] = last - first;
         info[2] = cmask + 1;
         return RING_SHORT;
     }
-    /* pre[first..p] into the ring, in two pieces where it wraps, and the
-       slots of the values past p to the end of their block zeroed */
-    int64_t first = p - cmask > 0 ? p - cmask : 0, at = first & cmask;
-    int64_t len = p - first + 1, head = len < cmask + 1 - at ? len : cmask + 1 - at;
-    memcpy(counts + at, pre + first, head);
-    memcpy(counts, pre + first + head, len - head);
-    for (int64_t a = p + 1; a & (BLOCK - 1); a++)
-        counts[a & cmask] = 0;
+    int64_t bad = outside(pre + first, p - first + 1);
+    if (bad >= 0)
+        return overflow(info, first + bad, RING_MOST, pre[first + bad]);
+    /* pre[first..p] into the ring a byte at a time, from first's byte to
+       the end of p's block: the values past p read 1, a zeroed slot, and
+       those below first, which nothing reads, likewise */
+    for (int64_t a = first & ~3; a <= last; a += 4) {
+        int byte = 0;
+        if (first <= a && a + 3 <= p) /* the sum of (pre[a + j] - 1) 4^j */
+            byte = pre[a] + (pre[a + 1] << 2) + (pre[a + 2] << 4)
+                   + (pre[a + 3] << 6) - 0x55;
+        else
+            for (int j = 0; j < 4; j++)
+                if (first <= a + j && a + j <= p)
+                    byte |= (pre[a + j] - 1) << 2 * j;
+        counts[(a & cmask) >> 2] = (uint8_t)byte;
+    }
     return count_loop(0, counts, cmask, a_max, 1, 4, done, c, prev, ring, 7,
                       plan, planned, windows, info);
 }

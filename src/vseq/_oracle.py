@@ -39,7 +39,9 @@ except ImportError:
     from hashlib import blake2b
 
 SOURCE = Path(__file__).with_name("_oracle.c")
-COMPILE = ("cc", "-O2", "-shared", "-fPIC")
+# -falign-loops=64 pins the hot loops' placement: without it, a change
+# elsewhere in the file that moves a loop by 16 bytes can slow it by 10-20%
+COMPILE = ("cc", "-O2", "-falign-loops=64", "-shared", "-fPIC")
 
 # the statuses of _oracle.c, and what vseq_join returns for ids wider than
 # its output's and for a hash table half full
@@ -131,8 +133,12 @@ class Oracle:
         """count's loop for V resumed from F's finished counts prefix
         (values 0 to p = len(prefix) - 1, done their sum) up to a_max, the
         counts past p kept in a ring of ``size`` counts, a power of two of
-        at least 64: the status, info, and the windows F(n-2..n+1) at the
-        sorted, distinct planned n in [p, a_max - 1], four bytes each."""
+        at least 64, at two bits a count (F(a) - 1, four counts a byte, so
+        ``size // 4`` bytes): the status, info, and the windows
+        F(n-2..n+1) at the sorted, distinct planned n in [p, a_max - 1],
+        four bytes each.  The prefix's counts that the count reads, and
+        every count past it, must lie in 1..4, or the status is
+        COUNT_OVERFLOW."""
         prefix = _view(prefix, "B", "ring_count's prefix")
         p = len(prefix) - 1
         if size < 64 or size & (size - 1):
@@ -144,7 +150,7 @@ class Oracle:
         info = (ctypes.c_int64 * 3)()
         planned = array("q", plan)
         windows = bytearray(4 * len(plan))
-        counts = bytearray(size)
+        counts = bytearray(size // 4)
         status = self._lib.vseq_ring_count(
             _pointer(prefix), p, _pointer(memoryview(counts)), size - 1, a_max,
             done, planned.buffer_info()[0], len(planned),

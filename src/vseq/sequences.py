@@ -216,7 +216,9 @@ def _raise(status: int, info: list[int], label: str, partial) -> None:
         raise MonotonicityViolation(
             f"{label}({n - 1}) = {prev} followed by {label}({n}) = {val}")
     if status == _oracle.COUNT_OVERFLOW:
-        raise ValueError(f"{label} takes the value {info[0]} more than 255 times")
+        value, bound, count = info
+        raise ValueError(f"{label} takes the value {value} more than {bound} times"
+                         if count > bound else f"{label} skips the value {value}")
     if status == _oracle.VALUE_OVERFLOW:
         raise OverflowError(f"{label}({info[0]}) = {info[1]} does not fit 32 bits")
     if status == _oracle.UNSETTLED:
@@ -401,7 +403,8 @@ def gen_f(a_max: int) -> SequenceTable:
 
 
 def _ring_size(a_max: int) -> int:
-    """The ring count_windows counts to a_max in: a read position lags the
+    """The number of counts in the ring count_windows counts to a_max in,
+    two bits each, so a quarter of it in bytes: a read position lags the
     count by at most a_max / 2 + 1.5 (measured for every a_max to 2^25),
     and the ring is zeroed 64 slots ahead of the count."""
     return 1 << (a_max // 2 + 128).bit_length()
@@ -415,11 +418,15 @@ def count_windows(f: SequenceTable, plan: Iterable[int]) -> bytes:
     it.  For the rest, the compiled count resumes where f's stopped and
     keeps the counts past f in a ring of a power of two of them, just over
     a_max / 2 for a_max = max(plan) + 1, as a read position lags the count
-    by about half its value (_ring_size).  Each planned window is copied
-    out once its last count is final.  A ring too short for the count is
-    refused, never returning a window read from a reused slot, and counted
-    again in one twice its size.  Without the compiled loops the windows
-    past f are read from gen_f(max(plan) + 1), counted flat from the start.
+    by about half its value (_ring_size).  A ring count is F(a) - 1 in two
+    bits, so the ring takes a_max / 8 to a_max / 4 bytes: 16 MiB for the
+    2^26 counts of depth 16.  f's counts that the cursors read must lie in 1..4,
+    and the count must take no value a fifth time, or ValueError.  Each
+    planned window is copied out once its last count is final.  A ring too
+    short for the count is refused, never returning a window read from a
+    reused slot, and counted again in one twice its size.  Without the
+    compiled loops the windows past f are read from gen_f(max(plan) + 1),
+    counted flat from the start.
     """
     if f.lo != 0:
         raise ValueError("count_windows takes an F table starting at index 0")

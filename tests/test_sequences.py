@@ -14,8 +14,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from vseq import (DeadSequence, MonotonicityViolation, ProbeReport,
-                  SequenceTable, count_windows, first_difference, gen_f,
-                  gen_qrs, gen_v, kernel_probe, read_table, write_table)
+                  SequenceTable, cert_plan, count_windows, first_difference,
+                  gen_f, gen_qrs, gen_v, kernel_probe, read_table, write_table)
 from vseq import _oracle, sequences
 from vseq.sequences import COMPILED_FROM, join_ids
 
@@ -738,6 +738,67 @@ def test_count_windows_double_a_default_ring_too_short(f_ring, monkeypatch):
     # the lag reaches about 2^19 at the count's end, so 2^20 is the first
     # ring that holds it, and the default
     assert sizes == [2 ** k for k in range(12, 21)] and sizes[-1] == default
+
+
+def test_ring_count_seeds_across_the_ring_end(f_ring):
+    # the seed runs from the cursors, about 8,700, to the end of the
+    # prefix's block, 17,407, across the ring's end at 2^14
+    lib = _oracle.library()
+    if lib is None:
+        pytest.skip("no C compiler: the flat count runs in place of the ring")
+    end = 2 ** 14 + 1000
+    prefix = gen_f(end).byte_values()
+    plan = [end, end + 1, 32700]
+    status, _, windows = lib.ring_count(prefix, lib.byte_sum(prefix), plan[-1] + 1,
+                                        2 ** 14, plan)
+    assert (status, windows) == (_oracle.OK, f_ring.windows_at(plan))
+
+
+@pytest.mark.parametrize("count, message", [
+    (0, "V skips the value 65526"),
+    (5, "V takes the value 65526 more than 4 times"),
+])
+def test_ring_count_refuses_a_seeded_count_outside_1_to_4(count, message):
+    # the resumed cursors start about halfway along the prefix, so the ring
+    # is seeded with its count at 65,526; a ring count holds 1 to 4
+    if _oracle.library() is None:
+        pytest.skip("no C compiler: the flat count runs in place of the ring")
+    vals = bytearray(gen_f(2 ** 16).byte_values())
+    vals[2 ** 16 - 10] = count
+    with pytest.raises(ValueError) as e:
+        count_windows(SequenceTable(0, 2 ** 16, vals, "F"), [2 ** 17])
+    assert str(e.value) == message
+
+
+def test_ring_count_refuses_a_fifth_term_of_a_value():
+    # F(58) = 3 set to 4: read back through it, the resumed count takes
+    # V = 116 five times, past a ring count's two bits
+    lib = _oracle.library()
+    if lib is None:
+        pytest.skip("no C compiler: the flat count runs in place of the ring")
+    prefix = bytearray(gen_f(101).byte_values())
+    prefix[58] = 4
+    status, info, _ = lib.ring_count(prefix, lib.byte_sum(prefix), 999, 2 ** 10, [200])
+    assert (status, info) == (_oracle.COUNT_OVERFLOW, [116, 4, 5])
+    with pytest.raises(ValueError, match=r"^V takes the value 116 more than 4 times$"):
+        sequences._raise(status, info, "V", None)
+
+
+def test_count_windows_hold_a_ring_of_two_bit_counts(f_main, truth_a):
+    # the depth-16 certificate's windows, to F(121,503,745): a ring of 2^26
+    # counts, 16 MiB at two bits a count, where a byte a count took 64 MiB
+    if _oracle.library() is None:
+        pytest.skip("no C compiler: the flat count runs in place of the ring")
+    plan = cert_plan(truth_a, 16)
+    assert sequences._ring_size(plan[-1] + 1) == 2 ** 26
+    tracemalloc.start()
+    try:
+        windows = count_windows(f_main, plan)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(windows) == 4 * len(plan)
+    assert peak <= 17 * 2 ** 20, peak / 2 ** 20
 
 
 def test_count_windows_count_flat_without_the_compiled_loops(f_ring):
