@@ -25,11 +25,11 @@ _LAZY = {
                   "count_windows", "first_difference", "gen_f", "gen_qrs",
                   "gen_v", "read_table", "write_table"),
     "synthesis": ("CertificateReport", "CertificationFailure",
-                  "InsufficientHorizon", "KernelNode", "NonpositiveDivisor",
-                  "OracleTooShort", "ProbeReport", "TransitionCertificate",
-                  "Validation", "cert_plan", "certify_transitions",
-                  "cross_validate", "discover", "euclid_div", "kernel_probe",
-                  "shift_bounds", "synthesize_msb", "synthesize_validated"),
+                  "InsufficientHorizon", "NonpositiveDivisor", "OracleTooShort",
+                  "ProbeReport", "TransitionCertificate", "Validation",
+                  "cert_plan", "certify_transitions", "cross_validate",
+                  "discover", "euclid_div", "kernel_probe", "shift_bounds",
+                  "synthesize_msb", "synthesize_validated"),
 }
 _OWNER = {name: module for module, names in _LAZY.items() for name in names}
 

@@ -23,8 +23,8 @@
                                           lag values back still needs
    In vseq_qrs, Q(i) lives at q[i - 1].
 
-   Five more passes, whose plain-Python loops run where no library loads;
-   ids and states are 1, 2 or 4 bytes wide:
+   Four more passes, whose plain-Python loops run where no library loads;
+   ids are 1, 2 or 4 bytes wide:
      vseq_byte_sum        the sum of n bytes, for sequences.count_windows:
                           the number of terms a finished count holds
      vseq_byte_max        the largest of n bytes, the bound k of the ids a
@@ -37,8 +37,6 @@
                           number of distinct ids, -1 for a width or code out
                           of range, WIDER for more ids than the output width
                           holds, or FULL for a hash table half full
-     vseq_check           for synthesis.cross_validate: the least n whose
-                          state's output differs from F, or -1
      vseq_pairs           for rules._scan: the least a whose pair F(2a),
                           F(2a+1) differs from its window's expected pair,
                           or -1 */
@@ -591,73 +589,6 @@ int64_t vseq_join(const void *ids, int64_t in_width, int64_t first, int64_t q,
         return hash_join((const uint8_t *)ids + in_width * first, in_width, q,
                          parts, count, table, space, out, out_width);
     return joins[a][b](ids, first, q, parts, count, k, table, space, out);
-}
-
-/* Whether the w bytes at out equal F(n) (w = 1) or the window
-   F(n-2), ..., F(n+1) (w = 4, n >= 2). */
-static inline __attribute__((always_inline)) int
-same(const uint8_t *out, const uint8_t *f, int64_t n, int64_t w)
-{
-    if (w == 1)
-        return out[0] == f[n];
-    uint32_t a, b;
-    memcpy(&a, out, 4);
-    memcpy(&b, f + n - 2, 4);
-    return a == b;
-}
-
-static inline __attribute__((always_inline)) int64_t
-check_loop(const void *table, int64_t width, const void *head, int64_t sw,
-           const uint8_t *outputs, int64_t w, const uint8_t *f, int64_t n_max)
-{
-    /* the windows at 0 and 1 read F(-2) = F(-1) = 0: low + 2 stands for
-       f there */
-    const uint8_t low[5] = {0, 0, f[0], w == 4 ? f[1] : 0,
-                            w == 4 && n_max >= 1 ? f[2] : 0};
-    for (int64_t n = 0; n < width && n <= n_max; n++)
-        if (!same(outputs + w * get(head, sw, n), w == 4 && n < 2 ? low + 2 : f,
-                  n, w))
-            return n;
-    for (int64_t b = 1; b * width <= n_max; b++) {
-        int64_t row = width * get(head, sw, b);
-        int64_t n = b * width, end = n_max - n < width ? n_max - n + 1 : width;
-        for (int64_t c = 0; c < end; c++)
-            if (!same(outputs + w * get(table, sw, row + c), f, n + c, w))
-                return n + c;
-    }
-    return -1;
-}
-
-/* vseq_check's loops for states of one byte, and of sw = 2 or 4 */
-static __attribute__((noinline)) int64_t
-check_narrow(const void *table, int64_t width, const void *head,
-             const uint8_t *outputs, int64_t w, const uint8_t *f, int64_t n_max)
-{
-    return w == 1 ? check_loop(table, width, head, 1, outputs, 1, f, n_max)
-                  : check_loop(table, width, head, 1, outputs, 4, f, n_max);
-}
-
-static __attribute__((noinline)) int64_t
-check_wide(const void *table, int64_t width, const void *head, int64_t sw,
-           const uint8_t *outputs, int64_t w, const uint8_t *f, int64_t n_max)
-{
-    return check_loop(table, width, head, sw, outputs, w, f, n_max);
-}
-
-/* The least n in [0, n_max] at which the output of state(n) differs from
-   F, or -1: state(n) = head[n] for n < width, and state(b width + c) =
-   table[width head[b] + c] from n = width on, table the S x width stride
-   table of Dfao.stride_table (width = q^k, δ composed over k digits), and
-   head state(n) for n <= max(n_max / width, width - 1), both of states sw
-   = 1, 2 or 4 bytes wide.  The output of state s is the w bytes at
-   outputs[w s], w = 1 or else 4; f holds F(0) to F(n_max) for w = 1, or to
-   F(n_max + 1) for w = 4. */
-int64_t vseq_check(const void *table, int64_t width, const void *head,
-                   const uint8_t *outputs, int64_t w, const uint8_t *f,
-                   int64_t n_max, int64_t sw)
-{
-    return sw == 1 ? check_narrow(table, width, head, outputs, w, f, n_max)
-                   : check_wide(table, width, head, sw, outputs, w, f, n_max);
 }
 
 /* The least i < count with the two bytes at pairs[2 i] unlike the two at

@@ -2,10 +2,8 @@
 recursion and count for the oracle, the count resumed into a ring that keeps
 F's windows at planned indices, the loop that writes V's steps and reads V's
 older terms back from them, the byte sum and maximum, the tuple join that
-numbers the rule scan's windows and the kernel probe's blocks, and the two
-checks of the synthesize pipeline: cross-validation's walk of the stride
-table against F, and the rule scan's compare of each a's image pair with
-its window's.
+numbers the rule scan's windows and the kernel probe's blocks, and the rule
+scan's compare of each a's image pair with its window's.
 
 ``library`` compiles the source with the system ``cc`` and loads it with
 ctypes.  It runs on the first oracle call, never at import.  The shared
@@ -80,9 +78,9 @@ def _pointer(view: memoryview):
 
 class Oracle:
     """The loops of _oracle.c: the four oracle loops, which return a status
-    and info[3], the byte passes, the join, and the cross-validation and
-    image-pair checks.  Each pass checks the
-    format, length and bounds of its buffers before it passes pointers."""
+    and info[3], the byte passes, the join, and the image-pair check.  Each
+    pass checks the format, length and bounds of its buffers before it
+    passes pointers."""
 
     def __init__(self, lib: ctypes.CDLL):
         i64 = ctypes.c_int64
@@ -102,10 +100,9 @@ class Oracle:
             fn.argtypes = [ptr, i64]
         lib.vseq_join.argtypes = [ptr, i64, i64, i64, i64, i64, i64, ptr,
                                   ctypes.c_uint64, ptr, i64, i64]
-        lib.vseq_check.argtypes = [ptr, i64, ptr, ptr, i64, ptr, i64, i64]
         lib.vseq_pairs.argtypes = [ptr, ptr, ptr, i64, i64, i64]
         for fn in (lib.vseq_byte_sum, lib.vseq_byte_max, lib.vseq_join,
-                   lib.vseq_check, lib.vseq_pairs):
+                   lib.vseq_pairs):
             fn.restype = i64
         self._lib = lib
 
@@ -210,34 +207,6 @@ class Oracle:
         if distinct < 0:
             raise ValueError(f"ids at or past {k}, or more than 2^32 - 1 of them")
         return out, distinct
-
-    def check(self, table, head, outputs, w: int, f, n_max: int) -> int:
-        """The least n in [0, n_max] at which the output of state(n) differs
-        from the oracle bytes f (F from index 0), or -1.  state(n) is
-        head[n] for n below the width W of the S x W stride table (rows
-        of W states, Dfao.stride_table), and table[W head[n // W] + n % W]
-        from W on, states 1, 2 or 4 bytes wide; outputs holds w bytes per
-        state, compared with F(n) (w = 1) or F(n-2..n+1) (w = 4, F(-2) =
-        F(-1) = 0)."""
-        table, head = (_view(b, "BHI", what) for b, what in (
-            (table, "check's table"), (head, "check's head")))
-        outputs, f = (_view(b, "B", what) for b, what in (
-            (outputs, "check's outputs"), (f, "check's oracle")))
-        states = len(outputs) // w if w in (1, 4) else 0
-        if (states < 1 or len(outputs) != states * w or len(table) % states
-                or n_max < 0 or table.itemsize != head.itemsize):
-            raise ValueError("check takes a row of the stride table and w "
-                             "output bytes for each state")
-        width = len(table) // states
-        if (width < 1 or len(head) <= max(n_max // width, min(n_max, width - 1))
-                or len(f) <= n_max + (w == 4)
-                or max(self.byte_max(b) if b.itemsize == 1 else max(b)
-                       for b in (table, head)) >= states):
-            raise ValueError("check takes buffers that hold every state and "
-                             "F value it reads")
-        return self._lib.vseq_check(_pointer(table), width, _pointer(head),
-                                    _pointer(outputs), w, _pointer(f), n_max,
-                                    table.itemsize)
 
     def pairs(self, ids, expect, pairs) -> int:
         """The least i with the pair pairs[2i:2i + 2] unlike

@@ -24,9 +24,10 @@ rules hold.  It keys the numerals below 6 by their value and reads
 X(6..11) from the oracle; on F it reads F to 465, and its 69 states
 minimize to 33.
 
-The walk runs in plain Python; cross-validation and certification run the
-compiled loops (``_oracle.c``) where a library loads, and the plain-Python
-loops of the same passes where none does.
+The walk and cross-validation run in plain Python, with or without a C
+compiler; certification runs the compiled loops (``_oracle.c``) where a
+library loads, and the plain-Python loops of the same passes where none
+does.
 """
 
 from __future__ import annotations
@@ -37,8 +38,8 @@ from collections import namedtuple
 
 from . import rules
 from .automaton import WINDOW, Dfao, _shortlex
-from .sequences import (MAX_SIZE, SequenceTable, _dense, _first_seen, _library,
-                        _mismatch, count_windows, gen_f, join_ids, max_byte)
+from .sequences import (MAX_SIZE, SequenceTable, _dense, _first_seen, _mismatch,
+                        count_windows, gen_f, join_ids, max_byte)
 
 
 class NonpositiveDivisor(ValueError):
@@ -86,19 +87,6 @@ def shift_bounds(q: int, t: int, a: int, b: int, n0: int) -> tuple[int, int]:
     return big_a, big_b
 
 
-class KernelNode(namedtuple("KernelNode", "rep value window signature")):
-    """A synthesized state: rep, its shortlex-least access string ("" for
-    the initial state); value, the int rep denotes; window, the 4-window at
-    value, a tuple of 4 ints; signature, the key of the state rep reaches
-    in discover's walk."""
-
-    __slots__ = ()
-
-    @property
-    def name(self) -> str:
-        return self.rep if self.rep else "eps"
-
-
 def _check_from_0(oracle: SequenceTable) -> None:
     if oracle.lo != 0:
         raise ValueError("synthesis expects an oracle table starting at index 0")
@@ -112,15 +100,19 @@ def _walk(oracle: SequenceTable) -> tuple[list, Dfao]:
     """discover's walk: the keys of its states in breadth-first order, and
     the window automaton over them.  Each 4-window's image F(2a), F(2a+1)
     is read at its least a > 3, by a scan that stops at the last window the
-    walk asks for.  An index past the oracle raises OracleTooShort naming
-    the last index of F the whole walk reads, and the least --validate
-    that counts F to it, found by walking again on F counted further."""
+    walk asks for.  An index past the oracle raises OracleTooShort: on F's
+    prefix, naming the last index of F the whole walk reads and the least
+    --validate that counts F to it, found by walking again on F counted
+    further; on any other oracle, naming the index the walk needed."""
     f = oracle
     while True:
         try:
             keys, walked, reach = _walk_reading(f)
-        except OracleTooShort:  # F counts to a few thousand in microseconds
-            f = gen_f(2 * (f.hi + 1))
+        except OracleTooShort:
+            if f is oracle and (oracle.byte_values()
+                                != gen_f(max(f.hi, 1)).byte_values()[:f.hi + 1]):
+                raise  # not F's prefix: the walk names this oracle's own end
+            f = gen_f(2 * (f.hi + 1))  # F counts to a few thousand in microseconds
             continue
         if f is oracle:
             return keys, walked
@@ -132,13 +124,14 @@ def _walk(oracle: SequenceTable) -> tuple[list, Dfao]:
 def _walk_reading(oracle: SequenceTable) -> tuple[list, Dfao, int]:
     """_walk's keys and automaton, and the last index of the oracle it
     read; an index past the oracle raises OracleTooShort."""
-    vals, hi = oracle.byte_values(), oracle.hi
+    vals, hi, label = oracle.byte_values(), oracle.hi, oracle.label
     reach = 0
 
     def read(lo: int, end: int) -> bytes:  # F(lo..end - 1)
         nonlocal reach
         if end > hi + 1:
-            raise OracleTooShort(f"oracle ends at F({hi}), need F({end - 1})")
+            raise OracleTooShort(
+                f"oracle ends at {label}({hi}), need {label}({end - 1})")
         reach = max(reach, end - 1)
         return bytes(vals[lo:end])
 
@@ -170,31 +163,22 @@ def _walk_reading(oracle: SequenceTable) -> tuple[list, Dfao, int]:
     ), reach
 
 
-def discover(oracle: SequenceTable) -> tuple[list[KernelNode], list[list[int]]]:
-    """The states of _walk's automaton, minimized (Dfao.minimize), as
-    KernelNodes in shortlex order of their reps, and their transitions.
-    It checks nothing: cross-validation and certification do."""
+def discover(oracle: SequenceTable) -> tuple[list, Dfao]:
+    """keys and m: m is _walk's automaton, minimized (Dfao.minimize), its
+    states in shortlex order of their access strings, which name them, each
+    output the 4-window at its access value; keys[s] is the key of the
+    walked state that s's access string reaches.  It checks nothing:
+    cross-validation and certification do."""
     _check_from_0(oracle)
     keys, walked = _walk(oracle)
     m = walked.minimize()
-    reps = ["" if name == "eps" else name for name in m.names]
-    nodes = [KernelNode(rep, int(rep or "0", 2), window, keys[walked.walk(rep)])
-             for rep, window in zip(reps, m.outputs)]
-    return nodes, [list(row) for row in m.transitions]
+    return [keys[walked.walk("" if name == "eps" else name)] for name in m.names], m
 
 
 def synthesize_msb(oracle: SequenceTable) -> Dfao:
     """Conjecture the window automaton for the oracle, each state annotated
     with the 4-window at its access value; certification comes separately."""
-    nodes, trans = discover(oracle)
-    m = Dfao(
-        alphabet_size=2,
-        initial=0,
-        transitions=tuple(tuple(r) for r in trans),
-        outputs=tuple(n.window for n in nodes),
-        output_kind=WINDOW,
-        names=tuple(n.name for n in nodes),
-    )
+    m = discover(oracle)[1]
     # digit 0 must fix the initial state, else leading zeros would change results
     if m.transitions[m.initial][0] != m.initial:
         raise AssertionError("discovery broke leading-zero stability")
@@ -239,6 +223,10 @@ def _states_upto(m: Dfao, n_max: int) -> array:
     return states
 
 
+# cross_validate joins this many rows of the stride table a string at a time
+CHUNK_ROWS = 256
+
+
 def cross_validate(m: Dfao, oracle: SequenceTable, n_max: int) -> Validation:
     """Compare the automaton against the oracle for every n in [0, n_max].
 
@@ -247,50 +235,55 @@ def cross_validate(m: Dfao, oracle: SequenceTable, n_max: int) -> Validation:
     0: either fault raises ValueError, whichever output kind m has.
 
     An output of w bytes, the window F(n-2..n+1) (w = 4) or F(n) alone
-    (w = 1), is compared with the oracle's w bytes at n.  The walk reads
-    the stride table T of Dfao.stride_table, of width W: state(n) = T[
-    state(n // W), n % W] from n = W on, so it holds whole only the states
-    to max(n_max // W, W - 1), numerals shorter than a stride among them.
-    Where a library loads, one compiled pass (``_oracle.c`` vseq_check)
-    walks it and stops at the first mismatch; otherwise a Python loop takes
-    a row of T at a time, byte j of each state's output against byte j of
-    the windows.
+    (w = 1), is compared with the oracle's w bytes at n, F(-2) = F(-1) = 0.
+    The walk reads the stride table T of Dfao.stride_table, of width W:
+    state(n) = T[state(n // W), n % W] from n = W on, so a row of T has one
+    string of output bytes j per state (W = q^k, and a q-automatic sequence
+    is q^k-automatic: Allouche & Shallit, Automatic Sequences, Thm 6.6.4).
+    Output byte j of every n is then the string of the numerals below W
+    followed by the row strings of state(1), state(2), ..., state(n_max //
+    W), joined CHUNK_ROWS rows at a time and compared with F's bytes from
+    n - 2 + j (window) or n (single).  It holds the states to max(n_max //
+    W, W - 1), the row strings and one chunk.
     """
     _check_from_0(oracle)
     if n_max < 0:
         raise ValueError(f"cross_validate needs n_max >= 0, got {n_max}")
     w = 4 if m.output_kind == WINDOW else 1
-    offset = 2 - w // 2  # the output's first byte in the window at n
-    reach = offset + w - 3  # the last oracle index an output at n reads, less n
-    if oracle.hi < n_max + reach:
-        raise OracleTooShort(f"oracle ends at {oracle.hi}, need {n_max + reach}")
+    back = 2 if w == 4 else 0  # byte j of the output at n is F(n - back + j)
+    if oracle.hi < n_max + w - 1 - back:
+        raise OracleTooShort(f"oracle ends at {oracle.hi}, need {n_max + w - 1 - back}")
     outputs = bytes(m.outputs if w == 1 else (b for o in m.outputs for b in o))
     table = m.stride_table
     width = len(table) // m.state_count
     head = _states_upto(m, max(n_max // width, width - 1))
-    lib = _library()
-    if lib is not None:
-        bad = lib.check(table, head, outputs, w, oracle.byte_values(), n_max)
-        return Validation(bad < 0, None if bad < 0 else bad, n_max)
-    # byte j of each state's output, a translate table for states of a byte
-    outs = [outputs[j::w].ljust(256, b"\0") for j in range(w)]
+
+    def output_bytes(states: array, out: bytes) -> bytes:  # out[s] for each s
+        if states.itemsize == 1:
+            return states.tobytes().translate(out.ljust(256, b"\0"))
+        return bytes(map(out.__getitem__, states))
+
+    strings = []  # per output byte j: the numerals below W, and each row of T
+    for j in range(w):
+        out = outputs[j::w]
+        rows = output_bytes(table, out)
+        strings.append((output_bytes(head[:width], out),
+                        [rows[i:i + width] for i in range(0, len(rows), width)]))
     vals = oracle.byte_values()
-    for lo in range(0, n_max + 1, width):
-        s = head[lo // width]
-        row = head[:width] if lo == 0 else table[width * s:width * s + width]
-        row = row[:n_max + 1 - lo]
-        # F(lo - 2) on, F(-2) = F(-1) = 0 for the first row: the window at
-        # n starts at n - lo
-        end = lo + len(row) + reach
-        want = vals[lo - 2:end] if lo else bytes(2) + vals[:end]
+    last = n_max // width  # the row of n_max
+    for b0 in range(0, last + 1, CHUNK_ROWS):
+        b1 = min(b0 + CHUNK_ROWS, last + 1)
+        lo, end = b0 * width, min(b1 * width, n_max + 1)
         misses = []
-        for j, out in enumerate(outs):
-            got = (row.tobytes().translate(out) if row.itemsize == 1
-                   else bytes(map(out.__getitem__, row)))
-            misses.append(_mismatch(got, want[offset + j:offset + j + len(row)]))
-        bad = min((i for i in misses if i >= 0), default=-1)
-        if bad >= 0:
-            return Validation(False, lo + bad, n_max)
+        for j, (numerals, rows) in enumerate(strings):
+            got = b"".join(map(rows.__getitem__, head[max(b0, 1):b1]))
+            got = (numerals + got if b0 == 0 else got)[:end - lo]
+            at, to = lo - back + j, end - back + j  # F(at..to - 1), F(-2) = F(-1) = 0
+            want = bytes(vals[max(at, 0):max(to, 0)]).rjust(end - lo, b"\0")
+            if got != want:
+                misses.append(_mismatch(got, want))
+        if misses:
+            return Validation(False, lo + min(misses), n_max)
     return Validation(True, None, n_max)
 
 

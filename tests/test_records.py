@@ -4,8 +4,8 @@ and the repr reads ``Name(field=value, ...)`` with every field in order."""
 
 import pytest
 
-from vseq import (SINGLE, CertificateReport, DiffReport, Dfao, Finding, KernelNode,
-                  PrintedTable, ProbeReport, RuleVerification, SequenceTable,
+from vseq import (SINGLE, CertificateReport, DiffReport, Dfao, Finding, PrintedTable,
+                  ProbeReport, RuleVerification, SequenceTable,
                   TransitionCertificate, Validation, WindowRuleTable)
 from vseq.synthesis import ProbeLevel
 
@@ -25,8 +25,6 @@ RECORDS = [
     (lambda: Dfao(2, 0, [(0, 1), (1, 0)], [0, 1], SINGLE),
      ("alphabet_size", "initial", "transitions", "outputs", "output_kind", "names"), True),
     (lambda: SequenceTable(0, 2, b"\x00\x04\x01", "F"), ("lo", "hi", "values", "label"), True),
-    (lambda: KernelNode("1", 1, WINDOW, (3, 2)), ("rep", "value", "window", "signature"),
-     True),
     (lambda: Validation(False, 7, 100), ("passed", "first_mismatch", "n_max"), True),
     (certificate, ("from_name", "digit", "to_name", "family_depth"), True),
     (lambda: CertificateReport((certificate(),), 2, 2 ** 15, 4, 2 ** 16 + 2, 9, 30),

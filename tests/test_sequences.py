@@ -404,9 +404,8 @@ def test_oracle_source_compiles_without_warnings(tmp_path):
 SANITIZED_RUN = """
 import ctypes, sys
 import numpy as np
-from vseq import (SINGLE, Dfao, SequenceTable, _oracle, count_windows,
-                  cross_validate, first_difference, gen_f, gen_qrs, gen_v,
-                  kernel_probe, sequences, synthesize_validated)
+from vseq import (SequenceTable, _oracle, count_windows, first_difference, gen_f,
+                  gen_qrs, gen_v, kernel_probe, sequences)
 from vseq.rules import _scan
 from vseq.sequences import join_ids
 
@@ -443,9 +442,10 @@ def same_ids(compiled, python_ids):
 a, b = both(lambda: gen_f(2 ** 16).values)
 assert a == b
 # the ring count's planned windows against the Python loop's flat count,
-# from prefix ends whose ring seed wraps and ends mid-block or not, windows
-# straddling the prefix's end and ending the count; and rings too short for
-# it, which refuse at the start or mid-count
+# from prefix ends mid-block or not, windows straddling the prefix's end and
+# ending the count; and rings too short for it, which refuse at the start
+# or mid-count.  None of these seeds crosses the ring's end: each seeds a
+# range below its ring's size, or refuses first
 for end in (1, 2, 5, 2 ** 12 + 1, 2 ** 15 - 3):
     plan = [max(end - 2, 0), end - 1, end, end + 1, end + 70, 2 ** 16 - 1, 2 ** 16]
     a, b = both(lambda: count_windows(gen_f(end), plan))
@@ -460,6 +460,13 @@ for end in (1, 2, 5, 2 ** 12 + 1, 2 ** 15 - 3):
             assert info[1] >= size == info[2], (end, size, info)
         else:
             assert (status, got) == (_oracle.OK, b"".join(map(window.get, past))), (end, size)
+# a seed that wraps: from about 8,700 to 17,407, across a 2^14 ring's end
+end = 2 ** 14 + 1000
+plan = [end, end + 1, 32700]
+prefix = gen_f(end).byte_values()
+status, info, got = lib.ring_count(prefix, lib.byte_sum(prefix), plan[-1] + 1,
+                                   2 ** 14, plan)
+assert (status, got) == (_oracle.OK, gen_f(plan[-1] + 1).windows_at(plan)), (status, info)
 a, b = both(lambda: gen_v(10 ** 5).values)
 assert a == b
 for r, s in ((2, 5), (1, 10)):
@@ -521,33 +528,6 @@ at = max(n for n in range(5, 2 ** 13 + 1)
 wide[2 * at + 1] ^= 1
 a, b = both(lambda: raised(lambda: _scan(table, 4, 2 ** 13)))
 assert a == b != None and f"at a={at}" in a, (a, b)
-
-# cross-validation of both synthesized machines, reading F up to the last
-# index it needs: at n_max below the stride width 256, at 256 and past it,
-# clean and with that last byte changed
-window_machine = synthesize_validated(f16, 2 ** 16)[0]
-single_machine = window_machine.project_output().minimize()
-for machine, reach in ((window_machine, 1), (single_machine, 0)):
-    for n_max in (0, 1, 100, 255, 256, 257, 2 ** 16 + 1 - reach):
-        for change in (0, 1):
-            vals = np.array(f16.byte_values()[:n_max + reach + 1])
-            vals[-1] += 5 * change
-            oracle = SequenceTable(0, vals.size - 1, vals, "F")
-            a, b = both(lambda: cross_validate(machine, oracle, n_max))
-            assert a == b and a.passed != change, (n_max, a, b)
-# a machine of 320 states, two bytes each: the 20-state machine times a
-# count of the digits read, mod 16, which changes no output
-m20, states = single_machine, range(16 * single_machine.state_count)
-product = Dfao(2, 16 * m20.initial,
-               [[16 * m20.transitions[s // 16][d] + (s + 1) % 16 for d in (0, 1)]
-                for s in states], [m20.outputs[s // 16] for s in states], SINGLE)
-assert product.state_count == 320 and product.stride_table.typecode == "H"
-for change in (0, 1):
-    vals = np.array(f16.byte_values()[:2 ** 16 + 1])
-    vals[-1] += 5 * change
-    oracle = SequenceTable(0, vals.size - 1, vals, "F")
-    a, b = both(lambda: cross_validate(product, oracle, 2 ** 16))
-    assert a == b and a.passed != change, (a, b)
 
 # probe joins at q = 2 and 3 over 1-, 2- and 4-byte ids into 1-, 2- and
 # 4-byte ids, the last tuple ending at the last id, and one join that

@@ -97,14 +97,32 @@ def test_walk_reads_f_to_465():
         discover(gen_f(464))
 
 
+def _access_value(name: str) -> int:
+    return 0 if name == "eps" else int(name, 2)
+
+
 def test_walk_keys_are_numerals_then_x(f_main):
     # the numeral n below 6, else X(n) = F(n-4..n+2)
-    nodes, _ = discover(f_main)
-    for node in nodes:
-        n = node.value
+    keys, m = discover(f_main)
+    assert len(keys) == m.state_count
+    for name, key in zip(m.names, keys):
+        n = _access_value(name)
         want = n if n < 6 else bytes(f_main.values[n - 4:n + 3])
-        assert node.signature == want, node.rep
-    assert len({node.signature for node in nodes}) == len(nodes)
+        assert key == want, name
+    assert len(set(keys)) == len(keys)
+
+
+def test_discover_hands_back_the_machine_synthesize_msb_returns(f_main):
+    assert discover(f_main)[1] == synthesize_msb(f_main)
+
+
+def test_a_short_oracle_that_is_not_f_names_its_own_end():
+    # the walk is walked again on a longer F only when the oracle is F's
+    # prefix; any other oracle is named by its own label and end
+    rng = random.Random(1)
+    s = SequenceTable(0, 60, bytes(rng.randint(1, 3) for _ in range(61)), "S")
+    with pytest.raises(OracleTooShort, match=r"^oracle ends at S\(60\), need S\(\d+\)$"):
+        discover(s)
 
 
 # -- discovery on the frequency oracle ------------------------------------------
@@ -165,10 +183,10 @@ def test_window_examples(truth_a):
 
 
 def test_node_windows_are_oracle_windows(f_main):
-    nodes, _ = discover(f_main)
-    assert len(nodes) == 33
-    for node in nodes:
-        assert node.window == window4(f_main, node.value), node.rep
+    _, m = discover(f_main)
+    assert m.state_count == 33
+    for name, window in zip(m.names, m.outputs):
+        assert window == window4(f_main, _access_value(name)), name
 
 
 def test_minimized_form(truth_a, truth_b):
@@ -231,15 +249,10 @@ def test_cross_validate_monotone(truth_b, f_main):
 
 @pytest.mark.parametrize("kind", [WINDOW, SINGLE])
 def test_cross_validate_refuses_a_negative_bound(truth_a, truth_b, kind):
-    # the compiled pass refused n_max = -1 with a message about its buffers,
-    # and the Python pass returned a pass that checked nothing
+    # a bound of -1 would compare no n and pass
     machine, f = (truth_a if kind == WINDOW else truth_b), gen_f(100)
-
-    def refused():
-        with pytest.raises(ValueError, match="n_max >= 0, got -1"):
-            cross_validate(machine, f, -1)
-
-    on_each_engine(refused)
+    with pytest.raises(ValueError, match="n_max >= 0, got -1"):
+        cross_validate(machine, f, -1)
 
 
 def test_cross_validate_needs_coverage(truth_a):
@@ -346,33 +359,22 @@ def test_cross_validate_names_the_least_mismatch_at_chunk_edges(
     assert _first_mismatch_by_eval(machine, oracle, least) == least
 
 
-# -- the compiled cross-validation pass against the Python pass ----------------
+# -- cross-validation against a reference ----------------------------------------
 
-@pytest.fixture
-def on_both(monkeypatch):
-    """cross_validate(machine, oracle, n_max) forced through _oracle.library
-    onto each engine: the compiled pass, then the plain-Python pass; and
-    the number of compiled passes the first call ran."""
-    lib = _oracle.library()
-    if lib is None:
-        pytest.skip("no C compiler: only the Python pass runs here")
-    runs = []
-    check = _oracle.Oracle.check
-
-    def spy(self, *args):
-        runs.append(args)
-        return check(self, *args)
-
-    monkeypatch.setattr(_oracle.Oracle, "check", spy)
-
-    def run(machine, oracle, n_max):
-        runs.clear()
-        monkeypatch.setattr(_oracle, "library", lambda: lib)
-        compiled = cross_validate(machine, oracle, n_max)
-        monkeypatch.setattr(_oracle, "library", lambda: None)
-        return compiled, cross_validate(machine, oracle, n_max), len(runs)
-
-    return run
+def _least_mismatch(machine: Dfao, oracle: SequenceTable, n_max: int):
+    """The least n in [0, n_max] whose state's output differs from the
+    oracle's bytes at n, or None: the outputs of _states_upto(machine,
+    n_max), every state held at once, against F(n), or against the window
+    F(n-2..n+1), F(-2) = F(-1) = 0, a byte at a time."""
+    outs = np.asarray(machine.outputs, dtype=np.uint8)[_states_upto(machine, n_max)]
+    f = np.frombuffer(oracle.byte_values(), dtype=np.uint8)
+    if machine.output_kind == WINDOW:
+        windows = np.lib.stride_tricks.sliding_window_view(
+            np.concatenate([np.zeros(2, np.uint8), f]), 4)
+        bad = (outs != windows[:n_max + 1]).any(axis=1)
+    else:
+        bad = outs != f[:n_max + 1]
+    return int(bad.argmax()) if bad.any() else None
 
 
 def _state_at(machine: Dfao, n: int) -> int:
@@ -405,48 +407,47 @@ def _corrupted(machine: Dfao, f: SequenceTable, what: str, n_max: int):
                                    VALIDATE_TO])
 @pytest.mark.parametrize("what", ["none", "output", "transition", "oracle"])
 @pytest.mark.parametrize("kind", [WINDOW, SINGLE])
-def test_compiled_cross_validation_matches_numpy(on_both, truth_a, truth_b, f_main,
-                                                 kind, what, n_max):
+def test_compiled_cross_validation_matches_numpy(truth_a, truth_b, f_main, kind, what,
+                                                 n_max):
     # the stride width of base 2 is W = 256: n_max = 255, 256 and 257 end
     # just below, at and past the first row of the stride table
     machine = truth_a if kind == WINDOW else truth_b
     machine, oracle = _corrupted(machine, f_main, what, n_max)
-    compiled, python_pass, runs = on_both(machine, oracle, n_max)
-    assert runs == 1
-    assert compiled == python_pass
+    verdict = cross_validate(machine, oracle, n_max)
+    first = _least_mismatch(machine, oracle, n_max)
+    assert verdict == vseq.Validation(first is None, first, n_max)
     if what != "transition":  # a misroute may reach a state of the same outputs
-        assert compiled.passed == (what == "none")
+        assert verdict.passed == (what == "none")
     if n_max <= 257:
         # state(0) is the initial state: the numeral of 0 is empty
         def truth(n):
             return window4(oracle, n) if kind == WINDOW else oracle[n]
-        assert compiled.first_mismatch == next(
+        assert verdict.first_mismatch == next(
             (n for n in range(n_max + 1)
              if machine.outputs[_state_at(machine, n)] != truth(n)), None)
 
 
-@pytest.mark.parametrize("states, q, runs", [(7, 3, 1), (300, 2, 1)],
-                         ids=["base-3", "300-states"])
-def test_cross_validation_of_machines_off_the_synthesized_path(on_both, states, q, runs):
-    # base 3 walks a stride table of width 3^5 = 243; 300 states do not fit
-    # one byte, so the stride table and the states are two bytes each
+@pytest.mark.parametrize("states, q", [(7, 3), (300, 2), (5, 17)],
+                         ids=["base-3", "300-states", "base-17"])
+def test_cross_validation_of_machines_off_the_synthesized_path(states, q):
+    # base 3 walks a stride table of width 3^5 = 243, base 17 one of width
+    # 17, a digit a row; 300 states do not fit one byte, so the stride
+    # table and the states are two bytes each
     rng = random.Random(states)
     rows = [[rng.randrange(states) for _ in range(q)] for _ in range(states)]
     rows[0][0] = 1  # digit 0 moves the initial state
     m = Dfao(q, 0, rows, [rng.randrange(5) for _ in range(states)], SINGLE)
-    width = 3 ** 5 if q == 3 else 2 ** 8
+    width = {2: 2 ** 8, 3: 3 ** 5, 17: 17}[q]
+    assert len(m.stride_table) == width * states
     for n_max in (0, 1, 2, width - 1, width, width + 1, 2 ** 16 + 1):
         vals = np.asarray(m.outputs, dtype=np.uint8)[_states_upto(m, n_max)]
         oracle = SequenceTable(0, n_max, bytearray(vals.tobytes()), "S")
-        assert on_both(m, oracle, n_max) == (
-            vseq.Validation(True, None, n_max), vseq.Validation(True, None, n_max), runs)
+        assert cross_validate(m, oracle, n_max) == vseq.Validation(True, None, n_max)
         for at in (0, n_max // 2, n_max):
             bad = bytearray(vals.tobytes())
             bad[at] = 9
             oracle = SequenceTable(0, n_max, bad, "S")
-            compiled, python_pass, ran = on_both(m, oracle, n_max)
-            assert compiled == python_pass == vseq.Validation(False, at, n_max)
-            assert ran == runs
+            assert cross_validate(m, oracle, n_max) == vseq.Validation(False, at, n_max)
 
 
 def _traced_peak(call) -> tuple[object, int]:
@@ -469,8 +470,8 @@ def test_cross_validate_holds_chunks_not_the_range(truth_a, truth_b, f_main):
 def test_discover_walk_holds_kilobytes(f_main):
     # signature discovery held its block ids, 3.2 MB at 2^22; the walk holds
     # its 69 states and 24 images
-    (nodes, _), peak = _traced_peak(lambda: discover(f_main))
-    assert len(nodes) == 33
+    (keys, _), peak = _traced_peak(lambda: discover(f_main))
+    assert len(keys) == 33
     assert peak <= 256 * 1024, peak / 1024
 
 
