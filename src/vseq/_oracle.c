@@ -3,8 +3,10 @@
    ctypes and keeps the same loops in Python as the reference.  vseq_qrs
    stores Q; vseq_count keeps only the counts F(a) = #{n : Q(n) = a}, reading
    Q's earlier terms back from them; vseq_ring_count resumes a finished
-   count of V's into a ring of counts and keeps only the windows of F a
-   plan names, two bits a count; vseq_steps keeps only Q's steps
+   count of V's, its read positions reading the finished counts in place
+   until they pass them, keeps the counts past them in a ring, two bits a
+   count, and keeps only the windows of F a plan names; vseq_steps keeps
+   only Q's steps
    Q(k+1) - Q(k), reading Q's earlier terms back from them.  The four
    return a status; info[] carries what the caller needs to raise:
      DEAD           info = {n, argument}  an argument left [1, n-1]
@@ -12,15 +14,16 @@
      COUNT_OVERFLOW info = {value, bound, count}  a count would pass bound,
                                           255 in a flat table and 4 in a
                                           ring (count = bound + 1), or a
-                                          count seeded into a ring lies
-                                          outside 1..4
+                                          finished count a ring count reads
+                                          lies outside 1..4
      VALUE_OVERFLOW info = {n, Q(n)}       Q(n) does not fit 32 bits
      UNSETTLED      info = {n, argument}  Q(argument) read from a count that
                                           was still growing, or from a step
                                           not yet written
      RING_SHORT     info = {value, lag, size}  counting value would reuse the
                                           ring slot of a value a read position
-                                          lag values back still needs
+                                          or planned window lag values back
+                                          still needs
    In vseq_qrs, Q(i) lives at q[i - 1].
 
    Four more passes, whose plain-Python loops run where no library loads;
@@ -44,7 +47,7 @@
 #include <string.h>
 
 enum { OK, DEAD, NOT_MONOTONE, COUNT_OVERFLOW, VALUE_OVERFLOW, UNSETTLED,
-       RING_SHORT };
+       RING_SHORT, HANDOVER /* between two loops of vseq_ring_count */ };
 enum { WIDER = -2, FULL = -3 };
 /* a ring of counts is zeroed this many slots at a time; it holds a count
    of at most RING_MOST */
@@ -183,42 +186,88 @@ static int overflow(int64_t *info, int64_t value, int64_t bound, int64_t count)
     return COUNT_OVERFLOW;
 }
 
-/* The loop of both counts from n = done + 1, with c at or before the read
-   position of n (at the start for a fresh count, placed by resume for a
-   resumed one) and prev = Q(done), until Q first reaches a_max + 1.  Each
-   caller passes flat as a constant, so that each gets a loop of its own.
-   Flat counts are a table (cmask and the planned windows unused);
-   otherwise they are a ring of cmask + 1 counts of two bits (count_of).
-   There a value's first term leaves its zeroed slot, which reads 1, and
-   each later term adds 1 to it and to the top of a cursor at the value;
-   the terms of the latest value, counted in a register, find a fifth.  As
-   each block of BLOCK values starts, and once the count is done, a ring
-   copies out each planned window F(n-2..n+1) whose last count is final,
-   n + 2 <= value (F(-1) and F(0) read 0); then, before it zeroes the new
-   block's slots, it refuses with RING_SHORT to reuse the slot of a value
-   a cursor may still read. */
-static inline __attribute__((always_inline)) int
-count_loop(int flat, uint8_t *counts, int64_t cmask, int64_t a_max, int64_t r,
-           int64_t s, int64_t done, struct cursor c1, int64_t prev,
-           uint32_t *ring, int64_t mask, const int64_t *plan,
-           int64_t planned, uint8_t *windows, int64_t *info)
+/* The three loops of a count: a fresh count into a flat table, and a count
+   resumed into a ring of counts whose cursors read a flat prefix or the
+   ring itself */
+enum { FLAT, PREFIX, RING };
+
+/* Where a count stands between two loops: the next term n, prev = Q(n-1),
+   the cursors, at or before the read positions of n, and the planned
+   windows not yet copied out */
+struct count {
+    int64_t n, prev;
+    struct cursor c1, c2;
+    const int64_t *plan;
+    int64_t planned;
+    uint8_t *windows;
+};
+
+/* Copy out each planned window F(n-2..n+1) whose last count is final,
+   n + 2 <= value, from a ring of cmask + 1 counts: F(-1) and F(0) read 0,
+   and the values below p from pre where one is given. */
+static inline __attribute__((always_inline)) void
+copy_out(struct count *at, const uint8_t *pre, int64_t p,
+         const uint8_t *counts, int64_t cmask, int64_t value)
 {
-    struct cursor c2 = c1;
+    for (; at->planned && at->plan[0] + 2 <= value; at->plan++, at->planned--)
+        for (int64_t a = at->plan[0] - 2; a < at->plan[0] + 2; a++)
+            *at->windows++ = a < 1 ? 0 : pre && a < p ? pre[a]
+                             : count_of(counts, 0, cmask, a);
+}
+
+/* The loop of both counts from at->n until Q first reaches a_max + 1.
+   Each caller passes mode as a constant, so that each mode gets a loop of
+   its own.  Only a PREFIX loop reads pre and p.  FLAT counts are a table
+   (cmask and the planned windows unused); otherwise they are a ring of
+   cmask + 1 counts of two bits
+   (count_of).  There a value's first term leaves its zeroed slot, which
+   reads 1, and each later term adds 1 to it and, in a RING loop, to the
+   top of a cursor at the value; the terms of the latest value, counted in
+   a register, find a fifth.  A PREFIX loop's cursors read the flat counts
+   pre[0..p - 1] in place: when one would pass them, it hands over,
+   returning HANDOVER with *at where the count stands.  As each block of
+   BLOCK values starts, and once the count is done, a ring copies out the
+   planned windows whose last count is final (copy_out, which a PREFIX
+   loop lets read the values below p from pre); then, before it zeroes the
+   new block's slots, it refuses with RING_SHORT to reuse the slot of a
+   value a cursor may still read, or in a PREFIX loop a window still to be
+   copied out.  The planned windows stay in *at, touched only as a block
+   starts, so that they take no register from the loop. */
+static inline __attribute__((always_inline)) int
+count_loop(int mode, const uint8_t *pre, int64_t p, uint8_t *counts,
+           int64_t cmask, int64_t a_max, int64_t r, int64_t s,
+           struct count *at, uint32_t *ring, int64_t mask, int64_t *info)
+{
+    int flat = mode == FLAT;
+    struct cursor c1 = at->c1, c2 = at->c2;
+    int64_t prev = at->prev;
+    /* what the cursors read, and whether flat */
+    const uint8_t *reads = mode == PREFIX ? pre : counts;
+    int flat_reads = mode != RING;
     /* in a ring, the terms counted so far of the latest value */
     int64_t run = flat ? 0 : count_of(counts, 0, cmask, prev);
     if (flat)
         cmask = -1;
-    for (int64_t n = done + 1;; n++) {
+    for (int64_t n = at->n;; n++) {
         int64_t i1 = n - ring[(n - r) & mask], i2 = n - ring[(n - s) & mask];
         if (i1 < 1 || i2 < 1) {
             info[0] = n;
             info[1] = i1 < i2 ? i1 : i2;
             return DEAD;
         }
+        /* the last value a cursor may move to */
+        int64_t latest = mode == PREFIX ? p - 1 : prev;
         int64_t unread =
-            seek(counts, flat, cmask, &c1, i1, prev) != OK ? i1
-            : seek(counts, flat, cmask, &c2, i2, prev) != OK ? i2 : 0;
+            seek(reads, flat_reads, cmask, &c1, i1, latest) != OK ? i1
+            : seek(reads, flat_reads, cmask, &c2, i2, latest) != OK ? i2 : 0;
         if (unread) {
+            if (mode == PREFIX) {
+                at->n = n;
+                at->prev = prev;
+                at->c1 = c1;
+                at->c2 = c2;
+                return HANDOVER;
+            }
             info[0] = n;
             info[1] = unread;
             return UNSETTLED;
@@ -240,12 +289,14 @@ count_loop(int flat, uint8_t *counts, int64_t cmask, int64_t a_max, int64_t r,
             prev = val;
             run = 1;
             if (!flat && (!(val & (BLOCK - 1)) || val > a_max)) {
-                for (; planned && *plan + 2 <= val; plan++, planned--)
-                    for (int64_t a = *plan - 2; a < *plan + 2; a++)
-                        *windows++ = a < 1 ? 0 : count_of(counts, 0, cmask, a);
+                copy_out(at, mode == PREFIX ? pre : NULL, p, counts, cmask,
+                         val);
                 if (val > a_max)
                     return OK;
-                int64_t back = c1.value < c2.value ? c1.value : c2.value;
+                int64_t back = mode == RING
+                    ? (c1.value < c2.value ? c1.value : c2.value)
+                    : !at->planned ? val
+                    : at->plan[0] - 2 > p ? at->plan[0] - 2 : p;
                 if (val + BLOCK - 1 - back > cmask) {
                     info[0] = val;
                     info[1] = val + BLOCK - 1 - back;
@@ -268,8 +319,10 @@ count_loop(int flat, uint8_t *counts, int64_t cmask, int64_t a_max, int64_t r,
             if (++run > RING_MOST)
                 return overflow(info, val, RING_MOST, RING_MOST + 1);
             counts[(val & cmask) >> 2] += (uint8_t)(1 << 2 * (val & 3));
-            c1.top += c1.value == val;
-            c2.top += c2.value == val;
+            if (mode == RING) {
+                c1.top += c1.value == val;
+                c2.top += c2.value == val;
+            }
         }
         ring[n & mask] = (uint32_t)val;
     }
@@ -287,11 +340,32 @@ int vseq_count(uint8_t *counts, int64_t a_max, int64_t r, int64_t s,
     struct cursor c = {1, 0, 0};
     for (int64_t i = 1; i <= s; i++)
         ring[i & mask] = 1;
-    if (r == 1 && s == 4 && mask == 7) /* V's loop, with its constants */
-        return count_loop(1, counts, -1, a_max, 1, 4, 4, c, 1, ring, 7,
-                          NULL, 0, NULL, info);
-    return count_loop(1, counts, -1, a_max, r, s, s, c, 1, ring, mask,
-                      NULL, 0, NULL, info);
+    if (r == 1 && s == 4 && mask == 7) { /* V's loop, with its constants */
+        struct count at = {5, 1, c, c, NULL, 0, NULL};
+        return count_loop(FLAT, NULL, 0, counts, -1, a_max, 1, 4, &at, ring,
+                          7, info);
+    }
+    struct count at = {s + 1, 1, c, c, NULL, 0, NULL};
+    return count_loop(FLAT, NULL, 0, counts, -1, a_max, r, s, &at, ring, mask,
+                      info);
+}
+
+/* vseq_ring_count's two loops, each a function of its own, so that the
+   code around one changes none of the other's */
+static __attribute__((noinline)) int
+prefix_loop(const uint8_t *pre, int64_t p, uint8_t *counts, int64_t cmask,
+            int64_t a_max, struct count *at, uint32_t *ring, int64_t *info)
+{
+    return count_loop(PREFIX, pre, p, counts, cmask, a_max, 1, 4, at, ring, 7,
+                      info);
+}
+
+static __attribute__((noinline)) int
+ring_loop(uint8_t *counts, int64_t cmask, int64_t a_max, struct count *at,
+          uint32_t *ring, int64_t *info)
+{
+    return count_loop(RING, NULL, 0, counts, cmask, a_max, 1, 4, at, ring, 7,
+                      info);
 }
 
 /* The least i < n whose count v[i] lies outside 1..RING_MOST, or -1: 64
@@ -318,16 +392,21 @@ static int64_t outside(const uint8_t *v, int64_t n)
 /* vseq_count of V = Q_{1,4} resumed from the finished flat counts
    pre[0..p], p >= 1, done their sum, into the caller's ring of cmask + 1
    counts of two bits, (cmask + 1) / 4 bytes (cmask + 1 a power of two, at
-   least BLOCK), which takes the counts of the last values: the cursors
-   start over pre, the ring is seeded with pre's counts from the least
-   value a cursor or planned window reads, min(c.value, p - 2), each of
-   them 1 to 4 or COUNT_OVERFLOW, and the count goes on in the ring to
+   least BLOCK), which takes the counts from p on: pre's counts from the
+   least value a cursor or planned window reads, min(c.value, p - 2), must
+   be 1 to 4, or COUNT_OVERFLOW, and the count goes on in the ring to
    a_max, a fifth term of a value COUNT_OVERFLOW too.  The windows
    F(n-2..n+1) at the plan[]'s sorted, distinct n in [p, a_max - 1] go to
    windows[], four bytes each.
-   A read position lags a count by about half its value, so the ring needs
-   just over a_max / 2 counts, a_max / 8 bytes; a smaller one returns
-   RING_SHORT. */
+   While both cursors stay below p they read pre in place (a PREFIX loop),
+   and the ring need only hold the windows still to be copied out, a few
+   blocks.  A read position lags a count by about half its value, so the
+   cursors reach p when the count reaches about 2p.  There the count hands
+   over to a RING loop: pre's counts from the lower cursor to p - 1 go into
+   the ring, which from then on must hold just over half the count's
+   values, a_max / 2 counts, a_max / 8 bytes.  A ring smaller than it needs
+   returns RING_SHORT, at the hand-over when a count past p has been
+   overwritten or pre's counts would overwrite one. */
 int vseq_ring_count(const uint8_t *pre, int64_t p, uint8_t *counts,
                     int64_t cmask, int64_t a_max, int64_t done,
                     const int64_t *plan, int64_t planned, uint8_t *windows,
@@ -342,32 +421,36 @@ int vseq_ring_count(const uint8_t *pre, int64_t p, uint8_t *counts,
     c.top = c.below + pre[c.value]; /* skip leaves top behind */
     /* the least value a cursor or planned window reads; F(0) reads 0 */
     int64_t first = c.value < p - 2 ? c.value : p - 2 > 1 ? p - 2 : 1;
-    int64_t last = (p | (BLOCK - 1)); /* the last value of p's block */
-    if (last - first > cmask) {
-        info[0] = p;
-        info[1] = last - first;
-        info[2] = cmask + 1;
-        return RING_SHORT;
-    }
     int64_t bad = outside(pre + first, p - first + 1);
     if (bad >= 0)
         return overflow(info, first + bad, RING_MOST, pre[first + bad]);
-    /* pre[first..p] into the ring a byte at a time, from first's byte to
-       the end of p's block: the values past p read 1, a zeroed slot, and
-       those below first, which nothing reads, likewise */
-    for (int64_t a = first & ~3; a <= last; a += 4) {
-        int byte = 0;
-        if (first <= a && a + 3 <= p) /* the sum of (pre[a + j] - 1) 4^j */
-            byte = pre[a] + (pre[a + 1] << 2) + (pre[a + 2] << 4)
-                   + (pre[a + 3] << 6) - 0x55;
-        else
-            for (int j = 0; j < 4; j++)
-                if (first <= a + j && a + j <= p)
-                    byte |= (pre[a + j] - 1) << 2 * j;
-        counts[(a & cmask) >> 2] = (uint8_t)byte;
+    /* p's block zeroed, but for p's count, which the count may still add to
+       and the cursors read from the ring */
+    memset(counts + (((p & -BLOCK) & cmask) >> 2), 0, BLOCK / 4);
+    counts[(p & cmask) >> 2] |= (uint8_t)((pre[p] - 1) << 2 * (p & 3));
+    struct count at = {done + 1, prev, c, c, plan, planned, windows};
+    status = prefix_loop(pre, p, counts, cmask, a_max, &at, ring, info);
+    if (status != HANDOVER)
+        return status;
+    /* from here the ring holds every count read: the values from the lower
+       cursor, or a window still to be copied out, to the end of the latest
+       value's block, the last slot zeroed */
+    int64_t back = at.c1.value < at.c2.value ? at.c1.value : at.c2.value;
+    if (at.planned && at.plan[0] - 2 < back)
+        back = at.plan[0] - 2 > 1 ? at.plan[0] - 2 : 1;
+    int64_t lag = (at.prev | (BLOCK - 1)) - back;
+    if (lag > cmask) {
+        info[0] = at.prev;
+        info[1] = lag;
+        info[2] = cmask + 1;
+        return RING_SHORT;
     }
-    return count_loop(0, counts, cmask, a_max, 1, 4, done, c, prev, ring, 7,
-                      plan, planned, windows, info);
+    for (int64_t a = back; a < p; a++) {
+        uint8_t *slot = counts + ((a & cmask) >> 2);
+        int shift = 2 * (a & 3);
+        *slot = (uint8_t)((*slot & ~(3 << shift)) | (pre[a] - 1) << shift);
+    }
+    return ring_loop(counts, cmask, a_max, &at, ring, info);
 }
 
 /* The loop of vseq_steps, for n = s + 1 to n_max + 1.  Each caller passes

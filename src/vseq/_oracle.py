@@ -129,13 +129,14 @@ class Oracle:
                    plan: list[int]) -> tuple[int, list[int], bytearray]:
         """count's loop for V resumed from F's finished counts prefix
         (values 0 to p = len(prefix) - 1, done their sum) up to a_max, the
-        counts past p kept in a ring of ``size`` counts, a power of two of
-        at least 64, at two bits a count (F(a) - 1, four counts a byte, so
-        ``size // 4`` bytes): the status, info, and the windows
+        counts from p on kept in a ring of ``size`` counts, a power of two
+        of at least 64, at two bits a count (F(a) - 1, four counts a byte,
+        so ``size // 4`` bytes): the status, info, and the windows
         F(n-2..n+1) at the sorted, distinct planned n in [p, a_max - 1],
-        four bytes each.  The prefix's counts that the count reads, and
-        every count past it, must lie in 1..4, or the status is
-        COUNT_OVERFLOW."""
+        four bytes each.  The read positions read the prefix in place
+        until they pass it, then the ring.  The prefix's counts that the
+        count reads, and every count past it, must lie in 1..4, or the
+        status is COUNT_OVERFLOW."""
         prefix = _view(prefix, "B", "ring_count's prefix")
         p = len(prefix) - 1
         if size < 64 or size & (size - 1):

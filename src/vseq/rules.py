@@ -12,9 +12,9 @@ automaton certification.
 
 One scan derives the rules.  It sorts nothing: the windows are the
 overlapping 4-tuples of F's bytes, numbered densely by the tuple join the
-kernel probe uses too (sequences.join_ids), and the images are checked
-through one table of expected pairs per id.  Verifying a rule table is
-that scan and a compare of its images.
+kernel probe uses too (sequences.join_ids), a chunk of a's at a time, and
+the images are checked through one table of expected pairs per id.
+Verifying a rule table is that scan and a compare of its images.
 """
 
 from __future__ import annotations
@@ -80,20 +80,27 @@ class RuleVerification(namedtuple("RuleVerification", "a_checked new_windows")):
     __slots__ = ()
 
 
+# the rule scan numbers and checks this many a's at a time, so that it holds
+# one chunk's ids, never one per a of its range
+SCAN_CHUNK = 1 << 16
+
+
 def _scan(f: SequenceTable, a_min: int, a_max: int) -> WindowRuleTable:
     """The one pass over a in [a_min, a_max]: the windows realized on it,
     with their images and least a, in order of that a.
 
-    Each window gets a dense id without sorting: join_ids numbers the
-    4-tuples of bytes at stride 1, ids below k = 1 + the largest byte in
-    range (k^4 = 625 tuples for F), and _first_seen finds the least a of
-    each id.  The images of each a are the pair of bytes F(2a), F(2a+1),
-    checked in one compare against a per-id table of the pairs at each
-    window's first occurrence.  Where a library loads, the largest byte,
-    the join and the compare run compiled (``_oracle.c``; vseq_pairs stops
-    at the first conflict); otherwise their plain-Python loops run.
-    RuleConflict names the least conflicting a, even before odd.  Callers
-    keep a_min > 3.
+    It walks the range SCAN_CHUNK a's at a time.  In each chunk every
+    window gets a dense id without sorting: join_ids numbers the 4-tuples
+    of bytes at stride 1, ids below k = 1 + the largest byte in the range
+    (k^4 = 625 tuples for F), and _first_seen finds the least a of each
+    id.  A window not seen in an earlier chunk takes its images there: the
+    pair of bytes F(2a), F(2a+1) at that a.  The chunk's pairs are then
+    checked in one compare against each id's expected pair, and the first
+    chunk that differs names the least conflicting a.  Where a library
+    loads, the largest byte, the join and the compare run compiled
+    (``_oracle.c``; vseq_pairs stops at the first conflict); otherwise
+    their plain-Python loops run.  RuleConflict names the least conflicting
+    a, even before odd.  Callers keep a_min > 3.
     """
     if f.lo != 0:
         raise ValueError("rule scans expect an F table starting at index 0")
@@ -101,37 +108,35 @@ def _scan(f: SequenceTable, a_min: int, a_max: int) -> WindowRuleTable:
         raise ValueError(
             f"oracle ends at {f.hi}, need F up to {2 * a_max + 1} for a_max={a_max}"
         )
+    even, odd, seen = {}, {}, {}  # window -> F(2a), F(2a+1), least a
     if a_max < a_min:
-        return WindowRuleTable(even_rule={}, odd_rule={}, first_seen={})
-    count = a_max - a_min + 1
+        return WindowRuleTable(even, odd, seen)
     vals = f.byte_values()
-    pairs = vals[2 * a_min:2 * a_max + 2]  # F(2a), F(2a+1) for each a
     # the largest byte over the bytes of every window
     k = max_byte(vals[a_min - 2:a_max + 2]) + 1
-    ids, distinct = join_ids(vals, k, a_min - 2, 1, 4, count)
-    first = _first_seen(ids, distinct)
-    read = f.windows_at(a_min + i for i in first)
-    wins = [tuple(read[i:i + 4]) for i in range(0, len(read), 4)]
-    by_a = sorted(range(distinct), key=first.__getitem__)
-    realized = WindowRuleTable(
-        even_rule={wins[u]: pairs[2 * first[u]] for u in by_a},
-        odd_rule={wins[u]: pairs[2 * first[u] + 1] for u in by_a},
-        first_seen={wins[u]: a_min + first[u] for u in by_a},
-    )
-    images = [bytes(pairs[2 * i:2 * i + 2]) for i in first]  # at each id's first a
     lib = _library()
-    if lib is not None:
-        i = lib.pairs(ids, b"".join(images), pairs)
-    else:  # every a's expected pair, joined; -1 // 2 is -1, no conflict
-        i = _mismatch(b"".join(map(images.__getitem__, ids)), pairs) // 2
-    if i >= 0:
-        w = wins[ids[i]]
-        g, h = pairs[2 * i], pairs[2 * i + 1]
-        parity, table, image = (("even", realized.even_rule, g)
-                                if realized.even_rule[w] != g
-                                else ("odd", realized.odd_rule, h))
-        raise RuleConflict(w, parity, realized.first_seen[w], table[w], a_min + i, image)
-    return realized
+    for lo in range(a_min, a_max + 1, SCAN_CHUNK):
+        count = min(SCAN_CHUNK, a_max + 1 - lo)
+        pairs = vals[2 * lo:2 * (lo + count)]  # F(2a), F(2a+1) for each a
+        ids, distinct = join_ids(vals, k, lo - 2, 1, 4, count)
+        first = _first_seen(ids, distinct)  # increasing, as ids are numbered
+        read = f.windows_at(lo + i for i in first)
+        wins = [tuple(read[i:i + 4]) for i in range(0, len(read), 4)]
+        for w, i in zip(wins, first):
+            if w not in seen:
+                even[w], odd[w], seen[w] = pairs[2 * i], pairs[2 * i + 1], lo + i
+        images = [bytes((even[w], odd[w])) for w in wins]  # each id's expected pair
+        if lib is not None:
+            i = lib.pairs(ids, b"".join(images), pairs)
+        else:  # every a's expected pair, joined; -1 // 2 is -1, no conflict
+            i = _mismatch(b"".join(map(images.__getitem__, ids)), pairs) // 2
+        if i >= 0:
+            w = wins[ids[i]]
+            g, h = pairs[2 * i], pairs[2 * i + 1]
+            parity, table, image = (("even", even, g) if even[w] != g
+                                    else ("odd", odd, h))
+            raise RuleConflict(w, parity, seen[w], table[w], lo + i, image)
+    return WindowRuleTable(even, odd, seen)
 
 
 def check_range(a_min: int, a_max: int) -> None:

@@ -402,11 +402,18 @@ def gen_f(a_max: int) -> SequenceTable:
     return SequenceTable(0, a_max, counts, "F")
 
 
-def _ring_size(a_max: int) -> int:
+def _ring_size(a_max: int, p: int) -> int:
     """The number of counts in the ring count_windows counts to a_max in,
-    two bits each, so a quarter of it in bytes: a read position lags the
-    count by at most a_max / 2 + 1.5 (measured for every a_max to 2^25),
-    and the ring is zeroed 64 slots ahead of the count."""
+    resuming gen_f's counts to p, two bits each, so a quarter of it in
+    bytes.  A read position lags the count by at most a_max / 2 + 1.5
+    (measured for every a_max to 2^25), so the read positions reach at
+    most about a_max / 2.  While they stay below p they read the prefix
+    in place, and the ring holds only the planned windows still to be
+    copied out: 256 counts, four blocks of 64.  Past p they read the
+    ring, which then holds just over half the count's values, zeroed 64
+    slots ahead of the count."""
+    if a_max // 2 + 128 < p:
+        return 256
     return 1 << (a_max // 2 + 128).bit_length()
 
 
@@ -416,17 +423,21 @@ def count_windows(f: SequenceTable, plan: Iterable[int]) -> bytes:
     gen_f(max(plan) + 1).windows_at(plan), but holding f and a ring of
     counts, never F to the plan's end.  Windows inside f are sliced from
     it.  For the rest, the compiled count resumes where f's stopped and
-    keeps the counts past f in a ring of a power of two of them, just over
-    a_max / 2 for a_max = max(plan) + 1, as a read position lags the count
-    by about half its value (_ring_size).  A ring count is F(a) - 1 in two
-    bits, so the ring takes a_max / 8 to a_max / 4 bytes: 16 MiB for the
-    2^26 counts of depth 16.  f's counts that the cursors read must lie in 1..4,
-    and the count must take no value a fifth time, or ValueError.  Each
-    planned window is copied out once its last count is final.  A ring too
-    short for the count is refused, never returning a window read from a
-    reused slot, and counted again in one twice its size.  Without the
-    compiled loops the windows past f are read from gen_f(max(plan) + 1),
-    counted flat from the start.
+    keeps the counts past f in a ring of a power of two of them
+    (_ring_size).  Its read positions lag the count by about half its
+    value: while they stay inside f they read f's counts in place, so a
+    count to below twice f's end, such as depth 12's, takes a ring of a
+    few blocks.  A count past that hands its read positions over to the
+    ring, which then takes just over a_max / 2 counts for a_max =
+    max(plan) + 1.  A ring count is F(a) - 1 in two bits, so the ring
+    takes a_max / 8 to a_max / 4 bytes: 16 MiB for the 2^26 counts of
+    depth 16.  f's counts that the cursors read must lie in 1..4, and the
+    count must take no value a fifth time, or ValueError.  Each planned
+    window is copied out once its last count is final.  A ring too short
+    for the count is refused, never returning a window read from a reused
+    slot, and counted again in one twice its size.  Without the compiled
+    loops the windows past f are read from gen_f(max(plan) + 1), counted
+    flat from the start.
     """
     if f.lo != 0:
         raise ValueError("count_windows takes an F table starting at index 0")
@@ -445,7 +456,7 @@ def count_windows(f: SequenceTable, plan: Iterable[int]) -> bytes:
             from . import _oracle
             counts = f.byte_values()
             done = lib.byte_sum(counts)
-            size = _ring_size(a_max)
+            size = _ring_size(a_max, f.hi)
             status, info, windows = lib.ring_count(counts, done, a_max, size, past)
             while status == _oracle.RING_SHORT:
                 size *= 2
@@ -453,7 +464,12 @@ def count_windows(f: SequenceTable, plan: Iterable[int]) -> bytes:
             _raise(status, info, "V", lambda n: _recursion(1, 4, n - 1, "V").values)
             read += windows
     window = {n: read[4 * i:4 * i + 4] for i, n in enumerate(at)}
-    return b"".join(map(window.__getitem__, plan))
+    # appended one by one: a join would hold an 80-byte buffer record per
+    # planned window, 20 times the window
+    out = bytearray()
+    for n in plan:
+        out += window[n]
+    return bytes(out)
 
 
 def gen_qrs(r: int, s: int, n_max: int) -> SequenceTable:

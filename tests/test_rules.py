@@ -1,4 +1,6 @@
 import random
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -8,7 +10,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from vseq import (RuleConflict, SequenceTable, derive_rules, format_rules,
                   gen_f, verify_rules)
-from vseq import _oracle
+from vseq import _oracle, rules
 from vseq.rules import DERIVATION_START, RuleVerification, WindowRuleTable, _scan
 
 from conftest import on_each_engine, window4
@@ -101,6 +103,12 @@ def test_conflict_detected(f50k):
     assert excinfo.value.a_second == repeat_a
     with pytest.raises(RuleConflict):
         verify_rules(clean, bad, 1000)
+
+
+@pytest.mark.parametrize("chunk", [1, 7, 64])
+def test_conflict_detected_across_chunks(f50k, monkeypatch, chunk):
+    monkeypatch.setattr(rules, "SCAN_CHUNK", chunk)
+    test_conflict_detected(f50k)
 
 
 def test_derivation_preconditions(f50k):
@@ -244,6 +252,22 @@ def _flip(f, a_min, a_max, rng):
 @example((_byte_table(list(range(256)), 2 ** 14 + 9, 0, True, random.Random(6)),
           4, 2 ** 13), 7)
 def test_scan_matches_sorting_scan(case, seed):
+    _check_scan(case, seed)
+
+
+# the scan in chunks of 1, 7 and 64 a's, so that every case crosses chunks
+@pytest.mark.parametrize("chunk", [1, 7, 64])
+@settings(max_examples=20, deadline=None)
+@given(case=byte_tables(), seed=st.integers(0, 2 ** 32))
+@example(case=(_byte_table([1, 2, 3], 600, 300, False, random.Random(2)), 4, 299), seed=3)
+def test_scan_matches_sorting_scan_across_chunks(chunk, case, seed):
+    with mock.patch.object(rules, "SCAN_CHUNK", chunk):
+        _check_scan(case, seed)
+
+
+def _check_scan(case, seed):
+    """A scan and a scan of one image flipped, on both engines, against
+    the sorting scan; and verify_rules of a table missing some windows."""
     f, a_min, a_max = case
     rng = random.Random(seed)
     assert _on_both(_scan, f, a_min, a_max) == _outcome(_scan_by_sorting, f, a_min, a_max)
@@ -361,3 +385,63 @@ def test_compiled_pair_compare_matches_numpy(on_both, f50k, rules10k, a, parity)
     else:
         assert compiled == ("conflict", w, ("even", "odd")[parity],
                             rules10k.first_seen[w], table[w], a, image)
+
+
+# -- the scan in chunks ----------------------------------------------------------
+
+@pytest.mark.parametrize("parity", [0, 1])
+@pytest.mark.parametrize("where", ["first", "last"])
+def test_conflict_at_a_chunk_edge(f50k, monkeypatch, where, parity):
+    # chunks of 64 a's from a = 4: the sixth starts at a = 324 and the fifth
+    # ends at 323, both past a = 232, where every window of F has been seen
+    monkeypatch.setattr(rules, "SCAN_CHUNK", 64)
+    a = 4 + 5 * 64 - (where == "last")
+    n = 2 * a + parity
+    bad = SequenceTable(0, f50k.hi, bytearray(f50k.values), "F")
+    bad.values[n] = f50k[n] % 3 + 1
+    want = _outcome(_scan_by_sorting, bad, 4, 1000)
+    assert want[0] == "conflict" and want[5] == a
+    assert _on_both(_scan, bad, 4, 1000) == want
+
+
+def test_a_window_first_seen_in_a_later_chunk(f50k, monkeypatch):
+    # F's last new window appears at a = 232, in the fourth chunk of 64
+    monkeypatch.setattr(rules, "SCAN_CHUNK", 64)
+    got = _on_both(_scan, f50k, 4, 1000)
+    assert got == _outcome(_scan_by_sorting, f50k, 4, 1000)
+    assert max(a for _, a in got[3]) == 232
+
+
+# a_max around 2^16, and 2^16 a's from a = 4, the scan's first chunk (a_max
+# = 2^16 + 3): the range ends in the first chunk, at its last a, or in the
+# second
+@pytest.mark.parametrize("a_max", [2 ** 16 - 1, 2 ** 16, 2 ** 16 + 1, 2 ** 16 + 2,
+                                   2 ** 16 + 3, 2 ** 16 + 4])
+def test_scan_at_the_first_chunk_end(a_max):
+    assert rules.SCAN_CHUNK == 2 ** 16
+    f = gen_f(2 * a_max + 1)
+    want = _outcome(_scan_by_sorting, f, 4, a_max)
+    assert _on_both(derive_rules, f, 4, a_max) == want
+    # the last a's odd image changed: a conflict at the range's last a
+    bad = SequenceTable(0, f.hi, bytearray(f.values), "F")
+    bad.values[-1] = f[f.hi] % 3 + 1
+    got = _on_both(derive_rules, bad, 4, a_max)
+    assert got == _outcome(_scan_by_sorting, bad, 4, a_max)
+    assert got[:3] == ("conflict", window4(f, a_max), "odd") and got[5] == a_max
+
+
+def test_scan_holds_a_chunk_not_the_range():
+    # the compiled scan to 2^21 holds one chunk's ids and pairs, where one
+    # id per a took 2 MiB
+    if _oracle.library() is None:
+        pytest.skip("no C compiler: the plain-Python join runs")
+    f = gen_f(2 ** 22 + 2)
+    derive_rules(f, 4, 2 ** 21)
+    tracemalloc.start()
+    try:
+        got = derive_rules(f, 4, 2 ** 21)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(got) == 24
+    assert peak <= 256 * 2 ** 10, peak / 2 ** 10

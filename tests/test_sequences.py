@@ -18,6 +18,7 @@ from vseq import (DeadSequence, MonotonicityViolation, ProbeReport,
                   gen_f, gen_qrs, gen_v, kernel_probe, read_table, write_table)
 from vseq import _oracle, sequences
 from vseq.sequences import COMPILED_FROM, join_ids
+from vseq.synthesis import _family_reads
 
 V20 = [1, 1, 1, 1, 2, 3, 4, 5, 5, 6, 6, 7, 8, 8, 9, 9, 10, 11, 11, 11]
 F20 = [4, 1, 1, 1, 2, 2, 1, 2, 2, 1, 3, 2, 1, 2, 2, 1, 3, 2, 1, 2]
@@ -443,9 +444,8 @@ a, b = both(lambda: gen_f(2 ** 16).values)
 assert a == b
 # the ring count's planned windows against the Python loop's flat count,
 # from prefix ends mid-block or not, windows straddling the prefix's end and
-# ending the count; and rings too short for it, which refuse at the start
-# or mid-count.  None of these seeds crosses the ring's end: each seeds a
-# range below its ring's size, or refuses first
+# ending the count; and rings too short for it, which refuse at the hand-over
+# from the prefix to the ring or mid-count
 for end in (1, 2, 5, 2 ** 12 + 1, 2 ** 15 - 3):
     plan = [max(end - 2, 0), end - 1, end, end + 1, end + 70, 2 ** 16 - 1, 2 ** 16]
     a, b = both(lambda: count_windows(gen_f(end), plan))
@@ -460,13 +460,26 @@ for end in (1, 2, 5, 2 ** 12 + 1, 2 ** 15 - 3):
             assert info[1] >= size == info[2], (end, size, info)
         else:
             assert (status, got) == (_oracle.OK, b"".join(map(window.get, past))), (end, size)
-# a seed that wraps: from about 8,700 to 17,407, across a 2^14 ring's end
+# a count that ends before its read positions leave the prefix, in a ring
+# of 256 counts that it wraps about 60 times
 end = 2 ** 14 + 1000
 plan = [end, end + 1, 32700]
 prefix = gen_f(end).byte_values()
 status, info, got = lib.ring_count(prefix, lib.byte_sum(prefix), plan[-1] + 1,
-                                   2 ** 14, plan)
+                                   256, plan)
 assert (status, got) == (_oracle.OK, gen_f(plan[-1] + 1).windows_at(plan)), (status, info)
+# the hand-over: the read positions leave a prefix to 2^12 + 1 when the
+# count reaches about 2^13.  A ring of 2^12 is refused there, one of 2^13
+# later in the count, and one of 2^14 holds it
+end = 2 ** 12 + 1
+plan = [end, 2 ** 13 + 7, 2 ** 14 + 5]
+prefix = gen_f(end).byte_values()
+runs = [lib.ring_count(prefix, lib.byte_sum(prefix), plan[-1] + 1, size, plan)
+        for size in (2 ** 12, 2 ** 13, 2 ** 14)]
+assert [status for status, _, _ in runs] == [_oracle.RING_SHORT] * 2 + [_oracle.OK], runs
+assert runs[0][1][0] < 2 ** 13 < runs[1][1][0], runs
+assert runs[2][2] == gen_f(plan[-1] + 1).windows_at(plan)
+assert count_windows(gen_f(end), plan) == runs[2][2]
 a, b = both(lambda: gen_v(10 ** 5).values)
 assert a == b
 for r, s in ((2, 5), (1, 10)):
@@ -666,12 +679,14 @@ def test_count_windows_read_nothing_else(f_ring):
         count_windows(SequenceTable(1, 100, gen_f(100).values[1:], "F"), [200])
 
 
-@pytest.mark.parametrize("end, size", [(2 ** 16, 2 ** 12), (2 ** 16, 2 ** 16)],
-                         ids=["at-the-start", "mid-count"])
-def test_ring_count_refuses_a_ring_too_short(f_ring, end, size):
-    # the read positions lag about 2^15 values behind the prefix's end, and
-    # 2^17 behind the count's: a ring of 2^12 is short from the start, one
-    # of 2^16 once the count passes about 2^17
+@pytest.mark.parametrize("end, size, at", [(2 ** 16, 2 ** 12, (2 ** 17 - 64, 2 ** 17)),
+                                           (2 ** 16, 2 ** 17, (2 ** 17, 2 ** 18))],
+                         ids=["at-the-hand-over", "mid-count"])
+def test_ring_count_refuses_a_ring_too_short(f_ring, end, size, at):
+    # the read positions leave the prefix, to 2^16, when the count reaches
+    # about 2^17, and lag about 2^17 behind the count's end: a ring of 2^12
+    # is refused at the hand-over, from the prefix to the ring, and one of
+    # 2^17 near the count's end
     lib = _oracle.library()
     if lib is None:
         pytest.skip("no C compiler: the flat count runs in place of the ring")
@@ -680,6 +695,7 @@ def test_ring_count_refuses_a_ring_too_short(f_ring, end, size):
     status, info, _ = lib.ring_count(prefix, lib.byte_sum(prefix), plan[-1] + 1, size,
                                      plan)
     assert status == _oracle.RING_SHORT
+    assert at[0] <= info[0] < at[1], info
     with pytest.raises(RuntimeError, match=rf"a ring of {size} counts is too "
                        r"short: counting V = \d+, a read position lags (\d+) ") as e:
         sequences._raise(status, info, "V", None)
@@ -700,29 +716,81 @@ def test_ring_count_refuses_what_it_cannot_count(size, plan):
         lib.ring_count(prefix, sum(prefix), 999, size, plan)
 
 
-def test_count_windows_double_a_default_ring_too_short(f_ring, monkeypatch):
+@pytest.fixture
+def ring_runs(monkeypatch):
+    """The (size, status, info[0]) of each ring count run, through a spy on
+    Oracle.ring_count: info[0] is the value counted at a refusal."""
     if _oracle.library() is None:
         pytest.skip("no C compiler: the flat count runs in place of the ring")
-    sizes = []
+    runs = []
     ring_count = _oracle.Oracle.ring_count
 
     def spy(self, prefix, done, a_max, size, plan):
-        sizes.append(size)
-        return ring_count(self, prefix, done, a_max, size, plan)
+        status, info, windows = ring_count(self, prefix, done, a_max, size, plan)
+        runs.append((size, status, info[0]))
+        return status, info, windows
 
-    plan = [2 ** 18 - 5, 2 ** 20]
-    default = sequences._ring_size(2 ** 20 + 1)
     monkeypatch.setattr(_oracle.Oracle, "ring_count", spy)
-    monkeypatch.setattr(sequences, "_ring_size", lambda a_max: 2 ** 12)
+    return runs
+
+
+def test_count_windows_double_a_default_ring_too_short(f_ring, ring_runs, monkeypatch):
+    plan = [2 ** 18 - 5, 2 ** 20]
+    default = sequences._ring_size(2 ** 20 + 1, 2 ** 16)
+    monkeypatch.setattr(sequences, "_ring_size", lambda a_max, p: 2 ** 12)
     assert count_windows(gen_f(2 ** 16), plan) == f_ring.windows_at(plan)
     # the lag reaches about 2^19 at the count's end, so 2^20 is the first
     # ring that holds it, and the default
+    sizes = [size for size, _, _ in ring_runs]
     assert sizes == [2 ** k for k in range(12, 21)] and sizes[-1] == default
+    # the read positions leave the prefix when the count reaches about
+    # 2^17: the rings of 2^16 counts and less are refused there
+    refused = [value for size, status, value in ring_runs if size <= 2 ** 16]
+    assert all(2 ** 17 - 64 <= value < 2 ** 17 for value in refused), ring_runs
 
 
-def test_ring_count_seeds_across_the_ring_end(f_ring):
-    # the seed runs from the cursors, about 8,700, to the end of the
-    # prefix's block, 17,407, across the ring's end at 2^14
+@pytest.mark.parametrize("top, size", [(2 ** 17 - 300, 256), (2 ** 17 + 300, 2 ** 17)],
+                         ids=["below-twice-the-prefix", "past-twice-the-prefix"])
+def test_count_windows_read_the_prefix_in_place(f_ring, ring_runs, top, size):
+    # the read positions reach about half the count's end: below twice the
+    # prefix's end they never leave it, and the ring takes a few blocks;
+    # past it they hand over to a ring of just over half the count
+    end = 2 ** 16
+    plan = [end - 2, end, end + 3, end + 64, top - 70, top]
+    assert sequences._ring_size(top + 1, end) == size
+    assert count_windows(gen_f(end), plan) == f_ring.windows_at(plan)
+    assert [run[:2] for run in ring_runs] == [(size, _oracle.OK)]
+
+
+def test_count_windows_from_every_short_prefix(f_ring):
+    # prefix ends from 1 to 80, whose read positions leave them within a
+    # block or two of the count's start, with windows still to be copied
+    # out; and the same prefixes past the seed's four terms with their last
+    # count one short, whose value the resumed count then finishes
+    if _oracle.library() is None:
+        pytest.skip("no C compiler: the flat count runs in place of the ring")
+    for end in range(1, 81):
+        plan = [end, end + 1, 2 * end + 70, 9000]
+        prefix = gen_f(end)
+        assert count_windows(prefix, plan) == f_ring.windows_at(plan), end
+        if end > 1 and prefix[end] > 1:
+            short = bytearray(prefix.values)
+            short[end] -= 1
+            got = count_windows(SequenceTable(0, end, short, "F"), plan)
+            assert got == f_ring.windows_at(plan), end
+
+
+def test_ring_size_is_a_few_blocks_at_depth_12():
+    # the depth-12 certificate counts to 7,593,986 past a prefix to 2^22 + 2:
+    # its read positions stay below 3.8 million
+    assert sequences._ring_size(7_593_986, 2 ** 22 + 2) == 256
+    assert sequences._ring_size(121_503_746, 2 ** 22 + 2) == 2 ** 26
+
+
+def test_ring_count_wraps_a_small_ring_before_the_hand_over(f_ring):
+    # a count to 32,701 past a prefix to 17,384: its read positions stay in
+    # the prefix, and its counts wrap a ring of 256 about 60 times, which
+    # must keep only the windows still to be copied out
     lib = _oracle.library()
     if lib is None:
         pytest.skip("no C compiler: the flat count runs in place of the ring")
@@ -730,8 +798,16 @@ def test_ring_count_seeds_across_the_ring_end(f_ring):
     prefix = gen_f(end).byte_values()
     plan = [end, end + 1, 32700]
     status, _, windows = lib.ring_count(prefix, lib.byte_sum(prefix), plan[-1] + 1,
-                                        2 ** 14, plan)
+                                        256, plan)
     assert (status, windows) == (_oracle.OK, f_ring.windows_at(plan))
+    # a window across the block that starts at 24,576: a ring of 64 would
+    # zero its first three counts before they are copied out, so it is
+    # refused, and one of 128 holds them
+    plan = [end, 24575, 24600]
+    runs = [lib.ring_count(prefix, lib.byte_sum(prefix), plan[-1] + 1, size, plan)
+            for size in (64, 128)]
+    assert runs[0][:2] == (_oracle.RING_SHORT, [24576, 66, 64]), runs[0]
+    assert runs[1][::2] == (_oracle.OK, f_ring.windows_at(plan))
 
 
 @pytest.mark.parametrize("count, message", [
@@ -739,8 +815,9 @@ def test_ring_count_seeds_across_the_ring_end(f_ring):
     (5, "V takes the value 65526 more than 4 times"),
 ])
 def test_ring_count_refuses_a_seeded_count_outside_1_to_4(count, message):
-    # the resumed cursors start about halfway along the prefix, so the ring
-    # is seeded with its count at 65,526; a ring count holds 1 to 4
+    # the resumed cursors start about halfway along the prefix and read it
+    # from there, so its count at 65,526 is checked; a ring count holds 1
+    # to 4
     if _oracle.library() is None:
         pytest.skip("no C compiler: the flat count runs in place of the ring")
     vals = bytearray(gen_f(2 ** 16).byte_values())
@@ -770,7 +847,7 @@ def test_count_windows_hold_a_ring_of_two_bit_counts(f_main, truth_a):
     if _oracle.library() is None:
         pytest.skip("no C compiler: the flat count runs in place of the ring")
     plan = cert_plan(truth_a, 16)
-    assert sequences._ring_size(plan[-1] + 1) == 2 ** 26
+    assert sequences._ring_size(plan[-1] + 1, f_main.hi) == 2 ** 26
     tracemalloc.start()
     try:
         windows = count_windows(f_main, plan)
@@ -779,6 +856,26 @@ def test_count_windows_hold_a_ring_of_two_bit_counts(f_main, truth_a):
         tracemalloc.stop()
     assert len(windows) == 4 * len(plan)
     assert peak <= 17 * 2 ** 20, peak / 2 ** 20
+
+
+def test_count_windows_hold_a_few_blocks_at_depth_12(f_main, truth_a):
+    # every window the depth-12 certificate reads, repeats and all, as
+    # certify_transitions asks for them: the count to 7,593,986 reads the
+    # prefix in place, in a ring of 256 counts, where a ring of 2^22 took
+    # 1 MiB
+    if _oracle.library() is None:
+        pytest.skip("no C compiler: the flat count runs in place of the ring")
+    values, _, _, left, right, _ = _family_reads(truth_a, 12)
+    plan = [*values, *left, *right]
+    assert max(plan) == 7_593_985
+    tracemalloc.start()
+    try:
+        windows = count_windows(f_main, plan)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert windows == gen_f(max(plan) + 1).windows_at(plan)
+    assert peak <= 512 * 2 ** 10, peak / 2 ** 10
 
 
 def test_count_windows_count_flat_without_the_compiled_loops(f_ring):
