@@ -25,8 +25,8 @@ _LAZY = {
                   "count_windows", "first_difference", "gen_f", "gen_qrs",
                   "gen_v", "read_table", "write_table"),
     "synthesis": ("CertificateReport", "CertificationFailure",
-                  "InsufficientHorizon", "NonpositiveDivisor", "OracleTooShort",
-                  "ProbeReport", "TransitionCertificate", "Validation",
+                  "NonpositiveDivisor", "OracleTooShort", "ProbeReport",
+                  "TransitionCertificate", "Validation",
                   "cert_plan", "certify_transitions", "cross_validate",
                   "discover", "euclid_div", "kernel_probe", "shift_bounds",
                   "synthesize_msb", "synthesize_validated"),

@@ -22,7 +22,8 @@ from .sequences import (DeadSequence, SequenceTable, first_difference, gen_f,
 SEED_NOTE = "# seed convention: Q_{r,s}(1..s) = 1 (V is Q_{1,4}; F counts V and has F(0) = 0)"
 
 # what bad flag values, numerals or files, or an oracle too large for
-# memory, raise: usage errors, exit 2; and synthesis.OracleTooShort
+# memory, raise: usage errors, exit 2; and synthesis.OracleTooShort, an
+# oracle too short for the check that reads it
 USAGE_ERRORS = (ValueError, OSError, MemoryError, ParseError, BadNumeral,
                 BadDigit)
 
@@ -247,8 +248,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     def pipeline_flags(sp):
         sp.add_argument("--validate", type=int, default=2 ** 22,
-                        help="count F to VALIDATE + 2 (synthesis reads it to "
-                             "465, so VALIDATE >= 463); cross-validate on "
+                        help="count F to VALIDATE + 2; cross-validate on "
                              "[0, VALIDATE] and check the doubling rules to "
                              "a = VALIDATE // 2")
         sp.add_argument("--depth", type=int, default=16,
@@ -299,7 +299,7 @@ def run(argv: Sequence[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except _synthesis_errors("CertificationFailure", "InsufficientHorizon") as e:
+    except _synthesis_errors("CertificationFailure") as e:
         print(f"FAIL {e}")
         return 1
     except DeadSequence as e:

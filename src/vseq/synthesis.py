@@ -1,9 +1,10 @@
 """Automaton synthesis from a sequence oracle, and its certification.
 
 Synthesis is conjecture-then-certify.  A breadth-first walk builds the
-automaton from the doubling rules as read off the oracle; the result is
-only a conjecture, because the rules are read on a finite range.  Two
-independent gates follow:
+automaton from the doubling rules as read off F's first values, which it
+counts itself; the result is only a conjecture, because the rules are read
+on a finite range.  Two independent gates follow, each against the
+caller's oracle:
 
 * ``cross_validate`` replays every n up to a bound through the automaton
   and compares against the oracle;
@@ -21,18 +22,18 @@ breadth-first walk keyed by X is a finite state discovery (the k-kernel
 argument of Allouche & Shallit, Automatic Sequences, Thm 6.6.2), right on
 every n >= 6 by strong induction on the numeral's length wherever the
 rules hold.  It keys the numerals below 6 by their value and reads
-X(6..11) from the oracle; on F it reads F to 465, and its 69 states
-minimize to 33.
+X(6..11) and the rules from its own F(0..465), the shortest F whose rule
+scan realizes every window of F, so the machine it walks depends on no
+bound the caller sets; its 69 states minimize to 33.
 
 The walk and cross-validation run in plain Python, with or without a C
-compiler; certification runs the compiled loops (``_oracle.c``) where a
-library loads, and the plain-Python loops of the same passes where none
-does.
+compiler; the rule scans (the walk's and certification's) and the rest of
+certification run the compiled loops (``_oracle.c``) where a library
+loads, and the plain-Python loops of the same passes where none does.
 """
 
 from __future__ import annotations
 
-import itertools
 from array import array
 from collections import namedtuple
 
@@ -48,11 +49,6 @@ class NonpositiveDivisor(ValueError):
 
 class OracleTooShort(Exception):
     """A needed oracle value lies beyond the table end."""
-
-
-class InsufficientHorizon(Exception):
-    """The synthesized automaton disagrees with the oracle it was built
-    from: the doubling rules, read at each window's least a, fail on it."""
 
 
 class CertificationFailure(Exception):
@@ -94,59 +90,27 @@ def _check_from_0(oracle: SequenceTable) -> None:
 
 # the walk keys the numerals below this by their value, the rest by X(n)
 WALK_FROM = 6
+# the walk counts F to this index: the rule scan to a = WALK_F // 2 realizes
+# every window of F, the last first at a = 232, and no shorter F does
+WALK_F = 465
 
 
-def _walk(oracle: SequenceTable) -> tuple[list, Dfao]:
+def _walk() -> tuple[list, Dfao]:
     """discover's walk: the keys of its states in breadth-first order, and
-    the window automaton over them.  Each 4-window's image F(2a), F(2a+1)
-    is read at its least a > 3, by a scan that stops at the last window the
-    walk asks for.  An index past the oracle raises OracleTooShort: on F's
-    prefix, naming the last index of F the whole walk reads and the least
-    --validate that counts F to it, found by walking again on F counted
-    further; on any other oracle, naming the index the walk needed."""
-    f = oracle
-    while True:
-        try:
-            keys, walked, reach = _walk_reading(f)
-        except OracleTooShort:
-            if f is oracle and (oracle.byte_values()
-                                != gen_f(max(f.hi, 1)).byte_values()[:f.hi + 1]):
-                raise  # not F's prefix: the walk names this oracle's own end
-            f = gen_f(2 * (f.hi + 1))  # F counts to a few thousand in microseconds
-            continue
-        if f is oracle:
-            return keys, walked
-        raise OracleTooShort(
-            f"oracle ends at F({oracle.hi}); the automaton walk needs F({reach}) "
-            f"at least, so --validate must be at least {reach - 2}")
-
-
-def _walk_reading(oracle: SequenceTable) -> tuple[list, Dfao, int]:
-    """_walk's keys and automaton, and the last index of the oracle it
-    read; an index past the oracle raises OracleTooShort."""
-    vals, hi, label = oracle.byte_values(), oracle.hi, oracle.label
-    reach = 0
-
-    def read(lo: int, end: int) -> bytes:  # F(lo..end - 1)
-        nonlocal reach
-        if end > hi + 1:
-            raise OracleTooShort(
-                f"oracle ends at {label}({hi}), need {label}({end - 1})")
-        reach = max(reach, end - 1)
-        return bytes(vals[lo:end])
-
-    scan = ((read(a - 2, a + 2), read(2 * a, 2 * a + 2))
-            for a in itertools.count(rules.DERIVATION_START))
-    images, succ = {}, {}
+    the window automaton over them.  It counts its own F to WALK_F, and
+    each 4-window's image F(2a), F(2a+1) is the one rules.derive_rules
+    reads on that F at the window's least a > 3."""
+    f = gen_f(WALK_F)
+    vals = f.byte_values()
+    rule = rules.derive_rules(f, rules.DERIVATION_START, WALK_F // 2)
+    images = {bytes(w): bytes((rule.even_rule[w], rule.odd_rule[w])) for w in rule.domain}
+    succ = {}
 
     def step(key) -> list:
         if isinstance(key, int):  # the numeral 2n + d, or X(2n + d) from F
-            succ[key] = [n if n < WALK_FROM else read(n - 4, n + 3)
+            succ[key] = [n if n < WALK_FROM else bytes(vals[n - 4:n + 3])
                          for n in (2 * key, 2 * key + 1)]
         else:  # X(a) -> F(2a-4..2a+3), the images of its windows at a-2..a+1
-            for j in range(4):
-                while key[j:j + 4] not in images:
-                    images.setdefault(*next(scan))
             y = b"".join(images[key[j:j + 4]] for j in range(4))
             succ[key] = [y[:7], y[1:]]
         return succ[key]
@@ -157,28 +121,27 @@ def _walk_reading(oracle: SequenceTable) -> tuple[list, Dfao, int]:
         alphabet_size=2,
         initial=0,
         transitions=[[index[t] for t in succ[key]] for key in keys],
-        outputs=[oracle.windows_at((key,)) if isinstance(key, int) else key[2:6]
+        outputs=[f.windows_at((key,)) if isinstance(key, int) else key[2:6]
                  for key in keys],
         output_kind=WINDOW,
-    ), reach
+    )
 
 
-def discover(oracle: SequenceTable) -> tuple[list, Dfao]:
+def discover() -> tuple[list, Dfao]:
     """keys and m: m is _walk's automaton, minimized (Dfao.minimize), its
     states in shortlex order of their access strings, which name them, each
     output the 4-window at its access value; keys[s] is the key of the
     walked state that s's access string reaches.  It checks nothing:
     cross-validation and certification do."""
-    _check_from_0(oracle)
-    keys, walked = _walk(oracle)
+    keys, walked = _walk()
     m = walked.minimize()
     return [keys[walked.walk("" if name == "eps" else name)] for name in m.names], m
 
 
-def synthesize_msb(oracle: SequenceTable) -> Dfao:
-    """Conjecture the window automaton for the oracle, each state annotated
-    with the 4-window at its access value; certification comes separately."""
-    m = discover(oracle)[1]
+def synthesize_msb() -> Dfao:
+    """Conjecture the window automaton for F, each state annotated with the
+    4-window at its access value; certification comes separately."""
+    m = discover()[1]
     # digit 0 must fix the initial state, else leading zeros would change results
     if m.transitions[m.initial][0] != m.initial:
         raise AssertionError("discovery broke leading-zero stability")
@@ -307,15 +270,15 @@ def check_bounds(*, validate_to: int = 2, depth: int = 2) -> None:
 def synthesize_validated(oracle: SequenceTable,
                          validate_to: int) -> tuple[Dfao, Validation]:
     """Synthesize and cross-validate on [0, validate_to] (cut to the oracle).
-    A mismatch means the doubling rules read from the oracle fail on it: it
-    raises InsufficientHorizon."""
+    A mismatch, the machine walked from F(0..WALK_F) disagreeing with the
+    oracle, raises CertificationFailure naming the least failing n."""
     check_bounds(validate_to=validate_to)
-    m = synthesize_msb(oracle)
+    m = synthesize_msb()
     verdict = cross_validate(m, oracle, min(validate_to, oracle.hi - 1))
     if not verdict.passed:
-        raise InsufficientHorizon(
-            f"automaton disagrees with the oracle at n = {verdict.first_mismatch}; "
-            "the doubling rules read from it do not hold there")
+        n = verdict.first_mismatch
+        raise CertificationFailure(f"automaton disagrees with the oracle at n = {n}",
+                                   witness=str(n))
     return m, verdict
 
 

@@ -177,8 +177,9 @@ def test_certify_refuses_names_that_are_not_access_strings(name, built, tmp_path
                                      "tables-check"])
 def test_each_verifying_command_scans_the_rules_once(command, built, tmp_path,
                                                      monkeypatch, capsys):
-    # certification derives the doubling rules it propagates in one scan to
-    # a = --validate // 2
+    # certification derives the doubling rules it propagates in one scan of
+    # the command's F, counted to --validate + 2, to a = --validate // 2; a
+    # command that synthesizes scans besides only the walk's own F(0..465)
     a_path, b_path, _ = built
     argv = {"synthesize": ["synthesize", "--out", str(tmp_path / "x.dfao")],
             "certify-window": ["certify", "--automaton", str(a_path)],
@@ -188,44 +189,28 @@ def test_each_verifying_command_scans_the_rules_once(command, built, tmp_path,
     scan = vseq.rules._scan
 
     def spy(f, a_min, a_max):
-        scans.append((a_min, a_max))
+        scans.append((len(f), a_min, a_max))
         return scan(f, a_min, a_max)
 
     monkeypatch.setattr(vseq.rules, "_scan", spy)
     assert run([*argv, *FAST]) == 0
-    assert scans == [(4, 65536 // 2)]
+    walk = [] if command == "certify-window" else [(466, 4, 232)]
+    assert scans == [*walk, (65536 + 3, 4, 65536 // 2)]
 
 
-@pytest.mark.parametrize("argv", [
-    ["synthesize", "--validate", "462", "--out", "x.dfao"],
-    ["tables", "check", "--validate", "50"],
-    ["certify", "--automaton", "single.dfao", "--validate", "3"],
-], ids=["synthesize-462", "tables-check-50", "certify-single-3"])
-def test_an_f_too_short_for_the_walk_names_validate(argv, tmp_path, monkeypatch,
-                                                      capsys):
-    # the walk reads F to 465, so --validate must be at least 463, whichever
-    # index of F it first misses
-    monkeypatch.chdir(tmp_path)
-    Path("single.dfao").write_text(BENCH_F20.read_text())
-    assert run(argv) == 2
-    captured = capsys.readouterr()
-    validate = int(argv[argv.index("--validate") + 1])
-    assert captured.err == (
-        f"vseq: oracle ends at F({validate + 2}); the automaton walk needs F(465) "
-        "at least, so --validate must be at least 463\n")
-    assert not Path("x.dfao").exists()
-
-
-@pytest.mark.parametrize("validate", ["463", "1000", "1853"])
+@pytest.mark.parametrize("validate", ["2", "3", "50", "100", "462", "463", "1000",
+                                      "1853", "4194304"])
 def test_the_walks_floor_and_past_it_write_the_committed_file(validate, tmp_path,
                                                              capsys):
-    # signature discovery needed --validate 1854: at 463 it could not form
-    # its signatures, at 1000 its 32 states failed certification, and at
-    # 1853 cross-validation
+    # the walk counts its own F(0..465), so --validate bounds only the
+    # command's F: from check_bounds' floor of 2 up, synthesize writes the
+    # committed machine, and tables check and certify of it pass
     out = tmp_path / "x.dfao"
-    assert run(["synthesize", "--validate", validate, "--depth", "16",
-                "--out", str(out)]) == 0
+    pipeline = ["--validate", validate, "--depth", "4"]
+    assert run(["synthesize", *pipeline, "--out", str(out)]) == 0
     assert out.read_bytes() == BENCH_F20.read_bytes()
+    assert run(["tables", "check", *pipeline]) == 0
+    assert run(["certify", "--automaton", str(BENCH_F20), *pipeline]) == 0
 
 
 def test_tables_check(capsys):
@@ -289,7 +274,6 @@ def test_unknown_flags_exit_2():
     ["rules", "derive", "--max", "3"],
     ["probe", "--sequence", "f", "--base", "1"],
     ["synthesize", "--validate", "65536", "--depth", "1", "--out", "x.dfao"],
-    ["synthesize", "--validate", "10", "--out", "x.dfao"],          # OracleTooShort
     ["synthesize", "--validate", "65536", "--depth", "-3", "--out", "x.dfao"],
     ["probe", "--sequence", "f", "--depth", "-1"],
     ["probe", "--sequence", "vdiff", "--prefix", "0"],
@@ -300,7 +284,7 @@ def test_unknown_flags_exit_2():
     ["gen", "v", "--max", str(2 ** 32)],
     ["qrs", "--r", "2", "--s", "5", "--max", str(2 ** 32)],
 ], ids=["bad-numeral", "bad-digit", "gen-max-0", "rules-max-3", "probe-base-1",
-        "synthesize-depth-1", "synthesize-validate-10", "synthesize-depth-minus-3", "probe-depth-minus-1",
+        "synthesize-depth-1", "synthesize-depth-minus-3", "probe-depth-minus-1",
         "probe-prefix-0", "vdiff-span-1", "vdiff-span-2", "probe-depth-40",
         "probe-prefix-2e6", "gen-v-2^32", "qrs-max-2^32"])
 def test_usage_errors_exit_2_with_one_line(argv, tmp_path, monkeypatch, capsys):
@@ -437,7 +421,7 @@ COUNT_LIMIT = 2 ** 16  # an oracle counted past this was not refused
 
 
 def _automaton_files(tmp: Path) -> None:
-    window = vseq.synthesize_msb(gen_f(465))
+    window = vseq.synthesize_msb()
     (tmp / "single.dfao").write_text(BENCH_F20.read_text())
     (tmp / "window.dfao").write_text(window.serialize())
     (tmp / "binary.dfao").write_bytes(bytes(range(256)))

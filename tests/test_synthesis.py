@@ -8,12 +8,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import vseq
+import vseq.cli
 from vseq import _oracle
 from vseq import (SINGLE, WINDOW, CertificationFailure, Dfao,
-                  InsufficientHorizon, NonpositiveDivisor, OracleTooShort,
-                  ProbeReport,
+                  NonpositiveDivisor, OracleTooShort, ProbeReport,
                   SequenceTable, certify_transitions,
-                  cross_validate, discover, euclid_div, gen_f,
+                  cross_validate, derive_rules, discover, euclid_div, gen_f,
                   gen_v, first_difference, kernel_probe, shift_bounds,
                   synthesize_msb, synthesize_validated)
 from vseq import synthesis
@@ -67,7 +67,7 @@ def test_synthesis_rejects_bad_bounds():
 
 # -- the rule walk ----------------------------------------------------------------
 
-# sha256 of synthesize_msb(gen_f(2^22 + 2)).serialize() and of its
+# sha256 of synthesize_msb().serialize() and of its
 # project_output().minimize().serialize(): the 33-state window automaton and
 # the committed 20-state file
 WINDOW_SHA256 = "d3787c2d4e4b8a7a13e3b124b0005e1ff941b6847c0887440c36f93b80fa1543"
@@ -78,8 +78,8 @@ def _sha256(m: Dfao) -> str:
     return hashlib.sha256(m.serialize().encode()).hexdigest()
 
 
-def test_synthesized_machines_are_pinned(f_main):
-    m = synthesize_msb(f_main)
+def test_synthesized_machines_are_pinned():
+    m = synthesize_msb()
     assert _sha256(m) == WINDOW_SHA256
     assert _sha256(m.project_output().minimize()) == SINGLE_SHA256
 
@@ -87,14 +87,34 @@ def test_synthesized_machines_are_pinned(f_main):
 def test_walk_reads_f_to_465():
     # the last window the walk needs first occurs at a = 232, whose images
     # are F(464) and F(465)
-    keys, walked = _walk(gen_f(465))
+    keys, walked = _walk()
     assert len(keys) == 69 and sum(isinstance(k, int) for k in keys) == 6
-    m = synthesize_msb(gen_f(465))
-    assert _sha256(m) == WINDOW_SHA256
-    with pytest.raises(OracleTooShort, match=r"^oracle ends at F\(464\); the automaton "
-                       r"walk needs F\(465\) at least, so --validate must be at "
-                       r"least 463$"):
-        discover(gen_f(464))
+    assert _sha256(walked.minimize()) == WINDOW_SHA256
+
+
+def test_walk_f_is_the_least_f_whose_scan_realizes_every_window(f_main):
+    # F to 463 scans a to 231 and misses the window first seen at 232; F to
+    # 465 realizes every window the rules map to a = 2^20, the rule domain
+    assert synthesis.WALK_F == 465
+    assert len(derive_rules(gen_f(463), 4, 231)) == 23
+    walked = derive_rules(gen_f(465), 4, 232)
+    assert len(walked) == 24
+    assert walked.domain == derive_rules(f_main, 4, 2 ** 20).domain
+
+
+def test_discover_counts_its_own_f(monkeypatch):
+    # the walk counts F to WALK_F itself, never the command's F
+    counted = []
+    count = synthesis.gen_f
+    monkeypatch.setattr(synthesis, "gen_f", lambda n: counted.append(n) or count(n))
+
+    def no_oracle(n):
+        raise AssertionError(f"vseq.cli.gen_f({n}) was called")
+
+    monkeypatch.setattr(vseq.cli, "gen_f", no_oracle)
+    keys, m = discover()
+    assert counted == [465]
+    assert len(keys) == 33 and _sha256(m) == WINDOW_SHA256
 
 
 def _access_value(name: str) -> int:
@@ -103,7 +123,7 @@ def _access_value(name: str) -> int:
 
 def test_walk_keys_are_numerals_then_x(f_main):
     # the numeral n below 6, else X(n) = F(n-4..n+2)
-    keys, m = discover(f_main)
+    keys, m = discover()
     assert len(keys) == m.state_count
     for name, key in zip(m.names, keys):
         n = _access_value(name)
@@ -112,17 +132,8 @@ def test_walk_keys_are_numerals_then_x(f_main):
     assert len(set(keys)) == len(keys)
 
 
-def test_discover_hands_back_the_machine_synthesize_msb_returns(f_main):
-    assert discover(f_main)[1] == synthesize_msb(f_main)
-
-
-def test_a_short_oracle_that_is_not_f_names_its_own_end():
-    # the walk is walked again on a longer F only when the oracle is F's
-    # prefix; any other oracle is named by its own label and end
-    rng = random.Random(1)
-    s = SequenceTable(0, 60, bytes(rng.randint(1, 3) for _ in range(61)), "S")
-    with pytest.raises(OracleTooShort, match=r"^oracle ends at S\(60\), need S\(\d+\)$"):
-        discover(s)
+def test_discover_hands_back_the_machine_synthesize_msb_returns():
+    assert discover()[1] == synthesize_msb()
 
 
 # -- discovery on the frequency oracle ------------------------------------------
@@ -154,8 +165,8 @@ def test_window_outputs_for_all_short_strings(truth_a, f_main):
             assert truth_a.eval(w) == window4(f_main, bits)
 
 
-def test_synthesis_deterministic(f_main, truth_a):
-    again = synthesize_msb(f_main)
+def test_synthesis_deterministic(truth_a):
+    again = synthesize_msb()
     assert again == truth_a
 
 
@@ -183,7 +194,7 @@ def test_window_examples(truth_a):
 
 
 def test_node_windows_are_oracle_windows(f_main):
-    _, m = discover(f_main)
+    _, m = discover()
     assert m.state_count == 33
     for name, window in zip(m.names, m.outputs):
         assert window == window4(f_main, _access_value(name)), name
@@ -206,12 +217,6 @@ def test_minimized_serialization_shape(truth_b):
     assert sum(1 for l in lines if l.startswith("state ")) == 20
     assert sum(1 for l in lines if l.startswith("trans ")) == 40
     assert Dfao.deserialize(truth_b.serialize()) == truth_b
-
-
-def test_oracle_too_short_for_discovery():
-    f = gen_f(40)
-    with pytest.raises(OracleTooShort):
-        synthesize_msb(f)
 
 
 # -- cross-validation -----------------------------------------------------------
@@ -467,10 +472,10 @@ def test_cross_validate_holds_chunks_not_the_range(truth_a, truth_b, f_main):
         assert peak <= 6 * MB, peak / MB
 
 
-def test_discover_walk_holds_kilobytes(f_main):
+def test_discover_walk_holds_kilobytes():
     # signature discovery held its block ids, 3.2 MB at 2^22; the walk holds
-    # its 69 states and 24 images
-    (keys, _), peak = _traced_peak(lambda: discover(f_main))
+    # its own F to 465, one rule scan of it, its 69 states and 24 images
+    (keys, _), peak = _traced_peak(discover)
     assert len(keys) == 33
     assert peak <= 256 * 1024, peak / 1024
 
@@ -676,18 +681,20 @@ def _contains_run(k: int, hi: int) -> SequenceTable:
 
 
 def test_insufficient_horizon_exhausts(monkeypatch):
-    # a run of ten ones first appears at 1023, the oracle's end: the
-    # doubling rules read from this sequence fail there, and the window at
-    # 1022 is the first to read it.  One synthesis, then the verdict
+    # the machine is F's, walked from F(0..465), whatever the oracle: on a
+    # sequence that is not F, cross-validation fails at the least n whose
+    # window differs from F's.  One synthesis, then the verdict
     s10 = _contains_run(10, 1023)
+    f = gen_f(1023)
+    least = next(n for n in range(1023) if window4(f, n) != window4(s10, n))
     calls = []
     msb = synthesis.synthesize_msb
-    monkeypatch.setattr(synthesis, "synthesize_msb",
-                        lambda oracle: calls.append(oracle) or msb(oracle))
-    with pytest.raises(InsufficientHorizon, match=r"at n = 1022; the doubling "
-                       r"rules read from it do not hold there"):
+    monkeypatch.setattr(synthesis, "synthesize_msb", lambda: calls.append(1) or msb())
+    with pytest.raises(CertificationFailure,
+                       match=rf"^automaton disagrees with the oracle at n = {least} "
+                             rf"witness='{least}'$"):
         synthesize_validated(s10, 1022)
-    assert calls == [s10]
+    assert calls == [1]
 
 
 # -- kernel probe ------------------------------------------------------------------
