@@ -7,7 +7,15 @@
    until they pass them, keeps the counts past them in a ring, two bits a
    count, and keeps only the windows of F a plan names; vseq_steps keeps
    only Q's steps
-   Q(k+1) - Q(k), reading Q's earlier terms back from them.  The four
+   Q(k+1) - Q(k), reading Q's earlier terms back from them.  V's flat count
+   and steps take six terms a table lookup between their first terms and
+   their last (count_kernel, steps_kernel): a 128 KB table, which vseq_init
+   builds once as the library loads, maps V's last four steps and the next
+   six at each read position to V's next six steps and how far each read
+   position moves.  The kernel stops short of the end, and hands any block
+   it cannot take (a count not yet final or outside 1..4, a step of 2, a
+   count past 4) back to the scalar loop with its exact state, so the
+   scalar loop returns every status.  The four
    return a status; info[] carries what the caller needs to raise:
      DEAD           info = {n, argument}  an argument left [1, n-1]
      NOT_MONOTONE   info = {n, Q(n-1), Q(n)}
@@ -308,8 +316,15 @@ count_loop(int mode, const uint8_t *pre, int64_t p, uint8_t *counts,
                 __builtin_prefetch(
                     counts + (((val + 4 * BLOCK) & cmask) >> 2), 1);
             }
-            if (val > a_max)
+            if (val > a_max) {
+                if (flat) { /* where the count stands, for V's kernel */
+                    at->n = n;
+                    at->prev = val - 1;
+                    at->c1 = c1;
+                    at->c2 = c2;
+                }
                 return OK;
+            }
         }
         if (flat) {
             if (counts[val] == 255)
@@ -328,12 +343,222 @@ count_loop(int mode, const uint8_t *pre, int64_t p, uint8_t *counts,
     }
 }
 
+/* V's kernel: KSTEPS terms of V a table lookup, between the scalar loop's
+   first terms and its last.  V's step e(m) = V(m) - V(m-1) is a function of
+   three things: the last four steps, and the next step at each read
+   position, as a read position n - V(n-1) moves on at term m iff
+   e(m-1) = 0, and n - V(n-4) iff e(m-4) = 0, each gaining the step it
+   moves onto.  So kstep[h | b1 << 4 | b2 << 4 + KSTEPS], h the steps
+   e(n-4..n-1) from bit 0 and b1, b2 the next KSTEPS steps at the two read
+   positions, holds the steps E of terms n..n+KSTEPS-1 (bit j for n + j),
+   with the number of steps each read position moved (3 bits each above
+   E); or 0 where a step would be 2 or E is 0 (KSTEPS equal terms), which
+   hands the block back to the scalar loop.  128 KB. */
+enum { KSTEPS = 6, KMASK = (1 << KSTEPS) - 1 };
+static uint16_t kstep[16 << 2 * KSTEPS];
+/* E's terms as counts, for vseq_count: its first lead terms take the
+   latest value, and its ones 1s start as many values after it, whose
+   counts are the bytes of gaps from the low byte, the last one, tail,
+   still growing; lead is 8, a count past RING_MOST, where E is 0 or one
+   of those counts passes RING_MOST */
+static struct {
+    uint64_t gaps;
+    uint8_t lead, ones, tail;
+} runs[1 << KSTEPS];
+/* four counts c of 1..4, c - 1 in two bits each from bit 0: their steps,
+   1 0^(c-1) each from bit 0, and their sum << 16 */
+static uint32_t pattern[256];
+
+/* The kernel's tables, built once.  Until then they are zeros: kstep hands
+   every block back and pattern reads every count as out of range, so both
+   kernels hand back at once. */
+void vseq_init(void)
+{
+    static int built;
+    if (built)
+        return;
+    for (int i = 0; i < 16 << 2 * KSTEPS; i++) {
+        int e[4 + KSTEPS], b1 = i >> 4 & KMASK, b2 = i >> (4 + KSTEPS);
+        int m1 = 0, m2 = 0, E = 0;
+        for (int j = 0; j < 4; j++)
+            e[j] = i >> j & 1;
+        for (int j = 0; j < KSTEPS && E >= 0; j++) {
+            e[j + 4] = (e[j + 3] ? 0 : b1 >> m1++ & 1)
+                       + (e[j] ? 0 : b2 >> m2++ & 1);
+            E = e[j + 4] > 1 ? -1 : E | e[j + 4] << j;
+        }
+        kstep[i] = E > 0 ? (uint16_t)(E | m1 << KSTEPS | m2 << (KSTEPS + 3))
+                         : 0;
+    }
+    for (int E = 0; E <= KMASK; E++) {
+        int at = -1, ones = 0, lead = 8;
+        uint64_t gaps = 0;
+        for (int j = 0; j <= KSTEPS; j++)
+            if (j == KSTEPS || E >> j & 1) {
+                if (at < 0)
+                    lead = j;
+                else if (j - at > RING_MOST)
+                    lead = 8;
+                else
+                    gaps |= (uint64_t)(j - at) << 8 * (ones - 1);
+                at = j;
+                ones += j < KSTEPS;
+            }
+        runs[E].gaps = gaps;
+        runs[E].lead = (uint8_t)(E ? lead : 8);
+        runs[E].ones = (uint8_t)ones;
+        runs[E].tail = (uint8_t)(gaps >> 8 * (ones - 1 + !ones) & 0xff);
+    }
+    for (int i = 0; i < 256; i++) {
+        uint32_t bits = 0, len = 0;
+        for (int k = 0; k < 4; k++) {
+            bits |= 1u << len;
+            len += (i >> 2 * k & 3) + 1;
+        }
+        pattern[i] = bits | len << 16;
+    }
+    built = 1;
+}
+
+/* A read position's next steps in count_kernel: bit i of buf is
+   e(p + 1 + i) for i < nb, p the position, and 0 past nb; the steps after
+   them are those of the counts from value next on.  steps_kernel keeps the
+   same, with the steps after them from out[next] on.  Each block refills
+   buf while it holds few enough steps to take more. */
+struct bits {
+    uint64_t buf;
+    int64_t nb, next;
+};
+
+/* The steps of the four counts counts[a..a+3]: pattern[], or 0 where one
+   lies outside 1..4. */
+static inline uint32_t four_counts(const uint8_t *counts, int64_t a)
+{
+    uint32_t w;
+    memcpy(&w, counts + a, 4);
+    w -= 0x01010101; /* a count of 0 borrows, and shows in the mask */
+    /* the four two-bit counts gathered into bits 24..31 */
+    return w & 0xfcfcfcfc ? 0 : pattern[(w * 0x01041040u) >> 24];
+}
+
+/* The read position p's next steps from the flat counts: those left in the
+   run of Q(p), which c, at p or at p + 1, holds or follows, then the counts'
+   steps from the next value on, read while final (below latest) and 1..4;
+   0 where they run out before buf holds 49. */
+static int count_bits(const uint8_t *counts, int64_t latest,
+                      const struct cursor *c, int64_t p, struct bits *b)
+{
+    int64_t value = c->value, top = c->below + counts[value];
+    if (p <= c->below) {
+        value--;
+        top = c->below;
+    }
+    *b = (struct bits){0, top - p, value + 1};
+    while (b->nb <= 48) {
+        uint32_t f = b->next + 4 <= latest ? four_counts(counts, b->next) : 0;
+        if (!f)
+            return 0;
+        b->buf |= (uint64_t)(f & 0xffff) << b->nb;
+        b->nb += f >> 16;
+        b->next += 4;
+    }
+    return 1;
+}
+
+/* The cursor of read position p, from its next steps buf, the counts of
+   the values from next on after them: each 1 in buf starts a value */
+static struct cursor count_cursor(const uint8_t *counts, int64_t p,
+                                  uint64_t buf, int64_t next)
+{
+    int64_t value = next - 1 - __builtin_popcountll(buf);
+    int64_t top = p + __builtin_ctzll(buf);
+    return (struct cursor){value, top - counts[value], top};
+}
+
+/* V's flat count from where *at stands, its last terms in ring[] (mask 7),
+   KSTEPS terms a block while the blocks write below a_max and the counts
+   the read positions read next are final and 1..4, and while each block's
+   steps are 0 or 1 and make counts of 1..4; then *at and ring[] where the
+   count stands, for the scalar loop to go on from.  The counts past prev
+   are zero: a block stores the counts of the values it finishes and of
+   the value it ends on eight bytes at once. */
+static __attribute__((noinline)) void
+count_kernel(uint8_t *counts, int64_t a_max, struct count *at, uint32_t *ring)
+{
+    int64_t n = at->n, prev = at->prev, run = counts[prev];
+    /* the read positions of term n - 1 */
+    int64_t p1 = n - 1 - ring[(n - 2) & 7], p2 = n - 1 - ring[(n - 5) & 7];
+    struct bits b1, b2;
+    if (!count_bits(counts, prev, &at->c1, p1, &b1)
+        || !count_bits(counts, prev, &at->c2, p2, &b2))
+        return;
+    unsigned h = 0;
+    for (int j = 0; j < 4; j++)
+        h |= (ring[(n - 4 + j) & 7] - ring[(n - 5 + j) & 7]) << j;
+    uint64_t buf1 = b1.buf, buf2 = b2.buf;
+    int64_t nb1 = b1.nb, nb2 = b2.nb, next1 = b1.next, next2 = b2.next;
+    unsigned i = h | (unsigned)(buf1 & KMASK) << 4
+                 | (unsigned)(buf2 & KMASK) << (4 + KSTEPS);
+    while (prev + 8 <= a_max && next1 + 4 <= prev && next2 + 4 <= prev) {
+        uint32_t f1 = four_counts(counts, next1);
+        uint32_t f2 = four_counts(counts, next2);
+        unsigned t = kstep[i], E = t & KMASK;
+        if (!f1 || !f2 || run + runs[E].lead > RING_MOST)
+            break;
+        counts[prev] = (uint8_t)(run + runs[E].lead);
+        memcpy(counts + prev + 1, &runs[E].gaps, 8);
+        prev += runs[E].ones;
+        run = runs[E].tail;
+        n += KSTEPS;
+        /* the next index from the steps left, the refills above them */
+        unsigned d1 = t >> KSTEPS & 7, d2 = t >> (KSTEPS + 3);
+        uint64_t left1 = buf1 >> d1, left2 = buf2 >> d2;
+        i = E >> (KSTEPS - 4) | (unsigned)(left1 & KMASK) << 4
+            | (unsigned)(left2 & KMASK) << (4 + KSTEPS);
+        nb1 -= d1;
+        nb2 -= d2;
+        int take1 = nb1 <= 48, take2 = nb2 <= 48;
+        buf1 = left1 | (take1 ? (uint64_t)(f1 & 0xffff) << nb1 : 0);
+        buf2 = left2 | (take2 ? (uint64_t)(f2 & 0xffff) << nb2 : 0);
+        nb1 += take1 ? f1 >> 16 : 0;
+        nb2 += take2 ? f2 >> 16 : 0;
+        next1 += take1 ? 4 : 0;
+        next2 += take2 ? 4 : 0;
+    }
+    /* V(n-1..n-5) from prev down through the steps of h */
+    int64_t v = prev;
+    for (int j = 1; j <= 4; j++) {
+        ring[(n - j) & 7] = (uint32_t)v;
+        v -= i >> (4 - j) & 1;
+    }
+    at->n = n;
+    at->prev = prev;
+    at->c1 = count_cursor(counts, n - 1 - ring[(n - 2) & 7], buf1, next1);
+    at->c2 = count_cursor(counts, n - 1 - v, buf2, next2);
+}
+
+/* V's flat count, one loop of its own */
+static __attribute__((noinline)) int
+v_count(uint8_t *counts, int64_t a_max, struct count *at, uint32_t *ring,
+        int64_t *info)
+{
+    return count_loop(FLAT, NULL, 0, counts, -1, a_max, 1, 4, at, ring, 7,
+                      info);
+}
+
+/* the value V's scalar count reaches before its kernel takes over: the
+   read positions then read values near 64, far enough below it for the
+   final counts of the 49 steps or more that each holds ahead */
+enum { COUNT_KERNEL_FROM = 128 };
+
 /* counts[a] = #{n : Q(n) = a} for a in [0, a_max], into counts the caller
    zeroes but for counts[1] = s, the seed's: Q runs from n = s + 1 until it
    first reaches a_max + 1.  Q itself is not stored: its last s terms sit in
    the caller's ring, a power of two of them larger than s (Q(i) at
    ring[i & mask]), and every older term is read from the counts by two
-   cursors. */
+   cursors.  V's count runs its first terms in the scalar loop, its middle
+   in count_kernel and its last eight values or more in the scalar loop
+   again, which returns every status. */
 int vseq_count(uint8_t *counts, int64_t a_max, int64_t r, int64_t s,
                uint32_t *ring, int64_t mask, int64_t *info)
 {
@@ -342,8 +567,13 @@ int vseq_count(uint8_t *counts, int64_t a_max, int64_t r, int64_t s,
         ring[i & mask] = 1;
     if (r == 1 && s == 4 && mask == 7) { /* V's loop, with its constants */
         struct count at = {5, 1, c, c, NULL, 0, NULL};
-        return count_loop(FLAT, NULL, 0, counts, -1, a_max, 1, 4, &at, ring,
-                          7, info);
+        if (a_max > COUNT_KERNEL_FROM) {
+            int status = v_count(counts, COUNT_KERNEL_FROM, &at, ring, info);
+            if (status != OK)
+                return status;
+            count_kernel(counts, a_max, &at, ring);
+        }
+        return v_count(counts, a_max, &at, ring, info);
     }
     struct count at = {s + 1, 1, c, c, NULL, 0, NULL};
     return count_loop(FLAT, NULL, 0, counts, -1, a_max, r, s, &at, ring, mask,
@@ -453,15 +683,22 @@ int vseq_ring_count(const uint8_t *pre, int64_t p, uint8_t *counts,
     return ring_loop(counts, cmask, a_max, &at, ring, info);
 }
 
-/* The loop of vseq_steps, for n = s + 1 to n_max + 1.  Each caller passes
-   r, s and mask, so that V gets a loop with its constants. */
+/* Where vseq_steps stands: the next term n, prev = Q(n-1), and the
+   cursors, Q(p1) = v1 and Q(p2) = v2 */
+struct steps {
+    int64_t n, prev, p1, v1, p2, v2;
+};
+
+/* The loop of vseq_steps from at->n to the term last, leaving *at where it
+   stands.  Each caller passes r, s and mask, so that V gets a loop with its
+   constants. */
 static inline __attribute__((always_inline)) int
-steps_loop(uint8_t *out, int64_t n_max, int64_t r, int64_t s, uint32_t *ring,
-           int64_t mask, int64_t *info)
+steps_loop(uint8_t *out, int64_t last, int64_t r, int64_t s, struct steps *at,
+           uint32_t *ring, int64_t mask, int64_t *info)
 {
-    /* Q(p1) = v1 and Q(p2) = v2, the cursors; both start at Q(s) = 1 */
-    int64_t p1 = s, v1 = 1, p2 = s, v2 = 1, prev = 1;
-    for (int64_t n = s + 1; n <= n_max + 1; n++) {
+    int64_t n = at->n, p1 = at->p1, v1 = at->v1, p2 = at->p2, v2 = at->v2;
+    int64_t prev = at->prev;
+    for (; n <= last; n++) {
         int64_t i1 = n - ring[(n - r) & mask], i2 = n - ring[(n - s) & mask];
         if (i1 < 1 || i2 < 1) {
             info[0] = n;
@@ -490,8 +727,93 @@ steps_loop(uint8_t *out, int64_t n_max, int64_t r, int64_t s, uint32_t *ring,
         ring[n & mask] = (uint32_t)val;
         prev = val;
     }
+    *at = (struct steps){n, prev, p1, v1, p2, v2};
     return OK;
 }
+
+/* V's steps loop, one loop of its own */
+static __attribute__((noinline)) int
+v_steps(uint8_t *out, int64_t last, struct steps *at, uint32_t *ring,
+        int64_t *info)
+{
+    return steps_loop(out, last, 1, 4, at, ring, 7, info);
+}
+
+/* The steps out[0..7], each 0 or 1, as bits 0..7: byte k's bit goes to bit
+   56 + k of the product, with no carry into them */
+static inline uint64_t eight_steps(const uint8_t *out)
+{
+    uint64_t w;
+    memcpy(&w, out, 8);
+    return w * 0x0102040810204080u >> 56;
+}
+
+/* V's steps from where *at stands, its last terms in ring[] (mask 7),
+   KSTEPS terms a block while the blocks write inside out[0..n_max - 1] and
+   make steps of 0 or 1; then *at and ring[] where V stands, for the scalar
+   loop to go on from.  A read position p's next steps are out[p - 1] on,
+   read 8 at a time; the kernel takes over only where both positions lag
+   the term by 80 or more, so that every step they read is written.  A
+   block stores its steps eight bytes at once, the last two 0, for the next
+   block to overwrite. */
+static __attribute__((noinline)) void
+steps_kernel(uint8_t *out, int64_t n_max, struct steps *at, uint32_t *ring)
+{
+    int64_t n = at->n, q1 = at->p1 - 1, q2 = at->p2 - 1, nb1 = 64, nb2 = 64;
+    if ((at->p1 > at->p2 ? at->p1 : at->p2) + 80 > n)
+        return;
+    uint64_t buf1 = 0, buf2 = 0;
+    for (int k = 0; k < 64; k += 8) {
+        buf1 |= eight_steps(out + q1 + k) << k;
+        buf2 |= eight_steps(out + q2 + k) << k;
+    }
+    q1 += 64;
+    q2 += 64;
+    unsigned i = 0;
+    for (int j = 0; j < 4; j++) /* e(n-4..n-1) */
+        i |= (unsigned)out[n - 6 + j] << j;
+    i |= (unsigned)(buf1 & KMASK) << 4
+         | (unsigned)(buf2 & KMASK) << (4 + KSTEPS);
+    for (; n + KSTEPS <= n_max; n += KSTEPS) {
+        unsigned t = kstep[i], E = t & KMASK;
+        if (!E)
+            break;
+        uint64_t g1 = eight_steps(out + q1), g2 = eight_steps(out + q2);
+        /* E's bit j to bit 8 j of the product, with no carry into it */
+        uint64_t steps = (uint64_t)E * 0x0002040810204081u
+                         & 0x0101010101010101u;
+        memcpy(out + n - 2, &steps, 8);
+        /* the next index from the steps left, the refills above them */
+        unsigned d1 = t >> KSTEPS & 7, d2 = t >> (KSTEPS + 3);
+        uint64_t left1 = buf1 >> d1, left2 = buf2 >> d2;
+        i = E >> (KSTEPS - 4) | (unsigned)(left1 & KMASK) << 4
+            | (unsigned)(left2 & KMASK) << (4 + KSTEPS);
+        nb1 -= d1;
+        nb2 -= d2;
+        int take1 = nb1 <= 56, take2 = nb2 <= 56;
+        buf1 = left1 | (take1 ? g1 << nb1 : 0);
+        buf2 = left2 | (take2 ? g2 << nb2 : 0);
+        nb1 += take1 ? 8 : 0;
+        nb2 += take2 ? 8 : 0;
+        q1 += take1 ? 8 : 0;
+        q2 += take2 ? 8 : 0;
+    }
+    /* p1 = n - 1 - V(n-2) and p2 = n - 1 - V(n-5), so V(p1) + V(p2) =
+       V(n-1), and V(p2) - V(p1) is the sum of the steps between them */
+    int64_t p1 = q1 - nb1 + 1, p2 = q2 - nb2 + 1, gap = 0;
+    int64_t prev = n - 1 - p1 + out[n - 3];
+    for (int64_t p = p1; p < p2; p++)
+        gap += out[p - 1];
+    *at = (struct steps){n, prev, p1, (prev - gap) / 2, p2, (prev + gap) / 2};
+    for (int j = 1; j <= 4; j++) {
+        ring[(n - j) & 7] = (uint32_t)prev;
+        prev -= out[n - j - 2];
+    }
+}
+
+/* the term V's scalar steps loop reaches before its kernel takes over: the
+   read positions then lag it by about 128 */
+enum { STEPS_KERNEL_FROM = 256 };
 
 /* out[k - 1] = Q(k + 1) - Q(k) for k in [1, n_max]: Q runs to Q(n_max + 1)
    and is not stored.  Its last s terms sit in the caller's ring, a power of
@@ -500,16 +822,26 @@ steps_loop(uint8_t *out, int64_t n_max, int64_t r, int64_t s, uint32_t *ring,
    out[0] + ... + out[p - 2].  Q is non-decreasing with steps in {0, 1}
    (checked as it runs), so both arguments n - Q(n-r) and n - Q(n-s) grow
    by 0 or 1 a term, and each cursor moves at most one position per term.
-   The seed's steps, out[0..s-2], are zero. */
+   The seed's steps, out[0..s-2], are zero.  V's steps run their first
+   terms in the scalar loop, their middle in steps_kernel and their last
+   six or more in the scalar loop again, which returns every status. */
 int vseq_steps(uint8_t *out, int64_t n_max, int64_t r, int64_t s,
                uint32_t *ring, int64_t mask, int64_t *info)
 {
     memset(out, 0, (size_t)(s - 1 < n_max ? s - 1 : n_max));
     for (int64_t i = 1; i <= s; i++)
         ring[i & mask] = 1;
-    if (r == 1 && s == 4 && mask == 7) /* V's loop, with its constants */
-        return steps_loop(out, n_max, 1, 4, ring, 7, info);
-    return steps_loop(out, n_max, r, s, ring, mask, info);
+    struct steps at = {s + 1, 1, s, 1, s, 1};
+    if (r == 1 && s == 4 && mask == 7) { /* V's loop, with its constants */
+        if (n_max > STEPS_KERNEL_FROM) {
+            int status = v_steps(out, STEPS_KERNEL_FROM - 1, &at, ring, info);
+            if (status != OK)
+                return status;
+            steps_kernel(out, n_max, &at, ring);
+        }
+        return v_steps(out, n_max + 1, &at, ring, info);
+    }
+    return steps_loop(out, n_max + 1, r, s, &at, ring, mask, info);
 }
 
 /* The byte sum and maximum go 64 bytes at a time, a block loop that gcc

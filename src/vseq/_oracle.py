@@ -104,6 +104,9 @@ class Oracle:
         for fn in (lib.vseq_byte_sum, lib.vseq_byte_max, lib.vseq_join,
                    lib.vseq_pairs):
             fn.restype = i64
+        # V's kernel tables, built here, holding the GIL, never inside a
+        # loop that ctypes runs without it
+        ctypes.PYFUNCTYPE(None)(("vseq_init", lib))()
         self._lib = lib
 
     def qrs(self, q: array, r: int, s: int, done: int) -> tuple[int, list[int]]:
@@ -212,16 +215,17 @@ class Oracle:
     def pairs(self, ids, expect, pairs) -> int:
         """The least i with the pair pairs[2i:2i + 2] unlike
         expect[2 ids[i]:2 ids[i] + 2], or -1: ids 1, 2 or 4 bytes wide, one
-        expected pair F(2a), F(2a+1) per id, padded here to 256 ids, and
-        one pair per i, all bytes.  An id past them raises ValueError."""
+        expected pair F(2a), F(2a+1) per id, in a table of at least the 256
+        pairs one-byte ids reach, passed as it is, and one pair per i, all
+        bytes.  An id past the table raises ValueError."""
         ids = _view(ids, "BHI", "pairs' ids")
         expect, pairs = (_view(b, "B", what) for b, what in (
             (expect, "pairs' expected pairs"), (pairs, "pairs' pairs")))
-        if len(pairs) != 2 * len(ids) or len(expect) % 2:
-            raise ValueError("pairs takes a pair per id and a pair per i")
-        table = bytes(expect).ljust(512, b"\0")
-        i = self._lib.vseq_pairs(_pointer(ids), table, _pointer(pairs), len(ids),
-                                 ids.itemsize, len(table) // 2)
+        if len(pairs) != 2 * len(ids) or len(expect) % 2 or len(expect) < 512:
+            raise ValueError("pairs takes a table of 256 pairs or more, and a "
+                             "pair per i")
+        i = self._lib.vseq_pairs(_pointer(ids), _pointer(expect), _pointer(pairs),
+                                 len(ids), ids.itemsize, len(expect) // 2)
         if i == -2:
             raise ValueError("pairs' ids must lie below their tables")
         return i

@@ -22,8 +22,7 @@ from .sequences import (DeadSequence, SequenceTable, first_difference, gen_f,
 SEED_NOTE = "# seed convention: Q_{r,s}(1..s) = 1 (V is Q_{1,4}; F counts V and has F(0) = 0)"
 
 # what bad flag values, numerals or files, or an oracle too large for
-# memory, raise: usage errors, exit 2; and synthesis.OracleTooShort, an
-# oracle too short for the check that reads it
+# memory, raise: usage errors, exit 2
 USAGE_ERRORS = (ValueError, OSError, MemoryError, ParseError, BadNumeral,
                 BadDigit)
 
@@ -305,7 +304,7 @@ def run(argv: Sequence[str] | None = None) -> int:
     except DeadSequence as e:
         print(f"dead sequence: {e}")
         return 1
-    except (*USAGE_ERRORS, *_synthesis_errors("OracleTooShort")) as e:
+    except USAGE_ERRORS as e:
         print(f"vseq: {e}", file=sys.stderr)
         return 2
 

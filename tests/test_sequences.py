@@ -1,4 +1,6 @@
 import contextlib
+import ctypes
+import hashlib
 import io
 import os
 import shutil
@@ -403,7 +405,7 @@ def test_oracle_source_compiles_without_warnings(tmp_path):
 # Run under ASan and UBSan by test_oracle_loops_are_clean_under_sanitizers:
 # every compiled loop, each checked against the plain-Python one.
 SANITIZED_RUN = """
-import ctypes, sys
+import ctypes, shutil, sys, tempfile
 import numpy as np
 from vseq import (SequenceTable, _oracle, count_windows, first_difference, gen_f,
                   gen_qrs, gen_v, kernel_probe, sequences)
@@ -493,6 +495,40 @@ for n in (2 ** 15 + 3, 2 ** 16):
     assert a == b
 a, b = both(lambda: raised(lambda: sequences._steps(1, 2, 10 ** 5, "Q")))
 assert a == b != None, (a, b)
+
+# V's kernel, six terms a block: counts and steps from before its entry
+# (V = 129, term 256) past its first blocks, and in every phase of its
+# last block against the end, into numpy buffers of the exact length (a
+# bytearray keeps a byte past its end), so that the blocks' eight-byte
+# stores, the cursors' four- and eight-byte loads and the scalar loop
+# that finishes each run stay inside them
+want = sequences._frequency_py(1, 4, 2 ** 13 + 12, "V")
+for a_max in (*range(125, 150), *range(2 ** 13, 2 ** 13 + 12)):
+    counts = np.zeros(a_max + 1, np.uint8)
+    counts[1] = 4
+    assert lib.count(counts, 1, 4) == (_oracle.OK, [0, 0, 0]), a_max
+    assert counts.tobytes() == want[:a_max + 1], a_max
+want = sequences._steps_py(1, 4, 2 ** 14 + 12, "V")
+for n in (*range(250, 280), *range(2 ** 14, 2 ** 14 + 12)):
+    out = np.ones(n, np.uint8)
+    assert lib.steps(out, 1, 4) == (_oracle.OK, [0, 0, 0]), n
+    assert out.tobytes() == want[:n], n
+# a count planted at V = 100 that a read position reaches as 5 while the
+# kernel runs: the kernel hands back mid-count, and the scalar loop goes
+# on to V's step of 2, as in a copy of the library whose kernel tables
+# were never built, where the scalar loop runs alone
+with tempfile.TemporaryDirectory() as tmp:
+    scalar = ctypes.CDLL(shutil.copy(sys.argv[1], tmp))
+    runs = []
+    for engine in (lib._lib, scalar):
+        counts = np.zeros(5001, np.uint8)
+        counts[1], counts[100] = 4, 3
+        ring, info = (ctypes.c_uint32 * 8)(), (ctypes.c_int64 * 3)()
+        at = counts.ctypes.data_as(ctypes.POINTER(ctypes.c_uint8))
+        status = engine.vseq_count(at, ctypes.c_int64(5000), ctypes.c_int64(1),
+                                   ctypes.c_int64(4), ring, ctypes.c_int64(7), info)
+        runs.append((status, list(info), counts.tobytes()))
+assert runs[0] == runs[1] and runs[0][0] == _oracle.NOT_MONOTONE, runs[0][:2]
 
 # the 4-windows of the rule scan (the q = 1, parts = 4 loop) over 1-, 2-
 # and 4-byte ids, the last one ending at the last id
@@ -639,6 +675,94 @@ def test_count_resumes_only_from_counted_terms():
     assert (status, windows) == (_oracle.OK, gen_f(201).windows_at([200]))
     status, info, _ = lib.ring_count(prefix, done + 50, 999, 2 ** 10, [200])
     assert (status, info[:2]) == (_oracle.UNSETTLED, [done + 51, done + 47])
+
+
+# -- V's kernel: six terms a table lookup ----------------------------------------
+
+def _compiled() -> _oracle.Oracle:
+    lib = _oracle.library()
+    if lib is None:
+        pytest.skip("no C compiler: only the Python loops run here")
+    return lib
+
+
+def test_count_kernel_equals_the_python_loop_at_its_entry_and_exit():
+    # V's count runs its scalar loop until V reaches 129, then the kernel
+    # while a block writes at or below a_max; from a_max = 2, where only
+    # the scalar loop runs, past the kernel's first blocks; and gen_f from
+    # 8192, its first compiled size, through every phase of the kernel's
+    # last block against a_max
+    lib = _compiled()
+    want = sequences._frequency_py(1, 4, 8192 + 120, "V")
+    for a_max in range(2, 400):
+        counts = bytearray(a_max + 1)
+        counts[1] = 4
+        assert lib.count(counts, 1, 4) == (_oracle.OK, [0, 0, 0]), a_max
+        assert counts == want[:a_max + 1], a_max
+    for a_max in range(8192, 8192 + 121):
+        assert gen_f(a_max).values == want[:a_max + 1], a_max
+
+
+def test_steps_kernel_equals_the_python_loop_at_its_entry_and_exit():
+    # the kernel takes over at term 256 and writes blocks of six steps,
+    # eight bytes at once: out starts as ones, and every byte must be the
+    # step; first_difference compiled from 2^14 on
+    lib = _compiled()
+    want = sequences._steps_py(1, 4, 2 ** 14 + 600, "V")
+    for n in range(250, 400):
+        out = bytearray(b"\1" * n)
+        assert lib.steps(out, 1, 4) == (_oracle.OK, [0, 0, 0]), n
+        assert out == want[:n], n
+    for n in range(2 ** 14, 2 ** 14 + 601):
+        assert first_difference(n).values == want[:n], n
+
+
+@pytest.mark.parametrize("call, digest", [
+    (lambda: gen_f(2 ** 24),
+     "e425707a5fa3dd1e6bb941b964275637ce53ac1a56b7caf6e8bd7ec169ac8ec5"),
+    (lambda: first_difference(2 ** 24),
+     "816766c3f599c90a9155951d3c37726f9b51cfd3e0b4259ef17488ea5014e7e0"),
+], ids=["gen_f", "first_difference"])
+def test_v_to_2_to_the_24_is_pinned(call, digest):
+    # the sha256 of the scalar loops' bytes, before the kernel
+    _compiled()
+    assert hashlib.sha256(bytes(call().values)).hexdigest() == digest
+
+
+def _raw_count(lib: ctypes.CDLL, counts: bytearray) -> tuple:
+    """vseq_count of V into counts through lib: status, info, counts."""
+    i64 = ctypes.c_int64
+    ring, info = (ctypes.c_uint32 * 8)(), (i64 * 3)()
+    status = lib.vseq_count((ctypes.c_uint8 * len(counts)).from_buffer(counts),
+                            i64(len(counts) - 1), i64(1), i64(4), ring, i64(7),
+                            info)
+    return status, list(info), bytes(counts)
+
+
+@pytest.mark.parametrize("value, planted", [(70, 1), (70, 3), (100, 2), (120, 250),
+                                            (128, 3)])
+def test_count_kernel_hands_back_to_the_scalar_loop(tmp_path, value, planted):
+    # a count planted at a value the scalar loop counts before the kernel
+    # starts adds to V's count there; where that count passes 4, the kernel
+    # hands back the block that would add to it or read it, and V later
+    # takes a step of 2.  The status, info and counts equal those of a copy
+    # of the library whose kernel tables were never built, in which the
+    # kernel hands back at once and the scalar loop runs alone
+    lib = _compiled()
+    copy = tmp_path / "scalar.so"
+    shutil.copyfile(lib._lib._name, copy)
+    scalar = ctypes.CDLL(str(copy))
+    runs = []
+    for engine in (lib._lib, scalar):
+        counts = bytearray(5001)
+        counts[1], counts[value] = 4, planted
+        runs.append(_raw_count(engine, counts))
+    assert runs[0] == runs[1]
+    status, info, _ = runs[0]
+    if planted == 1:
+        assert status == _oracle.OK
+    else:  # a term past the kernel's entry, at about V = 128
+        assert status == _oracle.NOT_MONOTONE and info[0] > 256, info
 
 
 # -- the ring count --------------------------------------------------------------
