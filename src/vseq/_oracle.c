@@ -5,17 +5,16 @@
    Q's earlier terms back from them; vseq_ring_count resumes a finished
    count of V's, its read positions reading the finished counts in place
    until they pass them, keeps the counts past them in a ring, two bits a
-   count, and keeps only the windows of F a plan names; vseq_steps keeps
-   only Q's steps
-   Q(k+1) - Q(k), reading Q's earlier terms back from them.  V's flat count
-   and steps take six terms a table lookup between their first terms and
-   their last (count_kernel, steps_kernel): a 128 KB table, which vseq_init
-   builds once as the library loads, maps V's last four steps and the next
-   six at each read position to V's next six steps and how far each read
-   position moves.  The kernel stops short of the end, and hands any block
-   it cannot take (a count not yet final or outside 1..4, a step of 2, a
-   count past 4) back to the scalar loop with its exact state, so the
-   scalar loop returns every status.  The four
+   count, and keeps only the windows of F a plan names; vseq_unary rewrites
+   V's counts in place as V's steps V(k+1) - V(k).  V's flat count takes
+   six terms a table lookup between its first terms and its last
+   (count_kernel): a 128 KB table, which vseq_init builds once as the
+   library loads, maps V's last four steps and the next six at each read
+   position to V's next six steps and how far each read position moves.
+   The kernel stops short of the end, and hands any block it cannot take (a
+   count not yet final or outside 1..4, a step of 2, a count past 4) back to
+   the scalar loop with its exact state, so the scalar loop returns every
+   status.  The four
    return a status; info[] carries what the caller needs to raise:
      DEAD           info = {n, argument}  an argument left [1, n-1]
      NOT_MONOTONE   info = {n, Q(n-1), Q(n)}
@@ -26,12 +25,17 @@
                                           lies outside 1..4
      VALUE_OVERFLOW info = {n, Q(n)}       Q(n) does not fit 32 bits
      UNSETTLED      info = {n, argument}  Q(argument) read from a count that
-                                          was still growing, or from a step
-                                          not yet written
+                                          was still growing
      RING_SHORT     info = {value, lag, size}  counting value would reuse the
                                           ring slot of a value a read position
                                           or planned window lag values back
                                           still needs
+     OVERWRITE      info = {value, end, at}  vseq_unary's store through
+                                          out[end - 1] would reach the count
+                                          of value, at out[at], not yet read
+     TOO_FEW        info = {a, S(a), n}   vseq_unary's counts F(1..a) hold
+                                          S(a) <= n terms, too few for V's
+                                          steps to n
    In vseq_qrs, Q(i) lives at q[i - 1].
 
    Four more passes, whose plain-Python loops run where no library loads;
@@ -55,7 +59,8 @@
 #include <string.h>
 
 enum { OK, DEAD, NOT_MONOTONE, COUNT_OVERFLOW, VALUE_OVERFLOW, UNSETTLED,
-       RING_SHORT, HANDOVER /* between two loops of vseq_ring_count */ };
+       RING_SHORT, OVERWRITE, TOO_FEW,
+       HANDOVER /* between two loops of vseq_ring_count */ };
 enum { WIDER = -2, FULL = -3 };
 /* a ring of counts is zeroed this many slots at a time; it holds a count
    of at most RING_MOST */
@@ -368,10 +373,12 @@ static struct {
 /* four counts c of 1..4, c - 1 in two bits each from bit 0: their steps,
    1 0^(c-1) each from bit 0, and their sum << 16 */
 static uint32_t pattern[256];
+/* a byte's bits one a byte, bit j as byte j's 0 or 1, for vseq_unary */
+static uint64_t spread[256];
 
 /* The kernel's tables, built once.  Until then they are zeros: kstep hands
-   every block back and pattern reads every count as out of range, so both
-   kernels hand back at once. */
+   every block back and pattern reads every count as out of range, so the
+   kernel hands back at once. */
 void vseq_init(void)
 {
     static int built;
@@ -416,14 +423,16 @@ void vseq_init(void)
             len += (i >> 2 * k & 3) + 1;
         }
         pattern[i] = bits | len << 16;
+        /* byte j keeps bit j of i, and adding 0x7f carries it to the top */
+        uint64_t w = i * 0x0101010101010101u & 0x8040201008040201u;
+        spread[i] = (w + 0x7f7f7f7f7f7f7f7fu) >> 7 & 0x0101010101010101u;
     }
     built = 1;
 }
 
 /* A read position's next steps in count_kernel: bit i of buf is
    e(p + 1 + i) for i < nb, p the position, and 0 past nb; the steps after
-   them are those of the counts from value next on.  steps_kernel keeps the
-   same, with the steps after them from out[next] on.  Each block refills
+   them are those of the counts from value next on.  Each block refills
    buf while it holds few enough steps to take more. */
 struct bits {
     uint64_t buf;
@@ -683,165 +692,50 @@ int vseq_ring_count(const uint8_t *pre, int64_t p, uint8_t *counts,
     return ring_loop(counts, cmask, a_max, &at, ring, info);
 }
 
-/* Where vseq_steps stands: the next term n, prev = Q(n-1), and the
-   cursors, Q(p1) = v1 and Q(p2) = v2 */
-struct steps {
-    int64_t n, prev, p1, v1, p2, v2;
-};
-
-/* The loop of vseq_steps from at->n to the term last, leaving *at where it
-   stands.  Each caller passes r, s and mask, so that V gets a loop with its
-   constants. */
-static inline __attribute__((always_inline)) int
-steps_loop(uint8_t *out, int64_t last, int64_t r, int64_t s, struct steps *at,
-           uint32_t *ring, int64_t mask, int64_t *info)
+/* out[k - 1] = V(k + 1) - V(k) for k in [1, n], written front to back over
+   F(0..a_max), which vseq_count left in the last a_max + 1 of out's size
+   bytes.  V is slow, so V(p) = a exactly when S(a - 1) < p <= S(a): its
+   steps are its counts in unary, 0^(F(a) - 1) 1 for a = 1, 2, ...  Four
+   counts a store: pattern[]'s steps 1 0^(c - 1) each read, from bit 1 on
+   and a 1 at the end, as 0^(c - 1) 1 each, and two eight-byte stores write
+   their 16 bits as bytes (spread[]), the steps past them 0 for the next
+   store to overwrite.
+   Before it stores, the pass refuses a count outside 1..4 (COUNT_OVERFLOW;
+   before vseq_init builds the tables, every block) and a store that would
+   reach a count not yet read (OVERWRITE), which also keeps every store
+   inside out.  It stops once the steps pass n, S(a) > n, or runs out of
+   whole blocks of four counts first (TOO_FEW). */
+int vseq_unary(uint8_t *out, int64_t size, int64_t a_max, int64_t n,
+               int64_t *info)
 {
-    int64_t n = at->n, p1 = at->p1, v1 = at->v1, p2 = at->p2, v2 = at->v2;
-    int64_t prev = at->prev;
-    for (; n <= last; n++) {
-        int64_t i1 = n - ring[(n - r) & mask], i2 = n - ring[(n - s) & mask];
-        if (i1 < 1 || i2 < 1) {
-            info[0] = n;
-            info[1] = i1 < i2 ? i1 : i2;
-            return DEAD;
+    int64_t at = size - a_max - 1, w = 0, a = 1;
+    for (; w <= n; a += 4) {
+        if (a + 3 > a_max) {
+            info[0] = a - 1;
+            info[1] = w;
+            info[2] = n;
+            return TOO_FEW;
         }
-        if (i1 >= n || i2 >= n) {
-            info[0] = n;
-            info[1] = i1 > i2 ? i1 : i2;
-            return UNSETTLED;
+        uint32_t f = four_counts(out + at, a);
+        if (!f) {
+            int64_t j = 0;
+            while (j < 3 && (uint8_t)(out[at + a + j] - 1) < RING_MOST)
+                j++;
+            return overflow(info, a + j, RING_MOST, out[at + a + j]);
         }
-        /* Q(p + 1) = Q(p) + out[p - 1]: p < i <= n - 1, so the step read
-           is one this loop has written */
-        if (p1 < i1)
-            v1 += out[p1++ - 1];
-        if (p2 < i2)
-            v2 += out[p2++ - 1];
-        int64_t val = v1 + v2;
-        if (val != prev && val != prev + 1) {
-            info[0] = n;
-            info[1] = prev;
-            info[2] = val;
-            return NOT_MONOTONE;
+        if (w + 16 > at + a + 4) {
+            info[0] = a + 4;
+            info[1] = w + 16;
+            info[2] = at + a + 4;
+            return OVERWRITE;
         }
-        out[n - 2] = (uint8_t)(val - prev);
-        ring[n & mask] = (uint32_t)val;
-        prev = val;
+        unsigned len = f >> 16, bits = (f & 0xffff) >> 1 | 1u << (len - 1);
+        uint64_t low = spread[bits & 0xff], high = spread[bits >> 8];
+        memcpy(out + w, &low, 8);
+        memcpy(out + w + 8, &high, 8);
+        w += len;
     }
-    *at = (struct steps){n, prev, p1, v1, p2, v2};
     return OK;
-}
-
-/* V's steps loop, one loop of its own */
-static __attribute__((noinline)) int
-v_steps(uint8_t *out, int64_t last, struct steps *at, uint32_t *ring,
-        int64_t *info)
-{
-    return steps_loop(out, last, 1, 4, at, ring, 7, info);
-}
-
-/* The steps out[0..7], each 0 or 1, as bits 0..7: byte k's bit goes to bit
-   56 + k of the product, with no carry into them */
-static inline uint64_t eight_steps(const uint8_t *out)
-{
-    uint64_t w;
-    memcpy(&w, out, 8);
-    return w * 0x0102040810204080u >> 56;
-}
-
-/* V's steps from where *at stands, its last terms in ring[] (mask 7),
-   KSTEPS terms a block while the blocks write inside out[0..n_max - 1] and
-   make steps of 0 or 1; then *at and ring[] where V stands, for the scalar
-   loop to go on from.  A read position p's next steps are out[p - 1] on,
-   read 8 at a time; the kernel takes over only where both positions lag
-   the term by 80 or more, so that every step they read is written.  A
-   block stores its steps eight bytes at once, the last two 0, for the next
-   block to overwrite. */
-static __attribute__((noinline)) void
-steps_kernel(uint8_t *out, int64_t n_max, struct steps *at, uint32_t *ring)
-{
-    int64_t n = at->n, q1 = at->p1 - 1, q2 = at->p2 - 1, nb1 = 64, nb2 = 64;
-    if ((at->p1 > at->p2 ? at->p1 : at->p2) + 80 > n)
-        return;
-    uint64_t buf1 = 0, buf2 = 0;
-    for (int k = 0; k < 64; k += 8) {
-        buf1 |= eight_steps(out + q1 + k) << k;
-        buf2 |= eight_steps(out + q2 + k) << k;
-    }
-    q1 += 64;
-    q2 += 64;
-    unsigned i = 0;
-    for (int j = 0; j < 4; j++) /* e(n-4..n-1) */
-        i |= (unsigned)out[n - 6 + j] << j;
-    i |= (unsigned)(buf1 & KMASK) << 4
-         | (unsigned)(buf2 & KMASK) << (4 + KSTEPS);
-    for (; n + KSTEPS <= n_max; n += KSTEPS) {
-        unsigned t = kstep[i], E = t & KMASK;
-        if (!E)
-            break;
-        uint64_t g1 = eight_steps(out + q1), g2 = eight_steps(out + q2);
-        /* E's bit j to bit 8 j of the product, with no carry into it */
-        uint64_t steps = (uint64_t)E * 0x0002040810204081u
-                         & 0x0101010101010101u;
-        memcpy(out + n - 2, &steps, 8);
-        /* the next index from the steps left, the refills above them */
-        unsigned d1 = t >> KSTEPS & 7, d2 = t >> (KSTEPS + 3);
-        uint64_t left1 = buf1 >> d1, left2 = buf2 >> d2;
-        i = E >> (KSTEPS - 4) | (unsigned)(left1 & KMASK) << 4
-            | (unsigned)(left2 & KMASK) << (4 + KSTEPS);
-        nb1 -= d1;
-        nb2 -= d2;
-        int take1 = nb1 <= 56, take2 = nb2 <= 56;
-        buf1 = left1 | (take1 ? g1 << nb1 : 0);
-        buf2 = left2 | (take2 ? g2 << nb2 : 0);
-        nb1 += take1 ? 8 : 0;
-        nb2 += take2 ? 8 : 0;
-        q1 += take1 ? 8 : 0;
-        q2 += take2 ? 8 : 0;
-    }
-    /* p1 = n - 1 - V(n-2) and p2 = n - 1 - V(n-5), so V(p1) + V(p2) =
-       V(n-1), and V(p2) - V(p1) is the sum of the steps between them */
-    int64_t p1 = q1 - nb1 + 1, p2 = q2 - nb2 + 1, gap = 0;
-    int64_t prev = n - 1 - p1 + out[n - 3];
-    for (int64_t p = p1; p < p2; p++)
-        gap += out[p - 1];
-    *at = (struct steps){n, prev, p1, (prev - gap) / 2, p2, (prev + gap) / 2};
-    for (int j = 1; j <= 4; j++) {
-        ring[(n - j) & 7] = (uint32_t)prev;
-        prev -= out[n - j - 2];
-    }
-}
-
-/* the term V's scalar steps loop reaches before its kernel takes over: the
-   read positions then lag it by about 128 */
-enum { STEPS_KERNEL_FROM = 256 };
-
-/* out[k - 1] = Q(k + 1) - Q(k) for k in [1, n_max]: Q runs to Q(n_max + 1)
-   and is not stored.  Its last s terms sit in the caller's ring, a power of
-   two of them larger than s (Q(i) at ring[i & mask]), and every older term
-   is read back from the steps already written by two cursors, Q(p) = 1 +
-   out[0] + ... + out[p - 2].  Q is non-decreasing with steps in {0, 1}
-   (checked as it runs), so both arguments n - Q(n-r) and n - Q(n-s) grow
-   by 0 or 1 a term, and each cursor moves at most one position per term.
-   The seed's steps, out[0..s-2], are zero.  V's steps run their first
-   terms in the scalar loop, their middle in steps_kernel and their last
-   six or more in the scalar loop again, which returns every status. */
-int vseq_steps(uint8_t *out, int64_t n_max, int64_t r, int64_t s,
-               uint32_t *ring, int64_t mask, int64_t *info)
-{
-    memset(out, 0, (size_t)(s - 1 < n_max ? s - 1 : n_max));
-    for (int64_t i = 1; i <= s; i++)
-        ring[i & mask] = 1;
-    struct steps at = {s + 1, 1, s, 1, s, 1};
-    if (r == 1 && s == 4 && mask == 7) { /* V's loop, with its constants */
-        if (n_max > STEPS_KERNEL_FROM) {
-            int status = v_steps(out, STEPS_KERNEL_FROM - 1, &at, ring, info);
-            if (status != OK)
-                return status;
-            steps_kernel(out, n_max, &at, ring);
-        }
-        return v_steps(out, n_max + 1, &at, ring, info);
-    }
-    return steps_loop(out, n_max + 1, r, s, &at, ring, mask, info);
 }
 
 /* The byte sum and maximum go 64 bytes at a time, a block loop that gcc

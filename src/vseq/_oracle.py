@@ -1,7 +1,7 @@
 """The compiled loops of ``_oracle.c``, built on first use: the Q_{r,s}
 recursion and count for the oracle, the count resumed into a ring that keeps
-F's windows at planned indices, the loop that writes V's steps and reads V's
-older terms back from them, the byte sum and maximum, the tuple join that
+F's windows at planned indices, the pass that rewrites V's counts in place
+as V's steps, the byte sum and maximum, the tuple join that
 numbers the rule scan's windows and the kernel probe's blocks, and the rule
 scan's compare of each a's image pair with its window's.
 
@@ -43,7 +43,8 @@ COMPILE = ("cc", "-O2", "-falign-loops=64", "-shared", "-fPIC")
 
 # the statuses of _oracle.c, and what vseq_join returns for ids wider than
 # its output's and for a hash table half full
-OK, DEAD, NOT_MONOTONE, COUNT_OVERFLOW, VALUE_OVERFLOW, UNSETTLED, RING_SHORT = range(7)
+(OK, DEAD, NOT_MONOTONE, COUNT_OVERFLOW, VALUE_OVERFLOW, UNSETTLED, RING_SHORT,
+ OVERWRITE, TOO_FEW) = range(9)
 WIDER, FULL = -2, -3
 
 # array typecodes of the id widths the join writes: 1, 2, 4 bytes
@@ -77,24 +78,22 @@ def _pointer(view: memoryview):
 
 
 class Oracle:
-    """The loops of _oracle.c: the four oracle loops, which return a status
-    and info[3], the byte passes, the join, and the image-pair check.  Each
-    pass checks the format, length and bounds of its buffers before it
-    passes pointers."""
+    """The loops of _oracle.c: the three oracle loops and the in-place
+    steps pass, which return a status and info[3], the byte passes, the
+    join, and the image-pair check.  Each pass checks the format, length
+    and bounds of its buffers before it passes pointers."""
 
     def __init__(self, lib: ctypes.CDLL):
         i64 = ctypes.c_int64
         lib.vseq_qrs.argtypes = [ctypes.POINTER(ctypes.c_uint32), i64, i64, i64,
                                  i64, ctypes.POINTER(i64)]
-        lib.vseq_count.argtypes = [ctypes.POINTER(ctypes.c_uint8), i64, i64, i64,
-                                   ctypes.POINTER(ctypes.c_uint32), i64,
-                                   ctypes.POINTER(i64)]
         ptr = ctypes.c_void_p
+        lib.vseq_count.argtypes = [ptr, i64, i64, i64, ptr, i64, ptr]
         lib.vseq_ring_count.argtypes = [ptr, i64, ptr, i64, i64, i64, ptr, i64,
                                         ptr, ctypes.POINTER(i64)]
-        lib.vseq_steps.argtypes = [ptr, i64, i64, i64, ptr, i64, ptr]
+        lib.vseq_unary.argtypes = [ptr, i64, i64, i64, ptr]
         for fn in (lib.vseq_qrs, lib.vseq_count, lib.vseq_ring_count,
-                   lib.vseq_steps):
+                   lib.vseq_unary):
             fn.restype = ctypes.c_int
         for fn in (lib.vseq_byte_sum, lib.vseq_byte_max):
             fn.argtypes = [ptr, i64]
@@ -117,14 +116,14 @@ class Oracle:
         status = self._lib.vseq_qrs(view, r, s, done, len(q), info)
         return status, list(info)
 
-    def count(self, counts: bytearray, r: int, s: int) -> tuple[int, list[int]]:
+    def count(self, counts, r: int, s: int) -> tuple[int, list[int]]:
         """counts[a] = #{n : Q_{r,s}(n) = a} for a below len(counts), into
-        counts zeroed but for counts[1] = s, the seed's; Q's last s terms go
-        in a ring of a power of two above s."""
+        the writable byte buffer counts, zeroed but for counts[1] = s, the
+        seed's; Q's last s terms go in a ring of a power of two above s."""
+        counts = _view(counts, "B", "count's counts", writable=True)
         info = (ctypes.c_int64 * 3)()
-        view = (ctypes.c_uint8 * len(counts)).from_buffer(counts)
         ring = (ctypes.c_uint32 * (1 << s.bit_length()))()
-        status = self._lib.vseq_count(view, len(counts) - 1, r, s,
+        status = self._lib.vseq_count(_pointer(counts), len(counts) - 1, r, s,
                                       ring, len(ring) - 1, info)
         return status, list(info)
 
@@ -158,18 +157,20 @@ class Oracle:
             _pointer(memoryview(windows)), info)
         return status, list(info), windows
 
-    def steps(self, out, r: int, s: int) -> tuple[int, list[int]]:
-        """out[k - 1] = Q_{r,s}(k + 1) - Q_{r,s}(k) for k in [1, len(out)],
-        s > r >= 1, into the writable byte buffer out, reading Q's older
-        terms back from the steps written; Q's last s terms go in a ring of
-        a power of two above s."""
-        out = _view(out, "B", "steps' out", writable=True)
-        if not s > r >= 1:
-            raise ValueError(f"need s > r >= 1, got r={r}, s={s}")
+    def unary(self, out, n: int, a_max: int) -> tuple[int, list[int]]:
+        """V's steps on [1, n], out[k - 1] = V(k + 1) - V(k), written front
+        to back over F(0..a_max), the counts that count left in the last
+        a_max + 1 bytes of the writable byte buffer out: F's counts in
+        unary, four at a time.  A count outside 1..4 is COUNT_OVERFLOW, a
+        store that would reach a count not yet read OVERWRITE, and counts
+        that run out, in whole blocks of four, before the steps pass n
+        TOO_FEW; none writes outside out."""
+        out = _view(out, "B", "unary's out", writable=True)
+        if not 0 <= a_max < len(out) or n < 0:
+            raise ValueError(f"unary takes F(0..{a_max}) at the end of "
+                             f"{len(out)} bytes, and n >= 0")
         info = (ctypes.c_int64 * 3)()
-        ring = (ctypes.c_uint32 * (1 << s.bit_length()))()
-        status = self._lib.vseq_steps(_pointer(out), len(out), r, s, ring,
-                                      len(ring) - 1, info)
+        status = self._lib.vseq_unary(_pointer(out), len(out), a_max, n, info)
         return status, list(info)
 
     def byte_sum(self, vals) -> int:

@@ -230,6 +230,15 @@ def _raise(status: int, info: list[int], label: str, partial) -> None:
         raise RuntimeError(f"a ring of {size} counts is too short: counting "
                            f"{label} = {value}, a read position lags {lag} "
                            "values behind")
+    if status == _oracle.OVERWRITE:
+        value, end, at = info
+        raise RuntimeError(f"{label}'s steps to byte {end} would overwrite "
+                           f"the count of {label} = {value}, at byte {at}, "
+                           "before it is read")
+    if status == _oracle.TOO_FEW:
+        a, terms, n = info
+        raise RuntimeError(f"the counts of {label} = 1..{a} hold {terms} "
+                           f"terms, too few for {label}'s steps to {n}")
 
 
 def _recursion(r: int, s: int, n_max: int, label: str) -> SequenceTable:
@@ -324,57 +333,36 @@ def _frequency_py(r: int, s: int, a_max: int, label: str) -> bytearray:
     return counts
 
 
-def _steps(r: int, s: int, n: int, label: str) -> bytearray:
-    """out[k - 1] = Q_{r,s}(k + 1) - Q_{r,s}(k) for k in [1, n], compiled
-    when possible; Q is generated and checked as in _steps_py.  Like the
-    count, the compiled loop keeps only Q's last s terms, and reads the
-    older ones back from the steps it has written (see _oracle.c), so the
-    steps are all the memory it takes."""
+def _v_steps(n: int) -> bytearray:
+    """out[k - 1] = V(k + 1) - V(k) for k in [1, n].  V is slow, so
+    V(p) = a exactly when S(a - 1) < p <= S(a): its steps are F's counts
+    in unary, 0^(F(a) - 1) 1 for a = 1, 2, ...  F is counted to a_max, at
+    least n // 2 + 64 and a multiple of four, the counts the compiled pass
+    reads at a time: S(a) - 2a lies in [-37, 2] for a up to 2^26, falling
+    about 1.5 a doubling, so S(a_max) > n.  The compiled count writes F
+    into the tail of the steps' own buffer of n + 128 bytes, about n / 2
+    bytes ahead of the steps' front, for the pass to rewrite them as steps
+    in place, front to back; the buffer is then trimmed to n.  Without the
+    library, _frequency_py's counts are written in unary.  Counts too few
+    for n + 1 terms, S(a_max) <= n, are refused, never returned as short
+    steps."""
+    from . import _oracle
+    a_max = 4 * (n // 8 + 17)
     lib = _library() if n >= COMPILED_FROM else None
     if lib is None:
-        return _steps_py(r, s, n, label)
-    out = bytearray(n)
-    status, info = lib.steps(out, r, s)
-    _raise(status, info, label,
-           lambda n: _recursion(r, s, n - 1, label).values)
-    return out
-
-
-def _steps_py(r: int, s: int, n: int, label: str) -> bytearray:
-    """The reference loop of _steps.
-
-    Q(p) = 1 + out[0] + ... + out[p - 2], so two cursors (p, Q(p)) read
-    the terms at the arguments n - Q(n-r) and n - Q(n-s) back from the
-    steps.  A step outside {0, 1} raises before it is written; as long as
-    none is, both arguments grow by 0 or 1 a term, and each cursor moves
-    at most one position per term.
-    """
-    out = bytearray(n)
-    mask = (1 << s.bit_length()) - 1
-    ring = [1] * (mask + 1)  # Q(i) at ring[i & mask]: the seed's ones
-    p1 = p2 = s  # the cursors, at Q(s) = 1
-    v1 = v2 = prev = 1
-    for m in range(s + 1, n + 2):
-        i1 = m - ring[(m - r) & mask]
-        i2 = m - ring[(m - s) & mask]
-        if i1 < 1 or i2 < 1:
-            raise DeadSequence(label, m, min(i1, i2),
-                               _recursion_py(r, s, m - 1, label).values)
-        if i1 >= m or i2 >= m:
-            raise RuntimeError(f"{label}({m}) read {label}({max(i1, i2)}) "
-                               "before it was final")
-        if p1 < i1:
-            v1 += out[p1 - 1]
-            p1 += 1
-        if p2 < i2:
-            v2 += out[p2 - 1]
-            p2 += 1
-        val = v1 + v2
-        if val != prev and val != prev + 1:
-            raise MonotonicityViolation(
-                f"{label}({m - 1}) = {prev} followed by {label}({m}) = {val}")
-        out[m - 2] = val - prev
-        ring[m & mask] = prev = val
+        out = bytearray().join(bytes(c - 1) + b"\1"
+                               for c in _frequency_py(1, 4, a_max, "V")[1:])
+        status = _oracle.OK if len(out) > n else _oracle.TOO_FEW
+        info = [a_max, len(out), n]
+    else:
+        out = bytearray(n + 128)
+        with memoryview(out)[-a_max - 1:] as counts:
+            counts[1] = 4  # V(1..4) = 1
+            status, info = lib.count(counts, 1, 4)
+        _raise(status, info, "V", lambda n: _recursion(1, 4, n - 1, "V").values)
+        status, info = lib.unary(out, n, a_max)
+    _raise(status, info, "V", None)
+    del out[n:]
     return out
 
 
@@ -493,13 +481,13 @@ def first_difference(t: SequenceTable | int) -> SequenceTable:
 
     Given an int n >= 1 instead of a table, the first difference of V on
     [1, n], byte for byte ``first_difference(gen_v(n + 1))``, in a
-    bytearray: V's recursion runs to V(n + 1) and writes each step straight
-    into it, reading V's older terms back from the steps already written
-    (see _steps), so the n steps are all it holds.
+    bytearray: F is counted into the tail of it and rewritten in place as
+    V's steps, its counts in unary (see _v_steps), so the n steps, and 128
+    bytes more until they are trimmed, are all it holds.
     """
     if not isinstance(t, SequenceTable):
         n = _size(t, "n", 1)
-        return SequenceTable(1, n, _steps(1, 4, n, "V"), "diff(V)")
+        return SequenceTable(1, n, _v_steps(n), "diff(V)")
     if len(t) < 2:
         raise ValueError("need at least 2 entries")
     for code in "BbHhIiq":

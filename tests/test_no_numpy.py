@@ -101,9 +101,10 @@ def test_compiled_certify_loads_no_numpy(tmp_path, truth_a, truth_b, kind):
 
 @pytest.mark.parametrize("sequence", PROBE_AT_DEFAULTS)
 def test_compiled_probe_loads_no_numpy(tmp_path, sequence):
-    # vdiff's steps are written in place, and each probe joins its levels
-    # from the bytes and the ids before them: no pass needs numpy at the
-    # defaults, whose prefix 4096 is a power of the base
+    # vdiff's steps are F's counts rewritten in place in their own buffer,
+    # and each probe joins its levels from the bytes and the ids before
+    # them: no pass needs numpy at the defaults, whose prefix 4096 is a
+    # power of the base
     if _oracle.library() is None:
         pytest.skip("no C compiler: the Python loops would count F for minutes")
     stdout, _ = _same_blocked_or_not(CLI, ["probe", "--sequence", sequence], tmp_path)

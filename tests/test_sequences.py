@@ -251,32 +251,6 @@ def test_first_difference_of_n_is_v_steps_at_any_n(n):
     _assert_v_steps(n)
 
 
-@pytest.mark.parametrize("ns", [range(1, 301), [2 ** 16 + 5, 2 ** 20 + 3]],
-                         ids=["1-300", "large"])
-def test_steps_match_the_python_loop(ns):
-    # vseq_steps writes every step itself, the seed's zeros too: out starts
-    # as ones, not zeros
-    lib = _oracle.library()
-    if lib is None:
-        pytest.skip("no C compiler: only the Python loops run here")
-    for n in ns:
-        out = bytearray(b"\1" * n)
-        assert lib.steps(out, 1, 4) == (_oracle.OK, [0, 0, 0]), n
-        assert out == sequences._steps_py(1, 4, n, "V"), n
-
-
-def test_steps_checks_match_the_python_loop():
-    # these Q_{r,s} take a step past 1: both loops stop at the same term and
-    # raise the same MonotonicityViolation, at the seed's end or after it
-    # (Q[1,10] at n = 35, so its steps to n = 33 are all in {0, 1})
-    for r, s, n in ((1, 2, 10 ** 5), (2, 3, 10 ** 5), (2, 5, 10 ** 5),
-                    (1, 10, 10 ** 5), (3, 7, 10 ** 5), (1, 10, 33)):
-        got = [_outcome(lambda: _on(engine, sequences._steps, r, s, n, "Q"))
-               for engine in _engines()]
-        assert got[0][0] is (bytearray if n == 33 else MonotonicityViolation)
-        assert got[1:] in ([], [got[0]]), (r, s, got)
-
-
 def test_first_difference_of_n_holds_the_steps_alone():
     # the steps, 4 MB at 2^22, and neither V (16 MB) nor F (2 MB) beside them
     gen_f(COMPILED_FROM)  # loads the compiled loops before tracing
@@ -361,7 +335,7 @@ ORACLE_CALLS = {
     "kernel_probe(F to 2^20)": (lambda: kernel_probe(gen_f(2 ** 20), 2, 8, 256),
                                 lambda: _on("python", kernel_probe, gen_f(2 ** 20), 2, 8, 256)),
     "first_difference(2^20 + 3)": (lambda: first_difference(2 ** 20 + 3).values,
-                                   lambda: sequences._steps_py(1, 4, 2 ** 20 + 3, "V")),
+                                   lambda: bytearray(first_difference(gen_v(2 ** 20 + 4)).values)),
 }
 
 
@@ -488,31 +462,45 @@ for r, s in ((2, 5), (1, 10)):
     a, b = both(lambda: raised(lambda: gen_qrs(r, s, 10 ** 5)))
     assert a == b != None, (a, b)
 
-# V's steps written in place, each read back by the cursors, against the
-# Python loop; and a Q_{r,s} whose step past 1 stops both loops
+# V's steps rewritten in place from its counts, against the Python loop's
+# counts written in unary
 for n in (2 ** 15 + 3, 2 ** 16):
     a, b = both(lambda: bytes(first_difference(n).values))
     assert a == b
-a, b = both(lambda: raised(lambda: sequences._steps(1, 2, 10 ** 5, "Q")))
-assert a == b != None, (a, b)
 
-# V's kernel, six terms a block: counts and steps from before its entry
-# (V = 129, term 256) past its first blocks, and in every phase of its
-# last block against the end, into numpy buffers of the exact length (a
-# bytearray keeps a byte past its end), so that the blocks' eight-byte
-# stores, the cursors' four- and eight-byte loads and the scalar loop
-# that finishes each run stay inside them
+# V's kernel, six terms a block: counts from before its entry (V = 129)
+# past its first blocks, and in every phase of its last block against the
+# end, into numpy buffers of the exact length (a bytearray keeps a byte
+# past its end), so that the blocks' eight-byte stores, the cursors'
+# four-byte loads and the scalar loop that finishes each run stay inside
+# them
 want = sequences._frequency_py(1, 4, 2 ** 13 + 12, "V")
 for a_max in (*range(125, 150), *range(2 ** 13, 2 ** 13 + 12)):
     counts = np.zeros(a_max + 1, np.uint8)
     counts[1] = 4
     assert lib.count(counts, 1, 4) == (_oracle.OK, [0, 0, 0]), a_max
     assert counts.tobytes() == want[:a_max + 1], a_max
-want = sequences._steps_py(1, 4, 2 ** 14 + 12, "V")
+# the count into the tail of the steps' buffer and the pass that rewrites
+# it as V's steps, in buffers of the exact length, at every phase of the
+# pass's last block of four counts against n; and the pass's refusals
+# there: a store that would reach an unread count, and too few counts
+want = bytes(first_difference(gen_v(2 ** 14 + 13)).values)
 for n in (*range(250, 280), *range(2 ** 14, 2 ** 14 + 12)):
-    out = np.ones(n, np.uint8)
-    assert lib.steps(out, 1, 4) == (_oracle.OK, [0, 0, 0]), n
-    assert out.tobytes() == want[:n], n
+    a_max = 4 * (n // 8 + 17)
+    for size in (n + 128, a_max + 21):
+        out = np.zeros(size, np.uint8)
+        out[-a_max] = 4  # F(1)
+        assert lib.count(out[-a_max - 1:], 1, 4) == (_oracle.OK, [0, 0, 0]), n
+        status, info = lib.unary(out, n, a_max)
+        if size == n + 128:
+            assert (status, out[:n].tobytes()) == (_oracle.OK, want[:n]), n
+        else:
+            assert status == _oracle.OVERWRITE and info[1] > info[2] == 20 + info[0], info
+    few = n // 4
+    out = np.zeros(n + 128, np.uint8)
+    out[-few] = 4
+    assert lib.count(out[-few - 1:], 1, 4) == (_oracle.OK, [0, 0, 0]), n
+    assert lib.unary(out, n, few)[0] == _oracle.TOO_FEW, n
 # a count planted at V = 100 that a read position reaches as 5 while the
 # kernel runs: the kernel hands back mid-count, and the scalar loop goes
 # on to V's step of 2, as in a copy of the library whose kernel tables
@@ -703,20 +691,6 @@ def test_count_kernel_equals_the_python_loop_at_its_entry_and_exit():
         assert gen_f(a_max).values == want[:a_max + 1], a_max
 
 
-def test_steps_kernel_equals_the_python_loop_at_its_entry_and_exit():
-    # the kernel takes over at term 256 and writes blocks of six steps,
-    # eight bytes at once: out starts as ones, and every byte must be the
-    # step; first_difference compiled from 2^14 on
-    lib = _compiled()
-    want = sequences._steps_py(1, 4, 2 ** 14 + 600, "V")
-    for n in range(250, 400):
-        out = bytearray(b"\1" * n)
-        assert lib.steps(out, 1, 4) == (_oracle.OK, [0, 0, 0]), n
-        assert out == want[:n], n
-    for n in range(2 ** 14, 2 ** 14 + 601):
-        assert first_difference(n).values == want[:n], n
-
-
 @pytest.mark.parametrize("call, digest", [
     (lambda: gen_f(2 ** 24),
      "e425707a5fa3dd1e6bb941b964275637ce53ac1a56b7caf6e8bd7ec169ac8ec5"),
@@ -763,6 +737,91 @@ def test_count_kernel_hands_back_to_the_scalar_loop(tmp_path, value, planted):
         assert status == _oracle.OK
     else:  # a term past the kernel's entry, at about V = 128
         assert status == _oracle.NOT_MONOTONE and info[0] > 256, info
+
+
+# -- V's steps rewritten in place from its counts --------------------------------
+
+def _raw_unary(lib: ctypes.CDLL, counts: bytes, at: int, n: int) -> tuple:
+    """vseq_unary through lib over a buffer of at zeros and then counts,
+    F(0..len(counts) - 1), between two guards of 64 bytes: status, info,
+    the buffer, and whether the guards are intact."""
+    i64 = ctypes.c_int64
+    size = at + len(counts)
+    mem = bytearray(b"\xaa" * 64 + bytes(at) + counts + b"\xaa" * 64)
+    info = (i64 * 3)()
+    status = lib.vseq_unary((ctypes.c_uint8 * size).from_buffer(mem, 64), i64(size),
+                            i64(len(counts) - 1), i64(n), info)
+    return status, list(info), bytes(mem[64:-64]), mem[:64] + mem[-64:] == b"\xaa" * 128
+
+
+# F(0..568), the counts first_difference(1000) reads, and V's steps to 1200
+F568 = bytes(sequences._frequency_py(1, 4, 568, "V"))
+V_STEPS = bytes(first_difference(gen_v(1201)).values)
+
+
+def test_unary_pass_writes_v_steps_while_its_counts_cover_n():
+    # S(568) = 1,126: the counts cover n = 1,125 steps and their next term,
+    # and not n = 1,126, whose step V(1127) - V(1126) they cannot tell
+    lib = _compiled()._lib
+    total = sum(F568)
+    status, info, out, guards = _raw_unary(lib, F568, total + 127 - 568, total - 1)
+    assert (status, out[:total - 1], guards) == (_oracle.OK, V_STEPS[:total - 1], True)
+    status, info, _, guards = _raw_unary(lib, F568, total + 128 - 568, total)
+    assert (status, info, guards) == (_oracle.TOO_FEW, [568, total, total], True)
+    # counts to 570 read in whole blocks of four, through F(568)
+    status, info, _, _ = _raw_unary(lib, F568 + b"\1\1", total + 130 - 570, total)
+    assert (status, info) == (_oracle.TOO_FEW, [568, total, total])
+    with pytest.raises(RuntimeError, match=rf"V = 1\.\.568 hold {total} terms, too few "
+                       rf"for V's steps to {total}"):
+        sequences._raise(status, info, "V", None)
+
+
+def test_first_difference_refuses_counts_too_few_without_the_library():
+    # the Python loop's counts, cut to F(1..3) = 4, 1, 1: 6 terms, which
+    # tell V's steps to 5 and not to 6
+    counts = sequences._frequency_py
+
+    def short(r, s, a_max, label):
+        return counts(r, s, a_max, label)[:4]
+
+    with mock.patch.object(sequences, "_frequency_py", short):
+        assert bytes(_on("python", first_difference, 5).values) == V_STEPS[:5]
+        with pytest.raises(RuntimeError, match=r"V = 1\.\.68 hold 6 terms, too few "
+                           r"for V's steps to 6"):
+            _on("python", first_difference, 6)
+
+
+@pytest.mark.parametrize("planted", [0, 5])
+def test_unary_pass_refuses_a_count_outside_1_to_4(planted):
+    # F(301) leads the block of F(301..304): the blocks before it are
+    # written, and the counts past it left as they were
+    lib = _compiled()._lib
+    counts = bytearray(F568)
+    counts[301] = planted
+    at = 1000 + 128 - 569
+    status, info, out, guards = _raw_unary(lib, counts, at, 1000)
+    assert (status, info, guards) == (_oracle.COUNT_OVERFLOW, [301, 4, planted], True)
+    written = sum(F568[1:301])
+    assert out[:written] == V_STEPS[:written]
+    assert out[at + 301:] == counts[301:]
+    with pytest.raises(ValueError, match="V skips the value 301" if planted == 0
+                       else "V takes the value 301 more than 4 times"):
+        sequences._raise(status, info, "V", None)
+
+
+@pytest.mark.parametrize("at, refused", [(4, [5, 16, 9]), (20, [17, 38, 37])],
+                         ids=["first-store", "mid-pass"])
+def test_unary_pass_refuses_to_overwrite_an_unread_count(at, refused):
+    # the counts 4 and 20 bytes into the buffer: the first store would reach
+    # F(5), or the store of F(13..16), from S(12) = 22 on, would reach F(17)
+    lib = _compiled()._lib
+    status, info, out, guards = _raw_unary(lib, F568, at, 1000)
+    assert (status, info, guards) == (_oracle.OVERWRITE, refused, True)
+    value, end, place = info
+    assert out[:end - 16] == V_STEPS[:end - 16] and out[place:] == F568[value:]
+    with pytest.raises(RuntimeError, match=rf"V's steps to byte {end} would overwrite "
+                       rf"the count of V = {value}, at byte {place}, before it is read"):
+        sequences._raise(status, info, "V", None)
 
 
 # -- the ring count --------------------------------------------------------------
