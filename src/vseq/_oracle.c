@@ -1,20 +1,20 @@
 /* The Q_{r,s} recursion Q(n) = Q(n - Q(n-r)) + Q(n - Q(n-s)) under the
    all-ones seed Q(1..s) = 1, compiled for sequences.py, which loads it with
    ctypes and keeps the same loops in Python as the reference.  vseq_qrs
-   stores Q; vseq_count keeps only the counts F(a) = #{n : Q(n) = a}, reading
-   Q's earlier terms back from them; vseq_ring_count resumes a finished
-   count of V's, its read positions reading the finished counts in place
-   until they pass them, keeps the counts past them in a ring, two bits a
-   count, and keeps only the windows of F a plan names; vseq_unary rewrites
-   V's counts in place as V's steps V(k+1) - V(k).  V's flat count takes
-   six terms a table lookup between its first terms and its last
-   (count_kernel): a 128 KB table, which vseq_init builds once as the
-   library loads, maps V's last four steps and the next six at each read
-   position to V's next six steps and how far each read position moves.
-   The kernel stops short of the end, and hands any block it cannot take (a
-   count not yet final or outside 1..4, a step of 2, a count past 4) back to
-   the scalar loop with its exact state, so the scalar loop returns every
-   status.  The four
+   stores Q; vseq_count keeps only the counts F(a) = #{n : V(n) = a} of
+   V = Q_{1,4}, seeding them itself and reading V's earlier terms back from
+   them; vseq_ring_count resumes a finished count of V's from the counts
+   alone, its read positions reading them in place until they pass them,
+   keeps the counts past them in a ring, two bits a count, and keeps only
+   the windows of F a plan names; vseq_unary rewrites V's counts in place
+   as V's steps V(k+1) - V(k).  V's flat count takes six terms a table
+   lookup between its first terms and its last (count_kernel): a 128 KB
+   table, which vseq_init builds once as the library loads, maps V's last
+   four steps and the next six at each read position to V's next six steps
+   and how far each read position moves.  The kernel stops short of the
+   end, and hands any block it cannot take (a count not yet final or
+   outside 1..4, a step of 2, a count past 4) back to the scalar loop with
+   its exact state, so the scalar loop returns every status.  The four
    return a status; info[] carries what the caller needs to raise:
      DEAD           info = {n, argument}  an argument left [1, n-1]
      NOT_MONOTONE   info = {n, Q(n-1), Q(n)}
@@ -38,10 +38,8 @@
                                           steps to n
    In vseq_qrs, Q(i) lives at q[i - 1].
 
-   Four more passes, whose plain-Python loops run where no library loads;
+   Three more passes, whose plain-Python loops run where no library loads;
    ids are 1, 2 or 4 bytes wide:
-     vseq_byte_sum        the sum of n bytes, for sequences.count_windows:
-                          the number of terms a finished count holds
      vseq_byte_max        the largest of n bytes, the bound k of the ids a
                           tuple join reads from bytes
      vseq_join            for sequences.join_ids: one id per tuple of parts
@@ -98,13 +96,13 @@ int vseq_qrs(uint32_t *q, int64_t r, int64_t s, int64_t n_done, int64_t n_max,
     return OK;
 }
 
-/* A read position in F's prefix sums: Q(p) = value exactly when
+/* A read position in F's prefix sums: V(p) = value exactly when
    below < p <= top = below + counts[value], with below = S(value - 1) and
-   S(a) = #{n : Q(n) <= a}.  top is as read when the cursor last looked:
-   the count at value may still be growing while value is Q's latest term,
+   S(a) = #{n : V(n) <= a}.  top is as read when the cursor last looked:
+   the count at value may still be growing while value is V's latest term,
    so over a flat table a position past top is looked up again before the
    cursor moves.  Over a ring, whose counts are dearer to read, the count
-   moves the top of a cursor at Q's latest term with each term it counts,
+   moves the top of a cursor at V's latest term with each term it counts,
    so that a top is never looked up again. */
 struct cursor {
     int64_t value, below, top;
@@ -122,10 +120,10 @@ count_of(const uint8_t *counts, int flat, int64_t cmask, int64_t a)
     return (counts[(a & cmask) >> 2] >> 2 * (a & 3) & 3) + 1;
 }
 
-/* Move c to Q(p).  Q is non-decreasing with steps in {0, 1} (checked as it
-   is counted), so both arguments n - Q(n-r) and n - Q(n-s) are
+/* Move c to V(p).  V is non-decreasing with steps in {0, 1} (checked as it
+   is counted), so both arguments n - V(n-1) and n - V(n-4) are
    non-decreasing in n and a cursor only moves forward; it may pass only
-   counts below latest = Q(n-1), the ones that are final. */
+   counts below latest = V(n-1), the ones that are final. */
 static inline __attribute__((always_inline)) int
 seek(const uint8_t *counts, int flat, int64_t cmask, struct cursor *c,
      int64_t p, int64_t latest)
@@ -143,10 +141,10 @@ seek(const uint8_t *counts, int flat, int64_t cmask, struct cursor *c,
     return OK;
 }
 
-/* Move c towards Q(p) 64 counts at a time, passing a block only when Q(p)
+/* Move c towards V(p) 64 counts at a time, passing a block only when V(p)
    lies past it and every count in it is final (below latest); seek then
-   finishes the move.  A resumed count calls it once per cursor, so that it
-   does not step through all of F one count at a time: a plain block sum
+   finishes the move.  A resumed count calls it for its cursors' start, so
+   that it does not step through all of F one count at a time: a plain block sum
    runs several times faster than seek's loop, but slows every step of the
    count if seek does it.  counts is flat. */
 static void skip(const uint8_t *counts, struct cursor *c, int64_t p,
@@ -163,32 +161,41 @@ static void skip(const uint8_t *counts, struct cursor *c, int64_t p,
     }
 }
 
-/* The start of a count that resumes the flat counts, which hold
-   Q(1..done), done >= s, for the values up to latest: Q(done - s + 1..done)
-   into the ring of Q's terms, 1 in the seed and read back from the counts
-   past it, *prev = Q(done), and c moved towards the read position of
-   n = done + 1, which is at least done + 1 - Q(done). */
-static inline __attribute__((always_inline)) int
-resume(const uint8_t *counts, int64_t latest, int64_t s, int64_t done,
-       uint32_t *ring, int64_t mask, struct cursor *c, int64_t *prev,
-       int64_t *info)
+/* The sum of n bytes, 64 at a time, a block loop that gcc vectorizes at
+   -O2 (two to four times the speed of a plain loop), then byte by byte
+   past the last block. */
+static int64_t byte_sum(const uint8_t *v, int64_t n)
 {
-    struct cursor back = {1, 0, 0};
-    *prev = 1;
-    skip(counts, &back, done - s + 1, latest);
-    for (int64_t i = done - s + 1; i <= done; i++) {
-        if (i > s) {
-            if (seek(counts, 1, -1, &back, i, latest) != OK) {
-                info[0] = done + 1;
-                info[1] = i;
-                return UNSETTLED;
-            }
-            *prev = back.value;
-        }
-        ring[i & mask] = (uint32_t)*prev;
+    int64_t sum = 0, i = 0;
+    for (; i + 64 <= n; i += 64) {
+        uint32_t block = 0;
+        for (int j = 0; j < 64; j++)
+            block += v[i + j];
+        sum += block;
     }
-    skip(counts, c, done + 1 - *prev, *prev);
-    return OK;
+    for (; i < n; i++)
+        sum += v[i];
+    return sum;
+}
+
+/* The start of a count of V that resumes the flat counts pre[0..p], p >= 1:
+   their sum done = S(p) = #{n : V(n) <= p} into *done, V(done - 3..done)
+   into the ring of V's terms, read off the top counts p, p - 1, ... (V is
+   slow, so V(done) = p, and the read stops at V = 1, whatever the counts
+   hold), *prev = V(done), and c moved towards the read position of
+   n = done + 1, which is at least done + 1 - V(done). */
+static void resume(const uint8_t *pre, int64_t p, uint32_t *ring,
+                   struct cursor *c, int64_t *done, int64_t *prev)
+{
+    *done = byte_sum(pre + 1, p);
+    int64_t a = p, below = *done - pre[p];
+    for (int64_t i = *done; i > *done - 4; i--) {
+        while (i <= below && a > 1)
+            below -= pre[--a];
+        ring[i & 7] = (uint32_t)a;
+    }
+    *prev = ring[*done & 7];
+    skip(pre, c, *done + 1 - *prev, *prev);
 }
 
 static int overflow(int64_t *info, int64_t value, int64_t bound, int64_t count)
@@ -204,7 +211,7 @@ static int overflow(int64_t *info, int64_t value, int64_t bound, int64_t count)
    ring itself */
 enum { FLAT, PREFIX, RING };
 
-/* Where a count stands between two loops: the next term n, prev = Q(n-1),
+/* Where a count stands between two loops: the next term n, prev = V(n-1),
    the cursors, at or before the read positions of n, and the planned
    windows not yet copied out */
 struct count {
@@ -228,9 +235,10 @@ copy_out(struct count *at, const uint8_t *pre, int64_t p,
                              : count_of(counts, 0, cmask, a);
 }
 
-/* The loop of both counts from at->n until Q first reaches a_max + 1.
-   Each caller passes mode as a constant, so that each mode gets a loop of
-   its own.  Only a PREFIX loop reads pre and p.  FLAT counts are a table
+/* The loop of both counts of V from at->n until V first reaches
+   a_max + 1, V's last four terms in ring[] (V(i) at ring[i & 7]).  Each
+   caller passes mode as a constant, so that each mode gets a loop of its
+   own.  Only a PREFIX loop reads pre and p.  FLAT counts are a table
    (cmask and the planned windows unused); otherwise they are a ring of
    cmask + 1 counts of two bits
    (count_of).  There a value's first term leaves its zeroed slot, which
@@ -248,8 +256,8 @@ copy_out(struct count *at, const uint8_t *pre, int64_t p,
    starts, so that they take no register from the loop. */
 static inline __attribute__((always_inline)) int
 count_loop(int mode, const uint8_t *pre, int64_t p, uint8_t *counts,
-           int64_t cmask, int64_t a_max, int64_t r, int64_t s,
-           struct count *at, uint32_t *ring, int64_t mask, int64_t *info)
+           int64_t cmask, int64_t a_max, struct count *at, uint32_t *ring,
+           int64_t *info)
 {
     int flat = mode == FLAT;
     struct cursor c1 = at->c1, c2 = at->c2;
@@ -262,7 +270,7 @@ count_loop(int mode, const uint8_t *pre, int64_t p, uint8_t *counts,
     if (flat)
         cmask = -1;
     for (int64_t n = at->n;; n++) {
-        int64_t i1 = n - ring[(n - r) & mask], i2 = n - ring[(n - s) & mask];
+        int64_t i1 = n - ring[(n - 1) & 7], i2 = n - ring[(n - 4) & 7];
         if (i1 < 1 || i2 < 1) {
             info[0] = n;
             info[1] = i1 < i2 ? i1 : i2;
@@ -344,7 +352,7 @@ count_loop(int mode, const uint8_t *pre, int64_t p, uint8_t *counts,
                 c2.top += c2.value == val;
             }
         }
-        ring[n & mask] = (uint32_t)val;
+        ring[n & 7] = (uint32_t)val;
     }
 }
 
@@ -451,7 +459,7 @@ static inline uint32_t four_counts(const uint8_t *counts, int64_t a)
 }
 
 /* The read position p's next steps from the flat counts: those left in the
-   run of Q(p), which c, at p or at p + 1, holds or follows, then the counts'
+   run of V(p), which c, at p or at p + 1, holds or follows, then the counts'
    steps from the next value on, read while final (below latest) and 1..4;
    0 where they run out before buf holds 49. */
 static int count_bits(const uint8_t *counts, int64_t latest,
@@ -551,8 +559,7 @@ static __attribute__((noinline)) int
 v_count(uint8_t *counts, int64_t a_max, struct count *at, uint32_t *ring,
         int64_t *info)
 {
-    return count_loop(FLAT, NULL, 0, counts, -1, a_max, 1, 4, at, ring, 7,
-                      info);
+    return count_loop(FLAT, NULL, 0, counts, -1, a_max, at, ring, info);
 }
 
 /* the value V's scalar count reaches before its kernel takes over: the
@@ -560,33 +567,26 @@ v_count(uint8_t *counts, int64_t a_max, struct count *at, uint32_t *ring,
    final counts of the 49 steps or more that each holds ahead */
 enum { COUNT_KERNEL_FROM = 128 };
 
-/* counts[a] = #{n : Q(n) = a} for a in [0, a_max], into counts the caller
-   zeroes but for counts[1] = s, the seed's: Q runs from n = s + 1 until it
-   first reaches a_max + 1.  Q itself is not stored: its last s terms sit in
-   the caller's ring, a power of two of them larger than s (Q(i) at
-   ring[i & mask]), and every older term is read from the counts by two
-   cursors.  V's count runs its first terms in the scalar loop, its middle
-   in count_kernel and its last eight values or more in the scalar loop
-   again, which returns every status. */
-int vseq_count(uint8_t *counts, int64_t a_max, int64_t r, int64_t s,
-               uint32_t *ring, int64_t mask, int64_t *info)
+/* counts[a] = #{n : V(n) = a} for a in [0, a_max], a_max >= 1, into counts
+   the caller zeroes: the seed V(1..4) = 1 makes counts[1] = 4, and V runs
+   from n = 5 until it first reaches a_max + 1.  V itself is not stored:
+   its last four terms sit in a ring (V(i) at ring[i & 7]), and every older
+   term is read from the counts by two cursors.  The count runs its first
+   terms in the scalar loop, its middle in count_kernel and its last eight
+   values or more in the scalar loop again, which returns every status. */
+int vseq_count(uint8_t *counts, int64_t a_max, int64_t *info)
 {
+    uint32_t ring[8] = {1, 1, 1, 1, 1, 1, 1, 1};
     struct cursor c = {1, 0, 0};
-    for (int64_t i = 1; i <= s; i++)
-        ring[i & mask] = 1;
-    if (r == 1 && s == 4 && mask == 7) { /* V's loop, with its constants */
-        struct count at = {5, 1, c, c, NULL, 0, NULL};
-        if (a_max > COUNT_KERNEL_FROM) {
-            int status = v_count(counts, COUNT_KERNEL_FROM, &at, ring, info);
-            if (status != OK)
-                return status;
-            count_kernel(counts, a_max, &at, ring);
-        }
-        return v_count(counts, a_max, &at, ring, info);
+    struct count at = {5, 1, c, c, NULL, 0, NULL};
+    counts[1] = 4;
+    if (a_max > COUNT_KERNEL_FROM) {
+        int status = v_count(counts, COUNT_KERNEL_FROM, &at, ring, info);
+        if (status != OK)
+            return status;
+        count_kernel(counts, a_max, &at, ring);
     }
-    struct count at = {s + 1, 1, c, c, NULL, 0, NULL};
-    return count_loop(FLAT, NULL, 0, counts, -1, a_max, r, s, &at, ring, mask,
-                      info);
+    return v_count(counts, a_max, &at, ring, info);
 }
 
 /* vseq_ring_count's two loops, each a function of its own, so that the
@@ -595,16 +595,14 @@ static __attribute__((noinline)) int
 prefix_loop(const uint8_t *pre, int64_t p, uint8_t *counts, int64_t cmask,
             int64_t a_max, struct count *at, uint32_t *ring, int64_t *info)
 {
-    return count_loop(PREFIX, pre, p, counts, cmask, a_max, 1, 4, at, ring, 7,
-                      info);
+    return count_loop(PREFIX, pre, p, counts, cmask, a_max, at, ring, info);
 }
 
 static __attribute__((noinline)) int
 ring_loop(uint8_t *counts, int64_t cmask, int64_t a_max, struct count *at,
           uint32_t *ring, int64_t *info)
 {
-    return count_loop(RING, NULL, 0, counts, cmask, a_max, 1, 4, at, ring, 7,
-                      info);
+    return count_loop(RING, NULL, 0, counts, cmask, a_max, at, ring, info);
 }
 
 /* The least i < n whose count v[i] lies outside 1..RING_MOST, or -1: 64
@@ -628,15 +626,15 @@ static int64_t outside(const uint8_t *v, int64_t n)
     return -1;
 }
 
-/* vseq_count of V = Q_{1,4} resumed from the finished flat counts
-   pre[0..p], p >= 1, done their sum, into the caller's ring of cmask + 1
-   counts of two bits, (cmask + 1) / 4 bytes (cmask + 1 a power of two, at
-   least BLOCK), which takes the counts from p on: pre's counts from the
-   least value a cursor or planned window reads, min(c.value, p - 2), must
-   be 1 to 4, or COUNT_OVERFLOW, and the count goes on in the ring to
-   a_max, a fifth term of a value COUNT_OVERFLOW too.  The windows
-   F(n-2..n+1) at the plan[]'s sorted, distinct n in [p, a_max - 1] go to
-   windows[], four bytes each.
+/* vseq_count resumed from the finished flat counts pre[0..p], p >= 1,
+   into the caller's ring of cmask + 1 counts of two bits, (cmask + 1) / 4
+   bytes (cmask + 1 a power of two, at least BLOCK), which takes the counts
+   from p on: pre's counts from the least value a cursor or planned window
+   reads, min(c.value, p - 2), must be 1 to 4, or COUNT_OVERFLOW, and the
+   count goes on in the ring to a_max = plan[planned - 1] + 1, a fifth
+   term of a value COUNT_OVERFLOW too.  The windows F(n-2..n+1) at the
+   plan[]'s planned >= 1 sorted, distinct n, from p on, go to windows[],
+   four bytes each.
    While both cursors stay below p they read pre in place (a PREFIX loop),
    and the ring need only hold the windows still to be copied out, a few
    blocks.  A read position lags a count by about half its value, so the
@@ -647,16 +645,13 @@ static int64_t outside(const uint8_t *v, int64_t n)
    returns RING_SHORT, at the hand-over when a count past p has been
    overwritten or pre's counts would overwrite one. */
 int vseq_ring_count(const uint8_t *pre, int64_t p, uint8_t *counts,
-                    int64_t cmask, int64_t a_max, int64_t done,
-                    const int64_t *plan, int64_t planned, uint8_t *windows,
-                    int64_t *info)
+                    int64_t cmask, const int64_t *plan, int64_t planned,
+                    uint8_t *windows, int64_t *info)
 {
     uint32_t ring[8]; /* V's last four terms, V(i) at ring[i & 7] */
     struct cursor c = {1, 0, 0};
-    int64_t prev;
-    int status = resume(pre, p, 4, done, ring, 7, &c, &prev, info);
-    if (status != OK)
-        return status;
+    int64_t done, prev, a_max = plan[planned - 1] + 1;
+    resume(pre, p, ring, &c, &done, &prev);
     c.top = c.below + pre[c.value]; /* skip leaves top behind */
     /* the least value a cursor or planned window reads; F(0) reads 0 */
     int64_t first = c.value < p - 2 ? c.value : p - 2 > 1 ? p - 2 : 1;
@@ -668,7 +663,7 @@ int vseq_ring_count(const uint8_t *pre, int64_t p, uint8_t *counts,
     memset(counts + (((p & -BLOCK) & cmask) >> 2), 0, BLOCK / 4);
     counts[(p & cmask) >> 2] |= (uint8_t)((pre[p] - 1) << 2 * (p & 3));
     struct count at = {done + 1, prev, c, c, plan, planned, windows};
-    status = prefix_loop(pre, p, counts, cmask, a_max, &at, ring, info);
+    int status = prefix_loop(pre, p, counts, cmask, a_max, &at, ring, info);
     if (status != HANDOVER)
         return status;
     /* from here the ring holds every count read: the values from the lower
@@ -738,23 +733,8 @@ int vseq_unary(uint8_t *out, int64_t size, int64_t a_max, int64_t n,
     return OK;
 }
 
-/* The byte sum and maximum go 64 bytes at a time, a block loop that gcc
-   vectorizes at -O2 (two to four times the speed of a plain loop), then
-   byte by byte past the last block. */
-int64_t vseq_byte_sum(const uint8_t *v, int64_t n)
-{
-    int64_t sum = 0, i = 0;
-    for (; i + 64 <= n; i += 64) {
-        uint32_t block = 0;
-        for (int j = 0; j < 64; j++)
-            block += v[i + j];
-        sum += block;
-    }
-    for (; i < n; i++)
-        sum += v[i];
-    return sum;
-}
-
+/* The largest of n bytes, 64 lanes at a time, a block loop that gcc
+   vectorizes at -O2, then byte by byte past the last block. */
 int64_t vseq_byte_max(const uint8_t *v, int64_t n)
 {
     uint8_t lanes[64] = {0}, most = 0;

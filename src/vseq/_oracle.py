@@ -1,9 +1,9 @@
 """The compiled loops of ``_oracle.c``, built on first use: the Q_{r,s}
-recursion and count for the oracle, the count resumed into a ring that keeps
-F's windows at planned indices, the pass that rewrites V's counts in place
-as V's steps, the byte sum and maximum, the tuple join that
-numbers the rule scan's windows and the kernel probe's blocks, and the rule
-scan's compare of each a's image pair with its window's.
+recursion and V's count for the oracle, the count resumed from F's counts
+alone into a ring that keeps F's windows at planned indices, the pass that
+rewrites V's counts in place as V's steps, the byte maximum, the tuple join
+that numbers the rule scan's windows and the kernel probe's blocks, and the
+rule scan's compare of each a's image pair with its window's.
 
 ``library`` compiles the source with the system ``cc`` and loads it with
 ctypes.  It runs on the first oracle call, never at import.  The shared
@@ -79,29 +79,28 @@ def _pointer(view: memoryview):
 
 class Oracle:
     """The loops of _oracle.c: the three oracle loops and the in-place
-    steps pass, which return a status and info[3], the byte passes, the
+    steps pass, which return a status and info[3], the byte maximum, the
     join, and the image-pair check.  Each pass checks the format, length
-    and bounds of its buffers before it passes pointers."""
+    and bounds of its buffers before it passes pointers; the counts of V
+    take nothing that F's counts already fix."""
 
     def __init__(self, lib: ctypes.CDLL):
         i64 = ctypes.c_int64
         lib.vseq_qrs.argtypes = [ctypes.POINTER(ctypes.c_uint32), i64, i64, i64,
                                  i64, ctypes.POINTER(i64)]
         ptr = ctypes.c_void_p
-        lib.vseq_count.argtypes = [ptr, i64, i64, i64, ptr, i64, ptr]
-        lib.vseq_ring_count.argtypes = [ptr, i64, ptr, i64, i64, i64, ptr, i64,
-                                        ptr, ctypes.POINTER(i64)]
+        lib.vseq_count.argtypes = [ptr, i64, ptr]
+        lib.vseq_ring_count.argtypes = [ptr, i64, ptr, i64, ptr, i64, ptr,
+                                        ctypes.POINTER(i64)]
         lib.vseq_unary.argtypes = [ptr, i64, i64, i64, ptr]
         for fn in (lib.vseq_qrs, lib.vseq_count, lib.vseq_ring_count,
                    lib.vseq_unary):
             fn.restype = ctypes.c_int
-        for fn in (lib.vseq_byte_sum, lib.vseq_byte_max):
-            fn.argtypes = [ptr, i64]
+        lib.vseq_byte_max.argtypes = [ptr, i64]
         lib.vseq_join.argtypes = [ptr, i64, i64, i64, i64, i64, i64, ptr,
                                   ctypes.c_uint64, ptr, i64, i64]
         lib.vseq_pairs.argtypes = [ptr, ptr, ptr, i64, i64, i64]
-        for fn in (lib.vseq_byte_sum, lib.vseq_byte_max, lib.vseq_join,
-                   lib.vseq_pairs):
+        for fn in (lib.vseq_byte_max, lib.vseq_join, lib.vseq_pairs):
             fn.restype = i64
         # V's kernel tables, built here, holding the GIL, never inside a
         # loop that ctypes runs without it
@@ -116,44 +115,44 @@ class Oracle:
         status = self._lib.vseq_qrs(view, r, s, done, len(q), info)
         return status, list(info)
 
-    def count(self, counts, r: int, s: int) -> tuple[int, list[int]]:
-        """counts[a] = #{n : Q_{r,s}(n) = a} for a below len(counts), into
-        the writable byte buffer counts, zeroed but for counts[1] = s, the
-        seed's; Q's last s terms go in a ring of a power of two above s."""
+    def count(self, counts) -> tuple[int, list[int]]:
+        """counts[a] = #{n : V(n) = a} for a below len(counts), at least 2,
+        into the zeroed, writable byte buffer counts; the count writes the
+        seed's counts[1] = 4 itself."""
         counts = _view(counts, "B", "count's counts", writable=True)
+        if len(counts) < 2:
+            raise ValueError("count takes counts of at least V = 0 and 1")
         info = (ctypes.c_int64 * 3)()
-        ring = (ctypes.c_uint32 * (1 << s.bit_length()))()
-        status = self._lib.vseq_count(_pointer(counts), len(counts) - 1, r, s,
-                                      ring, len(ring) - 1, info)
+        status = self._lib.vseq_count(_pointer(counts), len(counts) - 1, info)
         return status, list(info)
 
-    def ring_count(self, prefix, done: int, a_max: int, size: int,
+    def ring_count(self, prefix, size: int,
                    plan: list[int]) -> tuple[int, list[int], bytearray]:
-        """count's loop for V resumed from F's finished counts prefix
-        (values 0 to p = len(prefix) - 1, done their sum) up to a_max, the
-        counts from p on kept in a ring of ``size`` counts, a power of two
-        of at least 64, at two bits a count (F(a) - 1, four counts a byte,
-        so ``size // 4`` bytes): the status, info, and the windows
-        F(n-2..n+1) at the sorted, distinct planned n in [p, a_max - 1],
-        four bytes each.  The read positions read the prefix in place
-        until they pass it, then the ring.  The prefix's counts that the
-        count reads, and every count past it, must lie in 1..4, or the
-        status is COUNT_OVERFLOW."""
+        """count's loop resumed from F's finished counts prefix (values 0
+        to p = len(prefix) - 1), which fix V's terms up to their sum, to
+        the plan's end + 1, the counts from p on kept in a ring of ``size``
+        counts, a power of two of at least 64, at two bits a count
+        (F(a) - 1, four counts a byte, so ``size // 4`` bytes): the status,
+        info, and the windows F(n-2..n+1) at the sorted, distinct planned
+        n from p on, four bytes each.  The read positions read the prefix
+        in place until they pass it, then the ring.  The prefix's counts
+        that the count reads, and every count past it, must lie in 1..4,
+        or the status is COUNT_OVERFLOW."""
         prefix = _view(prefix, "B", "ring_count's prefix")
         p = len(prefix) - 1
         if size < 64 or size & (size - 1):
             raise ValueError(f"a ring of {size} counts is not a power of two >= 64")
-        if (p < 1 or a_max < p or any(b <= a for a, b in zip(plan, plan[1:]))
-                or any(not p <= n < a_max for n in plan[:1] + plan[-1:])):
+        if (p < 1 or not plan or plan[0] < p
+                or any(b <= a for a, b in zip(plan, plan[1:]))):
             raise ValueError("ring_count plans sorted, distinct windows from "
-                             "the prefix's end to the count's")
+                             "the prefix's end on")
         info = (ctypes.c_int64 * 3)()
         planned = array("q", plan)
         windows = bytearray(4 * len(plan))
         counts = bytearray(size // 4)
         status = self._lib.vseq_ring_count(
-            _pointer(prefix), p, _pointer(memoryview(counts)), size - 1, a_max,
-            done, planned.buffer_info()[0], len(planned),
+            _pointer(prefix), p, _pointer(memoryview(counts)), size - 1,
+            planned.buffer_info()[0], len(planned),
             _pointer(memoryview(windows)), info)
         return status, list(info), windows
 
@@ -172,11 +171,6 @@ class Oracle:
         info = (ctypes.c_int64 * 3)()
         status = self._lib.vseq_unary(_pointer(out), len(out), a_max, n, info)
         return status, list(info)
-
-    def byte_sum(self, vals) -> int:
-        """The sum of the bytes vals."""
-        vals = _view(vals, "B", "byte_sum's input")
-        return self._lib.vseq_byte_sum(_pointer(vals), len(vals))
 
     def byte_max(self, vals) -> int:
         """The largest of the bytes vals, 0 for none."""

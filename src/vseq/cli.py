@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import os
 import sys
 from collections.abc import Sequence
 
@@ -189,6 +190,13 @@ def cmd_probe(args) -> int:
     if args.sequence == "vdiff" and span < 3:
         raise ValueError(f"--sequence vdiff needs --prefix * --base ** --depth "
                          f">= 3, got {span}")
+    # F's table or V's steps, and the first join's ids: peak RSS grew by
+    # 1.2 to 1.3 bytes an index at bases 2 and 3 and by 1.9 at base 40,
+    # from about 15 MB, at spans of 10^7 to 6 * 10^7
+    memory = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+    if 2 * span > memory:
+        raise MemoryError(f"a probe to {span} takes about {2 * span} bytes of "
+                          f"memory, and this machine has {memory}")
     print(SEED_NOTE)
     print(f"# probe --sequence {args.sequence} --base {args.base} "
           f"--depth {args.depth} --prefix {args.prefix} (oracle to {span})")

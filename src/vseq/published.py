@@ -27,9 +27,6 @@ class PrintedTable(namedtuple("PrintedTable",
 
     __slots__ = ()
 
-    def to_text(self) -> str:
-        return "".join(" ".join(row) + "\n" for row in self.rows)
-
 
 def _load(filename: str, label: str, claimed: int, kind: str) -> PrintedTable:
     # imported here, as from Python 3.12 on it imports inspect

@@ -115,9 +115,6 @@ def _scan(f: SequenceTable, a_min: int, a_max: int) -> WindowRuleTable:
     # the largest byte over the bytes of every window
     k = max_byte(vals[a_min - 2:a_max + 2]) + 1
     lib = _library()
-    # the compiled compare's table: each id's expected pair, padded to the
-    # 256 ids of one byte, for the windows of `shown` in id order
-    expect, shown = bytearray(512), None
     for lo in range(a_min, a_max + 1, SCAN_CHUNK):
         count = min(SCAN_CHUNK, a_max + 1 - lo)
         pairs = vals[2 * lo:2 * (lo + count)]  # F(2a), F(2a+1) for each a
@@ -128,13 +125,9 @@ def _scan(f: SequenceTable, a_min: int, a_max: int) -> WindowRuleTable:
         for w, i in zip(wins, first):
             if w not in seen:
                 even[w], odd[w], seen[w] = pairs[2 * i], pairs[2 * i + 1], lo + i
-        if lib is not None:
-            if wins != shown:  # a window added, or the chunk's ids renumbered
-                if 2 * distinct > len(expect):
-                    expect = bytearray(2 * distinct)
-                expect[:2 * distinct] = bytes(v for w in wins for v in (even[w], odd[w]))
-                shown = wins
-            i = lib.pairs(ids, expect, pairs)
+        if lib is not None:  # each id's expected pair, padded to 256 ids
+            expect = bytes(v for w in wins for v in (even[w], odd[w]))
+            i = lib.pairs(ids, expect.ljust(512, b"\0"), pairs)
         else:  # every a's expected pair, joined; -1 // 2 is -1, no conflict
             images = [bytes((even[w], odd[w])) for w in wins]
             i = _mismatch(b"".join(map(images.__getitem__, ids)), pairs) // 2

@@ -259,6 +259,11 @@ def _recursion(r: int, s: int, n_max: int, label: str) -> SequenceTable:
     return SequenceTable(1, n_max, q, label)
 
 
+def _v_before(n: int) -> array:
+    """V(1..n - 1), the table before a dead index n, for _raise."""
+    return _recursion(1, 4, n - 1, "V").values
+
+
 def _recursion_py(r: int, s: int, n_max: int, label: str) -> SequenceTable:
     """The reference loop of _recursion.
 
@@ -279,27 +284,10 @@ def _recursion_py(r: int, s: int, n_max: int, label: str) -> SequenceTable:
     return SequenceTable(1, n_max, q[1:], label)
 
 
-def _frequency(r: int, s: int, a_max: int, label: str) -> bytearray:
-    """counts[a] = #{n : Q_{r,s}(n) = a} for a in [0, a_max], compiled when
-    possible; Q is generated and checked as in _frequency_py.  The compiled
-    loop keeps only Q's last s terms and reads the older ones back from the
-    counts (see _oracle.c), so the counts are all the memory it takes.
-    gen_f counts V = Q_{1,4}; other (r, s) reach the checks V never trips.
-    """
-    # V(n) is about n / 2
-    lib = _library() if 2 * a_max >= COMPILED_FROM else None
-    if lib is None:
-        return _frequency_py(r, s, a_max, label)
-    counts = bytearray(a_max + 1)
-    counts[1] = s  # Q(1..s) = 1
-    status, info = lib.count(counts, r, s)
-    _raise(status, info, label,
-           lambda n: _recursion(r, s, n - 1, label).values)
-    return counts
-
-
 def _frequency_py(r: int, s: int, a_max: int, label: str) -> bytearray:
-    """The reference loop of _frequency.
+    """counts[a] = #{n : Q_{r,s}(n) = a} for a in [0, a_max], the reference
+    loop of gen_f's compiled count of V = Q_{1,4}; other (r, s) reach the
+    checks V never trips.
 
     Q is scanned until its value first reaches a_max + 1; monotonicity
     (steps in {0, 1}) makes every count at or below a_max complete at that
@@ -357,9 +345,7 @@ def _v_steps(n: int) -> bytearray:
     else:
         out = bytearray(n + 128)
         with memoryview(out)[-a_max - 1:] as counts:
-            counts[1] = 4  # V(1..4) = 1
-            status, info = lib.count(counts, 1, 4)
-        _raise(status, info, "V", lambda n: _recursion(1, 4, n - 1, "V").values)
+            _raise(*lib.count(counts), "V", _v_before)
         status, info = lib.unary(out, n, a_max)
     _raise(status, info, "V", None)
     del out[n:]
@@ -382,11 +368,19 @@ def gen_f(a_max: int) -> SequenceTable:
     V is scanned until its value first reaches a_max + 1, and checked to be
     non-decreasing with steps in {0, 1} on the way.  V is never stored: it
     is slow (steps in {0, 1}), so V(p) = a exactly when
-    F(1) + ... + F(a-1) < p <= F(1) + ... + F(a), and the compiled loop
-    reads V's earlier terms back from the counts it is building.  Memory is
-    the counts alone, one byte per a (F(a) <= 4).
+    F(1) + ... + F(a-1) < p <= F(1) + ... + F(a), and the compiled count,
+    which seeds F(1) = 4 itself, reads V's earlier terms back from the
+    counts it is building.  Memory is the counts alone, one byte per a
+    (F(a) <= 4).  Without the library, or below ``COMPILED_FROM`` steps,
+    _frequency_py counts V.
     """
-    counts = _frequency(1, 4, _size(a_max, "a_max", 1), "V")
+    a_max = _size(a_max, "a_max", 1)
+    # V(n) is about n / 2
+    lib = _library() if 2 * a_max >= COMPILED_FROM else None
+    if lib is None:
+        return SequenceTable(0, a_max, _frequency_py(1, 4, a_max, "V"), "F")
+    counts = bytearray(a_max + 1)
+    _raise(*lib.count(counts), "V", _v_before)
     return SequenceTable(0, a_max, counts, "F")
 
 
@@ -410,22 +404,22 @@ def count_windows(f: SequenceTable, plan: Iterable[int]) -> bytes:
     order (repeats allowed), from gen_f's table f: byte for byte
     gen_f(max(plan) + 1).windows_at(plan), but holding f and a ring of
     counts, never F to the plan's end.  Windows inside f are sliced from
-    it.  For the rest, the compiled count resumes where f's stopped and
-    keeps the counts past f in a ring of a power of two of them
-    (_ring_size).  Its read positions lag the count by about half its
-    value: while they stay inside f they read f's counts in place, so a
-    count to below twice f's end, such as depth 12's, takes a ring of a
-    few blocks.  A count past that hands its read positions over to the
-    ring, which then takes just over a_max / 2 counts for a_max =
-    max(plan) + 1.  A ring count is F(a) - 1 in two bits, so the ring
-    takes a_max / 8 to a_max / 4 bytes: 16 MiB for the 2^26 counts of
-    depth 16.  f's counts that the cursors read must lie in 1..4, and the
-    count must take no value a fifth time, or ValueError.  Each planned
-    window is copied out once its last count is final.  A ring too short
-    for the count is refused, never returning a window read from a reused
-    slot, and counted again in one twice its size.  Without the compiled
-    loops the windows past f are read from gen_f(max(plan) + 1), counted
-    flat from the start.
+    it.  For the rest, the compiled count resumes where f's stopped, from
+    f's counts alone, which fix V's terms up to their sum, and keeps the
+    counts past f in a ring of a power of two of them (_ring_size).  Its
+    read positions lag the count by about half its value: while they stay
+    inside f they read f's counts in place, so a count to below twice f's
+    end, such as depth 12's, takes a ring of a few blocks.  A count past
+    that hands its read positions over to the ring, which then takes just
+    over a_max / 2 counts for a_max = max(plan) + 1.  A ring count is
+    F(a) - 1 in two bits, so the ring takes a_max / 8 to a_max / 4 bytes:
+    16 MiB for the 2^26 counts of depth 16.  f's counts that the cursors
+    read must lie in 1..4, and the count must take no value a fifth time,
+    or ValueError.  Each planned window is copied out once its last count is
+    final.  A ring too short for the count is refused, never returning a
+    window read from a reused slot, and counted again in one twice its
+    size.  Without the compiled loops the windows past f are read from
+    gen_f(max(plan) + 1), counted flat from the start.
     """
     if f.lo != 0:
         raise ValueError("count_windows takes an F table starting at index 0")
@@ -442,14 +436,12 @@ def count_windows(f: SequenceTable, plan: Iterable[int]) -> bytes:
             read += gen_f(a_max).windows_at(past)
         else:
             from . import _oracle
-            counts = f.byte_values()
-            done = lib.byte_sum(counts)
-            size = _ring_size(a_max, f.hi)
-            status, info, windows = lib.ring_count(counts, done, a_max, size, past)
+            counts, size = f.byte_values(), _ring_size(a_max, f.hi)
+            status, info, windows = lib.ring_count(counts, size, past)
             while status == _oracle.RING_SHORT:
                 size *= 2
-                status, info, windows = lib.ring_count(counts, done, a_max, size, past)
-            _raise(status, info, "V", lambda n: _recursion(1, 4, n - 1, "V").values)
+                status, info, windows = lib.ring_count(counts, size, past)
+            _raise(status, info, "V", _v_before)
             read += windows
     window = {n: read[4 * i:4 * i + 4] for i, n in enumerate(at)}
     # appended one by one: a join would hold an 80-byte buffer record per
@@ -506,24 +498,3 @@ def write_table(t: SequenceTable, fp: TextIOBase) -> None:
     fp.write(f"seq {t.label} {t.lo} {t.hi}\n")
     for v in t.values:
         fp.write(f"{v}\n")
-
-
-def read_table(fp: Iterable[str]) -> SequenceTable:
-    """Inverse of write_table.  Lines starting with '#' are ignored."""
-    header = None
-    values: list[int] = []
-    for line in fp:
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        if header is None:
-            parts = line.split()
-            if len(parts) != 4 or parts[0] != "seq":
-                raise ValueError(f"bad header line: {line!r}")
-            header = (parts[1], int(parts[2]), int(parts[3]))
-        else:
-            values.append(int(line))
-    if header is None:
-        raise ValueError("empty table file")
-    label, lo, hi = header
-    return SequenceTable(lo, hi, values, label)

@@ -303,6 +303,27 @@ def test_vdiff_span_below_3_prints_nothing(capsys):
         "", "vseq: --sequence vdiff needs --prefix * --base ** --depth >= 3, got 2\n")
 
 
+@pytest.mark.parametrize("sequence", ["f", "vdiff"])
+def test_probe_refuses_a_span_past_memory(sequence, monkeypatch, capsys):
+    # on a machine of 1 MiB, a probe takes two bytes an index: a span of
+    # 2^19 = 512 * 1024 fits it, and one of 1025 * 512 is refused with one
+    # line, before any oracle runs
+    from vseq import cli
+    pages = {"SC_PHYS_PAGES": 256, "SC_PAGE_SIZE": 4096}
+    monkeypatch.setattr(cli.os, "sysconf", pages.__getitem__)
+    assert run(["probe", "--sequence", sequence, "--depth", "9", "--prefix", "1024"]) == 0
+
+    def oracle(*args):
+        raise AssertionError("an oracle ran")
+
+    monkeypatch.setattr(cli, "gen_f", oracle)
+    monkeypatch.setattr(cli, "first_difference", oracle)
+    capsys.readouterr()
+    assert run(["probe", "--sequence", sequence, "--depth", "9", "--prefix", "1025"]) == 2
+    assert capsys.readouterr() == ("", "vseq: a probe to 524800 takes about 1049600 "
+                                   "bytes of memory, and this machine has 1048576\n")
+
+
 def test_depth_below_2_is_one_usage_line(built, tmp_path, monkeypatch, capsys):
     a_path, _, _ = built
     monkeypatch.chdir(tmp_path)

@@ -28,7 +28,7 @@ PUBLIC = {
               "derive_rules", "format_rules", "verify_rules"),
     "sequences": ("DeadSequence", "MonotonicityViolation", "SequenceTable",
                   "count_windows", "first_difference", "gen_f", "gen_qrs",
-                  "gen_v", "read_table", "write_table"),
+                  "gen_v", "write_table"),
     "synthesis": ("CertificateReport", "CertificationFailure",
                   "NonpositiveDivisor", "OracleTooShort", "ProbeReport",
                   "TransitionCertificate", "Validation",

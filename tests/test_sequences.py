@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 
 from vseq import (DeadSequence, MonotonicityViolation, ProbeReport,
                   SequenceTable, cert_plan, count_windows, first_difference,
-                  gen_f, gen_qrs, gen_v, kernel_probe, read_table, write_table)
+                  gen_f, gen_qrs, gen_v, kernel_probe, write_table)
 from vseq import _oracle, sequences
 from vseq.sequences import COMPILED_FROM, join_ids
 from vseq.synthesis import _family_reads
@@ -293,16 +293,7 @@ def test_io_round_trip():
     write_table(t, buf)
     text = buf.getvalue()
     assert text.startswith("seq F 0 30\n")
-    back = read_table(io.StringIO("# comment\n" + text))
-    assert (back.lo, back.hi, back.label) == (t.lo, t.hi, t.label)
-    assert list(back.values) == list(t.values)
-
-
-def test_read_table_rejects_garbage():
-    with pytest.raises(ValueError):
-        read_table(io.StringIO("not a header\n1\n"))
-    with pytest.raises(ValueError):
-        read_table(io.StringIO(""))
+    assert text.splitlines()[1:] == [str(v) for v in t.values]
 
 
 # -- compiled oracle against the Python loops ---------------------------------------
@@ -330,8 +321,6 @@ ORACLE_CALLS = {
     # argument 0, just outside the range: the guard's edge
     "gen_qrs(1, 10) dies": (lambda: gen_qrs(1, 10, 10 ** 5).values,
                             lambda: sequences._recursion_py(1, 10, 10 ** 5, "Q[1,10]").values),
-    "Q[1,2] counts jump": (lambda: sequences._frequency(1, 2, 10 ** 5, "Q"),
-                           lambda: sequences._frequency_py(1, 2, 10 ** 5, "Q")),
     "kernel_probe(F to 2^20)": (lambda: kernel_probe(gen_f(2 ** 20), 2, 8, 256),
                                 lambda: _on("python", kernel_probe, gen_f(2 ** 20), 2, 8, 256)),
     "first_difference(2^20 + 3)": (lambda: first_difference(2 ** 20 + 3).values,
@@ -345,6 +334,13 @@ def test_compiled_oracle_matches_python_loops(name):
         pytest.skip("no C compiler: only the Python loops run here")
     compiled, python = ORACLE_CALLS[name]
     assert _outcome(compiled) == _outcome(python)
+
+
+def test_frequency_py_refuses_a_jump():
+    # Q_{1,2} jumps by 2 at n = 12, which the count of V never sees
+    with pytest.raises(MonotonicityViolation, match=r"^Q\(11\) = 6 followed by "
+                       r"Q\(12\) = 8$"):
+        sequences._frequency_py(1, 2, 10 ** 5, "Q")
 
 
 def test_oracle_falls_back_to_python_loops(monkeypatch, capsys):
@@ -430,8 +426,7 @@ for end in (1, 2, 5, 2 ** 12 + 1, 2 ** 15 - 3):
     past = sorted({n for n in plan if n >= end})
     prefix = gen_f(end).byte_values()
     for size in (64, 2 ** 10, 2 ** 15, 2 ** 16):
-        status, info, got = lib.ring_count(prefix, lib.byte_sum(prefix),
-                                           past[-1] + 1, size, past)
+        status, info, got = lib.ring_count(prefix, size, past)
         if status == _oracle.RING_SHORT:
             assert info[1] >= size == info[2], (end, size, info)
         else:
@@ -441,8 +436,7 @@ for end in (1, 2, 5, 2 ** 12 + 1, 2 ** 15 - 3):
 end = 2 ** 14 + 1000
 plan = [end, end + 1, 32700]
 prefix = gen_f(end).byte_values()
-status, info, got = lib.ring_count(prefix, lib.byte_sum(prefix), plan[-1] + 1,
-                                   256, plan)
+status, info, got = lib.ring_count(prefix, 256, plan)
 assert (status, got) == (_oracle.OK, gen_f(plan[-1] + 1).windows_at(plan)), (status, info)
 # the hand-over: the read positions leave a prefix to 2^12 + 1 when the
 # count reaches about 2^13.  A ring of 2^12 is refused there, one of 2^13
@@ -450,12 +444,27 @@ assert (status, got) == (_oracle.OK, gen_f(plan[-1] + 1).windows_at(plan)), (sta
 end = 2 ** 12 + 1
 plan = [end, 2 ** 13 + 7, 2 ** 14 + 5]
 prefix = gen_f(end).byte_values()
-runs = [lib.ring_count(prefix, lib.byte_sum(prefix), plan[-1] + 1, size, plan)
-        for size in (2 ** 12, 2 ** 13, 2 ** 14)]
+runs = [lib.ring_count(prefix, size, plan) for size in (2 ** 12, 2 ** 13, 2 ** 14)]
 assert [status for status, _, _ in runs] == [_oracle.RING_SHORT] * 2 + [_oracle.OK], runs
 assert runs[0][1][0] < 2 ** 13 < runs[1][1][0], runs
 assert runs[2][2] == gen_f(plan[-1] + 1).windows_at(plan)
 assert count_windows(gen_f(end), plan) == runs[2][2]
+# the resume from prefixes to p = 1..70 held in exact-length numpy buffers,
+# where V's last four terms are read off the top counts across F(1)'s seed
+f = gen_f(2 ** 12)
+for end in range(1, 71):
+    plan = [end, end + 1, 2 * end + 70]
+    prefix = np.frombuffer(f.byte_values()[:end + 1], np.uint8).copy()
+    status, info, got = lib.ring_count(prefix, 2 ** 10, plan)
+    assert (status, got) == (_oracle.OK, f.windows_at(plan)), (end, status, info)
+# counts of 0 at the top, or everywhere: the top read stops at V = 1, inside
+# the buffer, and the count refuses the first 0 it would read
+for end in (1, 2, 70):
+    prefix = np.zeros(end + 1, np.uint8)
+    assert lib.ring_count(prefix, 2 ** 10, [end])[:2] == (_oracle.COUNT_OVERFLOW, [1, 4, 0])
+prefix = np.frombuffer(f.byte_values()[:71], np.uint8).copy()
+prefix[-3:] = 0
+assert lib.ring_count(prefix, 2 ** 10, [70])[:2] == (_oracle.COUNT_OVERFLOW, [68, 4, 0])
 a, b = both(lambda: gen_v(10 ** 5).values)
 assert a == b
 for r, s in ((2, 5), (1, 10)):
@@ -477,8 +486,7 @@ for n in (2 ** 15 + 3, 2 ** 16):
 want = sequences._frequency_py(1, 4, 2 ** 13 + 12, "V")
 for a_max in (*range(125, 150), *range(2 ** 13, 2 ** 13 + 12)):
     counts = np.zeros(a_max + 1, np.uint8)
-    counts[1] = 4
-    assert lib.count(counts, 1, 4) == (_oracle.OK, [0, 0, 0]), a_max
+    assert lib.count(counts) == (_oracle.OK, [0, 0, 0]), a_max
     assert counts.tobytes() == want[:a_max + 1], a_max
 # the count into the tail of the steps' buffer and the pass that rewrites
 # it as V's steps, in buffers of the exact length, at every phase of the
@@ -489,8 +497,7 @@ for n in (*range(250, 280), *range(2 ** 14, 2 ** 14 + 12)):
     a_max = 4 * (n // 8 + 17)
     for size in (n + 128, a_max + 21):
         out = np.zeros(size, np.uint8)
-        out[-a_max] = 4  # F(1)
-        assert lib.count(out[-a_max - 1:], 1, 4) == (_oracle.OK, [0, 0, 0]), n
+        assert lib.count(out[-a_max - 1:]) == (_oracle.OK, [0, 0, 0]), n
         status, info = lib.unary(out, n, a_max)
         if size == n + 128:
             assert (status, out[:n].tobytes()) == (_oracle.OK, want[:n]), n
@@ -498,8 +505,7 @@ for n in (*range(250, 280), *range(2 ** 14, 2 ** 14 + 12)):
             assert status == _oracle.OVERWRITE and info[1] > info[2] == 20 + info[0], info
     few = n // 4
     out = np.zeros(n + 128, np.uint8)
-    out[-few] = 4
-    assert lib.count(out[-few - 1:], 1, 4) == (_oracle.OK, [0, 0, 0]), n
+    assert lib.count(out[-few - 1:]) == (_oracle.OK, [0, 0, 0]), n
     assert lib.unary(out, n, few)[0] == _oracle.TOO_FEW, n
 # a count planted at V = 100 that a read position reaches as 5 while the
 # kernel runs: the kernel hands back mid-count, and the scalar loop goes
@@ -510,11 +516,10 @@ with tempfile.TemporaryDirectory() as tmp:
     runs = []
     for engine in (lib._lib, scalar):
         counts = np.zeros(5001, np.uint8)
-        counts[1], counts[100] = 4, 3
-        ring, info = (ctypes.c_uint32 * 8)(), (ctypes.c_int64 * 3)()
+        counts[100] = 3
+        info = (ctypes.c_int64 * 3)()
         at = counts.ctypes.data_as(ctypes.POINTER(ctypes.c_uint8))
-        status = engine.vseq_count(at, ctypes.c_int64(5000), ctypes.c_int64(1),
-                                   ctypes.c_int64(4), ring, ctypes.c_int64(7), info)
+        status = engine.vseq_count(at, ctypes.c_int64(5000), info)
         runs.append((status, list(info), counts.tobytes()))
 assert runs[0] == runs[1] and runs[0][0] == _oracle.NOT_MONOTONE, runs[0][:2]
 
@@ -522,11 +527,10 @@ assert runs[0] == runs[1] and runs[0][0] == _oracle.NOT_MONOTONE, runs[0][:2]
 # and 4-byte ids, the last one ending at the last id
 rng = np.random.default_rng(7)
 
-# the byte sum and maximum, reading to the last byte of lengths on both
-# sides of their 64-byte blocks, the maximum in a block and past them
+# the byte maximum, reading to the last byte of lengths on both sides of
+# its 64-byte blocks, the maximum in a block and past them
 for n in (1, 63, 64, 65, 2 ** 12 + 37):
     vals = rng.integers(0, 200, n, dtype=np.uint8)
-    assert lib.byte_sum(vals) == int(vals.sum()), n
     for at in (0, n // 2, n - 1):
         top = vals.copy()
         top[at] = 255
@@ -637,34 +641,6 @@ def test_oracle_loops_are_clean_under_sanitizers(tmp_path):
     assert done.returncode == 0 and done.stdout.split() == ["ok"], done.stderr[-3000:]
 
 
-def test_count_reads_only_settled_counts():
-    # with the seed's count left out, V(5) = V(4) + V(4) reads V(4) from a
-    # count the loop is still building: the cursor must refuse, not guess
-    lib = _oracle.library()
-    if lib is None:
-        pytest.skip("no C compiler: only the Python loops run here")
-    status, info = lib.count(bytearray(100), 1, 4)
-    assert (status, info[:2]) == (_oracle.UNSETTLED, [5, 4])
-    with pytest.raises(RuntimeError, match=r"V\(5\) read V\(4\)"):
-        sequences._raise(status, info, "V", None)
-
-
-def test_count_resumes_only_from_counted_terms():
-    # the ring count resumes from the prefix's terms, done their sum; a
-    # done 50 past it claims terms the prefix does not hold: reading them
-    # back stops at the prefix's end, where it would read a count still
-    # growing
-    lib = _oracle.library()
-    if lib is None:
-        pytest.skip("no C compiler: only the Python loops run here")
-    prefix = gen_f(100).byte_values()
-    done = lib.byte_sum(prefix)
-    status, _, windows = lib.ring_count(prefix, done, 999, 2 ** 10, [200])
-    assert (status, windows) == (_oracle.OK, gen_f(201).windows_at([200]))
-    status, info, _ = lib.ring_count(prefix, done + 50, 999, 2 ** 10, [200])
-    assert (status, info[:2]) == (_oracle.UNSETTLED, [done + 51, done + 47])
-
-
 # -- V's kernel: six terms a table lookup ----------------------------------------
 
 def _compiled() -> _oracle.Oracle:
@@ -684,8 +660,7 @@ def test_count_kernel_equals_the_python_loop_at_its_entry_and_exit():
     want = sequences._frequency_py(1, 4, 8192 + 120, "V")
     for a_max in range(2, 400):
         counts = bytearray(a_max + 1)
-        counts[1] = 4
-        assert lib.count(counts, 1, 4) == (_oracle.OK, [0, 0, 0]), a_max
+        assert lib.count(counts) == (_oracle.OK, [0, 0, 0]), a_max
         assert counts == want[:a_max + 1], a_max
     for a_max in range(8192, 8192 + 121):
         assert gen_f(a_max).values == want[:a_max + 1], a_max
@@ -705,11 +680,9 @@ def test_v_to_2_to_the_24_is_pinned(call, digest):
 
 def _raw_count(lib: ctypes.CDLL, counts: bytearray) -> tuple:
     """vseq_count of V into counts through lib: status, info, counts."""
-    i64 = ctypes.c_int64
-    ring, info = (ctypes.c_uint32 * 8)(), (i64 * 3)()
+    info = (ctypes.c_int64 * 3)()
     status = lib.vseq_count((ctypes.c_uint8 * len(counts)).from_buffer(counts),
-                            i64(len(counts) - 1), i64(1), i64(4), ring, i64(7),
-                            info)
+                            ctypes.c_int64(len(counts) - 1), info)
     return status, list(info), bytes(counts)
 
 
@@ -729,7 +702,7 @@ def test_count_kernel_hands_back_to_the_scalar_loop(tmp_path, value, planted):
     runs = []
     for engine in (lib._lib, scalar):
         counts = bytearray(5001)
-        counts[1], counts[value] = 4, planted
+        counts[value] = planted
         runs.append(_raw_count(engine, counts))
     assert runs[0] == runs[1]
     status, info, _ = runs[0]
@@ -875,8 +848,7 @@ def test_ring_count_refuses_a_ring_too_short(f_ring, end, size, at):
         pytest.skip("no C compiler: the flat count runs in place of the ring")
     plan = [2 ** 18 - 5]
     prefix = gen_f(end).byte_values()
-    status, info, _ = lib.ring_count(prefix, lib.byte_sum(prefix), plan[-1] + 1, size,
-                                     plan)
+    status, info, _ = lib.ring_count(prefix, size, plan)
     assert status == _oracle.RING_SHORT
     assert at[0] <= info[0] < at[1], info
     with pytest.raises(RuntimeError, match=rf"a ring of {size} counts is too "
@@ -887,16 +859,16 @@ def test_ring_count_refuses_a_ring_too_short(f_ring, end, size, at):
 
 
 @pytest.mark.parametrize("size, plan", [(32, [200]), (100, [200]), (64, [300, 200]),
-                                        (64, [200, 200]), (64, [50]), (64, [999])],
+                                        (64, [200, 200]), (64, [50]), (64, [])],
                          ids=["small", "odd", "unsorted", "repeated", "inside",
-                              "past-the-end"])
+                              "empty"])
 def test_ring_count_refuses_what_it_cannot_count(size, plan):
     lib = _oracle.library()
     if lib is None:
         pytest.skip("no C compiler: the flat count runs in place of the ring")
     prefix = gen_f(100).values
     with pytest.raises(ValueError):
-        lib.ring_count(prefix, sum(prefix), 999, size, plan)
+        lib.ring_count(prefix, size, plan)
 
 
 @pytest.fixture
@@ -908,8 +880,8 @@ def ring_runs(monkeypatch):
     runs = []
     ring_count = _oracle.Oracle.ring_count
 
-    def spy(self, prefix, done, a_max, size, plan):
-        status, info, windows = ring_count(self, prefix, done, a_max, size, plan)
+    def spy(self, prefix, size, plan):
+        status, info, windows = ring_count(self, prefix, size, plan)
         runs.append((size, status, info[0]))
         return status, info, windows
 
@@ -963,6 +935,32 @@ def test_count_windows_from_every_short_prefix(f_ring):
             assert got == f_ring.windows_at(plan), end
 
 
+@pytest.mark.parametrize("ends", [range(1, 401), (2 ** 14 + 1, 2 ** 15 - 3, 2 ** 16)],
+                         ids=["1-400", "large"])
+def test_ring_count_resumes_from_the_prefix_alone(f_ring, ends):
+    # V's terms before the count resumes, and where, read off the prefix:
+    # every window from the prefix's end past the hand-over, or a few
+    # straddling the prefix's end and the hand-over, from each prefix end
+    lib = _compiled()
+    for end in ends:
+        plan = (list(range(end, 3 * end + 100)) if end <= 400
+                else [end, end + 1, 2 * end + 5, 3 * end])
+        size = sequences._ring_size(plan[-1] + 1, end)
+        status, info, windows = lib.ring_count(gen_f(end).byte_values(), size, plan)
+        assert (status, windows) == (_oracle.OK, f_ring.windows_at(plan)), (end, info)
+
+
+@pytest.mark.parametrize("f0", [0, 255])
+@pytest.mark.parametrize("f1", [1, 2, 3, 4])
+def test_ring_count_reads_no_value_below_1(f_ring, f0, f1):
+    # a prefix F(0..1) that holds f1 of V's four seed terms: the top read
+    # stops at V = 1, so the terms before them read 1, as in the seed, the
+    # count goes on as V's, and F(0) is never read
+    status, _, windows = _compiled().ring_count(bytes([f0, f1]), 64, [1, 10])
+    assert (status, windows) == (_oracle.OK, bytes([0, 0, f1, 1])
+                                 + f_ring.windows_at([10]))
+
+
 def test_ring_size_is_a_few_blocks_at_depth_12():
     # the depth-12 certificate counts to 7,593,986 past a prefix to 2^22 + 2:
     # its read positions stay below 3.8 million
@@ -980,15 +978,13 @@ def test_ring_count_wraps_a_small_ring_before_the_hand_over(f_ring):
     end = 2 ** 14 + 1000
     prefix = gen_f(end).byte_values()
     plan = [end, end + 1, 32700]
-    status, _, windows = lib.ring_count(prefix, lib.byte_sum(prefix), plan[-1] + 1,
-                                        256, plan)
+    status, _, windows = lib.ring_count(prefix, 256, plan)
     assert (status, windows) == (_oracle.OK, f_ring.windows_at(plan))
     # a window across the block that starts at 24,576: a ring of 64 would
     # zero its first three counts before they are copied out, so it is
     # refused, and one of 128 holds them
     plan = [end, 24575, 24600]
-    runs = [lib.ring_count(prefix, lib.byte_sum(prefix), plan[-1] + 1, size, plan)
-            for size in (64, 128)]
+    runs = [lib.ring_count(prefix, size, plan) for size in (64, 128)]
     assert runs[0][:2] == (_oracle.RING_SHORT, [24576, 66, 64]), runs[0]
     assert runs[1][::2] == (_oracle.OK, f_ring.windows_at(plan))
 
@@ -1018,7 +1014,7 @@ def test_ring_count_refuses_a_fifth_term_of_a_value():
         pytest.skip("no C compiler: the flat count runs in place of the ring")
     prefix = bytearray(gen_f(101).byte_values())
     prefix[58] = 4
-    status, info, _ = lib.ring_count(prefix, lib.byte_sum(prefix), 999, 2 ** 10, [200])
+    status, info, _ = lib.ring_count(prefix, 2 ** 10, [200])
     assert (status, info) == (_oracle.COUNT_OVERFLOW, [116, 4, 5])
     with pytest.raises(ValueError, match=r"^V takes the value 116 more than 4 times$"):
         sequences._raise(status, info, "V", None)
