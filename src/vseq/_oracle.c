@@ -1,30 +1,32 @@
-/* The Q_{r,s} recursion Q(n) = Q(n - Q(n-r)) + Q(n - Q(n-s)) under the
-   all-ones seed Q(1..s) = 1, compiled for sequences.py, which loads it with
-   ctypes and keeps the same loops in Python as the reference.  vseq_qrs
-   stores Q; vseq_count keeps only the counts F(a) = #{n : V(n) = a} of
-   V = Q_{1,4}, seeding them itself and reading V's earlier terms back from
-   them; vseq_ring_count resumes a finished count of V's from the counts
-   alone, its read positions reading them in place until they pass them,
-   keeps the counts past them in a ring, two bits a count, and keeps only
-   the windows of F a plan names; vseq_unary rewrites V's counts in place
-   as V's steps V(k+1) - V(k).  V's flat count takes six terms a table
-   lookup between its first terms and its last (count_kernel): a 128 KB
-   table, which vseq_init builds once as the library loads, maps V's last
-   four steps and the next six at each read position to V's next six steps
-   and how far each read position moves.  The kernel stops short of the
-   end, and hands any block it cannot take (a count not yet final or
-   outside 1..4, a step of 2, a count past 4) back to the scalar loop with
-   its exact state, so the scalar loop returns every status.  The four
-   return a status; info[] carries what the caller needs to raise:
-     DEAD           info = {n, argument}  an argument left [1, n-1]
-     NOT_MONOTONE   info = {n, Q(n-1), Q(n)}
+/* V's count, compiled for sequences.py, which loads it with ctypes and
+   keeps a plain-Python loop for each pass as the reference.  V = Q_{1,4}:
+   V(1..4) = 1 and V(n) = V(n - V(n-1)) + V(n - V(n-4)) for n > 4.
+   vseq_count keeps only the counts F(a) = #{n : V(n) = a}, seeding them
+   itself and reading V's earlier terms back from them; vseq_ring_count
+   resumes a finished count of V's from the counts alone, its read
+   positions reading them in place until they pass them, keeps the counts
+   past them in a ring, two bits a count, and keeps only the windows of F a
+   plan names; vseq_unary rewrites V's counts in place as V's steps
+   V(k+1) - V(k), and vseq_expand writes them out as V's terms.  V's flat
+   count takes six terms a table lookup between its first terms and its
+   last (count_kernel): a 128 KB table, which vseq_init builds once as the
+   library loads, maps V's last four steps and the next six at each read
+   position to V's next six steps and how far each read position moves.
+   The kernel stops short of the end, and hands any block it cannot take
+   (a count not yet final or outside 1..4, a step of 2, a count past 4)
+   back to the scalar loop with its exact state, so the scalar loop returns
+   every status.  The four return a status; info[] carries what the caller
+   needs to raise:
+     DEAD           info = {n, argument}  an argument left [1, n-1], which
+                                          only corrupted counts can make
+     NOT_MONOTONE   info = {n, V(n-1), V(n)}
      COUNT_OVERFLOW info = {value, bound, count}  a count would pass bound,
                                           255 in a flat table and 4 in a
                                           ring (count = bound + 1), or a
                                           finished count a ring count reads
                                           lies outside 1..4
-     VALUE_OVERFLOW info = {n, Q(n)}       Q(n) does not fit 32 bits
-     UNSETTLED      info = {n, argument}  Q(argument) read from a count that
+     VALUE_OVERFLOW info = {n, V(n)}       V(n) does not fit 32 bits
+     UNSETTLED      info = {n, argument}  V(argument) read from a count that
                                           was still growing
      RING_SHORT     info = {value, lag, size}  counting value would reuse the
                                           ring slot of a value a read position
@@ -33,10 +35,9 @@
      OVERWRITE      info = {value, end, at}  vseq_unary's store through
                                           out[end - 1] would reach the count
                                           of value, at out[at], not yet read
-     TOO_FEW        info = {a, S(a), n}   vseq_unary's counts F(1..a) hold
-                                          S(a) <= n terms, too few for V's
-                                          steps to n
-   In vseq_qrs, Q(i) lives at q[i - 1].
+     TOO_FEW        info = {a, S(a), n}   the counts F(1..a) of vseq_unary
+                                          or vseq_expand hold S(a) <= n
+                                          terms, too few for V's steps to n
 
    Three more passes, whose plain-Python loops run where no library loads;
    ids are 1, 2 or 4 bytes wide:
@@ -63,38 +64,6 @@ enum { WIDER = -2, FULL = -3 };
 /* a ring of counts is zeroed this many slots at a time; it holds a count
    of at most RING_MOST */
 enum { BLOCK = 64, RING_MOST = 4 };
-
-static int step(const uint32_t *q, int64_t n, int64_t r, int64_t s,
-                int64_t *info, uint32_t *out)
-{
-    int64_t i1 = n - q[n - r - 1], i2 = n - q[n - s - 1];
-    if (i1 < 1 || i2 < 1) {
-        info[0] = n;
-        info[1] = i1 < i2 ? i1 : i2;
-        return DEAD;
-    }
-    uint64_t val = (uint64_t)q[i1 - 1] + q[i2 - 1];
-    if (val > UINT32_MAX) {
-        info[0] = n;
-        info[1] = (int64_t)val;
-        return VALUE_OVERFLOW;
-    }
-    *out = (uint32_t)val;
-    return OK;
-}
-
-/* Q(n_done + 1..n_max) into the caller's q[0..n_max-1], which holds
-   Q(1..n_done) already, n_done >= s. */
-int vseq_qrs(uint32_t *q, int64_t r, int64_t s, int64_t n_done, int64_t n_max,
-             int64_t *info)
-{
-    for (int64_t n = n_done + 1; n <= n_max; n++) {
-        int status = step(q, n, r, s, info, &q[n - 1]);
-        if (status != OK)
-            return status;
-    }
-    return OK;
-}
 
 /* A read position in F's prefix sums: V(p) = value exactly when
    below < p <= top = below + counts[value], with below = S(value - 1) and
@@ -729,6 +698,29 @@ int vseq_unary(uint8_t *out, int64_t size, int64_t a_max, int64_t n,
         memcpy(out + w, &low, 8);
         memcpy(out + w + 8, &high, 8);
         w += len;
+    }
+    return OK;
+}
+
+/* V(1..n) into v[0..n-1] from the flat counts F(0..a_max): V is slow, so
+   V(k) = a exactly when S(a - 1) < k <= S(a), and V holds each a F(a)
+   times.  Like vseq_unary, it asks the counts for a term past n, S(a) > n,
+   and returns TOO_FEW where they run out first; it writes nothing past
+   v[n - 1] whatever the counts hold. */
+int vseq_expand(const uint8_t *counts, int64_t a_max, uint32_t *v, int64_t n,
+                int64_t *info)
+{
+    int64_t k = 0;
+    for (int64_t a = 1; k <= n; a++) {
+        if (a > a_max) {
+            info[0] = a_max;
+            info[1] = k;
+            info[2] = n;
+            return TOO_FEW;
+        }
+        for (int64_t end = k + counts[a]; k < end; k++)
+            if (k < n)
+                v[k] = (uint32_t)a;
     }
     return OK;
 }

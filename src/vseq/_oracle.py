@@ -1,9 +1,10 @@
-"""The compiled loops of ``_oracle.c``, built on first use: the Q_{r,s}
-recursion and V's count for the oracle, the count resumed from F's counts
-alone into a ring that keeps F's windows at planned indices, the pass that
-rewrites V's counts in place as V's steps, the byte maximum, the tuple join
-that numbers the rule scan's windows and the kernel probe's blocks, and the
-rule scan's compare of each a's image pair with its window's.
+"""The compiled loops of ``_oracle.c``, built on first use: V's count for
+the oracle, the count resumed from F's counts alone into a ring that keeps
+F's windows at planned indices, the pass that rewrites V's counts in place
+as V's steps and the one that writes them out as V's terms, the byte
+maximum, the tuple join that numbers the rule scan's windows and the kernel
+probe's blocks, and the rule scan's compare of each a's image pair with its
+window's.
 
 ``library`` compiles the source with the system ``cc`` and loads it with
 ctypes.  It runs on the first oracle call, never at import.  The shared
@@ -62,7 +63,7 @@ def _view(buf, formats: str, what: str, writable: bool = False) -> memoryview:
             or (writable and view.readonly)):
         raise ValueError(f"{what} must be a flat, contiguous"
                          f"{' writable' if writable else ''} buffer of "
-                         f"{'bytes' if formats == 'B' else 'unsigned ids'}")
+                         f"{'bytes' if formats == 'B' else 'unsigned integers'}")
     return view
 
 
@@ -78,23 +79,21 @@ def _pointer(view: memoryview):
 
 
 class Oracle:
-    """The loops of _oracle.c: the three oracle loops and the in-place
-    steps pass, which return a status and info[3], the byte maximum, the
+    """The loops of _oracle.c: the two counts, the in-place steps pass and
+    the terms pass, which return a status and info[3], the byte maximum, the
     join, and the image-pair check.  Each pass checks the format, length
     and bounds of its buffers before it passes pointers; the counts of V
     take nothing that F's counts already fix."""
 
     def __init__(self, lib: ctypes.CDLL):
-        i64 = ctypes.c_int64
-        lib.vseq_qrs.argtypes = [ctypes.POINTER(ctypes.c_uint32), i64, i64, i64,
-                                 i64, ctypes.POINTER(i64)]
-        ptr = ctypes.c_void_p
+        i64, ptr = ctypes.c_int64, ctypes.c_void_p
         lib.vseq_count.argtypes = [ptr, i64, ptr]
         lib.vseq_ring_count.argtypes = [ptr, i64, ptr, i64, ptr, i64, ptr,
                                         ctypes.POINTER(i64)]
         lib.vseq_unary.argtypes = [ptr, i64, i64, i64, ptr]
-        for fn in (lib.vseq_qrs, lib.vseq_count, lib.vseq_ring_count,
-                   lib.vseq_unary):
+        lib.vseq_expand.argtypes = [ptr, i64, ptr, i64, ptr]
+        for fn in (lib.vseq_count, lib.vseq_ring_count, lib.vseq_unary,
+                   lib.vseq_expand):
             fn.restype = ctypes.c_int
         lib.vseq_byte_max.argtypes = [ptr, i64]
         lib.vseq_join.argtypes = [ptr, i64, i64, i64, i64, i64, i64, ptr,
@@ -106,14 +105,6 @@ class Oracle:
         # loop that ctypes runs without it
         ctypes.PYFUNCTYPE(None)(("vseq_init", lib))()
         self._lib = lib
-
-    def qrs(self, q: array, r: int, s: int, done: int) -> tuple[int, list[int]]:
-        """Q_{r,s}(done + 1..len(q)) into the 32-bit array q, which holds
-        Q_{r,s}(1..done) already."""
-        info = (ctypes.c_int64 * 3)()
-        view = (ctypes.c_uint32 * len(q)).from_buffer(q)
-        status = self._lib.vseq_qrs(view, r, s, done, len(q), info)
-        return status, list(info)
 
     def count(self, counts) -> tuple[int, list[int]]:
         """counts[a] = #{n : V(n) = a} for a below len(counts), at least 2,
@@ -170,6 +161,18 @@ class Oracle:
                              f"{len(out)} bytes, and n >= 0")
         info = (ctypes.c_int64 * 3)()
         status = self._lib.vseq_unary(_pointer(out), len(out), a_max, n, info)
+        return status, list(info)
+
+    def expand(self, counts, v) -> tuple[int, list[int]]:
+        """V(1..len(v)) into the writable buffer v of 32-bit terms, each a
+        written F(a) times from the byte buffer counts, F(0..len(counts) - 1):
+        counts that hold len(v) terms or fewer are TOO_FEW, and nothing is
+        written past v."""
+        counts = _view(counts, "B", "expand's counts")
+        v = _view(v, "I", "expand's terms", writable=True)
+        info = (ctypes.c_int64 * 3)()
+        status = self._lib.vseq_expand(_pointer(counts), len(counts) - 1,
+                                       _pointer(v), len(v), info)
         return status, list(info)
 
     def byte_max(self, vals) -> int:

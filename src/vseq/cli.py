@@ -17,8 +17,7 @@ from collections.abc import Sequence
 # imports the layers it runs (rules, synthesis, published) and calls them
 # through the module, so that eval and dot compile none of them
 from .automaton import WINDOW, BadDigit, BadNumeral, Dfao, ParseError
-from .sequences import (DeadSequence, SequenceTable, first_difference, gen_f,
-                        gen_qrs, gen_v, write_table)
+from .sequences import SequenceTable, first_difference, gen_f, gen_v, write_table
 
 SEED_NOTE = "# seed convention: Q_{r,s}(1..s) = 1 (V is Q_{1,4}; F counts V and has F(0) = 0)"
 
@@ -73,22 +72,27 @@ def _build_pipeline(validate: int, depth: int, machine: Dfao | None = None):
     return f, machine, verdict, report
 
 
+def _check_memory(what: str, need: int) -> None:
+    """A MemoryError, a usage error, unless ``need`` bytes, what ``what``
+    takes, fit this machine's physical memory."""
+    memory = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+    if need > memory:
+        raise MemoryError(f"{what} takes about {need} bytes of memory, and "
+                          f"this machine has {memory}")
+
+
 def cmd_gen(args) -> int:
+    # V's table, four bytes a term, beside F's counts to about half its
+    # end; or F's counts alone, a byte a value: peak RSS grew by 4.1 to 4.5
+    # and by 1.0 bytes a term, from about 15 MB, at --max 2^21 to 2^23
+    _check_memory(f"gen {args.sequence} --max {args.max}",
+                  9 * args.max // 2 if args.sequence == "v" else args.max)
     print(SEED_NOTE)
     print(f"# gen {args.sequence} --max {args.max}")
     if args.sequence == "v":
         table = gen_v(args.max)
     else:
         table = gen_f(args.max)
-    with _output(args.out) as fp:
-        write_table(table, fp)
-    return 0
-
-
-def cmd_qrs(args) -> int:
-    print(SEED_NOTE)
-    print(f"# qrs --r {args.r} --s {args.s} --max {args.max}")
-    table = gen_qrs(args.r, args.s, args.max)
     with _output(args.out) as fp:
         write_table(table, fp)
     return 0
@@ -193,10 +197,7 @@ def cmd_probe(args) -> int:
     # F's table or V's steps, and the first join's ids: peak RSS grew by
     # 1.2 to 1.3 bytes an index at bases 2 and 3 and by 1.9 at base 40,
     # from about 15 MB, at spans of 10^7 to 6 * 10^7
-    memory = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
-    if 2 * span > memory:
-        raise MemoryError(f"a probe to {span} takes about {2 * span} bytes of "
-                          f"memory, and this machine has {memory}")
+    _check_memory(f"a probe to {span}", 2 * span)
     print(SEED_NOTE)
     print(f"# probe --sequence {args.sequence} --base {args.base} "
           f"--depth {args.depth} --prefix {args.prefix} (oracle to {span})")
@@ -238,13 +239,6 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--max", type=int, required=True)
     g.add_argument("--out", default=None)
     g.set_defaults(func=cmd_gen)
-
-    q = sub.add_parser("qrs", help="generate Q_{r,s} under the all-ones seed")
-    q.add_argument("--r", type=int, required=True)
-    q.add_argument("--s", type=int, required=True)
-    q.add_argument("--max", type=int, required=True)
-    q.add_argument("--out", default=None)
-    q.set_defaults(func=cmd_qrs)
 
     r = sub.add_parser("rules", help="window rule table operations")
     rsub = r.add_subparsers(dest="action", required=True)
@@ -308,9 +302,6 @@ def run(argv: Sequence[str] | None = None) -> int:
         return args.func(args)
     except _synthesis_errors("CertificationFailure") as e:
         print(f"FAIL {e}")
-        return 1
-    except DeadSequence as e:
-        print(f"dead sequence: {e}")
         return 1
     except USAGE_ERRORS as e:
         print(f"vseq: {e}", file=sys.stderr)

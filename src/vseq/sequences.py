@@ -1,19 +1,22 @@
-"""Brute-force generators for the Hofstadter-Huber family of nested
-recurrences and derived sequences.
+"""Brute-force generators for the V sequence and the sequences derived
+from it.
 
-The V sequence is Q_{1,4}: V(1..4) = 1 and V(n) = V(n-V(n-1)) + V(n-V(n-4))
-for n > 4 (OEIS A063882).  Its frequency sequence F counts occurrences:
-F(a) = #{n : V(n) = a} (A132157), stored from index 0 with F(0) = 0.
+The V sequence is Q_{1,4} of the Hofstadter-Huber family: V(1..4) = 1 and
+V(n) = V(n-V(n-1)) + V(n-V(n-4)) for n > 4 (OEIS A063882).  Its frequency
+sequence F counts occurrences: F(a) = #{n : V(n) = a} (A132157), stored
+from index 0 with F(0) = 0.  V is slow, non-decreasing with steps in
+{0, 1}, so F's counts fix it: V(k) = a exactly when S(a - 1) < k <= S(a),
+S(a) = F(1) + ... + F(a).  There is one recursion, F's count; V's table
+and V's steps are its counts written out.
 
 Everything downstream (rule derivation, automaton synthesis, certification)
-treats the tables produced here as ground truth, so the generators guard
-their own consistency: meta-Fibonacci recursions abort as soon as an
-argument leaves the defined range, and the F scan re-checks that V is
-non-decreasing with steps in {0, 1}.
+treats the tables produced here as ground truth, so the count guards its
+own consistency: it re-checks that V is non-decreasing with steps in
+{0, 1}, and refuses a count that would overflow.
 
-Seed convention: general Q_{r,s} is seeded with s ones, Q_{r,s}(1..s) = 1,
-matching V's seed at (r, s) = (1, 4).  Other seed choices give different
-sequences, which is why the CLI prints the convention with every table.
+Seed convention: V(1..4) = 1, the all-ones seed Q_{r,s}(1..s) = 1 of the
+family at (r, s) = (1, 4).  Other seed choices give different sequences,
+which is why the CLI prints the convention with every table.
 """
 
 from __future__ import annotations
@@ -22,22 +25,9 @@ import operator
 from array import array
 from collections.abc import Iterable, Sequence
 from io import TextIOBase
-from itertools import tee
+from itertools import chain, islice, repeat, tee
 
 from ._record import Record
-
-
-class DeadSequence(Exception):
-    """A recursion argument left [1, n-1]; the sequence has no term at n."""
-
-    def __init__(self, label: str, n: int, argument: int, partial: Sequence[int]):
-        self.label = label
-        self.n = n
-        self.argument = argument
-        self.partial = partial
-        super().__init__(
-            f"{label} dies at n = {n}: argument {argument} outside [1, {n - 1}]"
-        )
 
 
 class MonotonicityViolation(Exception):
@@ -48,8 +38,8 @@ class SequenceTable(Record):
     """Integer sequence values on the inclusive index interval [lo, hi].
 
     ``values`` may be any integer sequence; generators pick a compact
-    backing store: a 32-bit ``array("I")`` for V and Q_{r,s}, a bytearray
-    for F and for V's steps written in place, an ``array`` of the narrowest
+    backing store: a 32-bit ``array("I")`` for V, a bytearray for F and for
+    V's steps written in place, an ``array`` of the narrowest
     typecode for the first difference of a table.  An F table is counted
     without a V table, so it costs one byte per index in all.
 
@@ -168,16 +158,17 @@ def _mismatch(a, b, start: int = 0) -> int:
     return next(i for i in range(start, len(a)) if a[i] != b[i])
 
 
-# V and Q_{r,s} are stored in 32 bits, so no size may pass this
+# V's terms are stored in 32 bits, and the counts' sizes with them, so no
+# size may pass this
 MAX_SIZE = 2 ** 32 - 1
 
 
-def _size(value, name: str, least: int, least_text: str = "") -> int:
+def _size(value, name: str, least: int) -> int:
     """``value`` as an int in [least, MAX_SIZE]: TypeError for a non-integer,
     ValueError outside the range."""
     value = operator.index(value)
     if value < least:
-        raise ValueError(f"{name} must be >= {least_text or least}")
+        raise ValueError(f"{name} must be >= {least}")
     if value > MAX_SIZE:
         raise ValueError(f"{name} = {value} is past the oracle's 32-bit range")
     return value
@@ -191,7 +182,7 @@ def _library():
     return library()
 
 
-# the recursions run compiled from this many steps on: under it the Python
+# the passes run compiled from this many steps on: under it the Python
 # loop takes a few ms, less than loading the compiled loops (let alone
 # building them on first use)
 COMPILED_FROM = 1 << 14
@@ -204,115 +195,66 @@ def max_byte(vals) -> int:
     return lib.byte_max(vals) if lib is not None else max(memoryview(vals), default=0)
 
 
-def _raise(status: int, info: list[int], label: str, partial) -> None:
-    """Raise what the Python loops raise for a status of _oracle.c;
-    ``partial(n)`` gives the table before a dead index n."""
+def _raise(status: int, info: list[int]) -> None:
+    """Raise what the Python loops raise for a status of _oracle.c, and a
+    RuntimeError for the statuses only corrupted counts or a short buffer
+    can make."""
     from . import _oracle
     if status == _oracle.DEAD:
         n, argument = info[0], info[1]
-        raise DeadSequence(label, n, argument, partial(n))
+        raise RuntimeError(f"V({n}) would read V({argument}), outside "
+                           f"[1, {n - 1}]")
     if status == _oracle.NOT_MONOTONE:
         n, prev, val = info
-        raise MonotonicityViolation(
-            f"{label}({n - 1}) = {prev} followed by {label}({n}) = {val}")
+        raise MonotonicityViolation(f"V({n - 1}) = {prev} followed by "
+                                    f"V({n}) = {val}")
     if status == _oracle.COUNT_OVERFLOW:
         value, bound, count = info
-        raise ValueError(f"{label} takes the value {value} more than {bound} times"
-                         if count > bound else f"{label} skips the value {value}")
+        raise ValueError(f"V takes the value {value} more than {bound} times"
+                         if count > bound else f"V skips the value {value}")
     if status == _oracle.VALUE_OVERFLOW:
-        raise OverflowError(f"{label}({info[0]}) = {info[1]} does not fit 32 bits")
+        raise OverflowError(f"V({info[0]}) = {info[1]} does not fit 32 bits")
     if status == _oracle.UNSETTLED:
         n, argument = info[0], info[1]
-        raise RuntimeError(f"{label}({n}) read {label}({argument}) before it "
-                           "was final")
+        raise RuntimeError(f"V({n}) read V({argument}) before it was final")
     if status == _oracle.RING_SHORT:
         value, lag, size = info
         raise RuntimeError(f"a ring of {size} counts is too short: counting "
-                           f"{label} = {value}, a read position lags {lag} "
-                           "values behind")
+                           f"V = {value}, a read position lags {lag} values "
+                           "behind")
     if status == _oracle.OVERWRITE:
         value, end, at = info
-        raise RuntimeError(f"{label}'s steps to byte {end} would overwrite "
-                           f"the count of {label} = {value}, at byte {at}, "
-                           "before it is read")
+        raise RuntimeError(f"V's steps to byte {end} would overwrite the "
+                           f"count of V = {value}, at byte {at}, before it is "
+                           "read")
     if status == _oracle.TOO_FEW:
         a, terms, n = info
-        raise RuntimeError(f"the counts of {label} = 1..{a} hold {terms} "
-                           f"terms, too few for {label}'s steps to {n}")
+        raise RuntimeError(f"the counts of V = 1..{a} hold {terms} terms, "
+                           f"too few for V's steps to {n}")
 
 
-def _recursion(r: int, s: int, n_max: int, label: str) -> SequenceTable:
-    """Q_{r,s}(1..n_max) under the all-ones seed, compiled when possible.
+def _frequency_py(a_max: int) -> bytearray:
+    """counts[a] = #{n : V(n) = a} for a in [0, a_max], the reference loop
+    of gen_f's compiled count: V by its recursion, stored in full.
 
-    The table grows by doubling, so that a sequence that dies early never
-    holds memory for all of n_max.
-    """
-    lib = _library() if n_max >= COMPILED_FROM else None
-    if lib is None:
-        return _recursion_py(r, s, n_max, label)
-    q = array("I", [1]) * s
-    while len(q) < n_max:
-        done = len(q)
-        q.frombytes(bytes(4 * (min(n_max, 2 * done + (1 << 16)) - done)))
-        status, info = lib.qrs(q, r, s, done)
-        _raise(status, info, label, lambda n: q[:n - 1])
-    return SequenceTable(1, n_max, q, label)
-
-
-def _v_before(n: int) -> array:
-    """V(1..n - 1), the table before a dead index n, for _raise."""
-    return _recursion(1, 4, n - 1, "V").values
-
-
-def _recursion_py(r: int, s: int, n_max: int, label: str) -> SequenceTable:
-    """The reference loop of _recursion.
-
-    Values are always >= 1 (sums of two earlier values, all-ones seed), so
-    both arguments stay at or below n-1; only the lower bound of the range
-    guard can fail, and it does for some (r, s).  Without the guard a
-    negative index would silently wrap around and corrupt the table.
-    """
-    q = array("I", [0])  # q[0] unused; 1-indexed
-    q.extend([1] * s)
-    append = q.append
-    for n in range(s + 1, n_max + 1):
-        i1 = n - q[n - r]
-        i2 = n - q[n - s]
-        if i1 < 1 or i2 < 1:
-            raise DeadSequence(label, n, min(i1, i2), q[1:n])
-        append(q[i1] + q[i2])
-    return SequenceTable(1, n_max, q[1:], label)
-
-
-def _frequency_py(r: int, s: int, a_max: int, label: str) -> bytearray:
-    """counts[a] = #{n : Q_{r,s}(n) = a} for a in [0, a_max], the reference
-    loop of gen_f's compiled count of V = Q_{1,4}; other (r, s) reach the
-    checks V never trips.
-
-    Q is scanned until its value first reaches a_max + 1; monotonicity
+    V is scanned until its value first reaches a_max + 1; monotonicity
     (steps in {0, 1}) makes every count at or below a_max complete at that
     point, and is itself verified during the scan.  A count past 255 raises
     (a bytearray holds no more).
     """
     counts = bytearray(a_max + 1)
-    counts[1] = s  # Q(1..s) = 1
-    v = array("I", [0])  # v[0] unused; 1-indexed
-    v.extend([1] * s)
+    counts[1] = 4  # V(1..4) = 1
+    v = array("I", [0, 1, 1, 1, 1])  # v[0] unused; 1-indexed
     append = v.append
-    n = s + 1
-    prev = 1
+    n = 5
+    prev = v[-1]
     while True:
-        i1 = n - v[n - r]
-        i2 = n - v[n - s]
-        if i1 < 1 or i2 < 1:
-            raise DeadSequence(label, n, min(i1, i2), v[1:n])
-        val = v[i1] + v[i2]
+        val = v[n - v[n - 1]] + v[n - v[n - 4]]
         append(val)
         if val != prev:
             if val != prev + 1:
                 raise MonotonicityViolation(
-                    f"{label}({n - 1}) = {prev} followed by {label}({n}) = {val}"
-                )
+                    f"V({n - 1}) = {prev} followed by V({n}) = {val}")
             prev = val
             if val > a_max:
                 break
@@ -321,45 +263,67 @@ def _frequency_py(r: int, s: int, a_max: int, label: str) -> bytearray:
     return counts
 
 
+def _v_end(n: int) -> int:
+    """The a_max to which F is counted for V's table or steps to n: at
+    least n // 2 + 64, and a multiple of four, the counts the compiled
+    steps pass reads at a time.  S(a) - 2a lies in [-37, 2] for a up to
+    2^26, falling about 1.5 a doubling, so S(a_max) > n."""
+    return 4 * (n // 8 + 17)
+
+
+def _too_few(terms: int, a_max: int, n: int) -> None:
+    """The Python passes' refusal of counts F(1..a_max) that hold
+    ``terms`` <= n terms, too few for V's steps to n: the compiled passes'
+    TOO_FEW."""
+    if terms <= n:
+        from . import _oracle
+        _raise(_oracle.TOO_FEW, [a_max, terms, n])
+
+
 def _v_steps(n: int) -> bytearray:
-    """out[k - 1] = V(k + 1) - V(k) for k in [1, n].  V is slow, so
-    V(p) = a exactly when S(a - 1) < p <= S(a): its steps are F's counts
-    in unary, 0^(F(a) - 1) 1 for a = 1, 2, ...  F is counted to a_max, at
-    least n // 2 + 64 and a multiple of four, the counts the compiled pass
-    reads at a time: S(a) - 2a lies in [-37, 2] for a up to 2^26, falling
-    about 1.5 a doubling, so S(a_max) > n.  The compiled count writes F
-    into the tail of the steps' own buffer of n + 128 bytes, about n / 2
-    bytes ahead of the steps' front, for the pass to rewrite them as steps
-    in place, front to back; the buffer is then trimmed to n.  Without the
-    library, _frequency_py's counts are written in unary.  Counts too few
-    for n + 1 terms, S(a_max) <= n, are refused, never returned as short
-    steps."""
-    from . import _oracle
-    a_max = 4 * (n // 8 + 17)
+    """out[k - 1] = V(k + 1) - V(k) for k in [1, n]: V's steps are F's
+    counts to _v_end(n) in unary, 0^(F(a) - 1) 1 for a = 1, 2, ...  The
+    compiled count writes F into the tail of the steps' own buffer of
+    n + 128 bytes, about n / 2 bytes ahead of the steps' front, for the
+    pass to rewrite them as steps in place, front to back; the buffer is
+    then trimmed to n.  Without the library, _frequency_py's counts are
+    written in unary.  Counts too few for n + 1 terms, S(a_max) <= n, are
+    refused, never returned as short steps."""
+    a_max = _v_end(n)
     lib = _library() if n >= COMPILED_FROM else None
     if lib is None:
         out = bytearray().join(bytes(c - 1) + b"\1"
-                               for c in _frequency_py(1, 4, a_max, "V")[1:])
-        status = _oracle.OK if len(out) > n else _oracle.TOO_FEW
-        info = [a_max, len(out), n]
+                               for c in _frequency_py(a_max)[1:])
+        _too_few(len(out), a_max, n)
     else:
         out = bytearray(n + 128)
         with memoryview(out)[-a_max - 1:] as counts:
-            _raise(*lib.count(counts), "V", _v_before)
-        status, info = lib.unary(out, n, a_max)
-    _raise(status, info, "V", None)
+            _raise(*lib.count(counts))
+        _raise(*lib.unary(out, n, a_max))
     del out[n:]
     return out
 
 
 def gen_v(n_max: int) -> SequenceTable:
-    """V(1..n_max) by direct recursion with a full memo table.
-
-    The range guard can never fire for V itself (all values are >= 1, so
-    both arguments stay in [1, n-1]) but is kept because the same recursion
-    shape dies for other (r, s).
-    """
-    return _recursion(1, 4, _size(n_max, "n_max", 4), "V")
+    """V(1..n_max), F's counts written out: V holds each a F(a) times.  F
+    is counted by gen_f to _v_end(n_max), as for V's steps, and refused
+    alike where its counts hold n_max terms or fewer.  The table takes four
+    bytes a term, and the counts half a byte a term beside it while it is
+    written.  The compiled pass writes the table; without it, the counts
+    are written out in Python."""
+    n = _size(n_max, "n_max", 4)
+    a_max = _v_end(n)
+    counts = gen_f(a_max).values
+    lib = _library() if n >= COMPILED_FROM else None
+    if lib is None:
+        terms = chain.from_iterable(map(repeat, range(a_max + 1), counts))
+        v = array("I", islice(terms, n + 1))
+        _too_few(len(v), a_max, n)
+        del v[n:]
+    else:
+        v = array("I", [0]) * n
+        _raise(*lib.expand(counts, v))
+    return SequenceTable(1, n, v, "V")
 
 
 def gen_f(a_max: int) -> SequenceTable:
@@ -378,9 +342,9 @@ def gen_f(a_max: int) -> SequenceTable:
     # V(n) is about n / 2
     lib = _library() if 2 * a_max >= COMPILED_FROM else None
     if lib is None:
-        return SequenceTable(0, a_max, _frequency_py(1, 4, a_max, "V"), "F")
+        return SequenceTable(0, a_max, _frequency_py(a_max), "F")
     counts = bytearray(a_max + 1)
-    _raise(*lib.count(counts), "V", _v_before)
+    _raise(*lib.count(counts))
     return SequenceTable(0, a_max, counts, "F")
 
 
@@ -441,7 +405,7 @@ def count_windows(f: SequenceTable, plan: Iterable[int]) -> bytes:
             while status == _oracle.RING_SHORT:
                 size *= 2
                 status, info, windows = lib.ring_count(counts, size, past)
-            _raise(status, info, "V", _v_before)
+            _raise(status, info)
             read += windows
     window = {n: read[4 * i:4 * i + 4] for i, n in enumerate(at)}
     # appended one by one: a join would hold an 80-byte buffer record per
@@ -450,19 +414,6 @@ def count_windows(f: SequenceTable, plan: Iterable[int]) -> bytes:
     for n in plan:
         out += window[n]
     return bytes(out)
-
-
-def gen_qrs(r: int, s: int, n_max: int) -> SequenceTable:
-    """Q_{r,s}(1..n_max) under the all-ones seed Q_{r,s}(1..s) = 1.
-
-    Raises DeadSequence, carrying the first offending index and the partial
-    table, when the recursion references an index outside [1, n-1].
-    """
-    r, s = operator.index(r), operator.index(s)
-    if not s > r >= 1:
-        raise ValueError(f"need s > r >= 1, got r={r}, s={s}")
-    n_max = _size(n_max, "n_max", s, f"s = {s}")
-    return _recursion(r, s, n_max, f"Q[{r},{s}]")
 
 
 def first_difference(t: SequenceTable | int) -> SequenceTable:

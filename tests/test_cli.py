@@ -41,20 +41,6 @@ def test_gen_v_to_file(tmp_path, capsys):
         [1, 1, 1, 1, 2, 3, 4, 5, 5, 6, 6, 7, 8, 8, 9, 9, 10, 11, 11, 11]
 
 
-def test_qrs_equals_v(capsys):
-    assert run(["qrs", "--r", "1", "--s", "4", "--max", "20"]) == 0
-    out = capsys.readouterr().out
-    assert "seq Q[1,4] 1 20" in out
-    assert seq_values(out) == [1, 1, 1, 1, 2, 3, 4, 5, 5, 6, 6, 7, 8, 8, 9, 9, 10, 11, 11, 11]
-
-
-def test_qrs_death_reports_index(capsys):
-    assert run(["qrs", "--r", "2", "--s", "5", "--max", "10000"]) == 1
-    out = capsys.readouterr().out
-    assert "dead sequence" in out
-    assert "n = 38" in out
-
-
 def test_rules_derive(capsys):
     assert run(["rules", "derive", "--max", "300"]) == 0
     out = capsys.readouterr().out
@@ -263,7 +249,7 @@ def test_unknown_flags_exit_2():
         run(["frobnicate"])
     assert e.value.code == 2
     with pytest.raises(SystemExit) as e:
-        run(["qrs", "--r", "1", "--max", "5"])  # missing --s
+        run(["gen", "v"])  # missing --max
     assert e.value.code == 2
 
 
@@ -282,11 +268,10 @@ def test_unknown_flags_exit_2():
     ["probe", "--sequence", "f", "--depth", "40"],                  # oracle past 2^32
     ["probe", "--sequence", "f", "--prefix", "2000000", "--depth", "12"],
     ["gen", "v", "--max", str(2 ** 32)],
-    ["qrs", "--r", "2", "--s", "5", "--max", str(2 ** 32)],
 ], ids=["bad-numeral", "bad-digit", "gen-max-0", "rules-max-3", "probe-base-1",
         "synthesize-depth-1", "synthesize-depth-minus-3", "probe-depth-minus-1",
         "probe-prefix-0", "vdiff-span-1", "vdiff-span-2", "probe-depth-40",
-        "probe-prefix-2e6", "gen-v-2^32", "qrs-max-2^32"])
+        "probe-prefix-2e6", "gen-v-2^32"])
 def test_usage_errors_exit_2_with_one_line(argv, tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     Path("t.dfao").write_text(Dfao(2, 0, [(0, 1), (1, 0)], [0, 1], SINGLE).serialize())
@@ -322,6 +307,35 @@ def test_probe_refuses_a_span_past_memory(sequence, monkeypatch, capsys):
     assert run(["probe", "--sequence", sequence, "--depth", "9", "--prefix", "1025"]) == 2
     assert capsys.readouterr() == ("", "vseq: a probe to 524800 takes about 1049600 "
                                    "bytes of memory, and this machine has 1048576\n")
+
+
+@pytest.mark.parametrize("sequence, fits, refused, need", [("v", 58254, 58255, 262147),
+                                                      ("f", 262144, 262145, 262145)])
+def test_gen_refuses_a_table_past_memory(sequence, fits, refused, need, tmp_path,
+                                         monkeypatch, capsys):
+    # on a machine of 256 KiB, V's table and its counts take 4.5 bytes a
+    # term and F's counts a byte a value: the largest --max that fits runs,
+    # and the next is refused with one line, before any oracle runs; so is
+    # V to 2^32 - 1 on a machine of 8 GiB
+    from vseq import cli
+    pages = {"SC_PHYS_PAGES": 64, "SC_PAGE_SIZE": 4096}
+    monkeypatch.setattr(cli.os, "sysconf", pages.__getitem__)
+    out = str(tmp_path / "t.seq")
+    assert run(["gen", sequence, "--max", str(fits), "--out", out]) == 0
+
+    def oracle(*args):
+        raise AssertionError("an oracle ran")
+
+    monkeypatch.setattr(cli, "gen_f", oracle)
+    monkeypatch.setattr(cli, "gen_v", oracle)
+    capsys.readouterr()
+    assert run(["gen", sequence, "--max", str(refused), "--out", out]) == 2
+    assert capsys.readouterr() == ("", f"vseq: gen {sequence} --max {refused} takes "
+                                   f"about {need} bytes of memory, and this machine "
+                                   "has 262144\n")
+    pages["SC_PHYS_PAGES"] = 2 ** 21
+    assert run(["gen", "v", "--max", str(2 ** 32 - 1)]) == 2
+    assert capsys.readouterr().err.startswith("vseq: gen v --max 4294967295 takes about")
 
 
 def test_depth_below_2_is_one_usage_line(built, tmp_path, monkeypatch, capsys):
@@ -482,8 +496,6 @@ def _commands(st, tmp: Path):
     commands = {
         ("gen", "f"): flags(max=value("1", "20", "300"), out=out),
         ("gen", "v"): flags(max=value("4", "20", "300"), out=out),
-        ("qrs",): flags(r=value("1", "2", "3"), s=value("2", "4", "5"),
-                        max=value("5", "20", "300"), out=out),
         ("rules", "derive"): flags(max=value("4", "20", "300"), min=value("4", "5", "10")),
         ("synthesize",): flags("--windowed", **pipeline, out=out),
         ("certify",): flags(automaton=automaton, **pipeline),

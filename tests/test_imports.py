@@ -26,9 +26,8 @@ PUBLIC = {
                   "PrintedTable", "diff_report", "table1", "table2"),
     "rules": ("RuleConflict", "RuleVerification", "WindowRuleTable",
               "derive_rules", "format_rules", "verify_rules"),
-    "sequences": ("DeadSequence", "MonotonicityViolation", "SequenceTable",
-                  "count_windows", "first_difference", "gen_f", "gen_qrs",
-                  "gen_v", "write_table"),
+    "sequences": ("MonotonicityViolation", "SequenceTable", "count_windows",
+                  "first_difference", "gen_f", "gen_v", "write_table"),
     "synthesis": ("CertificateReport", "CertificationFailure",
                   "NonpositiveDivisor", "OracleTooShort", "ProbeReport",
                   "TransitionCertificate", "Validation",
