@@ -7,16 +7,19 @@
    positions reading them in place until they pass them, keeps the counts
    past them in a ring, two bits a count, and keeps only the windows of F a
    plan names; vseq_unary rewrites V's counts in place as V's steps
-   V(k+1) - V(k), and vseq_expand writes them out as V's terms.  V's flat
-   count takes six terms a table lookup between its first terms and its
-   last (count_kernel): a 128 KB table, which vseq_init builds once as the
+   V(k+1) - V(k), and vseq_expand writes them out as V's terms.  Both
+   counts take six terms a table lookup between their first terms and
+   their last (kernel): a 128 KB table, which vseq_init builds once as the
    library loads, maps V's last four steps and the next six at each read
    position to V's next six steps and how far each read position moves.
-   The kernel stops short of the end, and hands any block it cannot take
-   (a count not yet final or outside 1..4, a step of 2, a count past 4)
-   back to the scalar loop with its exact state, so the scalar loop returns
-   every status.  The four return a status; info[] carries what the caller
-   needs to raise:
+   Over a ring, four two-bit counts are one byte, which indexes the table
+   of their steps, and the kernel adds the counts it finishes two bits
+   each, starting each block of the ring itself.  The kernel stops short
+   of the end, and hands any block it cannot take (a count not yet final
+   or outside 1..4, a step of 2, a count past 4, a ring too short) back to
+   the scalar loop with its exact state, so the scalar loop returns every
+   status.  The four return a status; info[] carries what the caller needs
+   to raise:
      DEAD           info = {n, argument}  an argument left [1, n-1], which
                                           only corrupted counts can make
      NOT_MONOTONE   info = {n, V(n-1), V(n)}
@@ -59,7 +62,8 @@
 
 enum { OK, DEAD, NOT_MONOTONE, COUNT_OVERFLOW, VALUE_OVERFLOW, UNSETTLED,
        RING_SHORT, OVERWRITE, TOO_FEW,
-       HANDOVER /* between two loops of vseq_ring_count */ };
+       /* between the loops of vseq_ring_count */
+       HANDOVER, PAUSE };
 enum { WIDER = -2, FULL = -3 };
 /* a ring of counts is zeroed this many slots at a time; it holds a count
    of at most RING_MOST */
@@ -194,14 +198,51 @@ struct count {
 /* Copy out each planned window F(n-2..n+1) whose last count is final,
    n + 2 <= value, from a ring of cmask + 1 counts: F(-1) and F(0) read 0,
    and the values below p from pre where one is given. */
-static inline __attribute__((always_inline)) void
-copy_out(struct count *at, const uint8_t *pre, int64_t p,
-         const uint8_t *counts, int64_t cmask, int64_t value)
+static void copy_out(struct count *at, const uint8_t *pre, int64_t p,
+                     const uint8_t *counts, int64_t cmask, int64_t value)
 {
     for (; at->planned && at->plan[0] + 2 <= value; at->plan++, at->planned--)
         for (int64_t a = at->plan[0] - 2; a < at->plan[0] + 2; a++)
             *at->windows++ = a < 1 ? 0 : pre && a < p ? pre[a]
                              : count_of(counts, 0, cmask, a);
+}
+
+/* Start the block of BLOCK values from block, a multiple of BLOCK, in a
+   ring of cmask + 1 counts, the counts below final being final: copy out
+   the planned windows they end (copy_out), then zero the block's slots; or
+   return the lag it refuses with, where that would reuse the slot of a
+   value still read: from least on, and where pre is given, whose values
+   below p the cursors read in place, of a window still to be copied out
+   from p on.  Out of line, so that it takes no register from the loops
+   that call it. */
+static __attribute__((noinline)) int64_t
+start_block(struct count *at, const uint8_t *pre, int64_t p, uint8_t *counts,
+            int64_t cmask, int64_t final, int64_t block, int64_t least)
+{
+    copy_out(at, pre, p, counts, cmask, final);
+    int64_t back = least;
+    if (pre && at->planned) {
+        int64_t window = at->plan[0] - 2 > p ? at->plan[0] - 2 : p;
+        back = window < back ? window : back;
+    }
+    if (block + BLOCK - 1 - back > cmask)
+        return block + BLOCK - 1 - back;
+    memset(counts + ((block & cmask) >> 2), 0, BLOCK / 4);
+    /* the slots a few blocks on were last written a ring ago */
+    __builtin_prefetch(counts + (((block + 4 * BLOCK) & cmask) >> 2), 1);
+    return 0;
+}
+
+/* Record where a count stands: the next term n, prev = V(n-1), and the
+   cursors */
+static inline __attribute__((always_inline)) void
+stand(struct count *at, int64_t n, int64_t prev, struct cursor c1,
+      struct cursor c2)
+{
+    at->n = n;
+    at->prev = prev;
+    at->c1 = c1;
+    at->c2 = c2;
 }
 
 /* The loop of both counts of V from at->n until V first reaches
@@ -221,8 +262,10 @@ copy_out(struct count *at, const uint8_t *pre, int64_t p,
    loop lets read the values below p from pre); then, before it zeroes the
    new block's slots, it refuses with RING_SHORT to reuse the slot of a
    value a cursor may still read, or in a PREFIX loop a window still to be
-   copied out.  The planned windows stay in *at, touched only as a block
-   starts, so that they take no register from the loop. */
+   copied out (start_block).  Past each block start a ring returns PAUSE
+   with *at where the count stands, for the kernel to go on from.  The
+   planned windows stay in *at, touched only as a block starts, so that
+   they take no register from the loop. */
 static inline __attribute__((always_inline)) int
 count_loop(int mode, const uint8_t *pre, int64_t p, uint8_t *counts,
            int64_t cmask, int64_t a_max, struct count *at, uint32_t *ring,
@@ -252,10 +295,7 @@ count_loop(int mode, const uint8_t *pre, int64_t p, uint8_t *counts,
             : seek(reads, flat_reads, cmask, &c2, i2, latest) != OK ? i2 : 0;
         if (unread) {
             if (mode == PREFIX) {
-                at->n = n;
-                at->prev = prev;
-                at->c1 = c1;
-                at->c2 = c2;
+                stand(at, n, prev, c1, c2);
                 return HANDOVER;
             }
             info[0] = n;
@@ -278,33 +318,30 @@ count_loop(int mode, const uint8_t *pre, int64_t p, uint8_t *counts,
             }
             prev = val;
             run = 1;
-            if (!flat && (!(val & (BLOCK - 1)) || val > a_max)) {
+            if (!flat && val > a_max) {
                 copy_out(at, mode == PREFIX ? pre : NULL, p, counts, cmask,
                          val);
-                if (val > a_max)
-                    return OK;
-                int64_t back = mode == RING
-                    ? (c1.value < c2.value ? c1.value : c2.value)
-                    : !at->planned ? val
-                    : at->plan[0] - 2 > p ? at->plan[0] - 2 : p;
-                if (val + BLOCK - 1 - back > cmask) {
+                return OK;
+            }
+            if (!flat && !(val & (BLOCK - 1))) {
+                /* what the cursors read, or in a PREFIX loop no value
+                   below the new block */
+                int64_t least = mode == PREFIX ? val
+                    : c1.value < c2.value ? c1.value : c2.value;
+                int64_t lag = start_block(at, mode == PREFIX ? pre : NULL, p,
+                                          counts, cmask, val, val, least);
+                if (lag) {
                     info[0] = val;
-                    info[1] = val + BLOCK - 1 - back;
+                    info[1] = lag;
                     info[2] = cmask + 1;
                     return RING_SHORT;
                 }
-                memset(counts + ((val & cmask) >> 2), 0, BLOCK / 4);
-                /* the slots a few blocks on were last written a ring ago */
-                __builtin_prefetch(
-                    counts + (((val + 4 * BLOCK) & cmask) >> 2), 1);
+                ring[n & 7] = (uint32_t)val;
+                stand(at, n + 1, val, c1, c2);
+                return PAUSE;
             }
-            if (val > a_max) {
-                if (flat) { /* where the count stands, for V's kernel */
-                    at->n = n;
-                    at->prev = val - 1;
-                    at->c1 = c1;
-                    at->c2 = c2;
-                }
+            if (val > a_max) { /* where the count stands, for V's kernel */
+                stand(at, n, val - 1, c1, c2);
                 return OK;
             }
         }
@@ -338,13 +375,16 @@ count_loop(int mode, const uint8_t *pre, int64_t p, uint8_t *counts,
    hands the block back to the scalar loop.  128 KB. */
 enum { KSTEPS = 6, KMASK = (1 << KSTEPS) - 1 };
 static uint16_t kstep[16 << 2 * KSTEPS];
-/* E's terms as counts, for vseq_count: its first lead terms take the
-   latest value, and its ones 1s start as many values after it, whose
-   counts are the bytes of gaps from the low byte, the last one, tail,
-   still growing; lead is 8, a count past RING_MOST, where E is 0 or one
-   of those counts passes RING_MOST */
+/* E's terms as counts: its first lead terms take the latest value, and its
+   ones 1s start as many values after it, whose counts are the bytes of
+   gaps from the low byte, the last one, tail, still growing; lead is 8, a
+   count past RING_MOST, where E is 0 or one of those counts passes
+   RING_MOST.  packed is the same for a ring of two-bit counts, from the
+   latest value's slot on: lead, then each of gaps' counts c as c - 1, two
+   bits a value. */
 static struct {
     uint64_t gaps;
+    uint16_t packed;
     uint8_t lead, ones, tail;
 } runs[1 << KSTEPS];
 /* four counts c of 1..4, c - 1 in two bits each from bit 0: their steps,
@@ -392,6 +432,10 @@ void vseq_init(void)
         runs[E].lead = (uint8_t)(E ? lead : 8);
         runs[E].ones = (uint8_t)ones;
         runs[E].tail = (uint8_t)(gaps >> 8 * (ones - 1 + !ones) & 0xff);
+        unsigned packed = (unsigned)lead;
+        for (int k = 0; k < ones && lead <= RING_MOST; k++)
+            packed += ((gaps >> 8 * k & 0xff) - 1) << 2 * (k + 1);
+        runs[E].packed = (uint16_t)packed;
     }
     for (int i = 0; i < 256; i++) {
         uint32_t bits = 0, len = 0;
@@ -407,7 +451,7 @@ void vseq_init(void)
     built = 1;
 }
 
-/* A read position's next steps in count_kernel: bit i of buf is
+/* A read position's next steps in the kernel: bit i of buf is
    e(p + 1 + i) for i < nb, p the position, and 0 past nb; the steps after
    them are those of the counts from value next on.  Each block refills
    buf while it holds few enough steps to take more. */
@@ -427,21 +471,41 @@ static inline uint32_t four_counts(const uint8_t *counts, int64_t a)
     return w & 0xfcfcfcfc ? 0 : pattern[(w * 0x01041040u) >> 24];
 }
 
-/* The read position p's next steps from the flat counts: those left in the
-   run of V(p), which c, at p or at p + 1, holds or follows, then the counts'
-   steps from the next value on, read while final (below latest) and 1..4;
-   0 where they run out before buf holds 49. */
-static int count_bits(const uint8_t *counts, int64_t latest,
-                      const struct cursor *c, int64_t p, struct bits *b)
+/* The same from flat counts or, where a is a multiple of 4, from a ring of
+   cmask + 1 counts (count_of), whose byte of the four is pattern[]'s
+   index. */
+static inline __attribute__((always_inline)) uint32_t
+next_four(const uint8_t *counts, int flat, int64_t cmask, int64_t a)
 {
-    int64_t value = c->value, top = c->below + counts[value];
+    return flat ? four_counts(counts, a) : pattern[counts[(a & cmask) >> 2]];
+}
+
+/* The read position p's next steps from the counts, flat or a ring of
+   cmask + 1: those left in the run of V(p), which c, at p or at p + 1,
+   holds or follows, then the counts' steps from the next value on, read
+   while final (below latest) and 1..4, a ring's one at a time up to a
+   multiple of 4 and then a byte at a time; 0 where they run out before buf
+   holds 49. */
+static int count_bits(const uint8_t *counts, int flat, int64_t cmask,
+                      int64_t latest, const struct cursor *c, int64_t p,
+                      struct bits *b)
+{
+    int64_t value = c->value;
+    int64_t top = c->below + count_of(counts, flat, cmask, value);
     if (p <= c->below) {
         value--;
         top = c->below;
     }
     *b = (struct bits){0, top - p, value + 1};
+    for (; !flat && b->next & 3; b->next++) {
+        if (b->next >= latest)
+            return 0;
+        b->buf |= 1ull << b->nb;
+        b->nb += count_of(counts, 0, cmask, b->next);
+    }
     while (b->nb <= 48) {
-        uint32_t f = b->next + 4 <= latest ? four_counts(counts, b->next) : 0;
+        uint32_t f = b->next + 4 <= latest
+            ? next_four(counts, flat, cmask, b->next) : 0;
         if (!f)
             return 0;
         b->buf |= (uint64_t)(f & 0xffff) << b->nb;
@@ -452,31 +516,73 @@ static int count_bits(const uint8_t *counts, int64_t latest,
 }
 
 /* The cursor of read position p, from its next steps buf, the counts of
-   the values from next on after them: each 1 in buf starts a value */
-static struct cursor count_cursor(const uint8_t *counts, int64_t p,
-                                  uint64_t buf, int64_t next)
+   the values from next on after them: each 1 in buf starts a value.  Its
+   top is exact, as a RING loop keeps it. */
+static struct cursor count_cursor(const uint8_t *counts, int flat,
+                                  int64_t cmask, int64_t p, uint64_t buf,
+                                  int64_t next)
 {
     int64_t value = next - 1 - __builtin_popcountll(buf);
     int64_t top = p + __builtin_ctzll(buf);
-    return (struct cursor){value, top - counts[value], top};
+    return (struct cursor){value, top - count_of(counts, flat, cmask, value),
+                           top};
 }
 
-/* V's flat count from where *at stands, its last terms in ring[] (mask 7),
-   KSTEPS terms a block while the blocks write below a_max and the counts
-   the read positions read next are final and 1..4, and while each block's
-   steps are 0 or 1 and make counts of 1..4; then *at and ring[] where the
-   count stands, for the scalar loop to go on from.  The counts past prev
-   are zero: a block stores the counts of the values it finishes and of
-   the value it ends on eight bytes at once. */
-static __attribute__((noinline)) void
-count_kernel(uint8_t *counts, int64_t a_max, struct count *at, uint32_t *ring)
+/* Store w's four bytes to a ring of cmask + 1 counts from the byte of
+   value a on: at once, or its three low bytes one at a time across the
+   ring's end. */
+static inline __attribute__((always_inline)) void
+put_ring(uint8_t *counts, int64_t cmask, int64_t a, uint32_t w)
 {
-    int64_t n = at->n, prev = at->prev, run = counts[prev];
+    if ((a & cmask) <= cmask - 12)
+        memcpy(counts + ((a & cmask) >> 2), &w, 4);
+    else
+        for (int j = 0; j < 3; j++)
+            counts[((a + 4 * j) & cmask) >> 2] = (uint8_t)(w >> 8 * j);
+}
+
+/* count_loop's count from where *at stands, its last terms in ring[]
+   (mask 7), KSTEPS terms a block while the blocks write below a_max and
+   the counts the read positions read next are final and 1..4, and while
+   each block's steps are 0 or 1 and make counts of 1..4; then *at and
+   ring[] where the count stands, for the scalar loop to go on from.  mode
+   is count_loop's, passed as a constant.  A FLAT block stores the counts
+   of the values it finishes and of the value it ends on eight bytes at
+   once, over the zeros past prev.  A ring's block adds them as two-bit
+   counts (runs[].packed) to acc, which holds the bytes of the ring from
+   prev's on, the later ones zeroed, and stores its low four bytes: it
+   never loads a byte it stored, as a load from part of a store still
+   pending would wait for it, and the bytes it passes are done.  The read
+   positions read flat counts four at a time (pre in a PREFIX loop), or a
+   ring's a byte at a time from a multiple of 4.  The loop checks one
+   bound a block, lim: as prev passes it, the kernel checks the rest,
+   starts a ring's next block a few values early (start_block), and sets
+   lim again, at most 64 values on.  Where start_block refuses, it hands
+   back, so that the scalar loop, whose read positions and windows are then
+   no further back, returns any RING_SHORT with its info.  A ring of 64
+   counts refuses every block with a window to copy out or a cursor
+   behind, and from 128 on the slots zeroed lie more than 64 values behind
+   any window still to be copied out. */
+static inline __attribute__((always_inline)) void
+kernel(int mode, const uint8_t *pre, int64_t p, uint8_t *counts,
+       int64_t cmask, int64_t a_max, struct count *at, uint32_t *ring)
+{
+    int flat = mode == FLAT;
+    /* what the cursors read, and whether flat */
+    const uint8_t *reads = mode == PREFIX ? pre : counts;
+    int flat_reads = mode != RING;
+    if (flat)
+        cmask = -1;
+    int64_t n = at->n, prev = at->prev, run = count_of(counts, flat, cmask, prev);
+    /* a ring's bytes from prev's on */
+    uint64_t acc = flat ? 0 : counts[(prev & cmask) >> 2];
     /* the read positions of term n - 1 */
     int64_t p1 = n - 1 - ring[(n - 2) & 7], p2 = n - 1 - ring[(n - 5) & 7];
     struct bits b1, b2;
-    if (!count_bits(counts, prev, &at->c1, p1, &b1)
-        || !count_bits(counts, prev, &at->c2, p2, &b2))
+    if (!count_bits(reads, flat_reads, cmask, mode == PREFIX ? p : prev,
+                    &at->c1, p1, &b1)
+        || !count_bits(reads, flat_reads, cmask, mode == PREFIX ? p : prev,
+                       &at->c2, p2, &b2))
         return;
     unsigned h = 0;
     for (int j = 0; j < 4; j++)
@@ -485,14 +591,55 @@ count_kernel(uint8_t *counts, int64_t a_max, struct count *at, uint32_t *ring)
     int64_t nb1 = b1.nb, nb2 = b2.nb, next1 = b1.next, next2 = b2.next;
     unsigned i = h | (unsigned)(buf1 & KMASK) << 4
                  | (unsigned)(buf2 & KMASK) << (4 + KSTEPS);
-    while (prev + 8 <= a_max && next1 + 4 <= prev && next2 + 4 <= prev) {
-        uint32_t f1 = four_counts(counts, next1);
-        uint32_t f2 = four_counts(counts, next2);
+    /* a ring's slots are zeroed below end, a block start */
+    int64_t end = (prev | (BLOCK - 1)) + 1;
+    /* the last value a block starts from: V stays within 32 bits */
+    int64_t last = (a_max < UINT32_MAX ? a_max : UINT32_MAX) - 8;
+    /* the blocks run while prev <= lim, checked only as it passes lim */
+    for (int64_t lim = prev - 1;;) {
+        if (prev > lim) {
+            /* a block reads at most 4 counts on and moves prev on by at
+               least 1, and the counts below prev are final: the blocks to
+               prev + room / 4 read final counts */
+            int64_t room = (mode == PREFIX ? p : prev) - 4
+                           - (next1 > next2 ? next1 : next2);
+            if (prev > last || room < 0)
+                break;
+            /* the four bytes a ring's block adds to reach 16 values on */
+            if (!flat && prev + 16 > end) {
+                /* a PREFIX loop starts a block early only where the
+                   kernel goes on into it: otherwise its cursors could
+                   leave pre first, and the hand-over, which checks the
+                   ring to the end of the latest value's block, miss the
+                   slots zeroed past it */
+                if (mode == PREFIX && (prev + room / 4 < end || end > last))
+                    break;
+                /* cursor 1's value, below the latest value's byte and
+                   never past cursor 2's; or in a PREFIX loop that byte */
+                int64_t least = mode == RING
+                    ? next1 - 1 - __builtin_popcountll(buf1) : prev & -4;
+                if (start_block(at, mode == PREFIX ? pre : NULL, p, counts,
+                                cmask, prev, end, least))
+                    break;
+                end += BLOCK;
+            }
+            lim = prev + room / 4;
+            lim = lim < last ? lim : last;
+            lim = flat || lim < end - 16 ? lim : end - 16;
+        }
+        uint32_t f1 = next_four(reads, flat_reads, cmask, next1);
+        uint32_t f2 = next_four(reads, flat_reads, cmask, next2);
         unsigned t = kstep[i], E = t & KMASK;
         if (!f1 || !f2 || run + runs[E].lead > RING_MOST)
             break;
-        counts[prev] = (uint8_t)(run + runs[E].lead);
-        memcpy(counts + prev + 1, &runs[E].gaps, 8);
+        if (flat) {
+            counts[prev] = (uint8_t)(run + runs[E].lead);
+            memcpy(counts + prev + 1, &runs[E].gaps, 8);
+        } else {
+            acc += (uint64_t)runs[E].packed << 2 * (prev & 3);
+            put_ring(counts, cmask, prev, (uint32_t)acc);
+            acc >>= 8 * (((prev + runs[E].ones) >> 2) - (prev >> 2));
+        }
         prev += runs[E].ones;
         run = runs[E].tail;
         n += KSTEPS;
@@ -519,8 +666,16 @@ count_kernel(uint8_t *counts, int64_t a_max, struct count *at, uint32_t *ring)
     }
     at->n = n;
     at->prev = prev;
-    at->c1 = count_cursor(counts, n - 1 - ring[(n - 2) & 7], buf1, next1);
-    at->c2 = count_cursor(counts, n - 1 - v, buf2, next2);
+    at->c1 = count_cursor(reads, flat_reads, cmask, n - 1 - ring[(n - 2) & 7],
+                          buf1, next1);
+    at->c2 = count_cursor(reads, flat_reads, cmask, n - 1 - v, buf2, next2);
+}
+
+/* V's flat kernel */
+static __attribute__((noinline)) void
+count_kernel(uint8_t *counts, int64_t a_max, struct count *at, uint32_t *ring)
+{
+    kernel(FLAT, NULL, 0, counts, -1, a_max, at, ring);
 }
 
 /* V's flat count, one loop of its own */
@@ -558,8 +713,8 @@ int vseq_count(uint8_t *counts, int64_t a_max, int64_t *info)
     return v_count(counts, a_max, &at, ring, info);
 }
 
-/* vseq_ring_count's two loops, each a function of its own, so that the
-   code around one changes none of the other's */
+/* vseq_ring_count's two loops and two kernels, each a function of its
+   own, so that the code around one changes none of the others' */
 static __attribute__((noinline)) int
 prefix_loop(const uint8_t *pre, int64_t p, uint8_t *counts, int64_t cmask,
             int64_t a_max, struct count *at, uint32_t *ring, int64_t *info)
@@ -572,6 +727,20 @@ ring_loop(uint8_t *counts, int64_t cmask, int64_t a_max, struct count *at,
           uint32_t *ring, int64_t *info)
 {
     return count_loop(RING, NULL, 0, counts, cmask, a_max, at, ring, info);
+}
+
+static __attribute__((noinline)) void
+prefix_kernel(const uint8_t *pre, int64_t p, uint8_t *counts, int64_t cmask,
+              int64_t a_max, struct count *at, uint32_t *ring)
+{
+    kernel(PREFIX, pre, p, counts, cmask, a_max, at, ring);
+}
+
+static __attribute__((noinline)) void
+ring_kernel(uint8_t *counts, int64_t cmask, int64_t a_max, struct count *at,
+            uint32_t *ring)
+{
+    kernel(RING, NULL, 0, counts, cmask, a_max, at, ring);
 }
 
 /* The least i < n whose count v[i] lies outside 1..RING_MOST, or -1: 64
@@ -632,7 +801,10 @@ int vseq_ring_count(const uint8_t *pre, int64_t p, uint8_t *counts,
     memset(counts + (((p & -BLOCK) & cmask) >> 2), 0, BLOCK / 4);
     counts[(p & cmask) >> 2] |= (uint8_t)((pre[p] - 1) << 2 * (p & 3));
     struct count at = {done + 1, prev, c, c, plan, planned, windows};
-    int status = prefix_loop(pre, p, counts, cmask, a_max, &at, ring, info);
+    int status;
+    while ((status = prefix_loop(pre, p, counts, cmask, a_max, &at, ring,
+                                 info)) == PAUSE)
+        prefix_kernel(pre, p, counts, cmask, a_max, &at, ring);
     if (status != HANDOVER)
         return status;
     /* from here the ring holds every count read: the values from the lower
@@ -653,7 +825,9 @@ int vseq_ring_count(const uint8_t *pre, int64_t p, uint8_t *counts,
         int shift = 2 * (a & 3);
         *slot = (uint8_t)((*slot & ~(3 << shift)) | (pre[a] - 1) << shift);
     }
-    return ring_loop(counts, cmask, a_max, &at, ring, info);
+    while ((status = ring_loop(counts, cmask, a_max, &at, ring, info)) == PAUSE)
+        ring_kernel(counts, cmask, a_max, &at, ring);
+    return status;
 }
 
 /* out[k - 1] = V(k + 1) - V(k) for k in [1, n], written front to back over

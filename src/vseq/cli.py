@@ -64,6 +64,10 @@ def _build_pipeline(validate: int, depth: int, machine: Dfao | None = None):
     returned is that F."""
     from . import synthesis
     synthesis.check_bounds(validate_to=validate, depth=depth)
+    # F's counts, a byte an index: peak RSS grew by 0.98 bytes an index,
+    # from about 15 MB, at --validate 2^23 to 2^24 and depth 4 on
+    # synthesize, certify and tables check
+    _check_memory(f"--validate {validate}", validate + 2)
     f = gen_f(validate + 2)
     verdict = None
     if machine is None:
@@ -101,6 +105,9 @@ def cmd_gen(args) -> int:
 def cmd_rules(args) -> int:
     from . import rules
     rules.check_range(args.min, args.max)
+    # F's counts to 2 * --max + 1, a byte a value: peak RSS grew by 1.9
+    # bytes an a, from about 15 MB, at --max 2^21 to 2^24
+    _check_memory(f"rules derive --max {args.max}", 2 * args.max + 2)
     print(SEED_NOTE)
     print(f"# rules derived on ({args.min - 1}, {args.max}], oracle to {2 * args.max + 1}")
     f = gen_f(2 * args.max + 1)

@@ -98,7 +98,10 @@ def _scan(f: SequenceTable, a_min: int, a_max: int) -> WindowRuleTable:
     checked in one compare against each id's expected pair, and the first
     chunk that differs names the least conflicting a.  Where a library
     loads, the largest byte, the join and the compare run compiled
-    (``_oracle.c``; vseq_pairs stops at the first conflict); otherwise
+    (``_oracle.c``; vseq_pairs stops at the first conflict, through a table
+    of each id's expected pair, padded to 256 ids, which is built again only
+    when a chunk's windows in id order differ from the last chunk's, and a
+    window's images never change once taken); otherwise
     their plain-Python loops run.  RuleConflict names the least conflicting
     a, even before odd.  Callers keep a_min > 3.
     """
@@ -115,6 +118,7 @@ def _scan(f: SequenceTable, a_min: int, a_max: int) -> WindowRuleTable:
     # the largest byte over the bytes of every window
     k = max_byte(vals[a_min - 2:a_max + 2]) + 1
     lib = _library()
+    last = None  # the windows in id order of the expected pairs' table
     for lo in range(a_min, a_max + 1, SCAN_CHUNK):
         count = min(SCAN_CHUNK, a_max + 1 - lo)
         pairs = vals[2 * lo:2 * (lo + count)]  # F(2a), F(2a+1) for each a
@@ -126,8 +130,11 @@ def _scan(f: SequenceTable, a_min: int, a_max: int) -> WindowRuleTable:
             if w not in seen:
                 even[w], odd[w], seen[w] = pairs[2 * i], pairs[2 * i + 1], lo + i
         if lib is not None:  # each id's expected pair, padded to 256 ids
-            expect = bytes(v for w in wins for v in (even[w], odd[w]))
-            i = lib.pairs(ids, expect.ljust(512, b"\0"), pairs)
+            if wins != last:
+                last = wins
+                expect = bytes(v for w in wins for v in (even[w], odd[w]))
+                expect = expect.ljust(512, b"\0")
+            i = lib.pairs(ids, expect, pairs)
         else:  # every a's expected pair, joined; -1 // 2 is -1, no conflict
             images = [bytes((even[w], odd[w])) for w in wins]
             i = _mismatch(b"".join(map(images.__getitem__, ids)), pairs) // 2

@@ -356,8 +356,12 @@ def _ring_size(a_max: int, p: int) -> int:
     most about a_max / 2.  While they stay below p they read the prefix
     in place, and the ring holds only the planned windows still to be
     copied out: 256 counts, four blocks of 64.  Past p they read the
-    ring, which then holds just over half the count's values, zeroed 64
-    slots ahead of the count."""
+    ring, which then holds just over half the count's values, zeroed a
+    block of 64 slots at a time, which the count's six-step kernel starts
+    16 values early, so that no block of it writes past the slots zeroed;
+    where a block start would reuse a slot still read, the kernel hands
+    the count back to the scalar loop, which refuses the ring exactly as
+    it did alone."""
     if a_max // 2 + 128 < p:
         return 256
     return 1 << (a_max // 2 + 128).bit_length()
@@ -377,7 +381,10 @@ def count_windows(f: SequenceTable, plan: Iterable[int]) -> bytes:
     that hands its read positions over to the ring, which then takes just
     over a_max / 2 counts for a_max = max(plan) + 1.  A ring count is
     F(a) - 1 in two bits, so the ring takes a_max / 8 to a_max / 4 bytes:
-    16 MiB for the 2^26 counts of depth 16.  f's counts that the cursors
+    16 MiB for the 2^26 counts of depth 16.  Between its first terms and
+    its last the count takes six terms a table lookup, as gen_f's does,
+    reading f's counts four bytes at a time or four ring counts a byte at
+    a time.  f's counts that the cursors
     read must lie in 1..4, and the count must take no value a fifth time,
     or ValueError.  Each planned window is copied out once its last count is
     final.  A ring too short for the count is refused, never returning a

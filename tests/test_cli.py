@@ -338,6 +338,36 @@ def test_gen_refuses_a_table_past_memory(sequence, fits, refused, need, tmp_path
     assert capsys.readouterr().err.startswith("vseq: gen v --max 4294967295 takes about")
 
 
+
+@pytest.mark.parametrize("args, fits, refused, need", [
+    (["rules", "derive", "--max"], 524287, 524288, 1048578),
+    (["synthesize", "--depth", "4", "--out", "x.dfao", "--validate"], 1048574,
+     1048575, 1048577),
+    (["certify", "--automaton", str(BENCH_F20), "--depth", "4", "--validate"], 1048574,
+     1048575, 1048577),
+    (["tables", "check", "--depth", "4", "--validate"], 1048574, 1048575, 1048577),
+], ids=["rules-derive", "synthesize", "certify", "tables-check"])
+def test_f_past_memory_is_refused(args, fits, refused, need, tmp_path, monkeypatch,
+                                  capsys):
+    # on a machine of 1 MiB, rules derive counts F to 2 --max + 1 and the
+    # pipeline commands to --validate + 2, a byte a value: the largest that
+    # fits runs, and the next is refused with one line, before F is counted
+    from vseq import cli
+    monkeypatch.chdir(tmp_path)
+    pages = {"SC_PHYS_PAGES": 256, "SC_PAGE_SIZE": 4096}
+    monkeypatch.setattr(cli.os, "sysconf", pages.__getitem__)
+    assert run([*args, str(fits)]) == 0
+
+    def oracle(*args):
+        raise AssertionError("an oracle ran")
+
+    monkeypatch.setattr(cli, "gen_f", oracle)
+    capsys.readouterr()
+    assert run([*args, str(refused)]) == 2
+    what = ("rules derive --max" if args[0] == "rules" else "--validate") + f" {refused}"
+    assert capsys.readouterr().err == (f"vseq: {what} takes about {need} bytes of "
+                                       "memory, and this machine has 1048576\n")
+
 def test_depth_below_2_is_one_usage_line(built, tmp_path, monkeypatch, capsys):
     a_path, _, _ = built
     monkeypatch.chdir(tmp_path)

@@ -412,6 +412,36 @@ def test_a_window_first_seen_in_a_later_chunk(f50k, monkeypatch):
     assert max(a for _, a in got[3]) == 232
 
 
+
+def test_scan_builds_its_expected_pairs_once_a_window_order(f50k, monkeypatch):
+    # the compiled compare's table of each id's expected pair is built again
+    # only for a chunk whose windows, in id order, differ from the last
+    # chunk's: chunks of 64 a's to 2^14, whose first few meet new windows
+    lib = _oracle.library()
+    if lib is None:
+        pytest.skip("no C compiler: the plain-Python compare runs")
+    monkeypatch.setattr(rules, "SCAN_CHUNK", 64)
+    tables = []
+    pairs = _oracle.Oracle.pairs
+    monkeypatch.setattr(_oracle.Oracle, "pairs",
+                        lambda self, ids, expect, got: tables.append(expect)
+                        or pairs(self, ids, expect, got))
+    got = _scan(f50k, 4, 2 ** 14)
+    orders = []
+    for lo in range(4, 2 ** 14 + 1, 64):
+        order = []
+        for a in range(lo, min(lo + 64, 2 ** 14 + 1)):
+            if window4(f50k, a) not in order:
+                order.append(window4(f50k, a))
+        orders.append(order)
+    assert len(tables) == len(orders)
+    for j, order in enumerate(orders):
+        want = bytes(v for w in order for v in (got.even_rule[w], got.odd_rule[w]))
+        assert tables[j] == want.ljust(512, b"\0"), j
+        if j:
+            assert (tables[j] is tables[j - 1]) == (order == orders[j - 1]), j
+    assert 1 < len({id(t) for t in tables}) < len(tables)
+
 # a_max around 2^16, and 2^16 a's from a = 4, the scan's first chunk (a_max
 # = 2^16 + 3): the range ends in the first chunk, at its last a, or in the
 # second

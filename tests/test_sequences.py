@@ -479,6 +479,37 @@ for end in range(1, 71):
     prefix = np.frombuffer(f.byte_values()[:end + 1], np.uint8).copy()
     status, info, got = lib.ring_count(prefix, 2 ** 10, plan)
     assert (status, got) == (_oracle.OK, f.windows_at(plan)), (end, status, info)
+# the ring count's kernel, in the prefix loop and after the hand-over, into
+# numpy buffers of the exact length, so that its four-byte loads from the
+# prefix and its four-byte stores to the ring stay inside them: from prefix
+# ends on and around a block start, in rings that hold the count, in one
+# refused in the middle of the count, where the kernel hands back inside
+# the ring loop, and in a ring of 256 counts that its stores wrap about 60
+# times before the hand-over
+def exact_ring_count(prefix, size, plan):
+    counts = np.zeros(size // 4, np.uint8)
+    windows = np.zeros(4 * len(plan), np.uint8)
+    planned = np.array(plan, np.int64)
+    info = (ctypes.c_int64 * 3)()
+    status = lib._lib.vseq_ring_count(
+        prefix.ctypes.data, len(prefix) - 1, counts.ctypes.data, size - 1,
+        planned.ctypes.data, len(plan), windows.ctypes.data, info)
+    return status, list(info), windows.tobytes()
+
+f = gen_f(2 ** 16)
+for end in (2 ** 12 - 1, 2 ** 12, 2 ** 12 + 1, 2 ** 13 + 37):
+    plan = [end, end + 1, 2 * end - 1, 2 * end + 64, 5 * end]
+    prefix = np.frombuffer(f.byte_values()[:end + 1], np.uint8).copy()
+    size = sequences._ring_size(plan[-1] + 1, end)
+    assert exact_ring_count(prefix, size, plan) == (
+        _oracle.OK, [0, 0, 0], f.windows_at(plan)), end
+    status, info, _ = exact_ring_count(prefix, size // 2, plan)
+    assert status == _oracle.RING_SHORT and info[0] > 3 * end, (end, info)
+end = 2 ** 14 + 1000
+plan = [end, end + 1, 32700]
+prefix = np.frombuffer(f.byte_values()[:end + 1], np.uint8).copy()
+assert exact_ring_count(prefix, 256, plan) == (_oracle.OK, [0, 0, 0],
+                                               f.windows_at(plan))
 # counts of 0 at the top, or everywhere: the top read stops at V = 1, inside
 # the buffer, and the count refuses the first 0 it would read
 for end in (1, 2, 70):
@@ -1090,6 +1121,115 @@ def test_ring_count_refuses_a_fifth_term_of_a_value():
     with pytest.raises(ValueError, match=r"^V takes the value 116 more than 4 times$"):
         sequences._raise(status, info)
 
+
+
+# -- the ring count's kernel: six terms a table lookup -----------------------------
+
+@pytest.fixture(scope="module")
+def ring_engines(tmp_path_factory) -> tuple:
+    """The library, its kernel tables built, and a copy of it whose tables
+    were never built, in which the kernel hands back at once and the scalar
+    loops run alone."""
+    lib = _compiled()
+    copy = tmp_path_factory.mktemp("scalar") / "scalar.so"
+    shutil.copyfile(lib._lib._name, copy)
+    return lib._lib, ctypes.CDLL(str(copy))
+
+
+def _raw_ring_count(lib: ctypes.CDLL, prefix: bytes, size: int, plan: list) -> tuple:
+    """vseq_ring_count through lib, of a ring of size counts: status, info,
+    windows."""
+    i64 = ctypes.c_int64
+    counts, windows = bytearray(size // 4), bytearray(4 * len(plan))
+    info = (i64 * 3)()
+    status = lib.vseq_ring_count(
+        prefix, i64(len(prefix) - 1), (ctypes.c_uint8 * len(counts)).from_buffer(counts),
+        i64(size - 1), (i64 * len(plan))(*plan), i64(len(plan)),
+        (ctypes.c_uint8 * len(windows)).from_buffer(windows), info)
+    return status, list(info), bytes(windows)
+
+
+def _ring_count_on_both(engines: tuple, prefix: bytes, size: int, plan: list) -> tuple:
+    """The ring count with the kernel and with the scalar loops alone, which
+    must return the same status, info and windows."""
+    runs = [_raw_ring_count(lib, prefix, size, plan) for lib in engines]
+    assert runs[0] == runs[1], (size, plan, runs[0][:2], runs[1][:2])
+    return runs[0]
+
+
+@pytest.mark.parametrize("end", [4095, 4096, 4097, 4159, 4160, 4161])
+def test_ring_count_kernel_equals_the_scalar_loop(f_ring, ring_engines, end):
+    # prefix ends on and around block starts; windows at the prefix's end,
+    # straddling the first block start past it, one in the middle of the
+    # prefix loop, and the hand-over, where the count reaches about twice
+    # the prefix's end; and rings that wrap many times in the prefix loop,
+    # are refused at the hand-over or in the middle of the count, or hold it
+    first = (end | 63) + 1
+    middle = (3 * end // 2) & -64
+    late = (4 * end) & -64
+    plan = sorted({end, end + 1, first - 1, first, first + 1, middle - 1, middle,
+                   middle + 1, *range(2 * end - 64, 2 * end + 65, 16), late,
+                   5 * end + 1})
+    prefix = bytes(gen_f(end).byte_values())
+    short = {}
+    for size in (64, 128, 256, 2 ** 12, 2 ** 13, 2 ** 14):
+        status, info, windows = _ring_count_on_both(ring_engines, prefix, size, plan)
+        if status == _oracle.RING_SHORT:
+            short[size] = info[0]
+        else:
+            assert (status, windows) == (_oracle.OK, f_ring.windows_at(plan)), size
+    # 2^12 counts are refused at the hand-over, 2^13 later, 2^14 hold it
+    assert abs(short[2 ** 12] - 2 * end) <= 128, short
+    assert short[2 ** 13] > 3 * end and 2 ** 14 not in short, short
+    # a window of each block's first four values to the hand-over: a ring
+    # of 64 holds them, though the kernel refuses to start any block in it
+    plan = [64 * k + 2 for k in range(end // 64 + 1, 2 * end // 64 - 1)]
+    for size in (64, 128):
+        got = _ring_count_on_both(ring_engines, prefix, size, plan)
+        assert got == (_oracle.OK, [0, 0, 0], f_ring.windows_at(plan)), size
+
+
+@pytest.mark.parametrize("at", [0.7, 1.0], ids=["middle", "before-the-hand-over"])
+def test_ring_count_kernel_hands_back_a_planted_count(ring_engines, at):
+    # counts of 0 or 5 planted in the prefix are refused before the count;
+    # counts one more and one less at two adjacent values keep the prefix's
+    # sum, so the count resumes as before, and once a read position reads
+    # them, in the middle of the prefix loop or just before the hand-over,
+    # V's terms move: the count goes on, takes a step of 2, or takes a value
+    # a fifth time, which the kernel hands back to the scalar loop
+    end = 2 ** 14 + 1
+    plan = [end, 2 * end + 5, 3 * end]
+    vals = gen_f(end).byte_values()
+    size = sequences._ring_size(plan[-1] + 1, end)
+    first = int(at * end) - 30
+    outcomes = set()
+    for x in range(first, first + 26):
+        for planted in (0, 5):
+            prefix = bytearray(vals)
+            prefix[x] = planted
+            got = _ring_count_on_both(ring_engines, bytes(prefix), size, plan)
+            assert got[:2] == (_oracle.COUNT_OVERFLOW, [x, 4, planted]), got[:2]
+        for d in (1, -1):
+            prefix = bytearray(vals)
+            prefix[x] += d
+            prefix[x + 1] -= d
+            if 1 <= prefix[x] <= 4 and 1 <= prefix[x + 1] <= 4:
+                status, info, _ = _ring_count_on_both(ring_engines, bytes(prefix),
+                                                      size, plan)
+                outcomes.add((status, info[2] if status == _oracle.COUNT_OVERFLOW
+                              else None))
+    assert outcomes == {(_oracle.OK, None), (_oracle.NOT_MONOTONE, None),
+                        (_oracle.COUNT_OVERFLOW, 5)}, outcomes
+
+
+def test_count_windows_at_the_depth_16_plan_are_pinned(f_main, truth_a):
+    # the sha256 of the depth-16 certificate's windows as the scalar loops
+    # counted them, before the kernel
+    if _oracle.library() is None:
+        pytest.skip("no C compiler: the flat count runs in place of the ring")
+    windows = count_windows(f_main, cert_plan(truth_a, 16))
+    assert hashlib.sha256(windows).hexdigest() == (
+        "69d7298f3de88194ba398ace3521db3bade81589ba5cf6319261fdb315211485")
 
 def test_count_windows_hold_a_ring_of_two_bit_counts(f_main, truth_a):
     # the depth-16 certificate's windows, to F(121,503,745): a ring of 2^26
