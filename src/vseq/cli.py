@@ -17,7 +17,8 @@ from collections.abc import Sequence
 # imports the layers it runs (rules, synthesis, published) and calls them
 # through the module, so that eval and dot compile none of them
 from .automaton import WINDOW, BadDigit, BadNumeral, Dfao, ParseError
-from .sequences import SequenceTable, first_difference, gen_f, gen_v, write_table
+from .sequences import (SequenceTable, _ring_size, _size, first_difference, gen_f,
+                        gen_v, write_table)
 
 SEED_NOTE = "# seed convention: Q_{r,s}(1..s) = 1 (V is Q_{1,4}; F counts V and has F(0) = 0)"
 
@@ -56,18 +57,40 @@ def _load_automaton(path: str) -> Dfao:
         return Dfao.deserialize(fp.read())
 
 
+# cert_plan(synthesize_msb(), depth) ends at 1854 * 2^depth + 1
+# (tests/test_cli.py pins it): written out, as reading it off the machine
+# would take a second discovery on every run
+SYNTHESIZED_PLAN = 1854
+
+
+def _check_pipeline(validate: int, depth: int, machine: Dfao | None = None) -> None:
+    """Refuse, before a pipeline command prints anything or counts F,
+    bounds the pipeline cannot take, a certificate plan past the oracle's
+    range, and a run past memory: F's counts to validate + 2, a byte an
+    index, and the ring count_windows counts the plan's windows past them
+    in (sequences._ring_size), a quarter byte a count.  The plan is the
+    window machine's given, else the synthesized one's."""
+    from . import synthesis
+    synthesis.check_bounds(validate_to=validate, depth=depth)
+    end = (synthesis.cert_plan(machine, depth)[-1] if machine is not None
+           else SYNTHESIZED_PLAN << depth | 1)
+    a_max = _size(end + 1, "the plan's end", 1)
+    ring = _ring_size(a_max, validate + 2) // 4 if end >= validate + 2 else 0
+    # peak RSS grew by 0.98 bytes an index, from about 15 MB, at --validate
+    # 2^23 to 2^24 and depth 4 on synthesize, certify and tables check, and
+    # by a byte a ring byte at depth 14 to 18 and --validate 2^16 (a ring of
+    # 4 to 64 MB; a ring refused as too short is counted again in one twice
+    # its size, which no certificate of the synthesized machine has needed)
+    _check_memory(f"--validate {validate} --depth {depth}", validate + 2 + ring)
+
+
 def _build_pipeline(validate: int, depth: int, machine: Dfao | None = None):
     """Oracle -> validated window automaton -> certificate, on one F,
     counted to validate + 2 for validation; the certificate's windows past
     it are counted on from it, not counted again.  A window machine given
     is certified in place of a synthesized one, with no verdict.  The F
-    returned is that F."""
+    returned is that F.  Its bounds and memory are _check_pipeline's."""
     from . import synthesis
-    synthesis.check_bounds(validate_to=validate, depth=depth)
-    # F's counts, a byte an index: peak RSS grew by 0.98 bytes an index,
-    # from about 15 MB, at --validate 2^23 to 2^24 and depth 4 on
-    # synthesize, certify and tables check
-    _check_memory(f"--validate {validate}", validate + 2)
     f = gen_f(validate + 2)
     verdict = None
     if machine is None:
@@ -119,6 +142,7 @@ def cmd_rules(args) -> int:
 
 def cmd_synthesize(args) -> int:
     from . import synthesis
+    _check_pipeline(args.validate, args.depth)
     print(SEED_NOTE)
     print(f"# synthesize --validate {args.validate} --depth {args.depth}")
     f, machine, verdict, report = _build_pipeline(args.validate, args.depth)
@@ -142,18 +166,19 @@ def cmd_synthesize(args) -> int:
 
 def cmd_certify(args) -> int:
     from . import synthesis
-    print(SEED_NOTE)
-    print(f"# certify --automaton {args.automaton} --depth {args.depth} "
-          f"--validate {args.validate}")
     loaded = _load_automaton(args.automaton)
     if loaded.alphabet_size != 2:
         raise ValueError(f"{args.automaton} reads base {loaded.alphabet_size}; "
                          "certification is for base-2 automata")
     # a window file is certified itself; a single-output file is tied by
-    # exact product equivalence to a fresh window automaton, certified
+    # exact product equivalence to a fresh window automaton, certified.
+    # The check reads a window file's plan, refusing names that are not
+    # access strings before any oracle
     window = loaded.output_kind == WINDOW
-    if window:  # refuse names that are not access strings before any oracle
-        synthesis.cert_plan(loaded, args.depth)
+    _check_pipeline(args.validate, args.depth, loaded if window else None)
+    print(SEED_NOTE)
+    print(f"# certify --automaton {args.automaton} --depth {args.depth} "
+          f"--validate {args.validate}")
     f, machine, _, report = _build_pipeline(args.validate, args.depth,
                                             loaded if window else None)
     sys.stdout.write(report.format())
@@ -176,6 +201,7 @@ def cmd_certify(args) -> int:
 
 def cmd_tables(args) -> int:
     from . import published
+    _check_pipeline(args.validate, args.depth)
     print(SEED_NOTE)
     print(f"# tables check --validate {args.validate} --depth {args.depth}")
     _, machine, _, _ = _build_pipeline(args.validate, args.depth)

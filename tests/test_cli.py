@@ -338,7 +338,6 @@ def test_gen_refuses_a_table_past_memory(sequence, fits, refused, need, tmp_path
     assert capsys.readouterr().err.startswith("vseq: gen v --max 4294967295 takes about")
 
 
-
 @pytest.mark.parametrize("args, fits, refused, need", [
     (["rules", "derive", "--max"], 524287, 524288, 1048578),
     (["synthesize", "--depth", "4", "--out", "x.dfao", "--validate"], 1048574,
@@ -352,6 +351,7 @@ def test_f_past_memory_is_refused(args, fits, refused, need, tmp_path, monkeypat
     # on a machine of 1 MiB, rules derive counts F to 2 --max + 1 and the
     # pipeline commands to --validate + 2, a byte a value: the largest that
     # fits runs, and the next is refused with one line, before F is counted
+    # or anything printed.  The plan of depth 4 ends at 29,665, inside F
     from vseq import cli
     monkeypatch.chdir(tmp_path)
     pages = {"SC_PHYS_PAGES": 256, "SC_PAGE_SIZE": 4096}
@@ -364,9 +364,55 @@ def test_f_past_memory_is_refused(args, fits, refused, need, tmp_path, monkeypat
     monkeypatch.setattr(cli, "gen_f", oracle)
     capsys.readouterr()
     assert run([*args, str(refused)]) == 2
-    what = ("rules derive --max" if args[0] == "rules" else "--validate") + f" {refused}"
-    assert capsys.readouterr().err == (f"vseq: {what} takes about {need} bytes of "
-                                       "memory, and this machine has 1048576\n")
+    what = (f"rules derive --max {refused}" if args[0] == "rules"
+            else f"--validate {refused} --depth 4")
+    assert capsys.readouterr() == ("", f"vseq: {what} takes about {need} bytes of "
+                                   "memory, and this machine has 1048576\n")
+
+
+@pytest.mark.parametrize("window", [False, True], ids=["synthesized", "window-file"])
+def test_certificate_ring_past_memory_is_refused(window, built, tmp_path, monkeypatch,
+                                                 capsys):
+    # depth 12's plan ends at 7,593,985, past F to --validate + 2 = 65,538:
+    # its windows past F are counted in a ring of 2^22 counts, 1 MiB, which
+    # the need holds beside F's bytes.  The window file's plan is read off
+    # the machine, the synthesized machine's is SYNTHESIZED_PLAN's
+    from vseq import cli
+    monkeypatch.chdir(tmp_path)
+    need = 65538 + 2 ** 20
+    pages = {"SC_PHYS_PAGES": need, "SC_PAGE_SIZE": 1}
+    monkeypatch.setattr(cli.os, "sysconf", pages.__getitem__)
+    args = ["certify", "--automaton", str(built[0] if window else BENCH_F20),
+            "--validate", "65536", "--depth", "12"]
+    assert run(args) == 0
+    pages["SC_PHYS_PAGES"] = need - 1
+    monkeypatch.setattr(cli, "gen_f", _no_oracle)
+    capsys.readouterr()
+    assert run(args) == 2
+    assert capsys.readouterr() == ("", f"vseq: --validate 65536 --depth 12 takes about "
+                                   f"{need} bytes of memory, and this machine has "
+                                   f"{need - 1}\n")
+
+
+def test_synthesized_plan_end_is_written_out():
+    from vseq import cli, synthesis
+    m = synthesis.synthesize_msb()
+    for depth in range(2, synthesis.MAX_DEPTH + 1):
+        assert synthesis.cert_plan(m, depth)[-1] == cli.SYNTHESIZED_PLAN << depth | 1
+
+
+@pytest.mark.parametrize("command", ["synthesize", "tables-check", "certify-single"])
+def test_plan_past_the_oracle_is_refused_before_any_oracle(command, tmp_path,
+                                                           monkeypatch, capsys):
+    # the synthesized machine's plan passes 2^32 from depth 22 on, inside
+    # check_bounds's depth 30
+    monkeypatch.chdir(tmp_path)
+    Path("single.dfao").write_text(
+        Dfao(2, 0, [(0, 1), (1, 0)], [0, 1], SINGLE).serialize())
+    monkeypatch.setattr(vseq.cli, "gen_f", _no_oracle)
+    assert run([*PIPELINE_COMMANDS[command], "--depth", "22"]) == 2
+    assert capsys.readouterr() == ("", "vseq: the plan's end = 7776239618 is past "
+                                   "the oracle's 32-bit range\n")
 
 def test_depth_below_2_is_one_usage_line(built, tmp_path, monkeypatch, capsys):
     a_path, _, _ = built
@@ -412,7 +458,7 @@ def test_flag_values_are_checked_before_any_oracle(command, flag, value, message
         Dfao(2, 0, [(0, 0)], [(0, 0, 0, 0)], WINDOW, ("eps",)).serialize())
     monkeypatch.setattr(vseq.cli, "gen_f", _no_oracle)
     assert run([*PIPELINE_COMMANDS[command], flag, value]) == 2
-    assert capsys.readouterr().err == f"vseq: {message}\n"
+    assert capsys.readouterr() == ("", f"vseq: {message}\n")
     assert not Path("x.dfao").exists()
 
 
@@ -453,7 +499,7 @@ def test_certify_refuses_other_bases_before_any_oracle(machine, tmp_path,
     captured = capsys.readouterr()
     assert captured.err == (f"vseq: {path} reads base 3; "
                             "certification is for base-2 automata\n")
-    assert captured.out.count("\n") == 2  # the seed note and the command line
+    assert captured.out == ""  # refused before the seed note prints
 
 
 def test_oracle_too_large_for_memory_is_a_usage_error(monkeypatch, capsys):
