@@ -71,12 +71,10 @@ enum { BLOCK = 64, RING_MOST = 4 };
 
 /* A read position in F's prefix sums: V(p) = value exactly when
    below < p <= top = below + counts[value], with below = S(value - 1) and
-   S(a) = #{n : V(n) <= a}.  top is as read when the cursor last looked:
-   the count at value may still be growing while value is V's latest term,
-   so over a flat table a position past top is looked up again before the
-   cursor moves.  Over a ring, whose counts are dearer to read, the count
-   moves the top of a cursor at V's latest term with each term it counts,
-   so that a top is never looked up again. */
+   S(a) = #{n : V(n) <= a}.  top is always exact: the count at value may
+   still be growing while value is V's latest term, and every count moves
+   the top of a cursor at it with each term it counts, so that a top is
+   never looked up again. */
 struct cursor {
     int64_t value, below, top;
 };
@@ -101,37 +99,13 @@ static inline __attribute__((always_inline)) int
 seek(const uint8_t *counts, int flat, int64_t cmask, struct cursor *c,
      int64_t p, int64_t latest)
 {
-    if (p > c->top) {
-        if (flat)
-            c->top = c->below + counts[c->value];
-        while (p > c->top) {
-            if (c->value >= latest)
-                return UNSETTLED;
-            c->below = c->top;
-            c->top += count_of(counts, flat, cmask, ++c->value);
-        }
+    while (p > c->top) {
+        if (c->value >= latest)
+            return UNSETTLED;
+        c->below = c->top;
+        c->top += count_of(counts, flat, cmask, ++c->value);
     }
     return OK;
-}
-
-/* Move c towards V(p) 64 counts at a time, passing a block only when V(p)
-   lies past it and every count in it is final (below latest); seek then
-   finishes the move.  A resumed count calls it for its cursors' start, so
-   that it does not step through all of F one count at a time: a plain block sum
-   runs several times faster than seek's loop, but slows every step of the
-   count if seek does it.  counts is flat. */
-static void skip(const uint8_t *counts, struct cursor *c, int64_t p,
-                 int64_t latest)
-{
-    while (c->value + 64 <= latest) {
-        int64_t sum = 0;
-        for (int j = 0; j < 64; j++)
-            sum += counts[c->value + j];
-        if (p <= c->below + sum)
-            return;
-        c->below += sum;
-        c->value += 64;
-    }
 }
 
 /* The sum of n bytes, 64 at a time, a block loop that gcc vectorizes at
@@ -151,24 +125,24 @@ static int64_t byte_sum(const uint8_t *v, int64_t n)
     return sum;
 }
 
-/* The start of a count of V that resumes the flat counts pre[0..p], p >= 1:
-   their sum done = S(p) = #{n : V(n) <= p} into *done, V(done - 3..done)
-   into the ring of V's terms, read off the top counts p, p - 1, ... (V is
-   slow, so V(done) = p, and the read stops at V = 1, whatever the counts
-   hold), *prev = V(done), and c moved towards the read position of
-   n = done + 1, which is at least done + 1 - V(done). */
-static void resume(const uint8_t *pre, int64_t p, uint32_t *ring,
-                   struct cursor *c, int64_t *done, int64_t *prev)
+/* The sum of the counts v[from..from + n - 1], n <= BLOCK, and where one
+   lies outside 1..RING_MOST, the least such value into *bad: a loop gcc
+   vectorizes where n is BLOCK. */
+static inline __attribute__((always_inline)) int64_t
+checked_sum(const uint8_t *v, int64_t from, int64_t n, int64_t *bad)
 {
-    *done = byte_sum(pre + 1, p);
-    int64_t a = p, below = *done - pre[p];
-    for (int64_t i = *done; i > *done - 4; i--) {
-        while (i <= below && a > 1)
-            below -= pre[--a];
-        ring[i & 7] = (uint32_t)a;
+    uint32_t sum = 0;
+    uint8_t most = 0;
+    for (int64_t i = from; i < from + n; i++) {
+        uint8_t less = (uint8_t)(v[i] - 1); /* 0 wraps to 255 */
+        sum += v[i];
+        most = less > most ? less : most;
     }
-    *prev = ring[*done & 7];
-    skip(pre, c, *done + 1 - *prev, *prev);
+    if (most >= RING_MOST)
+        for (int64_t i = from + n - 1; i >= from; i--)
+            if ((uint8_t)(v[i] - 1) >= RING_MOST)
+                *bad = i;
+    return sum;
 }
 
 static int overflow(int64_t *info, int64_t value, int64_t bound, int64_t count)
@@ -250,14 +224,14 @@ stand(struct count *at, int64_t n, int64_t prev, struct cursor c1,
    caller passes mode as a constant, so that each mode gets a loop of its
    own.  Only a PREFIX loop reads pre and p.  FLAT counts are a table
    (cmask and the planned windows unused); otherwise they are a ring of
-   cmask + 1 counts of two bits
-   (count_of).  There a value's first term leaves its zeroed slot, which
-   reads 1, and each later term adds 1 to it and, in a RING loop, to the
-   top of a cursor at the value; the terms of the latest value, counted in
-   a register, find a fifth.  A PREFIX loop's cursors read the flat counts
-   pre[0..p - 1] in place: when one would pass them, it hands over,
-   returning HANDOVER with *at where the count stands.  As each block of
-   BLOCK values starts, and once the count is done, a ring copies out the
+   cmask + 1 counts of two bits (count_of).  There a value's first term
+   leaves its zeroed slot, which reads 1, and each later term adds 1 to
+   it; the terms of the latest value, counted in a register, find a fifth.
+   Where the cursors read the counts the loop writes, each repeat of the
+   latest value also adds 1 to the top of a cursor at it.  A PREFIX loop's
+   cursors read the final flat counts pre[0..p - 1] in place: when one
+   would pass them, it hands over, returning HANDOVER with *at where the
+   count stands.  As each block of BLOCK values starts, and once the count is done, a ring copies out the
    planned windows whose last count is final (copy_out, which a PREFIX
    loop lets read the values below p from pre); then, before it zeroes the
    new block's slots, it refuses with RING_SHORT to reuse the slot of a
@@ -353,10 +327,10 @@ count_loop(int mode, const uint8_t *pre, int64_t p, uint8_t *counts,
             if (++run > RING_MOST)
                 return overflow(info, val, RING_MOST, RING_MOST + 1);
             counts[(val & cmask) >> 2] += (uint8_t)(1 << 2 * (val & 3));
-            if (mode == RING) {
-                c1.top += c1.value == val;
-                c2.top += c2.value == val;
-            }
+        }
+        if (mode != PREFIX && !moved) {
+            c1.top += c1.value == val;
+            c2.top += c2.value == val;
         }
         ring[n & 7] = (uint32_t)val;
     }
@@ -701,7 +675,7 @@ enum { COUNT_KERNEL_FROM = 128 };
 int vseq_count(uint8_t *counts, int64_t a_max, int64_t *info)
 {
     uint32_t ring[8] = {1, 1, 1, 1, 1, 1, 1, 1};
-    struct cursor c = {1, 0, 0};
+    struct cursor c = {1, 0, 4};
     struct count at = {5, 1, c, c, NULL, 0, NULL};
     counts[1] = 4;
     if (a_max > COUNT_KERNEL_FROM) {
@@ -743,36 +717,21 @@ ring_kernel(uint8_t *counts, int64_t cmask, int64_t a_max, struct count *at,
     kernel(RING, NULL, 0, counts, cmask, a_max, at, ring);
 }
 
-/* The least i < n whose count v[i] lies outside 1..RING_MOST, or -1: 64
-   counts at a time, a block loop gcc vectorizes, then one at a time from
-   the block that holds it. */
-static int64_t outside(const uint8_t *v, int64_t n)
-{
-    int64_t i = 0;
-    for (; i + 64 <= n; i += 64) {
-        uint8_t most = 0;
-        for (int j = 0; j < 64; j++) {
-            uint8_t less = (uint8_t)(v[i + j] - 1); /* 0 wraps to 255 */
-            most = less > most ? less : most;
-        }
-        if (most >= RING_MOST)
-            break;
-    }
-    for (; i < n; i++)
-        if ((uint8_t)(v[i] - 1) >= RING_MOST)
-            return i;
-    return -1;
-}
-
 /* vseq_count resumed from the finished flat counts pre[0..p], p >= 1,
    into the caller's ring of cmask + 1 counts of two bits, (cmask + 1) / 4
    bytes (cmask + 1 a power of two, at least BLOCK), which takes the counts
    from p on: pre's counts from the least value a cursor or planned window
-   reads, min(c.value, p - 2), must be 1 to 4, or COUNT_OVERFLOW, and the
-   count goes on in the ring to a_max = plan[planned - 1] + 1, a fifth
-   term of a value COUNT_OVERFLOW too.  The windows F(n-2..n+1) at the
-   plan[]'s planned >= 1 sorted, distinct n, from p on, go to windows[],
-   four bytes each.
+   reads, the cursors' first block's first value v or p - 2, must be 1 to
+   4, or COUNT_OVERFLOW for the least one outside, and the count goes on
+   in the ring to a_max = plan[planned - 1] + 1, a fifth term of a value
+   COUNT_OVERFLOW too.  The windows F(n-2..n+1) at the plan[]'s
+   planned >= 1 sorted, distinct n, from p on, go to windows[], four bytes
+   each.
+   The resume reads pre once: from the top down to v, in blocks of BLOCK
+   values, summing and checking them, then below v, summing them alone.
+   The counts below v are never read again, and V's recursion reads only
+   differences of S, so a count there that lies outside 1..4 only shifts
+   S and changes no window.
    While both cursors stay below p they read pre in place (a PREFIX loop),
    and the ring need only hold the windows still to be copied out, a few
    blocks.  A read position lags a count by about half its value, so the
@@ -787,15 +746,38 @@ int vseq_ring_count(const uint8_t *pre, int64_t p, uint8_t *counts,
                     uint8_t *windows, int64_t *info)
 {
     uint32_t ring[8]; /* V's last four terms, V(i) at ring[i & 7] */
-    struct cursor c = {1, 0, 0};
-    int64_t done, prev, a_max = plan[planned - 1] + 1;
-    resume(pre, p, ring, &c, &done, &prev);
-    c.top = c.below + pre[c.value]; /* skip leaves top behind */
-    /* the least value a cursor or planned window reads; F(0) reads 0 */
-    int64_t first = c.value < p - 2 ? c.value : p - 2 > 1 ? p - 2 : 1;
-    int64_t bad = outside(pre + first, p - first + 1);
+    int64_t a_max = plan[planned - 1] + 1;
+    /* V(done - 3..done), done = S(p), read off the top counts relative to
+       done: V is slow, so V(done) = p, and the read stops at V = 1 whatever
+       the counts hold */
+    int64_t last[4], value = p, below = -pre[p];
+    for (int i = 0; i < 4; i++) {
+        while (-i <= below && value > 1)
+            below -= pre[--value];
+        last[i] = value;
+    }
+    int64_t prev = last[0];
+    /* the cursors start on the block of BLOCK values from v, numbered from
+       1, that holds V(done + 1 - prev), the lower read position of
+       n = done + 1: from p's block down, one block at a time while the
+       counts from v to p hold fewer than prev terms, summing them and
+       checking them in 1..4 (past prev, where the read stopped short of
+       p, the counts are 0, so the scan passes their blocks) */
+    int64_t v = ((p - 1) & -BLOCK) + 1, bad = -1;
+    int64_t sum = checked_sum(pre, v, p + 1 - v, &bad);
+    while (v > 1 && sum < prev) {
+        v -= BLOCK;
+        sum += checked_sum(pre, v, BLOCK, &bad);
+    }
+    /* and the least value a planned window reads; F(0) reads 0 */
+    int64_t first = v < p - 2 ? v : p - 2 > 1 ? p - 2 : 1;
+    checked_sum(pre, first, v - first, &bad);
     if (bad >= 0)
-        return overflow(info, first + bad, RING_MOST, pre[first + bad]);
+        return overflow(info, bad, RING_MOST, pre[bad]);
+    int64_t done = byte_sum(pre + 1, v - 1) + sum;
+    for (int i = 0; i < 4; i++)
+        ring[(done - i) & 7] = (uint32_t)last[i];
+    struct cursor c = {v, done - sum, done - sum + pre[v]};
     /* p's block zeroed, but for p's count, which the count may still add to
        and the cursors read from the ring */
     memset(counts + (((p & -BLOCK) & cmask) >> 2), 0, BLOCK / 4);

@@ -16,6 +16,7 @@ from collections.abc import Sequence
 # only the oracle and the automaton are imported with the CLI: each command
 # imports the layers it runs (rules, synthesis, published) and calls them
 # through the module, so that eval and dot compile none of them
+from . import sequences
 from .automaton import WINDOW, BadDigit, BadNumeral, Dfao, ParseError
 from .sequences import (SequenceTable, _ring_size, _size, first_difference, gen_f,
                         gen_v, write_table)
@@ -75,13 +76,20 @@ def _check_pipeline(validate: int, depth: int, machine: Dfao | None = None) -> N
     end = (synthesis.cert_plan(machine, depth)[-1] if machine is not None
            else SYNTHESIZED_PLAN << depth | 1)
     a_max = _size(end + 1, "the plan's end", 1)
-    ring = _ring_size(a_max, validate + 2) // 4 if end >= validate + 2 else 0
+    past = end >= validate + 2
+    ring = _ring_size(a_max, validate + 2) // 4 if past else 0
     # peak RSS grew by 0.98 bytes an index, from about 15 MB, at --validate
     # 2^23 to 2^24 and depth 4 on synthesize, certify and tables check, and
     # by a byte a ring byte at depth 14 to 18 and --validate 2^16 (a ring of
     # 4 to 64 MB; a ring refused as too short is counted again in one twice
-    # its size, which no certificate of the synthesized machine has needed)
-    _check_memory(f"--validate {validate} --depth {depth}", validate + 2 + ring)
+    # its size, which no certificate of the synthesized machine has needed).
+    # Without the library, F to validate + 2 takes PLAIN_F a value, and
+    # certification counts F flat to the plan's end beside it: 9.0 to 9.1
+    # bytes an index at --validate 2^20 to 2^22, 9.0 to 9.4 a value at
+    # depth 10 to 12
+    _check_memory(f"--validate {validate} --depth {depth}", validate + 2 + ring,
+                  validate + 2 + PLAIN_F * a_max if past
+                  else PLAIN_F * (validate + 2))
 
 
 def _build_pipeline(validate: int, depth: int, machine: Dfao | None = None):
@@ -99,10 +107,21 @@ def _build_pipeline(validate: int, depth: int, machine: Dfao | None = None):
     return f, machine, verdict, report
 
 
-def _check_memory(what: str, need: int) -> None:
-    """A MemoryError, a usage error, unless ``need`` bytes, what ``what``
-    takes, fit this machine's physical memory."""
+# the bytes a value of F that the plain-Python count holds, V's 32-bit
+# terms, two a value, and their array's over-allocation with it: peak RSS
+# grew by 9.0 to 9.3 bytes a value at gen f --max 2^20 to 2^22 without
+# the library
+PLAIN_F = 9.5
+
+
+def _check_memory(what: str, need: int, plain: float) -> None:
+    """A MemoryError, a usage error, unless what ``what`` takes fits this
+    machine's physical memory: ``need`` bytes with the compiled library, or
+    ``plain`` bytes, the plain-Python passes', where none loads.  Only a
+    plain need past memory asks whether one loads."""
     memory = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+    if int(plain) > memory and sequences._library() is None:
+        need = int(plain)
     if need > memory:
         raise MemoryError(f"{what} takes about {need} bytes of memory, and "
                           f"this machine has {memory}")
@@ -111,9 +130,13 @@ def _check_memory(what: str, need: int) -> None:
 def cmd_gen(args) -> int:
     # V's table, four bytes a term, beside F's counts to about half its
     # end; or F's counts alone, a byte a value: peak RSS grew by 4.1 to 4.5
-    # and by 1.0 bytes a term, from about 15 MB, at --max 2^21 to 2^23
+    # and by 1.0 bytes a term, from about 15 MB, at --max 2^21 to 2^23.
+    # Without the library, F's count to half V's end holds as much as V's
+    # table and its counts (4.5 bytes a term at --max 2^20 to 2^21)
+    v = args.sequence == "v"
     _check_memory(f"gen {args.sequence} --max {args.max}",
-                  9 * args.max // 2 if args.sequence == "v" else args.max)
+                  9 * args.max // 2 if v else args.max,
+                  PLAIN_F * args.max / (2 if v else 1))
     print(SEED_NOTE)
     print(f"# gen {args.sequence} --max {args.max}")
     if args.sequence == "v":
@@ -129,8 +152,10 @@ def cmd_rules(args) -> int:
     from . import rules
     rules.check_range(args.min, args.max)
     # F's counts to 2 * --max + 1, a byte a value: peak RSS grew by 1.9
-    # bytes an a, from about 15 MB, at --max 2^21 to 2^24
-    _check_memory(f"rules derive --max {args.max}", 2 * args.max + 2)
+    # bytes an a, from about 15 MB, at --max 2^21 to 2^24, and by 17.9 to
+    # 18.1 at --max 2^19 to 2^21 without the library
+    _check_memory(f"rules derive --max {args.max}", 2 * args.max + 2,
+                  PLAIN_F * (2 * args.max + 2))
     print(SEED_NOTE)
     print(f"# rules derived on ({args.min - 1}, {args.max}], oracle to {2 * args.max + 1}")
     f = gen_f(2 * args.max + 1)
@@ -221,16 +246,13 @@ def cmd_probe(args) -> int:
     if args.depth >= 32:  # base >= 2: refuse before building base ** depth
         raise ValueError(f"--depth {args.depth} needs an oracle past 2^32")
     span = args.prefix * args.base ** args.depth
-    # a documented usage error, kept from when vdiff was read off
-    # gen_v(span + 1), which needs 4 terms; first_difference(span) itself
-    # takes any span >= 1
-    if args.sequence == "vdiff" and span < 3:
-        raise ValueError(f"--sequence vdiff needs --prefix * --base ** --depth "
-                         f">= 3, got {span}")
     # F's table or V's steps, and the first join's ids: peak RSS grew by
     # 1.2 to 1.3 bytes an index at bases 2 and 3 and by 1.9 at base 40,
-    # from about 15 MB, at spans of 10^7 to 6 * 10^7
-    _check_memory(f"a probe to {span}", 2 * span)
+    # from about 15 MB, at spans of 10^7 to 6 * 10^7.  Without the library,
+    # F is counted to span, or to half of it for V's steps (4.5 bytes an
+    # index at spans of 2^20 to 2^22)
+    _check_memory(f"a probe to {span}", 2 * span,
+                  PLAIN_F * span / (1 if args.sequence == "f" else 2))
     print(SEED_NOTE)
     print(f"# probe --sequence {args.sequence} --base {args.base} "
           f"--depth {args.depth} --prefix {args.prefix} (oracle to {span})")

@@ -292,8 +292,12 @@ def _v_steps(n: int) -> bytearray:
     a_max = _v_end(n)
     lib = _library() if n >= COMPILED_FROM else None
     if lib is None:
-        out = bytearray().join(bytes(c - 1) + b"\1"
-                               for c in _frequency_py(a_max)[1:])
+        # appended count by count, each count c >= 1 one shared piece: a
+        # join of n / 2 pieces would hold an 80-byte buffer record for each
+        unary = [None, *(bytes(c - 1) + b"\1" for c in range(1, 256))]
+        out = bytearray()
+        for c in _frequency_py(a_max)[1:]:
+            out += unary[c]
         _too_few(len(out), a_max, n)
     else:
         out = bytearray(n + 128)

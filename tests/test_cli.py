@@ -263,14 +263,12 @@ def test_unknown_flags_exit_2():
     ["synthesize", "--validate", "65536", "--depth", "-3", "--out", "x.dfao"],
     ["probe", "--sequence", "f", "--depth", "-1"],
     ["probe", "--sequence", "vdiff", "--prefix", "0"],
-    ["probe", "--sequence", "vdiff", "--depth", "0", "--prefix", "1"],
-    ["probe", "--sequence", "vdiff", "--depth", "1", "--prefix", "1"],
     ["probe", "--sequence", "f", "--depth", "40"],                  # oracle past 2^32
     ["probe", "--sequence", "f", "--prefix", "2000000", "--depth", "12"],
     ["gen", "v", "--max", str(2 ** 32)],
 ], ids=["bad-numeral", "bad-digit", "gen-max-0", "rules-max-3", "probe-base-1",
         "synthesize-depth-1", "synthesize-depth-minus-3", "probe-depth-minus-1",
-        "probe-prefix-0", "vdiff-span-1", "vdiff-span-2", "probe-depth-40",
+        "probe-prefix-0", "probe-depth-40",
         "probe-prefix-2e6", "gen-v-2^32"])
 def test_usage_errors_exit_2_with_one_line(argv, tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
@@ -281,11 +279,24 @@ def test_usage_errors_exit_2_with_one_line(argv, tmp_path, monkeypatch, capsys):
     assert not Path("x.dfao").exists()
 
 
-def test_vdiff_span_below_3_prints_nothing(capsys):
-    # V's first difference on [1, span] needs V to span + 1 >= 4
-    assert run(["probe", "--sequence", "vdiff", "--depth", "1", "--prefix", "1"]) == 2
-    assert capsys.readouterr() == (
-        "", "vseq: --sequence vdiff needs --prefix * --base ** --depth >= 3, got 2\n")
+def test_vdiff_spans_1_and_2_print_on_both_engines(monkeypatch, capsys):
+    # first_difference(span) takes any span >= 1: V's steps on [1, 1] and
+    # [1, 2] are probed, compiled and in plain Python, to the same bytes
+    from vseq import sequences
+    for flags in (["--depth", "0", "--prefix", "1"], ["--depth", "1", "--prefix", "1"],
+                  ["--depth", "0", "--prefix", "2"], ["--base", "3", "--depth", "0",
+                                                      "--prefix", "2"]):
+        argv = ["probe", "--sequence", "vdiff", *flags]
+        with monkeypatch.context() as patch:
+            patch.setattr(sequences, "_library", lambda: None)
+            assert run(argv) == 0
+            plain = capsys.readouterr()
+        assert run(argv) == 0
+        compiled = capsys.readouterr()
+        assert compiled == plain and compiled.err == "", argv
+        span = int(flags[-1]) * (3 if "3" in flags else 2) ** int(flags[-3])
+        assert f"(oracle to {span})" in compiled.out
+        assert compiled.out.endswith("stabilized: no\n"), compiled.out
 
 
 @pytest.mark.parametrize("sequence", ["f", "vdiff"])
@@ -368,6 +379,48 @@ def test_f_past_memory_is_refused(args, fits, refused, need, tmp_path, monkeypat
             else f"--validate {refused} --depth 4")
     assert capsys.readouterr() == ("", f"vseq: {what} takes about {need} bytes of "
                                    "memory, and this machine has 1048576\n")
+
+
+@pytest.mark.parametrize("args, pages, what, plain", [
+    (["gen", "f", "--max", "131072"], 256, "gen f --max 131072", 1245184),
+    (["gen", "v", "--max", "230000"], 256, "gen v --max 230000", 1092500),
+    (["rules", "derive", "--max", "65536"], 256, "rules derive --max 65536", 1245203),
+    (["probe", "--sequence", "f", "--depth", "17", "--prefix", "1"], 256,
+     "a probe to 131072", 1245184),
+    (["probe", "--sequence", "vdiff", "--depth", "18", "--prefix", "1"], 256,
+     "a probe to 262144", 1245184),
+    (["synthesize", "--depth", "4", "--validate", "131072", "--out", "x.dfao"], 256,
+     "--validate 131072 --depth 4", 1245203),
+    (["tables", "check", "--depth", "4", "--validate", "131072"], 256,
+     "--validate 131072 --depth 4", 1245203),
+    (["certify", "--automaton", str(BENCH_F20), "--depth", "6", "--validate", "65536"],
+     256, "--validate 65536 --depth 6", 65538 + 1127251),
+    (["gen", "f", "--max", str(2 ** 30)], 2 ** 21, f"gen f --max {2 ** 30}",
+     10200547328),
+    (["synthesize", "--depth", "19", "--out", "x.dfao"], 2 ** 21,
+     "--validate 4194304 --depth 19", 4194306 + 9234284563),
+], ids=["gen-f", "gen-v", "rules-derive", "probe-f", "probe-vdiff", "synthesize",
+        "tables-check", "certify", "gen-f-2^30-of-8-GiB", "synthesize-depth-19-of-8-GiB"])
+def test_memory_without_the_library_is_refused_at_the_plain_figures(
+        args, pages, what, plain, tmp_path, monkeypatch, capsys):
+    # on a machine of 1 MiB, or of 8 GiB, each command's compiled need fits
+    # and its oracle is reached; without the library, the plain-Python
+    # count holds V's 32-bit terms, PLAIN_F = 9.5 bytes a value of F, and
+    # the command is refused with one line, before any oracle runs
+    from vseq import cli, sequences
+    monkeypatch.chdir(tmp_path)
+    memory = {"SC_PHYS_PAGES": pages, "SC_PAGE_SIZE": 4096}
+    monkeypatch.setattr(cli.os, "sysconf", memory.__getitem__)
+    for name in ("gen_f", "gen_v", "first_difference"):
+        monkeypatch.setattr(cli, name, _no_oracle)
+    with pytest.raises(AssertionError, match="an oracle was built"):
+        run(args)
+    capsys.readouterr()
+    monkeypatch.setattr(sequences, "_library", lambda: None)
+    assert run(args) == 2
+    assert capsys.readouterr() == ("", f"vseq: {what} takes about {plain} bytes of "
+                                   f"memory, and this machine has {pages * 4096}\n")
+    assert not Path("x.dfao").exists()
 
 
 @pytest.mark.parametrize("window", [False, True], ids=["synthesized", "window-file"])

@@ -510,6 +510,29 @@ plan = [end, end + 1, 32700]
 prefix = np.frombuffer(f.byte_values()[:end + 1], np.uint8).copy()
 assert exact_ring_count(prefix, 256, plan) == (_oracle.OK, [0, 0, 0],
                                                f.windows_at(plan))
+# the resume's block scan from every prefix end p = 1..200, every alignment
+# of p and of V's last term against the blocks of 64 values, down to value 1
+# for p < 64: the block it stops on starts the check, at the least of its
+# first value and p - 2 (or 1), so a count of 0 or 5 there is refused and
+# one just below it, summed but never read, changes no window
+for end in range(1, 201):
+    clean = np.frombuffer(f.byte_values()[:end + 1], np.uint8).copy()
+    v = ((end - 1) & -64) + 1
+    while v > 1 and int(clean[v:].sum()) < end:
+        v -= 64
+    first = min(v, max(end - 2, 1))
+    for plan in ([end], [end + 1, 2 * end + 7]):
+        size = sequences._ring_size(plan[-1] + 1, end)
+        want = (_oracle.OK, [0, 0, 0], f.windows_at(plan))
+        assert exact_ring_count(clean, size, plan) == want, end
+        for planted in (0, 5):
+            prefix = clean.copy()
+            prefix[first] = planted
+            assert exact_ring_count(prefix, size, plan)[:2] == (
+                _oracle.COUNT_OVERFLOW, [first, 4, planted]), (end, plan)
+            prefix = clean.copy()
+            prefix[first - 1] = planted
+            assert exact_ring_count(prefix, size, plan) == want, (end, plan)
 # counts of 0 at the top, or everywhere: the top read stops at V = 1, inside
 # the buffer, and the count refuses the first 0 it would read
 for end in (1, 2, 70):
@@ -1106,6 +1129,35 @@ def test_ring_count_refuses_a_seeded_count_outside_1_to_4(count, message):
     with pytest.raises(ValueError) as e:
         count_windows(SequenceTable(0, 2 ** 16, vals, "F"), [2 ** 17])
     assert str(e.value) == message
+
+
+def test_ring_count_refuses_the_least_count_a_window_reads():
+    # a count of 200 at p = 129 ends the resume's block scan on p's own
+    # block, from 129; the window planned at p still reads F(127), so a 0
+    # there is the least count refused
+    lib = _compiled()
+    prefix = bytearray(gen_f(129).byte_values())
+    prefix[129] = 200
+    assert lib.ring_count(prefix, 2 ** 10, [129])[:2] == (_oracle.COUNT_OVERFLOW,
+                                                         [129, 4, 200])
+    prefix[127] = 0
+    assert lib.ring_count(prefix, 2 ** 10, [129])[:2] == (_oracle.COUNT_OVERFLOW,
+                                                         [127, 4, 0])
+
+
+@pytest.mark.parametrize("planted", [0, 5, 200, 255])
+def test_ring_count_ignores_a_count_below_its_cursors(f_ring, planted):
+    # F(10) of a prefix to 2^16, far below the block the resumed cursors
+    # start on: it is summed into S(p) but never read, and V's recursion
+    # reads only differences of S, so it is not refused and moves no window,
+    # in the prefix loop or past the hand-over
+    if _oracle.library() is None:
+        pytest.skip("no C compiler: the flat count runs in place of the ring")
+    vals = bytearray(gen_f(2 ** 16).byte_values())
+    vals[10] = planted
+    plan = [2 ** 16, 2 ** 16 + 1, 2 ** 17 + 5, 3 * 2 ** 16]
+    got = count_windows(SequenceTable(0, 2 ** 16, vals, "F"), plan)
+    assert got == count_windows(gen_f(2 ** 16), plan) == f_ring.windows_at(plan)
 
 
 def test_ring_count_refuses_a_fifth_term_of_a_value():
