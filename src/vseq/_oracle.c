@@ -231,15 +231,15 @@ stand(struct count *at, int64_t n, int64_t prev, struct cursor c1,
    latest value also adds 1 to the top of a cursor at it.  A PREFIX loop's
    cursors read the final flat counts pre[0..p - 1] in place: when one
    would pass them, it hands over, returning HANDOVER with *at where the
-   count stands.  As each block of BLOCK values starts, and once the count is done, a ring copies out the
-   planned windows whose last count is final (copy_out, which a PREFIX
-   loop lets read the values below p from pre); then, before it zeroes the
-   new block's slots, it refuses with RING_SHORT to reuse the slot of a
-   value a cursor may still read, or in a PREFIX loop a window still to be
-   copied out (start_block).  Past each block start a ring returns PAUSE
-   with *at where the count stands, for the kernel to go on from.  The
-   planned windows stay in *at, touched only as a block starts, so that
-   they take no register from the loop. */
+   count stands.  As each block of BLOCK values starts, and once the count
+   is done, a ring copies out the planned windows whose last count is
+   final (copy_out, which a PREFIX loop lets read the values below p from
+   pre); then, before it zeroes the new block's slots, it refuses with
+   RING_SHORT to reuse the slot of a value a cursor may still read, or in
+   a PREFIX loop a window still to be copied out (start_block).  Past each
+   block start a ring returns PAUSE with *at where the count stands, for
+   the kernel to go on from.  The planned windows stay in *at, touched
+   only as a block starts, so that they take no register from the loop. */
 static inline __attribute__((always_inline)) int
 count_loop(int mode, const uint8_t *pre, int64_t p, uint8_t *counts,
            int64_t cmask, int64_t a_max, struct count *at, uint32_t *ring,

@@ -84,9 +84,7 @@ def _check_pipeline(validate: int, depth: int, machine: Dfao | None = None) -> N
     # 4 to 64 MB; a ring refused as too short is counted again in one twice
     # its size, which no certificate of the synthesized machine has needed).
     # Without the library, F to validate + 2 takes PLAIN_F a value, and
-    # certification counts F flat to the plan's end beside it: 9.0 to 9.1
-    # bytes an index at --validate 2^20 to 2^22, 9.0 to 9.4 a value at
-    # depth 10 to 12
+    # certification counts F flat to the plan's end beside it
     _check_memory(f"--validate {validate} --depth {depth}", validate + 2 + ring,
                   validate + 2 + PLAIN_F * a_max if past
                   else PLAIN_F * (validate + 2))
@@ -109,8 +107,8 @@ def _build_pipeline(validate: int, depth: int, machine: Dfao | None = None):
 
 # the bytes a value of F that the plain-Python count holds, V's 32-bit
 # terms, two a value, and their array's over-allocation with it: peak RSS
-# grew by 9.0 to 9.3 bytes a value at gen f --max 2^20 to 2^22 without
-# the library
+# grew by 9.0 to 9.4 bytes a value on every command measured without the
+# library
 PLAIN_F = 9.5
 
 
@@ -131,8 +129,8 @@ def cmd_gen(args) -> int:
     # V's table, four bytes a term, beside F's counts to about half its
     # end; or F's counts alone, a byte a value: peak RSS grew by 4.1 to 4.5
     # and by 1.0 bytes a term, from about 15 MB, at --max 2^21 to 2^23.
-    # Without the library, F's count to half V's end holds as much as V's
-    # table and its counts (4.5 bytes a term at --max 2^20 to 2^21)
+    # Without the library, V's table holds no more than F's count to half
+    # its end
     v = args.sequence == "v"
     _check_memory(f"gen {args.sequence} --max {args.max}",
                   9 * args.max // 2 if v else args.max,
@@ -152,8 +150,7 @@ def cmd_rules(args) -> int:
     from . import rules
     rules.check_range(args.min, args.max)
     # F's counts to 2 * --max + 1, a byte a value: peak RSS grew by 1.9
-    # bytes an a, from about 15 MB, at --max 2^21 to 2^24, and by 17.9 to
-    # 18.1 at --max 2^19 to 2^21 without the library
+    # bytes an a, from about 15 MB, at --max 2^21 to 2^24
     _check_memory(f"rules derive --max {args.max}", 2 * args.max + 2,
                   PLAIN_F * (2 * args.max + 2))
     print(SEED_NOTE)
@@ -249,8 +246,7 @@ def cmd_probe(args) -> int:
     # F's table or V's steps, and the first join's ids: peak RSS grew by
     # 1.2 to 1.3 bytes an index at bases 2 and 3 and by 1.9 at base 40,
     # from about 15 MB, at spans of 10^7 to 6 * 10^7.  Without the library,
-    # F is counted to span, or to half of it for V's steps (4.5 bytes an
-    # index at spans of 2^20 to 2^22)
+    # F is counted to span, or to half of it for V's steps
     _check_memory(f"a probe to {span}", 2 * span,
                   PLAIN_F * span / (1 if args.sequence == "f" else 2))
     print(SEED_NOTE)

@@ -281,12 +281,12 @@ def test_usage_errors_exit_2_with_one_line(argv, tmp_path, monkeypatch, capsys):
 
 def test_vdiff_spans_1_and_2_print_on_both_engines(monkeypatch, capsys):
     # first_difference(span) takes any span >= 1: V's steps on [1, 1] and
-    # [1, 2] are probed, compiled and in plain Python, to the same bytes
+    # [1, 2], and on [1, 3] at base 3, are probed, compiled and in plain
+    # Python, to the same bytes
     from vseq import sequences
-    for flags in (["--depth", "0", "--prefix", "1"], ["--depth", "1", "--prefix", "1"],
-                  ["--depth", "0", "--prefix", "2"], ["--base", "3", "--depth", "0",
-                                                      "--prefix", "2"]):
-        argv = ["probe", "--sequence", "vdiff", *flags]
+    for span, flags in ((1, "--depth 0 --prefix 1"), (2, "--depth 1 --prefix 1"),
+                        (2, "--depth 0 --prefix 2"), (3, "--base 3 --depth 1 --prefix 1")):
+        argv = ["probe", "--sequence", "vdiff", *flags.split()]
         with monkeypatch.context() as patch:
             patch.setattr(sequences, "_library", lambda: None)
             assert run(argv) == 0
@@ -294,7 +294,6 @@ def test_vdiff_spans_1_and_2_print_on_both_engines(monkeypatch, capsys):
         assert run(argv) == 0
         compiled = capsys.readouterr()
         assert compiled == plain and compiled.err == "", argv
-        span = int(flags[-1]) * (3 if "3" in flags else 2) ** int(flags[-3])
         assert f"(oracle to {span})" in compiled.out
         assert compiled.out.endswith("stabilized: no\n"), compiled.out
 
